@@ -73,28 +73,19 @@ BestResponse BestResponseSolver::exact(const Digraph& g, Vertex u, ThreadPool* p
   return result;
 }
 
-namespace {
-
-/// Greedy's incremental branch, shared by both graph cores.
-template <class GraphT>
-BestResponse greedy_delta(const Digraph& g, Vertex u, CostVersion version) {
-  const std::uint32_t n = g.num_vertices();
-  const std::uint32_t b = g.out_degree(u);
+template <class Eval>
+BestResponse greedy_with(Eval& eval, std::uint32_t budget) {
+  const std::uint32_t n = eval.num_vertices();
 
   BestResponse result;
   result.evaluated = 0;
-  result.exact = (b == 0);
+  result.exact = (budget == 0);
+  result.current_cost = eval.current_cost();
 
   std::vector<Vertex> strategy;
   std::vector<bool> used(n, false);
-  used[u] = true;
-
-  DeltaEvaluatorT<GraphT> eval(g, u, version);
-  result.current_cost = eval.current_cost();
-  // Greedy builds from the empty strategy: strip the incumbent heads, then
-  // score each extension as one insert/delete pair on the oracle.
-  for (const Vertex h : eval.current_strategy()) eval.remove_head(h);
-  for (std::uint32_t step = 0; step < b; ++step) {
+  used[eval.player()] = true;
+  for (std::uint32_t step = 0; step < budget; ++step) {
     Vertex best_target = kUnreachable;
     std::uint64_t best_cost = ~0ULL;
     for (Vertex t = 0; t < n; ++t) {
@@ -121,8 +112,6 @@ BestResponse greedy_delta(const Digraph& g, Vertex u, CostVersion version) {
   return result;
 }
 
-}  // namespace
-
 BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   const std::uint32_t n = g.num_vertices();
   const std::uint32_t b = g.out_degree(u);
@@ -130,8 +119,17 @@ BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   // delta_scan_degenerate players probe from empty seed sets, where the
   // naive evaluator's tighter BFS loop wins; results are identical.
   if (incremental_ && !delta_scan_degenerate(g, u)) {
-    return core_ == GraphCore::kCsr ? greedy_delta<CsrUGraph>(g, u, version_)
-                                    : greedy_delta<UGraph>(g, u, version_);
+    // Greedy builds from the empty strategy: strip the incumbent heads.
+    const auto run = [&](auto& eval) {
+      for (const Vertex h : eval.current_strategy()) eval.remove_head(h);
+      return greedy_with(eval, b);
+    };
+    if (core_ == GraphCore::kCsr) {
+      CsrDeltaEvaluator eval(g, u, version_);
+      return run(eval);
+    }
+    DeltaEvaluator eval(g, u, version_);
+    return run(eval);
   }
 
   BestResponse result;
@@ -170,33 +168,21 @@ BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   return result;
 }
 
-namespace {
-
-/// swap_improve's incremental branch, shared by both graph cores.
-template <class GraphT>
-BestResponse swap_improve_delta(const Digraph& g, Vertex u, CostVersion version,
-                                std::optional<std::vector<Vertex>> start) {
-  const std::uint32_t n = g.num_vertices();
+template <class Eval>
+BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
+  const std::uint32_t n = eval.num_vertices();
 
   BestResponse result;
   result.evaluated = 1;
   result.exact = false;
+  result.current_cost = eval.current_cost();
 
   std::vector<bool> used(n, false);
-  used[u] = true;
-
-  DeltaEvaluatorT<GraphT> eval(g, u, version);
-  result.current_cost = eval.current_cost();
-  std::vector<Vertex> strategy =
-      start.has_value() ? std::move(*start) : eval.current_strategy();
+  used[eval.player()] = true;
   std::sort(strategy.begin(), strategy.end());
-  // Reconcile the oracle's head set (incumbent) with the start strategy.
-  for (const Vertex h : eval.current_strategy()) {
-    if (!std::binary_search(strategy.begin(), strategy.end(), h)) eval.remove_head(h);
-  }
   for (const Vertex h : strategy) {
+    BBNG_ASSERT(eval.has_head(h));
     used[h] = true;
-    if (!eval.has_head(h)) eval.add_head(h);
   }
   std::uint64_t cost = eval.cost();
 
@@ -204,7 +190,7 @@ BestResponse swap_improve_delta(const Digraph& g, Vertex u, CostVersion version,
   while (improved) {
     improved = false;
     for (std::size_t i = 0; i < strategy.size() && !improved; ++i) {
-      // Drop head i once, then each candidate swap is insert+delete.
+      // Drop head i once, then each candidate swap is one probe.
       const Vertex old_head = strategy[i];
       eval.remove_head(old_head);
       for (Vertex t = 0; t < n && !improved; ++t) {
@@ -230,16 +216,37 @@ BestResponse swap_improve_delta(const Digraph& g, Vertex u, CostVersion version,
   return result;
 }
 
-}  // namespace
+template BestResponse greedy_with(DeltaEvaluator&, std::uint32_t);
+template BestResponse greedy_with(CsrDeltaEvaluator&, std::uint32_t);
+template BestResponse greedy_with(TableEvaluator&, std::uint32_t);
+template BestResponse swap_improve_with(DeltaEvaluator&, std::vector<Vertex>);
+template BestResponse swap_improve_with(CsrDeltaEvaluator&, std::vector<Vertex>);
+template BestResponse swap_improve_with(TableEvaluator&, std::vector<Vertex>);
 
 BestResponse BestResponseSolver::swap_improve(const Digraph& g, Vertex u,
                                               std::optional<std::vector<Vertex>> start) const {
   const std::uint32_t n = g.num_vertices();
 
   if (incremental_ && !delta_scan_degenerate(g, u)) {
-    return core_ == GraphCore::kCsr
-               ? swap_improve_delta<CsrUGraph>(g, u, version_, std::move(start))
-               : swap_improve_delta<UGraph>(g, u, version_, std::move(start));
+    // Reconcile the oracle's head set (the incumbent) with the start.
+    const auto run = [&](auto& eval) {
+      std::vector<Vertex> strategy =
+          start.has_value() ? std::move(*start) : eval.current_strategy();
+      std::sort(strategy.begin(), strategy.end());
+      for (const Vertex h : eval.current_strategy()) {
+        if (!std::binary_search(strategy.begin(), strategy.end(), h)) eval.remove_head(h);
+      }
+      for (const Vertex h : strategy) {
+        if (!eval.has_head(h)) eval.add_head(h);
+      }
+      return swap_improve_with(eval, std::move(strategy));
+    };
+    if (core_ == GraphCore::kCsr) {
+      CsrDeltaEvaluator eval(g, u, version_);
+      return run(eval);
+    }
+    DeltaEvaluator eval(g, u, version_);
+    return run(eval);
   }
 
   BestResponse result;

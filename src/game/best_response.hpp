@@ -20,7 +20,8 @@
 // default (consecutive candidates differ by one head, so each evaluation is
 // two dynamic-BFS edge operations instead of a fresh multi-source BFS); pass
 // incremental = false to force the naive rebuild path, which must agree
-// bit-for-bit (tests/test_delta_eval.cpp).
+// bit-for-bit (tests/test_delta_eval.cpp). Their delta bodies are the
+// evaluator-generic greedy_with / swap_improve_with below.
 #pragma once
 
 #include <cstdint>
@@ -91,5 +92,23 @@ class BestResponseSolver {
   bool incremental_;
   GraphCore core_;
 };
+
+/// The greedy and swap descent bodies over any exact evaluator with the
+/// DeltaEvaluatorT interface (DeltaEvaluator, CsrDeltaEvaluator,
+/// TableEvaluator). One body per descent keeps the probe order — and with
+/// it every strategy, cost and evaluation count — identical whichever
+/// evaluator scores it; exact_bb seeds its incumbent through these on the
+/// evaluator its search then reuses.
+///
+/// greedy_with: `eval` must hold no heads. Adds `budget` heads, each the
+/// lowest-cost probe (ties to the smallest id), and leaves them committed.
+template <class Eval>
+[[nodiscard]] BestResponse greedy_with(Eval& eval, std::uint32_t budget);
+
+/// swap_improve_with: `eval` must hold exactly the heads of `start`. Runs
+/// first-improvement single-head swaps to a local optimum and leaves it
+/// committed.
+template <class Eval>
+[[nodiscard]] BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> start);
 
 }  // namespace bbng

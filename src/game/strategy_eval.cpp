@@ -1,6 +1,7 @@
 #include "game/strategy_eval.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/connectivity.hpp"
 
@@ -103,6 +104,137 @@ std::uint64_t StrategyEvaluator::evaluate(std::span<const Vertex> strategy,
 
 template class DeltaEvaluatorT<UGraph>;
 template class DeltaEvaluatorT<CsrUGraph>;
+
+// ---------------------------------------------------------------------------
+// TableEvaluator
+
+TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion version)
+    : player_(player), version_(version), n_(g.num_vertices()) {
+  BBNG_REQUIRE(player < n_);
+  BBNG_REQUIRE_MSG(cinf(n_) <= std::numeric_limits<std::uint32_t>::max(),
+                   "Cinf does not fit the table's 32-bit entries");
+  inf_ = static_cast<std::uint32_t>(cinf(n_));
+
+  const std::uint32_t n = n_;  // a local bound: row stores may not alias it
+  const CsrGraph csr(g);
+  const CsrUGraph base = underlying_csr(csr, /*skip=*/player_);
+  table_.assign(std::size_t{n} * n, inf_);
+  BfsRunner runner(n);
+  for (Vertex s = 0; s < n; ++s) {
+    if (s == player_) continue;  // never a head: its row stays all-Cinf
+    runner.run(base, s);
+    const std::span<const std::uint32_t> dist = runner.dist();
+    std::uint32_t* row = table_.data() + std::size_t{s} * n;
+    for (Vertex v = 0; v < n; ++v) {
+      if (dist[v] != kUnreachable) row[v] = dist[v] + 1;
+    }
+  }
+
+  // The first vertex of every base component except the player's own slot.
+  const Components comps = connected_components(base);
+  std::vector<std::uint8_t> seen(comps.count, 0);
+  seen[comps.id[player_]] = 1;
+  for (Vertex v = 0; v < n; ++v) {
+    if (seen[comps.id[v]] == 0) {
+      seen[comps.id[v]] = 1;
+      reps_.push_back(v);
+    }
+  }
+
+  covers_.assign(n, inf_);
+  covers_[player_] = 0;
+  std::uint32_t* in_cover = covers_.data();
+  for (const Vertex w : csr.in_neighbors(player_)) {
+    const std::uint32_t* row = table_.data() + std::size_t{w} * n;
+    for (Vertex v = 0; v < n; ++v) in_cover[v] = std::min(in_cover[v], row[v]);
+  }
+  level_cost_.push_back(score<false>(in_cover, in_cover, nullptr));
+
+  is_head_.assign(n_, 0);
+  current_strategy_.assign(g.out_neighbors(player_).begin(), g.out_neighbors(player_).end());
+  for (const Vertex h : current_strategy_) add_head(h);
+  current_cost_ = cost();
+  evaluations_ = 0;  // construction does not count as a query
+}
+
+template <bool kFold>
+std::uint64_t TableEvaluator::score(const std::uint32_t* cover, const std::uint32_t* row,
+                                    std::uint32_t* fold) const {
+  const std::uint32_t n = n_;  // a local bound: `fold` stores may not alias it
+  if (version_ == CostVersion::Sum) {
+    std::uint64_t sum = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      sum += std::min(cover[v], row[v]);
+      if constexpr (kFold) fold[v] = std::min(fold[v], row[v]);
+    }
+    return sum;
+  }
+  // MAX: κ − 1 = base components whose representative no seed reaches.
+  std::uint64_t unseeded = 0;
+  for (const Vertex r : reps_) unseeded += std::min(cover[r], row[r]) == inf_ ? 1 : 0;
+  if (unseeded > 0) {
+    if constexpr (kFold) {
+      for (Vertex v = 0; v < n; ++v) fold[v] = std::min(fold[v], row[v]);
+    }
+    return std::uint64_t{inf_} * (1 + unseeded);
+  }
+  std::uint32_t max = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    max = std::max(max, std::min(cover[v], row[v]));
+    if constexpr (kFold) fold[v] = std::min(fold[v], row[v]);
+  }
+  return max;  // local diameter; κ == 1
+}
+
+void TableEvaluator::fill_level(std::size_t level, Vertex t) {
+  const std::uint32_t n = n_;
+  const std::uint32_t* prev = covers_.data() + (level - 1) * n;
+  const std::uint32_t* head = table_.data() + std::size_t{t} * n;
+  std::uint32_t* next = covers_.data() + level * n;
+  level_cost_[level] = score<false>(prev, head, nullptr);
+  for (Vertex v = 0; v < n; ++v) next[v] = std::min(prev[v], head[v]);
+}
+
+void TableEvaluator::add_head(Vertex t) {
+  BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
+  BBNG_REQUIRE(t < n_);
+  BBNG_REQUIRE_MSG(is_head_[t] == 0, "head already present");
+  is_head_[t] = 1;
+  heads_.push_back(t);
+  covers_.resize(covers_.size() + n_);
+  level_cost_.push_back(0);
+  fill_level(heads_.size(), t);
+}
+
+void TableEvaluator::remove_head(Vertex h) {
+  BBNG_REQUIRE(h < n_);
+  BBNG_REQUIRE_MSG(is_head_[h] != 0, "head not present");
+  is_head_[h] = 0;
+  const std::size_t pos =
+      static_cast<std::size_t>(std::find(heads_.rbegin(), heads_.rend(), h).base() -
+                               heads_.begin()) - 1;
+  heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(pos));
+  // Every level above the removed head included it: rebuild them.
+  for (std::size_t j = pos; j < heads_.size(); ++j) fill_level(j + 1, heads_[j]);
+  covers_.resize((heads_.size() + 1) * n_);
+  level_cost_.resize(heads_.size() + 1);
+}
+
+std::uint64_t TableEvaluator::cost_with_head(Vertex t) {
+  BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
+  BBNG_REQUIRE(t < n_);
+  BBNG_REQUIRE_MSG(is_head_[t] == 0, "head already present");
+  ++evaluations_;
+  return score<false>(cover().data(), table_.data() + std::size_t{t} * n_, nullptr);
+}
+
+std::uint64_t TableEvaluator::cost_with_head(Vertex t, std::span<std::uint32_t> fold) {
+  BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
+  BBNG_REQUIRE(t < n_ && fold.size() == n_);
+  BBNG_REQUIRE_MSG(is_head_[t] == 0, "head already present");
+  ++evaluations_;
+  return score<true>(cover().data(), table_.data() + std::size_t{t} * n_, fold.data());
+}
 
 bool delta_scan_degenerate(const Digraph& g, Vertex player) {
   BBNG_REQUIRE(player < g.num_vertices());

@@ -317,6 +317,111 @@ using CsrDeltaEvaluator = DeltaEvaluatorT<CsrUGraph>;
 extern template class DeltaEvaluatorT<UGraph>;
 extern template class DeltaEvaluatorT<CsrUGraph>;
 
+/// Strategy evaluator over a precomputed base-distance table: the
+/// DeltaEvaluatorT interface, scored without any BFS after construction.
+///
+/// Construction runs one BFS per vertex of the stripped base
+/// (underlying_csr(CsrGraph(g), player)) and stores the n×n head-cover table
+///
+///     row_t[v] = 1 + d_base(t, v)   (Cinf = n² across components),
+///
+/// the precomputed backward distances of the Wilson–Zwick forward/backward
+/// split (PAPERS.md): a seed set S ∪ In(u) serves v at min over its seeds of
+/// row_s[v]. The present head set keeps a stack of such covers (level 0 =
+/// the in-neighbour cover, level i = level i−1 ∧ row of the i-th head), so
+/// add_head and a LIFO remove_head are one O(n) pass or O(1).
+/// cost_with_head(t) is one O(n) pass
+/// over min(cover, row_t): the sum for SUM; for MAX the max, with κ − 1 read
+/// off one representative vertex per base component (a component is seeded
+/// iff its representative is covered below Cinf). The player's own cover
+/// column is 0, so it drops out of both aggregates. Every cost is exact and
+/// bit-identical to StrategyEvaluator::evaluate (tests/test_delta_eval.cpp).
+///
+/// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; exact_bb uses it up
+/// to n = 2048. Stateful and single-threaded, like DeltaEvaluatorT.
+class TableEvaluator {
+ public:
+  TableEvaluator(const Digraph& g, Vertex player, CostVersion version);
+
+  [[nodiscard]] Vertex player() const noexcept { return player_; }
+  [[nodiscard]] CostVersion version() const noexcept { return version_; }
+  [[nodiscard]] std::uint32_t num_vertices() const noexcept { return n_; }
+  [[nodiscard]] std::uint64_t current_cost() const noexcept { return current_cost_; }
+  [[nodiscard]] const std::vector<Vertex>& current_strategy() const noexcept {
+    return current_strategy_;
+  }
+  [[nodiscard]] bool has_head(Vertex v) const {
+    BBNG_ASSERT(v < n_);
+    return is_head_[v] != 0;
+  }
+
+  /// Add head t (must not be present, ≠ player): one O(n) cover pass.
+  void add_head(Vertex t);
+  /// Remove head h (must be present): O(1) for the most recent head, else
+  /// the covers above it are rebuilt.
+  void remove_head(Vertex h);
+
+  /// Cost of the present head set. O(1) (cached per cover level).
+  [[nodiscard]] std::uint64_t cost() {
+    ++evaluations_;
+    return level_cost_.back();
+  }
+  /// Cost of heads ∪ {t} without committing. One O(n) pass.
+  [[nodiscard]] std::uint64_t cost_with_head(Vertex t);
+  /// cost_with_head(t) that also folds row_t into `fold` (fold[v] =
+  /// min(fold[v], row_t[v])) in the same pass, so a caller building a
+  /// min-over-candidates cover (exact_bb's seed-distance bound) reads each
+  /// row once.
+  [[nodiscard]] std::uint64_t cost_with_head(Vertex t, std::span<std::uint32_t> fold);
+  /// Cost of (heads \ {removed}) ∪ {added}; the head set is restored.
+  [[nodiscard]] std::uint64_t evaluate_swap(Vertex removed, Vertex added) {
+    remove_head(removed);
+    const std::uint64_t swapped = cost_with_head(added);
+    add_head(removed);
+    return swapped;
+  }
+
+  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
+  /// No oracle runs behind the table, so no BFS is ever "avoided": always 0.
+  [[nodiscard]] std::uint64_t bfs_avoided() const noexcept { return 0; }
+
+  // ---- table access for branch-and-bound bounds ----
+  /// Head-cover row of t: 1 + d_base(t, ·), Cinf across components.
+  [[nodiscard]] std::span<const std::uint32_t> row(Vertex t) const {
+    BBNG_ASSERT(t < n_ && t != player_);
+    return {table_.data() + std::size_t{t} * n_, n_};
+  }
+  /// The in-neighbour cover (level 0): what every strategy gets for free.
+  [[nodiscard]] std::span<const std::uint32_t> in_cover() const { return {covers_.data(), n_}; }
+  /// The cover of the present head set (top level).
+  [[nodiscard]] std::span<const std::uint32_t> cover() const {
+    return {covers_.data() + covers_.size() - n_, n_};
+  }
+
+ private:
+  /// Write cover level `level` = level − 1 ∧ row_t and cache its cost.
+  void fill_level(std::size_t level, Vertex t);
+  /// One pass over min(cover, row): the cost of that cover, folding row
+  /// into `fold` when kFold.
+  template <bool kFold>
+  [[nodiscard]] std::uint64_t score(const std::uint32_t* cover, const std::uint32_t* row,
+                                    std::uint32_t* fold) const;
+
+  Vertex player_;
+  CostVersion version_;
+  std::uint32_t n_;
+  std::uint32_t inf_;                   ///< Cinf = n²
+  std::vector<std::uint32_t> table_;    ///< n×n head covers, row-major by head
+  std::vector<Vertex> reps_;            ///< one vertex per base component
+  std::vector<std::uint32_t> covers_;   ///< (heads + 1) × n cover stack
+  std::vector<std::uint64_t> level_cost_;  ///< cost of each cover level
+  std::vector<Vertex> heads_;           ///< present heads, insertion order
+  std::vector<std::uint8_t> is_head_;
+  std::vector<Vertex> current_strategy_;
+  std::uint64_t current_cost_ = 0;
+  std::uint64_t evaluations_ = 0;
+};
+
 /// Result of one player's first-improving-swap scan (see below).
 struct SwapScanResult {
   bool found = false;

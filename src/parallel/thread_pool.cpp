@@ -57,7 +57,15 @@ void ThreadPool::worker_loop() {
       bulk->drivers.fetch_add(1, std::memory_order_acq_rel);
     }
     drive(*bulk);
-    bulk->drivers.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      // Deregister under the pool mutex too: the submitter evaluates its
+      // completion predicate under it, so a decrement (and the notify after
+      // it) can never fall between that check and its block. Unlocked, that
+      // wakeup was lost and run_chunked slept forever. `bulk` is not touched
+      // after the unlock — the submitter may free it from then on.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      bulk->drivers.fetch_sub(1, std::memory_order_acq_rel);
+    }
     work_done_.notify_all();
   }
 }

@@ -1,10 +1,11 @@
 #include "solver/exact_bb.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <span>
+#include <type_traits>
 
+#include "game/best_response.hpp"
 #include "game/strategy_eval.hpp"
-#include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
@@ -25,8 +26,6 @@ void publish_exact_bb(const SolverResult& result, bool cache_hit) {
   static const obs::CounterId kNodes = obs::register_counter("solver.exact_bb.nodes");
   static const obs::CounterId kPruned = obs::register_counter("solver.exact_bb.pruned");
   static const obs::CounterId kEvaluated = obs::register_counter("solver.exact_bb.evaluated");
-  static const obs::CounterId kBfsAvoided =
-      obs::register_counter("solver.exact_bb.bfs_avoided");
   if (cache_hit) {
     obs::add(kServed, 1);
     return;
@@ -35,112 +34,18 @@ void publish_exact_bb(const SolverResult& result, bool cache_hit) {
   obs::add(kNodes, result.nodes_explored);
   obs::add(kPruned, result.nodes_pruned);
   obs::add(kEvaluated, result.evaluated);
-  obs::add(kBfsAvoided, result.bfs_avoided);
 }
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
-/// Dominance + the full distance-table bounds need O(n²) memory and an O(n·m)
-/// precompute; above this size the search runs on the probe-based savings
-/// bound alone (it is hopeless that far out anyway — exact search is a
-/// small-instance tool).
-constexpr std::uint32_t kMatrixLimit = 2048;
+/// The table evaluator — and with it dominance and the seed-distance bound —
+/// needs O(n²) memory and an O(n·m) precompute, so it stops at
+/// ExactBranchAndBound::kMatrixLimit (exact search is a small-instance tool
+/// anyway).
+constexpr std::uint32_t kMatrixLimit = ExactBranchAndBound::kMatrixLimit;
 
 /// The O(n³)-worst-case pairwise dominance sweep is gated tighter.
 constexpr std::uint32_t kDominanceLimit = 256;
-
-/// Both scoring paths behind one probe/commit interface: the delta oracle
-/// (journaled trial probes; the production path) or the naive per-candidate
-/// multi-source BFS (differential testing). Identical costs either way.
-class NodeEval {
- public:
-  NodeEval(const Digraph& g, Vertex player, CostVersion version, bool incremental,
-           GraphCore core)
-      : incremental_(incremental), csr_(core == GraphCore::kCsr) {
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_.emplace(g, player, version);
-      } else {
-        delta_.emplace(g, player, version);
-      }
-      current_cost_ = csr_ ? csr_delta_->current_cost() : delta_->current_cost();
-      current_strategy_ = csr_ ? csr_delta_->current_strategy() : delta_->current_strategy();
-      // The search grows P from the empty set; strip the incumbent heads.
-      for (const Vertex h : current_strategy_) {
-        if (csr_) {
-          csr_delta_->remove_head(h);
-        } else {
-          delta_->remove_head(h);
-        }
-      }
-    } else {
-      naive_.emplace(g, player, version);
-      scratch_.emplace(g.num_vertices());
-      current_cost_ = naive_->current_cost();
-      current_strategy_ = naive_->current_strategy();
-    }
-  }
-
-  [[nodiscard]] std::uint64_t current_cost() const noexcept { return current_cost_; }
-  [[nodiscard]] const std::vector<Vertex>& current_strategy() const noexcept {
-    return current_strategy_;
-  }
-  [[nodiscard]] const std::vector<Vertex>& heads() const noexcept { return heads_; }
-
-  /// Cost of the present partial head set P.
-  [[nodiscard]] std::uint64_t cost() {
-    if (incremental_) return csr_ ? csr_delta_->cost() : delta_->cost();
-    return naive_->evaluate(heads_, *scratch_);
-  }
-
-  /// Cost of P ∪ {t} without committing (delta path: one journaled trial).
-  [[nodiscard]] std::uint64_t probe(Vertex t) {
-    if (incremental_) return csr_ ? csr_delta_->cost_with_head(t) : delta_->cost_with_head(t);
-    heads_.push_back(t);
-    const std::uint64_t c = naive_->evaluate(heads_, *scratch_);
-    heads_.pop_back();
-    return c;
-  }
-
-  void push(Vertex t) {
-    heads_.push_back(t);
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_->add_head(t);
-      } else {
-        delta_->add_head(t);
-      }
-    }
-  }
-
-  void pop() {
-    BBNG_ASSERT(!heads_.empty());
-    if (incremental_) {
-      if (csr_) {
-        csr_delta_->remove_head(heads_.back());
-      } else {
-        delta_->remove_head(heads_.back());
-      }
-    }
-    heads_.pop_back();
-  }
-
-  [[nodiscard]] std::uint64_t bfs_avoided() const noexcept {
-    if (!incremental_) return 0;
-    return csr_ ? csr_delta_->bfs_avoided() : delta_->bfs_avoided();
-  }
-
- private:
-  bool incremental_;
-  bool csr_;  ///< which optional below is engaged on the incremental path
-  std::optional<CsrDeltaEvaluator> csr_delta_;
-  std::optional<DeltaEvaluator> delta_;
-  std::optional<StrategyEvaluator> naive_;
-  std::optional<StrategyEvaluator::Scratch> scratch_;
-  std::vector<Vertex> heads_;  ///< the DFS path P (delta path mirrors it)
-  std::uint64_t current_cost_ = 0;
-  std::vector<Vertex> current_strategy_;
-};
 
 struct Candidate {
   Vertex t = 0;
@@ -148,28 +53,42 @@ struct Candidate {
   std::uint64_t saving = 0;  ///< cost(P) − cost
 };
 
+/// One solve's search over `Eval`: TableEvaluator up to kMatrixLimit,
+/// CsrDeltaEvaluator beyond. The incumbent seed and the DFS share the one
+/// evaluator; the DFS path P is its head set.
+template <class Eval>
 class Search {
  public:
+  static constexpr bool kTable = std::is_same_v<Eval, TableEvaluator>;
+
   Search(const Digraph& g, Vertex player, CostVersion version, const SolverBudget& budget,
          std::uint32_t cap)
       : n_(g.num_vertices()),
         player_(player),
         version_(version),
         b_(cap),
-        inf_(cinf(n_)),
         budget_(budget),
-        eval_(g, player, version, budget.incremental, budget.core) {
-    if (n_ <= kMatrixLimit) build_matrix(g);
-  }
+        eval_(g, player, version) {}
 
-  [[nodiscard]] NodeEval& eval() noexcept { return eval_; }
+  [[nodiscard]] std::uint64_t current_cost() const noexcept { return eval_.current_cost(); }
 
-  /// Seed the incumbent (better seeds prune more).
-  void offer(const std::vector<Vertex>& heads, std::uint64_t cost) {
-    if (cost < best_cost_) {
-      best_cost_ = cost;
-      best_heads_ = heads;
-    }
+  /// Seed the incumbent (better seeds prune more) with the current strategy
+  /// plus a greedy+swap descent — only while they fit the cap (they carry
+  /// exactly out-degree heads, so a forced shrink below the current degree
+  /// starts from the empty incumbent the DFS root offers). Leaves the
+  /// evaluator on the empty head set the DFS grows P from.
+  void seed(bool current_feasible, SolverResult& result) {
+    const std::vector<Vertex>& current = eval_.current_strategy();
+    for (const Vertex h : current) eval_.remove_head(h);
+    if (!current_feasible) return;
+    offer(current, eval_.current_cost());
+    const BestResponse coarse =
+        greedy_with(eval_, static_cast<std::uint32_t>(current.size()));
+    const BestResponse refined = swap_improve_with(eval_, coarse.strategy);
+    offer(coarse.strategy, coarse.cost);
+    offer(refined.strategy, refined.cost);
+    result.evaluated += coarse.evaluated + refined.evaluated;
+    for (const Vertex h : refined.strategy) eval_.remove_head(h);
   }
 
   void run() {
@@ -182,63 +101,65 @@ class Search {
   }
 
   void eliminate_dominated(SolverResult& result) {
-    if (!have_matrix_ || n_ > kDominanceLimit) return;
-    for (Vertex t2 = 0; t2 < n_; ++t2) {
-      if (t2 == player_) continue;
-      for (Vertex t1 = 0; t1 < n_ && !eliminated_[t2]; ++t1) {
-        if (t1 == player_ || t1 == t2 || eliminated_[t1]) continue;
-        bool dominates = true;
-        for (Vertex v = 0; v < n_ && dominates; ++v) {
-          if (v == player_) continue;
-          const std::uint64_t a = std::min(head_cover(t1, v), in_cover_[v]);
-          const std::uint64_t b = std::min(head_cover(t2, v), in_cover_[v]);
-          dominates = a <= b;
-        }
-        if (dominates) {
-          eliminated_[t2] = true;
-          ++result.nodes_pruned;  // a dominated candidate cuts its whole orbit
+    if constexpr (kTable) {
+      if (n_ > kDominanceLimit) return;
+      const std::span<const std::uint32_t> in = eval_.in_cover();
+      for (Vertex t2 = 0; t2 < n_; ++t2) {
+        if (t2 == player_) continue;
+        const std::span<const std::uint32_t> row2 = eval_.row(t2);
+        for (Vertex t1 = 0; t1 < n_ && !eliminated_[t2]; ++t1) {
+          if (t1 == player_ || t1 == t2 || eliminated_[t1]) continue;
+          const std::span<const std::uint32_t> row1 = eval_.row(t1);
+          bool dominates = true;
+          for (Vertex v = 0; v < n_ && dominates; ++v) {
+            dominates = std::min(row1[v], in[v]) <= std::min(row2[v], in[v]);
+          }
+          if (dominates) {
+            eliminated_[t2] = true;
+            ++result.nodes_pruned;  // a dominated candidate cuts its whole orbit
+          }
         }
       }
+    } else {
+      (void)result;
     }
   }
 
+  /// Report the search, padding the incumbent to exactly b heads (supersets
+  /// never cost more) and re-scoring it so the returned (strategy, cost)
+  /// pair is exact.
   void finish(SolverResult& result) {
-    result.cost = best_cost_;
-    result.strategy = std::move(best_heads_);
     result.nodes_explored = nodes_explored_;
     result.nodes_pruned += nodes_pruned_;
     result.evaluated += evaluated_;
     result.bfs_avoided = eval_.bfs_avoided();
     result.optimal = !truncated_;
     result.lower_bound = truncated_ ? std::min(trunc_lb_, best_cost_) : best_cost_;
+
+    std::vector<Vertex>& strategy = best_heads_;
+    if (strategy.size() < b_) {
+      std::vector<std::uint8_t> used(n_, 0);
+      used[player_] = 1;
+      for (const Vertex h : strategy) used[h] = 1;
+      for (Vertex t = 0; t < n_ && strategy.size() < b_; ++t) {
+        if (!used[t]) strategy.push_back(t);
+      }
+    }
+    std::sort(strategy.begin(), strategy.end());
+    for (const Vertex h : strategy) eval_.add_head(h);  // the DFS left P empty
+    const std::uint64_t padded = eval_.cost();
+    BBNG_ASSERT(padded <= best_cost_);
+    BBNG_ASSERT(!result.optimal || padded == best_cost_);
+    result.cost = padded;
+    result.strategy = std::move(strategy);
   }
 
  private:
-  void build_matrix(const Digraph& g) {
-    const UGraph base = best_response_base(g, player_);
-    BfsRunner runner(n_);
-    dist_.assign(static_cast<std::size_t>(n_) * n_, 0);
-    for (Vertex s = 0; s < n_; ++s) {
-      if (s == player_) continue;  // row unused (never a candidate/seed)
-      runner.run(base, s);
-      std::copy(runner.dist().begin(), runner.dist().end(), dist_.begin() + std::size_t{s} * n_);
+  void offer(const std::vector<Vertex>& heads, std::uint64_t cost) {
+    if (cost < best_cost_) {
+      best_cost_ = cost;
+      best_heads_ = heads;
     }
-    in_cover_.assign(n_, kInfCost);
-    for (const Vertex w : player_in_neighbors(g, player_)) {
-      for (Vertex v = 0; v < n_; ++v) {
-        in_cover_[v] = std::min(in_cover_[v], head_cover(w, v));
-      }
-    }
-    cover_stack_.push_back(in_cover_);
-    have_matrix_ = true;
-    eliminated_.assign(n_, 0);
-  }
-
-  /// The distance charge v pays when served through head t: 1 + d_base(t, v),
-  /// saturated at Cinf across components (matching the cost model).
-  [[nodiscard]] std::uint64_t head_cover(Vertex t, Vertex v) const {
-    const std::uint32_t d = dist_[std::size_t{t} * n_ + v];
-    return d == kUnreachable ? inf_ : std::uint64_t{d} + 1;
   }
 
   [[nodiscard]] bool out_of_budget() {
@@ -267,23 +188,18 @@ class Search {
       for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
       lb = gain >= cost_p ? 0 : cost_p - gain;
     }
-    if (have_matrix_) {
+    if constexpr (kTable) {
       // Seed-distance bound: dist(v) ≥ min over every seed the subtree could
-      // ever own (in ∪ P via the cover stack, plus any allowed candidate).
-      const std::vector<std::uint64_t>& cover = cover_stack_.back();
-      std::uint64_t max_lb = 0;
+      // ever own (in ∪ P via the present cover, plus any allowed candidate —
+      // folded into bound_ by the probes). The player's own cover column is
+      // 0, so it drops out of both aggregates.
       std::uint64_t sum_lb = 0;
-      for (Vertex v = 0; v < n_; ++v) {
-        if (v == player_) continue;
-        std::uint64_t best = cover[v];
-        for (const Candidate& c : cands) {
-          best = std::min(best, head_cover(c.t, v));
-          if (best <= 1) break;
-        }
-        max_lb = std::max(max_lb, best);
+      std::uint32_t max_lb = 0;
+      for (const std::uint32_t best : bound_) {
         sum_lb += best;
+        max_lb = std::max(max_lb, best);
       }
-      lb = std::max(lb, version_ == CostVersion::Sum ? sum_lb : max_lb);
+      lb = std::max(lb, version_ == CostVersion::Sum ? sum_lb : std::uint64_t{max_lb});
     }
     return lb;
   }
@@ -296,15 +212,25 @@ class Search {
     }
     ++nodes_explored_;
     const std::uint64_t cost_p = eval_.cost();
-    offer(eval_.heads(), cost_p);
+    offer(path_, cost_p);
     const std::uint32_t r = b_ - depth;
     if (r == 0 || allowed.empty()) return;
 
-    // Probe every allowed candidate once (journaled trial inserts).
+    // Probe every allowed candidate once; on the table the same pass folds
+    // its row into the seed-distance bound's cover.
     std::vector<Candidate> cands;
     cands.reserve(allowed.size());
+    if constexpr (kTable) {
+      const std::span<const std::uint32_t> cover = eval_.cover();
+      bound_.assign(cover.begin(), cover.end());
+    }
     for (const Vertex t : allowed) {
-      const std::uint64_t c = eval_.probe(t);
+      std::uint64_t c = 0;
+      if constexpr (kTable) {
+        c = eval_.cost_with_head(t, bound_);
+      } else {
+        c = eval_.cost_with_head(t);
+      }
       BBNG_ASSERT(c <= cost_p);
       cands.push_back({t, c, cost_p - c});
     }
@@ -331,7 +257,7 @@ class Search {
       // Children are leaves and their costs are already probed.
       for (const Candidate& c : cands) {
         if (c.cost < best_cost_) {
-          std::vector<Vertex> heads = eval_.heads();
+          std::vector<Vertex> heads = path_;
           heads.push_back(c.t);
           offer(heads, c.cost);
         }
@@ -365,15 +291,11 @@ class Search {
           continue;
         }
       }
-      eval_.push(child.t);
-      if (have_matrix_) {
-        cover_stack_.push_back(cover_stack_.back());
-        auto& top = cover_stack_.back();
-        for (Vertex v = 0; v < n_; ++v) top[v] = std::min(top[v], head_cover(child.t, v));
-      }
+      path_.push_back(child.t);
+      eval_.add_head(child.t);
       dfs(child_allowed, std::max(lb, floor_lb), depth + 1);
-      if (have_matrix_) cover_stack_.pop_back();
-      eval_.pop();
+      eval_.remove_head(child.t);
+      path_.pop_back();
     }
   }
 
@@ -381,17 +303,14 @@ class Search {
   const Vertex player_;
   const CostVersion version_;
   const std::uint32_t b_;
-  const std::uint64_t inf_;
   const SolverBudget budget_;
-  NodeEval eval_;
+  Eval eval_;
   Timer timer_;
 
-  bool have_matrix_ = false;
-  std::vector<std::uint32_t> dist_;  ///< n×n base distances, row-major by source
-  std::vector<std::uint64_t> in_cover_;
-  std::vector<std::vector<std::uint64_t>> cover_stack_;
+  std::vector<Vertex> path_;  ///< the DFS path P (the evaluator's head set)
   std::vector<std::uint8_t> eliminated_ = std::vector<std::uint8_t>(n_, 0);
   std::vector<std::uint64_t> savings_scratch_;
+  std::vector<std::uint32_t> bound_;  ///< seed-distance bound scratch
 
   std::uint64_t best_cost_ = kInfCost;
   std::vector<Vertex> best_heads_;
@@ -401,6 +320,19 @@ class Search {
   std::uint64_t nodes_pruned_ = 0;
   std::uint64_t evaluated_ = 0;
 };
+
+/// Seed, prune, search and report one solve on `Eval`.
+template <class Eval>
+void search_with(const Digraph& g, Vertex player, CostVersion version,
+                 const SolverBudget& budget, std::uint32_t cap, bool current_feasible,
+                 SolverResult& result) {
+  Search<Eval> search(g, player, version, budget, cap);
+  result.current_cost = search.current_cost();
+  search.seed(current_feasible, result);
+  search.eliminate_dominated(result);
+  search.run();
+  search.finish(result);
+}
 
 }  // namespace
 
@@ -455,44 +387,10 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
     }
   }
 
-  Search search(g, player, version, budget, b);
-  result.current_cost = search.eval().current_cost();
-
-  // Incumbent seeding: the current strategy plus a greedy+swap descent —
-  // only while they fit the cap (they carry exactly out-degree heads, so a
-  // forced shrink below the current degree starts from the empty incumbent
-  // the DFS root offers). A strong incumbent is what makes the bounds bite.
-  if (current_feasible) {
-    search.offer(search.eval().current_strategy(), result.current_cost);
-    const GreedySwapDescent descent =
-        greedy_swap_descent(g, player, version, budget.incremental, budget.core);
-    search.offer(descent.coarse.strategy, descent.coarse.cost);
-    search.offer(descent.refined.strategy, descent.refined.cost);
-    result.evaluated += descent.coarse.evaluated + descent.refined.evaluated;
-  }
-
-  search.eliminate_dominated(result);
-  search.run();
-  search.finish(result);
-
-  // Pad the incumbent to exactly b heads (supersets never cost more) and
-  // re-score it so the returned (strategy, cost) pair is exact.
-  if (result.strategy.size() < b) {
-    std::vector<std::uint8_t> used(n, 0);
-    used[player] = 1;
-    for (const Vertex h : result.strategy) used[h] = 1;
-    for (Vertex t = 0; t < n && result.strategy.size() < b; ++t) {
-      if (!used[t]) result.strategy.push_back(t);
-    }
-  }
-  std::sort(result.strategy.begin(), result.strategy.end());
-  {
-    const StrategyEvaluator eval(g, player, version);
-    StrategyEvaluator::Scratch scratch(n);
-    const std::uint64_t padded = eval.evaluate(result.strategy, scratch);
-    BBNG_ASSERT(padded <= result.cost);
-    BBNG_ASSERT(!result.optimal || padded == result.cost);
-    result.cost = padded;
+  if (n <= kMatrixLimit) {
+    search_with<TableEvaluator>(g, player, version, budget, b, current_feasible, result);
+  } else {
+    search_with<CsrDeltaEvaluator>(g, player, version, budget, b, current_feasible, result);
   }
   BBNG_ASSERT(!current_feasible || result.cost <= result.current_cost);
   BBNG_ASSERT(result.lower_bound <= result.cost);

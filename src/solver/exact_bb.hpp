@@ -5,11 +5,20 @@
 // the player's cost is monotone non-increasing in its head set (every head
 // only adds a seed to the distance minimisation), so the optimum over
 // ≤ b-sets equals the optimum over exactly-b sets and any incumbent pads to
-// budget for free. Each DFS node holds a partial head set P on a
-// DeltaEvaluator, so descending/backtracking is one dynamic-BFS edge
-// operation and probing a child is a journaled trial insert (rolled back in
-// O(touched)) — the machinery bench_delta_eval measures, now driving a
-// search tree instead of a hill climb.
+// budget for free.
+//
+// Scoring: for n ≤ kMatrixLimit one TableEvaluator (game/strategy_eval.hpp)
+// per solve holds the n×n base-distance table and a stack of seed covers.
+// Each DFS node's partial head set P is the top of that stack, so
+// descending/backtracking is one O(n) cover pass or a pop, and probing a
+// child is one O(n) pass over min(cover, row_t) — the same pass folds row_t
+// into the seed-distance bound below. The greedy+swap incumbent seed runs
+// the shared descent bodies (greedy_with / swap_improve_with) on the same
+// evaluator before the search reuses it. Above kMatrixLimit, where an O(n²)
+// table is too large, the same search runs on the CSR delta oracle
+// (journaled dynamic-BFS trial probes) under the savings bound alone. Every
+// cost is exact either way, and the DFS order depends only on costs, so the
+// scoring path never changes a node, prune, evaluation count or incumbent.
 //
 // Pruning (all admissible, i.e. never cuts a subtree containing a strictly
 // better solution than the incumbent):
@@ -18,15 +27,15 @@
 //     cost(P ∪ T) ≥ cost(P) − Σ_{t∈T} saving(t | P). With r head slots left,
 //     LB = cost(P) − (sum of the r largest single-head savings), each
 //     saving measured by one trial probe.
-//   * MAX seed-distance bound — from an all-pairs distance table on the base
-//     graph: dist(v) ≥ 1 + min over every seed the subtree could ever own
-//     (in-neighbours ∪ P ∪ allowed candidates) of d_base(s, v); the max over
-//     v lower-bounds the MAX cost (unreachable v charge Cinf). This is the
-//     bidirectional-bound idea of the SSSP literature (Wilson–Zwick in
-//     PAPERS.md): meet the forward partial assignment with precomputed
-//     backward distances from the candidates.
-//   * Dominance/symmetry elimination — candidate t2 is dropped at the root
-//     when some kept t1 satisfies, for every v,
+//   * Seed-distance bound (table path) — dist(v) ≥ 1 + min over every seed
+//     the subtree could ever own (in-neighbours ∪ P ∪ allowed candidates) of
+//     d_base(s, v); the sum (SUM) or max (MAX) over v lower-bounds the cost
+//     (unreachable v charge Cinf). This is the bidirectional-bound idea of
+//     the SSSP literature (Wilson–Zwick in PAPERS.md): meet the forward
+//     partial assignment with precomputed backward distances from the
+//     candidates.
+//   * Dominance/symmetry elimination (table path, n ≤ 256) — candidate t2
+//     is dropped at the root when some kept t1 satisfies, for every v,
 //     min(1 + d(t1,v), g(v)) ≤ min(1 + d(t2,v), g(v)), where g(v) is the
 //     distance cover the player's in-neighbours provide for free. Mutually
 //     dominating (symmetric, interchangeable) candidates collapse to their
@@ -49,16 +58,21 @@ namespace bbng {
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
+  /// Largest n scored on the O(n²) distance table; larger instances search
+  /// on the CSR delta oracle under the savings bound alone.
+  static constexpr std::uint32_t kMatrixLimit = 2048;
+
   [[nodiscard]] std::string_view name() const noexcept override { return "exact_bb"; }
   [[nodiscard]] std::string_view description() const noexcept override {
-    return "certified branch-and-bound over head sets: delta-oracle trial probes, "
-           "admissible savings/seed-distance bounds, dominance elimination, anytime "
-           "under a node/deadline budget";
+    return "certified branch-and-bound over head sets: probes scored on a base-distance "
+           "table (delta oracle past n = 2048), admissible savings/seed-distance bounds, "
+           "dominance elimination, anytime under a node/deadline budget";
   }
 
   /// `budget.node_limit` caps expanded search-tree nodes (0 = unlimited);
-  /// `cache` memoises certified results across calls with the same relevant
-  /// state. `pool` is accepted for interface uniformity but unused — the
+  /// `budget.incremental` and `budget.core` are ignored (the scoring path is
+  /// fixed by n). `cache` memoises certified results across calls with the
+  /// same relevant state. `pool` is accepted for interface uniformity but unused — the
   /// DFS is sequential (callers parallelise across players/jobs instead).
   [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
                                    const SolverBudget& budget = {}, ThreadPool* pool = nullptr,

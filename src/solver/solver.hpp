@@ -42,7 +42,8 @@ namespace bbng {
 /// the dynamic-BFS delta oracle, or force the naive full-BFS path
 /// (differential testing; both paths return identical costs). `core` picks
 /// the delta oracle's graph core (graph/csr_graph.hpp) — a performance knob
-/// only; the cores are bit-identical in every observable.
+/// only; the cores are bit-identical in every observable. Both steer the
+/// heuristic backends; exact_bb picks its own scoring path by n.
 struct SolverBudget {
   double deadline_seconds = 0;   ///< wall-clock cap; 0 = none
   std::uint64_t node_limit = 0;  ///< backend-specific work cap (see above)
@@ -85,6 +86,7 @@ struct SolverResult {
   std::uint64_t nodes_pruned = 0;    ///< subtrees cut by bounds/dominance
   std::uint64_t evaluated = 0;       ///< candidate strategies scored
   std::uint64_t bfs_avoided = 0;     ///< of those, served by the delta oracle
+                                     ///< (0 where exact_bb scores on its table)
 
   [[nodiscard]] bool improves() const noexcept { return cost < current_cost; }
 };

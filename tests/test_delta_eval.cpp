@@ -3,7 +3,8 @@
 // agree bit-for-bit with the naive per-candidate multi-source BFS of
 // StrategyEvaluator — for every single-head swap of every player, for random
 // head-set walks, and end-to-end through BestResponseSolver, the dynamics
-// engine, and verify_swap_equilibrium with the oracle on vs off.
+// engine, and verify_swap_equilibrium with the oracle on vs off. The
+// base-distance TableEvaluator is held to the same standard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,6 +100,82 @@ TEST(DeltaEvalDifferential, RandomHeadSetWalkMatchesNaive) {
           heads.pop_back();
           ASSERT_EQ(delta.cost(), naive.evaluate(heads, scratch));
         }
+      }
+    }
+  }
+}
+
+TEST(DeltaEvalDifferential, TableEvaluatorMatchesNaiveOnSwapsAndWalks) {
+  // The table evaluator scores from base distances alone: every swap of the
+  // incumbent, and a random walk that removes heads out of insertion order
+  // (rebuilding the cover stack above them), must match from-scratch costs —
+  // including disconnected instances, where MAX's κ comes from the
+  // component representatives.
+  Rng rng(9004);
+  for (int round = 0; round < 60; ++round) {
+    const std::uint32_t n = 5 + static_cast<std::uint32_t>(round % 10);
+    const Digraph g = random_instance(n, rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      for (Vertex u = 0; u < n; ++u) {
+        const StrategyEvaluator naive(g, u, version);
+        StrategyEvaluator::Scratch scratch(n);
+        TableEvaluator table(g, u, version);
+        ASSERT_EQ(table.current_cost(), naive.current_cost())
+            << "round " << round << " u " << u << " " << to_string(version);
+        std::vector<Vertex> heads = naive.current_strategy();
+        std::vector<Vertex> trial;
+        for (std::size_t i = 0; i < heads.size(); ++i) {
+          for (Vertex t = 0; t < n; ++t) {
+            if (t == u || std::find(heads.begin(), heads.end(), t) != heads.end()) continue;
+            trial = heads;
+            trial[i] = t;
+            ASSERT_EQ(table.evaluate_swap(heads[i], t), naive.evaluate(trial, scratch));
+          }
+        }
+        for (int step = 0; step < 30; ++step) {
+          const auto t = static_cast<Vertex>(rng.next_below(n));
+          if (t == u) continue;
+          const auto it = std::find(heads.begin(), heads.end(), t);
+          if (it != heads.end()) {
+            table.remove_head(t);
+            heads.erase(it);
+            ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
+          } else {
+            heads.push_back(t);
+            ASSERT_EQ(table.cost_with_head(t), naive.evaluate(heads, scratch));
+            table.add_head(t);
+            ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
+  // greedy_with / swap_improve_with are one body per descent: on the table
+  // evaluator they must reproduce the delta ladder's strategies, costs and
+  // evaluation counts exactly.
+  Rng rng(9005);
+  for (int round = 0; round < 40; ++round) {
+    const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 9);
+    const Digraph g = random_instance(n, rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      const BestResponseSolver ladder(version, /*exact_limit=*/1);
+      for (Vertex u = 0; u < n; ++u) {
+        if (g.out_degree(u) == 0) continue;
+        const BestResponse greedy = ladder.greedy(g, u);
+        const BestResponse swapped = ladder.swap_improve(g, u, greedy.strategy);
+        TableEvaluator table(g, u, version);
+        for (const Vertex h : g.out_neighbors(u)) table.remove_head(h);
+        const BestResponse table_greedy = greedy_with(table, g.out_degree(u));
+        const BestResponse table_swapped = swap_improve_with(table, table_greedy.strategy);
+        EXPECT_EQ(table_greedy.strategy, greedy.strategy);
+        EXPECT_EQ(table_greedy.cost, greedy.cost);
+        EXPECT_EQ(table_greedy.evaluated, greedy.evaluated);
+        EXPECT_EQ(table_swapped.strategy, swapped.strategy);
+        EXPECT_EQ(table_swapped.cost, swapped.cost);
+        EXPECT_EQ(table_swapped.evaluated, swapped.evaluated);
       }
     }
   }

@@ -1,15 +1,18 @@
 // Differential tests for the certified branch-and-bound backend: on
 // exhaustively enumerable instances (n ≤ 8, b_i ≤ 2) ExactBranchAndBound
 // must match BestResponseSolver::exact (brute-force enumeration) cost for
-// cost with the optimality certificate set — on both cost versions, both
-// scoring paths (delta oracle and naive), and disconnected instances.
-// Anytime behaviour (budget truncation), the transposition cache, and the
-// lower-bound invariants are pinned alongside.
+// cost with the optimality certificate set — on both cost versions and
+// disconnected instances. Anytime behaviour (budget truncation), the
+// transposition cache, the lower-bound invariants, a search-tree golden and
+// both sides of the distance-table size limit are pinned alongside.
 #include "solver/exact_bb.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "game/best_response.hpp"
@@ -40,23 +43,18 @@ TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
       const BestResponseSolver brute(version);
       for (Vertex u = 0; u < n; ++u) {
         const BestResponse reference = brute.exact(g, u);
-        for (const bool incremental : {true, false}) {
-          SolverBudget budget;
-          budget.incremental = incremental;
-          const SolverResult result = bb.solve(g, u, version, budget);
-          ASSERT_EQ(result.cost, reference.cost)
-              << "round " << round << " u " << u << " " << to_string(version)
-              << " incremental=" << incremental;
-          ASSERT_TRUE(result.optimal);
-          ASSERT_EQ(result.lower_bound, result.cost);
-          ASSERT_EQ(result.current_cost, reference.current_cost);
-          ASSERT_EQ(result.solver, "exact_bb");
-          // The returned strategy must actually realise the returned cost.
-          ASSERT_EQ(result.strategy.size(), g.out_degree(u));
-          const StrategyEvaluator eval(g, u, version);
-          StrategyEvaluator::Scratch scratch(n);
-          ASSERT_EQ(eval.evaluate(result.strategy, scratch), result.cost);
-        }
+        const SolverResult result = bb.solve(g, u, version);
+        ASSERT_EQ(result.cost, reference.cost)
+            << "round " << round << " u " << u << " " << to_string(version);
+        ASSERT_TRUE(result.optimal);
+        ASSERT_EQ(result.lower_bound, result.cost);
+        ASSERT_EQ(result.current_cost, reference.current_cost);
+        ASSERT_EQ(result.solver, "exact_bb");
+        // The returned strategy must actually realise the returned cost.
+        ASSERT_EQ(result.strategy.size(), g.out_degree(u));
+        const StrategyEvaluator eval(g, u, version);
+        StrategyEvaluator::Scratch scratch(n);
+        ASSERT_EQ(eval.evaluate(result.strategy, scratch), result.cost);
       }
     }
   }
@@ -192,6 +190,208 @@ TEST(SolverExact, PrunesAgainstFullEnumeration) {
   EXPECT_EQ(result.cost, reference.cost);
   EXPECT_LT(result.evaluated, reference.evaluated);
   EXPECT_GT(result.nodes_pruned, 0u);
+}
+
+
+/// One line per solve of the search-tree golden corpus: the query, then every
+/// field a search-order change would move.
+std::string describe_solve(std::uint32_t n, CostVersion version, Vertex u, std::uint32_t cap,
+                           std::uint64_t node_limit, const SolverResult& r) {
+  std::string line = "n=" + std::to_string(n) + " " + to_string(version);
+  line += " u=" + std::to_string(u);
+  line += " cap=" + std::to_string(cap);
+  line += " limit=" + std::to_string(node_limit);
+  line += " | strategy=";
+  for (std::size_t i = 0; i < r.strategy.size(); ++i) {
+    if (i > 0) line += ",";
+    line += std::to_string(r.strategy[i]);
+  }
+  line += " cost=" + std::to_string(r.cost);
+  line += " current=" + std::to_string(r.current_cost);
+  line += " optimal=" + std::to_string(r.optimal ? 1 : 0);
+  line += " lb=" + std::to_string(r.lower_bound);
+  line += " nodes=" + std::to_string(r.nodes_explored);
+  line += " pruned=" + std::to_string(r.nodes_pruned);
+  line += " evaluated=" + std::to_string(r.evaluated);
+  return line;
+}
+
+/// The golden corpus: random-budget instances (σ = 2n) at n ∈ {16, 24, 32,
+/// 48}, SUM and MAX, three players each, solved under four budgets — the
+/// default cap with a roomy and with a tiny node limit, a cap one above the
+/// out-degree, and a cap one below it (two above for single-head players).
+std::vector<std::string> search_tree_corpus() {
+  const ExactBranchAndBound bb;
+  std::vector<std::string> lines;
+  for (const std::uint32_t n : {16u, 24u, 32u, 48u}) {
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      Rng rng(9000 + 2 * n + (version == CostVersion::Max ? 1 : 0));
+      const Digraph g = random_profile(random_budgets(n, 2 * n, rng), rng);
+      for (std::uint32_t k = 0; k < 3; ++k) {
+        Vertex u = k * n / 3;
+        while (g.out_degree(u) == 0) u = (u + 1) % n;
+        const std::uint32_t deg = g.out_degree(u);
+        const std::uint32_t shrunk = deg > 1 ? deg - 1 : deg + 2;
+        const std::pair<std::uint32_t, std::uint64_t> budgets[] = {
+            {0, 4000}, {0, 40}, {deg + 1, 1500}, {shrunk, 1500}};
+        for (const auto& [cap, limit] : budgets) {
+          SolverBudget budget;
+          budget.budget_cap = cap;
+          budget.node_limit = limit;
+          const SolverResult result = bb.solve(g, u, version, budget);
+          lines.push_back(describe_solve(n, version, u, cap, limit, result));
+        }
+      }
+    }
+  }
+  return lines;
+}
+
+/// Search-tree golden: every field of every corpus solve. Costs are exact and
+/// the DFS order depends only on costs, so any exact scoring path must
+/// reproduce it exactly — including the truncated (optimal=0) solves, whose
+/// incumbents depend on the search order.
+const char* const kSearchTreeGolden[] = {
+    "n=16 SUM u=1 cap=0 limit=4000 | strategy=0,3,12,13 cost=23 current=23 optimal=1 lb=23 nodes=1 pruned=4 evaluated=111",
+    "n=16 SUM u=1 cap=0 limit=40 | strategy=0,3,12,13 cost=23 current=23 optimal=1 lb=23 nodes=1 pruned=4 evaluated=111",
+    "n=16 SUM u=1 cap=5 limit=1500 | strategy=0,3,4,5,13 cost=22 current=23 optimal=1 lb=22 nodes=8 pruned=41 evaluated=171",
+    "n=16 SUM u=1 cap=3 limit=1500 | strategy=0,3,13 cost=25 current=23 optimal=1 lb=25 nodes=3 pruned=24 evaluated=33",
+    "n=16 SUM u=5 cap=0 limit=4000 | strategy=1,2 cost=31 current=34 optimal=1 lb=31 nodes=15 pruned=15 evaluated=176",
+    "n=16 SUM u=5 cap=0 limit=40 | strategy=1,2 cost=31 current=34 optimal=1 lb=31 nodes=15 pruned=15 evaluated=176",
+    "n=16 SUM u=5 cap=3 limit=1500 | strategy=1,2,7 cost=27 current=34 optimal=1 lb=27 nodes=18 pruned=36 evaluated=210",
+    "n=16 SUM u=5 cap=1 limit=1500 | strategy=1 cost=36 current=34 optimal=1 lb=36 nodes=1 pruned=0 evaluated=15",
+    "n=16 SUM u=10 cap=0 limit=4000 | strategy=1,2 cost=28 current=31 optimal=1 lb=28 nodes=4 pruned=15 evaluated=106",
+    "n=16 SUM u=10 cap=0 limit=40 | strategy=1,2 cost=28 current=31 optimal=1 lb=28 nodes=4 pruned=15 evaluated=106",
+    "n=16 SUM u=10 cap=3 limit=1500 | strategy=1,2,5 cost=26 current=31 optimal=1 lb=26 nodes=9 pruned=26 evaluated=152",
+    "n=16 SUM u=10 cap=1 limit=1500 | strategy=1 cost=32 current=31 optimal=1 lb=32 nodes=1 pruned=1 evaluated=14",
+    "n=16 MAX u=1 cap=0 limit=4000 | strategy=3,4,6,7 cost=2 current=3 optimal=1 lb=2 nodes=101 pruned=56 evaluated=698",
+    "n=16 MAX u=1 cap=0 limit=40 | strategy=3,8,11,13 cost=3 current=3 optimal=0 lb=1 nodes=40 pruned=12 evaluated=363",
+    "n=16 MAX u=1 cap=5 limit=1500 | strategy=0,2,6,9,10 cost=2 current=3 optimal=1 lb=2 nodes=85 pruned=46 evaluated=590",
+    "n=16 MAX u=1 cap=3 limit=1500 | strategy=0,2,3 cost=3 current=3 optimal=1 lb=3 nodes=66 pruned=42 evaluated=410",
+    "n=16 MAX u=5 cap=0 limit=4000 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=2 evaluated=43",
+    "n=16 MAX u=5 cap=0 limit=40 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=2 evaluated=43",
+    "n=16 MAX u=5 cap=2 limit=1500 | strategy=0,9 cost=3 current=3 optimal=1 lb=3 nodes=14 pruned=9 evaluated=121",
+    "n=16 MAX u=5 cap=3 limit=1500 | strategy=0,1,6 cost=2 current=3 optimal=1 lb=2 nodes=26 pruned=23 evaluated=187",
+    "n=16 MAX u=10 cap=0 limit=4000 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=1 evaluated=44",
+    "n=16 MAX u=10 cap=0 limit=40 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=1 evaluated=44",
+    "n=16 MAX u=10 cap=2 limit=1500 | strategy=0,2 cost=3 current=4 optimal=1 lb=3 nodes=15 pruned=7 evaluated=135",
+    "n=16 MAX u=10 cap=3 limit=1500 | strategy=0,6,9 cost=2 current=4 optimal=1 lb=2 nodes=40 pruned=27 evaluated=279",
+    "n=24 SUM u=0 cap=0 limit=4000 | strategy=23 cost=51 current=58 optimal=1 lb=51 nodes=1 pruned=3 evaluated=67",
+    "n=24 SUM u=0 cap=0 limit=40 | strategy=23 cost=51 current=58 optimal=1 lb=51 nodes=1 pruned=3 evaluated=67",
+    "n=24 SUM u=0 cap=2 limit=1500 | strategy=7,23 cost=47 current=58 optimal=1 lb=47 nodes=2 pruned=22 evaluated=87",
+    "n=24 SUM u=0 cap=3 limit=1500 | strategy=7,8,23 cost=44 current=58 optimal=1 lb=44 nodes=11 pruned=41 evaluated=230",
+    "n=24 SUM u=8 cap=0 limit=4000 | strategy=6,23 cost=51 current=64 optimal=1 lb=51 nodes=23 pruned=23 evaluated=364",
+    "n=24 SUM u=8 cap=0 limit=40 | strategy=6,23 cost=51 current=64 optimal=1 lb=51 nodes=23 pruned=23 evaluated=364",
+    "n=24 SUM u=8 cap=3 limit=1500 | strategy=6,7,23 cost=47 current=64 optimal=1 lb=47 nodes=27 pruned=93 evaluated=435",
+    "n=24 SUM u=8 cap=1 limit=1500 | strategy=23 cost=56 current=64 optimal=1 lb=56 nodes=1 pruned=0 evaluated=23",
+    "n=24 SUM u=16 cap=0 limit=4000 | strategy=6,23 cost=48 current=60 optimal=1 lb=48 nodes=4 pruned=23 evaluated=170",
+    "n=24 SUM u=16 cap=0 limit=40 | strategy=6,23 cost=48 current=60 optimal=1 lb=48 nodes=4 pruned=23 evaluated=170",
+    "n=24 SUM u=16 cap=3 limit=1500 | strategy=6,8,23 cost=45 current=60 optimal=1 lb=45 nodes=12 pruned=42 evaluated=302",
+    "n=24 SUM u=16 cap=1 limit=1500 | strategy=23 cost=53 current=60 optimal=1 lb=53 nodes=1 pruned=1 evaluated=22",
+    "n=24 MAX u=0 cap=0 limit=4000 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=10 evaluated=364",
+    "n=24 MAX u=0 cap=0 limit=40 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=10 evaluated=364",
+    "n=24 MAX u=0 cap=3 limit=1500 | strategy=2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=222 pruned=126 evaluated=1970",
+    "n=24 MAX u=0 cap=1 limit=1500 | strategy=13 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=0 evaluated=23",
+    "n=24 MAX u=8 cap=0 limit=4000 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=22 pruned=17 evaluated=360",
+    "n=24 MAX u=8 cap=0 limit=40 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=22 pruned=17 evaluated=360",
+    "n=24 MAX u=8 cap=3 limit=1500 | strategy=0,1,22 cost=3 current=5 optimal=1 lb=3 nodes=112 pruned=70 evaluated=1130",
+    "n=24 MAX u=8 cap=1 limit=1500 | strategy=1 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=2 evaluated=21",
+    "n=24 MAX u=16 cap=0 limit=4000 | strategy=2,7,13 cost=3 current=5 optimal=1 lb=3 nodes=199 pruned=121 evaluated=1888",
+    "n=24 MAX u=16 cap=0 limit=40 | strategy=2,7,13 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=10 evaluated=619",
+    "n=24 MAX u=16 cap=4 limit=1500 | strategy=0,2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=1000 pruned=531 evaluated=7507",
+    "n=24 MAX u=16 cap=2 limit=1500 | strategy=0,13 cost=4 current=5 optimal=1 lb=4 nodes=24 pruned=3 evaluated=276",
+    "n=32 SUM u=0 cap=0 limit=4000 | strategy=1,4,20 cost=59 current=1080 optimal=1 lb=59 nodes=1 pruned=6 evaluated=201",
+    "n=32 SUM u=0 cap=0 limit=40 | strategy=1,4,20 cost=59 current=1080 optimal=1 lb=59 nodes=1 pruned=6 evaluated=201",
+    "n=32 SUM u=0 cap=4 limit=1500 | strategy=1,10,17,20 cost=55 current=1080 optimal=1 lb=55 nodes=5 pruned=76 evaluated=295",
+    "n=32 SUM u=0 cap=2 limit=1500 | strategy=1,20 cost=63 current=1080 optimal=1 lb=63 nodes=2 pruned=30 evaluated=51",
+    "n=32 SUM u=11 cap=0 limit=4000 | strategy=20,31 cost=79 current=1103 optimal=1 lb=79 nodes=1 pruned=2 evaluated=150",
+    "n=32 SUM u=11 cap=0 limit=40 | strategy=20,31 cost=79 current=1103 optimal=1 lb=79 nodes=1 pruned=2 evaluated=150",
+    "n=32 SUM u=11 cap=3 limit=1500 | strategy=16,20,31 cost=70 current=1103 optimal=1 lb=70 nodes=11 pruned=58 evaluated=395",
+    "n=32 SUM u=11 cap=1 limit=1500 | strategy=20 cost=103 current=1103 optimal=1 lb=103 nodes=1 pruned=1 evaluated=30",
+    "n=32 SUM u=21 cap=0 limit=4000 | strategy=9,17,20,25,27 cost=63 current=1099 optimal=1 lb=63 nodes=19 pruned=178 evaluated=717",
+    "n=32 SUM u=21 cap=0 limit=40 | strategy=9,17,20,25,27 cost=63 current=1099 optimal=1 lb=63 nodes=19 pruned=178 evaluated=717",
+    "n=32 SUM u=21 cap=6 limit=1500 | strategy=9,10,17,20,25,27 cost=59 current=1099 optimal=1 lb=59 nodes=47 pruned=437 evaluated=1297",
+    "n=32 SUM u=21 cap=4 limit=1500 | strategy=0,9,20,31 cost=68 current=1099 optimal=1 lb=68 nodes=10 pruned=85 evaluated=255",
+    "n=32 MAX u=0 cap=0 limit=4000 | strategy=1,2,31 cost=3 current=4 optimal=1 lb=3 nodes=131 pruned=86 evaluated=1833",
+    "n=32 MAX u=0 cap=0 limit=40 | strategy=1,2,31 cost=3 current=4 optimal=0 lb=1 nodes=40 pruned=19 evaluated=812",
+    "n=32 MAX u=0 cap=4 limit=1500 | strategy=1,2,3,31 cost=3 current=4 optimal=1 lb=3 nodes=902 pruned=571 evaluated=9427",
+    "n=32 MAX u=0 cap=2 limit=1500 | strategy=2,31 cost=3 current=4 optimal=1 lb=3 nodes=29 pruned=26 evaluated=406",
+    "n=32 MAX u=10 cap=0 limit=4000 | strategy=0,2,4,8 cost=3 current=4 optimal=1 lb=3 nodes=1340 pruned=981 evaluated=14342",
+    "n=32 MAX u=10 cap=0 limit=40 | strategy=0,2,4,8 cost=3 current=4 optimal=0 lb=1 nodes=40 pruned=19 evaluated=909",
+    "n=32 MAX u=10 cap=5 limit=1500 | strategy=0,1,2,4,8 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=1065 evaluated=15056",
+    "n=32 MAX u=10 cap=3 limit=1500 | strategy=4,8,17 cost=3 current=4 optimal=1 lb=3 nodes=226 pruned=157 evaluated=2759",
+    "n=32 MAX u=21 cap=0 limit=4000 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=9 evaluated=585",
+    "n=32 MAX u=21 cap=0 limit=40 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=9 evaluated=585",
+    "n=32 MAX u=21 cap=3 limit=1500 | strategy=2,6,31 cost=3 current=5 optimal=1 lb=3 nodes=295 pruned=163 evaluated=3676",
+    "n=32 MAX u=21 cap=1 limit=1500 | strategy=4 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=1 evaluated=30",
+    "n=48 SUM u=0 cap=0 limit=4000 | strategy=3 cost=4741 current=7030 optimal=1 lb=4741 nodes=1 pruned=4 evaluated=138",
+    "n=48 SUM u=0 cap=0 limit=40 | strategy=3 cost=4741 current=7030 optimal=1 lb=4741 nodes=1 pruned=4 evaluated=138",
+    "n=48 SUM u=0 cap=2 limit=1500 | strategy=3,4 cost=2438 current=7030 optimal=1 lb=2438 nodes=2 pruned=46 evaluated=181",
+    "n=48 SUM u=0 cap=3 limit=1500 | strategy=3,4,12 cost=135 current=7030 optimal=1 lb=135 nodes=3 pruned=88 evaluated=223",
+    "n=48 SUM u=16 cap=0 limit=4000 | strategy=3,4 cost=2465 current=7043 optimal=1 lb=2465 nodes=1 pruned=2 evaluated=230",
+    "n=48 SUM u=16 cap=0 limit=40 | strategy=3,4 cost=2465 current=7043 optimal=1 lb=2465 nodes=1 pruned=2 evaluated=230",
+    "n=48 SUM u=16 cap=3 limit=1500 | strategy=3,4,12 cost=162 current=7043 optimal=1 lb=162 nodes=3 pruned=90 evaluated=319",
+    "n=48 SUM u=16 cap=1 limit=1500 | strategy=3 cost=4768 current=7043 optimal=1 lb=4768 nodes=1 pruned=1 evaluated=46",
+    "n=48 SUM u=33 cap=0 limit=4000 | strategy=3,4,8,12,17,44 cost=107 current=7014 optimal=1 lb=107 nodes=57 pruned=525 evaluated=2386",
+    "n=48 SUM u=33 cap=0 limit=40 | strategy=3,4,8,12,17,44 cost=107 current=7014 optimal=0 lb=49 nodes=40 pruned=310 evaluated=2004",
+    "n=48 SUM u=33 cap=7 limit=1500 | strategy=3,4,8,12,17,27,44 cost=101 current=7014 optimal=1 lb=101 nodes=159 pruned=921 evaluated=5325",
+    "n=48 SUM u=33 cap=5 limit=1500 | strategy=3,4,12,17,44 cost=114 current=7014 optimal=1 lb=114 nodes=18 pruned=175 evaluated=675",
+    "n=48 MAX u=1 cap=0 limit=4000 | strategy=33 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=141",
+    "n=48 MAX u=1 cap=0 limit=40 | strategy=33 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=141",
+    "n=48 MAX u=1 cap=2 limit=1500 | strategy=2,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=9 evaluated=1222",
+    "n=48 MAX u=1 cap=3 limit=1500 | strategy=0,2,5 cost=4 current=5 optimal=1 lb=4 nodes=1084 pruned=527 evaluated=17317",
+    "n=48 MAX u=16 cap=0 limit=4000 | strategy=3,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=10 evaluated=1312",
+    "n=48 MAX u=16 cap=0 limit=40 | strategy=3,5 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=3 evaluated=1284",
+    "n=48 MAX u=16 cap=3 limit=1500 | strategy=0,3,5 cost=4 current=5 optimal=1 lb=4 nodes=1074 pruned=519 evaluated=17362",
+    "n=48 MAX u=16 cap=1 limit=1500 | strategy=3 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=47",
+    "n=48 MAX u=32 cap=0 limit=4000 | strategy=5,31,36 cost=4 current=4 optimal=1 lb=4 nodes=916 pruned=428 evaluated=14936",
+    "n=48 MAX u=32 cap=0 limit=40 | strategy=5,31,36 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=15 evaluated=1291",
+    "n=48 MAX u=32 cap=4 limit=1500 | strategy=2,4,5,13 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=962 evaluated=27229",
+    "n=48 MAX u=32 cap=2 limit=1500 | strategy=0,5 cost=4 current=4 optimal=1 lb=4 nodes=46 pruned=17 evaluated=1035",
+};
+
+TEST(SolverExact, SearchTreeGoldenIsReproducedExactly) {
+  const std::vector<std::string> lines = search_tree_corpus();
+  ASSERT_EQ(lines.size(), std::size(kSearchTreeGolden));
+  int truncated = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], kSearchTreeGolden[i]) << "corpus solve " << i;
+    if (lines[i].find("optimal=0") != std::string::npos) ++truncated;
+  }
+  EXPECT_GT(truncated, 0);  // the golden must cover node-limited incumbents too
+}
+
+/// Node-limited solves on the directed n-cycle under a cap of 2 heads,
+/// checked against the naive evaluator; returns the summed bfs_avoided,
+/// which tells the scoring path.
+std::uint64_t solve_sparse_instance(std::uint32_t n) {
+  const Digraph g = cycle_digraph(n);
+  const Vertex u = n / 2;
+  const ExactBranchAndBound bb;
+  std::uint64_t bfs_avoided = 0;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    SolverBudget budget;
+    budget.budget_cap = 2;
+    budget.node_limit = 1;
+    const SolverResult result = bb.solve(g, u, version, budget);
+    EXPECT_EQ(result.strategy.size(), 2u);
+    const StrategyEvaluator eval(g, u, version);
+    StrategyEvaluator::Scratch scratch(n);
+    EXPECT_EQ(eval.evaluate(result.strategy, scratch), result.cost) << to_string(version);
+    EXPECT_LE(result.lower_bound, result.cost);
+    EXPECT_LE(result.cost, result.current_cost);
+    bfs_avoided += result.bfs_avoided;
+  }
+  return bfs_avoided;
+}
+
+TEST(SolverExact, AtTheMatrixLimitScoresOnTheTable) {
+  // No oracle runs behind the table, so no BFS is reported avoided.
+  EXPECT_EQ(solve_sparse_instance(ExactBranchAndBound::kMatrixLimit), 0u);
+}
+
+TEST(SolverExact, PastTheMatrixLimitScoresOnTheDeltaOracle) {
+  EXPECT_GT(solve_sparse_instance(ExactBranchAndBound::kMatrixLimit + 1), 0u);
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Unit tests for ThreadPool: chunked bulk execution, exception transport,
-// and serial degradation at width 1.
+// serial degradation at width 1, and a completion-wakeup stress test.
 #include "parallel/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -68,6 +74,42 @@ TEST(ThreadPool, ReusableAcrossManyBulks) {
     });
   }
   EXPECT_EQ(total.load(), 64U * 50U);
+}
+
+TEST(ThreadPool, BackToBackBulksNeverLoseTheCompletionWakeup) {
+  // A worker leaving a bulk must drop its driver count under the pool mutex:
+  // the submitter tests "every chunk done and no driver left" under that
+  // mutex, so a decrement + notify landing between the test and the block
+  // would be lost and run_chunked would sleep forever. Many tiny bulks back
+  // to back hammer that window; the watchdog turns a hang into a failure.
+  constexpr std::uint64_t kRounds = 50000;
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!done_cv.wait_for(lock, std::chrono::seconds(60), [&] { return done; })) {
+      // The submitter is blocked for good: end the process as a failure.
+      std::fputs("ThreadPool.BackToBackBulksNeverLoseTheCompletionWakeup: run_chunked never "
+                 "returned, a completion wakeup was lost\n",
+                 stderr);
+      std::_Exit(EXIT_FAILURE);
+    }
+  });
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> total{0};
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    pool.run_chunked(4, 1, [&](std::uint64_t b, std::uint64_t e) {
+      total.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  done_cv.notify_one();
+  watchdog.join();
+  EXPECT_EQ(total.load(), 4 * kRounds);
 }
 
 TEST(ParallelFor, SumOfIndices) {
