@@ -37,7 +37,9 @@ StateAudit audit_state(const Digraph& g, const AuditOptions& options, ThreadPool
   const auto costs = all_costs(u, options.version, pool);
   audit.min_cost = *std::min_element(costs.begin(), costs.end());
   audit.max_cost = *std::max_element(costs.begin(), costs.end());
-  std::uint64_t total = 0;
+  // n costs of up to (n − 1)·n² each can pass 2⁶⁴ in total (from about
+  // n = 65,536 on an edgeless state), so sum in 128 bits.
+  unsigned __int128 total = 0;
   for (const auto c : costs) total += c;
   audit.mean_cost = static_cast<double>(total) / static_cast<double>(n);
 

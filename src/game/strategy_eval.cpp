@@ -1,9 +1,11 @@
 #include "game/strategy_eval.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "graph/connectivity.hpp"
+#include "graph/multi_bfs.hpp"
 
 namespace bbng {
 
@@ -119,15 +121,26 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   const CsrGraph csr(g);
   const CsrUGraph base = underlying_csr(csr, /*skip=*/player_);
   table_.assign(std::size_t{n} * n, inf_);
-  BfsRunner runner(n);
+  // Every vertex but the player (never a head: its row stays all-Cinf) is a
+  // source; ⌈(n−1)/64⌉ packed sweeps settle them all, each writing its lane's
+  // row as vertices settle. Unreached entries keep Cinf.
+  std::vector<Vertex> sources;
+  sources.reserve(n);
   for (Vertex s = 0; s < n; ++s) {
-    if (s == player_) continue;  // never a head: its row stays all-Cinf
-    runner.run(base, s);
-    const std::span<const std::uint32_t> dist = runner.dist();
-    std::uint32_t* row = table_.data() + std::size_t{s} * n;
-    for (Vertex v = 0; v < n; ++v) {
-      if (dist[v] != kUnreachable) row[v] = dist[v] + 1;
+    if (s != player_) sources.push_back(s);
+  }
+  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
+  CsrMultiBfs lanes(base, &lease.ws());
+  std::array<std::uint32_t*, CsrMultiBfs::kLanes> rows{};
+  for (std::size_t first = 0; first < sources.size(); first += CsrMultiBfs::kLanes) {
+    const std::size_t count = std::min<std::size_t>(CsrMultiBfs::kLanes, sources.size() - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      rows[i] = table_.data() + std::size_t{sources[first + i]} * n;
     }
+    lanes.sweep(std::span<const Vertex>(sources).subspan(first, count),
+                [&rows](std::uint32_t lane, Vertex v, std::uint32_t level) {
+                  rows[lane][v] = level + 1;
+                });
   }
 
   // The first vertex of every base component except the player's own slot.

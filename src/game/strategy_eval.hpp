@@ -320,8 +320,10 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// Strategy evaluator over a precomputed base-distance table: the
 /// DeltaEvaluatorT interface, scored without any BFS after construction.
 ///
-/// Construction runs one BFS per vertex of the stripped base
-/// (underlying_csr(CsrGraph(g), player)) and stores the n×n head-cover table
+/// Construction fills the n×n head-cover table in ⌈(n−1)/64⌉ packed
+/// sweeps of the 64-lane kernel (CsrMultiBfs::sweep in graph/multi_bfs.hpp,
+/// which publishes no `bfs.multi.*` counters) over the stripped base
+/// underlying_csr(CsrGraph(g), player):
 ///
 ///     row_t[v] = 1 + d_base(t, v)   (Cinf = n² across components),
 ///

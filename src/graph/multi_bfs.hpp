@@ -20,10 +20,13 @@
 // bfs_workspace() runs would — bit-identical, since the aggregates are pure
 // functions of the (exact) distances — without materialising n×n distances.
 // An optional on_settle(lane, vertex, level) hook lets APSP-style consumers
-// stream the distances out. Work counters (sweeps, levels, row_scans,
-// settled) make the saving auditable: `settled` is precisely the number of
-// row scans the per-seed path would have performed, so
-// settled / row_scans is the measured batching gain (BENCH_multi_bfs.json).
+// stream the distances out. The frontier loop itself is sweep(), the one
+// lane kernel: run_batch() folds the aggregates and publishes `bfs.multi.*`
+// around it, while TableEvaluator (game/strategy_eval.hpp) fills exact_bb's
+// base-distance table from it and publishes nothing. Work counters (sweeps,
+// levels, row_scans, settled) make the saving auditable: `settled` is
+// precisely the number of row scans the per-seed path would have performed,
+// so settled / row_scans is the measured batching gain (BENCH_multi_bfs.json).
 //
 // Templated over the graph core like DynamicBfsT: both UGraph and CsrUGraph
 // expose sorted neighbors(u) spans, so the two instantiations do identical
@@ -31,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -92,14 +94,35 @@ class MultiBfsT {
   /// `out[i]` receives exactly what bfs_workspace(g, sources[i]) returns.
   /// `on_settle(lane, vertex, level)` fires once per settled (lane, vertex)
   /// pair, sources included (level 0), in level order within the batch.
+  /// The batch's work is published to the registry as `bfs.multi.*`.
   template <class OnSettle>
   void run_batch(std::span<const Vertex> sources, std::span<BfsAggregates> out,
                  OnSettle&& on_settle) {
+    BBNG_REQUIRE(out.size() == sources.size());
+    const MultiBfsStats stats_before = stats_;
+    std::fill(out.begin(), out.end(), BfsAggregates{0, 0, 0});
+    sweep(sources, [&](std::uint32_t lane, Vertex v, std::uint32_t level) {
+      // Levels arrive in order, so the last one a lane settles is its max.
+      BfsAggregates& agg = out[lane];
+      ++agg.reached;
+      agg.max_dist = level;
+      agg.sum_dist += level;
+      on_settle(lane, v, level);
+    });
+    detail::publish_multi_bfs(stats_, stats_before);
+  }
+
+  /// The lane-sweep kernel under run_batch: advances up to kLanes packed
+  /// frontiers level-synchronously and fires `on_settle(lane, vertex, level)`
+  /// once per settled (lane, vertex) pair, sources included (level 0), in
+  /// level order. Accumulates stats() but publishes nothing, so a consumer
+  /// that only streams distances out (TableEvaluator's base-distance table)
+  /// stays off the `bfs.multi.*` counters.
+  template <class OnSettle>
+  void sweep(std::span<const Vertex> sources, OnSettle&& on_settle) {
     const std::uint32_t n = g_->num_vertices();
     BBNG_REQUIRE(sources.size() <= kLanes);
-    BBNG_REQUIRE(out.size() == sources.size());
     for (const Vertex s : sources) BBNG_REQUIRE(s < n);
-    const MultiBfsStats stats_before = stats_;
     Workspace& ws = *ws_;
     ws.bind_lanes(n);
     std::vector<std::uint64_t>& seen = ws.lane_seen;
@@ -121,7 +144,6 @@ class MultiBfsT {
       if (cur[s] == 0) active.push_back(s);
       cur[s] |= bit;
       seen[s] |= bit;
-      out[i] = BfsAggregates{/*reached=*/1, /*max_dist=*/0, /*sum_dist=*/0};
       on_settle(static_cast<std::uint32_t>(i), s, 0U);
     }
     stats_.settled += sources.size();
@@ -129,7 +151,6 @@ class MultiBfsT {
     std::uint32_t level = 0;
     std::size_t begin = 0;
     std::size_t end = active.size();
-    std::array<std::uint32_t, kLanes> newly{};
     while (begin < end) {
       ++level;
       ++stats_.levels;
@@ -146,9 +167,8 @@ class MultiBfsT {
           nxt[w] |= fresh;
         }
       }
-      // Promote next-level masks into the frontier and fold the aggregates
-      // of every (lane, vertex) pair settled at this level.
-      newly.fill(0);
+      // Promote next-level masks into the frontier and report every
+      // (lane, vertex) pair settled at this level.
       for (const Vertex w : promoted) {
         std::uint64_t mask = nxt[w];
         nxt[w] = 0;
@@ -158,17 +178,10 @@ class MultiBfsT {
         while (mask != 0) {
           const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
           mask &= mask - 1;
-          ++newly[lane];
           on_settle(lane, w, level);
         }
       }
       promoted.clear();
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        if (newly[i] == 0) continue;
-        out[i].reached += newly[i];
-        out[i].max_dist = level;
-        out[i].sum_dist += static_cast<std::uint64_t>(newly[i]) * level;
-      }
       begin = end;
       end = active.size();
     }
@@ -179,7 +192,6 @@ class MultiBfsT {
     // the vertices listed in `active`.
     for (const Vertex v : active) seen[v] = 0;
     active.clear();
-    detail::publish_multi_bfs(stats_, stats_before);
   }
 
   /// Aggregate-only batch.

@@ -38,14 +38,11 @@ void publish_exact_bb(const SolverResult& result, bool cache_hit) {
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
-/// The table evaluator — and with it dominance and the seed-distance bound —
-/// needs O(n²) memory and an O(n·m) precompute, so it stops at
+/// The table evaluator — and with it the seed-distance bound — needs O(n²)
+/// memory and an O(n·m) precompute, so it stops at
 /// ExactBranchAndBound::kMatrixLimit (exact search is a small-instance tool
 /// anyway).
 constexpr std::uint32_t kMatrixLimit = ExactBranchAndBound::kMatrixLimit;
-
-/// The O(n³)-worst-case pairwise dominance sweep is gated tighter.
-constexpr std::uint32_t kDominanceLimit = 256;
 
 struct Candidate {
   Vertex t = 0;
@@ -100,28 +97,16 @@ class Search {
     dfs(candidates, /*floor_lb=*/0, /*depth=*/0);
   }
 
-  void eliminate_dominated(SolverResult& result) {
-    if constexpr (kTable) {
-      if (n_ > kDominanceLimit) return;
-      const std::span<const std::uint32_t> in = eval_.in_cover();
-      for (Vertex t2 = 0; t2 < n_; ++t2) {
-        if (t2 == player_) continue;
-        const std::span<const std::uint32_t> row2 = eval_.row(t2);
-        for (Vertex t1 = 0; t1 < n_ && !eliminated_[t2]; ++t1) {
-          if (t1 == player_ || t1 == t2 || eliminated_[t1]) continue;
-          const std::span<const std::uint32_t> row1 = eval_.row(t1);
-          bool dominates = true;
-          for (Vertex v = 0; v < n_ && dominates; ++v) {
-            dominates = std::min(row1[v], in[v]) <= std::min(row2[v], in[v]);
-          }
-          if (dominates) {
-            eliminated_[t2] = true;
-            ++result.nodes_pruned;  // a dominated candidate cuts its whole orbit
-          }
-        }
-      }
-    } else {
-      (void)result;
+  /// Drop the player's in-neighbours from the candidate set, ascending,
+  /// while another live candidate remains (see the header for why these are
+  /// exactly the dominated candidates). Each drop counts as a pruned orbit.
+  void eliminate_dominated(const Digraph& g, SolverResult& result) {
+    std::uint32_t live = n_ - 1;
+    for (const Vertex w : player_in_neighbors(g, player_)) {
+      if (live < 2) break;
+      eliminated_[w] = 1;
+      --live;
+      ++result.nodes_pruned;
     }
   }
 
@@ -329,7 +314,7 @@ void search_with(const Digraph& g, Vertex player, CostVersion version,
   Search<Eval> search(g, player, version, budget, cap);
   result.current_cost = search.current_cost();
   search.seed(current_feasible, result);
-  search.eliminate_dominated(result);
+  search.eliminate_dominated(g, result);
   search.run();
   search.finish(result);
 }

@@ -34,12 +34,17 @@
 //     the SSSP literature (Wilson–Zwick in PAPERS.md): meet the forward
 //     partial assignment with precomputed backward distances from the
 //     candidates.
-//   * Dominance/symmetry elimination (table path, n ≤ 256) — candidate t2
-//     is dropped at the root when some kept t1 satisfies, for every v,
-//     min(1 + d(t1,v), g(v)) ≤ min(1 + d(t2,v), g(v)), where g(v) is the
-//     distance cover the player's in-neighbours provide for free. Mutually
-//     dominating (symmetric, interchangeable) candidates collapse to their
-//     smallest representative.
+//   * Dominance elimination (both paths, every n) — with g(v) the cover the
+//     player's in-neighbours In(u) provide for free, candidate t1 dominates
+//     t2 when min(1 + d(t1,v), g(v)) ≤ min(1 + d(t2,v), g(v)) for every v.
+//     The dominated candidates are exactly the in-neighbours:
+//       - t2 ∉ In(u): at v = t2 the right side is 1, but g(t2) ≥ 2 and
+//         1 + d(t1, t2) ≥ 2 for t1 ≠ t2, so nothing dominates t2;
+//       - t2 ∈ In(u): g ≤ 1 + d(t2, ·) everywhere, so every other
+//         candidate dominates t2.
+//     So the root drops the in-neighbours in ascending order while another
+//     live candidate remains (when every candidate is one, the largest
+//     survives) — O(n), no pairwise sweep.
 //   * Zero-saving elimination (SUM only) — single-head savings shrink as P
 //     grows, so a candidate saving nothing at a node saves nothing anywhere
 //     below it and is dropped from the subtree.
@@ -66,7 +71,7 @@ class ExactBranchAndBound final : public BestResponseBackend {
   [[nodiscard]] std::string_view description() const noexcept override {
     return "certified branch-and-bound over head sets: probes scored on a base-distance "
            "table (delta oracle past n = 2048), admissible savings/seed-distance bounds, "
-           "dominance elimination, anytime under a node/deadline budget";
+           "in-neighbour (dominance) elimination, anytime under a node/deadline budget";
   }
 
   /// `budget.node_limit` caps expanded search-tree nodes (0 = unlimited);

@@ -88,6 +88,21 @@ TEST(AuditState, CostAggregatesMatchAllCosts) {
   EXPECT_NEAR(audit.mean_cost, static_cast<double>(total) / 10.0, 1e-9);
 }
 
+TEST(AuditState, MeanCostDoesNotWrapOnLargeDisconnectedStates) {
+  // 70,000 isolated players each pay (n − 1)·n²; their 64-bit sum wraps.
+  constexpr std::uint32_t n = 70000;
+  const Digraph g(n);
+  AuditOptions options;
+  options.exact_limit = 0;
+  options.swap_limit = 0;
+  options.compute_connectivity = false;
+  const StateAudit audit = audit_state(g, options);
+  const std::uint64_t each = std::uint64_t{n - 1} * n * n;
+  EXPECT_EQ(audit.min_cost, each);
+  EXPECT_EQ(audit.max_cost, each);
+  EXPECT_EQ(audit.mean_cost, static_cast<double>(audit.min_cost));
+}
+
 TEST(CertificateNames, Strings) {
   EXPECT_EQ(to_string(StabilityCertificate::ExactNash), "exact-NE");
   EXPECT_EQ(to_string(StabilityCertificate::SwapStable), "swap-stable");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "game/best_response.hpp"
@@ -15,7 +16,10 @@
 #include "game/dynamics.hpp"
 #include "game/equilibrium.hpp"
 #include "game/strategy_eval.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
+#include "graph/multi_bfs.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -149,6 +153,72 @@ TEST(DeltaEvalDifferential, TableEvaluatorMatchesNaiveOnSwapsAndWalks) {
         }
       }
     }
+  }
+}
+
+TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
+  // The table is filled by 64-lane packed sweeps over every vertex but the
+  // player, so the player's position shifts the lane of every later vertex:
+  // put it at lane 0, lane 63, lane 64 and the last vertex. Every row must
+  // equal 1 + the per-seed BFS distance on the stripped base (Cinf across
+  // components), and building a table must move no bfs.multi.* counter.
+  Rng rng(9013);
+  for (const std::uint32_t n : {2u, 3u, 63u, 64u, 65u, 129u}) {
+    for (const bool connected : {true, false}) {
+      // Connected: the directed cycle plus random chords. Disconnected: paths
+      // of five vertices, the last vertex isolated.
+      Digraph g(n);
+      if (connected) {
+        g = cycle_digraph(n);
+        for (std::uint32_t k = 0; k < n / 4; ++k) {
+          const auto a = static_cast<Vertex>(rng.next_below(n));
+          const auto b = static_cast<Vertex>(rng.next_below(n));
+          if (a != b && !g.has_arc(a, b)) g.add_arc(a, b);
+        }
+      } else {
+        for (Vertex v = 0; v + 2 < n; ++v) {
+          if (v % 5 != 4) g.add_arc(v, v + 1);
+        }
+      }
+      std::vector<Vertex> players;
+      for (const Vertex u : {0u, 63u, 64u, n - 1}) {
+        if (u < n && std::find(players.begin(), players.end(), u) == players.end()) {
+          players.push_back(u);
+        }
+      }
+      for (const Vertex u : players) {
+        const obs::CounterFrame frame;
+        const TableEvaluator table(g, u, CostVersion::Sum);
+        for (const char* name :
+             {"bfs.multi.sweeps", "bfs.multi.levels", "bfs.multi.row_scans", "bfs.multi.settled"}) {
+          EXPECT_EQ(frame.value(name), 0u) << name << " n " << n << " u " << u;
+        }
+        const UGraph base = best_response_base(g, u);
+        BfsRunner runner(n);
+        for (Vertex t = 0; t < n; ++t) {
+          if (t == u) continue;
+          runner.run(base, t);
+          const std::span<const std::uint32_t> dist = runner.dist();
+          const std::span<const std::uint32_t> row = table.row(t);
+          for (Vertex v = 0; v < n; ++v) {
+            const std::uint64_t expected = dist[v] == kUnreachable ? cinf(n) : dist[v] + 1;
+            ASSERT_EQ(row[v], expected) << "n " << n << " u " << u << " t " << t << " v " << v
+                                        << (connected ? " connected" : " disconnected");
+          }
+        }
+      }
+    }
+  }
+  // The control: the same frame does see a published batch.
+  if (obs::kCompiledIn && obs::enabled()) {
+    const obs::CounterFrame frame;
+    const CsrGraph csr(cycle_digraph(8));
+    const CsrUGraph base = underlying_csr(csr, /*skip=*/0);
+    CsrMultiBfs engine(base);
+    const Vertex sources[] = {1, 2};
+    BfsAggregates out[2];
+    engine.run_batch(sources, out);
+    EXPECT_EQ(frame.value("bfs.multi.sweeps"), 1u);
   }
 }
 

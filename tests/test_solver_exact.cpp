@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -359,6 +360,135 @@ TEST(SolverExact, SearchTreeGoldenIsReproducedExactly) {
     if (lines[i].find("optimal=0") != std::string::npos) ++truncated;
   }
   EXPECT_GT(truncated, 0);  // the golden must cover node-limited incumbents too
+}
+
+/// The pairwise dominance sweep exact_bb ran at the root (n ≤ 256) before
+/// the closed form, recomputed from the table: in ascending order, t2 falls
+/// to the first live t1 ≠ t2 with min(row_t1, in) ≤ min(row_t2, in) at every
+/// vertex. Returns the dropped candidates, ascending.
+std::vector<Vertex> pairwise_dominated(const TableEvaluator& table) {
+  const std::uint32_t n = table.num_vertices();
+  const Vertex u = table.player();
+  const std::span<const std::uint32_t> in = table.in_cover();
+  std::vector<std::uint8_t> dropped(n, 0);
+  std::vector<Vertex> out;
+  for (Vertex t2 = 0; t2 < n; ++t2) {
+    if (t2 == u) continue;
+    const std::span<const std::uint32_t> row2 = table.row(t2);
+    for (Vertex t1 = 0; t1 < n && dropped[t2] == 0; ++t1) {
+      if (t1 == u || t1 == t2 || dropped[t1] != 0) continue;
+      const std::span<const std::uint32_t> row1 = table.row(t1);
+      bool dominates = true;
+      for (Vertex v = 0; v < n && dominates; ++v) {
+        dominates = std::min(row1[v], in[v]) <= std::min(row2[v], in[v]);
+      }
+      if (dominates) {
+        dropped[t2] = 1;
+        out.push_back(t2);
+      }
+    }
+  }
+  return out;
+}
+
+/// The closed form: the player's in-neighbours, ascending, while another
+/// live candidate remains — at most n − 2 of them.
+std::vector<Vertex> closed_form_dominated(const Digraph& g, Vertex u) {
+  std::vector<Vertex> in = player_in_neighbors(g, u);
+  const std::size_t most = g.num_vertices() >= 2 ? g.num_vertices() - 2 : 0;
+  if (in.size() > most) in.resize(most);
+  return in;
+}
+
+TEST(SolverExact, ClosedFormEliminationMatchesThePairwiseSweep) {
+  Rng rng(9300);
+  int rounds_with_drops = 0;
+  for (int round = 0; round < 240; ++round) {
+    const auto n = static_cast<std::uint32_t>(4 + rng.next_below(45));  // 4..48
+    const std::uint64_t sigma = n + rng.next_below(n + 1);            // density 1–2
+    const Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+    const CostVersion version = round % 2 == 0 ? CostVersion::Sum : CostVersion::Max;
+    for (int k = 0; k < 3; ++k) {
+      const auto u = static_cast<Vertex>(rng.next_below(n));
+      const TableEvaluator table(g, u, version);
+      const std::vector<Vertex> expected = closed_form_dominated(g, u);
+      ASSERT_EQ(pairwise_dominated(table), expected)
+          << "round " << round << " n " << n << " u " << u << " " << to_string(version);
+      if (!expected.empty()) ++rounds_with_drops;
+    }
+  }
+  EXPECT_GT(rounds_with_drops, 100);  // the corpus exercises the rule
+}
+
+TEST(SolverExact, ClosedFormEliminationEdgeCases) {
+  const std::uint32_t n = 12;
+  const auto check = [](const Digraph& g, Vertex u, std::size_t dropped) {
+    const TableEvaluator table(g, u, CostVersion::Sum);
+    const std::vector<Vertex> expected = closed_form_dominated(g, u);
+    EXPECT_EQ(expected.size(), dropped);
+    EXPECT_EQ(pairwise_dominated(table), expected);
+  };
+
+  // No in-arcs: the cycle 1 → 2 → … → n−1 → 1 never points at player 0.
+  Digraph no_in(n);
+  no_in.add_arc(0, 1);
+  no_in.add_arc(0, 5);
+  for (Vertex v = 1; v < n; ++v) no_in.add_arc(v, v + 1 < n ? v + 1 : 1);
+  check(no_in, 0, 0);
+
+  // In-degree n − 1: every candidate is an in-neighbour, so all but the
+  // largest fall.
+  Digraph all_in(n);
+  for (Vertex v = 0; v < n; ++v) {
+    if (v != 4) all_in.add_arc(v, 4);
+  }
+  all_in.add_arc(4, 7);
+  all_in.add_arc(0, 1);
+  check(all_in, 4, n - 2);
+  const std::vector<Vertex> fallen = closed_form_dominated(all_in, 4);
+  EXPECT_EQ(std::find(fallen.begin(), fallen.end(), n - 1), fallen.end());  // the survivor
+
+  // A disconnected base: two directed triangles and an isolated vertex, each
+  // triangle with one in-arc to the player 0.
+  Digraph split(n);
+  for (const Vertex a : {1u, 4u}) {
+    split.add_arc(a, a + 1);
+    split.add_arc(a + 1, a + 2);
+    split.add_arc(a + 2, a);
+  }
+  split.add_arc(2, 0);
+  split.add_arc(6, 0);
+  split.add_arc(8, 9);
+  check(split, 0, 2);
+}
+
+TEST(SolverExact, PrunesInNeighboursPastTheOldDominanceLimit) {
+  // At n = 257 the pairwise sweep never ran; the closed form now drops the
+  // player's in-neighbours there too, and the certified cost still matches
+  // a naive scan of every single head.
+  const std::uint32_t n = 257;
+  Digraph g = cycle_digraph(n);
+  const Vertex u = 128;
+  for (const Vertex w : {0u, 40u, 200u, 256u}) g.add_arc(w, u);
+  const std::vector<Vertex> in = player_in_neighbors(g, u);
+  ASSERT_EQ(in.size(), 5u);
+  const ExactBranchAndBound bb;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    const SolverResult result = bb.solve(g, u, version);
+    ASSERT_TRUE(result.optimal) << to_string(version);
+    EXPECT_GE(result.nodes_pruned, in.size()) << to_string(version);
+    const StrategyEvaluator eval(g, u, version);
+    StrategyEvaluator::Scratch scratch(n);
+    ASSERT_EQ(result.strategy.size(), 1u);
+    EXPECT_EQ(eval.evaluate(result.strategy, scratch), result.cost) << to_string(version);
+    std::uint64_t best = ~0ULL;
+    for (Vertex t = 0; t < n; ++t) {
+      if (t == u) continue;
+      const Vertex head[] = {t};
+      best = std::min(best, eval.evaluate(head, scratch));
+    }
+    EXPECT_EQ(result.cost, best) << to_string(version);
+  }
 }
 
 /// Node-limited solves on the directed n-cycle under a cap of 2 heads,
