@@ -215,9 +215,6 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
         }
       }
     }
-    // Scrapers see fresh numbers once per window — cheap enough (one file
-    // rewrite per window) and always a consistent post-commit view.
-    if (!config.metrics_out.empty()) obs::write_exposition_file(config.metrics_out);
   }
 
   if (!halted) {
@@ -238,7 +235,6 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
     sampler.stop();
     write_obs_host_file(obs_host_path_for(config.output_path), campaign.name,
                         timer.elapsed_seconds());
-    if (!config.metrics_out.empty()) obs::write_exposition_file(config.metrics_out);
     checkpoint(true);
     report.completed = true;
   } else if (!out.flush()) {

@@ -44,11 +44,6 @@ struct RunnerConfig {
   /// spec's own CampaignSpec::obs; the CLI's --no-obs clears it (and the
   /// runtime registry switch) to reproduce pre-observability bytes.
   bool obs = true;
-  /// When non-empty, refresh this file with the Prometheus text exposition
-  /// (obs::write_exposition_file, atomic tmp + rename) after every commit
-  /// window and once more at completion — a scrape surface for a live run.
-  /// Host-scoped output only; the artifact bytes are unaffected.
-  std::string metrics_out;
 };
 
 struct RunReport {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "solver/registry.hpp"
 #include "util/assert.hpp"
@@ -91,6 +92,23 @@ const JsonValue& require_key(const JsonValue& object, const std::string& key,
   return *found;
 }
 
+/// `value` read through one JsonValue accessor (`&JsonValue::as_uint`, …);
+/// a type mismatch is a spec error naming the key path `path` + `key`. The
+/// path is only assembled on that error, so a good read allocates nothing.
+template <class T>
+T read_as(const JsonValue& value, T (JsonValue::*as)() const, const std::string& where,
+          std::string_view path, std::string_view key = {}) {
+  try {
+    return (value.*as)();
+  } catch (const std::invalid_argument& error) {
+    std::string what(path);
+    what += key;
+    what += ": ";
+    what += error.what();
+    spec_error(where, what);
+  }
+}
+
 TaskKind parse_task(const std::string& text, const std::string& where) {
   if (text == "dynamics") return TaskKind::Dynamics;
   if (text == "swap_equilibrium") return TaskKind::SwapEquilibrium;
@@ -146,8 +164,9 @@ SeedRange parse_seed_range(const JsonValue& object, const std::string& where) {
   if (!object.is_object()) spec_error(where, "a seed range must be an object");
   reject_unknown_keys(object, {"begin", "end"}, where);
   SeedRange range;
-  range.begin = require_key(object, "begin", where).as_uint();
-  range.end = require_key(object, "end", where).as_uint();
+  range.begin =
+      read_as(require_key(object, "begin", where), &JsonValue::as_uint, where, "seeds.begin");
+  range.end = read_as(require_key(object, "end", where), &JsonValue::as_uint, where, "seeds.end");
   if (range.begin >= range.end) {
     spec_error(where, "empty seed range [" + std::to_string(range.begin) + ", " +
                           std::to_string(range.end) + ")");
@@ -193,7 +212,8 @@ void parse_churn_weights(const JsonValue& object, ChurnTraceWeights& weights,
   reject_unknown_keys(object, {"join", "leave", "grow", "shrink", "perturb"}, where);
   const auto read = [&object, &where](const char* key, std::uint32_t& slot) {
     if (const JsonValue* value = object.find(key); value != nullptr) {
-      const std::uint64_t weight = value->as_uint();
+      const std::uint64_t weight =
+          read_as(*value, &JsonValue::as_uint, where, "params.churn.weights.", key);
       if (weight > std::numeric_limits<std::uint32_t>::max()) {
         spec_error(where, std::string("churn.weights.") + key + " does not fit 32 bits");
       }
@@ -215,17 +235,20 @@ void parse_churn(const JsonValue& object, TaskParams& params, const std::string&
   reject_unknown_keys(object, {"events", "checkpoint_every", "mode", "max_budget", "weights"},
                       where + " churn");
   if (const JsonValue* events = object.find("events"); events != nullptr) {
-    params.churn_events = events->as_uint();
+    params.churn_events = read_as(*events, &JsonValue::as_uint, where, "params.churn.events");
     if (params.churn_events == 0) spec_error(where, "churn.events must be positive");
   }
   if (const JsonValue* every = object.find("checkpoint_every"); every != nullptr) {
-    params.churn_checkpoint_every = every->as_uint();
+    params.churn_checkpoint_every =
+        read_as(*every, &JsonValue::as_uint, where, "params.churn.checkpoint_every");
   }
   if (const JsonValue* mode = object.find("mode"); mode != nullptr) {
-    params.churn_mode = parse_churn_mode(mode->as_string(), where);
+    params.churn_mode = parse_churn_mode(
+        read_as(*mode, &JsonValue::as_string, where, "params.churn.mode"), where);
   }
   if (const JsonValue* max_budget = object.find("max_budget"); max_budget != nullptr) {
-    const std::uint64_t value = max_budget->as_uint();
+    const std::uint64_t value =
+        read_as(*max_budget, &JsonValue::as_uint, where, "params.churn.max_budget");
     if (value == 0) spec_error(where, "churn.max_budget must be positive");
     if (value > std::numeric_limits<std::uint32_t>::max()) {
       spec_error(where, "churn.max_budget does not fit 32 bits");
@@ -241,10 +264,12 @@ void parse_solver_budget(const JsonValue& object, TaskParams& params, const std:
   if (!object.is_object()) spec_error(where, "solver_budget must be an object");
   reject_unknown_keys(object, {"node_limit", "deadline_ms"}, where + " solver_budget");
   if (const JsonValue* node_limit = object.find("node_limit"); node_limit != nullptr) {
-    params.solver_node_limit = node_limit->as_uint();
+    params.solver_node_limit =
+        read_as(*node_limit, &JsonValue::as_uint, where, "params.solver_budget.node_limit");
   }
   if (const JsonValue* deadline = object.find("deadline_ms"); deadline != nullptr) {
-    params.solver_deadline_ms = deadline->as_uint();
+    params.solver_deadline_ms =
+        read_as(*deadline, &JsonValue::as_uint, where, "params.solver_budget.deadline_ms");
   }
 }
 
@@ -277,20 +302,22 @@ TaskParams parse_params(const JsonValue* object, TaskKind task, const std::strin
       spec_error(where, "unknown key \"" + key + "\" in params for task " + to_string(task));
     }
     if (key == "max_rounds") {
-      params.max_rounds = value.as_uint();
+      params.max_rounds = read_as(value, &JsonValue::as_uint, where, "params.", key);
       if (params.max_rounds == 0) spec_error(where, "max_rounds must be positive");
     } else if (key == "exact_limit") {
-      params.exact_limit = value.as_uint();
+      params.exact_limit = read_as(value, &JsonValue::as_uint, where, "params.", key);
     } else if (key == "swap_limit") {
-      params.swap_limit = value.as_uint();
+      params.swap_limit = read_as(value, &JsonValue::as_uint, where, "params.", key);
     } else if (key == "schedule") {
-      params.schedule = parse_schedule(value.as_string(), where);
+      params.schedule =
+          parse_schedule(read_as(value, &JsonValue::as_string, where, "params.", key), where);
     } else if (key == "policy") {
-      params.policy = parse_policy(value.as_string(), where);
+      params.policy =
+          parse_policy(read_as(value, &JsonValue::as_string, where, "params.", key), where);
     } else if (key == "incremental") {
-      params.incremental = value.as_bool();
+      params.incremental = read_as(value, &JsonValue::as_bool, where, "params.", key);
     } else if (key == "graph_core") {
-      const std::string name = value.as_string();
+      const std::string name = read_as(value, &JsonValue::as_string, where, "params.", key);
       if (name == "csr") {
         params.graph_core = GraphCore::kCsr;
       } else if (name == "vector") {
@@ -299,9 +326,9 @@ TaskParams parse_params(const JsonValue* object, TaskKind task, const std::strin
         spec_error(where, "graph_core must be \"csr\" or \"vector\", got \"" + name + "\"");
       }
     } else if (key == "compute_connectivity") {
-      params.compute_connectivity = value.as_bool();
+      params.compute_connectivity = read_as(value, &JsonValue::as_bool, where, "params.", key);
     } else if (key == "solver") {
-      params.solver = value.as_string();
+      params.solver = read_as(value, &JsonValue::as_string, where, "params.", key);
       try {
         (void)find_solver(params.solver);  // one authoritative error message
       } catch (const std::invalid_argument& error) {
@@ -330,7 +357,8 @@ TaskParams parse_params(const JsonValue* object, TaskKind task, const std::strin
 ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback_name) {
   ScenarioSpec scenario;
   const JsonValue* name = object.find("name");
-  scenario.name = name != nullptr ? name->as_string() : fallback_name;
+  scenario.name = name != nullptr ? read_as(*name, &JsonValue::as_string, "scenario", "name")
+                                  : fallback_name;
   if (scenario.name.empty()) spec_error("scenario", "missing required key \"name\"");
   const std::string where = "scenario \"" + scenario.name + "\"";
 
@@ -342,10 +370,14 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
                        "generator", "budgets", "grid", "seeds", "params"},
                       where);
 
-  scenario.task = parse_task(require_key(object, "task", where).as_string(), where);
-  scenario.version = parse_version(require_key(object, "version", where).as_string(), where);
+  scenario.task = parse_task(
+      read_as(require_key(object, "task", where), &JsonValue::as_string, where, "task"), where);
+  scenario.version = parse_version(
+      read_as(require_key(object, "version", where), &JsonValue::as_string, where, "version"),
+      where);
   if (const JsonValue* generator = object.find("generator"); generator != nullptr) {
-    scenario.generator = parse_generator(generator->as_string(), where);
+    scenario.generator = parse_generator(
+        read_as(*generator, &JsonValue::as_string, where, "generator"), where);
   }
 
   // Budgets: required for random_profile, implied (and forbidden) otherwise.
@@ -354,11 +386,13 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
     if (budgets == nullptr) spec_error(where, "missing required key \"budgets\"");
     if (!budgets->is_object()) spec_error(where, "budgets must be an object");
     reject_unknown_keys(*budgets, {"family", "b"}, where);
-    scenario.family = parse_family(require_key(*budgets, "family", where).as_string(), where);
+    scenario.family = parse_family(read_as(require_key(*budgets, "family", where),
+                                           &JsonValue::as_string, where, "budgets.family"),
+                                   where);
     const JsonValue* b = budgets->find("b");
     if (scenario.family == BudgetFamily::Uniform) {
       if (b == nullptr) spec_error(where, "uniform budgets need \"b\"");
-      const std::uint64_t value = b->as_uint();
+      const std::uint64_t value = read_as(*b, &JsonValue::as_uint, where, "budgets.b");
       if (value == 0) spec_error(where, "uniform budget b must be positive");
       if (value > std::numeric_limits<std::uint32_t>::max()) {
         spec_error(where, "uniform budget b=" + std::to_string(value) + " does not fit 32 bits");
@@ -381,7 +415,7 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
     spec_error(where, "grid.n must be a non-empty array");
   }
   for (const auto& item : grid_n.items()) {
-    const std::uint64_t n = item.as_uint();
+    const std::uint64_t n = read_as(item, &JsonValue::as_uint, where, "grid.n");
     if (n < 2) spec_error(where, "grid.n entries must be at least 2");
     if (n > std::numeric_limits<std::uint32_t>::max()) {
       spec_error(where, "grid.n entry " + std::to_string(n) + " does not fit 32 bits");
@@ -405,7 +439,7 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
       spec_error(where, "grid.density must be a non-empty array");
     }
     for (const auto& item : density->items()) {
-      const double value = item.as_double();
+      const double value = read_as(item, &JsonValue::as_double, where, "grid.density");
       if (!(value > 0)) spec_error(where, "grid.density entries must be positive");
       if (std::find(scenario.grid_density.begin(), scenario.grid_density.end(), value) !=
           scenario.grid_density.end()) {
@@ -451,16 +485,18 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
   if (!root.is_object()) spec_error("campaign", "the top-level value must be an object");
 
   CampaignSpec campaign;
-  campaign.name = require_key(root, "name", "campaign").as_string();
+  campaign.name = read_as(require_key(root, "name", "campaign"), &JsonValue::as_string,
+                          "campaign", "name");
   if (campaign.name.empty()) spec_error("campaign", "name must be non-empty");
   if (const JsonValue* base_seed = root.find("base_seed"); base_seed != nullptr) {
-    campaign.base_seed = base_seed->as_uint();
+    campaign.base_seed = read_as(*base_seed, &JsonValue::as_uint, "campaign", "base_seed");
   }
   if (const JsonValue* obs = root.find("obs"); obs != nullptr) {
-    campaign.obs = obs->as_bool();
+    campaign.obs = read_as(*obs, &JsonValue::as_bool, "campaign", "obs");
   }
   if (const JsonValue* cadence = root.find("gauge_sample_seconds"); cadence != nullptr) {
-    campaign.gauge_sample_seconds = cadence->as_double();
+    campaign.gauge_sample_seconds =
+        read_as(*cadence, &JsonValue::as_double, "campaign", "gauge_sample_seconds");
     if (!(campaign.gauge_sample_seconds > 0) || campaign.gauge_sample_seconds > 60) {
       spec_error("campaign", "gauge_sample_seconds must be in (0, 60]");
     }

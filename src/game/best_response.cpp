@@ -112,62 +112,6 @@ BestResponse greedy_with(Eval& eval, std::uint32_t budget) {
   return result;
 }
 
-BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
-  const std::uint32_t n = g.num_vertices();
-  const std::uint32_t b = g.out_degree(u);
-
-  // delta_scan_degenerate players probe from empty seed sets, where the
-  // naive evaluator's tighter BFS loop wins; results are identical.
-  if (incremental_ && !delta_scan_degenerate(g, u)) {
-    // Greedy builds from the empty strategy: strip the incumbent heads.
-    const auto run = [&](auto& eval) {
-      for (const Vertex h : eval.current_strategy()) eval.remove_head(h);
-      return greedy_with(eval, b);
-    };
-    if (core_ == GraphCore::kCsr) {
-      CsrDeltaEvaluator eval(g, u, version_);
-      return run(eval);
-    }
-    DeltaEvaluator eval(g, u, version_);
-    return run(eval);
-  }
-
-  BestResponse result;
-  result.evaluated = 0;
-  result.exact = (b == 0);
-
-  std::vector<Vertex> strategy;
-  std::vector<bool> used(n, false);
-  used[u] = true;
-
-  const StrategyEvaluator eval(g, u, version_);
-  StrategyEvaluator::Scratch scratch(n);
-  result.current_cost = eval.current_cost();
-  std::vector<Vertex> trial;
-  for (std::uint32_t step = 0; step < b; ++step) {
-    Vertex best_target = kUnreachable;
-    std::uint64_t best_cost = ~0ULL;
-    for (Vertex t = 0; t < n; ++t) {
-      if (used[t]) continue;
-      trial = strategy;
-      trial.push_back(t);
-      const std::uint64_t cost = eval.evaluate(trial, scratch);
-      ++result.evaluated;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_target = t;
-      }
-    }
-    BBNG_ASSERT(best_target != kUnreachable);
-    strategy.push_back(best_target);
-    used[best_target] = true;
-  }
-  std::sort(strategy.begin(), strategy.end());
-  result.cost = eval.evaluate(strategy, scratch);
-  result.strategy = std::move(strategy);
-  return result;
-}
-
 template <class Eval>
 BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
   const std::uint32_t n = eval.num_vertices();
@@ -216,81 +160,38 @@ BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
   return result;
 }
 
+template BestResponse greedy_with(NaiveEvaluator&, std::uint32_t);
 template BestResponse greedy_with(DeltaEvaluator&, std::uint32_t);
 template BestResponse greedy_with(CsrDeltaEvaluator&, std::uint32_t);
 template BestResponse greedy_with(TableEvaluator&, std::uint32_t);
+template BestResponse swap_improve_with(NaiveEvaluator&, std::vector<Vertex>);
 template BestResponse swap_improve_with(DeltaEvaluator&, std::vector<Vertex>);
 template BestResponse swap_improve_with(CsrDeltaEvaluator&, std::vector<Vertex>);
 template BestResponse swap_improve_with(TableEvaluator&, std::vector<Vertex>);
 
+BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
+  const std::uint32_t b = g.out_degree(u);
+  return with_move_evaluator(g, u, version_, incremental_, core_, [b](auto& eval) {
+    // Greedy builds from the empty strategy: strip the incumbent heads.
+    for (const Vertex h : eval.current_strategy()) eval.remove_head(h);
+    return greedy_with(eval, b);
+  });
+}
+
 BestResponse BestResponseSolver::swap_improve(const Digraph& g, Vertex u,
                                               std::optional<std::vector<Vertex>> start) const {
-  const std::uint32_t n = g.num_vertices();
-
-  if (incremental_ && !delta_scan_degenerate(g, u)) {
-    // Reconcile the oracle's head set (the incumbent) with the start.
-    const auto run = [&](auto& eval) {
-      std::vector<Vertex> strategy =
-          start.has_value() ? std::move(*start) : eval.current_strategy();
-      std::sort(strategy.begin(), strategy.end());
-      for (const Vertex h : eval.current_strategy()) {
-        if (!std::binary_search(strategy.begin(), strategy.end(), h)) eval.remove_head(h);
-      }
-      for (const Vertex h : strategy) {
-        if (!eval.has_head(h)) eval.add_head(h);
-      }
-      return swap_improve_with(eval, std::move(strategy));
-    };
-    if (core_ == GraphCore::kCsr) {
-      CsrDeltaEvaluator eval(g, u, version_);
-      return run(eval);
+  return with_move_evaluator(g, u, version_, incremental_, core_, [&start](auto& eval) {
+    // Reconcile the evaluator's head set (the incumbent) with the start.
+    std::vector<Vertex> strategy = start.has_value() ? std::move(*start) : eval.current_strategy();
+    std::sort(strategy.begin(), strategy.end());
+    for (const Vertex h : eval.current_strategy()) {
+      if (!std::binary_search(strategy.begin(), strategy.end(), h)) eval.remove_head(h);
     }
-    DeltaEvaluator eval(g, u, version_);
-    return run(eval);
-  }
-
-  BestResponse result;
-  result.evaluated = 1;
-  result.exact = false;
-
-  std::vector<bool> used(n, false);
-  used[u] = true;
-
-  const StrategyEvaluator eval(g, u, version_);
-  StrategyEvaluator::Scratch scratch(n);
-  result.current_cost = eval.current_cost();
-
-  std::vector<Vertex> strategy =
-      start.has_value() ? std::move(*start) : eval.current_strategy();
-  std::sort(strategy.begin(), strategy.end());
-  std::uint64_t cost = eval.evaluate(strategy, scratch);
-  for (const Vertex h : strategy) used[h] = true;
-
-  bool improved = true;
-  std::vector<Vertex> trial;
-  while (improved) {
-    improved = false;
-    for (std::size_t i = 0; i < strategy.size() && !improved; ++i) {
-      for (Vertex t = 0; t < n && !improved; ++t) {
-        if (used[t]) continue;
-        trial = strategy;
-        trial[i] = t;
-        const std::uint64_t trial_cost = eval.evaluate(trial, scratch);
-        ++result.evaluated;
-        if (trial_cost < cost) {
-          used[strategy[i]] = false;
-          used[t] = true;
-          strategy[i] = t;
-          cost = trial_cost;
-          improved = true;
-        }
-      }
+    for (const Vertex h : strategy) {
+      if (!eval.has_head(h)) eval.add_head(h);
     }
-  }
-  std::sort(strategy.begin(), strategy.end());
-  result.strategy = std::move(strategy);
-  result.cost = cost;
-  return result;
+    return swap_improve_with(eval, std::move(strategy));
+  });
 }
 
 BestResponse BestResponseSolver::solve(const Digraph& g, Vertex u, ThreadPool* pool) const {

@@ -16,12 +16,14 @@
 // All solvers return the player's *cost under the returned strategy*; they
 // never mutate the input graph.
 //
-// greedy and swap score candidates through the incremental DeltaEvaluator by
-// default (consecutive candidates differ by one head, so each evaluation is
-// two dynamic-BFS edge operations instead of a fresh multi-source BFS); pass
-// incremental = false to force the naive rebuild path, which must agree
-// bit-for-bit (tests/test_delta_eval.cpp). Their delta bodies are the
-// evaluator-generic greedy_with / swap_improve_with below.
+// greedy and swap each have one body, the evaluator-generic greedy_with /
+// swap_improve_with below. BestResponseSolver runs them on the evaluator
+// with_move_evaluator (game/strategy_eval.hpp) picks: the incremental delta
+// oracle by default (consecutive candidates differ by one head, so each
+// evaluation is a few dynamic-BFS edge operations instead of a fresh
+// multi-source BFS), or NaiveEvaluator (one full BFS per probe) under
+// incremental = false.
+// Both agree bit-for-bit (tests/test_delta_eval.cpp).
 #pragma once
 
 #include <cstdint>
@@ -51,18 +53,12 @@ struct BestResponse {
 class BestResponseSolver {
  public:
   /// `exact_limit` caps the number of candidates full enumeration may score.
-  /// `incremental` routes greedy/swap scoring through DeltaEvaluatorT (the
-  /// dynamic-BFS oracle); the naive per-candidate multi-source BFS stays
-  /// available for differential testing. `core` picks the oracle's graph
-  /// core. All paths return bit-identical costs and strategies.
+  /// `incremental` and `core` pick greedy/swap's evaluator through
+  /// with_move_evaluator. Every choice returns bit-identical costs,
+  /// strategies and evaluation counts; only bfs_avoided differs.
   explicit BestResponseSolver(CostVersion version, std::uint64_t exact_limit = 2'000'000,
                               bool incremental = true, GraphCore core = GraphCore::kCsr)
       : version_(version), exact_limit_(exact_limit), incremental_(incremental), core_(core) {}
-
-  [[nodiscard]] CostVersion version() const noexcept { return version_; }
-  [[nodiscard]] std::uint64_t exact_limit() const noexcept { return exact_limit_; }
-  [[nodiscard]] bool incremental() const noexcept { return incremental_; }
-  [[nodiscard]] GraphCore core() const noexcept { return core_; }
 
   /// Number of candidate strategies of player u (C(n-1, b_u), clamped).
   [[nodiscard]] static std::uint64_t candidate_count(const Digraph& g, Vertex u);
@@ -94,10 +90,10 @@ class BestResponseSolver {
 };
 
 /// The greedy and swap descent bodies over any exact evaluator with the
-/// DeltaEvaluatorT interface (DeltaEvaluator, CsrDeltaEvaluator,
-/// TableEvaluator). One body per descent keeps the probe order — and with
-/// it every strategy, cost and evaluation count — identical whichever
-/// evaluator scores it; exact_bb seeds its incumbent through these on the
+/// DeltaEvaluatorT interface (NaiveEvaluator, DeltaEvaluator,
+/// CsrDeltaEvaluator, TableEvaluator). One body per descent keeps the probe
+/// order — and with it every strategy, cost and evaluation count — identical
+/// whichever evaluator scores it; exact_bb seeds its incumbent through these on the
 /// evaluator its search then reuses.
 ///
 /// greedy_with: `eval` must hold no heads. Adds `budget` heads, each the

@@ -11,28 +11,27 @@
 namespace bbng {
 namespace {
 
-/// Deterministic greedy trim: drop, one at a time, the head whose removal
-/// increases the player's cost least (ties to the smallest head — the list
-/// is sorted). Probes ride the delta oracle's journaled trials, so a trim
-/// costs O(b²) incremental probes, not O(b²) BFS runs.
-template <class DeltaT>
-std::vector<Vertex> greedy_trim(const Digraph& g, Vertex u, CostVersion version,
-                                std::uint32_t cap) {
-  DeltaT delta(g, u, version);
-  std::vector<Vertex> heads = delta.current_strategy();
+/// Deterministic greedy trim on `eval` (holding the player's incumbent
+/// heads): drop, one at a time, the head whose removal increases the
+/// player's cost least (ties to the smallest head — the list is sorted). On
+/// the delta oracle a trim costs O(b²) incremental probes, not O(b²) BFS
+/// runs.
+template <class Eval>
+std::vector<Vertex> greedy_trim(Eval& eval, std::uint32_t cap) {
+  std::vector<Vertex> heads = eval.current_strategy();
   while (heads.size() > cap) {
     std::size_t best_index = 0;
     std::uint64_t best_cost = ~0ULL;
     for (std::size_t i = 0; i < heads.size(); ++i) {
-      delta.remove_head(heads[i]);
-      const std::uint64_t cost = delta.cost();
-      delta.add_head(heads[i]);
+      eval.remove_head(heads[i]);
+      const std::uint64_t cost = eval.cost();
+      eval.add_head(heads[i]);
       if (cost < best_cost) {
         best_cost = cost;
         best_index = i;
       }
     }
-    delta.remove_head(heads[best_index]);
+    eval.remove_head(heads[best_index]);
     heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best_index));
   }
   return heads;
@@ -248,10 +247,9 @@ void ChurnEngine::apply_strategy(Vertex u, std::vector<Vertex> heads, DeltaKind&
 }
 
 std::vector<Vertex> ChurnEngine::trimmed_strategy(Vertex u, std::uint32_t cap) const {
-  if (config_.budget.core == GraphCore::kCsr) {
-    return greedy_trim<CsrDeltaEvaluator>(graph_, u, config_.version, cap);
-  }
-  return greedy_trim<DeltaEvaluator>(graph_, u, config_.version, cap);
+  return with_move_evaluator(graph_, u, config_.version, config_.budget.incremental,
+                             config_.budget.core,
+                             [cap](auto& eval) { return greedy_trim(eval, cap); });
 }
 
 void ChurnEngine::respond(Vertex p, DeltaKind& delta) {

@@ -1,7 +1,6 @@
 #include "game/dynamics.hpp"
 
 #include <numeric>
-#include <optional>
 
 #include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
@@ -42,47 +41,6 @@ bool SeenStateSet::insert(const Digraph& g) {
   ++states_;
   return true;
 }
-
-namespace {
-
-/// First improving single-head swap for player u, or nullopt at a local
-/// optimum. Scans heads in order, targets in vertex order — deterministic,
-/// and identical on the incremental and naive paths (the oracle returns
-/// bit-identical costs; the incremental path is the shared
-/// scan_first_improving_swap, the same scan verify_swap_equilibrium runs).
-/// `bfs_avoided` accumulates oracle-served scores.
-std::optional<std::vector<Vertex>> first_improving_swap(const Digraph& g, Vertex u,
-                                                        CostVersion version, bool incremental,
-                                                        GraphCore core,
-                                                        std::uint64_t& bfs_avoided) {
-  const std::uint32_t n = g.num_vertices();
-  if (incremental) {
-    SwapScanResult scan = scan_first_improving_swap(g, u, version, core);
-    bfs_avoided += scan.bfs_avoided;
-    if (scan.found) return std::move(scan.strategy);
-    return std::nullopt;
-  }
-
-  const StrategyEvaluator eval(g, u, version);
-  StrategyEvaluator::Scratch scratch(n);
-  const std::uint64_t base = eval.current_cost();
-  std::vector<Vertex> strategy = eval.current_strategy();
-  std::vector<bool> used(n, false);
-  for (const Vertex h : strategy) used[h] = true;
-  used[u] = true;
-  std::vector<Vertex> trial;
-  for (std::size_t i = 0; i < strategy.size(); ++i) {
-    for (Vertex t = 0; t < n; ++t) {
-      if (used[t]) continue;
-      trial = strategy;
-      trial[i] = t;
-      if (eval.evaluate(trial, scratch) < base) return trial;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 DynamicsResult run_best_response_dynamics(const Digraph& initial, const DynamicsConfig& config,
                                           ThreadPool* pool) {
@@ -138,11 +96,12 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
       std::vector<Vertex> next_strategy;
       if (config.policy == MovePolicy::FirstImprovingSwap) {
         if (result.graph.out_degree(u) == 0) continue;
-        auto swap = first_improving_swap(result.graph, u, config.version, config.incremental,
-                                         config.graph_core, result.bfs_avoided);
+        SwapScanResult scan = scan_first_improving_swap(result.graph, u, config.version,
+                                                        config.incremental, config.graph_core);
+        result.bfs_avoided += scan.bfs_avoided;
         result.all_moves_exact = false;  // swap moves never certify Nash
-        if (!swap) continue;
-        next_strategy = std::move(*swap);
+        if (!scan.found) continue;
+        next_strategy = std::move(scan.strategy);
         ++result.evaluations;
       } else {
         SolverBudget move_budget = budget;

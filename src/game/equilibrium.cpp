@@ -32,8 +32,8 @@ void publish_nash_audit(const NashReport& report) {
   obs::add(kCertified, report.players_certified);
 }
 
-/// Registry mirror of one completed swap-stability sweep (any of its three
-/// execution paths), field-wise from the report the caller receives.
+/// Registry mirror of one completed swap-stability sweep (sequential or
+/// parallel), field-wise from the report the caller receives.
 void publish_swap_audit(const EquilibriumReport& report) {
   if (!obs::kCompiledIn || !obs::enabled()) return;
   static const obs::CounterId kAudits = obs::register_counter("eq.swap.audits");
@@ -179,101 +179,58 @@ EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
   obs::TraceSpan trace_span("audit.swap");
   trace_span.arg("players", std::uint64_t{n});
   EquilibriumReport report;
+  Vertex deviator = n;  // n: no deviator found
+  SwapScanResult deviation;
 
-  if (!incremental) {
-    // Naive differential reference: one multi-source BFS per deviation.
-    for (Vertex u = 0; u < n; ++u) {
+  if (!incremental || pool == nullptr || pool->width() <= 1 || n < 4) {
+    // Sequential sweep with an early exit at the first deviator, so
+    // strategies_checked is deterministic; the naive evaluator always takes
+    // it.
+    for (Vertex u = 0; u < n && deviator == n; ++u) {
       if (g.out_degree(u) == 0) continue;
-      const StrategyEvaluator eval(g, u, version);
-      StrategyEvaluator::Scratch scratch(n);
-      const std::uint64_t base_cost = eval.current_cost();
-      std::vector<Vertex> strategy = eval.current_strategy();
-      std::vector<bool> used(n, false);
-      for (const Vertex h : strategy) used[h] = true;
-      used[u] = true;
-      std::vector<Vertex> trial;
-      for (std::size_t i = 0; i < strategy.size(); ++i) {
-        for (Vertex t = 0; t < n; ++t) {
-          if (used[t]) continue;
-          trial = strategy;
-          trial[i] = t;
-          const std::uint64_t cost = eval.evaluate(trial, scratch);
-          ++report.strategies_checked;
-          if (cost < base_cost) {
-            report.stable = false;
-            report.deviator = u;
-            report.improving_strategy = trial;
-            report.old_cost = base_cost;
-            report.new_cost = cost;
-            publish_swap_audit(report);
-            return report;
-          }
-        }
-      }
-    }
-    report.stable = true;
-    publish_swap_audit(report);
-    return report;
-  }
-
-  if (pool == nullptr || pool->width() <= 1 || n < 4) {
-    // Sequential incremental sweep with the same early exit as the naive
-    // path (so strategies_checked also matches it).
-    for (Vertex u = 0; u < n; ++u) {
-      if (g.out_degree(u) == 0) continue;
-      SwapScanResult scan = scan_first_improving_swap(g, u, version, core);
+      SwapScanResult scan = scan_first_improving_swap(g, u, version, incremental, core);
       report.strategies_checked += scan.checked;
       report.bfs_avoided += scan.bfs_avoided;
       if (scan.found) {
-        report.stable = false;
-        report.deviator = u;
-        report.improving_strategy = std::move(scan.strategy);
-        report.old_cost = scan.old_cost;
-        report.new_cost = scan.new_cost;
-        publish_swap_audit(report);
-        return report;
+        deviator = u;
+        deviation = std::move(scan);
       }
     }
-    report.stable = true;
-    publish_swap_audit(report);
-    return report;
+  } else {
+    // Batched parallel sweep: one delta oracle per scanned player, players
+    // distributed over the pool. Workers skip players above the smallest
+    // deviator found so far, so the reported deviator is deterministic (the
+    // minimum) even though scan completion order is not.
+    std::atomic<std::uint32_t> best_vertex{n};
+    std::atomic<std::uint64_t> checked{0};
+    std::atomic<std::uint64_t> avoided{0};
+    std::mutex best_mutex;
+    parallel_for(*pool, n, [&](std::uint64_t index) {
+      const auto u = static_cast<Vertex>(index);
+      if (g.out_degree(u) == 0) return;
+      if (u >= best_vertex.load(std::memory_order_relaxed)) return;
+      SwapScanResult scan = scan_first_improving_swap(g, u, version, incremental, core);
+      checked.fetch_add(scan.checked, std::memory_order_relaxed);
+      avoided.fetch_add(scan.bfs_avoided, std::memory_order_relaxed);
+      if (!scan.found) return;
+      const std::lock_guard<std::mutex> lock(best_mutex);
+      if (u < best_vertex.load(std::memory_order_relaxed)) {
+        best_vertex.store(u, std::memory_order_relaxed);
+        deviation = std::move(scan);
+      }
+    });
+    report.strategies_checked = checked.load();
+    report.bfs_avoided = avoided.load();
+    deviator = best_vertex.load();
   }
 
-  // Batched parallel sweep: one delta oracle per scanned player, players
-  // distributed over the pool. Workers skip players above the smallest
-  // deviator found so far, so the reported deviator is deterministic (the
-  // minimum) even though scan completion order is not.
-  std::atomic<std::uint32_t> best_vertex{n};
-  std::atomic<std::uint64_t> checked{0};
-  std::atomic<std::uint64_t> avoided{0};
-  std::mutex best_mutex;
-  SwapScanResult best_scan;
-  parallel_for(*pool, n, [&](std::uint64_t index) {
-    const auto u = static_cast<Vertex>(index);
-    if (g.out_degree(u) == 0) return;
-    if (u >= best_vertex.load(std::memory_order_relaxed)) return;
-    SwapScanResult scan = scan_first_improving_swap(g, u, version, core);
-    checked.fetch_add(scan.checked, std::memory_order_relaxed);
-    avoided.fetch_add(scan.bfs_avoided, std::memory_order_relaxed);
-    if (!scan.found) return;
-    const std::lock_guard<std::mutex> lock(best_mutex);
-    if (u < best_vertex.load(std::memory_order_relaxed)) {
-      best_vertex.store(u, std::memory_order_relaxed);
-      best_scan = std::move(scan);
-    }
-  });
-  report.strategies_checked = checked.load();
-  report.bfs_avoided = avoided.load();
-  if (best_vertex.load() < n) {
-    report.stable = false;
-    report.deviator = best_vertex.load();
-    report.improving_strategy = std::move(best_scan.strategy);
-    report.old_cost = best_scan.old_cost;
-    report.new_cost = best_scan.new_cost;
-    publish_swap_audit(report);
-    return report;
+  report.stable = deviator == n;
+  if (!report.stable) {
+    report.deviator = deviator;
+    report.improving_strategy = std::move(deviation.strategy);
+    report.old_cost = deviation.old_cost;
+    report.new_cost = deviation.new_cost;
   }
-  report.stable = true;
   publish_swap_audit(report);
   return report;
 }

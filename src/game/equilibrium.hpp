@@ -10,11 +10,11 @@
 // rather than swap-stability. verify_swap_equilibrium() checks the weaker
 // single-head-swap stability of Section 6 (every Nash equilibrium is also a
 // swap equilibrium), which is polynomial and scales to the large
-// constructions. Swap deviations are scored through the incremental delta
-// oracle (DeltaEvaluator) by default, and the sweep is batched across
-// players on a ThreadPool when one is given; the naive sequential full-BFS
-// path stays available for differential testing and returns an identical
-// verdict/deviator.
+// constructions. Each player's swaps go through scan_first_improving_swap
+// (game/strategy_eval.hpp), scored on the incremental delta oracle by
+// default, and the sweep is batched across players on a ThreadPool when one
+// is given; incremental = false scores naively, always sweeps sequentially,
+// and returns an identical verdict/deviator.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +54,9 @@ struct EquilibriumReport {
 /// first improving swap in scan order, independent of `pool` width — but the
 /// parallel sweep may score more candidates than the sequential early exit,
 /// so `strategies_checked` is a work stat, not a deterministic count.
-/// `core` picks the incremental oracle's graph core (bit-identical verdicts;
-/// ignored on the naive path).
+/// `incremental` and `core` pick the scan's evaluator (with_move_evaluator;
+/// bit-identical verdicts); incremental = false also forces the sequential
+/// sweep.
 [[nodiscard]] EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
                                                         ThreadPool* pool = nullptr,
                                                         bool incremental = true,

@@ -258,81 +258,40 @@ bool delta_scan_degenerate(const Digraph& g, Vertex player) {
   return true;
 }
 
-namespace {
-
-/// The non-degenerate scan body, shared by both graph cores (the scan order
-/// and early exit are part of the library's determinism contract; only the
-/// evaluator's storage differs).
-template <class GraphT>
-SwapScanResult delta_scan(const Digraph& g, Vertex player, CostVersion version) {
-  const std::uint32_t n = g.num_vertices();
-  SwapScanResult scan;
-  DeltaEvaluatorT<GraphT> eval(g, player, version);
-  const std::uint64_t base_cost = eval.current_cost();
-  const std::vector<Vertex>& strategy = eval.current_strategy();
-  std::vector<bool> used(n, false);
-  for (const Vertex h : strategy) used[h] = true;
-  used[player] = true;
-  for (std::size_t i = 0; i < strategy.size(); ++i) {
-    const Vertex old_head = strategy[i];
-    eval.remove_head(old_head);
-    for (Vertex t = 0; t < n; ++t) {
-      if (used[t]) continue;
-      const std::uint64_t cost = eval.cost_with_head(t);
-      ++scan.checked;
-      if (cost < base_cost) {
-        scan.found = true;
-        scan.strategy = strategy;
-        scan.strategy[i] = t;
-        scan.old_cost = base_cost;
-        scan.new_cost = cost;
-        scan.bfs_avoided = eval.bfs_avoided();
-        return scan;
-      }
-    }
-    eval.add_head(old_head);
-  }
-  scan.bfs_avoided = eval.bfs_avoided();
-  return scan;
-}
-
-}  // namespace
-
 SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player, CostVersion version,
-                                         GraphCore core) {
-  const std::uint32_t n = g.num_vertices();
-
-  if (delta_scan_degenerate(g, player)) {
+                                         bool incremental, GraphCore core) {
+  // The scan order and early exit are part of the library's determinism
+  // contract; only the evaluator behind the probes varies.
+  return with_move_evaluator(g, player, version, incremental, core, [](auto& eval) {
+    const std::uint32_t n = eval.num_vertices();
     SwapScanResult scan;
-    const StrategyEvaluator eval(g, player, version);
-    StrategyEvaluator::Scratch scratch(n);
     const std::uint64_t base_cost = eval.current_cost();
     const std::vector<Vertex>& strategy = eval.current_strategy();
     std::vector<bool> used(n, false);
     for (const Vertex h : strategy) used[h] = true;
-    used[player] = true;
-    std::vector<Vertex> trial;
+    used[eval.player()] = true;
     for (std::size_t i = 0; i < strategy.size(); ++i) {
+      const Vertex old_head = strategy[i];
+      eval.remove_head(old_head);
       for (Vertex t = 0; t < n; ++t) {
         if (used[t]) continue;
-        trial = strategy;
-        trial[i] = t;
-        const std::uint64_t cost = eval.evaluate(trial, scratch);
+        const std::uint64_t cost = eval.cost_with_head(t);
         ++scan.checked;
         if (cost < base_cost) {
           scan.found = true;
-          scan.strategy = std::move(trial);
+          scan.strategy = strategy;
+          scan.strategy[i] = t;
           scan.old_cost = base_cost;
           scan.new_cost = cost;
+          scan.bfs_avoided = eval.bfs_avoided();
           return scan;
         }
       }
+      eval.add_head(old_head);
     }
+    scan.bfs_avoided = eval.bfs_avoided();
     return scan;
-  }
-
-  return core == GraphCore::kCsr ? delta_scan<CsrUGraph>(g, player, version)
-                                 : delta_scan<UGraph>(g, player, version);
+  });
 }
 
 }  // namespace bbng

@@ -24,10 +24,17 @@
 // graph. It is a template over the graph core: DeltaEvaluator (= UGraph)
 // keeps the vector-adjacency reference semantics, CsrDeltaEvaluator
 // (= CsrUGraph) runs the same algorithm on the flat CSR arena; both produce
-// bit-identical costs and counters, and GraphCore (graph/csr_graph.hpp)
-// selects between them at the consumer API boundary.
+// bit-identical costs and counters.
+//
+// Every evaluator below shares one head-set interface (add_head,
+// remove_head, has_head, cost, cost_with_head, bfs_avoided), so each move set
+// (greedy construction, swap descent, the first-improving swap scan, churn's
+// greedy trim) is written once as a template over it. NaiveEvaluator puts
+// StrategyEvaluator behind that interface, and with_move_evaluator is the one
+// place that picks naive, CSR delta or vector delta for a player.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -118,7 +125,9 @@ class StrategyEvaluator {
 /// (tests/test_delta_eval.cpp and tests/test_csr_graph.cpp enforce this).
 ///
 /// A DeltaEvaluatorT is stateful and single-threaded; parallel sweeps build
-/// one per worker (see verify_swap_equilibrium).
+/// one per worker (see verify_swap_equilibrium). Move sets reach it through
+/// with_move_evaluator, which also decides when the naive evaluator scores
+/// instead.
 template <class GraphT>
 class DeltaEvaluatorT {
  public:
@@ -251,15 +260,6 @@ class DeltaEvaluatorT {
     return probed;
   }
 
-  /// Cost of (heads \ {removed}) ∪ {added}; the head set is restored before
-  /// returning, so this is a pure query (4 dynamic edge operations).
-  [[nodiscard]] std::uint64_t evaluate_swap(Vertex removed, Vertex added) {
-    remove_head(removed);
-    const std::uint64_t swapped = cost_with_head(added);
-    add_head(removed);
-    return swapped;
-  }
-
   // ---- instrumentation ----
   /// cost() queries answered since construction.
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
@@ -375,14 +375,6 @@ class TableEvaluator {
   /// min-over-candidates cover (exact_bb's seed-distance bound) reads each
   /// row once.
   [[nodiscard]] std::uint64_t cost_with_head(Vertex t, std::span<std::uint32_t> fold);
-  /// Cost of (heads \ {removed}) ∪ {added}; the head set is restored.
-  [[nodiscard]] std::uint64_t evaluate_swap(Vertex removed, Vertex added) {
-    remove_head(removed);
-    const std::uint64_t swapped = cost_with_head(added);
-    add_head(removed);
-    return swapped;
-  }
-
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
   /// No oracle runs behind the table, so no BFS is ever "avoided": always 0.
   [[nodiscard]] std::uint64_t bfs_avoided() const noexcept { return 0; }
@@ -424,6 +416,54 @@ class TableEvaluator {
   std::uint64_t evaluations_ = 0;
 };
 
+/// The naive StrategyEvaluator behind the DeltaEvaluatorT head-set
+/// interface: every cost() and cost_with_head() is one multi-source BFS over
+/// the present head set. It is the reference the delta and table evaluators
+/// are checked against, and the faster choice for delta_scan_degenerate
+/// players. Construction loads the incumbent strategy as the head set, like
+/// DeltaEvaluatorT. Stateful and single-threaded (it owns one Scratch).
+class NaiveEvaluator {
+ public:
+  NaiveEvaluator(const Digraph& g, Vertex player, CostVersion version)
+      : eval_(g, player, version), scratch_(g.num_vertices()), heads_(eval_.current_strategy()) {}
+
+  [[nodiscard]] Vertex player() const noexcept { return eval_.player(); }
+  [[nodiscard]] std::uint32_t num_vertices() const noexcept { return eval_.num_vertices(); }
+  [[nodiscard]] std::uint64_t current_cost() const noexcept { return eval_.current_cost(); }
+  [[nodiscard]] const std::vector<Vertex>& current_strategy() const noexcept {
+    return eval_.current_strategy();
+  }
+  /// O(#heads), like add_head and remove_head: strategies are small.
+  [[nodiscard]] bool has_head(Vertex v) const {
+    return std::find(heads_.begin(), heads_.end(), v) != heads_.end();
+  }
+
+  void add_head(Vertex t) {
+    BBNG_REQUIRE_MSG(!has_head(t), "head already present");
+    heads_.push_back(t);  // evaluate() checks t against the player and n
+  }
+  void remove_head(Vertex h) {
+    const auto it = std::find(heads_.begin(), heads_.end(), h);
+    BBNG_REQUIRE_MSG(it != heads_.end(), "head not present");
+    heads_.erase(it);
+  }
+
+  [[nodiscard]] std::uint64_t cost() { return eval_.evaluate(heads_, scratch_); }
+  [[nodiscard]] std::uint64_t cost_with_head(Vertex t) {
+    add_head(t);
+    const std::uint64_t probed = cost();
+    heads_.pop_back();
+    return probed;
+  }
+  /// Every query is a full BFS: always 0.
+  [[nodiscard]] std::uint64_t bfs_avoided() const noexcept { return 0; }
+
+ private:
+  StrategyEvaluator eval_;
+  StrategyEvaluator::Scratch scratch_;
+  std::vector<Vertex> heads_;  ///< present head set, in insertion order
+};
+
 /// Result of one player's first-improving-swap scan (see below).
 struct SwapScanResult {
   bool found = false;
@@ -438,24 +478,43 @@ struct SwapScanResult {
 /// per probe: with no in-arcs and at most one head, every scan position
 /// leaves an empty seed set, so each probe re-settles the player's whole
 /// component from scratch and the naive evaluator's tighter loop wins
-/// (measured: bench_delta_eval's cycle-with-trees leaves). Consumers use
-/// this to pick the evaluator per player; both produce bit-identical costs,
-/// so the choice never changes results.
+/// (measured: bench_delta_eval's cycle-with-trees leaves). Only
+/// with_move_evaluator consults it; every evaluator produces bit-identical
+/// costs, so the choice never changes results.
 [[nodiscard]] bool delta_scan_degenerate(const Digraph& g, Vertex player);
+
+/// The one place a move set picks the evaluator that scores `player`:
+/// NaiveEvaluator when `!incremental` or the player is
+/// delta_scan_degenerate, else the delta evaluator on `core` (CSR or vector
+/// adjacency). Builds it with the incumbent strategy as its head set and
+/// returns fn(eval). Every choice scores bit-identically, so `incremental`
+/// and `core` are performance knobs only; bfs_avoided() is the one
+/// observable that differs (0 on the naive evaluator).
+template <class Fn>
+auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, bool incremental,
+                         GraphCore core, Fn&& fn) {
+  if (!incremental || delta_scan_degenerate(g, player)) {
+    NaiveEvaluator eval(g, player, version);
+    return fn(eval);
+  }
+  if (core == GraphCore::kCsr) {
+    CsrDeltaEvaluator eval(g, player, version);
+    return fn(eval);
+  }
+  DeltaEvaluator eval(g, player, version);
+  return fn(eval);
+}
 
 /// First improving single-head swap of `player`'s incumbent strategy, or
 /// found == false at a swap-local optimum. Scans head positions in (sorted)
 /// strategy order and targets in vertex order with an early exit — the ONE
 /// deterministic scan order shared by the dynamics engine's
-/// FirstImprovingSwap policy and verify_swap_equilibrium, so their
-/// naive/incremental and sequential/parallel agreement guarantees hinge on
-/// every consumer routing through this helper rather than hand-copying the
-/// loop. Runs on the delta oracle of the requested graph core (CSR by
-/// default; the cores are bit-identical, so `core` is a performance knob,
-/// not a semantic one), except for delta_scan_degenerate players, which take
-/// the (identical-result) naive evaluator.
+/// FirstImprovingSwap policy and verify_swap_equilibrium. One scan body runs
+/// on whichever evaluator with_move_evaluator picks, so the result (bar
+/// bfs_avoided) is the same for every `incremental` and `core`.
 [[nodiscard]] SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player,
                                                        CostVersion version,
+                                                       bool incremental = true,
                                                        GraphCore core = GraphCore::kCsr);
 
 }  // namespace bbng

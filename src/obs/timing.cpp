@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <ostream>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
@@ -377,81 +373,3 @@ void GaugeSampler::stop() {
 }  // namespace bbng::obs
 
 #endif  // !BBNG_OBS_DISABLED
-
-namespace bbng::obs {
-
-namespace {
-
-/// Dotted metric name → Prometheus-legal `bbng_`-prefixed snake_case.
-std::string prom_name(const std::string& name, const char* suffix) {
-  std::string out = "bbng_";
-  for (const char c : name) {
-    const bool legal = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '_';
-    out.push_back(legal ? c : '_');
-  }
-  out += suffix;
-  return out;
-}
-
-/// %g rendering: Prometheus floats accept scientific notation, and %g keeps
-/// the sub-millisecond bucket boundaries exact ("2e-06", not "0.000002000").
-std::string prom_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
-}  // namespace
-
-void write_exposition(std::ostream& os) {
-  os << "# bbng metrics exposition (Prometheus text format)\n";
-  if (!kCompiledIn) {
-    os << "# observability compiled out (BBNG_OBS=OFF)\n";
-    return;
-  }
-  for (const CounterValue& counter : snapshot()) {
-    const std::string name = prom_name(counter.name, "_total");
-    os << "# TYPE " << name << " counter\n";
-    os << name << " " << counter.value << "\n";
-  }
-  for (const GaugeSnapshot& gauge : gauge_snapshot()) {
-    if (gauge.samples == 0) continue;
-    const std::string name = prom_name(gauge.name, "");
-    os << "# TYPE " << name << " gauge\n";
-    os << name << " " << prom_double(gauge.last) << "\n";
-    os << "# TYPE " << name << "_min gauge\n";
-    os << name << "_min " << prom_double(gauge.min) << "\n";
-    os << "# TYPE " << name << "_max gauge\n";
-    os << name << "_max " << prom_double(gauge.max) << "\n";
-  }
-  const auto& boundaries = histogram_boundaries_us();
-  for (const HistogramSnapshot& histogram : histogram_snapshot()) {
-    if (histogram.count == 0) continue;
-    const std::string name = prom_name(histogram.name, "_seconds");
-    os << "# TYPE " << name << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t bucket = 0; bucket < kHistogramBoundaryCount; ++bucket) {
-      cumulative += histogram.buckets[bucket];
-      os << name << "_bucket{le=\"" << prom_double(static_cast<double>(boundaries[bucket]) / 1e6)
-         << "\"} " << cumulative << "\n";
-    }
-    cumulative += histogram.buckets[kHistogramBoundaryCount];
-    os << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    os << name << "_sum " << prom_double(static_cast<double>(histogram.sum_us) / 1e6) << "\n";
-    os << name << "_count " << histogram.count << "\n";
-  }
-}
-
-void write_exposition_file(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::invalid_argument("obs: cannot write " + tmp);
-    write_exposition(out);
-    if (!out.flush()) throw std::invalid_argument("obs: failed flushing " + tmp);
-  }
-  std::filesystem::rename(tmp, path);
-}
-
-}  // namespace bbng::obs

@@ -1,4 +1,4 @@
-// Timing telemetry: latency histograms, gauges, RAII timers, exposition.
+// Timing telemetry: latency histograms, gauges, RAII timers.
 //
 // The metric registry (metrics.hpp) answers "how much work happened"; this
 // layer answers "how long did it take" — the quantity a serve-mode system
@@ -20,20 +20,14 @@
 //
 // ALL timing data is host-scoped: wall time depends on the machine and the
 // scheduler, so none of it may enter the deterministic JSONL artifact.
-// It surfaces through two side channels instead: the `<artifact>.obs_host.json`
-// sidecar written at summary time (engine/sinks.hpp) and the Prometheus
-// text exposition (`write_exposition`) that `bbng_engine run --metrics-out`
-// refreshes atomically each commit window — the future serve mode's
-// /metrics body.
+// It surfaces through a side channel instead: the `<artifact>.obs_host.json`
+// sidecar written at summary time (engine/sinks.hpp).
 //
-// Under -DBBNG_OBS=OFF everything here is an inline no-op except the
-// exposition writer, which still emits a valid (comment-only) document so
-// downstream scrapers never see a parse error.
+// Under -DBBNG_OBS=OFF everything here is an inline no-op.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -174,16 +168,5 @@ class GaugeSampler {
 };
 
 #endif
-
-/// Render the full telemetry surface (counters, gauges, histograms) as
-/// Prometheus text exposition format: dotted names become `bbng_`-prefixed
-/// snake_case, counters gain `_total`, histograms render in seconds with
-/// cumulative `le` buckets plus `_sum`/`_count`. Always compiled; an OFF
-/// build emits a valid comment-only document.
-void write_exposition(std::ostream& os);
-
-/// write_exposition() to `path` atomically (tmp + rename), so a scraper
-/// never reads a torn file. Throws std::invalid_argument on I/O error.
-void write_exposition_file(const std::string& path);
 
 }  // namespace bbng::obs

@@ -38,12 +38,13 @@ namespace bbng {
 /// deadline is honoured where a preemption point exists: per search node in
 /// exact_bb, between racers in the portfolio; the swap ladder has none and
 /// ignores it (spec validation rejects a deadline aimed at it).
-/// `incremental` mirrors BestResponseSolver's flag: score candidates through
-/// the dynamic-BFS delta oracle, or force the naive full-BFS path
-/// (differential testing; both paths return identical costs). `core` picks
-/// the delta oracle's graph core (graph/csr_graph.hpp) — a performance knob
-/// only; the cores are bit-identical in every observable. Both steer the
-/// heuristic backends; exact_bb picks its own scoring path by n.
+/// `incremental` and `core` pick the evaluator that scores the heuristic
+/// move sets (greedy, swap descent, churn's trim) through
+/// with_move_evaluator (game/strategy_eval.hpp): the delta oracle on the
+/// CSR or vector core, or the naive full-BFS evaluator when !incremental.
+/// Every choice scores bit-identically, so both are performance knobs; only
+/// the bfs_avoided work stat differs. exact_bb picks its own scoring path by
+/// n and ignores them.
 struct SolverBudget {
   double deadline_seconds = 0;   ///< wall-clock cap; 0 = none
   std::uint64_t node_limit = 0;  ///< backend-specific work cap (see above)

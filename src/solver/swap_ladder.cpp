@@ -69,8 +69,8 @@ SolverResult SwapLadderSolver::solve(const Digraph& g, Vertex player, CostVersio
     return result;
   }
 
-  BestResponse coarse = ladder.greedy(g, player);
-  BestResponse refined = ladder.swap_improve(g, player, coarse.strategy);
+  auto [coarse, refined] =
+      greedy_swap_descent(g, player, version, budget.incremental, budget.core);
   result.evaluated = coarse.evaluated + refined.evaluated;
   result.bfs_avoided = coarse.bfs_avoided + refined.bfs_avoided;
   if (coarse.cost < refined.cost) {

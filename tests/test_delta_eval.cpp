@@ -31,6 +31,16 @@ Digraph random_instance(std::uint32_t n, Rng& rng) {
   return random_profile(random_budgets(n, sigma, rng), rng);
 }
 
+/// Cost of (heads \ {removed}) ∪ {added} with the head set restored after:
+/// the probe every swap scan makes.
+template <class Eval>
+std::uint64_t swap_cost(Eval& eval, Vertex removed, Vertex added) {
+  eval.remove_head(removed);
+  const std::uint64_t cost = eval.cost_with_head(added);
+  eval.add_head(removed);
+  return cost;
+}
+
 TEST(DeltaEvalDifferential, EverySingleHeadSwapMatchesNaiveOn200Graphs) {
   Rng rng(9001);
   for (int round = 0; round < 200; ++round) {
@@ -55,7 +65,7 @@ TEST(DeltaEvalDifferential, EverySingleHeadSwapMatchesNaiveOn200Graphs) {
             if (used[t]) continue;
             trial = strategy;
             trial[i] = t;
-            ASSERT_EQ(delta.evaluate_swap(strategy[i], t), naive.evaluate(trial, scratch))
+            ASSERT_EQ(swap_cost(delta, strategy[i], t), naive.evaluate(trial, scratch))
                 << "round " << round << " u " << u << " swap " << strategy[i] << "->" << t
                 << " " << to_string(version);
           }
@@ -80,31 +90,41 @@ TEST(DeltaEvalDifferential, RandomHeadSetWalkMatchesNaive) {
       const StrategyEvaluator naive(g, u, version);
       StrategyEvaluator::Scratch scratch(n);
       DeltaEvaluator delta(g, u, version);
+      // The naive evaluator behind the head-set interface walks along.
+      NaiveEvaluator wrapped(g, u, version);
       std::vector<Vertex> heads = naive.current_strategy();
       for (int step = 0; step < 120; ++step) {
         const auto t = static_cast<Vertex>(rng.next_below(n));
         const auto it = std::find(heads.begin(), heads.end(), t);
         if (it != heads.end()) {
           delta.remove_head(t);
+          wrapped.remove_head(t);
           heads.erase(it);
         } else if (t != u) {
           delta.add_head(t);
+          wrapped.add_head(t);
           heads.push_back(t);
         } else {
           continue;
         }
+        ASSERT_EQ(wrapped.has_head(t), delta.has_head(t));
         ASSERT_EQ(delta.cost(), naive.evaluate(heads, scratch))
             << "round " << round << " step " << step << " " << to_string(version);
+        ASSERT_EQ(wrapped.cost(), naive.evaluate(heads, scratch));
         // Probe a non-head target; the journaled trial must match the naive
         // extension cost and roll back without disturbing the current state.
         const auto probe = static_cast<Vertex>(rng.next_below(n));
         if (probe != u && std::find(heads.begin(), heads.end(), probe) == heads.end()) {
           heads.push_back(probe);
           ASSERT_EQ(delta.cost_with_head(probe), naive.evaluate(heads, scratch));
+          ASSERT_EQ(wrapped.cost_with_head(probe), naive.evaluate(heads, scratch));
           heads.pop_back();
           ASSERT_EQ(delta.cost(), naive.evaluate(heads, scratch));
+          ASSERT_FALSE(wrapped.has_head(probe)) << "a probe must not commit its head";
+          ASSERT_EQ(wrapped.cost(), naive.evaluate(heads, scratch));
         }
       }
+      EXPECT_EQ(wrapped.bfs_avoided(), 0U);
     }
   }
 }
@@ -133,7 +153,7 @@ TEST(DeltaEvalDifferential, TableEvaluatorMatchesNaiveOnSwapsAndWalks) {
             if (t == u || std::find(heads.begin(), heads.end(), t) != heads.end()) continue;
             trial = heads;
             trial[i] = t;
-            ASSERT_EQ(table.evaluate_swap(heads[i], t), naive.evaluate(trial, scratch));
+            ASSERT_EQ(swap_cost(table, heads[i], t), naive.evaluate(trial, scratch));
           }
         }
         for (int step = 0; step < 30; ++step) {
@@ -224,8 +244,8 @@ TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
 
 TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
   // greedy_with / swap_improve_with are one body per descent: on the table
-  // evaluator they must reproduce the delta ladder's strategies, costs and
-  // evaluation counts exactly.
+  // and naive evaluators they must reproduce the delta ladder's strategies,
+  // costs and evaluation counts exactly.
   Rng rng(9005);
   for (int round = 0; round < 40; ++round) {
     const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 9);
@@ -246,6 +266,18 @@ TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
         EXPECT_EQ(table_swapped.strategy, swapped.strategy);
         EXPECT_EQ(table_swapped.cost, swapped.cost);
         EXPECT_EQ(table_swapped.evaluated, swapped.evaluated);
+        NaiveEvaluator naive(g, u, version);
+        for (const Vertex h : g.out_neighbors(u)) naive.remove_head(h);
+        const BestResponse naive_greedy = greedy_with(naive, g.out_degree(u));
+        const BestResponse naive_swapped = swap_improve_with(naive, naive_greedy.strategy);
+        EXPECT_EQ(naive_greedy.strategy, greedy.strategy);
+        EXPECT_EQ(naive_greedy.cost, greedy.cost);
+        EXPECT_EQ(naive_greedy.evaluated, greedy.evaluated);
+        EXPECT_EQ(naive_greedy.bfs_avoided, 0U);
+        EXPECT_EQ(naive_swapped.strategy, swapped.strategy);
+        EXPECT_EQ(naive_swapped.cost, swapped.cost);
+        EXPECT_EQ(naive_swapped.evaluated, swapped.evaluated);
+        EXPECT_EQ(naive_swapped.bfs_avoided, 0U);
       }
     }
   }
@@ -273,7 +305,7 @@ TEST(DeltaEvalDifferential, TinyRebuildThresholdStillMatchesNaive) {
           }
           trial = strategy;
           trial[0] = t;
-          ASSERT_EQ(delta.evaluate_swap(strategy[0], t), naive.evaluate(trial, scratch));
+          ASSERT_EQ(swap_cost(delta, strategy[0], t), naive.evaluate(trial, scratch));
         }
         total_rebuilds += delta.oracle().full_rebuilds();
       }

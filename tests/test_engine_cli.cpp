@@ -191,37 +191,6 @@ TEST(EngineCli, TraceReportAndNoObsWorkEndToEnd) {
   std::filesystem::remove(path);
 }
 
-TEST(EngineCli, MetricsOutWritesAPrometheusExpositionFile) {
-  const std::string path = write_temp_spec("metrics_probe", R"({
-    "name": "metrics_probe", "task": "swap_equilibrium", "version": "sum",
-    "generator": "star", "grid": {"n": [6]}, "seeds": {"begin": 0, "end": 2}})");
-  const std::filesystem::path dir = std::filesystem::temp_directory_path();
-  const std::string artifact = (dir / "bbng_cli_metrics_probe.jsonl").string();
-  const std::string metrics = (dir / "bbng_cli_metrics_probe.prom").string();
-  std::filesystem::remove(artifact);
-  std::filesystem::remove(metrics);
-
-  const CliResult result = run_cli("run --spec " + path + " --output " + artifact +
-                                   " --quiet --metrics-out " + metrics);
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("metrics:"), std::string::npos) << result.output;
-  ASSERT_TRUE(std::filesystem::exists(metrics));
-  EXPECT_FALSE(std::filesystem::exists(metrics + ".tmp")) << "rewrites must be atomic";
-  std::ifstream in(metrics, std::ios::binary);
-  std::string first_line;
-  ASSERT_TRUE(std::getline(in, first_line));
-  EXPECT_EQ(first_line, "# bbng metrics exposition (Prometheus text format)");
-
-  // The run also leaves the host-telemetry sidecar next to the artifact.
-  EXPECT_TRUE(std::filesystem::exists(artifact + ".obs_host.json"));
-
-  std::filesystem::remove(path);
-  std::filesystem::remove(metrics);
-  for (const char* suffix : {"", ".ckpt.json", ".summary.json", ".obs_host.json"}) {
-    std::filesystem::remove(artifact + suffix);
-  }
-}
-
 TEST(EngineCli, ReportMergesAHandcraftedHostSidecarVerbatim) {
   // A handcrafted artifact + sidecar make the merged report fully
   // deterministic, so the CSV output can be compared as a golden string.

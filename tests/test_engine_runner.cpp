@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -356,6 +357,114 @@ TEST_F(EngineRunnerTest, HaltedRunsLeaveNoSidecarUntilCompletion) {
   const RunnerConfig resume_cfg = config("halted.jsonl", 2);
   EXPECT_TRUE(resume_campaign(campaign_, kCampaignText, resume_cfg).completed);
   EXPECT_TRUE(std::filesystem::exists(obs_host_path_for(cfg.output_path)));
+}
+
+// One campaign over every task that reads the evaluator knobs. `@` marks
+// where each scenario's params take the knob under test.
+const char* kKnobCampaignText = R"({
+  "name": "evaluator_knobs",
+  "base_seed": 5,
+  "scenarios": [
+    {"name": "dyn_br", "task": "dynamics", "version": "sum",
+     "budgets": {"family": "random"}, "grid": {"n": [8, 10], "density": [1.5]},
+     "seeds": {"begin": 0, "end": 4}, "params": {@, "max_rounds": 50, "exact_limit": 0}},
+    {"name": "dyn_swap", "task": "dynamics", "version": "max",
+     "budgets": {"family": "random"}, "grid": {"n": [8, 10], "density": [1.5]},
+     "seeds": {"begin": 0, "end": 4},
+     "params": {@, "max_rounds": 50, "policy": "first_improving_swap"}},
+    {"name": "swap_eq", "task": "swap_equilibrium", "version": "sum",
+     "budgets": {"family": "random"}, "grid": {"n": [9]}, "seeds": {"begin": 0, "end": 6},
+     "params": {@}},
+    {"name": "poa", "task": "poa", "version": "max",
+     "budgets": {"family": "tree"}, "grid": {"n": [8]}, "seeds": {"begin": 0, "end": 4},
+     "params": {@, "max_rounds": 50, "exact_limit": 0}},
+    {"name": "audit", "task": "nash_audit", "version": "sum",
+     "budgets": {"family": "random"}, "grid": {"n": [8], "density": [1.5]},
+     "seeds": {"begin": 0, "end": 4}, "params": {@, "solver": "portfolio"}},
+    {"name": "churn", "task": "churn", "version": "sum",
+     "budgets": {"family": "tree"}, "grid": {"n": [9]}, "seeds": {"begin": 0, "end": 4},
+     "params": {@, "solver": "swap",
+                "churn": {"events": 20, "checkpoint_every": 10, "mode": "track",
+                          "max_budget": 3,
+                          "weights": {"join": 2, "leave": 1, "grow": 4, "shrink": 4,
+                                      "perturb": 1}}}}
+  ]
+})";
+
+/// The job records of a finished artifact (the header, which fingerprints
+/// the spec text, dropped).
+std::vector<std::string> job_records(const std::string& artifact) {
+  std::vector<std::string> records;
+  std::istringstream lines(artifact);
+  std::string line;
+  std::getline(lines, line);
+  while (std::getline(lines, line)) records.push_back(line);
+  return records;
+}
+
+/// `record` without the members only the evaluator choice may change: every
+/// `…bfs_avoided` work stat and the delta oracle's own `bfs.dynamic.*`
+/// counters. Their values are appended to `removed`.
+std::string without_evaluator_work(const std::string& record,
+                                   std::vector<std::pair<std::string, std::uint64_t>>& removed) {
+  static const std::regex kMember(R"re("([a-z_.]*bfs_avoided|bfs\.dynamic\.[a-z_]+)":(\d+),?)re");
+  std::string kept;
+  std::size_t from = 0;
+  for (auto it = std::sregex_iterator(record.begin(), record.end(), kMember);
+       it != std::sregex_iterator(); ++it) {
+    kept.append(record, from, static_cast<std::size_t>(it->position()) - from);
+    from = static_cast<std::size_t>(it->position() + it->length());
+    removed.emplace_back((*it)[1].str(), std::stoull((*it)[2].str()));
+  }
+  kept.append(record, from);
+  // A removed last member leaves a dangling comma before the closing brace.
+  for (std::size_t pos = kept.find(",}"); pos != std::string::npos; pos = kept.find(",}")) {
+    kept.erase(pos, 1);
+  }
+  return kept;
+}
+
+TEST_F(EngineRunnerTest, EvaluatorKnobsDoNotChangeTheRecords) {
+  // `incremental` and `graph_core` only pick the evaluator behind each move
+  // set (greedy, swap descent, the first-improving swap scan, churn's trim),
+  // and every evaluator scores bit-identically. So the records are
+  // byte-identical under all three choices, bar the bfs_avoided work stat,
+  // which reads 0 on the naive evaluator, and the delta oracle's
+  // bfs.dynamic.* counters, which only it produces.
+  const auto run = [this](const std::string& leaf, const std::string& knob) {
+    std::string text = kKnobCampaignText;
+    for (std::size_t at = text.find('@'); at != std::string::npos; at = text.find('@')) {
+      text.replace(at, 1, knob);
+    }
+    const RunnerConfig cfg = config(leaf, 1);
+    const RunReport report = run_campaign(parse_campaign_spec(text), text, cfg);
+    EXPECT_TRUE(report.completed);
+    return job_records(read_file(cfg.output_path));
+  };
+  const std::vector<std::string> csr = run("csr.jsonl", R"("graph_core": "csr")");
+  const std::vector<std::string> vector = run("vector.jsonl", R"("graph_core": "vector")");
+  const std::vector<std::string> naive = run("naive.jsonl", R"("incremental": false)");
+  ASSERT_EQ(csr.size(), 34u);
+  EXPECT_EQ(vector, csr);
+  ASSERT_EQ(naive.size(), csr.size());
+
+  std::uint64_t delta_avoided = 0;
+  for (std::size_t i = 0; i < csr.size(); ++i) {
+    std::vector<std::pair<std::string, std::uint64_t>> delta_work;
+    std::vector<std::pair<std::string, std::uint64_t>> naive_work;
+    EXPECT_EQ(without_evaluator_work(naive[i], naive_work),
+              without_evaluator_work(csr[i], delta_work))
+        << "record " << i;
+    for (const auto& [key, value] : delta_work) {
+      if (key.find("bfs_avoided") != std::string::npos) delta_avoided += value;
+    }
+    for (const auto& [key, value] : naive_work) {
+      EXPECT_EQ(key.find("bfs.dynamic."), std::string::npos)
+          << "record " << i << ": the naive evaluator runs no delta oracle";
+      EXPECT_EQ(value, 0u) << "record " << i << ": " << key;
+    }
+  }
+  EXPECT_GT(delta_avoided, 0u) << "the default runs must exercise the delta oracle";
 }
 
 }  // namespace

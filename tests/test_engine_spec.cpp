@@ -248,6 +248,39 @@ TEST(EngineSpec, MalformedSpecsRejectedWithNamedOffence) {
            "grid":{"n":[6]},"seeds":{"begin":0,"end":1},
            "params":{"solver":"swap","solver_budget":{"deadline_ms":250}}})",
        "deadline_ms is not supported by the \"swap\" backend"},
+      // A scalar of the wrong JSON type names its key path, wherever it sits.
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[8]},"seeds":{"begin":0,"end":1},"params":{"incremental":1}})",
+       "scenario \"x\": params.incremental: JSON value is int, wanted bool"},
+      {R"({"name":"x","base_seed":"x","task":"dynamics","version":"sum",
+           "budgets":{"family":"tree"},"grid":{"n":[8]},"seeds":{"begin":0,"end":1}})",
+       "campaign: base_seed: JSON value is string, wanted int"},
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[8]},"seeds":{"begin":"0","end":1}})",
+       "seeds.begin: JSON value is string, wanted int"},
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":["16"]},"seeds":{"begin":0,"end":1}})",
+       "grid.n: JSON value is string, wanted int"},
+      {R"({"name":"x","task":"dynamics","version":3,"budgets":{"family":"tree"},
+           "grid":{"n":[8]},"seeds":{"begin":0,"end":1}})",
+       "version: JSON value is int, wanted string"},
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[8]},"seeds":{"begin":0,"end":1},"params":{"exact_limit":1.5}})",
+       "params.exact_limit: JSON value is double, wanted int"},
+      {R"({"name":"x","task":"nash_audit","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[6]},"seeds":{"begin":0,"end":1},
+           "params":{"solver_budget":{"node_limit":"9"}}})",
+       "params.solver_budget.node_limit: JSON value is string, wanted int"},
+      {R"({"name":"x","task":"churn","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[6]},"seeds":{"begin":0,"end":1},"params":{"churn":{"events":-3}}})",
+       "params.churn.events: JSON value is negative, wanted unsigned"},
+      {R"({"name":"x","task":"churn","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[6]},"seeds":{"begin":0,"end":1},
+           "params":{"churn":{"weights":{"join":"x"}}}})",
+       "params.churn.weights.join: JSON value is string, wanted int"},
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":7},
+           "grid":{"n":[8]},"seeds":{"begin":0,"end":1}})",
+       "budgets.family: JSON value is int, wanted string"},
   };
   for (const BadSpec& bad : cases) {
     try {

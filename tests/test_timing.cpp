@@ -1,20 +1,13 @@
 // Timing-telemetry tests: the 1-2-5 bucket ladder and quantile
 // interpolation, per-thread histogram shards merging (and surviving thread
 // exit) like the counter registry, the runtime kill switch, gauges and the
-// background GaugeSampler, ScopedTimer feeding both a histogram and a
-// trace span, and the Prometheus text exposition — validated by a small
-// in-test parser of the exposition format, so a formatting regression
-// fails here before a real scraper ever sees it.
+// background GaugeSampler, and ScopedTimer feeding both a histogram and a
+// trace span.
 #include "obs/timing.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,153 +175,6 @@ TEST(ScopedTimer, RecordsIntoTheHistogramAndOpensASpan) {
   const obs::HistogramSnapshot hist = find_histogram("test.hist.scoped");
   EXPECT_EQ(hist.count, 2u);
   EXPECT_GE(hist.max_us, 2000u) << "the 2 ms sleep must be visible";
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text exposition. The parser below accepts the subset of the
-// format we emit: `# TYPE name kind` comments and `name[{labels}] value`
-// samples. It checks what a real scraper would reject.
-
-struct PromDoc {
-  std::map<std::string, std::string> types;                // family → kind
-  std::vector<std::pair<std::string, std::string>> samples;  // name{labels} → value
-};
-
-bool prom_name_ok(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool legal = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!legal) return false;
-  }
-  return !(name[0] >= '0' && name[0] <= '9');
-}
-
-PromDoc parse_prometheus(const std::string& text, std::vector<std::string>& errors) {
-  PromDoc doc;
-  std::istringstream stream(text);
-  std::string line;
-  std::size_t number = 0;
-  while (std::getline(stream, line)) {
-    ++number;
-    const std::string where = "line " + std::to_string(number) + ": " + line;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      std::istringstream fields(line);
-      std::string hash, keyword, name, kind;
-      fields >> hash >> keyword;
-      if (keyword != "TYPE") continue;  // free-form comment
-      fields >> name >> kind;
-      if (!prom_name_ok(name)) errors.push_back("bad TYPE name: " + where);
-      if (kind != "counter" && kind != "gauge" && kind != "histogram") {
-        errors.push_back("bad TYPE kind: " + where);
-      }
-      if (doc.types.count(name) != 0) errors.push_back("duplicate TYPE: " + where);
-      doc.types[name] = kind;
-      continue;
-    }
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos) {
-      errors.push_back("sample without value: " + where);
-      continue;
-    }
-    std::string name = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    std::string labels;
-    const std::size_t brace = name.find('{');
-    if (brace != std::string::npos) {
-      if (name.back() != '}') {
-        errors.push_back("unterminated label set: " + where);
-        continue;
-      }
-      labels = name.substr(brace + 1, name.size() - brace - 2);
-      name = name.substr(0, brace);
-    }
-    if (!prom_name_ok(name)) errors.push_back("bad sample name: " + where);
-    char* end = nullptr;
-    static_cast<void>(std::strtod(value.c_str(), &end));
-    if (end == value.c_str() || *end != '\0') errors.push_back("bad value: " + where);
-    doc.samples.emplace_back(name, labels);
-  }
-  return doc;
-}
-
-TEST(Exposition, EmitsParsableBbngPrefixedPrometheusText) {
-  std::ostringstream os;
-  if (obs::kCompiledIn) {
-    const obs::HistogramId hist = obs::register_histogram("test.expo.latency");
-    obs::record_us(hist, 3);
-    obs::record_us(hist, 40);
-    obs::record_us(hist, 300'000'000);  // overflow bucket
-    const obs::GaugeId gauge = obs::register_gauge("test.expo.gauge");
-    obs::gauge_set(gauge, 1.5);
-    obs::add(obs::register_counter("test.expo.count"), 7);
-  }
-  obs::write_exposition(os);
-  const std::string text = os.str();
-
-  std::vector<std::string> errors;
-  const PromDoc doc = parse_prometheus(text, errors);
-  EXPECT_TRUE(errors.empty()) << errors.front();
-  for (const auto& [name, labels] : doc.samples) {
-    EXPECT_EQ(name.rfind("bbng_", 0), 0u) << name;
-  }
-  for (const auto& [name, kind] : doc.types) {
-    if (kind == "counter") {
-      EXPECT_TRUE(name.size() > 6 && name.rfind("_total") == name.size() - 6) << name;
-    }
-  }
-
-  if (!obs::kCompiledIn) {
-    EXPECT_TRUE(doc.samples.empty()) << "OFF build emits a comment-only document";
-    EXPECT_NE(text.find("BBNG_OBS=OFF"), std::string::npos);
-    return;
-  }
-
-  // The dotted names arrived snake_cased with the kind-specific suffixes.
-  EXPECT_EQ(doc.types.at("bbng_test_expo_count_total"), "counter");
-  EXPECT_EQ(doc.types.at("bbng_test_expo_gauge"), "gauge");
-  EXPECT_EQ(doc.types.at("bbng_test_expo_latency_seconds"), "histogram");
-
-  // Histogram contract: cumulative le-buckets ending at +Inf == _count.
-  std::uint64_t previous = 0;
-  std::uint64_t inf_value = 0;
-  std::uint64_t count_value = 0;
-  bool saw_inf = false;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.rfind("bbng_test_expo_latency_seconds_bucket{le=\"", 0) == 0) {
-      const std::uint64_t value = std::strtoull(line.substr(line.rfind(' ')).c_str(), nullptr, 10);
-      EXPECT_GE(value, previous) << "buckets must be cumulative: " << line;
-      previous = value;
-      if (line.find("le=\"+Inf\"") != std::string::npos) {
-        saw_inf = true;
-        inf_value = value;
-      }
-    }
-    if (line.rfind("bbng_test_expo_latency_seconds_count ", 0) == 0) {
-      count_value = std::strtoull(line.substr(line.rfind(' ')).c_str(), nullptr, 10);
-    }
-  }
-  EXPECT_TRUE(saw_inf);
-  EXPECT_EQ(inf_value, count_value);
-  EXPECT_EQ(count_value, 3u);
-}
-
-TEST(Exposition, FileWriterIsAtomicAndReparsable) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "bbng_expo_test.prom").string();
-  obs::write_exposition_file(path);
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::vector<std::string> errors;
-  static_cast<void>(parse_prometheus(buffer.str(), errors));
-  EXPECT_TRUE(errors.empty()) << errors.front();
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "tmp must be renamed away";
-  std::filesystem::remove(path);
 }
 
 }  // namespace

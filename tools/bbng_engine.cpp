@@ -17,10 +17,8 @@
 // manifest; the completed artifact is byte-identical to an uninterrupted
 // run at any thread count. `--halt-after N` simulates a kill after N
 // committed jobs (used by CI to exercise the resume path). `--trace <file>`
-// writes a Perfetto-loadable Chrome-trace of the run; `--metrics-out <file>`
-// keeps a Prometheus text exposition fresh (atomic rewrite per commit
-// window) for scrapers while the run is live; `--no-obs` drops the per-job
-// `obs` counter blocks, reproducing pre-observability artifact bytes.
+// writes a Perfetto-loadable Chrome-trace of the run; `--no-obs` drops the
+// per-job `obs` counter blocks, reproducing pre-observability artifact bytes.
 // `report` re-reads a finished artifact and prints per-scenario per-counter
 // work breakdowns from those blocks, plus latency percentiles and host
 // gauges from the run's `.obs_host.json` sidecar when present.
@@ -105,9 +103,6 @@ int run_or_resume(bool resume, int argc, const char** argv) {
       "no-obs", "drop per-job obs counter blocks (pre-observability artifact bytes)");
   const auto trace_path = cli.add_string(
       "trace", "", "write a Perfetto-loadable Chrome-trace of the run to this file");
-  const auto metrics_out = cli.add_string(
-      "metrics-out", "",
-      "refresh this file with Prometheus text exposition after every commit window");
   cli.parse(argc, argv);
 
   if (spec_path->empty() || output->empty()) {
@@ -136,7 +131,6 @@ int run_or_resume(bool resume, int argc, const char** argv) {
   config.write_summary = !*no_summary;
   config.progress = !*quiet;
   config.obs = !*no_obs;
-  config.metrics_out = *metrics_out;
   // --no-obs also flips the runtime registry switch so library hot paths
   // pay only a relaxed load, not just the record suffix being dropped.
   if (*no_obs) bbng::obs::set_enabled(false);
@@ -154,9 +148,6 @@ int run_or_resume(bool resume, int argc, const char** argv) {
   if (!trace_path->empty()) {
     bbng::obs::trace::write_file(*trace_path);
     std::cout << "trace:    " << *trace_path << "\n";
-  }
-  if (!metrics_out->empty() && report.completed) {
-    std::cout << "metrics:  " << *metrics_out << "\n";
   }
   print_report(resume ? "resume" : "run", report, config);
   return 0;
