@@ -417,8 +417,11 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
   for (const auto& item : grid_n.items()) {
     const std::uint64_t n = read_as(item, &JsonValue::as_uint, where, "grid.n");
     if (n < 2) spec_error(where, "grid.n entries must be at least 2");
-    if (n > std::numeric_limits<std::uint32_t>::max()) {
-      spec_error(where, "grid.n entry " + std::to_string(n) + " does not fit 32 bits");
+    if (n > kMaxPlayers) {
+      std::string what = "grid.n entry " + std::to_string(n);
+      what += " exceeds kMaxPlayers = " + std::to_string(kMaxPlayers);
+      what += " (costs would overflow uint64)";
+      spec_error(where, what);
     }
     const auto value = static_cast<std::uint32_t>(n);
     if (std::find(scenario.grid_n.begin(), scenario.grid_n.end(), value) !=

@@ -10,6 +10,8 @@ std::string to_string(CostVersion version) {
 
 BudgetGame::BudgetGame(std::vector<std::uint32_t> budgets) : budgets_(std::move(budgets)) {
   BBNG_REQUIRE_MSG(!budgets_.empty(), "a game needs at least one player");
+  BBNG_REQUIRE_MSG(budgets_.size() <= kMaxPlayers,
+                   "player count exceeds kMaxPlayers (costs would overflow uint64)");
   const auto n = static_cast<std::uint32_t>(budgets_.size());
   min_budget_ = budgets_[0];
   for (const std::uint32_t b : budgets_) {

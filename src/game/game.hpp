@@ -25,9 +25,22 @@ enum class CostVersion { Sum, Max };
   return static_cast<std::uint64_t>(n) * n;
 }
 
+/// Largest player count whose costs fit the 64-bit cost domain: the largest
+/// n with n³ < 2⁶⁴. A SUM cost is at most (n−1)·Cinf = (n−1)·n², and a MAX
+/// cost κ·Cinf is at most n·n² = n³, so every cost, Cinf and cost difference
+/// of an n ≤ kMaxPlayers game is exact in uint64.
+inline constexpr std::uint32_t kMaxPlayers = 2'642'245;
+static_assert(
+    [] {
+      using U = unsigned __int128;
+      const U n = kMaxPlayers;
+      return (n * n * n >> 64) == 0 && ((n + 1) * (n + 1) * (n + 1) >> 64) != 0;
+    }(),
+    "kMaxPlayers is the largest n with n³ < 2⁶⁴");
+
 class BudgetGame {
  public:
-  /// Budgets must satisfy 0 ≤ b_i < n.
+  /// Budgets must satisfy 0 ≤ b_i < n, and n ≤ kMaxPlayers.
   explicit BudgetGame(std::vector<std::uint32_t> budgets);
 
   [[nodiscard]] std::uint32_t num_players() const noexcept {

@@ -110,6 +110,78 @@ template class DeltaEvaluatorT<CsrUGraph>;
 // ---------------------------------------------------------------------------
 // TableEvaluator
 
+// The probe kernels below are the search's hot loop. Each is built twice on
+// x86-64 ELF targets — AVX2 (one vpminud per 8 entries; SSE2 has no unsigned
+// 32-bit min) and the baseline — and the loader picks one per host. They do
+// only integer min and add, so both clones return the same bits.
+// ThreadSanitizer builds get the baseline only: the loader runs the clones'
+// ifunc resolvers before the TSan runtime is up, and the instrumented
+// resolvers crash there.
+#if defined(__SANITIZE_THREAD__)
+#define BBNG_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BBNG_TSAN_BUILD 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(BBNG_TSAN_BUILD)
+#define BBNG_PROBE_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define BBNG_PROBE_CLONES
+#endif
+
+namespace {
+
+/// Σ_v min(cover[v], row[v]), accumulated in 64 bits (an n ≤ 65535 SUM cost
+/// exceeds 2³² once the player is cut off from enough vertices).
+BBNG_PROBE_CLONES std::uint64_t sum_min(const std::uint32_t* __restrict cover,
+                                        const std::uint32_t* __restrict row, std::uint32_t n) {
+  std::uint64_t sum = 0;
+  for (std::uint32_t v = 0; v < n; ++v) sum += std::min(cover[v], row[v]);
+  return sum;
+}
+
+/// sum_min that also folds row into fold: fold[v] = min(fold[v], row[v]).
+BBNG_PROBE_CLONES std::uint64_t sum_min_fold(const std::uint32_t* __restrict cover,
+                                             const std::uint32_t* __restrict row,
+                                             std::uint32_t* __restrict fold, std::uint32_t n) {
+  std::uint64_t sum = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    sum += std::min(cover[v], row[v]);
+    fold[v] = std::min(fold[v], row[v]);
+  }
+  return sum;
+}
+
+/// max_v min(cover[v], row[v]).
+BBNG_PROBE_CLONES std::uint32_t max_min(const std::uint32_t* __restrict cover,
+                                        const std::uint32_t* __restrict row, std::uint32_t n) {
+  std::uint32_t max = 0;
+  for (std::uint32_t v = 0; v < n; ++v) max = std::max(max, std::min(cover[v], row[v]));
+  return max;
+}
+
+/// max_min that also folds row into fold.
+BBNG_PROBE_CLONES std::uint32_t max_min_fold(const std::uint32_t* __restrict cover,
+                                             const std::uint32_t* __restrict row,
+                                             std::uint32_t* __restrict fold, std::uint32_t n) {
+  std::uint32_t max = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    max = std::max(max, std::min(cover[v], row[v]));
+    fold[v] = std::min(fold[v], row[v]);
+  }
+  return max;
+}
+
+/// fold[v] = min(fold[v], row[v]).
+BBNG_PROBE_CLONES void fold_min(const std::uint32_t* __restrict row,
+                                std::uint32_t* __restrict fold, std::uint32_t n) {
+  for (std::uint32_t v = 0; v < n; ++v) fold[v] = std::min(fold[v], row[v]);
+}
+
+}  // namespace
+
 TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion version)
     : player_(player), version_(version), n_(g.num_vertices()) {
   BBNG_REQUIRE(player < n_);
@@ -161,7 +233,7 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
     const std::uint32_t* row = table_.data() + std::size_t{w} * n;
     for (Vertex v = 0; v < n; ++v) in_cover[v] = std::min(in_cover[v], row[v]);
   }
-  level_cost_.push_back(score<false>(in_cover, in_cover, nullptr));
+  level_cost_.push_back(in_cover_cost());
 
   is_head_.assign(n_, 0);
   current_strategy_.assign(g.out_neighbors(player_).begin(), g.out_neighbors(player_).end());
@@ -170,42 +242,43 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   evaluations_ = 0;  // construction does not count as a query
 }
 
+std::uint64_t TableEvaluator::in_cover_cost() const {
+  const std::span<const std::uint32_t> cover = in_cover();
+  if (version_ == CostVersion::Sum) {
+    std::uint64_t sum = 0;
+    for (const std::uint32_t d : cover) sum += d;
+    return sum;
+  }
+  std::uint64_t unseeded = 0;
+  for (const Vertex r : reps_) unseeded += cover[r] == inf_ ? 1 : 0;
+  if (unseeded > 0) return std::uint64_t{inf_} * (1 + unseeded);
+  return *std::max_element(cover.begin(), cover.end());
+}
+
 template <bool kFold>
 std::uint64_t TableEvaluator::score(const std::uint32_t* cover, const std::uint32_t* row,
                                     std::uint32_t* fold) const {
-  const std::uint32_t n = n_;  // a local bound: `fold` stores may not alias it
   if (version_ == CostVersion::Sum) {
-    std::uint64_t sum = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      sum += std::min(cover[v], row[v]);
-      if constexpr (kFold) fold[v] = std::min(fold[v], row[v]);
-    }
-    return sum;
+    if constexpr (kFold) return sum_min_fold(cover, row, fold, n_);
+    return sum_min(cover, row, n_);
   }
   // MAX: κ − 1 = base components whose representative no seed reaches.
   std::uint64_t unseeded = 0;
   for (const Vertex r : reps_) unseeded += std::min(cover[r], row[r]) == inf_ ? 1 : 0;
   if (unseeded > 0) {
-    if constexpr (kFold) {
-      for (Vertex v = 0; v < n; ++v) fold[v] = std::min(fold[v], row[v]);
-    }
+    if constexpr (kFold) fold_min(row, fold, n_);
     return std::uint64_t{inf_} * (1 + unseeded);
   }
-  std::uint32_t max = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    max = std::max(max, std::min(cover[v], row[v]));
-    if constexpr (kFold) fold[v] = std::min(fold[v], row[v]);
-  }
-  return max;  // local diameter; κ == 1
+  if constexpr (kFold) return max_min_fold(cover, row, fold, n_);
+  return max_min(cover, row, n_);  // local diameter; κ == 1
 }
 
 void TableEvaluator::fill_level(std::size_t level, Vertex t) {
-  const std::uint32_t n = n_;
-  const std::uint32_t* prev = covers_.data() + (level - 1) * n;
-  const std::uint32_t* head = table_.data() + std::size_t{t} * n;
-  std::uint32_t* next = covers_.data() + level * n;
-  level_cost_[level] = score<false>(prev, head, nullptr);
-  for (Vertex v = 0; v < n; ++v) next[v] = std::min(prev[v], head[v]);
+  const std::uint32_t* prev = covers_.data() + (level - 1) * n_;
+  std::uint32_t* next = covers_.data() + level * n_;
+  // next = prev ∧ row_t, folded in the same pass that scores the level.
+  std::copy_n(prev, n_, next);
+  level_cost_[level] = score<true>(prev, table_.data() + std::size_t{t} * n_, next);
 }
 
 void TableEvaluator::add_head(Vertex t) {

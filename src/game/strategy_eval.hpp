@@ -339,6 +339,12 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// column is 0, so it drops out of both aggregates. Every cost is exact and
 /// bit-identical to StrategyEvaluator::evaluate (tests/test_delta_eval.cpp).
 ///
+/// The O(n) passes are free integer min/add kernels (strategy_eval.cpp),
+/// built as target_clones("avx2", "default") where the guard allows it
+/// (x86-64 ELF under GCC or Clang, except ThreadSanitizer builds; one plain
+/// build everywhere else). Both clones return the same bits, and SUM
+/// accumulates in 64 bits.
+///
 /// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; exact_bb uses it up
 /// to n = 2048. Stateful and single-threaded, like DeltaEvaluatorT.
 class TableEvaluator {
@@ -395,8 +401,10 @@ class TableEvaluator {
  private:
   /// Write cover level `level` = level − 1 ∧ row_t and cache its cost.
   void fill_level(std::size_t level, Vertex t);
+  /// Cost of the in-neighbour cover alone (level 0).
+  [[nodiscard]] std::uint64_t in_cover_cost() const;
   /// One pass over min(cover, row): the cost of that cover, folding row
-  /// into `fold` when kFold.
+  /// into `fold` when kFold. `fold` must not alias `cover` or `row`.
   template <bool kFold>
   [[nodiscard]] std::uint64_t score(const std::uint32_t* cover, const std::uint32_t* row,
                                     std::uint32_t* fold) const;

@@ -65,7 +65,8 @@ class Search {
         version_(version),
         b_(cap),
         budget_(budget),
-        eval_(g, player, version) {}
+        eval_(g, player, version),
+        levels_(cap + 1) {}
 
   [[nodiscard]] std::uint64_t current_cost() const noexcept { return eval_.current_cost(); }
 
@@ -155,23 +156,15 @@ class Search {
     return false;
   }
 
-  /// Admissible lower bound for the subtree (P fixed, ≤ r heads from
-  /// `allowed`). See the header for the two bound families.
-  [[nodiscard]] std::uint64_t node_lower_bound(std::uint64_t cost_p,
-                                               const std::vector<Candidate>& cands,
-                                               std::uint32_t r) {
+  /// Admissible lower bound for the subtree (P fixed, ≤ r heads from the
+  /// probed candidates). `gain` is the sum of the r largest single-head
+  /// savings (SUM; 0 for MAX). See the header for the two bound families.
+  [[nodiscard]] std::uint64_t node_lower_bound(std::uint64_t cost_p, std::uint64_t gain) const {
     std::uint64_t lb = 0;
     if (version_ == CostVersion::Sum) {
       // Savings are subadditive: subtract only the r largest single-head
       // savings from the node cost.
-      savings_scratch_.clear();
-      for (const Candidate& c : cands) savings_scratch_.push_back(c.saving);
-      const std::size_t keep = std::min<std::size_t>(r, savings_scratch_.size());
-      std::partial_sort(savings_scratch_.begin(), savings_scratch_.begin() + keep,
-                        savings_scratch_.end(), std::greater<>());
-      std::uint64_t gain = 0;
-      for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
-      lb = gain >= cost_p ? 0 : cost_p - gain;
+      lb = cost_p - std::min(cost_p, gain);
     }
     if constexpr (kTable) {
       // Seed-distance bound: dist(v) ≥ min over every seed the subtree could
@@ -189,7 +182,7 @@ class Search {
     return lb;
   }
 
-  void dfs(const std::vector<Vertex>& allowed, std::uint64_t floor_lb, std::uint32_t depth) {
+  void dfs(std::span<const Vertex> allowed, std::uint64_t floor_lb, std::uint32_t depth) {
     if (truncated_ || out_of_budget()) {
       truncated_ = true;
       trunc_lb_ = std::min(trunc_lb_, floor_lb);
@@ -201,10 +194,13 @@ class Search {
     const std::uint32_t r = b_ - depth;
     if (r == 0 || allowed.empty()) return;
 
+    // depth < b here, and the children only touch deeper levels.
+    Level& level = levels_[depth];
+    std::vector<Candidate>& cands = level.cands;
+
     // Probe every allowed candidate once; on the table the same pass folds
     // its row into the seed-distance bound's cover.
-    std::vector<Candidate> cands;
-    cands.reserve(allowed.size());
+    cands.clear();
     if constexpr (kTable) {
       const std::span<const std::uint32_t> cover = eval_.cover();
       bound_.assign(cover.begin(), cover.end());
@@ -221,36 +217,48 @@ class Search {
     }
     evaluated_ += allowed.size();
 
-    const std::uint64_t lb = node_lower_bound(cost_p, cands, r);
-    if (lb >= best_cost_) {
-      ++nodes_pruned_;
-      return;
-    }
-
     // Branch best-saving-first; ties by vertex id keep the order (and with
-    // it every node/evaluation count) deterministic.
+    // it every node/evaluation count) deterministic. Sorted savings make
+    // every SUM savings bound below one prefix-sum lookup.
     std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
       return a.saving != b.saving ? a.saving > b.saving : a.t < b.t;
     });
+    std::vector<std::uint64_t>& prefix = level.prefix;
+    std::uint64_t gain = 0;
     if (version_ == CostVersion::Sum) {
       // A candidate saving nothing at P saves nothing below P either
       // (single-head savings shrink as P grows) — drop it from the subtree.
+      // It adds nothing to any savings sum, so the bounds are unchanged.
       while (!cands.empty() && cands.back().saving == 0) cands.pop_back();
+      prefix.resize(cands.size() + 1);
+      prefix[0] = 0;
+      for (std::size_t i = 0; i < cands.size(); ++i) prefix[i + 1] = prefix[i] + cands[i].saving;
+      gain = prefix[std::min<std::size_t>(r, cands.size())];
+    }
+
+    const std::uint64_t lb = node_lower_bound(cost_p, gain);
+    if (lb >= best_cost_) {
+      ++nodes_pruned_;
+      return;
     }
 
     if (r == 1) {
       // Children are leaves and their costs are already probed.
       for (const Candidate& c : cands) {
         if (c.cost < best_cost_) {
-          std::vector<Vertex> heads = path_;
-          heads.push_back(c.t);
-          offer(heads, c.cost);
+          path_.push_back(c.t);
+          offer(path_, c.cost);
+          path_.pop_back();
         }
       }
       return;
     }
 
-    std::vector<Vertex> child_allowed;
+    // Child k branches over the candidates after it: a suffix of one list.
+    std::vector<Vertex>& order = level.order;
+    order.clear();
+    for (const Candidate& c : cands) order.push_back(c.t);
+    const std::span<const Vertex> branch(order);
     for (std::size_t k = 0; k < cands.size(); ++k) {
       if (truncated_ || out_of_budget()) {
         truncated_ = true;
@@ -258,31 +266,33 @@ class Search {
         return;
       }
       const Candidate& child = cands[k];
-      child_allowed.clear();
-      for (std::size_t j = k + 1; j < cands.size(); ++j) child_allowed.push_back(cands[j].t);
       if (version_ == CostVersion::Sum) {
-        // Pre-prune with the parent-level savings (≥ the child-level ones).
-        std::uint64_t gain = 0;
-        savings_scratch_.clear();
-        for (std::size_t j = k + 1; j < cands.size(); ++j) {
-          savings_scratch_.push_back(cands[j].saving);
-        }
-        const std::size_t keep = std::min<std::size_t>(r - 1, savings_scratch_.size());
-        std::partial_sort(savings_scratch_.begin(), savings_scratch_.begin() + keep,
-                          savings_scratch_.end(), std::greater<>());
-        for (std::size_t i = 0; i < keep; ++i) gain += savings_scratch_[i];
-        if (child.cost - std::min(child.cost, gain) >= best_cost_) {
+        // Pre-prune with the parent-level savings (≥ the child-level ones):
+        // the r − 1 largest after k are the next r − 1 in branch order.
+        const std::size_t keep = std::min<std::size_t>(r - 1, cands.size() - k - 1);
+        const std::uint64_t child_gain = prefix[k + 1 + keep] - prefix[k + 1];
+        if (child.cost - std::min(child.cost, child_gain) >= best_cost_) {
           ++nodes_pruned_;
           continue;
         }
       }
       path_.push_back(child.t);
       eval_.add_head(child.t);
-      dfs(child_allowed, std::max(lb, floor_lb), depth + 1);
+      dfs(branch.subspan(k + 1), std::max(lb, floor_lb), depth + 1);
       eval_.remove_head(child.t);
       path_.pop_back();
     }
   }
+
+  /// One DFS depth's scratch. levels_ is sized b + 1 once per solve and a
+  /// node at depth d < b uses only levels_[d], so the suffix spans handed to
+  /// its children stay valid, and each level keeps its capacity: once the
+  /// deepest level reached is warm, no node allocates.
+  struct Level {
+    std::vector<Candidate> cands;       ///< probed candidates, branch order
+    std::vector<std::uint64_t> prefix;  ///< prefix[i] = Σ of the i largest savings (SUM)
+    std::vector<Vertex> order;          ///< cands' vertices; child k gets order[k+1..]
+  };
 
   const std::uint32_t n_;
   const Vertex player_;
@@ -294,7 +304,7 @@ class Search {
 
   std::vector<Vertex> path_;  ///< the DFS path P (the evaluator's head set)
   std::vector<std::uint8_t> eliminated_ = std::vector<std::uint8_t>(n_, 0);
-  std::vector<std::uint64_t> savings_scratch_;
+  std::vector<Level> levels_;         ///< per-depth scratch, b + 1 levels
   std::vector<std::uint32_t> bound_;  ///< seed-distance bound scratch
 
   std::uint64_t best_cost_ = kInfCost;

@@ -12,13 +12,23 @@
 // Each DFS node's partial head set P is the top of that stack, so
 // descending/backtracking is one O(n) cover pass or a pop, and probing a
 // child is one O(n) pass over min(cover, row_t) — the same pass folds row_t
-// into the seed-distance bound below. The greedy+swap incumbent seed runs
+// into the seed-distance bound below. Those passes are integer-only kernels
+// cloned for AVX2 and the baseline ISA (the host picks one at load time;
+// both return the same bits). The greedy+swap incumbent seed runs
 // the shared descent bodies (greedy_with / swap_improve_with) on the same
 // evaluator before the search reuses it. Above kMatrixLimit, where an O(n²)
 // table is too large, the same search runs on the CSR delta oracle
 // (journaled dynamic-BFS trial probes) under the savings bound alone. Every
 // cost is exact either way, and the DFS order depends only on costs, so the
 // scoring path never changes a node, prune, evaluation count or incumbent.
+//
+// Each node sorts its probed candidates once, best saving first, and builds
+// one prefix sum over the sorted savings: the node's SUM savings bound
+// below is prefix[min(r, c)], and child k's pre-prune gain is the next
+// r − 1 savings after it, prefix[k+1+keep] − prefix[k+1]. Child k branches
+// over the candidates after it in that order, handed down as a suffix span
+// of one per-depth list. Per-depth scratch is sized b + 1 once per solve,
+// so no node allocates once its level is warm.
 //
 // Pruning (all admissible, i.e. never cuts a subtree containing a strictly
 // better solution than the incumbent):

@@ -41,6 +41,25 @@ std::uint64_t swap_cost(Eval& eval, Vertex removed, Vertex added) {
   return cost;
 }
 
+/// Connected: the directed cycle plus n/4 random chords. Disconnected: paths
+/// of five vertices, the last vertex isolated.
+Digraph lane_test_graph(std::uint32_t n, bool connected, Rng& rng) {
+  Digraph g(n);
+  if (connected) {
+    g = cycle_digraph(n);
+    for (std::uint32_t k = 0; k < n / 4; ++k) {
+      const auto a = static_cast<Vertex>(rng.next_below(n));
+      const auto b = static_cast<Vertex>(rng.next_below(n));
+      if (a != b && !g.has_arc(a, b)) g.add_arc(a, b);
+    }
+  } else {
+    for (Vertex v = 0; v + 2 < n; ++v) {
+      if (v % 5 != 4) g.add_arc(v, v + 1);
+    }
+  }
+  return g;
+}
+
 TEST(DeltaEvalDifferential, EverySingleHeadSwapMatchesNaiveOn200Graphs) {
   Rng rng(9001);
   for (int round = 0; round < 200; ++round) {
@@ -185,21 +204,7 @@ TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
   Rng rng(9013);
   for (const std::uint32_t n : {2u, 3u, 63u, 64u, 65u, 129u}) {
     for (const bool connected : {true, false}) {
-      // Connected: the directed cycle plus random chords. Disconnected: paths
-      // of five vertices, the last vertex isolated.
-      Digraph g(n);
-      if (connected) {
-        g = cycle_digraph(n);
-        for (std::uint32_t k = 0; k < n / 4; ++k) {
-          const auto a = static_cast<Vertex>(rng.next_below(n));
-          const auto b = static_cast<Vertex>(rng.next_below(n));
-          if (a != b && !g.has_arc(a, b)) g.add_arc(a, b);
-        }
-      } else {
-        for (Vertex v = 0; v + 2 < n; ++v) {
-          if (v % 5 != 4) g.add_arc(v, v + 1);
-        }
-      }
+      const Digraph g = lane_test_graph(n, connected, rng);
       std::vector<Vertex> players;
       for (const Vertex u : {0u, 63u, 64u, n - 1}) {
         if (u < n && std::find(players.begin(), players.end(), u) == players.end()) {
@@ -239,6 +244,81 @@ TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
     BfsAggregates out[2];
     engine.run_batch(sources, out);
     EXPECT_EQ(frame.value("bfs.multi.sweeps"), 1u);
+  }
+}
+
+TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
+  // The probe kernels are cloned for wide vectors, so n walks across every
+  // tail length around 8- and 16-lane boundaries. Each probe, with and
+  // without the fold, must equal a scalar recompute from row()/cover() and
+  // the from-scratch cost, and the fold must be the elementwise min.
+  // Disconnected bases send MAX down its unseeded branch.
+  Rng rng(9021);
+  for (const std::uint32_t n :
+       {2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
+    for (const bool connected : {true, false}) {
+      const Digraph g = lane_test_graph(n, connected, rng);
+      const std::uint64_t inf = cinf(n);
+      for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+        for (const Vertex u : {0u, n / 2}) {
+          const StrategyEvaluator naive(g, u, version);
+          StrategyEvaluator::Scratch scratch(n);
+          TableEvaluator table(g, u, version);
+          std::vector<Vertex> heads = naive.current_strategy();
+          const std::span<const std::uint32_t> cover = table.cover();
+          std::vector<std::uint32_t> fold(n);
+          for (Vertex t = 0; t < n; ++t) {
+            if (t == u || table.has_head(t)) continue;
+            const std::span<const std::uint32_t> row = table.row(t);
+            std::uint64_t sum = 0;
+            std::uint64_t max = 0;
+            for (Vertex v = 0; v < n; ++v) {
+              sum += std::min(cover[v], row[v]);
+              max = std::max<std::uint64_t>(max, std::min(cover[v], row[v]));
+            }
+            heads.push_back(t);
+            const std::uint64_t expected = naive.evaluate(heads, scratch);
+            heads.pop_back();
+            // SUM is the plain sum; MAX is the max unless some vertex is
+            // unreached, when κ (which the scalar pass cannot see) decides.
+            if (version == CostVersion::Sum) {
+              ASSERT_EQ(expected, sum) << "n " << n << " u " << u << " t " << t;
+            } else if (max < inf) {
+              ASSERT_EQ(expected, max) << "n " << n << " u " << u << " t " << t;
+            }
+            for (Vertex v = 0; v < n; ++v) {
+              fold[v] = static_cast<std::uint32_t>(rng.next_below(inf + 1));
+            }
+            const std::vector<std::uint32_t> before = fold;
+            ASSERT_EQ(table.cost_with_head(t), expected)
+                << "n " << n << " u " << u << " t " << t << " " << to_string(version);
+            ASSERT_EQ(table.cost_with_head(t, fold), expected)
+                << "n " << n << " u " << u << " t " << t << " " << to_string(version);
+            for (Vertex v = 0; v < n; ++v) {
+              ASSERT_EQ(fold[v], std::min(before[v], row[v])) << "n " << n << " t " << t;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Edgeless n = 2048: every probe of player 0 leaves n − 2 vertices at Cinf,
+  // a SUM cost of (n − 2)·n² + 1 > 2³², so a 32-bit accumulator would wrap.
+  const std::uint32_t n = 2048;
+  const Digraph g(n);
+  TableEvaluator table(g, 0, CostVersion::Sum);
+  EXPECT_EQ(table.current_cost(), (n - 1) * cinf(n));
+  const std::uint64_t expected = (n - 2) * cinf(n) + 1;
+  ASSERT_GT(expected, std::uint64_t{1} << 32);
+  const StrategyEvaluator naive(g, 0, CostVersion::Sum);
+  StrategyEvaluator::Scratch scratch(n);
+  std::vector<std::uint32_t> fold(n, 0);
+  for (const Vertex t : {1u, 8u, 1000u, n - 1}) {
+    const Vertex heads[] = {t};
+    ASSERT_EQ(naive.evaluate(heads, scratch), expected);
+    EXPECT_EQ(table.cost_with_head(t), expected) << "t " << t;
+    EXPECT_EQ(table.cost_with_head(t, fold), expected) << "t " << t;
   }
 }
 

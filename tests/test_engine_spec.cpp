@@ -181,7 +181,12 @@ TEST(EngineSpec, MalformedSpecsRejectedWithNamedOffence) {
       // n beyond 32 bits must error, not truncate (4294967298 ≡ 2 mod 2^32).
       {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
            "grid":{"n":[4294967298]},"seeds":{"begin":0,"end":1}})",
-       "does not fit 32 bits"},
+       "grid.n entry 4294967298 exceeds kMaxPlayers"},
+      // One past the cost-domain ceiling: (n−1)·n² and n³ would overflow
+      // uint64 (the accepted side, n = kMaxPlayers, is checked below).
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[8,2642246]},"seeds":{"begin":0,"end":1}})",
+       "spec: scenario \"x\": grid.n entry 2642246 exceeds kMaxPlayers = 2642245"},
       // Uniform b beyond 32 bits must error, not truncate to 0.
       {R"({"name":"x","task":"dynamics","version":"sum",
            "budgets":{"family":"uniform","b":4294967296},
@@ -291,6 +296,12 @@ TEST(EngineSpec, MalformedSpecsRejectedWithNamedOffence) {
           << "error was: " << error.what() << "\nexpected fragment: " << bad.fragment;
     }
   }
+  // The other side of the cost-domain ceiling: n = kMaxPlayers validates.
+  const CampaignSpec at_ceiling = parse_campaign_spec(
+      R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+          "grid":{"n":[2642245]},"seeds":{"begin":0,"end":1}})");
+  ASSERT_EQ(at_ceiling.scenarios.size(), 1u);
+  EXPECT_EQ(at_ceiling.scenarios[0].grid_n, std::vector<std::uint32_t>{kMaxPlayers});
 }
 
 TEST(EngineSpec, ParsesSolverAndSolverBudgetParams) {

@@ -34,6 +34,22 @@ TEST(BudgetGame, EmptyGameRejected) {
   EXPECT_THROW(BudgetGame({}), std::invalid_argument);
 }
 
+TEST(BudgetGame, PlayerCountCappedAtCostDomainCeiling) {
+  // kMaxPlayers players fit the 64-bit cost domain; one more does not.
+  EXPECT_EQ(BudgetGame(std::vector<std::uint32_t>(kMaxPlayers, 0)).num_players(), kMaxPlayers);
+  try {
+    static_cast<void>(BudgetGame(std::vector<std::uint32_t>(kMaxPlayers + 1, 0)));
+    FAIL() << "a game past kMaxPlayers was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("exceeds kMaxPlayers"), std::string::npos)
+        << error.what();
+  }
+  // The worst costs at the ceiling are exact: (n−1)·Cinf and n·Cinf.
+  const std::uint64_t inf = cinf(kMaxPlayers);
+  EXPECT_EQ((kMaxPlayers - 1) * inf / inf, kMaxPlayers - 1);
+  EXPECT_EQ(std::uint64_t{kMaxPlayers} * inf / inf, kMaxPlayers);
+}
+
 TEST(BudgetGame, RealizationCheck) {
   const BudgetGame game({1, 1, 0});
   Digraph g(3);

@@ -194,6 +194,77 @@ TEST(SolverExact, PrunesAgainstFullEnumeration) {
 }
 
 
+/// The cheapest exactly-`cap`-head strategy of `u` by full enumeration of
+/// the C(n−1, cap) head sets, each scored from scratch.
+std::uint64_t enumerated_optimum(const Digraph& g, Vertex u, CostVersion version,
+                                 std::uint32_t cap) {
+  const std::uint32_t n = g.num_vertices();
+  const StrategyEvaluator eval(g, u, version);
+  StrategyEvaluator::Scratch scratch(n);
+  std::vector<Vertex> others;
+  for (Vertex t = 0; t < n; ++t) {
+    if (t != u) others.push_back(t);
+  }
+  std::vector<bool> chosen(others.size(), false);
+  std::fill(chosen.begin(), chosen.begin() + cap, true);
+  std::uint64_t best = ~0ULL;
+  std::vector<Vertex> heads;
+  do {
+    heads.clear();
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      if (chosen[i]) heads.push_back(others[i]);
+    }
+    best = std::min(best, eval.evaluate(heads, scratch));
+  } while (std::prev_permutation(chosen.begin(), chosen.end()));
+  return best;
+}
+
+TEST(SolverExact, DeepCapsMatchEnumeration) {
+  // The brute-force corpora stop at b ≤ 2. Caps of n − 2 and n − 1 let the
+  // DFS run to its deepest levels (the incumbent seed only carries
+  // out-degree heads), through every level of the per-depth scratch and the
+  // suffix spans handed to the children.
+  const ExactBranchAndBound bb;
+  Rng rng(6021);
+  for (std::uint32_t n = 6; n <= 10; ++n) {
+    for (const bool connected : {true, false}) {
+      // Connected: the directed cycle plus random chords. Disconnected: a
+      // random profile with σ = n/2 < n − 1.
+      Digraph g(n);
+      if (connected) {
+        g = cycle_digraph(n);
+        for (std::uint32_t k = 0; k < n / 3; ++k) {
+          const auto a = static_cast<Vertex>(rng.next_below(n));
+          const auto b = static_cast<Vertex>(rng.next_below(n));
+          if (a != b && !g.has_arc(a, b)) g.add_arc(a, b);
+        }
+      } else {
+        g = random_profile(random_budgets(n, n / 2, rng), rng);
+      }
+      for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+        for (const std::uint32_t cap : {n - 2, n - 1}) {
+          for (Vertex u = 0; u < n; ++u) {
+            SolverBudget budget;
+            budget.budget_cap = cap;
+            const SolverResult result = bb.solve(g, u, version, budget);
+            const std::string where = "n " + std::to_string(n) + " u " + std::to_string(u) +
+                                      " cap " + std::to_string(cap) + " " +
+                                      to_string(version) +
+                                      (connected ? " connected" : " disconnected");
+            ASSERT_TRUE(result.optimal) << where;
+            ASSERT_EQ(result.cost, enumerated_optimum(g, u, version, cap)) << where;
+            ASSERT_EQ(result.lower_bound, result.cost) << where;
+            ASSERT_EQ(result.strategy.size(), cap) << where;
+            const StrategyEvaluator eval(g, u, version);
+            StrategyEvaluator::Scratch scratch(n);
+            ASSERT_EQ(eval.evaluate(result.strategy, scratch), result.cost) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// One line per solve of the search-tree golden corpus: the query, then every
 /// field a search-order change would move.
 std::string describe_solve(std::uint32_t n, CostVersion version, Vertex u, std::uint32_t cap,
