@@ -3,6 +3,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "engine/hostinfo.hpp"
@@ -133,7 +134,10 @@ struct ScenarioAccumulator {
 /// campaign completion (and every resume) on summary statistics.
 constexpr std::size_t kBootstrapMaxSamples = 10'000;
 
-void emit_summary_stats(JsonWriter& writer, const std::vector<double>& values) {
+/// `bootstrap` is the field's interval when it has at most kBootstrapMaxSamples
+/// values (see write_summary_file).
+void emit_summary_stats(JsonWriter& writer, const std::vector<double>& values,
+                        const BootstrapCi& bootstrap) {
   const Summary summary = summarize(values);
   // Bare means mislead at campaign sample sizes, so every numeric field
   // carries a 95% interval for its mean: a deterministic percentile
@@ -142,9 +146,8 @@ void emit_summary_stats(JsonWriter& writer, const std::vector<double>& values) {
   double lower = summary.mean;
   double upper = summary.mean;
   if (summary.count > 0 && summary.count <= kBootstrapMaxSamples) {
-    const BootstrapCi ci = bootstrap_mean_ci(values);
-    lower = ci.lower;
-    upper = ci.upper;
+    lower = bootstrap.lower;
+    upper = bootstrap.upper;
   } else if (summary.count > 0) {
     const double half =
         1.959963984540054 * summary.stddev / std::sqrt(static_cast<double>(summary.count));
@@ -216,9 +219,18 @@ void write_summary_file(const std::string& jsonl_path, const std::string& summar
   for (const ScenarioAccumulator& scenario : scenarios) {
     writer.begin_object().field("name", scenario.name).field("jobs", scenario.jobs);
     writer.key("numbers").begin_object();
+    // One call bootstraps every field of the scenario; a field over
+    // kBootstrapMaxSamples enters as an empty column and gets no interval.
+    std::vector<std::span<const double>> columns;
+    columns.reserve(scenario.numbers.size());
     for (const auto& [key, values] : scenario.numbers) {
-      writer.key(key);
-      emit_summary_stats(writer, values);
+      columns.emplace_back(values.size() <= kBootstrapMaxSamples ? std::span<const double>(values)
+                                                                 : std::span<const double>());
+    }
+    const std::vector<BootstrapCi> intervals = bootstrap_mean_ci_columns(columns);
+    for (std::size_t i = 0; i < scenario.numbers.size(); ++i) {
+      writer.key(scenario.numbers[i].first);
+      emit_summary_stats(writer, scenario.numbers[i].second, intervals[i]);
     }
     writer.end_object();
     writer.key("bool_true_counts").begin_object();

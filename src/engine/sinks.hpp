@@ -7,9 +7,10 @@
 // them into a `.summary.json`: per scenario, a util/stats Summary of every
 // numeric field plus a 95% confidence interval of its mean — bare means
 // mislead at campaign sample sizes. The interval is a deterministic
-// percentile bootstrap up to 10k samples (byte-stable via a fixed seed) and
-// the O(count) normal approximation beyond, so summaries never stall a
-// million-record campaign. Also true-counts of every boolean field and
+// percentile bootstrap up to 10k samples (byte-stable via a fixed seed; one
+// bootstrap_mean_ci_columns call per scenario) and the O(count) normal
+// approximation beyond, so summaries never stall a million-record campaign.
+// Also true-counts of every boolean field and
 // value-counts of every string field. Per-job `obs` counter blocks are
 // flattened into dotted numeric fields ("obs.solver.exact_bb.nodes", …) so
 // work counters summarise like any other measurement. The summary is recomputed from the committed JSONL at

@@ -3,8 +3,15 @@
 // Computing a best response is NP-hard (Theorem 2.1: k-center / k-median
 // reduce to it), so the library offers a solver ladder:
 //
-//   * exact   — enumerate all C(n-1, b) strategies (parallel over lex ranks);
-//               only attempted when the candidate count is below a limit.
+//   * exact   — enumerate all C(n-1, b) strategies as one lexicographic
+//               walk (one head added per depth, one cost_with_head per
+//               leaf) on the evaluator exact_bb scores on
+//               (with_table_evaluator: TableEvaluator up to
+//               kTableEvaluatorLimit, CsrDeltaEvaluator above). Ties go to
+//               the lexicographically least strategy. A wider pool splits
+//               large walks on the table by first head, with the same
+//               result. Only attempted when the candidate count is below a
+//               limit.
 //   * greedy  — build the strategy one arc at a time, each arc chosen to
 //               minimise the player's cost given the arcs picked so far
 //               (the classical greedy for k-center/k-median-like objectives).
@@ -43,8 +50,10 @@ struct BestResponse {
   std::uint64_t current_cost = 0;   ///< player's cost before deviating
   std::uint64_t evaluated = 0;      ///< candidate strategies scored
   /// Candidates scored by the incremental delta oracle without any full BFS
-  /// recompute (0 on the naive path and under exact enumeration). evaluated −
-  /// bfs_avoided is the number of full-BFS-equivalent evaluations performed.
+  /// recompute (0 on the naive and table evaluators, so 0 under exact
+  /// enumeration up to the table limit; above it the delta evaluator may
+  /// report a nonzero count). evaluated − bfs_avoided bounds the
+  /// full-BFS-equivalent evaluations performed.
   std::uint64_t bfs_avoided = 0;
   bool exact = false;               ///< true iff produced by full enumeration
   [[nodiscard]] bool improves() const noexcept { return cost < current_cost; }
@@ -69,6 +78,9 @@ class BestResponseSolver {
   }
 
   /// Full enumeration. Throws std::invalid_argument when over the limit.
+  /// `pool` (nullptr = the shared pool) of width 1 walks serially; a wider
+  /// one splits walks of at least 4,096 head sets on the table by first
+  /// head, bit-identically. The delta branch always walks serially.
   [[nodiscard]] BestResponse exact(const Digraph& g, Vertex u, ThreadPool* pool = nullptr) const;
 
   /// Greedy arc-by-arc construction (b evaluations of ≤ n-1 candidates each).

@@ -345,8 +345,9 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// build everywhere else). Both clones return the same bits, and SUM
 /// accumulates in 64 bits.
 ///
-/// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; exact_bb uses it up
-/// to n = 2048. Stateful and single-threaded, like DeltaEvaluatorT.
+/// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; the exact solvers
+/// use it up to kTableEvaluatorLimit (with_table_evaluator). Stateful and
+/// single-threaded, like DeltaEvaluatorT.
 class TableEvaluator {
  public:
   TableEvaluator(const Digraph& g, Vertex player, CostVersion version);
@@ -423,6 +424,25 @@ class TableEvaluator {
   std::uint64_t current_cost_ = 0;
   std::uint64_t evaluations_ = 0;
 };
+
+/// Largest n the exact solvers score on TableEvaluator: its O(n²) table and
+/// O(n·m) fill stop paying off (and fitting in memory) beyond this.
+inline constexpr std::uint32_t kTableEvaluatorLimit = 2048;
+
+/// The one place an exact solver (exact_bb, BestResponseSolver::exact) picks
+/// the evaluator that scores `player`: TableEvaluator for n ≤
+/// kTableEvaluatorLimit, CsrDeltaEvaluator above. Builds it with the
+/// incumbent strategy as its head set and returns fn(eval). Both score
+/// bit-identically; bfs_avoided() is 0 on the table.
+template <class Fn>
+auto with_table_evaluator(const Digraph& g, Vertex player, CostVersion version, Fn&& fn) {
+  if (g.num_vertices() <= kTableEvaluatorLimit) {
+    TableEvaluator eval(g, player, version);
+    return fn(eval);
+  }
+  CsrDeltaEvaluator eval(g, player, version);
+  return fn(eval);
+}
 
 /// The naive StrategyEvaluator behind the DeltaEvaluatorT head-set
 /// interface: every cost() and cost_with_head() is one multi-source BFS over

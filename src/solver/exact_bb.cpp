@@ -38,34 +38,28 @@ void publish_exact_bb(const SolverResult& result, bool cache_hit) {
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
-/// The table evaluator — and with it the seed-distance bound — needs O(n²)
-/// memory and an O(n·m) precompute, so it stops at
-/// ExactBranchAndBound::kMatrixLimit (exact search is a small-instance tool
-/// anyway).
-constexpr std::uint32_t kMatrixLimit = ExactBranchAndBound::kMatrixLimit;
-
 struct Candidate {
   Vertex t = 0;
   std::uint64_t cost = 0;    ///< probed cost(P ∪ {t})
   std::uint64_t saving = 0;  ///< cost(P) − cost
 };
 
-/// One solve's search over `Eval`: TableEvaluator up to kMatrixLimit,
-/// CsrDeltaEvaluator beyond. The incumbent seed and the DFS share the one
-/// evaluator; the DFS path P is its head set.
+/// One solve's search over the evaluator with_table_evaluator picks:
+/// TableEvaluator up to kTableEvaluatorLimit (and with it the seed-distance
+/// bound), CsrDeltaEvaluator beyond. The incumbent seed and the DFS share the
+/// one evaluator; the DFS path P is its head set.
 template <class Eval>
 class Search {
  public:
   static constexpr bool kTable = std::is_same_v<Eval, TableEvaluator>;
 
-  Search(const Digraph& g, Vertex player, CostVersion version, const SolverBudget& budget,
-         std::uint32_t cap)
-      : n_(g.num_vertices()),
-        player_(player),
+  Search(Eval& eval, CostVersion version, const SolverBudget& budget, std::uint32_t cap)
+      : n_(eval.num_vertices()),
+        player_(eval.player()),
         version_(version),
         b_(cap),
         budget_(budget),
-        eval_(g, player, version),
+        eval_(eval),
         levels_(cap + 1) {}
 
   [[nodiscard]] std::uint64_t current_cost() const noexcept { return eval_.current_cost(); }
@@ -299,7 +293,7 @@ class Search {
   const CostVersion version_;
   const std::uint32_t b_;
   const SolverBudget budget_;
-  Eval eval_;
+  Eval& eval_;
   Timer timer_;
 
   std::vector<Vertex> path_;  ///< the DFS path P (the evaluator's head set)
@@ -316,12 +310,11 @@ class Search {
   std::uint64_t evaluated_ = 0;
 };
 
-/// Seed, prune, search and report one solve on `Eval`.
+/// Seed, prune, search and report one solve on `eval`.
 template <class Eval>
-void search_with(const Digraph& g, Vertex player, CostVersion version,
-                 const SolverBudget& budget, std::uint32_t cap, bool current_feasible,
-                 SolverResult& result) {
-  Search<Eval> search(g, player, version, budget, cap);
+void search_with(Eval& eval, const Digraph& g, CostVersion version, const SolverBudget& budget,
+                 std::uint32_t cap, bool current_feasible, SolverResult& result) {
+  Search<Eval> search(eval, version, budget, cap);
   result.current_cost = search.current_cost();
   search.seed(current_feasible, result);
   search.eliminate_dominated(g, result);
@@ -339,7 +332,6 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
   static const obs::HistogramId kSolveHist = obs::register_histogram("solver.solve.exact_bb");
   obs::ScopedTimer span(kSolveHist, "solve:exact_bb");
   span.arg("player", std::uint64_t{player});
-  const std::uint32_t n = g.num_vertices();
   // The budget cap, which is the out-degree unless a caller (churn) split
   // them. With cap > degree the search simply runs deeper; with cap < degree
   // the current strategy is infeasible and stops being a seed/floor — the
@@ -382,11 +374,9 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
     }
   }
 
-  if (n <= kMatrixLimit) {
-    search_with<TableEvaluator>(g, player, version, budget, b, current_feasible, result);
-  } else {
-    search_with<CsrDeltaEvaluator>(g, player, version, budget, b, current_feasible, result);
-  }
+  with_table_evaluator(g, player, version, [&](auto& eval) {
+    search_with(eval, g, version, budget, b, current_feasible, result);
+  });
   BBNG_ASSERT(!current_feasible || result.cost <= result.current_cost);
   BBNG_ASSERT(result.lower_bound <= result.cost);
 

@@ -7,8 +7,9 @@
 // ≤ b-sets equals the optimum over exactly-b sets and any incumbent pads to
 // budget for free.
 //
-// Scoring: for n ≤ kMatrixLimit one TableEvaluator (game/strategy_eval.hpp)
-// per solve holds the n×n base-distance table and a stack of seed covers.
+// Scoring (with_table_evaluator, game/strategy_eval.hpp): for n ≤
+// kTableEvaluatorLimit one TableEvaluator per solve holds the n×n
+// base-distance table and a stack of seed covers.
 // Each DFS node's partial head set P is the top of that stack, so
 // descending/backtracking is one O(n) cover pass or a pop, and probing a
 // child is one O(n) pass over min(cover, row_t) — the same pass folds row_t
@@ -16,7 +17,7 @@
 // cloned for AVX2 and the baseline ISA (the host picks one at load time;
 // both return the same bits). The greedy+swap incumbent seed runs
 // the shared descent bodies (greedy_with / swap_improve_with) on the same
-// evaluator before the search reuses it. Above kMatrixLimit, where an O(n²)
+// evaluator before the search reuses it. Above that limit, where an O(n²)
 // table is too large, the same search runs on the CSR delta oracle
 // (journaled dynamic-BFS trial probes) under the savings bound alone. Every
 // cost is exact either way, and the DFS order depends only on costs, so the
@@ -73,10 +74,6 @@ namespace bbng {
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
-  /// Largest n scored on the O(n²) distance table; larger instances search
-  /// on the CSR delta oracle under the savings bound alone.
-  static constexpr std::uint32_t kMatrixLimit = 2048;
-
   [[nodiscard]] std::string_view name() const noexcept override { return "exact_bb"; }
   [[nodiscard]] std::string_view description() const noexcept override {
     return "certified branch-and-bound over head sets: probes scored on a base-distance "

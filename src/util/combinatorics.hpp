@@ -51,8 +51,8 @@ class CombinationIterator {
 };
 
 /// The `rank`-th k-subset of {0,…,n-1} in lexicographic order
-/// (rank ∈ [0, C(n,k))). Used to split exact-search enumeration into
-/// independent chunks for the thread pool.
+/// (rank ∈ [0, C(n,k))). Decodes a strategy digit of a profile code (see
+/// game/improvement_graph.cpp).
 [[nodiscard]] std::vector<std::uint32_t> unrank_combination(std::uint32_t n, std::uint32_t k,
                                                             std::uint64_t rank);
 

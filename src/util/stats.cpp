@@ -1,7 +1,9 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -29,30 +31,21 @@ Summary summarize(std::span<const double> values) {
   return s;
 }
 
-BootstrapCi bootstrap_mean_ci(std::span<const double> values, double confidence,
-                              std::size_t resamples, std::uint64_t seed) {
-  BBNG_REQUIRE_MSG(confidence > 0 && confidence < 1, "confidence must be in (0, 1)");
-  BBNG_REQUIRE(resamples >= 1);
-  BootstrapCi ci;
-  if (values.empty()) return ci;
+namespace {
 
+/// The interval from `values` and its resampled means (sorted in place).
+BootstrapCi percentile_ci(std::span<const double> values, std::span<double> means,
+                          double confidence) {
+  BootstrapCi ci;
   double sum = 0;
   for (const double v : values) sum += v;
   ci.mean = sum / static_cast<double>(values.size());
   ci.confidence = confidence;
-  ci.resamples = resamples;
+  ci.resamples = means.size();
 
-  Rng rng(seed);
-  std::vector<double> means(resamples);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    double resum = 0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      resum += values[rng.next_below(values.size())];
-    }
-    means[r] = resum / static_cast<double>(values.size());
-  }
   std::sort(means.begin(), means.end());
   // Nearest-rank percentile, clamped so the interval always contains data.
+  const std::size_t resamples = means.size();
   const double alpha = (1.0 - confidence) / 2.0;
   const auto rank = [&](double q) {
     const auto idx = static_cast<std::size_t>(q * static_cast<double>(resamples - 1) + 0.5);
@@ -61,6 +54,60 @@ BootstrapCi bootstrap_mean_ci(std::span<const double> values, double confidence,
   ci.lower = rank(alpha);
   ci.upper = rank(1.0 - alpha);
   return ci;
+}
+
+}  // namespace
+
+std::vector<BootstrapCi> bootstrap_mean_ci_columns(std::span<const std::span<const double>> columns,
+                                                   double confidence, std::size_t resamples,
+                                                   std::uint64_t seed) {
+  BBNG_REQUIRE_MSG(confidence > 0 && confidence < 1, "confidence must be in (0, 1)");
+  BBNG_REQUIRE(resamples >= 1);
+  std::vector<BootstrapCi> out(columns.size());
+  // Column indices grouped by length. Their order within a length does not
+  // matter: a column's interval does not depend on its block mates.
+  std::vector<std::size_t> order(columns.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return columns[a].size() < columns[b].size();
+  });
+
+  // means[j * resamples + r]: resample r's mean of the block's column j.
+  std::vector<double> means(std::min(kBootstrapBlock, columns.size()) * resamples);
+  // Empty columns sort first and keep the all-zero interval.
+  std::size_t first = 0;
+  while (first < order.size() && columns[order[first]].empty()) ++first;
+  for (std::size_t width = 0; first < order.size(); first += width) {
+    const std::size_t count = columns[order[first]].size();
+    width = 1;
+    while (width < kBootstrapBlock && first + width < order.size() &&
+           columns[order[first + width]].size() == count) {
+      ++width;
+    }
+    // A short block repeats its last column so the lanes stay fixed; the
+    // repeats' sums are dropped.
+    std::array<const double*, kBootstrapBlock> lanes{};
+    for (std::size_t j = 0; j < kBootstrapBlock; ++j) {
+      lanes[j] = columns[order[first + std::min(j, width - 1)]].data();
+    }
+    Rng rng(seed);
+    for (std::size_t r = 0; r < resamples; ++r) {
+      std::array<double, kBootstrapBlock> resum{};
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t idx = rng.next_below(count);
+        for (std::size_t j = 0; j < kBootstrapBlock; ++j) resum[j] += lanes[j][idx];
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        means[j * resamples + r] = resum[j] / static_cast<double>(count);
+      }
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      out[order[first + j]] =
+          percentile_ci(columns[order[first + j]],
+                        std::span<double>(means).subspan(j * resamples, resamples), confidence);
+    }
+  }
+  return out;
 }
 
 LinearFit fit_linear(std::span<const double> x, std::span<const double> y) {

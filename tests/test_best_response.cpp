@@ -1,12 +1,19 @@
 // Unit tests for the best-response solver ladder (exact / greedy / swap) of
-// best_response.hpp, including agreement of heuristics with exact search.
+// best_response.hpp, including agreement of heuristics with exact search and
+// a bit-for-bit differential of exact enumeration against the naive
+// reference (tests/reference/naive_best_response.hpp).
 #include "game/best_response.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
 #include "graph/generators.hpp"
+#include "reference/naive_best_response.hpp"
 #include "util/combinatorics.hpp"
 
 namespace bbng {
@@ -121,6 +128,120 @@ TEST(ExactBestResponse, ParallelMatchesSerial) {
     const BestResponse b = solver.exact(g, u, &wide);
     EXPECT_EQ(a.cost, b.cost);
     EXPECT_EQ(a.strategy, b.strategy);  // deterministic merge
+  }
+}
+
+/// Every field the naive reference defines must match bit for bit.
+void expect_same_as_naive(const BestResponse& got, const Digraph& g, Vertex u,
+                          CostVersion version, const std::string& where) {
+  const BestResponse want = naive_exact_best_response(g, u, version);
+  EXPECT_EQ(got.strategy, want.strategy) << where;
+  EXPECT_EQ(got.cost, want.cost) << where;
+  EXPECT_EQ(got.current_cost, want.current_cost) << where;
+  EXPECT_EQ(got.evaluated, want.evaluated) << where;
+  EXPECT_EQ(got.exact, want.exact) << where;
+}
+
+/// `g` with player u's strategy replaced by a random b-subset.
+Digraph with_random_strategy(Digraph g, Vertex u, std::uint32_t b, Rng& rng) {
+  std::vector<Vertex> others;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (v != u) others.push_back(v);
+  }
+  rng.shuffle(others);
+  others.resize(b);
+  std::sort(others.begin(), others.end());
+  g.set_strategy(u, others);
+  return g;
+}
+
+TEST(ExactBestResponse, MatchesNaiveReferenceForEveryBudgetUpToTen) {
+  // Every n ≤ 10 and every b < n, both versions. Sparse budgets (σ < n − 1)
+  // leave profiles disconnected; the other players' random arcs give the
+  // deviating player in-arcs.
+  Rng rng(2101);
+  ThreadPool serial(1);
+  for (std::uint32_t n = 1; n <= 10; ++n) {
+    for (std::uint32_t b = 0; b < n; ++b) {
+      for (int round = 0; round < 3; ++round) {
+        const std::uint64_t max_sigma = std::min<std::uint64_t>(2 * n, n * (n - 1));
+        const std::uint64_t sigma = rng.next_below(max_sigma + 1);
+        const Digraph base = random_profile(random_budgets(n, sigma, rng), rng);
+        const auto u = static_cast<Vertex>(rng.next_below(n));
+        const Digraph g = with_random_strategy(base, u, b, rng);
+        for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+          const BestResponseSolver solver(version);
+          const std::string where = "n " + std::to_string(n) + " b " + std::to_string(b) +
+                                    " round " + std::to_string(round) + " " + to_string(version);
+          expect_same_as_naive(solver.exact(g, u, &serial), g, u, version, where);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExactBestResponse, TieBreakMatchesNaiveReferenceOnCycles) {
+  // Directed cycles are vertex-transitive, so most head sets tie: the walk
+  // must return the same lexicographically least optimum as the reference.
+  Rng rng(2102);
+  for (std::uint32_t n = 3; n <= 12; ++n) {
+    for (std::uint32_t b = 1; b <= std::min(n - 1, 4U); ++b) {
+      const Vertex u = n / 2;
+      Digraph g = cycle_digraph(n);
+      if (b > 1) g = with_random_strategy(g, u, b, rng);
+      for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+        const BestResponseSolver solver(version);
+        const std::string where =
+            "cycle n " + std::to_string(n) + " b " + std::to_string(b) + " " + to_string(version);
+        expect_same_as_naive(solver.exact(g, u), g, u, version, where);
+      }
+    }
+  }
+}
+
+TEST(ExactBestResponse, DeltaBranchAboveTheTableLimitMatchesNaiveReference) {
+  // n = 2100 exceeds the table limit, so the walk scores on the CSR delta
+  // evaluator; b = 1 keeps the reference at 2099 BFS runs. The delta branch
+  // walks serially on any pool, so a wide one reports the same counts.
+  Rng rng(2103);
+  const std::uint32_t n = 2100;
+  ASSERT_GT(n, kTableEvaluatorLimit);
+  const Digraph g = random_profile(std::vector<std::uint32_t>(n, 1), rng);
+  ThreadPool serial(1), wide(4);
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    const BestResponseSolver solver(version);
+    const BestResponse br = solver.exact(g, 7, &serial);
+    expect_same_as_naive(br, g, 7, version, to_string(version));
+    EXPECT_LE(br.bfs_avoided, br.evaluated);
+    const BestResponse four = solver.exact(g, 7, &wide);
+    EXPECT_EQ(four.strategy, br.strategy);
+    EXPECT_EQ(four.cost, br.cost);
+    EXPECT_EQ(four.bfs_avoided, br.bfs_avoided);
+  }
+}
+
+TEST(ExactBestResponse, WidePoolMatchesSerialWalkAndNaiveReference) {
+  // C(n−1, b) ≥ 4096 here, so a width-4 pool splits the walk by first head.
+  Rng rng(2104);
+  ThreadPool serial(1), wide(4);
+  for (const auto& [n, b] : {std::pair{16U, 6U}, std::pair{18U, 5U}, std::pair{14U, 7U}}) {
+    const Digraph base = random_profile(random_budgets(n, 2 * n, rng), rng);
+    for (const Vertex u : {Vertex{0}, Vertex{n / 2}, Vertex{n - 1}}) {
+      const Digraph g = with_random_strategy(base, u, b, rng);
+      for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+        const BestResponseSolver solver(version);
+        const BestResponse one = solver.exact(g, u, &serial);
+        const BestResponse four = solver.exact(g, u, &wide);
+        const std::string where = "n " + std::to_string(n) + " u " + std::to_string(u) + " " +
+                                  to_string(version);
+        EXPECT_EQ(one.strategy, four.strategy) << where;
+        EXPECT_EQ(one.cost, four.cost) << where;
+        EXPECT_EQ(one.current_cost, four.current_cost) << where;
+        EXPECT_EQ(one.evaluated, four.evaluated) << where;
+        EXPECT_EQ(one.exact, four.exact) << where;
+        expect_same_as_naive(four, g, u, version, where);
+      }
+    }
   }
 }
 

@@ -195,6 +195,42 @@ TEST(DeltaEvalDifferential, TableEvaluatorMatchesNaiveOnSwapsAndWalks) {
   }
 }
 
+TEST(DeltaEvalDifferential, TableEvaluatorCopiesScoreIndependently) {
+  // A copy scores on its own state: probes on the copy after diverging head
+  // edits, and on the original after the copy is gone, match from-scratch
+  // costs. Exact enumeration on a wide pool walks each chunk on such a copy.
+  Rng rng(9011);
+  for (int round = 0; round < 30; ++round) {
+    const std::uint32_t n = 5 + static_cast<std::uint32_t>(round % 10);
+    const Digraph g = random_instance(n, rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      const auto u = static_cast<Vertex>(rng.next_below(n));
+      const StrategyEvaluator naive(g, u, version);
+      StrategyEvaluator::Scratch scratch(n);
+      TableEvaluator eval(g, u, version);
+      std::vector<Vertex> heads = naive.current_strategy();
+      for (const Vertex h : heads) eval.remove_head(h);
+      const Vertex first = u == 0 ? 1 : 0;
+      {
+        TableEvaluator copy = eval;
+        copy.add_head(first);
+        for (Vertex t = 0; t < n; ++t) {
+          if (t == u || t == first) continue;
+          const std::vector<Vertex> trial{first, t};
+          ASSERT_EQ(copy.cost_with_head(t), naive.evaluate(trial, scratch))
+              << "round " << round << " " << to_string(version);
+        }
+      }
+      for (Vertex t = 0; t < n; ++t) {
+        if (t == u) continue;
+        const std::vector<Vertex> trial{t};
+        ASSERT_EQ(eval.cost_with_head(t), naive.evaluate(trial, scratch))
+            << "round " << round << " " << to_string(version);
+      }
+    }
+  }
+}
+
 TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
   // The table is filled by 64-lane packed sweeps over every vertex but the
   // player, so the player's position shifts the lane of every later vertex:

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,9 @@
 #include <vector>
 
 #include "engine/sinks.hpp"
+#include "reference/naive_bootstrap.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace bbng {
 namespace {
@@ -254,6 +258,84 @@ TEST_F(EngineRunnerTest, HeaderRecordsHostMetadataAndSummaryAggregates) {
   EXPECT_GE(rounds.at("ci95_upper").as_double(), rounds.at("mean").as_double());
   EXPECT_GE(rounds.at("ci95_lower").as_double(), rounds.at("min").as_double());
   EXPECT_LE(rounds.at("ci95_upper").as_double(), rounds.at("max").as_double());
+}
+
+/// `number` as the summary writes it, parsed back.
+double as_written(double number) {
+  std::ostringstream os;
+  JsonWriter writer(os, /*pretty=*/false);
+  writer.value(number);
+  return parse_json(os.str()).as_double();
+}
+
+TEST_F(EngineRunnerTest, SummaryIntervalsMatchPerFieldBootstrapAcrossCounts) {
+  // Fields of one scenario with different counts: an obs counter missing
+  // from some records, a field only some records carry, and a scenario past
+  // the bootstrap cap, whose fields take the normal approximation. Each
+  // bootstrapped interval must equal the reference bootstrap_mean_ci of that
+  // field alone.
+  const std::string jsonl = path("counts.jsonl");
+  {
+    std::ofstream out(jsonl, std::ios::binary);
+    out << R"({"campaign":"counts","spec_fingerprint":"f","host":{"compiler":"c"}})" << '\n';
+    Rng rng(11);
+    const auto record = [&](const std::string& scenario, std::uint64_t job) {
+      std::ostringstream os;
+      JsonWriter writer(os, /*pretty=*/false);
+      writer.begin_object().field("job", job).field("scenario", scenario);
+      writer.field("cost", rng.next_double() * 7.3 - 2.0);
+      writer.field("moves", rng.next_below(9));
+      if (job % 3 != 0) writer.field("gap", -rng.next_double());
+      writer.key("obs").begin_object().field("solver.swap.solves", rng.next_below(4));
+      if (job % 5 == 1) writer.field("solver.swap.evaluated", rng.next_below(1000));
+      writer.end_object().end_object();
+      out << os.str() << '\n';
+    };
+    for (std::uint64_t job = 0; job < 40; ++job) record("small", job);
+    for (std::uint64_t job = 0; job < 10'001; ++job) record("large", job);
+  }
+  write_summary_file(jsonl, path("counts.summary.json"));
+
+  const JsonlFile file = read_jsonl(jsonl);
+  const JsonValue summary = parse_json(read_file(path("counts.summary.json")));
+  std::size_t bootstrapped = 0;
+  std::size_t approximated = 0;
+  for (const JsonValue& scenario : summary.at("scenarios").items()) {
+    for (const auto& [key, stats] : scenario.at("numbers").members()) {
+      // The field's values, read back the way the summary reads them.
+      std::vector<double> values;
+      for (const JsonValue& rec : file.records) {
+        if (rec.at("scenario").as_string() != scenario.at("name").as_string()) continue;
+        const bool obs = key.rfind("obs.", 0) == 0;
+        const JsonValue& holder = obs ? rec.at("obs") : rec;
+        const std::string member = obs ? key.substr(4) : key;
+        if (const JsonValue* value = holder.find(member)) values.push_back(value->as_double());
+      }
+      ASSERT_EQ(stats.at("count").as_uint(), values.size()) << key;
+      double lower = 0;
+      double upper = 0;
+      if (values.size() <= 10'000) {
+        const BootstrapCi ci = bootstrap_mean_ci(values);
+        lower = ci.lower;
+        upper = ci.upper;
+        ++bootstrapped;
+      } else {
+        const Summary moments = summarize(values);
+        const double half = 1.959963984540054 * moments.stddev /
+                            std::sqrt(static_cast<double>(moments.count));
+        lower = moments.mean - half;
+        upper = moments.mean + half;
+        ++approximated;
+      }
+      EXPECT_EQ(stats.at("ci95_lower").as_double(), as_written(lower)) << key;
+      EXPECT_EQ(stats.at("ci95_upper").as_double(), as_written(upper)) << key;
+    }
+  }
+  // Bootstrapped: all five fields of "small", and the gap and evaluated
+  // fields of "large" (6,667 and 2,000 values). Approximated: the other three
+  // fields of "large" (10,001 values each).
+  EXPECT_EQ(bootstrapped, 7u);
+  EXPECT_EQ(approximated, 3u);
 }
 
 TEST_F(EngineRunnerTest, ProgressGoesToStderrAndNeverTheArtifact) {

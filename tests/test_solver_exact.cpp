@@ -1,7 +1,8 @@
 // Differential tests for the certified branch-and-bound backend: on
 // exhaustively enumerable instances (n ≤ 8, b_i ≤ 2) ExactBranchAndBound
-// must match BestResponseSolver::exact (brute-force enumeration) cost for
-// cost with the optimality certificate set — on both cost versions and
+// must match the naive brute-force reference
+// (tests/reference/naive_best_response.hpp) cost for cost with the
+// optimality certificate set — on both cost versions and
 // disconnected instances. Anytime behaviour (budget truncation), the
 // transposition cache, the lower-bound invariants, a search-tree golden and
 // both sides of the distance-table size limit are pinned alongside.
@@ -19,6 +20,7 @@
 #include "game/best_response.hpp"
 #include "game/strategy_eval.hpp"
 #include "graph/generators.hpp"
+#include "reference/naive_best_response.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -41,9 +43,8 @@ TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
     const Digraph g = small_instance(n, rng);
     const BudgetGame game(g.budgets());
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
-      const BestResponseSolver brute(version);
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse reference = brute.exact(g, u);
+        const BestResponse reference = naive_exact_best_response(g, u, version);
         const SolverResult result = bb.solve(g, u, version);
         ASSERT_EQ(result.cost, reference.cost)
             << "round " << round << " u " << u << " " << to_string(version);
@@ -72,9 +73,8 @@ TEST(SolverExact, HandlesDisconnectedInstances) {
     for (auto& b : budgets) b = std::min(b, 2u);
     const Digraph g = random_profile(budgets, rng);
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
-      const BestResponseSolver brute(version);
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse reference = brute.exact(g, u);
+        const BestResponse reference = naive_exact_best_response(g, u, version);
         const SolverResult result = bb.solve(g, u, version);
         ASSERT_EQ(result.cost, reference.cost)
             << "round " << round << " u " << u << " " << to_string(version);
@@ -108,7 +108,6 @@ TEST(SolverExact, NodeLimitTruncationIsAnytime) {
   int truncations = 0;
   for (int round = 0; round < 20; ++round) {
     const Digraph g = small_instance(8, rng);
-    const BestResponseSolver brute(CostVersion::Sum);
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
       if (g.out_degree(u) == 0) continue;
       SolverBudget budget;
@@ -116,7 +115,7 @@ TEST(SolverExact, NodeLimitTruncationIsAnytime) {
       const SolverResult result = bb.solve(g, u, CostVersion::Sum, budget);
       EXPECT_LE(result.cost, result.current_cost);
       EXPECT_LE(result.lower_bound, result.cost);
-      const BestResponse reference = brute.exact(g, u);
+      const BestResponse reference = naive_exact_best_response(g, u, CostVersion::Sum);
       if (result.optimal) {
         EXPECT_EQ(result.cost, reference.cost);
       } else {
@@ -186,8 +185,7 @@ TEST(SolverExact, PrunesAgainstFullEnumeration) {
   const ExactBranchAndBound bb;
   const SolverResult result = bb.solve(g, 0, CostVersion::Sum);
   ASSERT_TRUE(result.optimal);
-  const BestResponseSolver brute(CostVersion::Sum);
-  const BestResponse reference = brute.exact(g, 0);
+  const BestResponse reference = naive_exact_best_response(g, 0, CostVersion::Sum);
   EXPECT_EQ(result.cost, reference.cost);
   EXPECT_LT(result.evaluated, reference.evaluated);
   EXPECT_GT(result.nodes_pruned, 0u);
@@ -588,11 +586,11 @@ std::uint64_t solve_sparse_instance(std::uint32_t n) {
 
 TEST(SolverExact, AtTheMatrixLimitScoresOnTheTable) {
   // No oracle runs behind the table, so no BFS is reported avoided.
-  EXPECT_EQ(solve_sparse_instance(ExactBranchAndBound::kMatrixLimit), 0u);
+  EXPECT_EQ(solve_sparse_instance(kTableEvaluatorLimit), 0u);
 }
 
 TEST(SolverExact, PastTheMatrixLimitScoresOnTheDeltaOracle) {
-  EXPECT_GT(solve_sparse_instance(ExactBranchAndBound::kMatrixLimit + 1), 0u);
+  EXPECT_GT(solve_sparse_instance(kTableEvaluatorLimit + 1), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "reference/naive_bootstrap.hpp"
+#include "util/rng.hpp"
 
 namespace bbng {
 namespace {
@@ -126,9 +132,16 @@ TEST(Histogram, InvalidParamsRejected) {
   EXPECT_THROW((void)histogram(data, 1, 1, 4), std::invalid_argument);
 }
 
+/// bootstrap_mean_ci_columns on `values` alone.
+BootstrapCi bootstrap_one(std::span<const double> values, double confidence = 0.95,
+                          std::size_t resamples = 1000, std::uint64_t seed = 0x626f6f74ULL) {
+  const std::span<const double> column[] = {values};
+  return bootstrap_mean_ci_columns(column, confidence, resamples, seed).front();
+}
+
 TEST(BootstrapCiTest, IntervalBracketsTheMeanAndLiesInTheDataRange) {
   const double data[] = {2, 4, 4, 4, 5, 5, 7, 9};
-  const BootstrapCi ci = bootstrap_mean_ci(data);
+  const BootstrapCi ci = bootstrap_one(data);
   EXPECT_DOUBLE_EQ(ci.mean, 5.0);
   EXPECT_LE(ci.lower, ci.mean);
   EXPECT_GE(ci.upper, ci.mean);
@@ -141,11 +154,11 @@ TEST(BootstrapCiTest, IntervalBracketsTheMeanAndLiesInTheDataRange) {
 
 TEST(BootstrapCiTest, DeterministicForAFixedSeed) {
   const double data[] = {1, 3, 3, 7, 10, 12};
-  const BootstrapCi a = bootstrap_mean_ci(data);
-  const BootstrapCi b = bootstrap_mean_ci(data);
+  const BootstrapCi a = bootstrap_one(data);
+  const BootstrapCi b = bootstrap_one(data);
   EXPECT_DOUBLE_EQ(a.lower, b.lower);
   EXPECT_DOUBLE_EQ(a.upper, b.upper);
-  const BootstrapCi other_seed = bootstrap_mean_ci(data, 0.95, 1000, 1234);
+  const BootstrapCi other_seed = bootstrap_one(data, 0.95, 1000, 1234);
   // A different stream gives a (generally) different interval — the seed is
   // genuinely part of the contract, not ignored.
   EXPECT_TRUE(other_seed.lower != a.lower || other_seed.upper != a.upper);
@@ -153,32 +166,110 @@ TEST(BootstrapCiTest, DeterministicForAFixedSeed) {
 
 TEST(BootstrapCiTest, WiderConfidenceGivesAWiderInterval) {
   const double data[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const BootstrapCi narrow = bootstrap_mean_ci(data, 0.5);
-  const BootstrapCi wide = bootstrap_mean_ci(data, 0.99);
+  const BootstrapCi narrow = bootstrap_one(data, 0.5);
+  const BootstrapCi wide = bootstrap_one(data, 0.99);
   EXPECT_LE(wide.lower, narrow.lower);
   EXPECT_GE(wide.upper, narrow.upper);
 }
 
 TEST(BootstrapCiTest, DegenerateInputsCollapseGracefully) {
-  const BootstrapCi empty = bootstrap_mean_ci(std::span<const double>{});
+  const BootstrapCi empty = bootstrap_one(std::span<const double>{});
   EXPECT_EQ(empty.resamples, 0u);
   EXPECT_DOUBLE_EQ(empty.mean, 0);
   EXPECT_DOUBLE_EQ(empty.lower, 0);
   EXPECT_DOUBLE_EQ(empty.upper, 0);
 
   const double single[] = {42.0};
-  const BootstrapCi point = bootstrap_mean_ci(single);
+  const BootstrapCi point = bootstrap_one(single);
   EXPECT_DOUBLE_EQ(point.mean, 42.0);
   EXPECT_DOUBLE_EQ(point.lower, 42.0);
   EXPECT_DOUBLE_EQ(point.upper, 42.0);
 
   const double constant[] = {3.0, 3.0, 3.0, 3.0};
-  const BootstrapCi flat = bootstrap_mean_ci(constant);
+  const BootstrapCi flat = bootstrap_one(constant);
   EXPECT_DOUBLE_EQ(flat.lower, 3.0);
   EXPECT_DOUBLE_EQ(flat.upper, 3.0);
 
-  EXPECT_THROW((void)bootstrap_mean_ci(single, 1.5), std::invalid_argument);
-  EXPECT_THROW((void)bootstrap_mean_ci(single, 0.95, 0), std::invalid_argument);
+  EXPECT_THROW((void)bootstrap_one(single, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)bootstrap_one(single, 0.95, 0), std::invalid_argument);
+}
+
+/// Bitwise equality of two intervals: every double compared with memcmp, so
+/// a last-ulp difference (or a −0/+0 flip) fails.
+void expect_same_bits(const BootstrapCi& got, const BootstrapCi& want, std::size_t column) {
+  EXPECT_EQ(std::memcmp(&got.mean, &want.mean, sizeof(double)), 0) << "column " << column;
+  EXPECT_EQ(std::memcmp(&got.lower, &want.lower, sizeof(double)), 0) << "column " << column;
+  EXPECT_EQ(std::memcmp(&got.upper, &want.upper, sizeof(double)), 0) << "column " << column;
+  EXPECT_EQ(std::memcmp(&got.confidence, &want.confidence, sizeof(double)), 0)
+      << "column " << column;
+  EXPECT_EQ(got.resamples, want.resamples) << "column " << column;
+}
+
+/// Each column of `data` against its own bootstrap_mean_ci.
+void expect_columns_match(const std::vector<std::vector<double>>& data, double confidence = 0.95,
+                          std::size_t resamples = 1000, std::uint64_t seed = 0x626f6f74ULL) {
+  const std::vector<std::span<const double>> columns(data.begin(), data.end());
+  const std::vector<BootstrapCi> got =
+      bootstrap_mean_ci_columns(columns, confidence, resamples, seed);
+  ASSERT_EQ(got.size(), data.size());
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    expect_same_bits(got[j], bootstrap_mean_ci(data[j], confidence, resamples, seed), j);
+  }
+}
+
+TEST(BootstrapColumns, MatchesPerColumnBootstrapBitForBit) {
+  // Non-integral, negative, huge-and-tiny (where add order changes the
+  // rounding) and constant columns, across one full block and a one-column
+  // tail (F = K + 1).
+  Rng rng(77);
+  const std::size_t count = 257;
+  std::vector<std::vector<double>> data(kBootstrapBlock + 1, std::vector<double>(count));
+  for (std::size_t j = 0; j < data.size(); ++j) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const double u = rng.next_double();
+      switch (j % 4) {
+        case 0: data[j][i] = u * 1e-3 + 0.1; break;            // non-integral
+        case 1: data[j][i] = -1e6 * u + 3.25; break;           // negative
+        case 2: data[j][i] = (i % 2 == 0 ? 1e16 : 1.0) * u; break;  // mixed scales
+        default: data[j][i] = -2.5; break;                     // constant
+      }
+    }
+  }
+  expect_columns_match(data);
+  expect_columns_match(data, 0.5, 37, 1234);
+}
+
+TEST(BootstrapColumns, EveryWidthUpToTwoBlocks) {
+  Rng rng(78);
+  std::vector<std::vector<double>> data;
+  for (std::size_t width = 1; width <= 2 * kBootstrapBlock + 1; ++width) {
+    data.emplace_back(50);
+    for (double& v : data.back()) v = rng.next_double() - 0.5;
+    expect_columns_match(data, 0.95, 64);
+  }
+}
+
+TEST(BootstrapColumns, DegenerateColumns) {
+  expect_columns_match({{42.0}, {-0.5}, {0.1}});  // count 1
+  expect_columns_match({});
+  EXPECT_TRUE(bootstrap_mean_ci_columns({}).empty());
+  // Empty columns give the empty interval, like the reference.
+  expect_columns_match({{}, {}});
+}
+
+TEST(BootstrapColumns, ColumnsOfMixedLengthsMatchTheirOwnBootstrap) {
+  // Interleaved lengths, so each length's columns are grouped out of order:
+  // 3 columns of 40, 11 of 7 (full blocks and a short one), 2 of 1 and 2
+  // empty ones.
+  Rng rng(79);
+  std::vector<std::vector<double>> data;
+  for (std::size_t j = 0; j < 18; ++j) {
+    const std::size_t count = j % 9 == 4 ? 0 : (j % 9 == 2 ? 1 : (j % 6 == 0 ? 40 : 7));
+    data.emplace_back(count);
+    for (double& v : data.back()) v = (rng.next_double() - 0.3) * 1e3;
+  }
+  expect_columns_match(data);
+  expect_columns_match(data, 0.8, 101, 99);
 }
 
 }  // namespace
