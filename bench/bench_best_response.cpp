@@ -60,12 +60,12 @@ int run(int argc, const char** argv) {
     const BestResponseSolver solver(CostVersion::Sum, 10'000'000);
 
     Timer exact_timer;
-    const BestResponse exact = solver.exact(g, 0);
+    const SolverResult exact = solver.exact(g, 0);
     const auto exact_us = exact_timer.elapsed_micros();
 
     Timer heur_timer;
-    const BestResponse coarse = solver.greedy(g, 0);
-    const BestResponse refined = solver.swap_improve(g, 0, coarse.strategy);
+    const SolverResult coarse = solver.greedy(g, 0);
+    const SolverResult refined = solver.swap_improve(g, 0, coarse.strategy);
     const auto heur_us = heur_timer.elapsed_micros();
     const std::uint64_t heuristic_cost = std::min(coarse.cost, refined.cost);
 

@@ -80,7 +80,7 @@ int run(int argc, const char** argv) {
         ++queries;
 
         Timer timer;
-        const BestResponse reference = brute.exact(g, u);
+        const SolverResult reference = brute.exact(g, u);
         enum_ms += timer.elapsed_millis();
         enum_candidates += reference.evaluated;
 
@@ -96,7 +96,7 @@ int run(int argc, const char** argv) {
         timer.restart();
         const SolverResult heuristic = portfolio.solve(g, u, version);
         portfolio_ms += timer.elapsed_millis();
-        const BestResponse swap_baseline = brute.swap_improve(g, u);
+        const SolverResult swap_baseline = brute.swap_improve(g, u);
         check.expect(heuristic.cost <= swap_baseline.cost,
                      cat("portfolio <= swap baseline n=", n, " q=", queries));
         check.expect(heuristic.cost >= reference.cost,

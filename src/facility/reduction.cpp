@@ -47,7 +47,7 @@ FacilitySolution solve_facility_via_best_response(const UGraph& h, std::uint32_t
                                                   std::uint64_t exact_limit) {
   const ReductionInstance instance = make_reduction_instance(h, k);
   const BestResponseSolver solver(version, exact_limit);
-  const BestResponse br = solver.exact(instance.realization, instance.new_player);
+  const SolverResult br = solver.exact(instance.realization, instance.new_player);
 
   FacilitySolution solution;
   solution.centers = br.strategy;

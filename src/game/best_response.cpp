@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "parallel/parallel_for.hpp"
-#include "solver/registry.hpp"
 #include "util/combinatorics.hpp"
 
 namespace bbng {
@@ -62,15 +61,15 @@ void lex_walk(Eval& eval, Vertex from, Vertex to, std::uint32_t remaining,
 /// Full enumeration of `budget`-head strategies on `eval` (loaded with the
 /// incumbent strategy, as every evaluator is on construction).
 template <class Eval>
-BestResponse exact_with(Eval& eval, std::uint32_t budget, std::uint64_t total,
+SolverResult exact_with(Eval& eval, std::uint32_t budget, std::uint64_t total,
                         ThreadPool& exec) {
   const std::uint32_t n = eval.num_vertices();
   const Vertex player = eval.player();
 
-  BestResponse result;
+  SolverResult result;
   result.current_cost = eval.current_cost();
   result.evaluated = total;
-  result.exact = true;
+  result.optimal = true;
   for (const Vertex h : eval.current_strategy()) eval.remove_head(h);
   if (budget == 0) {
     result.cost = eval.cost();
@@ -125,10 +124,10 @@ std::uint64_t BestResponseSolver::candidate_count(const Digraph& g, Vertex u) {
   return binomial(g.num_vertices() - 1, g.out_degree(u));
 }
 
-BestResponse BestResponseSolver::exact(const Digraph& g, Vertex u, ThreadPool* pool) const {
+SolverResult BestResponseSolver::exact(const Digraph& g, Vertex u, ThreadPool* pool) const {
   const std::uint64_t total = candidate_count(g, u);
   BBNG_REQUIRE_MSG(total <= exact_limit_,
-                   "candidate count exceeds the exact-search limit; use solve()");
+                   "candidate count exceeds the exact-search limit; use the \"swap\" backend");
   const std::uint32_t b = g.out_degree(u);
   ThreadPool& exec = pool ? *pool : ThreadPool::shared();
   return with_table_evaluator(g, u, version_, [&](auto& eval) {
@@ -137,12 +136,12 @@ BestResponse BestResponseSolver::exact(const Digraph& g, Vertex u, ThreadPool* p
 }
 
 template <class Eval>
-BestResponse greedy_with(Eval& eval, std::uint32_t budget) {
+SolverResult greedy_with(Eval& eval, std::uint32_t budget) {
   const std::uint32_t n = eval.num_vertices();
 
-  BestResponse result;
+  SolverResult result;
   result.evaluated = 0;
-  result.exact = (budget == 0);
+  result.optimal = (budget == 0);
   result.current_cost = eval.current_cost();
 
   std::vector<Vertex> strategy;
@@ -176,12 +175,11 @@ BestResponse greedy_with(Eval& eval, std::uint32_t budget) {
 }
 
 template <class Eval>
-BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
+SolverResult swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
   const std::uint32_t n = eval.num_vertices();
 
-  BestResponse result;
+  SolverResult result;
   result.evaluated = 1;
-  result.exact = false;
   result.current_cost = eval.current_cost();
 
   std::vector<bool> used(n, false);
@@ -223,16 +221,16 @@ BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
   return result;
 }
 
-template BestResponse greedy_with(NaiveEvaluator&, std::uint32_t);
-template BestResponse greedy_with(DeltaEvaluator&, std::uint32_t);
-template BestResponse greedy_with(CsrDeltaEvaluator&, std::uint32_t);
-template BestResponse greedy_with(TableEvaluator&, std::uint32_t);
-template BestResponse swap_improve_with(NaiveEvaluator&, std::vector<Vertex>);
-template BestResponse swap_improve_with(DeltaEvaluator&, std::vector<Vertex>);
-template BestResponse swap_improve_with(CsrDeltaEvaluator&, std::vector<Vertex>);
-template BestResponse swap_improve_with(TableEvaluator&, std::vector<Vertex>);
+template SolverResult greedy_with(NaiveEvaluator&, std::uint32_t);
+template SolverResult greedy_with(DeltaEvaluator&, std::uint32_t);
+template SolverResult greedy_with(CsrDeltaEvaluator&, std::uint32_t);
+template SolverResult greedy_with(TableEvaluator&, std::uint32_t);
+template SolverResult swap_improve_with(NaiveEvaluator&, std::vector<Vertex>);
+template SolverResult swap_improve_with(DeltaEvaluator&, std::vector<Vertex>);
+template SolverResult swap_improve_with(CsrDeltaEvaluator&, std::vector<Vertex>);
+template SolverResult swap_improve_with(TableEvaluator&, std::vector<Vertex>);
 
-BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
+SolverResult BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   const std::uint32_t b = g.out_degree(u);
   return with_move_evaluator(g, u, version_, incremental_, core_, [b](auto& eval) {
     // Greedy builds from the empty strategy: strip the incumbent heads.
@@ -241,7 +239,7 @@ BestResponse BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   });
 }
 
-BestResponse BestResponseSolver::swap_improve(const Digraph& g, Vertex u,
+SolverResult BestResponseSolver::swap_improve(const Digraph& g, Vertex u,
                                               std::optional<std::vector<Vertex>> start) const {
   return with_move_evaluator(g, u, version_, incremental_, core_, [&start](auto& eval) {
     // Reconcile the evaluator's head set (the incumbent) with the start.
@@ -255,15 +253,6 @@ BestResponse BestResponseSolver::swap_improve(const Digraph& g, Vertex u,
     }
     return swap_improve_with(eval, std::move(strategy));
   });
-}
-
-BestResponse BestResponseSolver::solve(const Digraph& g, Vertex u, ThreadPool* pool) const {
-  // The ladder body lives in the solver registry's "swap" backend
-  // (solver/swap_ladder.hpp), so this entry point and every registry
-  // consumer share one bit-identical implementation.
-  const SolverBudget budget{/*deadline_seconds=*/0, /*node_limit=*/exact_limit_, incremental_,
-                            core_};
-  return to_best_response(find_solver("swap").solve(g, u, version_, budget, pool));
 }
 
 }  // namespace bbng

@@ -18,10 +18,12 @@
 //   * swap    — hill-climb from a start strategy by single-head swaps until
 //               no swap improves (the move set of Alon et al.'s basic games,
 //               and the "weak equilibrium" moves of Section 6).
-//   * solve   — exact when feasible, otherwise greedy refined by swap.
 //
-// All solvers return the player's *cost under the returned strategy*; they
-// never mutate the input graph.
+// The registry's "swap" backend (solver/swap_ladder.hpp) is the one ladder
+// over these rungs: exact when feasible, otherwise greedy refined by swap.
+//
+// All solvers return a SolverResult holding the player's *cost under the
+// returned strategy*; they never mutate the input graph.
 //
 // greedy and swap each have one body, the evaluator-generic greedy_with /
 // swap_improve_with below. BestResponseSolver runs them on the evaluator
@@ -35,6 +37,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "game/game.hpp"
@@ -44,18 +47,36 @@
 
 namespace bbng {
 
-struct BestResponse {
-  std::vector<Vertex> strategy;     ///< sorted heads
-  std::uint64_t cost = 0;           ///< player's cost under `strategy`
-  std::uint64_t current_cost = 0;   ///< player's cost before deviating
-  std::uint64_t evaluated = 0;      ///< candidate strategies scored
+/// What every best-response solver returns: the move-set bodies below and
+/// every registry backend (solver/solver.hpp). `lower_bound` is always an
+/// admissible bound on the true best-response cost (trivial for
+/// heuristics); `optimal` is the certificate that `cost` *is* that optimum
+/// (full enumeration, greedy at b = 0, a closed exact_bb search). `cost`
+/// never exceeds `current_cost` when the player's current strategy is
+/// feasible (the effective budget cap ≥ its out-degree — always true
+/// without an explicit SolverBudget::budget_cap): staying put is then always
+/// a candidate. Under a cap below the current degree, a forced shrink may
+/// cost more than staying put, so `cost > current_cost` is legitimate there.
+struct SolverResult {
+  std::string solver;                ///< registry name of the producing backend
+                                     ///< (empty from the move-set bodies)
+  std::vector<Vertex> strategy;      ///< sorted heads of the incumbent
+  std::uint64_t cost = 0;            ///< player's cost under `strategy`
+  std::uint64_t current_cost = 0;    ///< player's cost before deviating
+  std::uint64_t lower_bound = 0;     ///< admissible LB on the optimal cost
+                                     ///< (left 0 by the move-set bodies)
+  bool optimal = false;              ///< certificate: cost == optimum
+  std::uint64_t nodes_explored = 0;  ///< search-tree nodes expanded
+  std::uint64_t nodes_pruned = 0;    ///< subtrees cut by bounds/dominance
+  std::uint64_t evaluated = 0;       ///< candidate strategies scored
   /// Candidates scored by the incremental delta oracle without any full BFS
   /// recompute (0 on the naive and table evaluators, so 0 under exact
-  /// enumeration up to the table limit; above it the delta evaluator may
-  /// report a nonzero count). evaluated − bfs_avoided bounds the
-  /// full-BFS-equivalent evaluations performed.
+  /// enumeration up to the table limit and wherever exact_bb scores on its
+  /// table; above it the delta evaluator may report a nonzero count).
+  /// evaluated − bfs_avoided bounds the full-BFS-equivalent evaluations
+  /// performed.
   std::uint64_t bfs_avoided = 0;
-  bool exact = false;               ///< true iff produced by full enumeration
+
   [[nodiscard]] bool improves() const noexcept { return cost < current_cost; }
 };
 
@@ -81,18 +102,15 @@ class BestResponseSolver {
   /// `pool` (nullptr = the shared pool) of width 1 walks serially; a wider
   /// one splits walks of at least 4,096 head sets on the table by first
   /// head, bit-identically. The delta branch always walks serially.
-  [[nodiscard]] BestResponse exact(const Digraph& g, Vertex u, ThreadPool* pool = nullptr) const;
+  [[nodiscard]] SolverResult exact(const Digraph& g, Vertex u, ThreadPool* pool = nullptr) const;
 
   /// Greedy arc-by-arc construction (b evaluations of ≤ n-1 candidates each).
-  [[nodiscard]] BestResponse greedy(const Digraph& g, Vertex u) const;
+  [[nodiscard]] SolverResult greedy(const Digraph& g, Vertex u) const;
 
   /// Single-head hill climbing from `start` (defaults to current strategy).
-  [[nodiscard]] BestResponse swap_improve(
+  [[nodiscard]] SolverResult swap_improve(
       const Digraph& g, Vertex u,
       std::optional<std::vector<Vertex>> start = std::nullopt) const;
-
-  /// exact when feasible, else greedy refined by swap_improve.
-  [[nodiscard]] BestResponse solve(const Digraph& g, Vertex u, ThreadPool* pool = nullptr) const;
 
  private:
   CostVersion version_;
@@ -111,12 +129,12 @@ class BestResponseSolver {
 /// greedy_with: `eval` must hold no heads. Adds `budget` heads, each the
 /// lowest-cost probe (ties to the smallest id), and leaves them committed.
 template <class Eval>
-[[nodiscard]] BestResponse greedy_with(Eval& eval, std::uint32_t budget);
+[[nodiscard]] SolverResult greedy_with(Eval& eval, std::uint32_t budget);
 
 /// swap_improve_with: `eval` must hold exactly the heads of `start`. Runs
 /// first-improvement single-head swaps to a local optimum and leaves it
 /// committed.
 template <class Eval>
-[[nodiscard]] BestResponse swap_improve_with(Eval& eval, std::vector<Vertex> start);
+[[nodiscard]] SolverResult swap_improve_with(Eval& eval, std::vector<Vertex> start);
 
 }  // namespace bbng

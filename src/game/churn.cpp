@@ -180,7 +180,7 @@ bool ChurnEngine::certified() const {
 
 NashReport ChurnEngine::audit() const {
   return verify_nash_equilibrium(graph_, config_.version, config_.budget, config_.solver, pool_,
-                                 /*batched=*/true, &caps_);
+                                 &caps_);
 }
 
 SolverResult ChurnEngine::raw_solve(Vertex u, bool use_cache) {

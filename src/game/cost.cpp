@@ -4,7 +4,6 @@
 #include "graph/connectivity.hpp"
 #include "graph/distances.hpp"
 #include "graph/multi_bfs.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace bbng {
 
@@ -29,43 +28,25 @@ std::uint64_t vertex_cost(const Digraph& g, Vertex u, CostVersion version) {
   return vertex_cost(g.underlying(), u, version);
 }
 
-std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version, ThreadPool* pool,
-                                     bool batched) {
+std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   std::vector<std::uint64_t> costs(n);
   if (n == 0) return costs;
   const std::uint64_t inf = cinf(n);
   const std::uint32_t kappa = connected_components(g).count;
-  ThreadPool& exec = pool ? *pool : ThreadPool::shared();
-  if (batched) {
-    const std::vector<BfsAggregates> aggs = all_sources_aggregates(g, &exec);
-    for (Vertex u = 0; u < n; ++u) {
-      if (version == CostVersion::Sum) {
-        costs[u] = aggs[u].sum_dist + static_cast<std::uint64_t>(n - aggs[u].reached) * inf;
-      } else {
-        costs[u] = (kappa == 1) ? aggs[u].max_dist : inf + (kappa - 1) * inf;
-      }
+  const std::vector<BfsAggregates> aggs = all_sources_aggregates(g, pool);
+  for (Vertex u = 0; u < n; ++u) {
+    if (version == CostVersion::Sum) {
+      costs[u] = aggs[u].sum_dist + static_cast<std::uint64_t>(n - aggs[u].reached) * inf;
+    } else {
+      costs[u] = (kappa == 1) ? aggs[u].max_dist : inf + (kappa - 1) * inf;
     }
-    return costs;
   }
-  const std::function<void(std::uint64_t, std::uint64_t)> chunk = [&](std::uint64_t begin,
-                                                                      std::uint64_t end) {
-    BfsRunner runner(n);
-    for (std::uint64_t u = begin; u < end; ++u) {
-      runner.run(g, static_cast<Vertex>(u));
-      if (version == CostVersion::Sum) {
-        costs[u] = runner.sum_dist() + static_cast<std::uint64_t>(n - runner.reached()) * inf;
-      } else {
-        costs[u] = (kappa == 1) ? runner.max_dist() : inf + (kappa - 1) * inf;
-      }
-    }
-  };
-  exec.run_chunked(n, pick_grain(n, exec.width(), 4), chunk);
   return costs;
 }
 
-std::uint64_t social_cost(const UGraph& g, ThreadPool* pool, bool batched) {
-  const std::uint32_t d = diameter(g, pool, batched);
+std::uint64_t social_cost(const UGraph& g, ThreadPool* pool) {
+  const std::uint32_t d = diameter(g, pool);
   return d == kUnreachable ? cinf(g.num_vertices()) : d;
 }
 

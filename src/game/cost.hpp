@@ -24,19 +24,16 @@ namespace bbng {
 /// Convenience overload on a realization.
 [[nodiscard]] std::uint64_t vertex_cost(const Digraph& g, Vertex u, CostVersion version);
 
-/// All players' costs. `batched` (the `incremental`-style opt-out) computes
-/// every player's aggregates through the packed 64-lane MultiBfs engine
-/// (graph/multi_bfs.hpp) instead of one BFS per vertex; both paths apply the
-/// same exact aggregates to the same formulas, so costs are bit-identical.
-/// All accumulators are 64-bit end-to-end: at n = 10⁶ a path-graph SUM is
-/// ~5·10¹¹, far past uint32.
+/// All players' costs: every player's aggregates come from the packed
+/// 64-lane MultiBfs engine (graph/multi_bfs.hpp) instead of one BFS per
+/// vertex, priced with the same formulas as vertex_cost, so each entry is
+/// bit-identical to it. All accumulators are 64-bit end-to-end: at n = 10⁶
+/// a path-graph SUM is ~5·10¹¹, far past uint32.
 [[nodiscard]] std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version,
-                                                   ThreadPool* pool = nullptr,
-                                                   bool batched = true);
+                                                   ThreadPool* pool = nullptr);
 
 /// Social cost of a state = diameter of the underlying graph; the paper uses
 /// n² for disconnected states (every realization with σ < n−1 has this cost).
-[[nodiscard]] std::uint64_t social_cost(const UGraph& g, ThreadPool* pool = nullptr,
-                                        bool batched = true);
+[[nodiscard]] std::uint64_t social_cost(const UGraph& g, ThreadPool* pool = nullptr);
 
 }  // namespace bbng

@@ -52,7 +52,7 @@ EquilibriumReport verify_equilibrium(const Digraph& g, CostVersion version,
   const BestResponseSolver solver(version, exact_limit);
   EquilibriumReport report;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    const BestResponse br = solver.exact(g, u, pool);
+    const SolverResult br = solver.exact(g, u, pool);
     report.strategies_checked += br.evaluated;
     if (br.improves()) {
       report.stable = false;
@@ -100,7 +100,7 @@ std::vector<std::uint64_t> batched_current_costs(const Digraph& g, CostVersion v
 
 NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
                                    const SolverBudget& budget, const std::string& solver,
-                                   ThreadPool* pool, bool batched,
+                                   ThreadPool* pool,
                                    const std::vector<std::uint32_t>* budget_caps) {
   const BestResponseBackend& backend = find_solver(solver);
   const std::uint32_t n = g.num_vertices();
@@ -113,7 +113,7 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
   report.stable = true;
   report.certified = true;
 
-  // Batched current-cost prepass: every player's current cost is a property
+  // Current-cost prepass: every player's current cost is a property
   // of the ONE shared underlying graph (unlike the per-player solves, whose
   // stripped base graphs all differ), so ⌈n/64⌉ packed MultiBfs sweeps
   // replace the n per-seed BFS runs the audit's cost lookups amount to.
@@ -121,20 +121,18 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
   // (solver.hpp: SUM ≥ n−1, MAX ≥ 1) cannot improve by any deviation — at
   // ANY budget cap — so it is certified with regret 0 without invoking the
   // backend at all.
-  std::vector<std::uint64_t> current_costs;
-  if (batched && n > 0) {
-    MultiBfsStats stats;
-    current_costs = batched_current_costs(g, version, budget.core, pool, &stats);
-    report.prepass_sweeps = stats.sweeps;
-    report.prepass_row_scans = stats.row_scans;
-    report.prepass_settled = stats.settled;
-  }
+  MultiBfsStats stats;
+  const std::vector<std::uint64_t> current_costs =
+      batched_current_costs(g, version, budget.core, pool, &stats);
+  report.prepass_sweeps = stats.sweeps;
+  report.prepass_row_scans = stats.row_scans;
+  report.prepass_settled = stats.settled;
   const std::uint64_t bound = trivial_cost_lower_bound(n, version);
 
   // No transposition cache: the canonical key embeds the player, and each
   // player is solved exactly once per scan, so nothing could ever hit.
   for (Vertex u = 0; u < n; ++u) {
-    if (!current_costs.empty() && current_costs[u] == bound) {
+    if (current_costs[u] == bound) {
       ++report.players_skipped;
       ++report.players_certified;
       continue;
@@ -149,8 +147,8 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
     }
     const SolverResult result = backend.solve(g, u, version, player_budget, pool);
     // The backend recomputes the current cost per player; it must agree with
-    // the batched prepass bit-for-bit (same graph, same exact distances).
-    BBNG_ASSERT(current_costs.empty() || result.current_cost == current_costs[u]);
+    // the prepass bit-for-bit (same graph, same exact distances).
+    BBNG_ASSERT(result.current_cost == current_costs[u]);
     report.strategies_checked += result.evaluated;
     report.nodes_explored += result.nodes_explored;
     report.nodes_pruned += result.nodes_pruned;

@@ -83,16 +83,16 @@ struct NashReport {
   std::uint32_t players_certified = 0;     ///< players with an optimality
                                            ///< certificate (closed solves plus
                                            ///< prepass trivial-bound skips)
-  std::uint32_t players_skipped = 0;       ///< of those, certified by the batched
+  std::uint32_t players_skipped = 0;       ///< of those, certified by the
                                            ///< prepass without a backend solve
   std::uint64_t nodes_explored = 0;
   std::uint64_t nodes_pruned = 0;
   std::uint64_t strategies_checked = 0;    ///< candidate strategies scored
   std::uint64_t bfs_avoided = 0;
-  // Work counters of the batched current-cost prepass (0 on the per-seed
-  // path). `prepass_settled` is exactly the row scans n independent BFS runs
-  // would perform for the same costs, so settled / row_scans is the measured
-  // batching gain of this audit (tracked in BENCH_multi_bfs.json).
+  // Work counters of the current-cost prepass. `prepass_settled` is exactly
+  // the row scans n independent BFS runs would perform for the same costs,
+  // so settled / row_scans is the measured batching gain of this audit
+  // (tracked in BENCH_multi_bfs.json).
   std::uint64_t prepass_sweeps = 0;
   std::uint64_t prepass_row_scans = 0;
   std::uint64_t prepass_settled = 0;
@@ -102,18 +102,18 @@ struct NashReport {
 /// certified branch-and-bound) under `budget` (per player). Throws
 /// std::invalid_argument on an unknown solver name.
 ///
-/// `batched` (the `incremental`-style opt-out) first computes EVERY player's
-/// current cost in ⌈n/64⌉ packed MultiBfs sweeps over the shared underlying
-/// graph (on `budget.core`), instead of letting each per-player solve pay
-/// its own full BFS; players whose current cost already equals the trivial
-/// admissible lower bound (solver.hpp) are certified with regret 0 without
-/// a backend solve. The regret report — stable/deviator/improving_strategy/
-/// old_cost/new_cost/epsilon — is identical across the flag (a skipped
-/// player provably has no improving deviation). certified/players_certified
-/// can only gain on the batched path: a skip is a genuine optimality
-/// certificate even when a heuristic backend would have returned the same
-/// cost uncertified (with "exact_bb" they match exactly). The solve counters
-/// (nodes/strategies/bfs_avoided) are work stats, as with
+/// The audit first computes EVERY player's current cost in ⌈n/64⌉ packed
+/// MultiBfs sweeps over the shared underlying graph (on `budget.core`,
+/// batched_current_costs below), instead of letting each per-player solve
+/// pay its own full BFS; players whose current cost already equals the
+/// trivial admissible lower bound (solver.hpp) are certified with regret 0
+/// without a backend solve. A skipped player provably has no improving
+/// deviation, so the regret report — stable/deviator/improving_strategy/
+/// old_cost/new_cost/epsilon — is what solving every player would give.
+/// certified/players_certified can only gain from a skip: it is a genuine
+/// optimality certificate even when a heuristic backend would have returned
+/// the same cost uncertified (with "exact_bb" they match exactly). The
+/// solve counters (nodes/strategies/bfs_avoided) are work stats, as with
 /// verify_swap_equilibrium's strategies_checked, and shrink when solves are
 /// skipped.
 ///
@@ -127,7 +127,7 @@ struct NashReport {
 /// current cost at the admissible floor beats every strategy of every size.
 [[nodiscard]] NashReport verify_nash_equilibrium(
     const Digraph& g, CostVersion version, const SolverBudget& budget = {},
-    const std::string& solver = "exact_bb", ThreadPool* pool = nullptr, bool batched = true,
+    const std::string& solver = "exact_bb", ThreadPool* pool = nullptr,
     const std::vector<std::uint32_t>* budget_caps = nullptr);
 
 /// Every player's exact current cost from ⌈n/64⌉ packed MultiBfs sweeps over

@@ -77,7 +77,7 @@ ImprovementGraphAnalysis analyze_improvement_graph(const BudgetGame& game, CostV
     BBNG_ASSERT(codec.encode(g) == state);
     for (Vertex u = 0; u < game.num_players(); ++u) {
       if (game.budget(u) == 0) continue;
-      const BestResponse br = solver.exact(g, u);
+      const SolverResult br = solver.exact(g, u);
       if (!br.improves()) continue;
       const std::uint64_t digit = codec.strategy_digit(u, br.strategy);
       const std::uint64_t old_digit = codec.strategy_digit(u, g.out_neighbors(u));

@@ -4,20 +4,16 @@
 #include <array>
 
 #include "graph/multi_bfs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/workspace.hpp"
 
 namespace bbng {
 namespace {
 
-/// Aggregate sweeps share one body across graph cores. `batched` routes
-/// through the packed 64-lane MultiBfs engine (one row scan per active
-/// level); the per-seed path leases a Workspace from the shared pool per
-/// chunk and sweeps with bfs_workspace(). Both paths compute the same exact
-/// per-source aggregates, so every result below is bit-identical across the
-/// flag — the per-seed path stays as the differential witness.
+/// Aggregate sweeps share one body across graph cores, each one pass of
+/// the packed 64-lane MultiBfs engine over every source (one row scan per
+/// active level instead of one BFS per vertex).
 template <class G>
-EccentricityResult ecc_impl(const G& g, ThreadPool* pool, bool batched) {
+EccentricityResult ecc_impl(const G& g, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   EccentricityResult result;
   result.ecc.assign(n, kUnreachable);
@@ -25,41 +21,15 @@ EccentricityResult ecc_impl(const G& g, ThreadPool* pool, bool batched) {
     result.connected = true;
     return result;
   }
-  ThreadPool& exec = pool ? *pool : ThreadPool::shared();
-
-  std::atomic<bool> connected{true};
-  if (batched) {
-    const std::vector<BfsAggregates> aggs = all_sources_aggregates(g, &exec);
-    for (Vertex u = 0; u < n; ++u) {
-      if (aggs[u].reached != n) {
-        connected.store(false, std::memory_order_relaxed);
-      } else {
-        result.ecc[u] = aggs[u].max_dist;
-      }
-    }
-  } else {
-    const std::function<void(std::uint64_t, std::uint64_t)> chunk = [&](std::uint64_t begin,
-                                                                        std::uint64_t end) {
-      const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-      for (std::uint64_t u = begin; u < end; ++u) {
-        const BfsAggregates agg = bfs_workspace(g, static_cast<Vertex>(u), lease.ws());
-        if (agg.reached != n) {
-          connected.store(false, std::memory_order_relaxed);
-        } else {
-          result.ecc[u] = agg.max_dist;
-        }
-      }
-    };
-    exec.run_chunked(n, pick_grain(n, exec.width(), 4), chunk);
-  }
-
-  result.connected = connected.load(std::memory_order_relaxed);
+  const std::vector<BfsAggregates> aggs = all_sources_aggregates(g, pool);
+  result.connected = std::all_of(aggs.begin(), aggs.end(),
+                                 [n](const BfsAggregates& agg) { return agg.reached == n; });
   if (!result.connected) {
     result.diameter = kUnreachable;
     result.radius = kUnreachable;
-    std::fill(result.ecc.begin(), result.ecc.end(), kUnreachable);
     return result;
   }
+  for (Vertex u = 0; u < n; ++u) result.ecc[u] = aggs[u].max_dist;
   result.diameter = *std::max_element(result.ecc.begin(), result.ecc.end());
   result.radius = *std::min_element(result.ecc.begin(), result.ecc.end());
   return result;
@@ -82,54 +52,34 @@ std::uint64_t sum_of_distances_impl(const G& g, Vertex u, std::uint64_t cinf) {
 }
 
 template <class G>
-std::optional<double> average_distance_impl(const G& g, ThreadPool* pool, bool batched) {
+std::optional<double> average_distance_impl(const G& g, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   if (n < 2) return std::nullopt;
-  ThreadPool& exec = pool ? *pool : ThreadPool::shared();
-  std::atomic<bool> connected{true};
-  std::atomic<std::uint64_t> total{0};
-  if (batched) {
-    std::uint64_t sum = 0;
-    for (const BfsAggregates& agg : all_sources_aggregates(g, &exec)) {
-      if (agg.reached != n) connected.store(false, std::memory_order_relaxed);
-      sum += agg.sum_dist;
-    }
-    total.store(sum, std::memory_order_relaxed);
-  } else {
-    const std::function<void(std::uint64_t, std::uint64_t)> chunk = [&](std::uint64_t begin,
-                                                                        std::uint64_t end) {
-      const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-      std::uint64_t local = 0;
-      for (std::uint64_t u = begin; u < end; ++u) {
-        const BfsAggregates agg = bfs_workspace(g, static_cast<Vertex>(u), lease.ws());
-        if (agg.reached != n) connected.store(false, std::memory_order_relaxed);
-        local += agg.sum_dist;
-      }
-      total.fetch_add(local, std::memory_order_relaxed);
-    };
-    exec.run_chunked(n, pick_grain(n, exec.width(), 4), chunk);
+  std::uint64_t total = 0;
+  for (const BfsAggregates& agg : all_sources_aggregates(g, pool)) {
+    if (agg.reached != n) return std::nullopt;
+    total += agg.sum_dist;
   }
-  if (!connected.load(std::memory_order_relaxed)) return std::nullopt;
   const auto pairs = static_cast<double>(n) * (n - 1);
-  return static_cast<double>(total.load(std::memory_order_relaxed)) / pairs;
+  return static_cast<double>(total) / pairs;
 }
 
 }  // namespace
 
-EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool, bool batched) {
-  return ecc_impl(g, pool, batched);
+EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool) {
+  return ecc_impl(g, pool);
 }
 
-EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool, bool batched) {
-  return ecc_impl(g, pool, batched);
+EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool) {
+  return ecc_impl(g, pool);
 }
 
-std::uint32_t diameter(const UGraph& g, ThreadPool* pool, bool batched) {
-  return eccentricities(g, pool, batched).diameter;
+std::uint32_t diameter(const UGraph& g, ThreadPool* pool) {
+  return eccentricities(g, pool).diameter;
 }
 
-std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool, bool batched) {
-  return eccentricities(g, pool, batched).diameter;
+std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool) {
+  return eccentricities(g, pool).diameter;
 }
 
 std::uint32_t diameter_lower_bound(const UGraph& g, std::uint32_t samples, Rng& rng) {
@@ -164,54 +114,42 @@ std::uint64_t sum_of_distances(const CsrUGraph& g, Vertex u, std::uint64_t cinf)
   return sum_of_distances_impl(g, u, cinf);
 }
 
-std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g, ThreadPool* pool, bool batched) {
+std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   std::vector<std::vector<std::uint32_t>> matrix(n);
   ThreadPool& exec = pool ? *pool : ThreadPool::shared();
   if (n == 0) return matrix;
-  if (batched) {
-    // One 64-lane sweep fills 64 matrix rows via the settle hook; rows start
-    // kUnreachable so cross-component entries match the per-seed path.
-    const std::uint64_t batches = (n + MultiBfs::kLanes - 1) / MultiBfs::kLanes;
-    exec.run_chunked(batches, 1, [&](std::uint64_t lo, std::uint64_t hi) {
-      const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-      MultiBfs engine(g, &lease.ws());
-      std::array<Vertex, MultiBfs::kLanes> sources{};
-      std::array<BfsAggregates, MultiBfs::kLanes> aggs{};
-      for (std::uint64_t b = lo; b < hi; ++b) {
-        const auto first = static_cast<std::uint32_t>(b * MultiBfs::kLanes);
-        const auto count = std::min<std::uint32_t>(MultiBfs::kLanes, n - first);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          sources[i] = first + i;
-          matrix[first + i].assign(n, kUnreachable);
-        }
-        engine.run_batch(std::span<const Vertex>(sources.data(), count),
-                         std::span<BfsAggregates>(aggs.data(), count),
-                         [&](std::uint32_t lane, Vertex v, std::uint32_t level) {
-                           matrix[first + lane][v] = level;
-                         });
+  // One 64-lane sweep fills 64 matrix rows via the settle hook; rows start
+  // kUnreachable, which cross-component entries keep.
+  const std::uint64_t batches = (n + MultiBfs::kLanes - 1) / MultiBfs::kLanes;
+  exec.run_chunked(batches, 1, [&](std::uint64_t lo, std::uint64_t hi) {
+    const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
+    MultiBfs engine(g, &lease.ws());
+    std::array<Vertex, MultiBfs::kLanes> sources{};
+    std::array<BfsAggregates, MultiBfs::kLanes> aggs{};
+    for (std::uint64_t b = lo; b < hi; ++b) {
+      const auto first = static_cast<std::uint32_t>(b * MultiBfs::kLanes);
+      const auto count = std::min<std::uint32_t>(MultiBfs::kLanes, n - first);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        sources[i] = first + i;
+        matrix[first + i].assign(n, kUnreachable);
       }
-    });
-    return matrix;
-  }
-  const std::function<void(std::uint64_t, std::uint64_t)> chunk = [&](std::uint64_t begin,
-                                                                      std::uint64_t end) {
-    BfsRunner runner(n);
-    for (std::uint64_t u = begin; u < end; ++u) {
-      runner.run(g, static_cast<Vertex>(u));
-      matrix[u].assign(runner.dist().begin(), runner.dist().end());
+      engine.run_batch(std::span<const Vertex>(sources.data(), count),
+                       std::span<BfsAggregates>(aggs.data(), count),
+                       [&](std::uint32_t lane, Vertex v, std::uint32_t level) {
+                         matrix[first + lane][v] = level;
+                       });
     }
-  };
-  exec.run_chunked(n, pick_grain(n, exec.width(), 4), chunk);
+  });
   return matrix;
 }
 
-std::optional<double> average_distance(const UGraph& g, ThreadPool* pool, bool batched) {
-  return average_distance_impl(g, pool, batched);
+std::optional<double> average_distance(const UGraph& g, ThreadPool* pool) {
+  return average_distance_impl(g, pool);
 }
 
-std::optional<double> average_distance(const CsrUGraph& g, ThreadPool* pool, bool batched) {
-  return average_distance_impl(g, pool, batched);
+std::optional<double> average_distance(const CsrUGraph& g, ThreadPool* pool) {
+  return average_distance_impl(g, pool);
 }
 
 }  // namespace bbng

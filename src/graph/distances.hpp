@@ -1,16 +1,16 @@
 // Distance aggregates: eccentricities, diameter, radius, distance sums.
 //
-// The eccentricity sweep (one BFS per vertex) is the dominant cost of the
-// bench harness at large n; it parallelises embarrassingly over sources and
-// runs on the shared ThreadPool. Each worker leases a Workspace arena from
-// the shared pool (parallel/workspace.hpp) and sweeps with bfs_workspace(),
-// so a sweep performs zero steady-state heap allocations per source — at
-// n = 10⁶ the old per-chunk BfsRunner allocations were megabytes of
-// allocator traffic per query. Aggregate entry points are overloaded for
-// both graph cores (UGraph and CsrUGraph) and return identical values. For
-// very large graphs (the k=4 shift graph has 65 536 vertices) a sampled
-// variant gives a certified *lower* bound on the diameter plus the exact
-// eccentricity of the sampled vertices.
+// Every all-sources sweep (eccentricities, diameter, APSP, average
+// distance) runs on the packed 64-lane MultiBfs engine
+// (graph/multi_bfs.hpp), parallel over batches of 64 sources on the shared
+// ThreadPool, each worker on a Workspace arena leased from the shared pool
+// (parallel/workspace.hpp). Single-source queries (eccentricity,
+// sum_of_distances) sweep with bfs_workspace() on a leased arena, so no
+// query performs steady-state heap allocations per source. Aggregate entry
+// points are overloaded for both graph cores (UGraph and CsrUGraph) and
+// return identical values. For very large graphs (the k=4 shift graph has
+// 65 536 vertices) a sampled variant gives a certified *lower* bound on the
+// diameter plus the exact eccentricity of the sampled vertices.
 #pragma once
 
 #include <cstdint>
@@ -32,21 +32,16 @@ struct EccentricityResult {
   bool connected = false;
 };
 
-/// Exact eccentricities, parallel over sources. `batched` (the
-/// `incremental`-style opt-out) routes the sweep through the 64-lane
+/// Exact eccentricities, parallel over sources through the 64-lane
 /// MultiBfs engine (graph/multi_bfs.hpp) — one row scan per active level
-/// instead of one BFS per vertex; `false` keeps the per-seed bfs_workspace
-/// path as the differential witness. Results are bit-identical either way.
-[[nodiscard]] EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool = nullptr,
-                                                bool batched = true);
-[[nodiscard]] EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool = nullptr,
-                                                bool batched = true);
+/// instead of one BFS per vertex. tests/reference/naive_distances.hpp keeps
+/// a serial one-BFS-per-source witness the results are checked against.
+[[nodiscard]] EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool = nullptr);
+[[nodiscard]] EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool = nullptr);
 
 /// Exact diameter (kUnreachable if disconnected).
-[[nodiscard]] std::uint32_t diameter(const UGraph& g, ThreadPool* pool = nullptr,
-                                     bool batched = true);
-[[nodiscard]] std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool = nullptr,
-                                     bool batched = true);
+[[nodiscard]] std::uint32_t diameter(const UGraph& g, ThreadPool* pool = nullptr);
+[[nodiscard]] std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool = nullptr);
 
 /// Diameter lower bound from `samples` BFS sweeps (double-sweep heuristic:
 /// each sample BFS restarts from the farthest vertex found). Exact on trees.
@@ -62,18 +57,15 @@ struct EccentricityResult {
 [[nodiscard]] std::uint64_t sum_of_distances(const CsrUGraph& g, Vertex u, std::uint64_t cinf);
 
 /// Full APSP matrix (row u = BFS from u); intended for small n only.
-/// `batched` streams rows out of packed MultiBfs sweeps via its settle hook
-/// (bit-identical to the per-seed path, kUnreachable across components).
+/// Rows stream out of packed MultiBfs sweeps via its settle hook
+/// (kUnreachable across components).
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g,
-                                                           ThreadPool* pool = nullptr,
-                                                           bool batched = true);
+                                                           ThreadPool* pool = nullptr);
 
 /// Mean finite pairwise distance; nullopt if disconnected or n < 2.
 [[nodiscard]] std::optional<double> average_distance(const UGraph& g,
-                                                     ThreadPool* pool = nullptr,
-                                                     bool batched = true);
+                                                     ThreadPool* pool = nullptr);
 [[nodiscard]] std::optional<double> average_distance(const CsrUGraph& g,
-                                                     ThreadPool* pool = nullptr,
-                                                     bool batched = true);
+                                                     ThreadPool* pool = nullptr);
 
 }  // namespace bbng

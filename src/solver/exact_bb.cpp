@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "game/best_response.hpp"
+#include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
@@ -74,9 +75,9 @@ class Search {
     for (const Vertex h : current) eval_.remove_head(h);
     if (!current_feasible) return;
     offer(current, eval_.current_cost());
-    const BestResponse coarse =
+    const SolverResult coarse =
         greedy_with(eval_, static_cast<std::uint32_t>(current.size()));
-    const BestResponse refined = swap_improve_with(eval_, coarse.strategy);
+    const SolverResult refined = swap_improve_with(eval_, coarse.strategy);
     offer(coarse.strategy, coarse.cost);
     offer(refined.strategy, refined.cost);
     result.evaluated += coarse.evaluated + refined.evaluated;
@@ -343,8 +344,7 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
   result.solver = std::string(name());
 
   if (b == 0) {
-    const StrategyEvaluator eval(g, player, version);
-    result.current_cost = eval.current_cost();
+    result.current_cost = vertex_cost(g, player, version);
     result.cost = result.current_cost;
     result.lower_bound = result.cost;
     result.optimal = true;
@@ -362,8 +362,7 @@ SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVer
       // part of the canonical key — refresh it. And a hit performs no
       // search work: zero the counters so consumers (dynamics totals,
       // nash_audit records) never report replayed effort as new.
-      const StrategyEvaluator eval(g, player, version);
-      cached.current_cost = eval.current_cost();
+      cached.current_cost = vertex_cost(g, player, version);
       cached.nodes_explored = 0;
       cached.nodes_pruned = 0;
       cached.evaluated = 0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "facility/reduction.hpp"
-#include "game/strategy_eval.hpp"
+#include "game/cost.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
@@ -50,8 +50,7 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
     // shrink is allowed to hurt.
     SolverResult result = solve(normalize_player_degree(g, player, b), player, version,
                                 budget, pool, cache);
-    const StrategyEvaluator eval(g, player, version);
-    result.current_cost = eval.current_cost();
+    result.current_cost = vertex_cost(g, player, version);
     return result;
   }
   const Timer timer;
@@ -63,14 +62,14 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
   const BestResponseSolver ladder(version, /*exact_limit=*/1, budget.incremental, budget.core);
 
   // Staying put is the incumbent every racer must beat.
-  const BestResponse baseline = ladder.swap_improve(g, player);
+  const SolverResult baseline = ladder.swap_improve(g, player);
   result.current_cost = baseline.current_cost;
   result.cost = result.current_cost;
   result.strategy.assign(g.out_neighbors(player).begin(), g.out_neighbors(player).end());
   result.evaluated = baseline.evaluated;
   result.bfs_avoided = baseline.bfs_avoided;
 
-  const auto offer = [&](const BestResponse& br) {
+  const auto offer = [&](const SolverResult& br) {
     if (br.cost < result.cost) {
       result.cost = br.cost;
       result.strategy = br.strategy;
@@ -98,7 +97,7 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
   if (b >= 1 && n >= 3 && !expired()) {
     const std::uint64_t seed = g.hash() ^ (0x9e3779b97f4a7c15ULL * (std::uint64_t{player} + 1));
     const std::vector<Vertex> seeded = facility_seed_strategy(g, player, version, seed);
-    const BestResponse refined = ladder.swap_improve(g, player, seeded);
+    const SolverResult refined = ladder.swap_improve(g, player, seeded);
     result.evaluated += refined.evaluated;
     result.bfs_avoided += refined.bfs_avoided;
     offer(refined);

@@ -72,17 +72,6 @@ GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player, CostVersi
   return descent;
 }
 
-BestResponse to_best_response(const SolverResult& result) {
-  BestResponse br;
-  br.strategy = result.strategy;
-  br.cost = result.cost;
-  br.current_cost = result.current_cost;
-  br.evaluated = result.evaluated;
-  br.bfs_avoided = result.bfs_avoided;
-  br.exact = result.optimal;
-  return br;
-}
-
 namespace {
 
 void append_u32(std::string& out, std::uint32_t value) {

@@ -3,12 +3,13 @@
 // Computing a best response is NP-hard (Theorem 2.1), so no single algorithm
 // fits every instance. This subsystem gives every algorithm one shape: a
 // *backend* takes a realization, a player, a cost version, and a SolverBudget
-// (wall-clock deadline + node limit), and returns a SolverResult carrying an
-// incumbent strategy, an admissible lower bound on the true best-response
-// cost, and an optimality certificate flag. Certified backends (exact
-// branch-and-bound) set `optimal` only when the search closed; heuristic
-// backends (portfolio, the greedy+swap ladder) leave it false unless the
-// strategy space is degenerate. Backends are stateless and thread-safe —
+// (wall-clock deadline + node limit), and returns a SolverResult
+// (game/best_response.hpp, the one result type of every best-response
+// solver) carrying an incumbent strategy, an admissible lower bound on the
+// true best-response cost, and an optimality certificate flag. Certified
+// backends (exact branch-and-bound) set `optimal` only when the search
+// closed; heuristic backends (portfolio, the greedy+swap ladder) leave it
+// false unless the strategy space is degenerate. Backends are stateless and thread-safe —
 // the scenario engine calls one shared instance from many jobs at once.
 //
 // Consumers select backends by registry name ("exact_bb", "portfolio",
@@ -67,33 +68,6 @@ struct SolverBudget {
 /// strategy-space size of the same query.
 [[nodiscard]] std::uint32_t effective_budget_cap(const Digraph& g, Vertex player,
                                                  const SolverBudget& budget);
-
-/// What a backend returns. `lower_bound` is always an admissible bound on
-/// the true best-response cost (trivial for heuristics); `optimal` is the
-/// certificate that `cost` *is* that optimum. `cost` never exceeds
-/// `current_cost` when the player's current strategy is feasible (the
-/// effective budget cap ≥ its out-degree — always true without an explicit
-/// SolverBudget::budget_cap): staying put is then always a candidate. Under
-/// a cap below the current degree, a forced shrink may cost more than
-/// staying put, so `cost > current_cost` is legitimate there.
-struct SolverResult {
-  std::string solver;                ///< registry name of the producing backend
-  std::vector<Vertex> strategy;      ///< sorted heads of the incumbent
-  std::uint64_t cost = 0;            ///< player's cost under `strategy`
-  std::uint64_t current_cost = 0;    ///< player's cost before deviating
-  std::uint64_t lower_bound = 0;     ///< admissible LB on the optimal cost
-  bool optimal = false;              ///< certificate: cost == optimum
-  std::uint64_t nodes_explored = 0;  ///< search-tree nodes expanded
-  std::uint64_t nodes_pruned = 0;    ///< subtrees cut by bounds/dominance
-  std::uint64_t evaluated = 0;       ///< candidate strategies scored
-  std::uint64_t bfs_avoided = 0;     ///< of those, served by the delta oracle
-                                     ///< (0 where exact_bb scores on its table)
-
-  [[nodiscard]] bool improves() const noexcept { return cost < current_cost; }
-};
-
-/// Adapter to the legacy BestResponse shape used by the dynamics engine.
-[[nodiscard]] BestResponse to_best_response(const SolverResult& result);
 
 /// Memo of certified solves keyed by the *canonical relevant state* of a
 /// query: the player's base graph (underlying(G) minus the player's edges —
@@ -171,12 +145,12 @@ class BestResponseBackend {
 [[nodiscard]] std::uint64_t trivial_cost_lower_bound(std::uint32_t n, CostVersion version);
 
 /// One greedy construction refined by one swap descent — the incumbent
-/// recipe shared by the portfolio's racer 2 and the branch-and-bound's
-/// seeding, kept in one place so their counters and incumbents stay
+/// recipe shared by the swap ladder's heuristic rung and the portfolio's
+/// racer 2, kept in one place so their counters and incumbents stay
 /// comparable.
 struct GreedySwapDescent {
-  BestResponse coarse;   ///< greedy construction from scratch
-  BestResponse refined;  ///< swap descent started from `coarse`
+  SolverResult coarse;   ///< greedy construction from scratch
+  SolverResult refined;  ///< swap descent started from `coarse`
 };
 [[nodiscard]] GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player,
                                                     CostVersion version, bool incremental,

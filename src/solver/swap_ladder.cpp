@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "game/strategy_eval.hpp"
+#include "game/cost.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
@@ -44,8 +44,7 @@ SolverResult SwapLadderSolver::solve(const Digraph& g, Vertex player, CostVersio
     // is allowed to hurt.
     SolverResult result = solve(normalize_player_degree(g, player, cap), player, version,
                                 budget, pool, cache);
-    const StrategyEvaluator eval(g, player, version);
-    result.current_cost = eval.current_cost();
+    result.current_cost = vertex_cost(g, player, version);
     return result;
   }
   // node_limit IS the legacy exact_limit, verbatim: 0 disables the exact
@@ -53,21 +52,16 @@ SolverResult SwapLadderSolver::solve(const Digraph& g, Vertex player, CostVersio
   // behaviour bit-for-bit for every exact_limit a caller ever passed.
   const BestResponseSolver ladder(version, budget.node_limit, budget.incremental, budget.core);
 
-  SolverResult result;
-  result.solver = std::string(name());
-
   if (ladder.exact_feasible(g, player)) {
-    const BestResponse br = ladder.exact(g, player, pool);
-    result.strategy = br.strategy;
-    result.cost = br.cost;
-    result.current_cost = br.current_cost;
-    result.evaluated = br.evaluated;
-    result.bfs_avoided = br.bfs_avoided;
-    result.optimal = true;
-    result.lower_bound = br.cost;
+    SolverResult result = ladder.exact(g, player, pool);
+    result.solver = std::string(name());
+    result.lower_bound = result.cost;
     publish_swap(result);
     return result;
   }
+
+  SolverResult result;
+  result.solver = std::string(name());
 
   auto [coarse, refined] =
       greedy_swap_descent(g, player, version, budget.incremental, budget.core);

@@ -1,12 +1,11 @@
-// The pre-registry solver ladder as a registry backend.
+// The solver ladder as a registry backend — the library's one ladder.
 //
-// This is the exact behaviour BestResponseSolver::solve has always had —
-// full enumeration when the candidate count fits the limit, otherwise greedy
-// construction refined by swap descent and clamped so a heuristic never
-// recommends a deviation worse than staying put — wrapped in the common
-// backend shape. It exists so every pre-solver-subsystem consumer (the
-// dynamics engine above all) can route through the registry and still
-// produce bit-identical results; it is the registry's conservative default.
+// Full enumeration (BestResponseSolver::exact) when the candidate count fits
+// the limit, otherwise greedy construction refined by swap descent
+// (greedy_swap_descent) and clamped so a heuristic never recommends a
+// deviation worse than staying put. Every consumer that wants the ladder
+// (the dynamics engine above all) calls this backend through the registry;
+// it is the registry's conservative default.
 #pragma once
 
 #include "solver/solver.hpp"
@@ -27,7 +26,7 @@ class SwapLadderSolver final : public BestResponseBackend {
 
   /// `budget.node_limit` is the legacy exact-enumeration candidate cap,
   /// taken verbatim — 0 disables the exact path (callers wanting the legacy
-  /// default pass 2'000'000, as BestResponseSolver does). The ladder has no
+  /// default pass 2'000'000, BestResponseSolver's default exact_limit). The ladder has no
   /// preemption point, so `budget.deadline_seconds` is NOT honoured here;
   /// spec validation rejects a deadline aimed at this backend. `pool`
   /// parallelises the enumeration; `cache` is unused.

@@ -8,17 +8,17 @@
 
 namespace bbng {
 
-BestResponse naive_exact_best_response(const Digraph& g, Vertex player, CostVersion version) {
+SolverResult naive_exact_best_response(const Digraph& g, Vertex player, CostVersion version) {
   const std::uint32_t n = g.num_vertices();
   const std::uint32_t b = g.out_degree(player);
   const StrategyEvaluator eval(g, player, version);
   StrategyEvaluator::Scratch scratch(n);
 
-  BestResponse result;
+  SolverResult result;
   result.current_cost = eval.current_cost();
   result.cost = ~0ULL;
   result.evaluated = binomial(n - 1, b);
-  result.exact = true;
+  result.optimal = true;
 
   std::vector<Vertex> heads(b);
   for (CombinationIterator it(n - 1, b); it.valid(); it.advance()) {

@@ -15,9 +15,9 @@
 namespace bbng {
 
 /// The exact best response of `player` at its current out-degree:
-/// strategy, cost, current_cost, evaluated = C(n−1, b) and exact = true,
+/// strategy, cost, current_cost, evaluated = C(n−1, b) and optimal = true,
 /// with bfs_avoided = 0 (every candidate is one BFS).
-[[nodiscard]] BestResponse naive_exact_best_response(const Digraph& g, Vertex player,
+[[nodiscard]] SolverResult naive_exact_best_response(const Digraph& g, Vertex player,
                                                      CostVersion version);
 
 }  // namespace bbng

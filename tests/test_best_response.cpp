@@ -14,6 +14,7 @@
 #include "game/strategy_eval.hpp"
 #include "graph/generators.hpp"
 #include "reference/naive_best_response.hpp"
+#include "solver/registry.hpp"
 #include "util/combinatorics.hpp"
 
 namespace bbng {
@@ -50,9 +51,9 @@ TEST(ExactBestResponse, MatchesBruteForceOnRandomGames) {
       const BestResponseSolver solver(version);
       for (Vertex u = 0; u < 9; ++u) {
         const auto [ref_strategy, ref_cost] = brute_force(g, u, version);
-        const BestResponse br = solver.exact(g, u);
+        const SolverResult br = solver.exact(g, u);
         EXPECT_EQ(br.cost, ref_cost) << "round " << round << " u " << u;
-        EXPECT_TRUE(br.exact);
+        EXPECT_TRUE(br.optimal);
         EXPECT_EQ(br.evaluated, binomial(8, g.out_degree(u)));
       }
     }
@@ -66,7 +67,7 @@ TEST(ExactBestResponse, CostNeverAboveCurrent) {
     const Digraph g = random_profile(budgets, rng);
     const BestResponseSolver solver(CostVersion::Sum);
     for (Vertex u = 0; u < 10; ++u) {
-      const BestResponse br = solver.exact(g, u);
+      const SolverResult br = solver.exact(g, u);
       EXPECT_LE(br.cost, br.current_cost);
     }
   }
@@ -78,7 +79,7 @@ TEST(ExactBestResponse, PathEndpointRelinksToCenter) {
   // 3, which is optimal (linking to 3 also gives 3; ties break to 2).
   const Digraph g = path_digraph(5);
   const BestResponseSolver solver(CostVersion::Max);
-  const BestResponse br = solver.exact(g, 0);
+  const SolverResult br = solver.exact(g, 0);
   ASSERT_EQ(br.strategy.size(), 1U);
   EXPECT_EQ(br.strategy[0], 2U);
   EXPECT_EQ(br.cost, 3U);
@@ -100,7 +101,7 @@ TEST(ExactBestResponse, ZeroBudgetPlayerTrivial) {
   g.add_arc(2, 1);
   g.add_arc(3, 1);
   const BestResponseSolver solver(CostVersion::Sum);
-  const BestResponse br = solver.exact(g, 0);
+  const SolverResult br = solver.exact(g, 0);
   EXPECT_TRUE(br.strategy.empty());
   EXPECT_EQ(br.cost, br.current_cost);
   EXPECT_EQ(br.evaluated, 1U);
@@ -111,8 +112,8 @@ TEST(ExactBestResponse, DeterministicTieBreaking) {
   // lexicographically and reproducibly.
   const Digraph g = cycle_digraph(7);
   const BestResponseSolver solver(CostVersion::Sum);
-  const BestResponse a = solver.exact(g, 3);
-  const BestResponse b = solver.exact(g, 3);
+  const SolverResult a = solver.exact(g, 3);
+  const SolverResult b = solver.exact(g, 3);
   EXPECT_EQ(a.strategy, b.strategy);
   EXPECT_EQ(a.cost, b.cost);
 }
@@ -124,22 +125,22 @@ TEST(ExactBestResponse, ParallelMatchesSerial) {
   ThreadPool serial(1), wide(4);
   const BestResponseSolver solver(CostVersion::Max);
   for (Vertex u = 0; u < 12; ++u) {
-    const BestResponse a = solver.exact(g, u, &serial);
-    const BestResponse b = solver.exact(g, u, &wide);
+    const SolverResult a = solver.exact(g, u, &serial);
+    const SolverResult b = solver.exact(g, u, &wide);
     EXPECT_EQ(a.cost, b.cost);
     EXPECT_EQ(a.strategy, b.strategy);  // deterministic merge
   }
 }
 
 /// Every field the naive reference defines must match bit for bit.
-void expect_same_as_naive(const BestResponse& got, const Digraph& g, Vertex u,
+void expect_same_as_naive(const SolverResult& got, const Digraph& g, Vertex u,
                           CostVersion version, const std::string& where) {
-  const BestResponse want = naive_exact_best_response(g, u, version);
+  const SolverResult want = naive_exact_best_response(g, u, version);
   EXPECT_EQ(got.strategy, want.strategy) << where;
   EXPECT_EQ(got.cost, want.cost) << where;
   EXPECT_EQ(got.current_cost, want.current_cost) << where;
   EXPECT_EQ(got.evaluated, want.evaluated) << where;
-  EXPECT_EQ(got.exact, want.exact) << where;
+  EXPECT_EQ(got.optimal, want.optimal) << where;
 }
 
 /// `g` with player u's strategy replaced by a random b-subset.
@@ -210,10 +211,10 @@ TEST(ExactBestResponse, DeltaBranchAboveTheTableLimitMatchesNaiveReference) {
   ThreadPool serial(1), wide(4);
   for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
     const BestResponseSolver solver(version);
-    const BestResponse br = solver.exact(g, 7, &serial);
+    const SolverResult br = solver.exact(g, 7, &serial);
     expect_same_as_naive(br, g, 7, version, to_string(version));
     EXPECT_LE(br.bfs_avoided, br.evaluated);
-    const BestResponse four = solver.exact(g, 7, &wide);
+    const SolverResult four = solver.exact(g, 7, &wide);
     EXPECT_EQ(four.strategy, br.strategy);
     EXPECT_EQ(four.cost, br.cost);
     EXPECT_EQ(four.bfs_avoided, br.bfs_avoided);
@@ -230,15 +231,15 @@ TEST(ExactBestResponse, WidePoolMatchesSerialWalkAndNaiveReference) {
       const Digraph g = with_random_strategy(base, u, b, rng);
       for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
         const BestResponseSolver solver(version);
-        const BestResponse one = solver.exact(g, u, &serial);
-        const BestResponse four = solver.exact(g, u, &wide);
+        const SolverResult one = solver.exact(g, u, &serial);
+        const SolverResult four = solver.exact(g, u, &wide);
         const std::string where = "n " + std::to_string(n) + " u " + std::to_string(u) + " " +
                                   to_string(version);
         EXPECT_EQ(one.strategy, four.strategy) << where;
         EXPECT_EQ(one.cost, four.cost) << where;
         EXPECT_EQ(one.current_cost, four.current_cost) << where;
         EXPECT_EQ(one.evaluated, four.evaluated) << where;
-        EXPECT_EQ(one.exact, four.exact) << where;
+        EXPECT_EQ(one.optimal, four.optimal) << where;
         expect_same_as_naive(four, g, u, version, where);
       }
     }
@@ -253,8 +254,8 @@ TEST(GreedyBestResponse, NeverBeatsExactButIsFeasible) {
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       const BestResponseSolver solver(version);
       for (Vertex u = 0; u < 10; ++u) {
-        const BestResponse exact = solver.exact(g, u);
-        const BestResponse greedy = solver.greedy(g, u);
+        const SolverResult exact = solver.exact(g, u);
+        const SolverResult greedy = solver.greedy(g, u);
         EXPECT_GE(greedy.cost, exact.cost);
         EXPECT_EQ(greedy.strategy.size(), g.out_degree(u));
       }
@@ -282,7 +283,7 @@ TEST(SwapImprove, NeverWorseThanStart) {
   const BestResponseSolver solver(CostVersion::Sum);
   for (Vertex u = 0; u < 10; ++u) {
     const StrategyEvaluator eval(g, u, CostVersion::Sum);
-    const BestResponse br = solver.swap_improve(g, u);
+    const SolverResult br = solver.swap_improve(g, u);
     EXPECT_LE(br.cost, eval.current_cost());
   }
 }
@@ -293,25 +294,31 @@ TEST(SwapImprove, ReachesLocalOptimum) {
   const Digraph g = random_profile(budgets, rng);
   const BestResponseSolver solver(CostVersion::Max);
   for (Vertex u = 0; u < 9; ++u) {
-    const BestResponse br = solver.swap_improve(g, u);
+    const SolverResult br = solver.swap_improve(g, u);
     // Applying the returned strategy and swapping again gains nothing.
     Digraph moved = g;
     moved.set_strategy(u, br.strategy);
-    const BestResponse again = solver.swap_improve(moved, u);
+    const SolverResult again = solver.swap_improve(moved, u);
     EXPECT_EQ(again.cost, br.cost);
   }
 }
 
 TEST(Solve, UsesExactWhenFeasibleElseHeuristic) {
+  // The registry's "swap" backend is the ladder: its node limit is the
+  // exact-enumeration candidate cap.
   Rng rng(209);
   const auto budgets = random_budgets(10, 12, rng);
   const Digraph g = random_profile(budgets, rng);
-  const BestResponseSolver tight(CostVersion::Sum, /*exact_limit=*/2);
-  const BestResponseSolver loose(CostVersion::Sum);
+  const BestResponseBackend& ladder = find_solver("swap");
+  SolverBudget tight;
+  tight.node_limit = 2;
+  SolverBudget loose;
+  loose.node_limit = 2'000'000;
+  const BestResponseSolver loose_solver(CostVersion::Sum);
   for (Vertex u = 0; u < 10; ++u) {
-    const BestResponse heur = tight.solve(g, u);
-    const BestResponse exact = loose.solve(g, u);
-    EXPECT_TRUE(exact.exact || g.out_degree(u) == 0 || !loose.exact_feasible(g, u));
+    const SolverResult heur = ladder.solve(g, u, CostVersion::Sum, tight);
+    const SolverResult exact = ladder.solve(g, u, CostVersion::Sum, loose);
+    EXPECT_TRUE(exact.optimal || g.out_degree(u) == 0 || !loose_solver.exact_feasible(g, u));
     EXPECT_GE(heur.cost, exact.cost);
     EXPECT_LE(heur.cost, heur.current_cost + 0);  // heuristic may equal current
   }

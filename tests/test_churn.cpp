@@ -465,7 +465,7 @@ TEST(Dynamics, IsolatedPlayerWithBudgetBuysIn) {
   EXPECT_EQ(result.graph.out_degree(5), 2U);
   EXPECT_EQ(result.graph.out_degree(4), 0U);  // budget 0 stays a bystander
   const NashReport report = verify_nash_equilibrium(result.graph, CostVersion::Sum, {},
-                                                    "exact_bb", nullptr, true, &config.budgets);
+                                                    "exact_bb", nullptr, &config.budgets);
   EXPECT_TRUE(report.stable);
   EXPECT_TRUE(report.certified);
 }

@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
+#include "solver/registry.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -370,12 +371,12 @@ TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
       const BestResponseSolver ladder(version, /*exact_limit=*/1);
       for (Vertex u = 0; u < n; ++u) {
         if (g.out_degree(u) == 0) continue;
-        const BestResponse greedy = ladder.greedy(g, u);
-        const BestResponse swapped = ladder.swap_improve(g, u, greedy.strategy);
+        const SolverResult greedy = ladder.greedy(g, u);
+        const SolverResult swapped = ladder.swap_improve(g, u, greedy.strategy);
         TableEvaluator table(g, u, version);
         for (const Vertex h : g.out_neighbors(u)) table.remove_head(h);
-        const BestResponse table_greedy = greedy_with(table, g.out_degree(u));
-        const BestResponse table_swapped = swap_improve_with(table, table_greedy.strategy);
+        const SolverResult table_greedy = greedy_with(table, g.out_degree(u));
+        const SolverResult table_swapped = swap_improve_with(table, table_greedy.strategy);
         EXPECT_EQ(table_greedy.strategy, greedy.strategy);
         EXPECT_EQ(table_greedy.cost, greedy.cost);
         EXPECT_EQ(table_greedy.evaluated, greedy.evaluated);
@@ -384,8 +385,8 @@ TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
         EXPECT_EQ(table_swapped.evaluated, swapped.evaluated);
         NaiveEvaluator naive(g, u, version);
         for (const Vertex h : g.out_neighbors(u)) naive.remove_head(h);
-        const BestResponse naive_greedy = greedy_with(naive, g.out_degree(u));
-        const BestResponse naive_swapped = swap_improve_with(naive, naive_greedy.strategy);
+        const SolverResult naive_greedy = greedy_with(naive, g.out_degree(u));
+        const SolverResult naive_swapped = swap_improve_with(naive, naive_greedy.strategy);
         EXPECT_EQ(naive_greedy.strategy, greedy.strategy);
         EXPECT_EQ(naive_greedy.cost, greedy.cost);
         EXPECT_EQ(naive_greedy.evaluated, greedy.evaluated);
@@ -440,8 +441,8 @@ TEST(DeltaEvalDifferential, SwapSolverIdenticalWithEvaluatorOnAndOff) {
       const BestResponseSolver incremental(version, 2'000'000, true);
       const BestResponseSolver naive(version, 2'000'000, false);
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse a = incremental.swap_improve(g, u);
-        const BestResponse b = naive.swap_improve(g, u);
+        const SolverResult a = incremental.swap_improve(g, u);
+        const SolverResult b = naive.swap_improve(g, u);
         ASSERT_EQ(a.cost, b.cost) << "round " << round << " u " << u;
         ASSERT_EQ(a.strategy, b.strategy);
         ASSERT_EQ(a.current_cost, b.current_cost);
@@ -453,8 +454,8 @@ TEST(DeltaEvalDifferential, SwapSolverIdenticalWithEvaluatorOnAndOff) {
         // full-BFS-equivalent evaluations, including for zero-budget players.
         ASSERT_LE(a.bfs_avoided, a.evaluated);
 
-        const BestResponse ga = incremental.greedy(g, u);
-        const BestResponse gb = naive.greedy(g, u);
+        const SolverResult ga = incremental.greedy(g, u);
+        const SolverResult gb = naive.greedy(g, u);
         ASSERT_EQ(ga.cost, gb.cost);
         ASSERT_EQ(ga.strategy, gb.strategy);
         ASSERT_EQ(ga.evaluated, gb.evaluated);
@@ -472,15 +473,21 @@ TEST(DeltaEvalDifferential, SolveIdenticalWithEvaluatorOnAndOff) {
     const std::uint32_t n = 7 + static_cast<std::uint32_t>(round % 6);
     const Digraph g = random_instance(n, rng);
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
-      // exact_limit 1 forces the heuristic (greedy + swap) ladder rung where
-      // the evaluator choice matters; the exact rung shares one code path.
-      const BestResponseSolver incremental(version, /*exact_limit=*/1, true);
-      const BestResponseSolver naive(version, /*exact_limit=*/1, false);
+      // node_limit 1 forces the "swap" ladder's heuristic (greedy + swap)
+      // rung where the evaluator choice matters; the exact rung shares one
+      // code path.
+      const BestResponseBackend& ladder = find_solver("swap");
+      SolverBudget incremental;
+      incremental.node_limit = 1;
+      SolverBudget naive = incremental;
+      naive.incremental = false;
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse a = incremental.solve(g, u);
-        const BestResponse b = naive.solve(g, u);
+        const SolverResult a = ladder.solve(g, u, version, incremental);
+        const SolverResult b = ladder.solve(g, u, version, naive);
         ASSERT_EQ(a.cost, b.cost) << "round " << round << " u " << u;
         ASSERT_EQ(a.strategy, b.strategy);
+        ASSERT_EQ(a.current_cost, b.current_cost);
+        ASSERT_EQ(a.evaluated, b.evaluated);
       }
     }
   }
@@ -522,7 +529,7 @@ TEST(DeltaEvalDifferential, DynamicsRunsIdenticalWithEvaluatorOnAndOff) {
       DynamicsConfig config;
       config.policy = policy;
       config.max_rounds = 40;
-      config.exact_limit = 1;  // keep the BestResponse policy on the heuristic rung
+      config.exact_limit = 1;  // keep the SolverResult policy on the heuristic rung
       for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
         config.version = version;
         config.incremental = true;

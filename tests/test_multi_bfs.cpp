@@ -5,10 +5,11 @@
 // on connected and disconnected graphs, on both graph cores, for full,
 // ragged, and duplicate-source batches. On top of the 200-random-graph
 // differential, the suite pins the rewired consumers (eccentricities /
-// diameter / APSP / average_distance, all_costs / social_cost, and the
-// verify_nash_equilibrium prepass) against their per-seed opt-out paths,
-// pins the Workspace lane-plane restore + zero-steady-state-allocation
-// protocol, and pins the 64-bit SUM aggregate width with a path graph whose
+// diameter / APSP / average_distance, all_costs / social_cost) against the
+// serial per-source references in tests/reference/naive_distances.hpp on
+// both cores, and the verify_nash_equilibrium prepass against solving every
+// player. It also pins the Workspace lane-plane restore +
+// zero-steady-state-allocation protocol, and pins the 64-bit SUM aggregate width with a path graph whose
 // distance sum exceeds 2³². A fuzz walk in the test_fuzz_dynamic_bfs.cpp
 // style mutates both cores in lockstep and re-audits after every step.
 #include "graph/multi_bfs.hpp"
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,8 @@
 #include "graph/ugraph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/workspace.hpp"
+#include "reference/naive_distances.hpp"
+#include "solver/registry.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -240,27 +244,34 @@ TEST(MultiBfs, DistanceConsumersMatchPerSeedWitness) {
     const UGraph& g = corpus[index];
     const CsrUGraph csr(g);
 
+    const EccentricityResult per_seed = naive_eccentricities(g);
+    ASSERT_EQ(naive_eccentricities(csr).ecc, per_seed.ecc) << "graph " << index;
     const EccentricityResult batched = eccentricities(g);
-    const EccentricityResult per_seed = eccentricities(g, nullptr, /*batched=*/false);
     ASSERT_EQ(batched.connected, per_seed.connected) << "graph " << index;
     ASSERT_EQ(batched.diameter, per_seed.diameter) << "graph " << index;
     ASSERT_EQ(batched.radius, per_seed.radius) << "graph " << index;
     ASSERT_EQ(batched.ecc, per_seed.ecc) << "graph " << index;
     const EccentricityResult csr_batched = eccentricities(csr);
+    ASSERT_EQ(csr_batched.connected, per_seed.connected) << "graph " << index;
     ASSERT_EQ(csr_batched.ecc, per_seed.ecc) << "graph " << index;
 
-    ASSERT_EQ(diameter(g), diameter(g, nullptr, /*batched=*/false)) << "graph " << index;
-    ASSERT_EQ(diameter(csr), diameter(csr, nullptr, /*batched=*/false)) << "graph " << index;
+    ASSERT_EQ(diameter(g), per_seed.diameter) << "graph " << index;
+    ASSERT_EQ(diameter(csr), naive_eccentricities(csr).diameter) << "graph " << index;
 
-    ASSERT_EQ(apsp(g), apsp(g, nullptr, /*batched=*/false)) << "graph " << index;
+    ASSERT_EQ(apsp(g), naive_apsp(g)) << "graph " << index;
+    ASSERT_EQ(naive_apsp(csr), naive_apsp(g)) << "graph " << index;
 
     const std::optional<double> avg = average_distance(g);
-    const std::optional<double> avg_witness = average_distance(g, nullptr, /*batched=*/false);
+    const std::optional<double> avg_witness = naive_average_distance(g);
     ASSERT_EQ(avg.has_value(), avg_witness.has_value()) << "graph " << index;
+    const std::optional<double> csr_avg = average_distance(csr);
+    const std::optional<double> csr_avg_witness = naive_average_distance(csr);
+    ASSERT_EQ(csr_avg.has_value(), csr_avg_witness.has_value()) << "graph " << index;
     // Both paths divide the same exact integer totals, so the doubles are
     // bit-identical, not merely close.
     if (avg.has_value()) {
       ASSERT_EQ(*avg, *avg_witness) << "graph " << index;
+      ASSERT_EQ(*csr_avg, *csr_avg_witness) << "graph " << index;
     }
   }
 }
@@ -272,26 +283,52 @@ TEST(MultiBfs, CostConsumersMatchPerSeedWitness) {
     const UGraph g = erdos_renyi(n, trial % 2 == 0 ? 0.06 : 0.25, rng);
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       const std::vector<std::uint64_t> batched = all_costs(g, version);
-      const std::vector<std::uint64_t> per_seed =
-          all_costs(g, version, nullptr, /*batched=*/false);
+      const std::vector<std::uint64_t> per_seed = naive_all_costs(g, version);
       ASSERT_EQ(batched, per_seed) << "trial " << trial << " " << to_string(version);
+      ASSERT_EQ(naive_all_costs(CsrUGraph(g), version), per_seed) << "trial " << trial;
       // Cross-check one entry against the scalar evaluator.
       const Vertex probe = static_cast<Vertex>(rng.next_below(n));
       ASSERT_EQ(batched[probe], vertex_cost(g, probe, version)) << "trial " << trial;
     }
-    ASSERT_EQ(social_cost(g), social_cost(g, nullptr, /*batched=*/false)) << "trial " << trial;
+    const std::uint32_t d = naive_eccentricities(g).diameter;
+    ASSERT_EQ(social_cost(g), d == kUnreachable ? cinf(n) : d) << "trial " << trial;
   }
 }
 
-/// The regret report must be identical across the batched flag; the prepass
-/// counters exist only on the batched path. With the certified exact_bb
-/// backend the certificate counts match exactly too.
+/// The audit without its prepass: every player solved with the named
+/// backend, the regret report folded exactly as verify_nash_equilibrium
+/// folds it.
+NashReport audit_every_player(const Digraph& g, CostVersion version, const SolverBudget& budget,
+                              const std::string& solver) {
+  const BestResponseBackend& backend = find_solver(solver);
+  NashReport report;
+  report.stable = true;
+  report.certified = true;
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    const SolverResult result = backend.solve(g, u, version, budget);
+    if (result.optimal) ++report.players_certified;
+    report.certified = report.certified && result.optimal;
+    if (!result.improves()) continue;
+    if (report.stable) {
+      report.stable = false;
+      report.deviator = u;
+      report.improving_strategy = result.strategy;
+      report.old_cost = result.current_cost;
+      report.new_cost = result.cost;
+    }
+    report.epsilon = std::max(report.epsilon, result.current_cost - result.cost);
+  }
+  return report;
+}
+
+/// The regret report must be identical to solving every player; the prepass
+/// counters are the audit's own. With the certified exact_bb backend the
+/// certificate counts match exactly too.
 void expect_audit_matches_per_seed(const Digraph& g, CostVersion version, GraphCore core) {
   SolverBudget budget;
   budget.core = core;
   const NashReport batched = verify_nash_equilibrium(g, version, budget);
-  const NashReport per_seed =
-      verify_nash_equilibrium(g, version, budget, "exact_bb", nullptr, /*batched=*/false);
+  const NashReport per_seed = audit_every_player(g, version, budget, "exact_bb");
 
   ASSERT_EQ(batched.stable, per_seed.stable) << to_string(version);
   ASSERT_EQ(batched.certified, per_seed.certified) << to_string(version);
@@ -308,9 +345,6 @@ void expect_audit_matches_per_seed(const Digraph& g, CostVersion version, GraphC
   EXPECT_EQ(batched.prepass_sweeps, (n + 63) / 64);
   EXPECT_GE(batched.prepass_settled, n);  // every source settles itself
   EXPECT_GT(batched.prepass_row_scans, 0U);
-  EXPECT_EQ(per_seed.prepass_sweeps, 0U);
-  EXPECT_EQ(per_seed.prepass_row_scans, 0U);
-  EXPECT_EQ(per_seed.prepass_settled, 0U);
 }
 
 TEST(MultiBfs, NashAuditBatchedMatchesPerSeedBitForBit) {
@@ -340,9 +374,8 @@ TEST(MultiBfs, NashAuditSkipsTriviallyOptimalPlayers) {
     EXPECT_TRUE(report.certified) << to_string(version);
     EXPECT_GE(report.players_skipped, 1U) << to_string(version);
     EXPECT_EQ(report.players_certified, star.num_vertices()) << to_string(version);
-    // The skip is sound: the per-seed audit agrees on the verdict.
-    const NashReport witness =
-        verify_nash_equilibrium(star, version, {}, "exact_bb", nullptr, /*batched=*/false);
+    // The skip is sound: solving every player agrees on the verdict.
+    const NashReport witness = audit_every_player(star, version, {}, "exact_bb");
     EXPECT_EQ(witness.stable, report.stable);
     EXPECT_EQ(witness.epsilon, report.epsilon);
     EXPECT_EQ(witness.players_certified, report.players_certified);

@@ -44,7 +44,7 @@ TEST(SolverExact, MatchesBruteForceOnExhaustiveCorpus) {
     const BudgetGame game(g.budgets());
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse reference = naive_exact_best_response(g, u, version);
+        const SolverResult reference = naive_exact_best_response(g, u, version);
         const SolverResult result = bb.solve(g, u, version);
         ASSERT_EQ(result.cost, reference.cost)
             << "round " << round << " u " << u << " " << to_string(version);
@@ -74,7 +74,7 @@ TEST(SolverExact, HandlesDisconnectedInstances) {
     const Digraph g = random_profile(budgets, rng);
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       for (Vertex u = 0; u < n; ++u) {
-        const BestResponse reference = naive_exact_best_response(g, u, version);
+        const SolverResult reference = naive_exact_best_response(g, u, version);
         const SolverResult result = bb.solve(g, u, version);
         ASSERT_EQ(result.cost, reference.cost)
             << "round " << round << " u " << u << " " << to_string(version);
@@ -115,7 +115,7 @@ TEST(SolverExact, NodeLimitTruncationIsAnytime) {
       const SolverResult result = bb.solve(g, u, CostVersion::Sum, budget);
       EXPECT_LE(result.cost, result.current_cost);
       EXPECT_LE(result.lower_bound, result.cost);
-      const BestResponse reference = naive_exact_best_response(g, u, CostVersion::Sum);
+      const SolverResult reference = naive_exact_best_response(g, u, CostVersion::Sum);
       if (result.optimal) {
         EXPECT_EQ(result.cost, reference.cost);
       } else {
@@ -185,7 +185,7 @@ TEST(SolverExact, PrunesAgainstFullEnumeration) {
   const ExactBranchAndBound bb;
   const SolverResult result = bb.solve(g, 0, CostVersion::Sum);
   ASSERT_TRUE(result.optimal);
-  const BestResponse reference = naive_exact_best_response(g, 0, CostVersion::Sum);
+  const SolverResult reference = naive_exact_best_response(g, 0, CostVersion::Sum);
   EXPECT_EQ(result.cost, reference.cost);
   EXPECT_LT(result.evaluated, reference.evaluated);
   EXPECT_GT(result.nodes_pruned, 0u);

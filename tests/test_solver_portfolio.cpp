@@ -34,7 +34,7 @@ TEST(SolverPortfolio, NeverWorseThanSwapBaselineOn200Seeds) {
       const BestResponseSolver baseline_solver(version);
       for (Vertex u = 0; u < n; ++u) {
         if (g.out_degree(u) == 0) continue;
-        const BestResponse swap_baseline = baseline_solver.swap_improve(g, u);
+        const SolverResult swap_baseline = baseline_solver.swap_improve(g, u);
         const SolverResult result = portfolio.solve(g, u, version);
         ASSERT_LE(result.cost, swap_baseline.cost)
             << "round " << round << " u " << u << " " << to_string(version);
@@ -62,7 +62,7 @@ TEST(SolverPortfolio, OptimalWhereExhaustiveSearchCanCheck) {
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       for (Vertex u = 0; u < n; ++u) {
         if (g.out_degree(u) == 0) continue;
-        const BestResponse reference = naive_exact_best_response(g, u, version);
+        const SolverResult reference = naive_exact_best_response(g, u, version);
         const SolverResult result = portfolio.solve(g, u, version);
         ASSERT_GE(result.cost, reference.cost);
         if (result.optimal) {

@@ -1,7 +1,7 @@
 // Registry contract tests: lookup by name, the error message for unknown
 // names (spec validation surfaces it verbatim), and — the load-bearing one —
-// bit-compatibility of the "swap" backend with the pre-registry
-// BestResponseSolver::solve ladder, which now routes through it.
+// bit-compatibility of the "swap" backend with its parts: the exact walk
+// when feasible, else greedy_swap_descent clamped to staying put.
 #include "solver/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -45,10 +45,33 @@ TEST(SolverRegistry, UnknownNameThrowsNamingTheOffenderAndTheOptions) {
   }
 }
 
+/// The "swap" backend rebuilt from its parts: BestResponseSolver::exact when
+/// the candidate count fits `limit`, else greedy_swap_descent keeping the
+/// cheaper of its two incumbents, clamped so it never recommends a
+/// deviation worse than staying put.
+SolverResult ladder_from_parts(const Digraph& g, Vertex u, CostVersion version,
+                               std::uint64_t limit) {
+  const BestResponseSolver ladder(version, limit);
+  if (ladder.exact_feasible(g, u)) return ladder.exact(g, u);
+  const GreedySwapDescent descent = greedy_swap_descent(g, u, version, /*incremental=*/true);
+  SolverResult result = descent.refined;
+  result.evaluated = descent.coarse.evaluated + descent.refined.evaluated;
+  if (descent.coarse.cost < result.cost) {
+    result.strategy = descent.coarse.strategy;
+    result.cost = descent.coarse.cost;
+  }
+  if (result.cost >= result.current_cost) {
+    result.strategy.assign(g.out_neighbors(u).begin(), g.out_neighbors(u).end());
+    std::sort(result.strategy.begin(), result.strategy.end());
+    result.cost = result.current_cost;
+  }
+  return result;
+}
+
 TEST(SolverRegistry, SwapBackendIsBitCompatibleWithTheLadder) {
-  // BestResponseSolver::solve delegates to the "swap" backend; both exact
-  // and heuristic regimes must return identical strategies and counters to
-  // what the pre-registry ladder produced (the backend IS that ladder).
+  // The "swap" backend is the one ladder; in both the exact and the
+  // heuristic regime it must return the strategies and counters its parts
+  // produce.
   const BestResponseBackend& swap = find_solver("swap");
   Rng rng(606);
   for (int round = 0; round < 40; ++round) {
@@ -58,18 +81,17 @@ TEST(SolverRegistry, SwapBackendIsBitCompatibleWithTheLadder) {
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       // exact_limit 1 forces the heuristic regime; the default allows exact.
       for (const std::uint64_t limit : {std::uint64_t{1}, std::uint64_t{2'000'000}}) {
-        const BestResponseSolver ladder(version, limit);
         for (Vertex u = 0; u < n; ++u) {
           if (g.out_degree(u) == 0) continue;
-          const BestResponse via_solver = ladder.solve(g, u);
+          const SolverResult via_parts = ladder_from_parts(g, u, version, limit);
           SolverBudget budget;
           budget.node_limit = limit;
           const SolverResult via_registry = swap.solve(g, u, version, budget);
-          ASSERT_EQ(via_solver.cost, via_registry.cost);
-          ASSERT_EQ(via_solver.strategy, via_registry.strategy);
-          ASSERT_EQ(via_solver.current_cost, via_registry.current_cost);
-          ASSERT_EQ(via_solver.evaluated, via_registry.evaluated);
-          ASSERT_EQ(via_solver.exact, via_registry.optimal);
+          ASSERT_EQ(via_parts.cost, via_registry.cost);
+          ASSERT_EQ(via_parts.strategy, via_registry.strategy);
+          ASSERT_EQ(via_parts.current_cost, via_registry.current_cost);
+          ASSERT_EQ(via_parts.evaluated, via_registry.evaluated);
+          ASSERT_EQ(via_parts.optimal, via_registry.optimal);
         }
       }
     }
@@ -88,8 +110,7 @@ TEST(SolverRegistry, SwapNodeLimitZeroDisablesTheExactPath) {
     if (g.out_degree(u) == 0) continue;
     const SolverResult result = swap.solve(g, u, CostVersion::Sum, budget);
     EXPECT_FALSE(result.optimal);  // enumeration never ran
-    const BestResponseSolver ladder(CostVersion::Sum, /*exact_limit=*/0);
-    const BestResponse reference = ladder.solve(g, u);
+    const SolverResult reference = ladder_from_parts(g, u, CostVersion::Sum, /*limit=*/0);
     EXPECT_EQ(result.cost, reference.cost);
     EXPECT_EQ(result.strategy, reference.strategy);
   }
