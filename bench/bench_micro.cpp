@@ -1,6 +1,7 @@
 // Substrate microbenchmarks (google-benchmark): the primitives whose
 // throughput bounds every experiment — BFS, eccentricity sweeps, Dinic,
-// strategy evaluation, exact best response, and the Theorem 2.3 builder.
+// strategy evaluation, the exact solvers' base-distance table build, exact
+// best response, and the Theorem 2.3 builder.
 #include <benchmark/benchmark.h>
 
 #include "constructions/equilibria.hpp"
@@ -62,6 +63,29 @@ void BM_StrategyEvaluate(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(eval.evaluate(strategy, scratch));
 }
 BENCHMARK(BM_StrategyEvaluate)->Arg(64)->Arg(256)->Arg(1024);
+
+// One TableEvaluator per player of a random σ = 2n profile (eight profiles,
+// cycled); items are constructions. n = 64 is the last one-word table fill,
+// n = 65 the first 64-lane sweep.
+void BM_TableEvaluatorBuild(benchmark::State& state) {
+  Rng rng(10);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::vector<Digraph> profiles;
+  for (int i = 0; i < 8; ++i) {
+    profiles.push_back(random_profile(random_budgets(n, 2ULL * n, rng), rng));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Digraph& g = profiles[next];
+    next = (next + 1) % profiles.size();
+    for (Vertex u = 0; u < n; ++u) {
+      const TableEvaluator eval(g, u, CostVersion::Sum);
+      benchmark::DoNotOptimize(eval.current_cost());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_TableEvaluatorBuild)->Arg(12)->Arg(40)->Arg(64)->Arg(65)->Arg(256);
 
 void BM_ExactBestResponse(benchmark::State& state) {
   Rng rng(5);

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "game/cost.hpp"
-#include "game/strategy_eval.hpp"
+#include "game/equilibrium.hpp"
 #include "util/combinatorics.hpp"
 
 namespace bbng {
@@ -18,24 +18,6 @@ std::vector<Vertex> combination_to_strategy(std::span<const std::uint32_t> subse
   heads.reserve(subset.size());
   for (const std::uint32_t idx : subset) heads.push_back(index_to_vertex(idx, u));
   return heads;
-}
-
-/// True iff player u can strictly lower its cost by any strategy change.
-bool has_improving_deviation(const Digraph& g, Vertex u, CostVersion version) {
-  const std::uint32_t n = g.num_vertices();
-  const StrategyEvaluator eval(g, u, version);
-  StrategyEvaluator::Scratch scratch(n);
-  const std::uint64_t current = eval.current_cost();
-  bool improving = false;
-  for_each_combination(n - 1, g.out_degree(u), [&](std::span<const std::uint32_t> subset) {
-    const auto heads = combination_to_strategy(subset, u);
-    if (eval.evaluate(heads, scratch) < current) {
-      improving = true;
-      return false;  // early exit
-    }
-    return true;
-  });
-  return improving;
 }
 
 }  // namespace
@@ -103,12 +85,9 @@ ExhaustiveAnalysis exhaustive_analysis(const BudgetGame& game, CostVersion versi
         const std::uint64_t diam = social_cost(g.underlying(), pool);
         analysis.opt_diameter = std::min(analysis.opt_diameter, diam);
 
-        bool equilibrium = true;
-        for (Vertex u = 0; u < g.num_vertices() && equilibrium; ++u) {
-          if (g.out_degree(u) == 0) continue;
-          equilibrium = !has_improving_deviation(g, u, version);
-        }
-        if (equilibrium) {
+        // `limit` bounds the profile count Π_u C(n−1, b_u), so also every
+        // player's candidate count: no exact solve is refused.
+        if (verify_equilibrium(g, version, limit, pool).stable) {
           ++analysis.equilibria;
           analysis.best_equilibrium_diameter =
               std::min(analysis.best_equilibrium_diameter, diam);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 
 #include "graph/connectivity.hpp"
@@ -180,6 +181,72 @@ BBNG_PROBE_CLONES void fold_min(const std::uint32_t* __restrict row,
   for (std::uint32_t v = 0; v < n; ++v) fold[v] = std::min(fold[v], row[v]);
 }
 
+/// Fill the table rows of every vertex but `player` for n ≤ 64: one
+/// adjacency word per vertex of the stripped base, then one word-parallel
+/// BFS per row (the next frontier is the OR of the frontier's words, minus
+/// what is seen). Returns the player's in-neighbours, collected on the way.
+std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, std::uint32_t* table) {
+  const std::uint32_t n = g.num_vertices();
+  BBNG_ASSERT(n <= 64);
+  std::array<std::uint64_t, 64> adj{};
+  std::vector<Vertex> in;
+  for (Vertex u = 0; u < n; ++u) {
+    if (u == player) continue;
+    for (const Vertex v : g.out_neighbors(u)) {
+      if (v == player) {
+        in.push_back(u);
+        continue;
+      }
+      adj[u] |= std::uint64_t{1} << v;
+      adj[v] |= std::uint64_t{1} << u;
+    }
+  }
+  for (Vertex s = 0; s < n; ++s) {
+    if (s == player) continue;
+    std::uint32_t* row = table + std::size_t{s} * n;
+    row[s] = 1;
+    std::uint64_t seen = std::uint64_t{1} << s;
+    std::uint64_t frontier = seen;
+    for (std::uint32_t dist = 2; frontier != 0; ++dist) {
+      std::uint64_t next = 0;
+      for (std::uint64_t f = frontier; f != 0; f &= f - 1) next |= adj[std::countr_zero(f)];
+      frontier = next & ~seen;
+      seen |= frontier;
+      for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
+        row[std::countr_zero(f)] = dist;
+      }
+    }
+  }
+  return in;
+}
+
+/// fill_rows_by_words for any n: ⌈(n−1)/64⌉ packed sweeps of the 64-lane
+/// kernel over underlying_csr(CsrGraph(g), player), each writing its lane's
+/// row as vertices settle.
+std::vector<Vertex> fill_rows_by_lanes(const Digraph& g, Vertex player, std::uint32_t* table) {
+  const std::uint32_t n = g.num_vertices();
+  const CsrGraph csr(g);
+  const CsrUGraph base = underlying_csr(csr, /*skip=*/player);
+  std::vector<Vertex> sources;
+  sources.reserve(n);
+  for (Vertex s = 0; s < n; ++s) {
+    if (s != player) sources.push_back(s);
+  }
+  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
+  CsrMultiBfs lanes(base, &lease.ws());
+  std::array<std::uint32_t*, CsrMultiBfs::kLanes> rows{};
+  for (std::size_t first = 0; first < sources.size(); first += CsrMultiBfs::kLanes) {
+    const std::size_t count = std::min<std::size_t>(CsrMultiBfs::kLanes, sources.size() - first);
+    for (std::size_t i = 0; i < count; ++i) rows[i] = table + std::size_t{sources[first + i]} * n;
+    lanes.sweep(std::span<const Vertex>(sources).subspan(first, count),
+                [&rows](std::uint32_t lane, Vertex v, std::uint32_t level) {
+                  rows[lane][v] = level + 1;
+                });
+  }
+  const std::span<const Vertex> in = csr.in_neighbors(player);
+  return {in.begin(), in.end()};
+}
+
 }  // namespace
 
 TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion version)
@@ -190,38 +257,17 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   inf_ = static_cast<std::uint32_t>(cinf(n_));
 
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
-  const CsrGraph csr(g);
-  const CsrUGraph base = underlying_csr(csr, /*skip=*/player_);
+  // Unreached entries, and the player's row (never a head), keep Cinf.
   table_.assign(std::size_t{n} * n, inf_);
-  // Every vertex but the player (never a head: its row stays all-Cinf) is a
-  // source; ⌈(n−1)/64⌉ packed sweeps settle them all, each writing its lane's
-  // row as vertices settle. Unreached entries keep Cinf.
-  std::vector<Vertex> sources;
-  sources.reserve(n);
-  for (Vertex s = 0; s < n; ++s) {
-    if (s != player_) sources.push_back(s);
-  }
-  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-  CsrMultiBfs lanes(base, &lease.ws());
-  std::array<std::uint32_t*, CsrMultiBfs::kLanes> rows{};
-  for (std::size_t first = 0; first < sources.size(); first += CsrMultiBfs::kLanes) {
-    const std::size_t count = std::min<std::size_t>(CsrMultiBfs::kLanes, sources.size() - first);
-    for (std::size_t i = 0; i < count; ++i) {
-      rows[i] = table_.data() + std::size_t{sources[first + i]} * n;
-    }
-    lanes.sweep(std::span<const Vertex>(sources).subspan(first, count),
-                [&rows](std::uint32_t lane, Vertex v, std::uint32_t level) {
-                  rows[lane][v] = level + 1;
-                });
-  }
+  const std::vector<Vertex> in = n <= 64 ? fill_rows_by_words(g, player_, table_.data())
+                                         : fill_rows_by_lanes(g, player_, table_.data());
 
-  // The first vertex of every base component except the player's own slot.
-  const Components comps = connected_components(base);
-  std::vector<std::uint8_t> seen(comps.count, 0);
-  seen[comps.id[player_]] = 1;
+  // One representative per base component but the player's: the first
+  // vertex whose row reaches no earlier representative.
   for (Vertex v = 0; v < n; ++v) {
-    if (seen[comps.id[v]] == 0) {
-      seen[comps.id[v]] = 1;
+    const std::uint32_t* row = table_.data() + std::size_t{v} * n;
+    if (v != player_ &&
+        std::none_of(reps_.begin(), reps_.end(), [&](Vertex r) { return row[r] != inf_; })) {
       reps_.push_back(v);
     }
   }
@@ -229,7 +275,7 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   covers_.assign(n, inf_);
   covers_[player_] = 0;
   std::uint32_t* in_cover = covers_.data();
-  for (const Vertex w : csr.in_neighbors(player_)) {
+  for (const Vertex w : in) {
     const std::uint32_t* row = table_.data() + std::size_t{w} * n;
     for (Vertex v = 0; v < n; ++v) in_cover[v] = std::min(in_cover[v], row[v]);
   }

@@ -320,24 +320,31 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// Strategy evaluator over a precomputed base-distance table: the
 /// DeltaEvaluatorT interface, scored without any BFS after construction.
 ///
-/// Construction fills the n×n head-cover table in ⌈(n−1)/64⌉ packed
+/// Construction fills the n×n head-cover table of the stripped base (g's
+/// underlying graph without the player):
+///
+///     row_t[v] = 1 + d_base(t, v)   (Cinf = n² across components).
+///
+/// The fill path depends on n alone, and both fill the same table. For
+/// n ≤ 64 it reads one adjacency word per vertex straight off g and fills
+/// each row by a word-parallel BFS. Above that it runs ⌈(n−1)/64⌉ packed
 /// sweeps of the 64-lane kernel (CsrMultiBfs::sweep in graph/multi_bfs.hpp,
-/// which publishes no `bfs.multi.*` counters) over the stripped base
-/// underlying_csr(CsrGraph(g), player):
+/// which publishes no `bfs.multi.*` counters) over
+/// underlying_csr(CsrGraph(g), player).
 ///
-///     row_t[v] = 1 + d_base(t, v)   (Cinf = n² across components),
-///
-/// the precomputed backward distances of the Wilson–Zwick forward/backward
-/// split (PAPERS.md): a seed set S ∪ In(u) serves v at min over its seeds of
-/// row_s[v]. The present head set keeps a stack of such covers (level 0 =
-/// the in-neighbour cover, level i = level i−1 ∧ row of the i-th head), so
-/// add_head and a LIFO remove_head are one O(n) pass or O(1).
-/// cost_with_head(t) is one O(n) pass
-/// over min(cover, row_t): the sum for SUM; for MAX the max, with κ − 1 read
-/// off one representative vertex per base component (a component is seeded
-/// iff its representative is covered below Cinf). The player's own cover
-/// column is 0, so it drops out of both aggregates. Every cost is exact and
-/// bit-identical to StrategyEvaluator::evaluate (tests/test_delta_eval.cpp).
+/// The rows are the precomputed backward distances of the Wilson–Zwick
+/// forward/backward split (PAPERS.md): a seed set S ∪ In(u) serves v at min
+/// over its seeds of row_s[v]. The present head set keeps a stack of such
+/// covers (level 0 = the in-neighbour cover, level i = level i−1 ∧ row of
+/// the i-th head), so add_head and a LIFO remove_head are one O(n) pass or
+/// O(1). cost_with_head(t) is one O(n) pass over min(cover, row_t): the sum
+/// for SUM; for MAX the max, with κ − 1 read off one representative vertex
+/// per base component (a component is seeded iff its representative is
+/// covered below Cinf). The representatives are read off the filled table:
+/// v is one iff no earlier representative's row reaches it. The player's
+/// own cover column is 0, so it drops out of both aggregates. Every cost is
+/// exact and bit-identical to StrategyEvaluator::evaluate
+/// (tests/test_delta_eval.cpp).
 ///
 /// The O(n) passes are free integer min/add kernels (strategy_eval.cpp),
 /// built as target_clones("avx2", "default") where the guard allows it

@@ -22,11 +22,12 @@
 // An optional on_settle(lane, vertex, level) hook lets APSP-style consumers
 // stream the distances out. The frontier loop itself is sweep(), the one
 // lane kernel: run_batch() folds the aggregates and publishes `bfs.multi.*`
-// around it, while TableEvaluator (game/strategy_eval.hpp) fills exact_bb's
-// base-distance table from it and publishes nothing. Work counters (sweeps,
-// levels, row_scans, settled) make the saving auditable: `settled` is
-// precisely the number of row scans the per-seed path would have performed,
-// so settled / row_scans is the measured batching gain (BENCH_multi_bfs.json).
+// around it, while TableEvaluator (game/strategy_eval.hpp) fills the exact
+// solvers' base-distance table from it above 64 vertices (one-word BFS rows
+// below) and publishes nothing. Work counters (sweeps, levels, row_scans,
+// settled) make the saving auditable: `settled` is precisely the number of
+// row scans the per-seed path would have performed, so settled / row_scans
+// is the measured batching gain (BENCH_multi_bfs.json).
 //
 // Templated over the graph core like DynamicBfsT: both UGraph and CsrUGraph
 // expose sorted neighbors(u) spans, so the two instantiations do identical
@@ -116,8 +117,9 @@ class MultiBfsT {
   /// frontiers level-synchronously and fires `on_settle(lane, vertex, level)`
   /// once per settled (lane, vertex) pair, sources included (level 0), in
   /// level order. Accumulates stats() but publishes nothing, so a consumer
-  /// that only streams distances out (TableEvaluator's base-distance table)
-  /// stays off the `bfs.multi.*` counters.
+  /// that only streams distances out (TableEvaluator's base-distance table,
+  /// filled here only above 64 vertices) stays off the `bfs.multi.*`
+  /// counters.
   template <class OnSettle>
   void sweep(std::span<const Vertex> sources, OnSettle&& on_settle) {
     const std::uint32_t n = g_->num_vertices();

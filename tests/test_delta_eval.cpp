@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/workspace.hpp"
 #include "solver/registry.hpp"
 #include "util/rng.hpp"
 
@@ -149,47 +150,103 @@ TEST(DeltaEvalDifferential, RandomHeadSetWalkMatchesNaive) {
   }
 }
 
+/// Player u's table must match from-scratch costs on every swap of the
+/// incumbent, and on a random walk that removes heads out of insertion order
+/// (rebuilding the cover stack above them). Building the table takes a
+/// workspace lease only on the lane path (n > 64), which pins the path run.
+void expect_table_matches_naive(const Digraph& g, Vertex u, CostVersion version, Rng& rng) {
+  const std::uint32_t n = g.num_vertices();
+  SCOPED_TRACE(testing::Message() << "n " << n << " u " << u << " " << to_string(version));
+  const StrategyEvaluator naive(g, u, version);
+  StrategyEvaluator::Scratch scratch(n);
+  const std::uint64_t leases = WorkspacePool::shared().leases();
+  TableEvaluator table(g, u, version);
+  ASSERT_EQ(WorkspacePool::shared().leases() - leases, n <= 64 ? 0u : 1u);
+  ASSERT_EQ(table.current_cost(), naive.current_cost());
+  std::vector<Vertex> heads = naive.current_strategy();
+  std::vector<Vertex> trial;
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    for (Vertex t = 0; t < n; ++t) {
+      if (t == u || std::find(heads.begin(), heads.end(), t) != heads.end()) continue;
+      trial = heads;
+      trial[i] = t;
+      ASSERT_EQ(swap_cost(table, heads[i], t), naive.evaluate(trial, scratch));
+    }
+  }
+  for (int step = 0; step < 30; ++step) {
+    const auto t = static_cast<Vertex>(rng.next_below(n));
+    if (t == u) continue;
+    const auto it = std::find(heads.begin(), heads.end(), t);
+    if (it != heads.end()) {
+      table.remove_head(t);
+      heads.erase(it);
+      ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
+    } else {
+      heads.push_back(t);
+      ASSERT_EQ(table.cost_with_head(t), naive.evaluate(heads, scratch));
+      table.add_head(t);
+      ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
+    }
+  }
+}
+
 TEST(DeltaEvalDifferential, TableEvaluatorMatchesNaiveOnSwapsAndWalks) {
-  // The table evaluator scores from base distances alone: every swap of the
-  // incumbent, and a random walk that removes heads out of insertion order
-  // (rebuilding the cover stack above them), must match from-scratch costs —
-  // including disconnected instances, where MAX's κ comes from the
-  // component representatives.
+  // The table evaluator scores from base distances alone, including on
+  // disconnected instances, where MAX's κ comes from the component
+  // representatives read off the table.
   Rng rng(9004);
   for (int round = 0; round < 60; ++round) {
     const std::uint32_t n = 5 + static_cast<std::uint32_t>(round % 10);
     const Digraph g = random_instance(n, rng);
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       for (Vertex u = 0; u < n; ++u) {
-        const StrategyEvaluator naive(g, u, version);
-        StrategyEvaluator::Scratch scratch(n);
-        TableEvaluator table(g, u, version);
-        ASSERT_EQ(table.current_cost(), naive.current_cost())
-            << "round " << round << " u " << u << " " << to_string(version);
-        std::vector<Vertex> heads = naive.current_strategy();
-        std::vector<Vertex> trial;
-        for (std::size_t i = 0; i < heads.size(); ++i) {
-          for (Vertex t = 0; t < n; ++t) {
-            if (t == u || std::find(heads.begin(), heads.end(), t) != heads.end()) continue;
-            trial = heads;
-            trial[i] = t;
-            ASSERT_EQ(swap_cost(table, heads[i], t), naive.evaluate(trial, scratch));
-          }
-        }
-        for (int step = 0; step < 30; ++step) {
-          const auto t = static_cast<Vertex>(rng.next_below(n));
-          if (t == u) continue;
-          const auto it = std::find(heads.begin(), heads.end(), t);
-          if (it != heads.end()) {
-            table.remove_head(t);
-            heads.erase(it);
-            ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
-          } else {
-            heads.push_back(t);
-            ASSERT_EQ(table.cost_with_head(t), naive.evaluate(heads, scratch));
-            table.add_head(t);
-            ASSERT_EQ(table.cost(), naive.evaluate(heads, scratch));
-          }
+        ASSERT_NO_FATAL_FAILURE(expect_table_matches_naive(g, u, version, rng))
+            << "round " << round;
+      }
+    }
+  }
+
+  // Across the word boundary (n ≤ 64 fills by one-word BFS, 65 by lane
+  // sweeps), on instances built around each player u: random, brace-heavy,
+  // u the head of every other vertex, u isolated, and a base of many
+  // components.
+  for (const std::uint32_t n : {63u, 64u, 65u}) {
+    std::vector<Vertex> players{0};
+    for (const Vertex u : {63u, n - 1}) {
+      if (u < n && u != players.back()) players.push_back(u);
+    }
+    for (const Vertex u : players) {
+      std::vector<Digraph> instances;
+      instances.push_back(random_instance(n, rng));
+      Digraph braces(n);
+      for (Vertex v = 0; v + 1 < n; ++v) {
+        braces.add_arc(v, v + 1);
+        braces.add_arc(v + 1, v);
+      }
+      for (std::uint32_t k = 0; k < n / 4; ++k) {
+        const auto a = static_cast<Vertex>(rng.next_below(n));
+        const auto b = static_cast<Vertex>(rng.next_below(n));
+        if (a == b || braces.has_arc(a, b) || braces.has_arc(b, a)) continue;
+        braces.add_arc(a, b);
+        braces.add_arc(b, a);
+      }
+      instances.push_back(braces);
+      Digraph hub = lane_test_graph(n, /*connected=*/true, rng);
+      for (Vertex w = 0; w < n; ++w) {
+        if (w != u && !hub.has_arc(w, u)) hub.add_arc(w, u);
+      }
+      instances.push_back(hub);
+      Digraph isolated = random_instance(n, rng);
+      isolated.set_strategy(u, {});
+      for (Vertex w = 0; w < n; ++w) {
+        if (isolated.has_arc(w, u)) isolated.remove_arc(w, u);
+      }
+      instances.push_back(isolated);
+      instances.push_back(lane_test_graph(n, /*connected=*/false, rng));
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+          ASSERT_NO_FATAL_FAILURE(expect_table_matches_naive(instances[i], u, version, rng))
+              << "boundary instance " << i;
         }
       }
     }
@@ -233,11 +290,13 @@ TEST(DeltaEvalDifferential, TableEvaluatorCopiesScoreIndependently) {
 }
 
 TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
-  // The table is filled by 64-lane packed sweeps over every vertex but the
-  // player, so the player's position shifts the lane of every later vertex:
-  // put it at lane 0, lane 63, lane 64 and the last vertex. Every row must
-  // equal 1 + the per-seed BFS distance on the stripped base (Cinf across
-  // components), and building a table must move no bfs.multi.* counter.
+  // Up to 64 vertices the table is filled by one word-parallel BFS per row;
+  // above that by 64-lane packed sweeps over every vertex but the player, so
+  // the player's position shifts the lane of every later vertex: put it at
+  // lane 0, lane 63, lane 64 and the last vertex. On both paths every row
+  // must equal 1 + the per-seed BFS distance on the stripped base (Cinf
+  // across components), and building a table must move no bfs.multi.*
+  // counter.
   Rng rng(9013);
   for (const std::uint32_t n : {2u, 3u, 63u, 64u, 65u, 129u}) {
     for (const bool connected : {true, false}) {
