@@ -28,13 +28,14 @@ std::uint64_t vertex_cost(const Digraph& g, Vertex u, CostVersion version) {
   return vertex_cost(g.underlying(), u, version);
 }
 
-std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version, ThreadPool* pool) {
+std::vector<std::uint64_t> costs_from_aggregates(const UGraph& g,
+                                                 std::span<const BfsAggregates> aggs,
+                                                 CostVersion version) {
   const std::uint32_t n = g.num_vertices();
+  BBNG_REQUIRE(aggs.size() == n);
   std::vector<std::uint64_t> costs(n);
-  if (n == 0) return costs;
   const std::uint64_t inf = cinf(n);
-  const std::uint32_t kappa = connected_components(g).count;
-  const std::vector<BfsAggregates> aggs = all_sources_aggregates(g, pool);
+  const std::uint32_t kappa = version == CostVersion::Max ? connected_components(g).count : 1;
   for (Vertex u = 0; u < n; ++u) {
     if (version == CostVersion::Sum) {
       costs[u] = aggs[u].sum_dist + static_cast<std::uint64_t>(n - aggs[u].reached) * inf;
@@ -43,6 +44,11 @@ std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version, Threa
     }
   }
   return costs;
+}
+
+std::vector<std::uint64_t> all_costs(const UGraph& g, CostVersion version, ThreadPool* pool) {
+  if (g.num_vertices() == 0) return {};
+  return costs_from_aggregates(g, all_sources_aggregates(g, pool), version);
 }
 
 std::uint64_t social_cost(const UGraph& g, ThreadPool* pool) {

@@ -9,9 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "game/game.hpp"
+#include "graph/bfs.hpp"
 #include "graph/digraph.hpp"
 #include "graph/ugraph.hpp"
 #include "parallel/thread_pool.hpp"
@@ -23,6 +25,12 @@ namespace bbng {
 
 /// Convenience overload on a realization.
 [[nodiscard]] std::uint64_t vertex_cost(const Digraph& g, Vertex u, CostVersion version);
+
+/// Price every vertex's BFS aggregates over `g` (aggs[u] from source u)
+/// with vertex_cost's formulas; κ is computed for MAX only. The one pricing
+/// loop behind all_costs and the Nash audit's current-cost prepass.
+[[nodiscard]] std::vector<std::uint64_t> costs_from_aggregates(
+    const UGraph& g, std::span<const BfsAggregates> aggs, CostVersion version);
 
 /// All players' costs: every player's aggregates come from the packed
 /// 64-lane MultiBfs engine (graph/multi_bfs.hpp) instead of one BFS per

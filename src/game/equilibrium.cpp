@@ -6,7 +6,6 @@
 
 #include "game/cost.hpp"
 #include "graph/bfs.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
@@ -70,9 +69,7 @@ EquilibriumReport verify_equilibrium(const Digraph& g, CostVersion version,
 std::vector<std::uint64_t> batched_current_costs(const Digraph& g, CostVersion version,
                                                  GraphCore core, ThreadPool* pool,
                                                  MultiBfsStats* stats) {
-  const std::uint32_t n = g.num_vertices();
-  std::vector<std::uint64_t> current_costs;
-  if (n == 0) return current_costs;
+  if (g.num_vertices() == 0) return {};
   MultiBfsStats local;
   const UGraph underlying = g.underlying();
   std::vector<BfsAggregates> aggs;
@@ -83,19 +80,7 @@ std::vector<std::uint64_t> batched_current_costs(const Digraph& g, CostVersion v
     aggs = all_sources_aggregates(underlying, pool, &local);
   }
   if (stats != nullptr) *stats += local;
-  const std::uint64_t inf = cinf(n);
-  std::uint32_t kappa = 1;
-  if (version == CostVersion::Max) kappa = connected_components(underlying).count;
-  current_costs.resize(n);
-  for (Vertex u = 0; u < n; ++u) {
-    if (version == CostVersion::Sum) {
-      current_costs[u] =
-          aggs[u].sum_dist + static_cast<std::uint64_t>(n - aggs[u].reached) * inf;
-    } else {
-      current_costs[u] = (kappa == 1) ? aggs[u].max_dist : inf + (kappa - 1) * inf;
-    }
-  }
-  return current_costs;
+  return costs_from_aggregates(underlying, aggs, version);
 }
 
 NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,

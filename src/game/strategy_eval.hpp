@@ -283,8 +283,9 @@ class DeltaEvaluatorT {
       return base;
     } else {
       // CSR core: one O(n+m) merge of out/in rows per vertex, braces
-      // collapsed, `player` skipped. One slot of row slack absorbs the first
-      // seed insert per row; vsrc grows by amortised relocation after that.
+      // collapsed, `player` skipped. Rows have fixed capacity: each real row
+      // holds at most one seed edge (its one slot of slack), and vsrc's row
+      // is built to hold every real vertex.
       return underlying_csr(CsrGraph(g), /*skip=*/player, /*extra_vertices=*/1,
                             /*row_slack=*/1);
     }

@@ -14,26 +14,14 @@ const char* to_string(GraphCore core) noexcept {
 
 namespace detail {
 
-void CsrRows::init_empty(std::uint32_t n, std::uint32_t slack) {
-  meta_.assign(n, Meta{});
-  pool_.assign(static_cast<std::uint64_t>(n) * slack, 0);
-  live_ = garbage_ = relocations_ = compactions_ = 0;
+void CsrRows::init(const std::vector<std::uint32_t>& capacities) {
+  meta_.assign(capacities.size(), Meta{});
+  live_ = 0;
   std::uint64_t offset = 0;
-  for (Meta& m : meta_) {
-    m.offset = offset;
-    m.capacity = slack;
-    offset += slack;
-  }
-}
-
-void CsrRows::init_from_degrees(const std::vector<std::uint32_t>& degrees, std::uint32_t slack) {
-  meta_.assign(degrees.size(), Meta{});
-  live_ = garbage_ = relocations_ = compactions_ = 0;
-  std::uint64_t offset = 0;
-  for (std::size_t u = 0; u < degrees.size(); ++u) {
+  for (std::size_t u = 0; u < capacities.size(); ++u) {
     meta_[u].offset = offset;
-    meta_[u].capacity = degrees[u] + slack;
-    offset += meta_[u].capacity;
+    meta_[u].capacity = capacities[u];
+    offset += capacities[u];
   }
   pool_.assign(offset, 0);
 }
@@ -47,10 +35,8 @@ bool CsrRows::contains(Vertex u, Vertex w) const {
 
 void CsrRows::insert(Vertex u, Vertex w) {
   BBNG_ASSERT(u < meta_.size());
-  if (meta_[u].degree == meta_[u].capacity) {
-    relocate(u, std::max<std::uint32_t>(4, meta_[u].capacity * 2));
-  }
   Meta& m = meta_[u];
+  BBNG_REQUIRE_MSG(m.degree < m.capacity, "CSR row is full (row capacity is fixed at build)");
   Vertex* base = pool_.data() + m.offset;
   const auto pos = static_cast<std::uint32_t>(std::lower_bound(base, base + m.degree, w) - base);
   BBNG_REQUIRE_MSG(pos == m.degree || base[pos] != w, "duplicate edge");
@@ -71,70 +57,20 @@ void CsrRows::erase(Vertex u, Vertex w) {
   --live_;
 }
 
-void CsrRows::relocate(Vertex u, std::uint32_t new_capacity) {
-  Meta& m = meta_[u];
-  BBNG_ASSERT(new_capacity >= m.degree);
-  const std::uint64_t new_offset = pool_.size();
-  pool_.resize(new_offset + new_capacity);
-  // resize may have moved the pool: recompute the source pointer after it.
-  std::copy_n(pool_.data() + m.offset, m.degree, pool_.data() + new_offset);
-  garbage_ += m.capacity;
-  m.offset = new_offset;
-  m.capacity = new_capacity;
-  ++relocations_;
-  maybe_compact();
-}
-
-void CsrRows::maybe_compact() {
-  // Trigger on garbage vs LIVE entries, not vs the pool: the pool counts the
-  // garbage itself, and doubling growth keeps relocation garbage strictly
-  // below the live capacities, so a pool-relative threshold can never fire.
-  // Garbage overtakes live data exactly in the workload that needs
-  // compaction — heavy churn (mass deletion after growth) — which is also
-  // what tests/test_csr_graph.cpp drives to cover this path.
-  if (pool_.size() < 1024 || garbage_ <= live_) return;
-  std::vector<Vertex> fresh;
-  std::uint64_t total = 0;
-  for (const Meta& m : meta_) {
-    // Keep half-degree slack on live rows so a compaction cannot trigger an
-    // immediate relocation storm on the row that caused it.
-    total += m.degree ? m.degree + std::max<std::uint32_t>(1, m.degree / 2) : 0;
-  }
-  fresh.assign(total, 0);
-  std::uint64_t offset = 0;
-  for (Meta& m : meta_) {
-    const std::uint32_t cap = m.degree ? m.degree + std::max<std::uint32_t>(1, m.degree / 2) : 0;
-    std::copy_n(pool_.data() + m.offset, m.degree, fresh.data() + offset);
-    m.offset = offset;
-    m.capacity = cap;
-    offset += cap;
-  }
-  pool_ = std::move(fresh);
-  garbage_ = 0;
-  ++compactions_;
-}
-
 void CsrRows::check_invariants() const {
   std::uint64_t degree_sum = 0;
-  std::uint64_t capacity_sum = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;  // [offset, offset+capacity)
-  extents.reserve(meta_.size());
+  std::uint64_t capacity_sum = 0;  // also the next row's offset: rows sit back to back
   for (const Meta& m : meta_) {
+    BBNG_ASSERT(m.offset == capacity_sum);
     BBNG_ASSERT(m.degree <= m.capacity);
-    BBNG_ASSERT(m.offset + m.capacity <= pool_.size());
     for (std::uint32_t i = 1; i < m.degree; ++i) {
       BBNG_ASSERT(pool_[m.offset + i - 1] < pool_[m.offset + i]);
     }
     degree_sum += m.degree;
     capacity_sum += m.capacity;
-    if (m.capacity > 0) extents.emplace_back(m.offset, m.offset + m.capacity);
   }
   BBNG_ASSERT(degree_sum == live_);
-  BBNG_ASSERT(capacity_sum + garbage_ == pool_.size());
-  std::sort(extents.begin(), extents.end());
-  for (std::size_t i = 1; i < extents.size(); ++i) {
-    BBNG_ASSERT(extents[i - 1].second <= extents[i].first);  // rows never overlap
-  }
+  BBNG_ASSERT(capacity_sum == pool_.size());
 }
 
 }  // namespace detail
@@ -144,9 +80,9 @@ void CsrRows::check_invariants() const {
 
 CsrUGraph::CsrUGraph(const UGraph& g, std::uint32_t row_slack) : num_edges_(g.num_edges()) {
   const std::uint32_t n = g.num_vertices();
-  std::vector<std::uint32_t> degrees(n);
-  for (Vertex u = 0; u < n; ++u) degrees[u] = g.degree(u);
-  rows_.init_from_degrees(degrees, row_slack);
+  std::vector<std::uint32_t> capacities(n);
+  for (Vertex u = 0; u < n; ++u) capacities[u] = g.degree(u) + row_slack;
+  rows_.init(capacities);
   for (Vertex u = 0; u < n; ++u) {
     for (const Vertex v : g.neighbors(u)) rows_.build_append(u, v);  // already sorted
   }
@@ -155,7 +91,9 @@ CsrUGraph::CsrUGraph(const UGraph& g, std::uint32_t row_slack) : num_edges_(g.nu
 void CsrUGraph::add_edge(Vertex u, Vertex v) {
   BBNG_REQUIRE(u < num_vertices() && v < num_vertices());
   BBNG_REQUIRE_MSG(u != v, "self-loops are not supported");
-  rows_.insert(u, v);
+  BBNG_REQUIRE_MSG(rows_.degree(u) < rows_.capacity(u) && rows_.degree(v) < rows_.capacity(v),
+                   "CSR row is full (row capacity is fixed at build)");
+  rows_.insert(u, v);  // a duplicate throws here, before either row changes
   rows_.insert(v, u);
   ++num_edges_;
 }
@@ -192,15 +130,15 @@ void CsrUGraph::check_invariants() const {
 // ---------------------------------------------------------------------------
 // CsrGraph
 
-CsrGraph::CsrGraph(const Digraph& g, std::uint32_t row_slack) : num_arcs_(g.num_arcs()) {
+CsrGraph::CsrGraph(const Digraph& g) : num_arcs_(g.num_arcs()) {
   const std::uint32_t n = g.num_vertices();
   std::vector<std::uint32_t> out_deg(n), in_deg(n, 0);
   for (Vertex u = 0; u < n; ++u) {
     out_deg[u] = g.out_degree(u);
     for (const Vertex v : g.out_neighbors(u)) ++in_deg[v];
   }
-  out_.init_from_degrees(out_deg, row_slack);
-  in_.init_from_degrees(in_deg, row_slack);
+  out_.init(out_deg);
+  in_.init(in_deg);
   // Counting sort: visiting tails in ascending order appends each in-row's
   // entries in ascending order too, so both arenas come out sorted.
   for (Vertex u = 0; u < n; ++u) {
@@ -209,21 +147,6 @@ CsrGraph::CsrGraph(const Digraph& g, std::uint32_t row_slack) : num_arcs_(g.num_
       in_.build_append(v, u);
     }
   }
-}
-
-void CsrGraph::add_arc(Vertex u, Vertex v) {
-  BBNG_REQUIRE(u < num_vertices() && v < num_vertices());
-  BBNG_REQUIRE_MSG(u != v, "self-loops are not supported");
-  out_.insert(u, v);
-  in_.insert(v, u);
-  ++num_arcs_;
-}
-
-void CsrGraph::remove_arc(Vertex u, Vertex v) {
-  BBNG_REQUIRE(u < num_vertices() && v < num_vertices());
-  out_.erase(u, v);
-  in_.erase(v, u);
-  --num_arcs_;
 }
 
 Digraph CsrGraph::to_digraph() const {
@@ -251,6 +174,7 @@ void CsrGraph::check_invariants() const {
 CsrUGraph underlying_csr(const CsrGraph& g, Vertex skip, std::uint32_t extra_vertices,
                          std::uint32_t row_slack) {
   const std::uint32_t n = g.num_vertices();
+  BBNG_REQUIRE_MSG(skip == kNoVertex || skip < n, "underlying_csr: skip is not a vertex of g");
   const std::uint32_t total = n + extra_vertices;
   // Per-vertex sorted merge of out- and in-rows: |out ∪ in| is the
   // underlying degree (braces collapse). Two passes — degrees, then fill —
@@ -274,12 +198,13 @@ CsrUGraph underlying_csr(const CsrGraph& g, Vertex skip, std::uint32_t extra_ver
     }
   };
 
-  std::vector<std::uint32_t> degrees(total, 0);
+  std::vector<std::uint32_t> capacities(total, n);  // extra rows: one slot per real vertex
   for (Vertex u = 0; u < n; ++u) {
-    merge_row(u, [&](Vertex) { ++degrees[u]; });
+    capacities[u] = row_slack;
+    merge_row(u, [&](Vertex) { ++capacities[u]; });
   }
   detail::CsrRows rows;
-  rows.init_from_degrees(degrees, row_slack);
+  rows.init(capacities);
   std::uint64_t edges = 0;
   for (Vertex u = 0; u < n; ++u) {
     merge_row(u, [&](Vertex w) {

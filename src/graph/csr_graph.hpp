@@ -10,9 +10,9 @@
 //
 //   * CsrRows     — the shared arena: per-row (offset, degree, capacity)
 //                   metadata over one flat Vertex pool, with sorted-insert /
-//                   erase inside a row, amortised-O(1) row relocation on
-//                   overflow, and wholesale compaction when relocation
-//                   garbage outgrows the live entries.
+//                   erase inside a row. Every row's capacity is fixed when
+//                   the arena is built; inserting into a full row is a
+//                   precondition failure.
 //   * CsrUGraph   — drop-in undirected sibling of UGraph (same sorted-row
 //                   semantics, same preconditions) built from a UGraph in
 //                   O(n + m). Rows stay sorted, so neighbour ITERATION ORDER
@@ -20,10 +20,14 @@
 //                   consumer (BFS trees, deletion-repair frontiers, delta
 //                   scans) bit-identical across cores, not merely
 //                   equal-in-distribution.
-//   * CsrGraph    — directed snapshot of a Digraph with contiguous out- AND
-//                   in-adjacency (the Wilson–Zwick forward-backward view),
-//                   O(n + m) counting-sort build, and small-delta arc
-//                   patching for the insert/delete ops DynamicBfs issues.
+//   * CsrGraph    — read-only directed snapshot of a Digraph with contiguous
+//                   out- AND in-adjacency (the Wilson–Zwick forward-backward
+//                   view), built by an O(n + m) counting sort.
+//
+// The one production writer is the delta oracle (CsrDynamicBfs inside
+// CsrDeltaEvaluator), which inserts and deletes (super-source, seed) edges
+// only. underlying_csr sizes its rows for exactly that traffic: one spare
+// slot per real row, and a super-source row that holds every real vertex.
 //
 // The GraphCore flag mirrors the `incremental` flag pattern: consumers keep
 // both cores callable so differential suites can run them side by side.
@@ -52,22 +56,14 @@ enum class GraphCore : std::uint8_t {
 namespace detail {
 
 /// The flat adjacency arena shared by both CSR graph types: one Vertex pool,
-/// one (offset, degree, capacity) record per row. Rows are kept sorted and
-/// duplicate-free; inserting into a full row relocates it to the pool tail
-/// with doubled capacity (amortised O(1)), and the hole it leaves becomes
-/// garbage that a wholesale compaction reclaims once it outgrows the live
-/// entries (measuring garbage against the pool itself would be
-/// self-defeating: doubling growth keeps relocation garbage strictly below
-/// the live capacities, so a pool-relative trigger could never fire). All
-/// mutators preserve `check_invariants()`.
+/// one (offset, degree, capacity) record per row. Rows are laid out back to
+/// back in row order, each with a capacity fixed at build time; rows are kept
+/// sorted and duplicate-free. All mutators preserve `check_invariants()`.
 class CsrRows {
  public:
-  /// `n` empty rows, each with `slack` preallocated entries.
-  void init_empty(std::uint32_t n, std::uint32_t slack);
-
-  /// Reserve rows sized from exact degrees (+`slack` each). Fill rows with
-  /// build_append afterwards; entries of one row must arrive ascending.
-  void init_from_degrees(const std::vector<std::uint32_t>& degrees, std::uint32_t slack);
+  /// Lay out one empty row per entry of `capacities`, back to back. Fill rows
+  /// with build_append afterwards; entries of one row must arrive ascending.
+  void init(const std::vector<std::uint32_t>& capacities);
 
   /// Bulk-build append of `w` to row `u` (ascending within the row).
   void build_append(Vertex u, Vertex w) {
@@ -98,22 +94,18 @@ class CsrRows {
   /// Binary search within the (sorted) row — O(log degree).
   [[nodiscard]] bool contains(Vertex u, Vertex w) const;
 
-  /// Sorted insert. Precondition: `w` absent from row `u`.
+  /// Sorted insert. Preconditions: `w` absent from row `u`, and row `u`
+  /// below its capacity.
   void insert(Vertex u, Vertex w);
 
   /// Sorted erase. Precondition: `w` present in row `u`.
   void erase(Vertex u, Vertex w);
 
-  // ---- arena instrumentation ----
   [[nodiscard]] std::uint64_t live_entries() const noexcept { return live_; }
-  [[nodiscard]] std::uint64_t pool_entries() const noexcept { return pool_.size(); }
-  [[nodiscard]] std::uint64_t garbage_entries() const noexcept { return garbage_; }
-  [[nodiscard]] std::uint64_t relocations() const noexcept { return relocations_; }
-  [[nodiscard]] std::uint64_t compactions() const noexcept { return compactions_; }
 
   /// Abort (BBNG_ASSERT) unless every structural invariant holds: rows
-  /// sorted + strictly increasing, degree ≤ capacity, rows disjoint and
-  /// inside the pool, Σ degree == live, Σ capacity + garbage == pool size.
+  /// sorted + strictly increasing, degree ≤ capacity, rows back to back in
+  /// row order, Σ degree == live, Σ capacity == pool size.
   void check_invariants() const;
 
  private:
@@ -123,32 +115,23 @@ class CsrRows {
     std::uint32_t capacity = 0;
   };
 
-  /// Move row `u` to the pool tail with capacity `new_capacity`.
-  void relocate(Vertex u, std::uint32_t new_capacity);
-  void maybe_compact();
-
   std::vector<Meta> meta_;
   std::vector<Vertex> pool_;
   std::uint64_t live_ = 0;
-  std::uint64_t garbage_ = 0;
-  std::uint64_t relocations_ = 0;
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace detail
 
 class CsrGraph;  // defined below
 
-/// Undirected simple graph on a flat CSR arena — the drop-in sibling of
-/// UGraph with identical semantics (sorted rows, same preconditions, same
-/// neighbour iteration order) for the hot BFS/delta paths.
+/// Undirected simple graph on a flat CSR arena — the sibling of UGraph with
+/// the same sorted-row semantics and neighbour iteration order for the hot
+/// BFS/delta paths. Rows have fixed capacity: add_edge needs a spare slot in
+/// both rows.
 class CsrUGraph {
  public:
-  /// `row_slack` preallocates entries per row (0 is fine; rows grow by
-  /// relocation). The (UGraph, slack) ctor rebuilds in O(n + m).
-  explicit CsrUGraph(std::uint32_t n, std::uint32_t row_slack = 0) {
-    rows_.init_empty(n, row_slack);
-  }
+  /// Rebuild `g` in O(n + m), giving every row `row_slack` spare entries
+  /// (n − 1 fits any simple graph on the same vertices).
   explicit CsrUGraph(const UGraph& g, std::uint32_t row_slack = 0);
 
   [[nodiscard]] std::uint32_t num_vertices() const noexcept { return rows_.num_rows(); }
@@ -159,7 +142,9 @@ class CsrUGraph {
     return rows_.contains(u, v);
   }
 
-  /// Add the (simple) edge {u,v}. Precondition: u≠v, not already present.
+  /// Add the (simple) edge {u,v}. Preconditions: u≠v, not already present,
+  /// and a spare slot in both rows. Both rows are checked before either is
+  /// written, so a rejected insert leaves the graph unchanged.
   void add_edge(Vertex u, Vertex v);
 
   /// Remove the edge {u,v}. Precondition: present.
@@ -188,17 +173,12 @@ class CsrUGraph {
   std::uint64_t num_edges_ = 0;
 };
 
-/// Directed snapshot of a Digraph with contiguous out- AND in-adjacency, so
-/// both orientations of every arc are O(degree) scans with no per-vertex
-/// allocations. Built in O(n + m) by counting sort; add_arc/remove_arc patch
-/// both sides in O(degree) (sorted rows).
+/// Read-only directed snapshot of a Digraph with contiguous out- AND
+/// in-adjacency, so both orientations of every arc are O(degree) scans with
+/// no per-vertex allocations. Built in O(n + m) by counting sort.
 class CsrGraph {
  public:
-  explicit CsrGraph(std::uint32_t n, std::uint32_t row_slack = 0) {
-    out_.init_empty(n, row_slack);
-    in_.init_empty(n, row_slack);
-  }
-  explicit CsrGraph(const Digraph& g, std::uint32_t row_slack = 0);
+  explicit CsrGraph(const Digraph& g);
 
   [[nodiscard]] std::uint32_t num_vertices() const noexcept { return out_.num_rows(); }
   [[nodiscard]] std::uint64_t num_arcs() const noexcept { return num_arcs_; }
@@ -207,12 +187,6 @@ class CsrGraph {
     BBNG_ASSERT(u < num_vertices() && v < num_vertices());
     return out_.contains(u, v);
   }
-
-  /// Add the arc u→v. Precondition: u≠v, arc not already present.
-  void add_arc(Vertex u, Vertex v);
-
-  /// Remove the arc u→v. Precondition: the arc exists.
-  void remove_arc(Vertex u, Vertex v);
 
   [[nodiscard]] std::span<const Vertex> out_neighbors(Vertex u) const { return out_.row(u); }
   [[nodiscard]] std::span<const Vertex> in_neighbors(Vertex u) const { return in_.row(u); }
@@ -244,11 +218,13 @@ inline constexpr Vertex kNoVertex = 0xffffffffU;
 
 /// Underlying undirected simple graph of a CSR snapshot (braces collapse to
 /// one edge), in O(n + m) with no vector-core detour. Every edge incident to
-/// `skip` is dropped and `skip` left isolated (kNoVertex skips nothing);
-/// `extra_vertices` appends that many trailing isolated vertices (the delta
-/// evaluator's virtual super-source), each row getting `row_slack` spare
-/// entries. This is the CSR sibling of Digraph::underlying() +
-/// strategy_eval's stripped-base builder in one pass.
+/// `skip` is dropped and `skip` left isolated (kNoVertex skips nothing; any
+/// other `skip` must be a vertex of g). Each of the n real rows gets
+/// `row_slack` spare entries. `extra_vertices` appends that many trailing
+/// isolated vertices (the delta evaluator's virtual super-source), each with
+/// capacity n, enough to hold an edge to every real vertex. This is the CSR
+/// sibling of Digraph::underlying() + strategy_eval's stripped-base builder
+/// in one pass.
 [[nodiscard]] CsrUGraph underlying_csr(const CsrGraph& g, Vertex skip = kNoVertex,
                                        std::uint32_t extra_vertices = 0,
                                        std::uint32_t row_slack = 0);

@@ -28,7 +28,10 @@
 // production core. Both keep sorted rows, so the oracles traverse neighbours
 // in the identical order and stay bit-identical in every observable —
 // distances, parents, aggregates, journals, and instrumentation counters
-// (tests/test_fuzz_dynamic_bfs.cpp runs them side by side). Pass a Workspace
+// (tests/test_fuzz_dynamic_bfs.cpp runs them side by side). CsrUGraph rows
+// have fixed capacity, so a CSR oracle's inserts need spare slots in both
+// rows: build its graph with enough row slack (underlying_csr sizes the
+// delta evaluator's rows for its seed edges). Pass a Workspace
 // (parallel/workspace.hpp) to share the per-operation scratch (wave /
 // subtree stack / epoch marks / bucket queue) with other oracles on the same
 // worker thread: each operation leaves the scratch clean, so sharing is safe
@@ -97,7 +100,8 @@ class DynamicBfsT {
   [[nodiscard]] const GraphT& graph() const noexcept { return g_; }
   [[nodiscard]] std::uint32_t rebuild_threshold() const noexcept { return rebuild_threshold_; }
 
-  /// Insert the (absent) edge {u,v} and repair distances.
+  /// Insert the (absent) edge {u,v} and repair distances. On the CSR core
+  /// both rows need a spare slot.
   void insert_edge(Vertex u, Vertex v) {
     BBNG_REQUIRE(u < n_ && v < n_ && u != v);
     g_.add_edge(u, v);

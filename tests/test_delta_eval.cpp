@@ -343,6 +343,85 @@ TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
   }
 }
 
+/// The vector-core and CSR-core delta evaluators and the table evaluator of
+/// one player, driven in lockstep: equal cost(), equal cost_with_head for
+/// every target, after construction and after every step of a random
+/// remove/add walk over the head set.
+void expect_evaluators_agree(const Digraph& g, Vertex u, CostVersion version, Rng& rng) {
+  const std::uint32_t n = g.num_vertices();
+  SCOPED_TRACE(testing::Message() << "n " << n << " u " << u << " " << to_string(version));
+  DeltaEvaluator vec(g, u, version);
+  CsrDeltaEvaluator csr(g, u, version);
+  TableEvaluator table(g, u, version);
+  const auto expect_same_state = [&](int step) {
+    const std::uint64_t cost = vec.cost();
+    ASSERT_EQ(csr.cost(), cost) << "step " << step;
+    ASSERT_EQ(table.cost(), cost) << "step " << step;
+    for (Vertex t = 0; t < n; ++t) {
+      if (t == u || vec.has_head(t)) continue;
+      const std::uint64_t probed = vec.cost_with_head(t);
+      ASSERT_EQ(csr.cost_with_head(t), probed) << "step " << step << " t " << t;
+      ASSERT_EQ(table.cost_with_head(t), probed) << "step " << step << " t " << t;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(expect_same_state(-1));
+  for (int step = 0; step < 24; ++step) {
+    const auto t = static_cast<Vertex>(rng.next_below(n));
+    if (t == u) continue;
+    if (vec.has_head(t)) {
+      vec.remove_head(t);
+      csr.remove_head(t);
+      table.remove_head(t);
+    } else {
+      vec.add_head(t);
+      csr.add_head(t);
+      table.add_head(t);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(step));
+  }
+}
+
+TEST(DeltaEvalDifferential, FullSuperSourceRowAgreesAcrossEvaluators) {
+  // Every other vertex is a seed, so the delta oracle's super-source row
+  // holds n − 1 edges, all inserted after the base is built. Two ways to get
+  // there: every other vertex points at the player, which also holds heads
+  // (braces, so the seeds stay put through the walk); or the player's heads
+  // are exactly the vertices that do not point at it (removing a head frees
+  // a slot, and a probe or re-add fills it again).
+  Rng rng(9031);
+  for (const std::uint32_t n : {2u, 3u, 65u, 300u}) {
+    for (const bool connected : {true, false}) {
+      for (const Vertex u : {0u, n - 1}) {
+        const std::uint32_t num_heads = std::min<std::uint32_t>(3, n - 1);
+        std::vector<Vertex> heads;
+        for (std::uint32_t k = 1; k <= num_heads; ++k) heads.push_back((u + k) % n);
+
+        Digraph pointed_at = lane_test_graph(n, connected, rng);
+        for (Vertex w = 0; w < n; ++w) {
+          if (w != u && !pointed_at.has_arc(w, u)) pointed_at.add_arc(w, u);
+        }
+        for (const Vertex h : heads) {
+          if (!pointed_at.has_arc(u, h)) pointed_at.add_arc(u, h);
+        }
+
+        Digraph completed = lane_test_graph(n, connected, rng);
+        completed.set_strategy(u, heads);
+        for (Vertex w = 0; w < n; ++w) {
+          if (w == u) continue;
+          const bool is_head = std::find(heads.begin(), heads.end(), w) != heads.end();
+          if (is_head && completed.has_arc(w, u)) completed.remove_arc(w, u);
+          if (!is_head && !completed.has_arc(w, u)) completed.add_arc(w, u);
+        }
+
+        for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+          ASSERT_NO_FATAL_FAILURE(expect_evaluators_agree(pointed_at, u, version, rng));
+          ASSERT_NO_FATAL_FAILURE(expect_evaluators_agree(completed, u, version, rng));
+        }
+      }
+    }
+  }
+}
+
 TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
   // The probe kernels are cloned for wide vectors, so n walks across every
   // tail length around 8- and 16-lane boundaries. Each probe, with and

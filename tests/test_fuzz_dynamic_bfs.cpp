@@ -188,7 +188,7 @@ void csr_differential_walk(std::uint64_t seed, std::uint32_t n, std::uint32_t re
                            int steps, double insert_bias) {
   Rng rng(seed);
   DynamicBfs vec(UGraph(n), /*source=*/0, rebuild_threshold);
-  CsrDynamicBfs csr(CsrUGraph(n), /*source=*/0, rebuild_threshold);
+  CsrDynamicBfs csr(CsrUGraph(UGraph(n), /*row_slack=*/n - 1), /*source=*/0, rebuild_threshold);
   BfsRunner reference(n);
   std::set<Edge> shadow;
 
@@ -267,7 +267,7 @@ TEST(FuzzCsrDynamicBfs, SeededFromRandomGraphCoresAgreeBitForBit) {
     }
     const auto source = static_cast<Vertex>(rng.next_below(n));
     DynamicBfs vec(g, source, /*rebuild_threshold=*/n);
-    CsrDynamicBfs csr(CsrUGraph(g), source, /*rebuild_threshold=*/n);
+    CsrDynamicBfs csr(CsrUGraph(g, /*row_slack=*/n - 1), source, /*rebuild_threshold=*/n);
     for (int step = 0; step < 400; ++step) {
       const auto u = static_cast<Vertex>(rng.next_below(n));
       const auto v = static_cast<Vertex>(rng.next_below(n));

@@ -428,7 +428,7 @@ TEST(FuzzMultiBfs, InsertDeleteWalkMatchesPerSeedAcrossCores) {
   const std::uint32_t n = 40;
   Rng rng(0xF022'B1F5);
   UGraph g(n);
-  CsrUGraph csr(n);
+  CsrUGraph csr(UGraph(n), /*row_slack=*/n - 1);  // any simple graph fits
   std::set<Edge> shadow;
   Workspace witness;
 
