@@ -1,4 +1,4 @@
-// Experiment — CSR graph core vs vector core, and flat-memory large-n BFS.
+// Experiment — CSR graph core vs vector core, and a large-n BFS + delta-probe smoke.
 //
 // Two measurements back the CSR refactor:
 //
@@ -10,11 +10,10 @@
 //     claim is "no regression" (speedup ≥ ~1×), not a big win: at bench
 //     sizes both cores fit in cache and the work is repair-bound.
 //
-//  2. Large-n smoke (--large-n S): a S×S grid (S=1000 → n=10⁶) through the
-//     workspace-arena BFS and dynamic-BFS trial probes, proving the flat
-//     memory claim with the arena's own instrumentation: after the first
-//     (warm-up) query, footprint_bytes() and grows() must not move across
-//     queries, and the footprint must stay under a per-vertex byte ceiling.
+//  2. Large-n smoke (--large-n S): a S×S grid (S=1000 → n=10⁶) through
+//     repeated BfsRunner queries on both cores (identical aggregates) and
+//     CSR delta-evaluator head probes, timing each query at production
+//     scale. CI runs it under an address-space ceiling.
 //
 // scripts/run_bench.py turns the CSV into BENCH_csr.json so both claims are
 // tracked across PRs, not asserted from memory.
@@ -29,7 +28,6 @@
 #include "graph/bfs.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
-#include "parallel/workspace.hpp"
 
 namespace bbng {
 namespace {
@@ -129,74 +127,55 @@ void run_small_corpus(std::int64_t min_n, std::int64_t max_n, std::uint32_t want
 }
 
 void run_large_n(std::uint32_t side, bench::Checker& check, bool csv) {
-  bench::banner(cat("Large-n smoke: ", side, "x", side, " grid, workspace-arena BFS + probes"));
+  bench::banner(cat("Large-n smoke: ", side, "x", side, " grid, BFS + delta probes"));
   const UGraph grid = grid_graph(side, side);
   const CsrUGraph csr(grid);
   const std::uint32_t n = grid.num_vertices();
-  Table table({"phase", "n", "queries", "ms_per_query", "footprint_mb", "flat"});
+  Table table({"phase", "n", "queries", "ms_per_query"});
 
-  // Phase 1: repeated single-source BFS through one arena. The first query
-  // binds the arena (the only allocations); every later query must leave
-  // footprint_bytes() and grows() untouched.
-  Workspace ws;
-  const BfsAggregates warm = bfs_workspace(csr, Vertex{0}, ws);
-  check.expect(warm.reached == n, "grid is connected");
-  const std::uint64_t footprint = ws.footprint_bytes();
-  const std::uint64_t grows = ws.grows();
+  // Phase 1: repeated single-source BFS through one runner, on each core.
+  BfsRunner runner(n);
+  runner.run(csr, 0);
+  check.expect(runner.reached() == n, "grid is connected");
   constexpr int kQueries = 8;
+  // Stride sources across the grid deterministically.
+  const auto source = [n](int q) {
+    return static_cast<Vertex>((static_cast<std::uint64_t>(q) * 2654435761ULL) % n);
+  };
   std::uint64_t csr_sum = 0;
   Timer bfs_timer;
   for (int q = 0; q < kQueries; ++q) {
-    // Stride sources across the grid deterministically.
-    const auto s = static_cast<Vertex>((static_cast<std::uint64_t>(q) * 2654435761ULL) % n);
-    csr_sum += bfs_workspace(csr, s, ws).sum_dist;
+    runner.run(csr, source(q));
+    csr_sum += runner.sum_dist();
   }
   const double bfs_ms = bfs_timer.elapsed_millis() / kQueries;
-  const bool bfs_flat = ws.footprint_bytes() == footprint && ws.grows() == grows;
-  check.expect(bfs_flat, "BFS footprint and grow count flat across queries");
-  // Ceiling: the arena is a constant number of O(n) arrays — give it 128
-  // bytes/vertex of headroom so a regression to per-query allocation or a
-  // quadratic buffer is caught here, in CI, at n = 10^6.
-  check.expect(ws.footprint_bytes() <= 128ULL * n + (1ULL << 20),
-               "arena footprint under the per-vertex ceiling");
-  table.new_row()
-      .add("csr_bfs")
-      .add(n)
-      .add(static_cast<std::uint64_t>(kQueries))
-      .add(bfs_ms, 2)
-      .add(static_cast<double>(ws.footprint_bytes()) / (1024.0 * 1024.0), 1)
-      .add(bfs_flat ? 1 : 0);
+  table.new_row().add("csr_bfs").add(n).add(static_cast<std::uint64_t>(kQueries)).add(bfs_ms, 2);
 
   // Cross-core anchor: the vector core must agree on the aggregates.
   std::uint64_t vec_sum = 0;
   Timer vec_timer;
   for (int q = 0; q < kQueries; ++q) {
-    const auto s = static_cast<Vertex>((static_cast<std::uint64_t>(q) * 2654435761ULL) % n);
-    vec_sum += bfs_workspace(grid, s, ws).sum_dist;
+    runner.run(grid, source(q));
+    vec_sum += runner.sum_dist();
   }
   const double vec_ms = vec_timer.elapsed_millis() / kQueries;
   check.expect(vec_sum == csr_sum, "large-n BFS aggregates agree across cores");
-  check.expect(ws.footprint_bytes() == footprint, "vector-core sweep reuses the same arena");
   table.new_row()
       .add("vector_bfs")
       .add(n)
       .add(static_cast<std::uint64_t>(kQueries))
-      .add(vec_ms, 2)
-      .add(static_cast<double>(ws.footprint_bytes()) / (1024.0 * 1024.0), 1)
-      .add(1);
+      .add(vec_ms, 2);
 
   // Phase 2: a delta scan at n = 10^6 — orient the grid so every vertex
   // owns its arcs, pick a strided player, and probe head swaps through the
-  // CSR delta evaluator sharing the same arena. Probes must not grow it.
+  // CSR delta evaluator.
   const Digraph oriented = orient_with_positive_outdegree(grid);
   const std::vector<Vertex> players = sample_players(oriented, 1);
   check.expect(!players.empty(), "oriented grid has a positive-budget player");
   if (!players.empty()) {
     const Vertex player = players.front();
-    CsrDeltaEvaluator eval(oriented, player, CostVersion::Sum, /*rebuild_threshold=*/0, &ws);
+    CsrDeltaEvaluator eval(oriented, player, CostVersion::Sum);
     const std::vector<Vertex> strategy = eval.current_strategy();
-    const std::uint64_t probe_footprint = ws.footprint_bytes();
-    const std::uint64_t probe_grows = ws.grows();
     constexpr std::uint32_t kProbes = 64;
     const std::uint32_t stride = std::max(1U, n / kProbes);
     std::uint64_t probe_checksum = 0;
@@ -210,25 +189,16 @@ void run_large_n(std::uint32_t side, bench::Checker& check, bool csv) {
     }
     eval.add_head(strategy.front());
     const double probe_ms = probes > 0 ? probe_timer.elapsed_millis() / probes : 0.0;
-    const bool probe_flat =
-        ws.footprint_bytes() == probe_footprint && ws.grows() == probe_grows;
     check.expect(probes > 0, "delta scan probed some targets");
     check.expect(probe_checksum > 0, "delta scan produced finite costs");
-    check.expect(probe_flat, "delta probes leave the arena footprint flat");
-    table.new_row()
-        .add("csr_delta_probe")
-        .add(n)
-        .add(probes)
-        .add(probe_ms, 2)
-        .add(static_cast<double>(ws.footprint_bytes()) / (1024.0 * 1024.0), 1)
-        .add(probe_flat ? 1 : 0);
+    table.new_row().add("csr_delta_probe").add(n).add(probes).add(probe_ms, 2);
   }
   table.print(std::cout, csv);
 }
 
 int run(int argc, const char** argv) {
   Cli cli("bench_csr",
-          "CSR vs vector graph core: differential swap sweeps and flat-memory large-n BFS");
+          "CSR vs vector graph core: differential swap sweeps and a large-n BFS smoke");
   const auto flags = bench::add_common_flags(cli);
   const auto min_n = cli.add_int("min-n", 128, "smallest instance size (doubles upward)");
   const auto max_n = cli.add_int("max-n", 1024, "largest instance size");
@@ -249,8 +219,8 @@ int run(int argc, const char** argv) {
   }
 
   std::cout << "\nEngineering claim (not a paper claim): the CSR core serves the same "
-               "queries from contiguous rows with zero steady-state allocation — identical "
-               "results, flat arena footprint, and no small-n regression.\n";
+               "queries from contiguous rows — identical results and no small-n "
+               "regression.\n";
   return check.exit_code();
 }
 

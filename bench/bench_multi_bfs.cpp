@@ -4,7 +4,7 @@
 // Three measurements back the MultiBfs engine (graph/multi_bfs.hpp):
 //
 //  1. Small-n corpus (default): all-vertex aggregate sweeps on the three
-//     instance families of bench_csr, batched vs per-seed bfs_workspace,
+//     instance families of bench_csr, batched vs per-seed BfsRunner runs,
 //     with bit-identical aggregate checksums. The headline metric is work,
 //     not wall time (CI runners are 1-2 cores): `settled` counts the
 //     (lane, vertex) pairs a per-seed sweep scans one row each for, so
@@ -19,8 +19,8 @@
 //
 //  3. Large-n smoke (--large-n N): a 64-source batch on a sparse connected
 //     random graph at N vertices (10⁶ in CI) against 64 per-seed runs,
-//     proving the lane planes stay flat (footprint ceiling + zero regrows)
-//     and the saving survives at scale.
+//     proving the lanes stay bit-identical and the saving survives at
+//     scale.
 //
 // scripts/run_bench.py --multi-bfs-output turns the CSV into
 // BENCH_multi_bfs.json so the claims are tracked across PRs.
@@ -39,7 +39,6 @@
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
-#include "parallel/workspace.hpp"
 #include "solver/registry.hpp"
 
 namespace bbng {
@@ -68,13 +67,14 @@ SweepMeasurement batched_sweep(const CsrUGraph& g) {
   return m;
 }
 
-/// The per-seed witness: one bfs_workspace() run per vertex, same arena
-/// discipline the pre-MultiBfs consumers used.
-SweepMeasurement per_seed_sweep(const CsrUGraph& g, Workspace& ws) {
+/// The per-seed witness: one BfsRunner run per vertex.
+SweepMeasurement per_seed_sweep(const CsrUGraph& g) {
   SweepMeasurement m;
   Timer timer;
+  BfsRunner runner(g.num_vertices());
   for (Vertex s = 0; s < g.num_vertices(); ++s) {
-    m.checksum += fold(bfs_workspace(g, s, ws));
+    runner.run(g, s);
+    m.checksum += fold({runner.reached(), runner.max_dist(), runner.sum_dist()});
   }
   m.ms = timer.elapsed_millis();
   return m;
@@ -105,9 +105,8 @@ void run_corpus(std::int64_t min_n, std::int64_t max_n, Rng& rng, bench::Checker
 
     for (const Family& family : families) {
       const CsrUGraph g(family.graph.underlying());
-      Workspace ws;
       const SweepMeasurement batched = batched_sweep(g);
-      const SweepMeasurement per_seed = per_seed_sweep(g, ws);
+      const SweepMeasurement per_seed = per_seed_sweep(g);
       check.expect(batched.checksum == per_seed.checksum,
                    cat(family.name, " n=", g.num_vertices(), " aggregates batched==per_seed"));
       // `settled` IS the per-seed row-scan count, so the saving is exact.
@@ -219,33 +218,18 @@ void run_large_n(std::uint32_t n, Rng& rng, bench::Checker& check, bool csv) {
   // lane packing is built for, in O(n) generation time.
   const UGraph g = sparse_connected_ugraph(n, n / 2, rng);
   const CsrUGraph csr(g);
-  Table table({"phase", "n", "sources", "row_scans", "settled", "scan_saving", "ms",
-               "footprint_mb", "flat"});
+  Table table({"phase", "n", "sources", "row_scans", "settled", "scan_saving", "ms"});
 
   std::array<Vertex, MultiBfs::kLanes> sources{};
   for (std::size_t i = 0; i < sources.size(); ++i) {
     sources[i] = static_cast<Vertex>((static_cast<std::uint64_t>(i) * 2654435761ULL) % n);
   }
 
-  Workspace ws;
-  CsrMultiBfs engine(csr, &ws);
+  CsrMultiBfs engine(csr);
   std::array<BfsAggregates, MultiBfs::kLanes> batched{};
-  // Warm-up batch binds the lane planes; the measured batch must not grow.
-  engine.run_batch(std::span<const Vertex>(sources), std::span<BfsAggregates>(batched));
-  const std::uint64_t footprint = ws.footprint_bytes();
-  const std::uint64_t grows = ws.grows();
-  engine.reset_stats();
   Timer batched_timer;
   engine.run_batch(std::span<const Vertex>(sources), std::span<BfsAggregates>(batched));
   const double batched_ms = batched_timer.elapsed_millis();
-  const bool flat = ws.footprint_bytes() == footprint && ws.grows() == grows;
-  check.expect(flat, "repeated batches leave the arena flat");
-  // The lane planes add 24 bytes/vertex to the arena; together with the
-  // bind() arrays the ceiling is 192 bytes/vertex + 1 MiB slack. The
-  // level-segmented active list stays O(n + settled-per-level) on the
-  // small-diameter family, so a quadratic queue regression trips this.
-  check.expect(ws.footprint_bytes() <= 192ULL * n + (1ULL << 20),
-               "arena footprint under the per-vertex ceiling");
 
   const MultiBfsStats stats = engine.stats();
   const double saving = stats.row_scans > 0 ? static_cast<double>(stats.settled) /
@@ -259,17 +243,16 @@ void run_large_n(std::uint32_t n, Rng& rng, bench::Checker& check, bool csv) {
       .add(stats.row_scans)
       .add(stats.settled)
       .add(saving, 2)
-      .add(batched_ms, 2)
-      .add(static_cast<double>(ws.footprint_bytes()) / (1024.0 * 1024.0), 1)
-      .add(flat ? 1 : 0);
+      .add(batched_ms, 2);
 
-  // Per-seed witness: 64 independent arena BFS runs, bit-identical lanes.
+  // Per-seed witness: 64 independent BfsRunner runs, bit-identical lanes.
   Timer per_seed_timer;
+  BfsRunner runner(n);
   std::uint64_t mismatches = 0;
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const BfsAggregates want = bfs_workspace(csr, sources[i], ws);
-    if (want.reached != batched[i].reached || want.max_dist != batched[i].max_dist ||
-        want.sum_dist != batched[i].sum_dist) {
+    runner.run(csr, sources[i]);
+    if (runner.reached() != batched[i].reached || runner.max_dist() != batched[i].max_dist ||
+        runner.sum_dist() != batched[i].sum_dist) {
       ++mismatches;
     }
   }
@@ -282,9 +265,7 @@ void run_large_n(std::uint32_t n, Rng& rng, bench::Checker& check, bool csv) {
       .add(stats.settled)  // per-seed scans one row per settled pair
       .add(stats.settled)
       .add(1.0, 2)
-      .add(per_seed_ms, 2)
-      .add(static_cast<double>(ws.footprint_bytes()) / (1024.0 * 1024.0), 1)
-      .add(1);
+      .add(per_seed_ms, 2);
   table.print(std::cout, csv);
 }
 

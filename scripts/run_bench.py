@@ -27,15 +27,15 @@ Fails loudly: a missing, crashing, or check-failing bench exits non-zero
 *without* writing the output file — a partial artifact is worse than none.
 
 With ``--csr-output PATH`` it additionally runs ``bench_csr`` (CSR vs
-vector graph core: bit-identical swap sweeps plus the flat-memory large-n
-smoke when ``--csr-large-n`` is nonzero) and writes ``BENCH_csr.json``.
+vector graph core: bit-identical swap sweeps plus the large-n BFS and
+delta-probe smoke when ``--csr-large-n`` is nonzero) and writes ``BENCH_csr.json``.
 
 With ``--multi-bfs-output PATH`` it additionally runs ``bench_multi_bfs``
 (batched 64-lane multi-source BFS vs per-seed sweeps) and writes
 ``BENCH_multi_bfs.json``: the corpus work counts (row scans vs settled
 pairs — the batching gain), the Nash-audit prepass comparison when
 ``--multi-bfs-audit-n`` is nonzero (>= 512 asserts the 8x row-scan
-saving), and the flat-memory large-n smoke when ``--multi-bfs-large-n``
+saving), and the large-n 64-source smoke when ``--multi-bfs-large-n``
 is nonzero.
 
 With ``--churn-output PATH`` it additionally runs ``bench_churn`` (the
@@ -355,8 +355,6 @@ def main():
                     "n": int(record["n"]),
                     "queries": int(record["queries"]),
                     "ms_per_query": float(record["ms_per_query"]),
-                    "footprint_mb": float(record["footprint_mb"]),
-                    "flat": int(record["flat"]),
                 }
             )
         if not csr_rows and not large_rows:
@@ -436,8 +434,6 @@ def main():
                     "settled": int(record["settled"]),
                     "scan_saving": float(record["scan_saving"]),
                     "ms": float(record["ms"]),
-                    "footprint_mb": float(record["footprint_mb"]),
-                    "flat": int(record["flat"]),
                 }
             )
         if not corpus_rows and not audit_rows and not large_bfs_rows:

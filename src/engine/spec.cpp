@@ -540,6 +540,19 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
       }
     }
   }
+
+  // num_jobs() multiplies and adds unchecked; every parsed spec must keep
+  // both the per-scenario counts and the campaign total inside 64 bits.
+  std::uint64_t total = 0;
+  for (const ScenarioSpec& scenario : campaign.scenarios) {
+    std::uint64_t jobs = 0;
+    if (__builtin_mul_overflow(std::uint64_t{scenario.grid_n.size()},
+                               std::uint64_t{scenario.grid_density.size()}, &jobs) ||
+        __builtin_mul_overflow(jobs, scenario.seed_count(), &jobs) ||
+        __builtin_add_overflow(total, jobs, &total)) {
+      spec_error("scenario \"" + scenario.name + "\"", "job count overflows 64 bits");
+    }
+  }
   return campaign;
 }
 

@@ -32,7 +32,7 @@ struct JobOptions {
 /// Execute one job and return its JSONL record (compact JSON, no newline).
 /// Field order is fixed per task kind; byte-stable across runs. When obs is
 /// active, the record's LAST member is "obs": the name-sorted nonzero
-/// kJob-scope counter deltas of this job.
+/// counter deltas of this job.
 [[nodiscard]] std::string run_job_line(const CampaignSpec& campaign, const Job& job,
                                        const JobOptions& options = {});
 

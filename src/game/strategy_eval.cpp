@@ -232,8 +232,7 @@ std::vector<Vertex> fill_rows_by_lanes(const Digraph& g, Vertex player, std::uin
   for (Vertex s = 0; s < n; ++s) {
     if (s != player) sources.push_back(s);
   }
-  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-  CsrMultiBfs lanes(base, &lease.ws());
+  CsrMultiBfs lanes(base);
   std::array<std::uint32_t*, CsrMultiBfs::kLanes> rows{};
   for (std::size_t first = 0; first < sources.size(); first += CsrMultiBfs::kLanes) {
     const std::size_t count = std::min<std::size_t>(CsrMultiBfs::kLanes, sources.size() - first);

@@ -132,18 +132,15 @@ template <class GraphT>
 class DeltaEvaluatorT {
  public:
   /// `rebuild_threshold` is forwarded to the dynamic oracle (0 = auto).
-  /// `scratch` (optional, not owned, must outlive the evaluator) shares one
-  /// worker's Workspace arena with the oracle.
   DeltaEvaluatorT(const Digraph& g, Vertex player, CostVersion version,
-                  std::uint32_t rebuild_threshold = 0, Workspace* scratch = nullptr)
+                  std::uint32_t rebuild_threshold = 0)
       : player_(player),
         version_(version),
         n_(g.num_vertices()),
         vsrc_(n_),
         // MAX needs the oracle's per-level counts for max_dist(); SUM skips
         // that bookkeeping on every label change.
-        bfs_(build_base(g, player), vsrc_, rebuild_threshold, version == CostVersion::Max,
-             scratch),
+        bfs_(build_base(g, player), vsrc_, rebuild_threshold, version == CostVersion::Max),
         is_head_(n_, 0),
         seed_mult_(n_, 0),
         seed_pos_(n_, kUnreachable) {

@@ -29,8 +29,5 @@ std::vector<std::uint32_t> bfs_distances_multi(const UGraph& g, std::span<const 
 // identical code for both cores.
 template void BfsRunner::run_multi<UGraph>(const UGraph&, std::span<const Vertex>);
 template void BfsRunner::run_multi<CsrUGraph>(const CsrUGraph&, std::span<const Vertex>);
-template BfsAggregates bfs_workspace<UGraph>(const UGraph&, std::span<const Vertex>, Workspace&);
-template BfsAggregates bfs_workspace<CsrUGraph>(const CsrUGraph&, std::span<const Vertex>,
-                                                Workspace&);
 
 }  // namespace bbng

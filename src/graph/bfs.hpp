@@ -8,11 +8,10 @@
 // Every entry point is a template over the graph core (UGraph or CsrUGraph,
 // graph/csr_graph.hpp): both expose sorted `neighbors(u)` spans, so the two
 // cores traverse vertices in the identical order and produce bit-identical
-// distances, aggregates, and trees. Sweep-style consumers that only need
-// aggregates should prefer bfs_workspace(), which runs on a leased
-// Workspace arena (parallel/workspace.hpp) with epoch-stamped visited marks
-// — no O(n) distance refill between queries and zero steady-state heap
-// allocations.
+// distances, aggregates, and trees. All-sources sweeps that only need
+// aggregates batch 64 sources per pass on MultiBfs (graph/multi_bfs.hpp);
+// each engine owns its scratch, so a reused engine allocates nothing once
+// warm.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "graph/ugraph.hpp"
-#include "parallel/workspace.hpp"
+#include "util/assert.hpp"
 
 namespace bbng {
 
@@ -68,32 +67,6 @@ class BfsRunner {
     }
   }
 
-  /// Single-source BFS that stops once `target_radius` levels are explored;
-  /// vertices beyond it keep kUnreachable. Used for ball queries B_r(u).
-  template <class G>
-  void run_bounded(const G& g, Vertex source, std::uint32_t target_radius) {
-    BBNG_REQUIRE(g.num_vertices() == dist_.size());
-    BBNG_REQUIRE(source < dist_.size());
-    reset();
-    std::size_t head = 0, tail = 0;
-    dist_[source] = 0;
-    queue_[tail++] = source;
-    reached_ = 1;
-    while (head < tail) {
-      const Vertex u = queue_[head++];
-      const std::uint32_t du = dist_[u];
-      if (du == target_radius) continue;
-      for (const Vertex v : g.neighbors(u)) {
-        if (dist_[v] != kUnreachable) continue;
-        dist_[v] = du + 1;
-        queue_[tail++] = v;
-        ++reached_;
-        max_dist_ = du + 1;
-        sum_dist_ += du + 1;
-      }
-    }
-  }
-
   [[nodiscard]] std::span<const std::uint32_t> dist() const noexcept {
     return {dist_.data(), dist_.size()};
   }
@@ -121,55 +94,13 @@ class BfsRunner {
   std::uint64_t sum_dist_ = 0;
 };
 
-/// Aggregates of one bfs_workspace() sweep. Identical to the corresponding
-/// BfsRunner readings (same traversal, same update order).
+/// Per-source aggregates of one BFS: the reached(), max_dist() and
+/// sum_dist() readings of a BfsRunner run, as MultiBfs returns them per lane.
 struct BfsAggregates {
   std::uint32_t reached = 0;
   std::uint32_t max_dist = 0;
   std::uint64_t sum_dist = 0;
 };
-
-/// Multi-source BFS on a leased Workspace arena. Visited bookkeeping is the
-/// epoch-stamped mark array, so repeated queries touch only the reached
-/// region — no O(n) refill, no allocation once the arena is warm. After the
-/// call, ws.dist[v] is valid exactly for v with ws.mark[v] == ws.epoch.
-template <class G>
-BfsAggregates bfs_workspace(const G& g, std::span<const Vertex> sources, Workspace& ws) {
-  const std::uint32_t n = g.num_vertices();
-  ws.bind(n);
-  const std::uint32_t epoch = ws.next_epoch();
-  ws.queue.clear();
-  BfsAggregates agg;
-  for (const Vertex s : sources) {
-    BBNG_REQUIRE(s < n);
-    if (ws.mark[s] == epoch) continue;
-    ws.mark[s] = epoch;
-    ws.dist[s] = 0;
-    ws.queue.push_back(s);
-  }
-  agg.reached = static_cast<std::uint32_t>(ws.queue.size());
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
-    const Vertex u = ws.queue[head];
-    const std::uint32_t du = ws.dist[u];
-    for (const Vertex v : g.neighbors(u)) {
-      if (ws.mark[v] == epoch) continue;
-      ws.mark[v] = epoch;
-      ws.dist[v] = du + 1;
-      ws.queue.push_back(v);
-      ++agg.reached;
-      agg.max_dist = du + 1;
-      agg.sum_dist += du + 1;
-    }
-  }
-  return agg;
-}
-
-/// Single-source convenience over bfs_workspace().
-template <class G>
-BfsAggregates bfs_workspace(const G& g, Vertex source, Workspace& ws) {
-  const Vertex sources[1] = {source};
-  return bfs_workspace(g, std::span<const Vertex>(sources), ws);
-}
 
 /// One-shot conveniences (allocate per call).
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const UGraph& g, Vertex source);

@@ -4,7 +4,7 @@
 #include <array>
 
 #include "graph/multi_bfs.hpp"
-#include "parallel/workspace.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace bbng {
 namespace {
@@ -33,22 +33,6 @@ EccentricityResult ecc_impl(const G& g, ThreadPool* pool) {
   result.diameter = *std::max_element(result.ecc.begin(), result.ecc.end());
   result.radius = *std::min_element(result.ecc.begin(), result.ecc.end());
   return result;
-}
-
-template <class G>
-std::uint32_t eccentricity_impl(const G& g, Vertex u) {
-  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(g.num_vertices());
-  const BfsAggregates agg = bfs_workspace(g, u, lease.ws());
-  if (agg.reached != g.num_vertices()) return kUnreachable;
-  return agg.max_dist;
-}
-
-template <class G>
-std::uint64_t sum_of_distances_impl(const G& g, Vertex u, std::uint64_t cinf) {
-  const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(g.num_vertices());
-  const BfsAggregates agg = bfs_workspace(g, u, lease.ws());
-  const std::uint64_t missing = g.num_vertices() - agg.reached;
-  return agg.sum_dist + missing * cinf;
 }
 
 template <class G>
@@ -102,16 +86,17 @@ std::uint32_t diameter_lower_bound(const UGraph& g, std::uint32_t samples, Rng& 
   return best;
 }
 
-std::uint32_t eccentricity(const UGraph& g, Vertex u) { return eccentricity_impl(g, u); }
-
-std::uint32_t eccentricity(const CsrUGraph& g, Vertex u) { return eccentricity_impl(g, u); }
-
-std::uint64_t sum_of_distances(const UGraph& g, Vertex u, std::uint64_t cinf) {
-  return sum_of_distances_impl(g, u, cinf);
+std::uint32_t eccentricity(const UGraph& g, Vertex u) {
+  BfsRunner runner(g.num_vertices());
+  runner.run(g, u);
+  return runner.reached() == g.num_vertices() ? runner.max_dist() : kUnreachable;
 }
 
-std::uint64_t sum_of_distances(const CsrUGraph& g, Vertex u, std::uint64_t cinf) {
-  return sum_of_distances_impl(g, u, cinf);
+std::uint64_t sum_of_distances(const UGraph& g, Vertex u, std::uint64_t cinf) {
+  BfsRunner runner(g.num_vertices());
+  runner.run(g, u);
+  const std::uint64_t missing = g.num_vertices() - runner.reached();
+  return runner.sum_dist() + missing * cinf;
 }
 
 std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g, ThreadPool* pool) {
@@ -122,9 +107,10 @@ std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g, ThreadPool* pool) 
   // One 64-lane sweep fills 64 matrix rows via the settle hook; rows start
   // kUnreachable, which cross-component entries keep.
   const std::uint64_t batches = (n + MultiBfs::kLanes - 1) / MultiBfs::kLanes;
-  exec.run_chunked(batches, 1, [&](std::uint64_t lo, std::uint64_t hi) {
-    const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(n);
-    MultiBfs engine(g, &lease.ws());
+  // One engine per chunk of about batches / (4 · width) batches.
+  const std::uint64_t grain = pick_grain(batches, exec.width());
+  exec.run_chunked(batches, grain, [&](std::uint64_t lo, std::uint64_t hi) {
+    MultiBfs engine(g);
     std::array<Vertex, MultiBfs::kLanes> sources{};
     std::array<BfsAggregates, MultiBfs::kLanes> aggs{};
     for (std::uint64_t b = lo; b < hi; ++b) {

@@ -3,12 +3,10 @@
 // Every all-sources sweep (eccentricities, diameter, APSP, average
 // distance) runs on the packed 64-lane MultiBfs engine
 // (graph/multi_bfs.hpp), parallel over batches of 64 sources on the shared
-// ThreadPool, each worker on a Workspace arena leased from the shared pool
-// (parallel/workspace.hpp). Single-source queries (eccentricity,
-// sum_of_distances) sweep with bfs_workspace() on a leased arena, so no
-// query performs steady-state heap allocations per source. Aggregate entry
-// points are overloaded for both graph cores (UGraph and CsrUGraph) and
-// return identical values. For very large graphs (the k=4 shift graph has
+// ThreadPool, one engine per worker chunk. Single-source queries
+// (eccentricity, sum_of_distances) run one BfsRunner sweep. The all-sources
+// entry points are overloaded for both graph cores (UGraph and CsrUGraph)
+// and return identical values. For very large graphs (the k=4 shift graph has
 // 65 536 vertices) a sampled variant gives a certified *lower* bound on the
 // diameter plus the exact eccentricity of the sampled vertices.
 #pragma once
@@ -50,11 +48,9 @@ struct EccentricityResult {
 
 /// Eccentricity of a single vertex (kUnreachable if g disconnected from u).
 [[nodiscard]] std::uint32_t eccentricity(const UGraph& g, Vertex u);
-[[nodiscard]] std::uint32_t eccentricity(const CsrUGraph& g, Vertex u);
 
 /// Sum over v of d(u,v), counting `cinf` for each unreachable vertex.
 [[nodiscard]] std::uint64_t sum_of_distances(const UGraph& g, Vertex u, std::uint64_t cinf);
-[[nodiscard]] std::uint64_t sum_of_distances(const CsrUGraph& g, Vertex u, std::uint64_t cinf);
 
 /// Full APSP matrix (row u = BFS from u); intended for small n only.
 /// Rows stream out of packed MultiBfs sweeps via its settle hook

@@ -31,13 +31,13 @@
 // (tests/test_fuzz_dynamic_bfs.cpp runs them side by side). CsrUGraph rows
 // have fixed capacity, so a CSR oracle's inserts need spare slots in both
 // rows: build its graph with enough row slack (underlying_csr sizes the
-// delta evaluator's rows for its seed edges). Pass a Workspace
-// (parallel/workspace.hpp) to share the per-operation scratch (wave /
-// subtree stack / epoch marks / bucket queue) with other oracles on the same
-// worker thread: each operation leaves the scratch clean, so sharing is safe
-// and steady-state queries allocate nothing.
+// delta evaluator's rows for its seed edges). Each oracle owns its
+// per-operation scratch (relaxation wave, subtree list, epoch marks, bucket
+// queue); every operation leaves it clean, so steady-state probes allocate
+// nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -47,14 +47,13 @@
 #include "graph/csr_graph.hpp"
 #include "graph/ugraph.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/workspace.hpp"
 
 namespace bbng {
 
 namespace detail {
 /// Registry mirror of full_rebuilds_: deletions whose repair region crossed
 /// the threshold and fell back to a from-scratch BFS. A pure function of the
-/// operation sequence (kJob), like the per-instance counter it shadows.
+/// operation sequence, like the per-instance counter it shadows.
 inline void note_dynamic_bfs_recompute() {
   if (!obs::kCompiledIn || !obs::enabled()) return;
   static const obs::CounterId id = obs::register_counter("bfs.dynamic.recomputes");
@@ -71,27 +70,20 @@ class DynamicBfsT {
   /// (both useful in differential tests). `track_max` maintains per-level
   /// counts so max_dist() is available; pass false to shave two array writes
   /// off every label change when only reached()/sum_dist() are consumed.
-  /// `scratch` (optional, not owned, must outlive the oracle) shares one
-  /// worker's Workspace arena instead of allocating private scratch.
   explicit DynamicBfsT(GraphT g, Vertex source, std::uint32_t rebuild_threshold = 0,
-                       bool track_max = true, Workspace* scratch = nullptr)
+                       bool track_max = true)
       : n_(g.num_vertices()),
         source_(source),
         rebuild_threshold_(rebuild_threshold),
         track_max_(track_max),
-        scratch_(scratch),
         g_(std::move(g)),
         dist_(n_, kUnreachable),
         parent_(n_, kUnreachable),
-        level_count_(track_max_ ? static_cast<std::size_t>(n_) + 1 : 0, 0) {
+        level_count_(track_max_ ? static_cast<std::size_t>(n_) + 1 : 0, 0),
+        mark_(n_, 0),
+        buckets_(static_cast<std::size_t>(n_) + 2) {
     BBNG_REQUIRE(source_ < n_);
     if (rebuild_threshold_ == 0) rebuild_threshold_ = std::max<std::uint32_t>(32, n_ / 4);
-    if (scratch_ != nullptr) {
-      scratch_->bind(n_);
-    } else {
-      own_mark_.assign(n_, 0);
-      own_buckets_.resize(static_cast<std::size_t>(n_) + 2);
-    }
     rebuild();
   }
 
@@ -118,27 +110,26 @@ class DynamicBfsT {
     // Relaxation wave: labels only decrease, so each vertex enters at most
     // once per strict improvement and the work is O(region that improves).
     // Probes skip parent maintenance entirely (rollback discards the wave).
-    std::vector<Vertex>& wave = this->wave();
-    wave.clear();
+    wave_.clear();
     journal_label(v);
     apply_label(v, dist_[u] + 1);
     if (!trial_active_) parent_[v] = u;
-    wave.push_back(v);
+    wave_.push_back(v);
     ++touched_;
     std::size_t head = 0;
-    while (head < wave.size()) {
-      const Vertex w = wave[head++];
+    while (head < wave_.size()) {
+      const Vertex w = wave_[head++];
       const std::uint32_t dw = dist_[w];
       for (const Vertex x : g_.neighbors(w)) {
         if (dist_[x] != kUnreachable && dist_[x] <= dw + 1) continue;
         journal_label(x);
         apply_label(x, dw + 1);
         if (!trial_active_) parent_[x] = w;
-        wave.push_back(x);
+        wave_.push_back(x);
         ++touched_;
       }
     }
-    wave.clear();
+    wave_.clear();
   }
 
   /// Delete the (present) edge {u,v} and repair distances.
@@ -156,65 +147,61 @@ class DynamicBfsT {
     // everything else keeps an intact shortest-path tree, so its labels stay
     // exact (deletion can only increase distances).
     const std::uint32_t epoch = bump_epoch();
-    std::vector<std::uint32_t>& mark = this->mark();
-    std::vector<Vertex>& affected = this->affected();
-    affected.clear();
-    affected.push_back(v);
-    mark[v] = epoch;
-    for (std::size_t i = 0; i < affected.size(); ++i) {
-      const Vertex w = affected[i];
+    affected_.clear();
+    affected_.push_back(v);
+    mark_[v] = epoch;
+    for (std::size_t i = 0; i < affected_.size(); ++i) {
+      const Vertex w = affected_[i];
       for (const Vertex x : g_.neighbors(w)) {
-        if (parent_[x] == w && mark[x] != epoch) {
-          mark[x] = epoch;
-          affected.push_back(x);
+        if (parent_[x] == w && mark_[x] != epoch) {
+          mark_[x] = epoch;
+          affected_.push_back(x);
         }
       }
-      if (affected.size() > rebuild_threshold_) {
-        for (const Vertex a : affected) mark[a] = 0;
-        touched_ += affected.size();
-        affected.clear();
+      if (affected_.size() > rebuild_threshold_) {
+        for (const Vertex a : affected_) mark_[a] = 0;
+        touched_ += affected_.size();
+        affected_.clear();
         ++full_rebuilds_;
         detail::note_dynamic_bfs_recompute();
         rebuild();
         return;
       }
     }
-    touched_ += affected.size();
+    touched_ += affected_.size();
 
     // Repair: settle affected vertices in increasing candidate distance with
     // a bucket queue (unit-weight Dijkstra seeded from the intact frontier).
-    std::vector<std::vector<Vertex>>& buckets = this->buckets();
-    std::vector<std::uint32_t>& used_levels = this->used_levels();
     std::uint32_t min_level = kUnreachable;
-    used_levels.clear();
+    used_levels_.clear();
     const auto push = [&](Vertex w, std::uint32_t cand) {
       if (cand > n_) return;  // no simple path is that long
-      if (buckets[cand].empty()) used_levels.push_back(cand);
-      buckets[cand].push_back(w);
+      if (buckets_[cand].empty()) used_levels_.push_back(cand);
+      buckets_[cand].push_back(w);
       if (cand < min_level) min_level = cand;
     };
-    for (const Vertex w : affected) {
+    for (const Vertex w : affected_) {
       std::uint32_t cand = kUnreachable;
       for (const Vertex x : g_.neighbors(w)) {
-        if (mark[x] == epoch || dist_[x] == kUnreachable) continue;
+        if (mark_[x] == epoch || dist_[x] == kUnreachable) continue;
         cand = std::min(cand, dist_[x] + 1);
       }
       if (cand != kUnreachable) push(w, cand);
     }
 
-    std::size_t unsettled = affected.size();
+    std::size_t unsettled = affected_.size();
     for (std::uint32_t lev = min_level; lev <= n_ && unsettled > 0; ++lev) {
-      auto& bucket = buckets[lev];
+      auto& bucket = buckets_[lev];
       for (std::size_t i = 0; i < bucket.size(); ++i) {  // may grow while draining
         const Vertex w = bucket[i];
-        if (mark[w] != epoch) continue;  // already settled
-        mark[w] = 0;
+        if (mark_[w] != epoch) continue;  // already settled
+        mark_[w] = 0;
         --unsettled;
         BBNG_ASSERT(lev >= dist_[w]);
         apply_label(w, lev);
         parent_[w] = kUnreachable;
         for (const Vertex x : g_.neighbors(w)) {
-          if (mark[x] == epoch) {
+          if (mark_[x] == epoch) {
             push(x, lev + 1);  // settled-affected frontier keeps relaxing
           } else if (parent_[w] == kUnreachable && dist_[x] + 1 == lev) {
             parent_[w] = x;  // dist_[x] finite: kUnreachable + 1 overflows to 0
@@ -223,18 +210,18 @@ class DynamicBfsT {
         BBNG_ASSERT(parent_[w] != kUnreachable);
       }
     }
-    for (const std::uint32_t lev : used_levels) buckets[lev].clear();
+    for (const std::uint32_t lev : used_levels_) buckets_[lev].clear();
 
     // Anything never settled has lost its last path to the source.
     if (unsettled > 0) {
-      for (const Vertex w : affected) {
-        if (mark[w] != epoch) continue;
-        mark[w] = 0;
+      for (const Vertex w : affected_) {
+        if (mark_[w] != epoch) continue;
+        mark_[w] = 0;
         apply_label(w, kUnreachable);
         parent_[w] = kUnreachable;
       }
     }
-    affected.clear();
+    affected_.clear();
   }
 
   /// Begin a journaled trial: subsequent insert_edge calls record undo
@@ -328,14 +315,13 @@ class DynamicBfsT {
     max_level_ = 0;
 
     // Plain BFS, but recording parents (BfsRunner does not keep them).
-    std::vector<Vertex>& wave = this->wave();
-    wave.clear();
+    wave_.clear();
     dist_[source_] = 0;
     if (track_max_) level_count_[0] = 1;
-    wave.push_back(source_);
+    wave_.push_back(source_);
     std::size_t head = 0;
-    while (head < wave.size()) {
-      const Vertex u = wave[head++];
+    while (head < wave_.size()) {
+      const Vertex u = wave_[head++];
       const std::uint32_t du = dist_[u];
       for (const Vertex v : g_.neighbors(u)) {
         if (dist_[v] != kUnreachable) continue;
@@ -344,11 +330,11 @@ class DynamicBfsT {
         if (track_max_) ++level_count_[du + 1];
         sum_dist_ += du + 1;
         if (du + 1 > max_level_) max_level_ = du + 1;
-        wave.push_back(v);
+        wave_.push_back(v);
       }
     }
-    reached_ = static_cast<std::uint32_t>(wave.size());
-    wave.clear();
+    reached_ = static_cast<std::uint32_t>(wave_.size());
+    wave_.clear();
   }
 
   void apply_label(Vertex v, std::uint32_t new_dist) {
@@ -375,33 +361,20 @@ class DynamicBfsT {
     if (trial_active_) trial_labels_.push_back({v, dist_[v]});
   }
 
-  // Scratch accessors: one worker's shared Workspace when given, private
-  // fallbacks otherwise. Every operation leaves the shared arrays clean
-  // (waves/stacks cleared, marks ≤ a consumed epoch), so oracles on the same
-  // thread interleave safely.
-  std::vector<Vertex>& wave() { return scratch_ != nullptr ? scratch_->queue : own_wave_; }
-  std::vector<Vertex>& affected() { return scratch_ != nullptr ? scratch_->stack : own_affected_; }
-  std::vector<std::uint32_t>& mark() { return scratch_ != nullptr ? scratch_->mark : own_mark_; }
-  std::vector<std::vector<Vertex>>& buckets() {
-    return scratch_ != nullptr ? scratch_->buckets : own_buckets_;
-  }
-  std::vector<std::uint32_t>& used_levels() {
-    return scratch_ != nullptr ? scratch_->used_levels : own_used_levels_;
-  }
+  /// Advance the mark epoch; all existing marks become stale. On wrap-around
+  /// the mark array is cleared once.
   std::uint32_t bump_epoch() {
-    if (scratch_ != nullptr) return scratch_->next_epoch();
-    if (++own_epoch_ == 0) {
-      std::fill(own_mark_.begin(), own_mark_.end(), 0U);
-      own_epoch_ = 1;
+    if (++epoch_ == 0) {
+      std::fill(mark_.begin(), mark_.end(), 0U);
+      epoch_ = 1;
     }
-    return own_epoch_;
+    return epoch_;
   }
 
   std::uint32_t n_;
   Vertex source_;
   std::uint32_t rebuild_threshold_;
   bool track_max_;
-  Workspace* scratch_;  ///< not owned; nullptr = private scratch below
   GraphT g_;
   std::vector<std::uint32_t> dist_;
   std::vector<Vertex> parent_;
@@ -412,13 +385,14 @@ class DynamicBfsT {
   std::vector<std::uint32_t> level_count_;   ///< #vertices per finite distance
   mutable std::uint32_t max_level_ = 0;      ///< cached upper bound on max_dist
 
-  // Private scratch (used only when no Workspace was provided).
-  std::vector<Vertex> own_wave_;                 ///< insert relaxation / rebuild queue
-  std::vector<Vertex> own_affected_;             ///< deletion: invalidated subtree
-  std::vector<std::uint32_t> own_mark_;          ///< epoch stamps
-  std::uint32_t own_epoch_ = 0;
-  std::vector<std::vector<Vertex>> own_buckets_; ///< deletion repair bucket queue
-  std::vector<std::uint32_t> own_used_levels_;   ///< non-empty buckets to clear
+  // Per-operation scratch; every operation leaves it clean (lists cleared,
+  // marks at most a consumed epoch).
+  std::vector<std::uint32_t> mark_;          ///< epoch stamps
+  std::uint32_t epoch_ = 0;
+  std::vector<std::vector<Vertex>> buckets_; ///< deletion repair bucket queue
+  std::vector<std::uint32_t> used_levels_;   ///< non-empty buckets to clear
+  std::vector<Vertex> wave_;                 ///< insert relaxation / rebuild queue
+  std::vector<Vertex> affected_;             ///< deletion: invalidated subtree
 
   // Trial journal (insert-only probes; parents are left stale and scalar
   // aggregates restore from the begin_trial snapshot).

@@ -34,9 +34,11 @@ std::vector<BfsAggregates> multi_source_aggregates(const G& g,
   ThreadPool& exec = pool != nullptr ? *pool : ThreadPool::shared();
   std::mutex stats_mutex;
   MultiBfsStats total;
-  exec.run_chunked(batches, 1, [&](std::uint64_t lo, std::uint64_t hi) {
-    const WorkspacePool::Lease lease = WorkspacePool::shared().acquire(g.num_vertices());
-    MultiBfsT<G> engine(g, &lease.ws());
+  // About four chunks per worker, so one engine serves many batches: a
+  // fresh engine's active list regrows from n to every level's frontiers.
+  const std::uint64_t grain = pick_grain(batches, exec.width());
+  exec.run_chunked(batches, grain, [&](std::uint64_t lo, std::uint64_t hi) {
+    MultiBfsT<G> engine(g);
     // Histogram only, no trace span: a campaign runs this batch sweep
     // millions of times, and per-batch span events would swamp the trace.
     static const obs::HistogramId kSweepHist = obs::register_histogram("bfs.multi.sweep");

@@ -5,7 +5,7 @@
 // sweeps, APSP) used to pay one full BFS per seed: n sweeps, each scanning
 // every reached row once. MultiBfs packs up to 64 sources ("lanes") into one
 // sweep by carrying, per vertex, a 64-bit mask of the lanes whose frontier
-// contains it (the Workspace lane planes, parallel/workspace.hpp), and
+// contains it (the engine's seen/frontier/next lane planes), and
 // advancing all packed frontiers level-synchronously: a vertex's adjacency
 // row is scanned once per level it is active in for ANY lane, instead of
 // once per source that reaches it. On small-diameter instances (the paper
@@ -17,7 +17,7 @@
 //
 // Per-lane aggregates (reached / max_dist / sum_dist) are folded in as
 // vertices settle, so a batch returns exactly what 64 independent
-// bfs_workspace() runs would — bit-identical, since the aggregates are pure
+// BfsRunner runs would — bit-identical, since the aggregates are pure
 // functions of the (exact) distances — without materialising n×n distances.
 // An optional on_settle(lane, vertex, level) hook lets APSP-style consumers
 // stream the distances out. The frontier loop itself is sweep(), the one
@@ -45,7 +45,6 @@
 #include "graph/ugraph.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/workspace.hpp"
 #include "util/assert.hpp"
 
 namespace bbng {
@@ -78,21 +77,30 @@ namespace detail {
 void publish_multi_bfs(const MultiBfsStats& now, const MultiBfsStats& before);
 }  // namespace detail
 
-/// The batched engine bound to one graph and one Workspace arena. Holds no
-/// per-batch state beyond the arena, so one instance can run any number of
-/// batches; stats() accumulates across them.
+/// The batched engine bound to one graph. It owns its lane planes and
+/// active lists, sized from the graph at construction, and every batch
+/// leaves the planes all-zero, so one instance can run any number of
+/// batches without clearing or reallocating; stats() accumulates across
+/// them.
 template <class GraphT>
 class MultiBfsT {
  public:
   /// Lanes per sweep — one bit of the per-vertex plane word each.
   static constexpr std::uint32_t kLanes = 64;
 
-  /// `scratch` must outlive the engine; nullptr uses an internal arena.
-  explicit MultiBfsT(const GraphT& g, Workspace* scratch = nullptr)
-      : g_(&g), ws_(scratch != nullptr ? scratch : &own_) {}
+  /// `g` must outlive the engine.
+  explicit MultiBfsT(const GraphT& g)
+      : g_(&g),
+        seen_(g.num_vertices(), 0),
+        cur_(g.num_vertices(), 0),
+        nxt_(g.num_vertices(), 0) {
+    active_.reserve(g.num_vertices());
+    promoted_.reserve(g.num_vertices());
+  }
 
   /// One packed sweep: per-lane aggregates for up to kLanes sources.
-  /// `out[i]` receives exactly what bfs_workspace(g, sources[i]) returns.
+  /// `out[i]` receives exactly the reached() / max_dist() / sum_dist() of a
+  /// BfsRunner run from sources[i].
   /// `on_settle(lane, vertex, level)` fires once per settled (lane, vertex)
   /// pair, sources included (level 0), in level order within the batch.
   /// The batch's work is published to the registry as `bfs.multi.*`.
@@ -125,57 +133,44 @@ class MultiBfsT {
     const std::uint32_t n = g_->num_vertices();
     BBNG_REQUIRE(sources.size() <= kLanes);
     for (const Vertex s : sources) BBNG_REQUIRE(s < n);
-    Workspace& ws = *ws_;
-    ws.bind_lanes(n);
-    std::vector<std::uint64_t>& seen = ws.lane_seen;
-    std::vector<std::uint64_t>& cur = ws.lane_frontier;
-    std::vector<std::uint64_t>& nxt = ws.lane_next;
-    // The queue doubles as the level-segmented active list: [begin, end) is
-    // the current level's frontier vertices (each listed once, however many
-    // lanes are active on it); promoted vertices append behind `end`. The
-    // stack collects the vertices whose `nxt` word went nonzero this level.
-    std::vector<std::uint32_t>& active = ws.queue;
-    std::vector<std::uint32_t>& promoted = ws.stack;
-    active.clear();
-    promoted.clear();
 
     ++stats_.sweeps;
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const Vertex s = sources[i];
       const std::uint64_t bit = std::uint64_t{1} << i;
-      if (cur[s] == 0) active.push_back(s);
-      cur[s] |= bit;
-      seen[s] |= bit;
+      if (cur_[s] == 0) active_.push_back(s);
+      cur_[s] |= bit;
+      seen_[s] |= bit;
       on_settle(static_cast<std::uint32_t>(i), s, 0U);
     }
     stats_.settled += sources.size();
 
     std::uint32_t level = 0;
     std::size_t begin = 0;
-    std::size_t end = active.size();
+    std::size_t end = active_.size();
     while (begin < end) {
       ++level;
       ++stats_.levels;
       for (std::size_t idx = begin; idx < end; ++idx) {
-        const Vertex v = active[idx];
-        const std::uint64_t fmask = cur[v];
-        cur[v] = 0;
+        const Vertex v = active_[idx];
+        const std::uint64_t fmask = cur_[v];
+        cur_[v] = 0;
         ++stats_.row_scans;
         for (const Vertex w : g_->neighbors(v)) {
-          const std::uint64_t fresh = fmask & ~seen[w];
+          const std::uint64_t fresh = fmask & ~seen_[w];
           if (fresh == 0) continue;
-          seen[w] |= fresh;
-          if (nxt[w] == 0) promoted.push_back(w);
-          nxt[w] |= fresh;
+          seen_[w] |= fresh;
+          if (nxt_[w] == 0) promoted_.push_back(w);
+          nxt_[w] |= fresh;
         }
       }
       // Promote next-level masks into the frontier and report every
       // (lane, vertex) pair settled at this level.
-      for (const Vertex w : promoted) {
-        std::uint64_t mask = nxt[w];
-        nxt[w] = 0;
-        cur[w] = mask;
-        active.push_back(w);
+      for (const Vertex w : promoted_) {
+        std::uint64_t mask = nxt_[w];
+        nxt_[w] = 0;
+        cur_[w] = mask;
+        active_.push_back(w);
         stats_.settled += static_cast<std::uint32_t>(std::popcount(mask));
         while (mask != 0) {
           const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
@@ -183,17 +178,17 @@ class MultiBfsT {
           on_settle(lane, w, level);
         }
       }
-      promoted.clear();
+      promoted_.clear();
       begin = end;
-      end = active.size();
+      end = active_.size();
     }
 
-    // Restore the all-zero plane invariant: `cur`/`nxt` were zeroed as they
-    // were consumed (the final level's frontier was scanned and cleared, and
-    // its last promotion round found nothing); `seen` is nonzero exactly on
-    // the vertices listed in `active`.
-    for (const Vertex v : active) seen[v] = 0;
-    active.clear();
+    // Restore the all-zero plane invariant: `cur_`/`nxt_` were zeroed as
+    // they were consumed (the final level's frontier was scanned and cleared,
+    // and its last promotion round found nothing); `seen_` is nonzero exactly
+    // on the vertices listed in `active_`.
+    for (const Vertex v : active_) seen_[v] = 0;
+    active_.clear();
   }
 
   /// Aggregate-only batch.
@@ -218,8 +213,16 @@ class MultiBfsT {
 
  private:
   const GraphT* g_;
-  Workspace* ws_;
-  Workspace own_;
+  // Lane planes: word v holds a bit per packed source ("lane") whose sweep
+  // has seen / is expanding / will expand v. All-zero between batches.
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> cur_;
+  std::vector<std::uint64_t> nxt_;
+  // The level-segmented active list: [begin, end) is the current level's
+  // frontier vertices (each listed once, however many lanes are active on
+  // it); promoted vertices append behind `end`.
+  std::vector<Vertex> active_;
+  std::vector<Vertex> promoted_;  ///< vertices whose `nxt_` word went nonzero this level
   MultiBfsStats stats_;
 };
 
@@ -227,8 +230,8 @@ using MultiBfs = MultiBfsT<UGraph>;
 using CsrMultiBfs = MultiBfsT<CsrUGraph>;
 
 /// Aggregates for every source, computed in ⌈|sources|/64⌉ packed sweeps
-/// distributed over the pool (each worker leases a pooled Workspace). Entry
-/// i is bit-identical to bfs_workspace(g, sources[i]); when `stats` is given
+/// distributed over the pool (one engine per worker chunk). Entry i is
+/// bit-identical to a BfsRunner run from sources[i]; when `stats` is given
 /// the batch counters are summed into it (deterministic at any thread
 /// count — the counters are order-independent sums).
 template <class G>

@@ -31,7 +31,6 @@ struct Shard {
 struct Registry {
   std::mutex mutex;
   std::vector<std::string> names;        // by id
-  std::vector<CounterScope> scopes;      // by id
   std::unordered_map<std::string, CounterId> index;
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::uint64_t> retired;    // folded totals of exited threads
@@ -112,18 +111,14 @@ std::uint64_t locked_total(const Registry& reg, CounterId id) {
 
 }  // namespace
 
-CounterId register_counter(std::string_view name, CounterScope scope) {
+CounterId register_counter(std::string_view name) {
   BBNG_REQUIRE_MSG(!name.empty(), "obs: counter name must be non-empty");
   Registry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
   const auto found = reg.index.find(std::string(name));
-  if (found != reg.index.end()) {
-    BBNG_ASSERT(reg.scopes[found->second] == scope);
-    return found->second;
-  }
+  if (found != reg.index.end()) return found->second;
   const auto id = static_cast<CounterId>(reg.names.size());
   reg.names.emplace_back(name);
-  reg.scopes.push_back(scope);
   reg.index.emplace(std::string(name), id);
   return id;
 }
@@ -182,7 +177,6 @@ std::vector<CounterValue> CounterFrame::deltas() const {
   {
     const std::lock_guard<std::mutex> lock(reg.mutex);
     for (std::size_t id = 0; id < size && id < reg.names.size(); ++id) {
-      if (reg.scopes[id] != CounterScope::kJob) continue;
       const std::uint64_t now = data[id].load(std::memory_order_relaxed);
       const std::uint64_t before = id < baseline_.size() ? baseline_[id] : 0;
       if (now > before) out.push_back(CounterValue{reg.names[id], now - before});

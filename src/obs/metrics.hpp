@@ -1,10 +1,10 @@
 // MetricRegistry — hierarchical dotted-name work counters.
 //
 // Every subsystem that used to keep a private ad-hoc counter struct
-// (MultiBfsStats, ChurnStats, NashReport, the transposition cache, the
-// workspace arenas) also publishes its increments here under a stable
-// dotted name (`bfs.multi.row_scans`, `solver.exact_bb.nodes`,
-// `cache.transposition.hits`, `churn.solves_skipped`, `workspace.grows`),
+// (MultiBfsStats, ChurnStats, NashReport, the transposition cache) also
+// publishes its increments here under a stable dotted name
+// (`bfs.multi.row_scans`, `solver.exact_bb.nodes`,
+// `cache.transposition.hits`, `churn.solves_skipped`),
 // making runtime work queryable from one place: the engine embeds per-job
 // snapshots in campaign artifacts, the progress line and `bbng_engine
 // report` read totals, and CI gates on committed baselines. The discipline
@@ -26,11 +26,9 @@
 //    deltas that thread performed since capture. An engine job runs
 //    single-threaded on one worker, so its frame is a pure function of the
 //    job — the determinism that lets artifacts embed `obs` blocks while
-//    staying byte-identical across thread counts and kill/resume.
-//  - Counters whose value depends on pool/scheduling history rather than
-//    the measured computation (e.g. `workspace.grows`: an arena grown by an
-//    earlier lease never re-grows) register as `CounterScope::kHost` and
-//    are excluded from per-job frames.
+//    staying byte-identical across thread counts and kill/resume. Every
+//    counter must therefore be a pure function of the work the counting
+//    thread performed, never of pool or scheduling history.
 //  - Configuring with -DBBNG_OBS=OFF defines BBNG_OBS_DISABLED and compiles
 //    the whole layer to inline no-ops; the API stays so callers need no
 //    #ifdefs.
@@ -51,11 +49,6 @@ inline constexpr bool kCompiledIn = true;
 
 using CounterId = std::uint32_t;
 
-/// kJob: a pure function of the computation the counting thread performed —
-/// safe to embed in deterministic artifacts. kHost: depends on scheduling /
-/// pool history; global diagnostics only, excluded from per-job frames.
-enum class CounterScope : std::uint8_t { kJob, kHost };
-
 struct CounterValue {
   std::string name;
   std::uint64_t value = 0;
@@ -64,9 +57,9 @@ struct CounterValue {
 #if !defined(BBNG_OBS_DISABLED)
 
 /// Intern `name`, returning its stable id; re-registering an existing name
-/// returns the same id (the scope must agree). Typical use: a function-local
-/// `static const CounterId` so interning happens once.
-CounterId register_counter(std::string_view name, CounterScope scope = CounterScope::kJob);
+/// returns the same id. Typical use: a function-local `static const
+/// CounterId` so interning happens once.
+CounterId register_counter(std::string_view name);
 
 /// Add `delta` to the calling thread's shard of counter `id`. Wait-free.
 void add(CounterId id, std::uint64_t delta);
@@ -84,13 +77,13 @@ void set_enabled(bool on) noexcept;
 [[nodiscard]] std::uint64_t total(CounterId id);
 
 /// Captures the calling thread's shard at construction; `deltas()` returns
-/// the per-name increments this thread performed since, restricted to
-/// kJob-scope counters, nonzero entries only, sorted by name.
+/// the per-name increments this thread performed since, nonzero entries
+/// only, sorted by name.
 class CounterFrame {
  public:
   CounterFrame();
   [[nodiscard]] std::vector<CounterValue> deltas() const;
-  /// This thread's delta for one counter (any scope); 0 when unregistered.
+  /// This thread's delta for one counter; 0 when unregistered.
   [[nodiscard]] std::uint64_t value(std::string_view name) const;
 
  private:
@@ -99,9 +92,7 @@ class CounterFrame {
 
 #else  // BBNG_OBS_DISABLED — the whole layer is inline no-ops.
 
-inline CounterId register_counter(std::string_view, CounterScope = CounterScope::kJob) {
-  return 0;
-}
+inline CounterId register_counter(std::string_view) { return 0; }
 inline void add(CounterId, std::uint64_t) {}
 [[nodiscard]] inline bool enabled() noexcept { return false; }
 inline void set_enabled(bool) noexcept {}

@@ -83,24 +83,6 @@ TEST(Bfs, MultiSourceDuplicatesHarmless) {
   EXPECT_EQ(d[3], 2U);
 }
 
-TEST(Bfs, BoundedStopsAtRadius) {
-  const UGraph g = path_ugraph(10);
-  BfsRunner runner(10);
-  runner.run_bounded(g, 0, 3);
-  EXPECT_EQ(runner.dist(3), 3U);
-  EXPECT_EQ(runner.dist(4), kUnreachable);
-  EXPECT_EQ(runner.reached(), 4U);
-}
-
-TEST(Bfs, BoundedRadiusZeroReachesOnlySource) {
-  const UGraph g = path_ugraph(5);
-  BfsRunner runner(5);
-  runner.run_bounded(g, 2, 0);
-  EXPECT_EQ(runner.reached(), 1U);
-  EXPECT_EQ(runner.dist(2), 0U);
-  EXPECT_EQ(runner.dist(1), kUnreachable);
-}
-
 TEST(Bfs, GridDistancesAreManhattanNearSource) {
   const UGraph g = grid_graph(4, 4);
   const auto d = bfs_distances(g, 0);

@@ -170,6 +170,18 @@ TEST(EngineSpec, MalformedSpecsRejectedWithNamedOffence) {
       {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
            "grid":{"n":[8,8]},"seeds":{"begin":0,"end":1}})",
        "duplicated"},
+      // Job count past 2^64: 3 n values × ⌈2^64 / 3⌉ seeds would wrap to 2.
+      {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+           "grid":{"n":[8,12,16]},"seeds":{"begin":0,"end":6148914691236517206}})",
+       "scenario \"x\": job count overflows 64 bits"},
+      // Campaign total past 2^64: each scenario's 2^63 jobs fit, their sum
+      // wraps to 0.
+      {R"({"name":"c","scenarios":[
+           {"name":"a","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+            "grid":{"n":[8,12]},"seeds":{"begin":0,"end":4611686018427387904}},
+           {"name":"b","task":"dynamics","version":"sum","budgets":{"family":"tree"},
+            "grid":{"n":[8,12]},"seeds":{"begin":0,"end":4611686018427387904}}]})",
+       "scenario \"b\": job count overflows 64 bits"},
       // Duplicate density (would run and double-count identical jobs).
       {R"({"name":"x","task":"dynamics","version":"sum","budgets":{"family":"random"},
            "grid":{"n":[8],"density":[1.0,1.0]},"seeds":{"begin":0,"end":1}})",

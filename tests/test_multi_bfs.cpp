@@ -1,16 +1,17 @@
 // Differential suite for the batched multi-source BFS engine
 // (graph/multi_bfs.hpp). The engine's contract is bit-identity: a packed
 // 64-lane sweep must return, per lane, exactly what the per-seed
-// bfs_workspace() witness returns — aggregates AND streamed distances —
+// BfsRunner witness returns — aggregates AND streamed distances —
 // on connected and disconnected graphs, on both graph cores, for full,
 // ragged, and duplicate-source batches. On top of the 200-random-graph
 // differential, the suite pins the rewired consumers (eccentricities /
 // diameter / APSP / average_distance, all_costs / social_cost) against the
 // serial per-source references in tests/reference/naive_distances.hpp on
 // both cores, and the verify_nash_equilibrium prepass against solving every
-// player. It also pins the Workspace lane-plane restore +
-// zero-steady-state-allocation protocol, and pins the 64-bit SUM aggregate width with a path graph whose
-// distance sum exceeds 2³². A fuzz walk in the test_fuzz_dynamic_bfs.cpp
+// player. It also pins, through results alone, that one engine reused
+// across batches of every shape leaves its lane planes clean, and pins the
+// 64-bit SUM aggregate width with a path graph whose distance sum exceeds
+// 2³². A fuzz walk in the test_fuzz_dynamic_bfs.cpp
 // style mutates both cores in lockstep and re-audits after every step.
 #include "graph/multi_bfs.hpp"
 
@@ -34,7 +35,6 @@
 #include "graph/generators.hpp"
 #include "graph/ugraph.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/workspace.hpp"
 #include "reference/naive_distances.hpp"
 #include "solver/registry.hpp"
 #include "util/rng.hpp"
@@ -48,6 +48,13 @@ std::vector<Vertex> all_vertices(std::uint32_t n) {
   return sources;
 }
 
+/// The per-seed witness: one BfsRunner run from `source`.
+template <class G>
+BfsAggregates per_seed(const G& g, Vertex source, BfsRunner& runner) {
+  runner.run(g, source);
+  return {runner.reached(), runner.max_dist(), runner.sum_dist()};
+}
+
 void expect_aggregates_equal(const BfsAggregates& got, const BfsAggregates& want,
                              const char* what, std::size_t lane) {
   ASSERT_EQ(got.reached, want.reached) << what << " lane " << lane;
@@ -56,7 +63,7 @@ void expect_aggregates_equal(const BfsAggregates& got, const BfsAggregates& want
 }
 
 /// Per-seed witness + cross-core audit for one batch of sources: vector-core
-/// and CSR-core engines must match bfs_workspace() per lane and each other on
+/// and CSR-core engines must match BfsRunner per lane and each other on
 /// every work counter.
 void expect_batch_matches_per_seed(const UGraph& g, std::span<const Vertex> sources,
                                    const char* what) {
@@ -67,11 +74,11 @@ void expect_batch_matches_per_seed(const UGraph& g, std::span<const Vertex> sour
   CsrMultiBfs csr_engine(csr);
   const std::vector<BfsAggregates> csr_batched = csr_engine.run(sources);
 
-  Workspace witness;
+  BfsRunner witness(g.num_vertices());
   std::uint64_t total_reached = 0;
   ASSERT_EQ(batched.size(), sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    const BfsAggregates want = bfs_workspace(g, sources[i], witness);
+    const BfsAggregates want = per_seed(g, sources[i], witness);
     expect_aggregates_equal(batched[i], want, what, i);
     expect_aggregates_equal(csr_batched[i], want, what, i);
     total_reached += want.reached;
@@ -161,30 +168,61 @@ TEST(MultiBfs, LanePlanesRestoredAndAllocationsFlat) {
   const std::uint32_t n = g.num_vertices();
   const std::vector<Vertex> sources = all_vertices(n);
 
-  Workspace ws;
-  MultiBfs engine(g, &ws);
+  MultiBfs engine(g);
   const std::vector<BfsAggregates> first = engine.run(sources);
 
-  // The all-zero plane invariant bind_lanes() documents: growth must never
-  // destroy live state because there is none between batches.
-  for (Vertex v = 0; v < n; ++v) {
-    ASSERT_EQ(ws.lane_seen[v], 0U) << "vertex " << v;
-    ASSERT_EQ(ws.lane_frontier[v], 0U) << "vertex " << v;
-    ASSERT_EQ(ws.lane_next[v], 0U) << "vertex " << v;
-  }
-
-  // Steady state: repeated identical batches perform zero further grows and
-  // keep the footprint flat, and keep returning identical aggregates.
-  const std::uint64_t grows = ws.grows();
-  const std::uint64_t footprint = ws.footprint_bytes();
+  // Every batch leaves the engine's lane planes all-zero, so repeated
+  // identical batches keep returning identical aggregates.
   for (int repeat = 0; repeat < 5; ++repeat) {
     const std::vector<BfsAggregates> again = engine.run(sources);
     for (std::size_t i = 0; i < first.size(); ++i) {
       expect_aggregates_equal(again[i], first[i], "repeat", i);
     }
   }
-  EXPECT_EQ(ws.grows(), grows);
-  EXPECT_EQ(ws.footprint_bytes(), footprint);
+}
+
+/// Runs `batch` on `engine` and checks every lane against the per-seed
+/// witness on the engine's own graph.
+template <class G>
+void expect_reused_batch_matches(MultiBfsT<G>& engine, std::span<const Vertex> batch,
+                                 const char* what) {
+  std::vector<BfsAggregates> out(batch.size());
+  engine.run_batch(batch, out);
+  BfsRunner witness(engine.graph().num_vertices());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_aggregates_equal(out[i], per_seed(engine.graph(), batch[i], witness), what, i);
+  }
+}
+
+TEST(MultiBfs, ReusedEngineMatchesPerSeedAcrossBatchShapes) {
+  // One engine per core runs a full batch, a one-source batch, a batch with
+  // duplicate sources and a ragged tail back to back. A lane-plane bit left
+  // behind by any batch would corrupt the next batch's lanes, so per-lane
+  // equality with BfsRunner pins the all-zero plane invariant.
+  Rng rng(0xB1F5'000A);
+  const UGraph g = erdos_renyi(100, 0.04, rng);  // disconnected at this density
+  const CsrUGraph csr(g);
+  const std::uint32_t n = g.num_vertices();
+  const std::vector<Vertex> sources = all_vertices(n);
+  const std::span<const Vertex> all(sources);
+  const Vertex one[] = {n / 2};
+  const Vertex duplicates[] = {7, 3, 7, 99, 3, 7, 0};
+
+  MultiBfs engine(g);
+  CsrMultiBfs csr_engine(csr);
+  for (int round = 0; round < 2; ++round) {
+    expect_reused_batch_matches(engine, all.first(MultiBfs::kLanes), "full");
+    expect_reused_batch_matches(csr_engine, all.first(MultiBfs::kLanes), "csr full");
+    expect_reused_batch_matches(engine, std::span<const Vertex>(one), "one");
+    expect_reused_batch_matches(csr_engine, std::span<const Vertex>(one), "csr one");
+    expect_reused_batch_matches(engine, std::span<const Vertex>(duplicates), "duplicates");
+    expect_reused_batch_matches(csr_engine, std::span<const Vertex>(duplicates),
+                                "csr duplicates");
+    expect_reused_batch_matches(engine, all.subspan(MultiBfs::kLanes), "ragged tail");
+    expect_reused_batch_matches(csr_engine, all.subspan(MultiBfs::kLanes), "csr ragged tail");
+  }
+  EXPECT_EQ(csr_engine.stats().row_scans, engine.stats().row_scans);
+  EXPECT_EQ(csr_engine.stats().settled, engine.stats().settled);
 }
 
 TEST(MultiBfs, ParallelDriverMatchesSequentialEngine) {
@@ -397,10 +435,7 @@ TEST(MultiBfs, SumAggregatesExceedThirtyTwoBits) {
   EXPECT_EQ(runner.sum_dist(), expected);
   EXPECT_EQ(runner.max_dist(), n - 1);
 
-  Workspace ws;
-  EXPECT_EQ(bfs_workspace(g, Vertex{0}, ws).sum_dist, expected);
-
-  MultiBfs engine(g, &ws);
+  MultiBfs engine(g);
   const Vertex sources[2] = {0, n - 1};
   std::array<BfsAggregates, 2> aggs{};
   engine.run_batch(std::span<const Vertex>(sources), std::span<BfsAggregates>(aggs));
@@ -430,7 +465,7 @@ TEST(FuzzMultiBfs, InsertDeleteWalkMatchesPerSeedAcrossCores) {
   UGraph g(n);
   CsrUGraph csr(UGraph(n), /*row_slack=*/n - 1);  // any simple graph fits
   std::set<Edge> shadow;
-  Workspace witness;
+  BfsRunner witness(n);
 
   for (int step = 0; step < 400; ++step) {
     const double insert_bias = step < 250 ? 0.7 : 0.25;
@@ -460,7 +495,7 @@ TEST(FuzzMultiBfs, InsertDeleteWalkMatchesPerSeedAcrossCores) {
     const std::vector<BfsAggregates> batched = engine.run(sources);
     const std::vector<BfsAggregates> csr_batched = csr_engine.run(sources);
     for (Vertex s = 0; s < n; ++s) {
-      const BfsAggregates want = bfs_workspace(g, s, witness);
+      const BfsAggregates want = per_seed(g, s, witness);
       ASSERT_EQ(batched[s].reached, want.reached) << "step " << step << " source " << s;
       ASSERT_EQ(batched[s].max_dist, want.max_dist) << "step " << step << " source " << s;
       ASSERT_EQ(batched[s].sum_dist, want.sum_dist) << "step " << step << " source " << s;
