@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "engine/jobgraph.hpp"
 #include "engine/sinks.hpp"
@@ -98,6 +104,99 @@ Manifest read_manifest(const std::string& path) {
   return manifest;
 }
 
+/// Committed lines the summary thread may have queued before submit()
+/// waits. A window is always taken whatever its size; the bound only stops
+/// a slow fold from piling up committed lines. 8192 sweep-sized lines are
+/// about 3 MB, and cover the longest per-scenario bootstrap of a width-1
+/// sweep without stalling the commits.
+constexpr std::size_t kMaxQueuedLines = 8192;
+
+/// Folds each committed window into the campaign summary on one thread
+/// beside the job pool, so the parse and each scenario's bootstrap overlap
+/// the windows that follow. A fold error is rethrown on the committing
+/// thread at the next submit() or at finish(). Destroying it unfinished
+/// (a halt, or an exception unwinding the runner) drops the queued windows
+/// and joins the thread.
+class SummaryThread {
+ public:
+  explicit SummaryThread(SummaryFold fold) : fold_(std::move(fold)), thread_([this] { loop(); }) {}
+  SummaryThread(const SummaryThread&) = delete;
+  SummaryThread& operator=(const SummaryThread&) = delete;
+
+  ~SummaryThread() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      closing_ = true;
+      queue_.clear();
+    }
+    work_.notify_one();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Queue one committed window, by move.
+  void submit(std::vector<std::string> lines) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    room_.wait(lock, [&] {
+      return error_ != nullptr || queued_lines_ == 0 ||
+             queued_lines_ + lines.size() <= kMaxQueuedLines;
+    });
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    queued_lines_ += lines.size();
+    queue_.push_back(std::move(lines));
+    lock.unlock();
+    work_.notify_one();
+  }
+
+  /// Wait for every queued window to be folded, then write the summary.
+  void finish(const std::string& summary_path) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      closing_ = true;
+    }
+    work_.notify_one();
+    thread_.join();
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    fold_.write(summary_path);
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      work_.wait(lock, [&] { return !queue_.empty() || closing_; });
+      if (queue_.empty()) return;
+      std::vector<std::string> lines = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      try {
+        obs::TraceSpan fold_span("summary.fold");
+        fold_span.arg("lines", lines.size());
+        for (const std::string& line : lines) fold_.add_line(line);
+      } catch (...) {
+        lock.lock();
+        error_ = std::current_exception();
+        room_.notify_all();
+        return;
+      }
+      const std::size_t folded = lines.size();
+      lines = {};
+      lock.lock();
+      queued_lines_ -= folded;
+      room_.notify_all();
+    }
+  }
+
+  SummaryFold fold_;  ///< touched only by the thread until it is joined
+  std::mutex mutex_;
+  std::condition_variable work_;  ///< a window was queued, or closing_ was set
+  std::condition_variable room_;  ///< queued_lines_ fell, or error_ was set
+  std::deque<std::vector<std::string>> queue_;
+  std::size_t queued_lines_ = 0;  ///< queued or being folded
+  bool closing_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;  ///< last: starts once every member above exists
+};
+
 /// Execute jobs [committed, total) in ordered-commit windows. `offset` is
 /// the byte length of the already-committed prefix (header included).
 RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
@@ -114,6 +213,24 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
       config.window > 0 ? config.window
                         : std::max<std::uint64_t>(64, std::uint64_t{4} * pool.width());
   const std::uint64_t cadence = std::max<std::uint64_t>(1, config.checkpoint_every);
+
+  std::optional<SummaryThread> summary;
+  if (config.write_summary) {
+    std::vector<SummaryFold::PlannedScenario> plan;
+    for (const ScenarioSpec& scenario : campaign.scenarios) {
+      if (scenario.num_jobs() > 0) plan.push_back({scenario.name, scenario.num_jobs()});
+    }
+    SummaryFold fold(std::move(plan));
+    // The committed prefix first: the header, plus every record a resume
+    // inherits. Folded here, before anything is appended, so a damaged
+    // prefix fails the resume before it runs a job.
+    fold.add_file(config.output_path, offset);
+    if (fold.records() != committed) {
+      runner_error(config.output_path + " holds " + std::to_string(fold.records()) +
+                   " records before its checkpoint offset, not " + std::to_string(committed));
+    }
+    summary.emplace(std::move(fold));
+  }
 
   std::ofstream out(config.output_path, std::ios::binary | std::ios::app);
   if (!out) runner_error("cannot append to " + config.output_path);
@@ -215,18 +332,21 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
         }
       }
     }
+    if (summary && !halted) summary->submit(std::move(lines));
   }
 
   if (!halted) {
     // The summary must land before the completed=true manifest: a kill in
     // between leaves an incomplete manifest, and resume redoes the tail +
     // summary. The reverse order would enshrine a torn summary as "done".
-    if (config.write_summary) {
+    // Every window is folded already or in flight, so this waits only for
+    // the fold's tail (the last scenario's bootstrap) and the write.
+    if (summary) {
       if (!out.flush()) runner_error("failed flushing " + config.output_path);
       out.close();
       obs::TraceSpan summary_span("runner.summary");
       summary_span.arg("artifact", config.output_path);
-      write_summary_file(config.output_path, summary_path_for(config.output_path));
+      summary->finish(summary_path_for(config.output_path));
     }
     // Host-telemetry sidecar at summary time: final gauge sample first so
     // even a sub-interval run records memory, then the sidecar with this

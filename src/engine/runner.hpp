@@ -1,8 +1,13 @@
 // Sharded campaign runner with checkpoint/resume.
 //
 // Jobs are executed in windows on the ThreadPool (bounded in-flight memory:
-// at most one window of result lines is resident) and *committed* — appended
-// to the JSONL artifact — strictly in job-id order. Because every line is a
+// one window of result lines, plus a fixed bound of committed lines queued
+// for the summary) and *committed* — appended to the JSONL artifact —
+// strictly in job-id order. Each committed window then moves, uncopied, to
+// one summary thread beside the pool, which folds it into the
+// `.summary.json` accumulators (sinks.hpp) while later windows run; a
+// resume first folds the committed prefix back from the artifact, and a
+// damaged prefix fails it before any job runs. Because every line is a
 // pure function of its job (tasks.hpp), the artifact is byte-identical at
 // any thread count. A checkpoint manifest (`<output>.ckpt.json`) is written
 // atomically right after the header and then every `checkpoint_every`
@@ -31,7 +36,7 @@ struct RunnerConfig {
   /// once this many jobs are committed in total. 0 = run to completion.
   std::uint64_t halt_after = 0;
   bool overwrite = false;            ///< allow `run` to clobber an existing artifact
-  bool write_summary = true;         ///< emit `<output>.summary.json` on completion
+  bool write_summary = true;         ///< fold and emit `<output>.summary.json`
   /// Print periodic progress (jobs done/total, rate, ETA) to stderr so long
   /// campaigns are not silent. Reported from workers as jobs complete (not
   /// just at commit), so a window of slow jobs still speaks; only a single

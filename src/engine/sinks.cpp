@@ -8,6 +8,7 @@
 
 #include "engine/hostinfo.hpp"
 #include "obs/timing.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/procstat.hpp"
 #include "util/stats.hpp"
@@ -79,11 +80,29 @@ void emit_value(JsonWriter& writer, const JsonValue& value) {
   }
 }
 
+/// Above this sample count the CLT normal approximation matches the
+/// bootstrap to well within its own resampling noise, at O(count) instead
+/// of O(resamples · count) — a million-record scenario must not stall
+/// campaign completion (and every resume) on summary statistics.
+constexpr std::size_t kBootstrapMaxSamples = 10'000;
+
+/// A numeric field's statistics, computed once its scenario is finished.
+struct FieldStats {
+  std::string key;
+  Summary summary;
+  double lower = 0;  ///< 95% interval of the mean
+  double upper = 0;
+};
+
 /// First-appearance-ordered accumulators for one scenario's records.
 struct ScenarioAccumulator {
   std::string name;
   std::uint64_t jobs = 0;
+  /// Each numeric field's values while the scenario is open; finish()
+  /// distils them into `stats` and frees them.
   std::vector<std::pair<std::string, std::vector<double>>> numbers;
+  std::vector<FieldStats> stats;
+  bool finished = false;
   std::vector<std::pair<std::string, std::uint64_t>> bool_true_counts;
   // field → (value → count), both levels in first-appearance order.
   std::vector<std::pair<std::string, std::vector<std::pair<std::string, std::uint64_t>>>>
@@ -126,39 +145,54 @@ struct ScenarioAccumulator {
       // Nulls (e.g. "deviator" of a stable state) carry no aggregate.
     }
   }
+
+  void finish() {
+    obs::TraceSpan span("summary.scenario");
+    span.arg("scenario", name);
+    // One call bootstraps every field of the scenario; a field over
+    // kBootstrapMaxSamples enters as an empty column and gets no interval.
+    std::vector<std::span<const double>> columns;
+    columns.reserve(numbers.size());
+    for (const auto& [key, values] : numbers) {
+      columns.emplace_back(values.size() <= kBootstrapMaxSamples ? std::span<const double>(values)
+                                                                 : std::span<const double>());
+    }
+    const std::vector<BootstrapCi> intervals = bootstrap_mean_ci_columns(columns);
+    stats.reserve(numbers.size());
+    for (std::size_t i = 0; i < numbers.size(); ++i) {
+      FieldStats field{std::move(numbers[i].first), summarize(numbers[i].second), 0, 0};
+      // Bare means mislead at campaign sample sizes, so every numeric field
+      // carries a 95% interval for its mean: a deterministic percentile
+      // bootstrap (fixed seed → byte-stable summaries) where samples are
+      // few and normality is doubtful, the normal approximation past the
+      // threshold.
+      const Summary& summary = field.summary;
+      field.lower = summary.mean;
+      field.upper = summary.mean;
+      if (summary.count > 0 && summary.count <= kBootstrapMaxSamples) {
+        field.lower = intervals[i].lower;
+        field.upper = intervals[i].upper;
+      } else if (summary.count > 0) {
+        const double half =
+            1.959963984540054 * summary.stddev / std::sqrt(static_cast<double>(summary.count));
+        field.lower = summary.mean - half;
+        field.upper = summary.mean + half;
+      }
+      stats.push_back(std::move(field));
+    }
+    numbers = {};
+    finished = true;
+  }
 };
 
-/// Above this sample count the CLT normal approximation matches the
-/// bootstrap to well within its own resampling noise, at O(count) instead
-/// of O(resamples · count) — a million-record scenario must not stall
-/// campaign completion (and every resume) on summary statistics.
-constexpr std::size_t kBootstrapMaxSamples = 10'000;
-
-/// `bootstrap` is the field's interval when it has at most kBootstrapMaxSamples
-/// values (see write_summary_file).
-void emit_summary_stats(JsonWriter& writer, const std::vector<double>& values,
-                        const BootstrapCi& bootstrap) {
-  const Summary summary = summarize(values);
-  // Bare means mislead at campaign sample sizes, so every numeric field
-  // carries a 95% interval for its mean: a deterministic percentile
-  // bootstrap (fixed seed → byte-stable summaries) where samples are few
-  // and normality is doubtful, the normal approximation past the threshold.
-  double lower = summary.mean;
-  double upper = summary.mean;
-  if (summary.count > 0 && summary.count <= kBootstrapMaxSamples) {
-    lower = bootstrap.lower;
-    upper = bootstrap.upper;
-  } else if (summary.count > 0) {
-    const double half =
-        1.959963984540054 * summary.stddev / std::sqrt(static_cast<double>(summary.count));
-    lower = summary.mean - half;
-    upper = summary.mean + half;
-  }
-  writer.begin_object()
+void emit_field_stats(JsonWriter& writer, const FieldStats& field) {
+  const Summary& summary = field.summary;
+  writer.key(field.key)
+      .begin_object()
       .field("count", static_cast<std::uint64_t>(summary.count))
       .field("mean", summary.mean)
-      .field("ci95_lower", lower)
-      .field("ci95_upper", upper)
+      .field("ci95_lower", field.lower)
+      .field("ci95_upper", field.upper)
       .field("min", summary.min)
       .field("max", summary.max)
       .field("median", summary.median)
@@ -168,70 +202,106 @@ void emit_summary_stats(JsonWriter& writer, const std::vector<double>& values,
 
 }  // namespace
 
-void write_summary_file(const std::string& jsonl_path, const std::string& summary_path) {
-  // Stream the artifact line by line: a million-instance campaign must not
-  // materialise a million parsed records just to be averaged.
-  std::ifstream in(jsonl_path, std::ios::binary);
-  if (!in) throw std::invalid_argument("jsonl: cannot open " + jsonl_path);
+struct SummaryFold::State {
+  std::vector<PlannedScenario> plan;
+  std::size_t next_planned = 0;  ///< plan index of the scenario being folded
   JsonValue header;
   bool saw_header = false;
-  std::uint64_t total_records = 0;
+  std::uint64_t records = 0;
   std::vector<ScenarioAccumulator> scenarios;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue value = parse_json(line);
-    if (!saw_header) {
-      header = std::move(value);
-      saw_header = true;
-      continue;
-    }
-    ++total_records;
-    const std::string& name = value.at("scenario").as_string();
-    ScenarioAccumulator* accumulator = nullptr;
-    for (auto& existing : scenarios) {
-      if (existing.name == name) {
-        accumulator = &existing;
-        break;
-      }
-    }
-    if (accumulator == nullptr) {
-      scenarios.emplace_back();
-      scenarios.back().name = name;
-      accumulator = &scenarios.back();
-    }
-    accumulator->add(value);
-  }
-  if (!saw_header) throw std::invalid_argument("jsonl: " + jsonl_path + " has no header line");
 
+  /// The accumulator of record `job`, which is in scenario `name`.
+  ScenarioAccumulator& scenario_for(const std::string& name, std::uint64_t job) {
+    if (!plan.empty()) {
+      if (next_planned == plan.size() || plan[next_planned].name != name) {
+        std::string what = "summary: job ";
+        what += std::to_string(job);
+        what += " is in scenario \"";
+        what += name;
+        if (next_planned == plan.size()) {
+          what += "\", past the spec's last job";
+        } else {
+          what += "\", but the spec puts it in \"";
+          what += plan[next_planned].name;
+          what += "\"";
+        }
+        throw std::invalid_argument(what);
+      }
+      if (scenarios.empty() || scenarios.back().name != name) {
+        scenarios.emplace_back().name = name;
+      }
+      return scenarios.back();
+    }
+    for (auto& existing : scenarios) {
+      if (existing.name == name) return existing;
+    }
+    scenarios.emplace_back().name = name;
+    return scenarios.back();
+  }
+};
+
+SummaryFold::SummaryFold(std::vector<PlannedScenario> plan) : state_(std::make_unique<State>()) {
+  state_->plan = std::move(plan);
+}
+
+SummaryFold::~SummaryFold() = default;
+SummaryFold::SummaryFold(SummaryFold&&) noexcept = default;
+SummaryFold& SummaryFold::operator=(SummaryFold&&) noexcept = default;
+
+void SummaryFold::add_line(const std::string& line) {
+  State& st = *state_;
+  JsonValue value = parse_json(line);
+  if (!st.saw_header) {
+    st.header = std::move(value);
+    st.saw_header = true;
+    return;
+  }
+  ScenarioAccumulator& scenario = st.scenario_for(value.at("scenario").as_string(), st.records);
+  ++st.records;
+  scenario.add(value);
+  if (!st.plan.empty() && scenario.jobs == st.plan[st.next_planned].jobs) {
+    scenario.finish();
+    ++st.next_planned;
+  }
+}
+
+void SummaryFold::add_file(const std::string& path, std::uint64_t max_bytes) {
+  // Stream the artifact line by line: a million-instance campaign must not
+  // materialise a million parsed records just to be averaged.
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::invalid_argument("jsonl: cannot open " + path);
+  std::string line;
+  for (std::uint64_t read = 0; read < max_bytes && std::getline(in, line);) {
+    read += line.size() + 1;
+    if (!line.empty()) add_line(line);
+  }
+  if (!state_->saw_header) throw std::invalid_argument("jsonl: " + path + " has no header line");
+}
+
+std::uint64_t SummaryFold::records() const noexcept { return state_->records; }
+
+void SummaryFold::write(const std::string& summary_path) {
+  State& st = *state_;
+  BBNG_REQUIRE_MSG(st.saw_header, "summary: no header line was folded");
+  for (ScenarioAccumulator& scenario : st.scenarios) {
+    if (!scenario.finished) scenario.finish();
+  }
   // tmp + rename so a kill mid-write never leaves a torn summary in place.
   const std::string tmp_path = summary_path + ".tmp";
   std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::invalid_argument("summary: cannot open " + tmp_path);
   JsonWriter writer(out, /*pretty=*/true);
   writer.begin_object()
-      .field("campaign", header.at("campaign").as_string())
-      .field("spec_fingerprint", header.at("spec_fingerprint").as_string())
-      .field("jobs", total_records);
+      .field("campaign", st.header.at("campaign").as_string())
+      .field("spec_fingerprint", st.header.at("spec_fingerprint").as_string())
+      .field("jobs", st.records);
   writer.key("host");
-  emit_value(writer, header.at("host"));
+  emit_value(writer, st.header.at("host"));
   writer.key("scenarios").begin_array();
-  for (const ScenarioAccumulator& scenario : scenarios) {
+  for (const ScenarioAccumulator& scenario : st.scenarios) {
     writer.begin_object().field("name", scenario.name).field("jobs", scenario.jobs);
     writer.key("numbers").begin_object();
-    // One call bootstraps every field of the scenario; a field over
-    // kBootstrapMaxSamples enters as an empty column and gets no interval.
-    std::vector<std::span<const double>> columns;
-    columns.reserve(scenario.numbers.size());
-    for (const auto& [key, values] : scenario.numbers) {
-      columns.emplace_back(values.size() <= kBootstrapMaxSamples ? std::span<const double>(values)
-                                                                 : std::span<const double>());
-    }
-    const std::vector<BootstrapCi> intervals = bootstrap_mean_ci_columns(columns);
-    for (std::size_t i = 0; i < scenario.numbers.size(); ++i) {
-      writer.key(scenario.numbers[i].first);
-      emit_summary_stats(writer, scenario.numbers[i].second, intervals[i]);
-    }
+    for (const FieldStats& field : scenario.stats) emit_field_stats(writer, field);
     writer.end_object();
     writer.key("bool_true_counts").begin_object();
     for (const auto& [key, count] : scenario.bool_true_counts) writer.field(key, count);
@@ -250,6 +320,12 @@ void write_summary_file(const std::string& jsonl_path, const std::string& summar
   if (!out.flush()) throw std::invalid_argument("summary: failed flushing " + tmp_path);
   out.close();
   std::filesystem::rename(tmp_path, summary_path);
+}
+
+void write_summary_file(const std::string& jsonl_path, const std::string& summary_path) {
+  SummaryFold fold;
+  fold.add_file(jsonl_path);
+  fold.write(summary_path);
 }
 
 std::string obs_host_path_for(const std::string& output_path) {

@@ -13,11 +13,20 @@
 // Also true-counts of every boolean field and
 // value-counts of every string field. Per-job `obs` counter blocks are
 // flattened into dotted numeric fields ("obs.solver.exact_bb.nodes", …) so
-// work counters summarise like any other measurement. The summary is recomputed from the committed JSONL at
-// campaign completion, so an interrupted-and-resumed run summarises exactly
-// what an uninterrupted one would.
+// work counters summarise like any other measurement.
+//
+// SummaryFold is the one aggregation path. It is fed the artifact's lines
+// in commit order: the runner folds each committed window on one summary
+// thread beside its job pool while later windows run, after first folding
+// the committed prefix a resume inherits, and write_summary_file folds a
+// finished artifact read back from disk. Either way the summary is a pure
+// function of the committed lines, so an interrupted-and-resumed run
+// summarises exactly what an uninterrupted one would.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,9 +48,50 @@ struct JsonlFile {
                                             const std::string& spec_fingerprint,
                                             std::uint64_t base_seed, std::uint64_t total_jobs);
 
-/// Aggregate `jsonl_path` into `summary_path` (pretty JSON). Scenario and
-/// field order follow first appearance in the records, so the summary is as
+/// Per-scenario summary accumulators, fed one artifact line at a time: the
+/// header first, then one record per committed job. Scenario and field
+/// order follow first appearance in the records, so the summary is as
 /// deterministic as the JSONL itself.
+class SummaryFold {
+ public:
+  /// One scenario's name and job count, in commit order.
+  struct PlannedScenario {
+    std::string name;
+    std::uint64_t jobs = 0;
+  };
+
+  /// Without a plan every scenario is finished at write(). With one, the
+  /// records must follow it, and each scenario's statistics and intervals
+  /// are computed, and its columns freed, as soon as its last record is
+  /// folded.
+  explicit SummaryFold(std::vector<PlannedScenario> plan = {});
+  ~SummaryFold();
+  SummaryFold(SummaryFold&&) noexcept;
+  SummaryFold& operator=(SummaryFold&&) noexcept;
+
+  /// Fold one line. Throws JsonParseError when it is malformed and
+  /// std::invalid_argument when a record strays from the plan.
+  void add_line(const std::string& line);
+
+  /// Fold every non-empty line of `path`'s first `max_bytes` bytes. Throws
+  /// std::invalid_argument when the file cannot be opened or no header has
+  /// been folded by its end.
+  void add_file(const std::string& path,
+                std::uint64_t max_bytes = std::numeric_limits<std::uint64_t>::max());
+
+  /// Records folded so far (the header excluded).
+  [[nodiscard]] std::uint64_t records() const noexcept;
+
+  /// Finish every open scenario and write `summary_path` (pretty JSON,
+  /// tmp + rename). Throws std::invalid_argument when no header was folded.
+  void write(const std::string& summary_path);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// Fold every line of `jsonl_path` and write the summary to `summary_path`.
 void write_summary_file(const std::string& jsonl_path, const std::string& summary_path);
 
 /// Path of the host-telemetry sidecar next to an artifact:

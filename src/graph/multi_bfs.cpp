@@ -34,8 +34,8 @@ std::vector<BfsAggregates> multi_source_aggregates(const G& g,
   ThreadPool& exec = pool != nullptr ? *pool : ThreadPool::shared();
   std::mutex stats_mutex;
   MultiBfsStats total;
-  // About four chunks per worker, so one engine serves many batches: a
-  // fresh engine's active list regrows from n to every level's frontiers.
+  // About four chunks per worker, so one engine serves many batches: each
+  // engine allocates its planes and vertex lists once, at construction.
   const std::uint64_t grain = pick_grain(batches, exec.width());
   exec.run_chunked(batches, grain, [&](std::uint64_t lo, std::uint64_t hi) {
     MultiBfsT<G> engine(g);

@@ -78,10 +78,10 @@ void publish_multi_bfs(const MultiBfsStats& now, const MultiBfsStats& before);
 }  // namespace detail
 
 /// The batched engine bound to one graph. It owns its lane planes and
-/// active lists, sized from the graph at construction, and every batch
+/// vertex lists, sized from the graph at construction, and every batch
 /// leaves the planes all-zero, so one instance can run any number of
-/// batches without clearing or reallocating; stats() accumulates across
-/// them.
+/// batches, its first included, without clearing or allocating; stats()
+/// accumulates across them.
 template <class GraphT>
 class MultiBfsT {
  public:
@@ -94,7 +94,8 @@ class MultiBfsT {
         seen_(g.num_vertices(), 0),
         cur_(g.num_vertices(), 0),
         nxt_(g.num_vertices(), 0) {
-    active_.reserve(g.num_vertices());
+    touched_.reserve(g.num_vertices());
+    frontier_.reserve(g.num_vertices());
     promoted_.reserve(g.num_vertices());
   }
 
@@ -138,7 +139,8 @@ class MultiBfsT {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const Vertex s = sources[i];
       const std::uint64_t bit = std::uint64_t{1} << i;
-      if (cur_[s] == 0) active_.push_back(s);
+      if (seen_[s] == 0) touched_.push_back(s);
+      if (cur_[s] == 0) frontier_.push_back(s);
       cur_[s] |= bit;
       seen_[s] |= bit;
       on_settle(static_cast<std::uint32_t>(i), s, 0U);
@@ -146,19 +148,17 @@ class MultiBfsT {
     stats_.settled += sources.size();
 
     std::uint32_t level = 0;
-    std::size_t begin = 0;
-    std::size_t end = active_.size();
-    while (begin < end) {
+    while (!frontier_.empty()) {
       ++level;
       ++stats_.levels;
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        const Vertex v = active_[idx];
+      for (const Vertex v : frontier_) {
         const std::uint64_t fmask = cur_[v];
         cur_[v] = 0;
         ++stats_.row_scans;
         for (const Vertex w : g_->neighbors(v)) {
           const std::uint64_t fresh = fmask & ~seen_[w];
           if (fresh == 0) continue;
+          if (seen_[w] == 0) touched_.push_back(w);
           seen_[w] |= fresh;
           if (nxt_[w] == 0) promoted_.push_back(w);
           nxt_[w] |= fresh;
@@ -170,7 +170,6 @@ class MultiBfsT {
         std::uint64_t mask = nxt_[w];
         nxt_[w] = 0;
         cur_[w] = mask;
-        active_.push_back(w);
         stats_.settled += static_cast<std::uint32_t>(std::popcount(mask));
         while (mask != 0) {
           const auto lane = static_cast<std::uint32_t>(std::countr_zero(mask));
@@ -178,17 +177,16 @@ class MultiBfsT {
           on_settle(lane, w, level);
         }
       }
+      frontier_.swap(promoted_);
       promoted_.clear();
-      begin = end;
-      end = active_.size();
     }
 
     // Restore the all-zero plane invariant: `cur_`/`nxt_` were zeroed as
     // they were consumed (the final level's frontier was scanned and cleared,
     // and its last promotion round found nothing); `seen_` is nonzero exactly
-    // on the vertices listed in `active_`.
-    for (const Vertex v : active_) seen_[v] = 0;
-    active_.clear();
+    // on the vertices listed in `touched_`.
+    for (const Vertex v : touched_) seen_[v] = 0;
+    touched_.clear();
   }
 
   /// Aggregate-only batch.
@@ -218,10 +216,10 @@ class MultiBfsT {
   std::vector<std::uint64_t> seen_;
   std::vector<std::uint64_t> cur_;
   std::vector<std::uint64_t> nxt_;
-  // The level-segmented active list: [begin, end) is the current level's
-  // frontier vertices (each listed once, however many lanes are active on
-  // it); promoted vertices append behind `end`.
-  std::vector<Vertex> active_;
+  // Vertex lists, each holding a vertex at most once, so each is bounded by
+  // n and reserved at construction: a sweep never allocates.
+  std::vector<Vertex> touched_;   ///< vertices whose `seen_` word went nonzero
+  std::vector<Vertex> frontier_;  ///< this level's vertices, each once whatever its lanes
   std::vector<Vertex> promoted_;  ///< vertices whose `nxt_` word went nonzero this level
   MultiBfsStats stats_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -64,20 +63,34 @@ std::vector<BootstrapCi> bootstrap_mean_ci_columns(std::span<const std::span<con
   BBNG_REQUIRE_MSG(confidence > 0 && confidence < 1, "confidence must be in (0, 1)");
   BBNG_REQUIRE(resamples >= 1);
   std::vector<BootstrapCi> out(columns.size());
-  // Column indices grouped by length. Their order within a length does not
-  // matter: a column's interval does not depend on its block mates.
-  std::vector<std::size_t> order(columns.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // The indices of the columns that need resampling, grouped by length.
+  // Their order within a length does not matter: a column's interval does
+  // not depend on its block mates.
+  std::vector<std::size_t> order;
+  order.reserve(columns.size());
+  for (std::size_t j = 0; j < columns.size(); ++j) {
+    const std::span<const double> column = columns[j];
+    if (column.empty()) continue;  // keeps the all-zero interval
+    if (std::all_of(column.begin(), column.end(),
+                    [&](double v) { return v == column.front(); })) {
+      // Every resample of a constant column adds the same value `count`
+      // times, the add chain of its mean: a zero-width interval at the mean,
+      // bit for bit, with no index stream.
+      double sum = 0;
+      for (const double v : column) sum += v;
+      const double mean = sum / static_cast<double>(column.size());
+      out[j] = BootstrapCi{mean, mean, mean, confidence, resamples};
+      continue;
+    }
+    order.push_back(j);
+  }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return columns[a].size() < columns[b].size();
   });
 
   // means[j * resamples + r]: resample r's mean of the block's column j.
-  std::vector<double> means(std::min(kBootstrapBlock, columns.size()) * resamples);
-  // Empty columns sort first and keep the all-zero interval.
-  std::size_t first = 0;
-  while (first < order.size() && columns[order[first]].empty()) ++first;
-  for (std::size_t width = 0; first < order.size(); first += width) {
+  std::vector<double> means(std::min(kBootstrapBlock, order.size()) * resamples);
+  for (std::size_t first = 0, width = 0; first < order.size(); first += width) {
     const std::size_t count = columns[order[first]].size();
     width = 1;
     while (width < kBootstrapBlock && first + width < order.size() &&

@@ -52,7 +52,9 @@ inline constexpr std::size_t kBootstrapBlock = 4;
 /// adds every draw into one accumulator per column. A column keeps its own
 /// add order, so out[j] is the same for any set of other columns (the
 /// test-only reference resamples one column alone), while the block's
-/// accumulators form independent add chains. Columns may have any lengths
+/// accumulators form independent add chains. A constant column resamples to
+/// its own add chain every time, so it is summed once and joins no block.
+/// Columns may have any lengths
 /// and are read in place, not copied. Throws std::invalid_argument on a
 /// confidence outside (0, 1) or zero resamples.
 [[nodiscard]] std::vector<BootstrapCi> bootstrap_mean_ci_columns(

@@ -1,7 +1,8 @@
 // Engine-owned BFS scratch: once warm, a reused BfsRunner, a reused MultiBfs
 // engine and a DynamicBfs oracle's trial probes perform zero heap
-// allocations. Proved with a counting global operator new local to this
-// binary (tests link one binary per suite).
+// allocations, and a fresh MultiBfs engine's first sweep performs none.
+// Proved with a counting global operator new local to this binary (tests
+// link one binary per suite).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -50,7 +51,7 @@ TEST(BfsScratch, EnginesAreAllocationFreeOnceWarm) {
   for (Vertex s = 0; s < MultiBfs::kLanes; ++s) sources[s] = s;
   std::array<BfsAggregates, MultiBfs::kLanes> lanes{};
   CsrMultiBfs engine(csr);
-  engine.run_batch(sources, lanes);  // warm-up sizes the active lists
+  engine.run_batch(sources, lanes);  // warm-up registers the bfs.multi.* counters
 
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
   // No gtest assertions inside the counted region (their failure paths
@@ -73,6 +74,39 @@ TEST(BfsScratch, EnginesAreAllocationFreeOnceWarm) {
       << "steady-state BfsRunner and MultiBfs queries must not allocate";
   EXPECT_EQ(mismatches, 0U);
   EXPECT_EQ(first_sum, ref_sum);
+}
+
+TEST(BfsScratch, FreshMultiBfsSweepAllocatesNothing) {
+  // A 128 × 128 grid keeps each lane's frontier alive for ~250 levels, so a
+  // list holding every level's frontier would outgrow its n reserve many
+  // times over. The engine's lists each hold a vertex at most once, so its
+  // very first sweep, with no warm-up, stays inside the construction
+  // reserve.
+  const UGraph g = grid_graph(128, 128);
+  const CsrUGraph csr(g);
+  std::vector<Vertex> sources(CsrMultiBfs::kLanes);
+  for (Vertex i = 0; i < CsrMultiBfs::kLanes; ++i) sources[i] = (i * 4099) % g.num_vertices();
+  std::array<BfsAggregates, CsrMultiBfs::kLanes> lanes{};
+  CsrMultiBfs engine(csr);
+
+  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  // sweep(), not run_batch(): the latter's first call registers the
+  // `bfs.multi.*` counters, which allocates outside the engine.
+  engine.sweep(sources, [&](std::uint32_t lane, Vertex, std::uint32_t level) {
+    ++lanes[lane].reached;
+    lanes[lane].max_dist = level;
+    lanes[lane].sum_dist += level;
+  });
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed), news_before)
+      << "a fresh MultiBfs engine's first sweep must not allocate";
+
+  BfsRunner runner(g.num_vertices());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    runner.run(g, sources[i]);
+    EXPECT_EQ(lanes[i].reached, runner.reached()) << "lane " << i;
+    EXPECT_EQ(lanes[i].max_dist, runner.max_dist()) << "lane " << i;
+    EXPECT_EQ(lanes[i].sum_dist, runner.sum_dist()) << "lane " << i;
+  }
 }
 
 TEST(BfsScratch, DynamicBfsProbesAreAllocationFreeOnceWarm) {

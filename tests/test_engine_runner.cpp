@@ -15,6 +15,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -111,9 +112,11 @@ TEST_F(EngineRunnerTest, KillAndResumeIsByteIdentical) {
   const std::string reference = reference_bytes();
   const std::uint64_t total = campaign_.num_jobs();
   // Kill after the first commit, mid-run (off and on a checkpoint boundary),
-  // and one short of completion; resume at a different thread count.
+  // exactly where the `dyn` scenario ends (20, so the resume's prefix holds
+  // a finished scenario) and one job into `swap`, and one short of
+  // completion; resume at a different thread count.
   for (const std::uint64_t kill_at : {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{15},
-                                      total - 1}) {
+                                      std::uint64_t{20}, std::uint64_t{21}, total - 1}) {
     const std::string leaf = "kill" + std::to_string(kill_at) + ".jsonl";
     RunnerConfig cfg = config(leaf, 1);
     cfg.halt_after = kill_at;
@@ -153,6 +156,84 @@ TEST_F(EngineRunnerTest, ChainOfKillsStillConverges) {
   const RunReport last = resume_campaign(campaign_, kCampaignText, config(leaf, 4));
   EXPECT_TRUE(last.completed);
   EXPECT_EQ(read_file(path(leaf)), reference);
+  EXPECT_EQ(read_file(summary_path_for(path(leaf))),
+            read_file(summary_path_for(path("reference.jsonl"))));
+}
+
+TEST_F(EngineRunnerTest, BitFlipInTheCommittedPrefixFailsTheResume) {
+  // One bit flipped in the third record (job 2), well inside the prefix the
+  // checkpoint at 10 journals: in its opening brace ('{' becomes 'z', so
+  // the line no longer parses), or in its scenario name ("dyn" becomes
+  // "eyn", which parses but names a scenario the spec does not have there).
+  struct Damage {
+    const char* leaf;
+    std::string_view anchor;  ///< the flipped byte is the anchor's first
+    std::string_view error;   ///< what the named error must say
+  };
+  for (const Damage& damage :
+       {Damage{"brace.jsonl", "{", "JSON parse error"},
+        Damage{"name.jsonl", "dyn\"", "is in scenario \"eyn\", but the spec puts it in"}}) {
+    RunnerConfig cfg = config(damage.leaf, 2);
+    cfg.halt_after = 12;
+    EXPECT_FALSE(run_campaign(campaign_, kCampaignText, cfg).completed);
+    const std::string manifest_before = read_file(manifest_path_for(cfg.output_path));
+
+    std::string bytes = read_file(cfg.output_path);
+    std::size_t at = 0;
+    for (int newline = 0; newline < 3; ++newline) at = bytes.find('\n', at) + 1;
+    at = bytes.find(damage.anchor, at);
+    ASSERT_LT(at, bytes.find('\n', at));
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    {
+      std::ofstream out(cfg.output_path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+
+    try {
+      static_cast<void>(resume_campaign(campaign_, kCampaignText, config(damage.leaf, 3)));
+      ADD_FAILURE() << "resume accepted a damaged prefix: " << damage.leaf;
+    } catch (const std::exception& error) {
+      EXPECT_NE(std::string(error.what()).find(damage.error), std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(summary_path_for(cfg.output_path)));
+    EXPECT_FALSE(std::filesystem::exists(summary_path_for(cfg.output_path) + ".tmp"));
+    // No job ran and no manifest was written, completed or not.
+    EXPECT_EQ(read_file(manifest_path_for(cfg.output_path)), manifest_before);
+    EXPECT_FALSE(parse_json(manifest_before).at("completed").as_bool());
+  }
+}
+
+TEST_F(EngineRunnerTest, ManifestCountThatDisagreesWithThePrefixFailsTheResume) {
+  RunnerConfig cfg = config("count.jsonl", 1);
+  cfg.halt_after = 12;
+  EXPECT_FALSE(run_campaign(campaign_, kCampaignText, cfg).completed);
+  const std::string manifest_path = manifest_path_for(cfg.output_path);
+  std::string manifest = read_file(manifest_path);
+  const std::size_t at = manifest.find("\"committed_jobs\": 10");
+  ASSERT_NE(at, std::string::npos) << manifest;
+  manifest.replace(at, std::string("\"committed_jobs\": 10").size(), "\"committed_jobs\": 9");
+  {
+    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    out << manifest;
+  }
+  try {
+    static_cast<void>(resume_campaign(campaign_, kCampaignText, cfg));
+    FAIL() << "resume trusted a manifest that miscounts its prefix";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("holds 10 records before its checkpoint offset"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(EngineRunnerTest, FoldedSummaryEqualsTheArtifactReadBack) {
+  // The runner folds windows as they commit; write_summary_file folds the
+  // finished file. Both are the one aggregation path, so the bytes agree.
+  static_cast<void>(reference_bytes());
+  const std::string artifact = path("reference.jsonl");
+  write_summary_file(artifact, path("read_back.summary.json"));
+  EXPECT_EQ(read_file(path("read_back.summary.json")), read_file(summary_path_for(artifact)));
 }
 
 TEST_F(EngineRunnerTest, ResumeOfACompletedRunIsANoOp) {

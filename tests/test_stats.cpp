@@ -257,6 +257,41 @@ TEST(BootstrapColumns, DegenerateColumns) {
   expect_columns_match({{}, {}});
 }
 
+TEST(BootstrapColumns, ConstantColumnsMatchTheReferenceBitForBit) {
+  // Constant columns take the one-add-chain shortcut. 0.1 × 4,500 and
+  // (1/3) × 4,500 sum to something other than count·c, so a shortcut that
+  // multiplied would drift in the last ulp. They sit in one length with
+  // non-constant columns (one constant but for its last value), so the
+  // blocks of the rest still form around them.
+  Rng rng(80);
+  const std::size_t count = 4500;
+  std::vector<std::vector<double>> data;
+  data.emplace_back(count, 0.1);
+  data.emplace_back(count);
+  for (double& v : data.back()) v = rng.next_double() * 7.0;
+  data.emplace_back(count, 1.0 / 3.0);
+  data.emplace_back(count, -0.0);
+  data.emplace_back(count, 0.1);
+  data.back().back() = 0.2;
+  data.emplace_back(count, 1e16);
+  data.emplace_back(count);
+  for (double& v : data.back()) v = rng.next_double() - 0.5;
+  data.push_back({0.1, 0.1, 0.1});
+  expect_columns_match(data, 0.95, 200);
+
+  double chain = 0;
+  for (std::size_t i = 0; i < count; ++i) chain += 0.1;
+  EXPECT_NE(chain, 0.1 * static_cast<double>(count));
+  const std::vector<std::span<const double>> columns(data.begin(), data.end());
+  const std::vector<BootstrapCi> got = bootstrap_mean_ci_columns(columns, 0.95, 200);
+  for (const std::size_t j : {0U, 2U, 3U, 5U, 7U}) {
+    EXPECT_EQ(got[j].lower, got[j].mean) << "column " << j;
+    EXPECT_EQ(got[j].upper, got[j].mean) << "column " << j;
+  }
+  EXPECT_EQ(got[0].mean, chain / static_cast<double>(count));
+  EXPECT_LT(got[4].lower, got[4].upper);
+}
+
 TEST(BootstrapColumns, ColumnsOfMixedLengthsMatchTheirOwnBootstrap) {
   // Interleaved lengths, so each length's columns are grouped out of order:
   // 3 columns of 40, 11 of 7 (full blocks and a short one), 2 of 1 and 2

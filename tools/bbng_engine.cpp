@@ -10,6 +10,8 @@
 // `run` executes a declarative campaign sharded across a thread pool and
 // streams one JSON record per game instance into the output JSONL (header
 // line first, then jobs in id order), checkpointing a manifest alongside.
+// One more thread folds each committed window into the `.summary.json`
+// while later windows run.
 // While running it reports progress (jobs done/total, ETA, cumulative
 // solver searches and BFS row scans) to stderr so long campaigns are not
 // silent; `--quiet` suppresses that (stdout and the artifact are byte-clean
@@ -90,7 +92,9 @@ int run_or_resume(bool resume, int argc, const char** argv) {
                        : "execute a campaign spec into a JSONL artifact");
   const auto spec_path = cli.add_string("spec", "", "campaign spec (JSON)");
   const auto output = cli.add_string("output", "", "output JSONL artifact path");
-  const auto threads = cli.add_int("threads", 1, "pool width; 0 = hardware concurrency");
+  const auto threads = cli.add_int(
+      "threads", 1,
+      "job pool width; 0 = hardware concurrency (the summary folds on one more thread)");
   const auto checkpoint_every = cli.add_int("checkpoint-every", 64,
                                             "manifest cadence in committed jobs");
   const auto window = cli.add_int("window", 0, "in-flight job bound; 0 = 4x pool width");
