@@ -282,16 +282,21 @@ int run(int argc, const char** argv) {
   cli.parse(argc, argv);
   bench::apply_common_flags(flags);
   bench::Checker check;
-  Rng rng(static_cast<std::uint64_t>(*flags.seed));
+  // One stream per section, each derived from --seed alone, so a section's
+  // instances do not depend on which other sections ran or at what sizes.
+  Rng streams(static_cast<std::uint64_t>(*flags.seed));
+  Rng corpus_rng = streams.split();
+  Rng audit_rng = streams.split();
+  Rng large_rng = streams.split();
 
   if (*max_n >= *min_n) {
-    run_corpus(*min_n, *max_n, rng, check, *flags.csv);
+    run_corpus(*min_n, *max_n, corpus_rng, check, *flags.csv);
   }
   if (*audit_n > 0) {
-    run_audit(static_cast<std::uint32_t>(*audit_n), rng, check, *flags.csv);
+    run_audit(static_cast<std::uint32_t>(*audit_n), audit_rng, check, *flags.csv);
   }
   if (*large_n > 0) {
-    run_large_n(static_cast<std::uint32_t>(*large_n), rng, check, *flags.csv);
+    run_large_n(static_cast<std::uint32_t>(*large_n), large_rng, check, *flags.csv);
   }
 
   std::cout << "\nEngineering claim (not a paper claim): packing 64 BFS sources into "

@@ -19,7 +19,8 @@ The JSON files are the repo's perf trajectory: CI runs this at small sizes
 and uploads the artifacts; release-sized numbers are committed at the repo
 root whenever the measured subsystem changes. Each payload's "host" block
 records where the numbers were measured (host_threads, compiler, build
-type, git SHA, peak_rss_kb from the bench's /proc/self/status) so
+type, git SHA, git_dirty — true when tracked files differ from that SHA —
+and peak_rss_kb from the bench's /proc/self/status) so
 single-core CI artifacts are never misread as calibrated speedups. A bench
 that stops printing its ``peak_rss_kb:`` line fails the script loudly.
 
@@ -112,6 +113,17 @@ def host_metadata(build_dir):
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         meta["git_sha"] = "unknown"
+    # A SHA alone does not say whether the measured code was committed: flag
+    # uncommitted changes to tracked files (untracked files are ignored).
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=True,
+            cwd=pathlib.Path(__file__).resolve().parent,
+        ).stdout
+        meta["git_dirty"] = bool(status.strip())
+    except (OSError, subprocess.CalledProcessError):
+        meta["git_dirty"] = "unknown"
     return meta
 
 

@@ -74,8 +74,8 @@ struct TaskParams {
   MovePolicy policy = MovePolicy::BestResponse;      ///< dynamics, poa
   bool incremental = true;              ///< dynamics, poa, swap_equilibrium, nash_audit
   /// Graph core of the incremental delta oracle ("csr" | "vector"); same
-  /// tasks as `incremental`. Bit-identical results either way, so specs may
-  /// flip it freely without invalidating artifacts.
+  /// tasks as `incremental`, and like it read only for n > 2048. Results are
+  /// bit-identical either way, so specs may flip both freely.
   GraphCore graph_core = GraphCore::kCsr;
   std::uint64_t swap_limit = 2'000'000; ///< audit
   bool compute_connectivity = false;    ///< audit (κ costs O(n) max-flows)

@@ -27,12 +27,12 @@
 //
 // greedy and swap each have one body, the evaluator-generic greedy_with /
 // swap_improve_with below. BestResponseSolver runs them on the evaluator
-// with_move_evaluator (game/strategy_eval.hpp) picks: the incremental delta
-// oracle by default (consecutive candidates differ by one head, so each
-// evaluation is a few dynamic-BFS edge operations instead of a fresh
+// with_move_evaluator (game/strategy_eval.hpp) picks: TableEvaluator, as
+// for exact search, when n ≤ kTableEvaluatorLimit; above it the incremental
+// delta oracle by default (consecutive candidates differ by one head, so
+// each evaluation is a few dynamic-BFS edge operations instead of a fresh
 // multi-source BFS), or NaiveEvaluator (one full BFS per probe) under
-// incremental = false.
-// Both agree bit-for-bit (tests/test_delta_eval.cpp).
+// incremental = false. All agree bit-for-bit (tests/test_delta_eval.cpp).
 #pragma once
 
 #include <cstdint>
@@ -70,9 +70,9 @@ struct SolverResult {
   std::uint64_t nodes_pruned = 0;    ///< subtrees cut by bounds/dominance
   std::uint64_t evaluated = 0;       ///< candidate strategies scored
   /// Candidates scored by the incremental delta oracle without any full BFS
-  /// recompute (0 on the naive and table evaluators, so 0 under exact
-  /// enumeration up to the table limit and wherever exact_bb scores on its
-  /// table; above it the delta evaluator may report a nonzero count).
+  /// recompute (0 on the naive and table evaluators, so 0 from every
+  /// solver and move set up to the table limit; above it the delta
+  /// evaluator may report a nonzero count).
   /// evaluated − bfs_avoided bounds the full-BFS-equivalent evaluations
   /// performed.
   std::uint64_t bfs_avoided = 0;
@@ -84,8 +84,8 @@ class BestResponseSolver {
  public:
   /// `exact_limit` caps the number of candidates full enumeration may score.
   /// `incremental` and `core` pick greedy/swap's evaluator through
-  /// with_move_evaluator. Every choice returns bit-identical costs,
-  /// strategies and evaluation counts; only bfs_avoided differs.
+  /// with_move_evaluator above kTableEvaluatorLimit. Every choice returns
+  /// bit-identical costs, strategies and evaluation counts.
   explicit BestResponseSolver(CostVersion version, std::uint64_t exact_limit = 2'000'000,
                               bool incremental = true, GraphCore core = GraphCore::kCsr)
       : version_(version), exact_limit_(exact_limit), incremental_(incremental), core_(core) {}

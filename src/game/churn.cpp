@@ -13,9 +13,9 @@ namespace {
 
 /// Deterministic greedy trim on `eval` (holding the player's incumbent
 /// heads): drop, one at a time, the head whose removal increases the
-/// player's cost least (ties to the smallest head — the list is sorted). On
-/// the delta oracle a trim costs O(b²) incremental probes, not O(b²) BFS
-/// runs.
+/// player's cost least (ties to the smallest head — the list is sorted). For
+/// n ≤ kTableEvaluatorLimit it runs on TableEvaluator: O(b²) probes, no BFS.
+/// Above, on the delta oracle, the probes are incremental, not BFS runs.
 template <class Eval>
 std::vector<Vertex> greedy_trim(Eval& eval, std::uint32_t cap) {
   std::vector<Vertex> heads = eval.current_strategy();

@@ -52,10 +52,11 @@ struct DynamicsConfig {
   std::uint64_t seed = 1;                ///< RNG for randomised schedules
   bool detect_cycles = true;             ///< hash states to spot loops
   bool record_trajectory = false;        ///< record social cost per round
-  /// Score moves through the incremental delta oracle (DeltaEvaluatorT);
-  /// false forces the naive full-BFS path. Both produce identical runs.
+  /// Moves score on TableEvaluator for n ≤ kTableEvaluatorLimit. Above it
+  /// they score on the incremental delta oracle (DeltaEvaluatorT); false
+  /// forces the naive full-BFS path. All produce identical runs.
   bool incremental = true;
-  /// Graph core of the delta oracle (ignored when !incremental). The cores
+  /// Graph core of the delta oracle (ignored when it does not run). The cores
   /// are bit-identical, so this is a performance knob, never a semantic one.
   GraphCore graph_core = GraphCore::kCsr;
   /// Registry backend answering BestResponse moves ("swap" keeps the

@@ -165,10 +165,9 @@ EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
   Vertex deviator = n;  // n: no deviator found
   SwapScanResult deviation;
 
-  if (!incremental || pool == nullptr || pool->width() <= 1 || n < 4) {
+  if (pool == nullptr || pool->width() <= 1 || n < 4) {
     // Sequential sweep with an early exit at the first deviator, so
-    // strategies_checked is deterministic; the naive evaluator always takes
-    // it.
+    // strategies_checked is deterministic.
     for (Vertex u = 0; u < n && deviator == n; ++u) {
       if (g.out_degree(u) == 0) continue;
       SwapScanResult scan = scan_first_improving_swap(g, u, version, incremental, core);
@@ -180,7 +179,7 @@ EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
       }
     }
   } else {
-    // Batched parallel sweep: one delta oracle per scanned player, players
+    // Batched parallel sweep: one evaluator per scanned player, players
     // distributed over the pool. Workers skip players above the smallest
     // deviator found so far, so the reported deviator is deterministic (the
     // minimum) even though scan completion order is not.

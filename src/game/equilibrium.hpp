@@ -11,10 +11,8 @@
 // single-head-swap stability of Section 6 (every Nash equilibrium is also a
 // swap equilibrium), which is polynomial and scales to the large
 // constructions. Each player's swaps go through scan_first_improving_swap
-// (game/strategy_eval.hpp), scored on the incremental delta oracle by
-// default, and the sweep is batched across players on a ThreadPool when one
-// is given; incremental = false scores naively, always sweeps sequentially,
-// and returns an identical verdict/deviator.
+// (game/strategy_eval.hpp), on the evaluator with_move_evaluator picks, and
+// the sweep is batched across players on a ThreadPool when one is given.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,7 @@ struct EquilibriumReport {
   std::uint64_t new_cost = 0;
   std::uint64_t strategies_checked = 0;
   /// Deviations scored by the incremental oracle without a full BFS
-  /// recompute (0 on the naive path).
+  /// recompute (0 on the naive and table evaluators).
   std::uint64_t bfs_avoided = 0;
 };
 
@@ -49,14 +47,14 @@ struct EquilibriumReport {
                                                    ThreadPool* pool = nullptr);
 
 /// Swap-stability check (single-head deviations only). Polynomial:
-/// O(Σ_u b_u · n) strategy evaluations, each incremental when `incremental`.
+/// O(Σ_u b_u · n) strategy evaluations.
 /// The reported deviator is always the smallest unstable player with its
 /// first improving swap in scan order, independent of `pool` width — but the
 /// parallel sweep may score more candidates than the sequential early exit,
 /// so `strategies_checked` is a work stat, not a deterministic count.
-/// `incremental` and `core` pick the scan's evaluator (with_move_evaluator;
-/// bit-identical verdicts); incremental = false also forces the sequential
-/// sweep.
+/// The sweep is sequential iff the pool is null or of width 1, or n < 4.
+/// Above kTableEvaluatorLimit `incremental` and `core` pick the scan's
+/// evaluator (with_move_evaluator; bit-identical verdicts).
 [[nodiscard]] EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
                                                         ThreadPool* pool = nullptr,
                                                         bool incremental = true,

@@ -367,49 +367,49 @@ std::uint64_t TableEvaluator::cost_with_head(Vertex t, std::span<std::uint32_t> 
   return score<true>(cover().data(), table_.data() + std::size_t{t} * n_, fold.data());
 }
 
-bool delta_scan_degenerate(const Digraph& g, Vertex player) {
-  BBNG_REQUIRE(player < g.num_vertices());
-  if (g.out_degree(player) > 1) return false;
-  for (Vertex w = 0; w < g.num_vertices(); ++w) {
-    if (w != player && g.has_arc(w, player)) return false;
+template <class Eval>
+SwapScanResult scan_first_improving_swap_with(Eval& eval) {
+  // The scan order and early exit are part of the library's determinism
+  // contract; only the evaluator behind the probes varies.
+  const std::uint32_t n = eval.num_vertices();
+  SwapScanResult scan;
+  const std::uint64_t base_cost = eval.current_cost();
+  const std::vector<Vertex>& strategy = eval.current_strategy();
+  std::vector<bool> used(n, false);
+  for (const Vertex h : strategy) used[h] = true;
+  used[eval.player()] = true;
+  for (std::size_t i = 0; i < strategy.size(); ++i) {
+    const Vertex old_head = strategy[i];
+    eval.remove_head(old_head);
+    for (Vertex t = 0; t < n; ++t) {
+      if (used[t]) continue;
+      const std::uint64_t cost = eval.cost_with_head(t);
+      ++scan.checked;
+      if (cost < base_cost) {
+        scan.found = true;
+        scan.strategy = strategy;
+        scan.strategy[i] = t;
+        scan.old_cost = base_cost;
+        scan.new_cost = cost;
+        scan.bfs_avoided = eval.bfs_avoided();
+        return scan;
+      }
+    }
+    eval.add_head(old_head);
   }
-  return true;
+  scan.bfs_avoided = eval.bfs_avoided();
+  return scan;
 }
+
+template SwapScanResult scan_first_improving_swap_with(NaiveEvaluator&);
+template SwapScanResult scan_first_improving_swap_with(DeltaEvaluator&);
+template SwapScanResult scan_first_improving_swap_with(CsrDeltaEvaluator&);
+template SwapScanResult scan_first_improving_swap_with(TableEvaluator&);
 
 SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player, CostVersion version,
                                          bool incremental, GraphCore core) {
-  // The scan order and early exit are part of the library's determinism
-  // contract; only the evaluator behind the probes varies.
-  return with_move_evaluator(g, player, version, incremental, core, [](auto& eval) {
-    const std::uint32_t n = eval.num_vertices();
-    SwapScanResult scan;
-    const std::uint64_t base_cost = eval.current_cost();
-    const std::vector<Vertex>& strategy = eval.current_strategy();
-    std::vector<bool> used(n, false);
-    for (const Vertex h : strategy) used[h] = true;
-    used[eval.player()] = true;
-    for (std::size_t i = 0; i < strategy.size(); ++i) {
-      const Vertex old_head = strategy[i];
-      eval.remove_head(old_head);
-      for (Vertex t = 0; t < n; ++t) {
-        if (used[t]) continue;
-        const std::uint64_t cost = eval.cost_with_head(t);
-        ++scan.checked;
-        if (cost < base_cost) {
-          scan.found = true;
-          scan.strategy = strategy;
-          scan.strategy[i] = t;
-          scan.old_cost = base_cost;
-          scan.new_cost = cost;
-          scan.bfs_avoided = eval.bfs_avoided();
-          return scan;
-        }
-      }
-      eval.add_head(old_head);
-    }
-    scan.bfs_avoided = eval.bfs_avoided();
-    return scan;
-  });
+  return with_move_evaluator(g, player, version, incremental, core,
+                             [](auto& eval) { return scan_first_improving_swap_with(eval); });
 }
 
 }  // namespace bbng

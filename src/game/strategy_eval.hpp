@@ -31,7 +31,8 @@
 // (greedy construction, swap descent, the first-improving swap scan, churn's
 // greedy trim) is written once as a template over it. NaiveEvaluator puts
 // StrategyEvaluator behind that interface, and with_move_evaluator is the one
-// place that picks naive, CSR delta or vector delta for a player.
+// place that picks a player's evaluator: TableEvaluator for n ≤
+// kTableEvaluatorLimit, naive, CSR delta or vector delta above it.
 #pragma once
 
 #include <algorithm>
@@ -126,8 +127,7 @@ class StrategyEvaluator {
 ///
 /// A DeltaEvaluatorT is stateful and single-threaded; parallel sweeps build
 /// one per worker (see verify_swap_equilibrium). Move sets reach it through
-/// with_move_evaluator, which also decides when the naive evaluator scores
-/// instead.
+/// with_move_evaluator, and only on graphs above kTableEvaluatorLimit.
 template <class GraphT>
 class DeltaEvaluatorT {
  public:
@@ -351,7 +351,7 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// accumulates in 64 bits.
 ///
 /// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; the exact solvers
-/// use it up to kTableEvaluatorLimit (with_table_evaluator). Stateful and
+/// and the move sets use it up to kTableEvaluatorLimit. Stateful and
 /// single-threaded, like DeltaEvaluatorT.
 class TableEvaluator {
  public:
@@ -430,15 +430,16 @@ class TableEvaluator {
   std::uint64_t evaluations_ = 0;
 };
 
-/// Largest n the exact solvers score on TableEvaluator: its O(n²) table and
-/// O(n·m) fill stop paying off (and fitting in memory) beyond this.
+/// Largest n scored on TableEvaluator (exact solvers, move sets): its O(n²)
+/// table and O(n·m) fill stop paying off (and fitting in memory) beyond this.
 inline constexpr std::uint32_t kTableEvaluatorLimit = 2048;
 
 /// The one place an exact solver (exact_bb, BestResponseSolver::exact) picks
-/// the evaluator that scores `player`: TableEvaluator for n ≤
-/// kTableEvaluatorLimit, CsrDeltaEvaluator above. Builds it with the
-/// incumbent strategy as its head set and returns fn(eval). Both score
-/// bit-identically; bfs_avoided() is 0 on the table.
+/// the evaluator that scores `player`, and the one with_move_evaluator defers
+/// to below the limit: TableEvaluator for n ≤ kTableEvaluatorLimit,
+/// CsrDeltaEvaluator above. Builds it with the incumbent strategy as its head
+/// set and returns fn(eval). Both score bit-identically; bfs_avoided() is 0 on
+/// the table.
 template <class Fn>
 auto with_table_evaluator(const Digraph& g, Vertex player, CostVersion version, Fn&& fn) {
   if (g.num_vertices() <= kTableEvaluatorLimit) {
@@ -452,9 +453,8 @@ auto with_table_evaluator(const Digraph& g, Vertex player, CostVersion version, 
 /// The naive StrategyEvaluator behind the DeltaEvaluatorT head-set
 /// interface: every cost() and cost_with_head() is one multi-source BFS over
 /// the present head set. It is the reference the delta and table evaluators
-/// are checked against, and the faster choice for delta_scan_degenerate
-/// players. Construction loads the incumbent strategy as the head set, like
-/// DeltaEvaluatorT. Stateful and single-threaded (it owns one Scratch).
+/// are checked against. Construction loads the incumbent strategy as the head
+/// set, like DeltaEvaluatorT. Stateful and single-threaded (owns one Scratch).
 class NaiveEvaluator {
  public:
   NaiveEvaluator(const Digraph& g, Vertex player, CostVersion version)
@@ -507,26 +507,18 @@ struct SwapScanResult {
   std::uint64_t bfs_avoided = 0;  ///< of those, served without a full BFS
 };
 
-/// True when swap-scanning `player` degrades the delta oracle to a full BFS
-/// per probe: with no in-arcs and at most one head, every scan position
-/// leaves an empty seed set, so each probe re-settles the player's whole
-/// component from scratch and the naive evaluator's tighter loop wins
-/// (measured: bench_delta_eval's cycle-with-trees leaves). Only
-/// with_move_evaluator consults it; every evaluator produces bit-identical
-/// costs, so the choice never changes results.
-[[nodiscard]] bool delta_scan_degenerate(const Digraph& g, Vertex player);
-
 /// The one place a move set picks the evaluator that scores `player`:
-/// NaiveEvaluator when `!incremental` or the player is
-/// delta_scan_degenerate, else the delta evaluator on `core` (CSR or vector
-/// adjacency). Builds it with the incumbent strategy as its head set and
-/// returns fn(eval). Every choice scores bit-identically, so `incremental`
-/// and `core` are performance knobs only; bfs_avoided() is the one
-/// observable that differs (0 on the naive evaluator).
+/// TableEvaluator for n ≤ kTableEvaluatorLimit, whatever the knobs say. Above
+/// it NaiveEvaluator when `!incremental`, else the delta evaluator on `core`
+/// (CSR or vector adjacency). Builds it with the incumbent strategy as its
+/// head set and returns fn(eval). Every choice scores bit-identically, so
+/// `incremental` and `core` are performance knobs only; bfs_avoided() is the
+/// one observable that differs (0 except on a delta evaluator).
 template <class Fn>
 auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, bool incremental,
                          GraphCore core, Fn&& fn) {
-  if (!incremental || delta_scan_degenerate(g, player)) {
+  if (g.num_vertices() <= kTableEvaluatorLimit) return with_table_evaluator(g, player, version, fn);
+  if (!incremental) {
     NaiveEvaluator eval(g, player, version);
     return fn(eval);
   }
@@ -542,12 +534,17 @@ auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, b
 /// found == false at a swap-local optimum. Scans head positions in (sorted)
 /// strategy order and targets in vertex order with an early exit — the ONE
 /// deterministic scan order shared by the dynamics engine's
-/// FirstImprovingSwap policy and verify_swap_equilibrium. One scan body runs
-/// on whichever evaluator with_move_evaluator picks, so the result (bar
+/// FirstImprovingSwap policy and verify_swap_equilibrium. It runs the body
+/// below on whichever evaluator with_move_evaluator picks, so the result (bar
 /// bfs_avoided) is the same for every `incremental` and `core`.
 [[nodiscard]] SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player,
                                                        CostVersion version,
                                                        bool incremental = true,
                                                        GraphCore core = GraphCore::kCsr);
+
+/// The scan body over any evaluator above, which must hold exactly the
+/// player's incumbent strategy; on return its head set is unspecified.
+template <class Eval>
+[[nodiscard]] SwapScanResult scan_first_improving_swap_with(Eval& eval);
 
 }  // namespace bbng

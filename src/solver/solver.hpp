@@ -39,13 +39,13 @@ namespace bbng {
 /// deadline is honoured where a preemption point exists: per search node in
 /// exact_bb, between racers in the portfolio; the swap ladder has none and
 /// ignores it (spec validation rejects a deadline aimed at it).
-/// `incremental` and `core` pick the evaluator that scores the heuristic
-/// move sets (greedy, swap descent, churn's trim) through
-/// with_move_evaluator (game/strategy_eval.hpp): the delta oracle on the
-/// CSR or vector core, or the naive full-BFS evaluator when !incremental.
-/// Every choice scores bit-identically, so both are performance knobs; only
-/// the bfs_avoided work stat differs. exact_bb picks its own scoring path by
-/// n and ignores them.
+/// The heuristic move sets (greedy, swap descent, churn's trim) score on
+/// TableEvaluator for n ≤ kTableEvaluatorLimit. Above it `incremental` and
+/// `core` pick their evaluator through with_move_evaluator
+/// (game/strategy_eval.hpp): the delta oracle on the CSR or vector core, or
+/// the naive full-BFS evaluator when !incremental. Every choice scores
+/// bit-identically, so both are performance knobs; only the bfs_avoided work
+/// stat differs. exact_bb picks its own scoring path by n and ignores them.
 struct SolverBudget {
   double deadline_seconds = 0;   ///< wall-clock cap; 0 = none
   std::uint64_t node_limit = 0;  ///< backend-specific work cap (see above)

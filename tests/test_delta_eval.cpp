@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "game/best_response.hpp"
+#include "game/churn.hpp"
 #include "game/cost.hpp"
 #include "game/dynamics.hpp"
 #include "game/equilibrium.hpp"
@@ -494,10 +496,46 @@ TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
   }
 }
 
+/// Greedy, swap descent and the first-improving swap scan of player u, each
+/// run through its one generic body on a fresh evaluator of type Eval.
+struct Descents {
+  SolverResult greedy;
+  SolverResult swapped;
+  SwapScanResult scan;
+};
+
+template <class Eval>
+Descents run_descents(const Digraph& g, Vertex u, CostVersion version) {
+  Descents out;
+  Eval built(g, u, version);
+  for (const Vertex h : g.out_neighbors(u)) built.remove_head(h);
+  out.greedy = greedy_with(built, g.out_degree(u));
+  out.swapped = swap_improve_with(built, out.greedy.strategy);
+  Eval scanned(g, u, version);
+  out.scan = scan_first_improving_swap_with(scanned);
+  return out;
+}
+
+/// Move-for-move agreement: every strategy, cost and probe count.
+void expect_same_descents(const Descents& got, const Descents& want) {
+  EXPECT_EQ(got.greedy.strategy, want.greedy.strategy);
+  EXPECT_EQ(got.greedy.cost, want.greedy.cost);
+  EXPECT_EQ(got.greedy.evaluated, want.greedy.evaluated);
+  EXPECT_EQ(got.swapped.strategy, want.swapped.strategy);
+  EXPECT_EQ(got.swapped.cost, want.swapped.cost);
+  EXPECT_EQ(got.swapped.evaluated, want.swapped.evaluated);
+  EXPECT_EQ(got.scan.found, want.scan.found);
+  EXPECT_EQ(got.scan.strategy, want.scan.strategy);
+  EXPECT_EQ(got.scan.old_cost, want.scan.old_cost);
+  EXPECT_EQ(got.scan.new_cost, want.scan.new_cost);
+  EXPECT_EQ(got.scan.checked, want.scan.checked);
+}
+
 TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
-  // greedy_with / swap_improve_with are one body per descent: on the table
-  // and naive evaluators they must reproduce the delta ladder's strategies,
-  // costs and evaluation counts exactly.
+  // greedy_with / swap_improve_with / scan_first_improving_swap_with are one
+  // body per move set: on the delta (both cores) and table evaluators they
+  // must reproduce the naive reference's strategies, costs and probe counts
+  // exactly, and so must the production entry points built on them.
   Rng rng(9005);
   for (int round = 0; round < 40; ++round) {
     const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 9);
@@ -506,32 +544,85 @@ TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
       const BestResponseSolver ladder(version, /*exact_limit=*/1);
       for (Vertex u = 0; u < n; ++u) {
         if (g.out_degree(u) == 0) continue;
-        const SolverResult greedy = ladder.greedy(g, u);
-        const SolverResult swapped = ladder.swap_improve(g, u, greedy.strategy);
-        TableEvaluator table(g, u, version);
-        for (const Vertex h : g.out_neighbors(u)) table.remove_head(h);
-        const SolverResult table_greedy = greedy_with(table, g.out_degree(u));
-        const SolverResult table_swapped = swap_improve_with(table, table_greedy.strategy);
-        EXPECT_EQ(table_greedy.strategy, greedy.strategy);
-        EXPECT_EQ(table_greedy.cost, greedy.cost);
-        EXPECT_EQ(table_greedy.evaluated, greedy.evaluated);
-        EXPECT_EQ(table_swapped.strategy, swapped.strategy);
-        EXPECT_EQ(table_swapped.cost, swapped.cost);
-        EXPECT_EQ(table_swapped.evaluated, swapped.evaluated);
-        NaiveEvaluator naive(g, u, version);
-        for (const Vertex h : g.out_neighbors(u)) naive.remove_head(h);
-        const SolverResult naive_greedy = greedy_with(naive, g.out_degree(u));
-        const SolverResult naive_swapped = swap_improve_with(naive, naive_greedy.strategy);
-        EXPECT_EQ(naive_greedy.strategy, greedy.strategy);
-        EXPECT_EQ(naive_greedy.cost, greedy.cost);
-        EXPECT_EQ(naive_greedy.evaluated, greedy.evaluated);
-        EXPECT_EQ(naive_greedy.bfs_avoided, 0U);
-        EXPECT_EQ(naive_swapped.strategy, swapped.strategy);
-        EXPECT_EQ(naive_swapped.cost, swapped.cost);
-        EXPECT_EQ(naive_swapped.evaluated, swapped.evaluated);
-        EXPECT_EQ(naive_swapped.bfs_avoided, 0U);
+        SCOPED_TRACE(testing::Message() << "round " << round << " u " << u << " "
+                                        << to_string(version));
+        const Descents naive = run_descents<NaiveEvaluator>(g, u, version);
+        EXPECT_EQ(naive.greedy.bfs_avoided, 0U);
+        EXPECT_EQ(naive.swapped.bfs_avoided, 0U);
+        EXPECT_EQ(naive.scan.bfs_avoided, 0U);
+        expect_same_descents(run_descents<DeltaEvaluator>(g, u, version), naive);
+        expect_same_descents(run_descents<CsrDeltaEvaluator>(g, u, version), naive);
+        expect_same_descents(run_descents<TableEvaluator>(g, u, version), naive);
+
+        Descents production;
+        production.greedy = ladder.greedy(g, u);
+        production.swapped = ladder.swap_improve(g, u, production.greedy.strategy);
+        production.scan = scan_first_improving_swap(g, u, version);
+        expect_same_descents(production, naive);
       }
     }
+  }
+}
+
+TEST(DeltaEvalDifferential, MoveSetsScoreOnTheTableBelowTheLimit) {
+  // For n ≤ kTableEvaluatorLimit every move set scores on TableEvaluator,
+  // whatever the knobs say: no delta oracle runs, so bfs_avoided reads 0 and
+  // no bfs.dynamic.* counter is published. n = 100 is large enough that a
+  // delta oracle would fall back to full recomputes (threshold max(32, n/4)).
+  ThreadPool wide(4);
+  const obs::CounterFrame frame;
+  Rng rng(9008);
+  for (const std::uint32_t n : {9U, 12U, 100U}) {
+    const std::uint64_t sigma = n + rng.next_below(n);
+    const Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      for (const auto& [incremental, core] : {std::pair{true, GraphCore::kCsr},
+                                              std::pair{true, GraphCore::kVector},
+                                              std::pair{false, GraphCore::kCsr}}) {
+        const BestResponseSolver solver(version, /*exact_limit=*/1, incremental, core);
+        for (Vertex u = 0; u < n; u += 1 + n / 10) {
+          const SolverResult greedy = solver.greedy(g, u);
+          EXPECT_EQ(greedy.bfs_avoided, 0U) << "n " << n << " u " << u;
+          EXPECT_EQ(solver.swap_improve(g, u, greedy.strategy).bfs_avoided, 0U);
+          EXPECT_EQ(scan_first_improving_swap(g, u, version, incremental, core).bfs_avoided, 0U);
+        }
+        EXPECT_EQ(verify_swap_equilibrium(g, version, nullptr, incremental, core).bfs_avoided,
+                  0U);
+      }
+      EXPECT_EQ(verify_swap_equilibrium(g, version, &wide).bfs_avoided, 0U);
+      if (n > 12) continue;  // dynamics and churn stay on the small instances
+      for (const MovePolicy policy :
+           {MovePolicy::FirstImprovingSwap, MovePolicy::BestResponse}) {
+        DynamicsConfig config;
+        config.version = version;
+        config.policy = policy;
+        config.max_rounds = 20;
+        config.exact_limit = 1;
+        EXPECT_EQ(run_best_response_dynamics(g, config).bfs_avoided, 0U);
+      }
+    }
+  }
+  // Churn's trim: a budget shrink in track mode drops all but one of
+  // player 0's four heads along a path of 79 vertices, so each dropped head
+  // hands dozens of vertices to another.
+  const std::uint32_t n = 80;
+  Digraph path(n);
+  std::vector<std::uint32_t> budgets(n, 1);
+  for (Vertex v = 1; v + 1 < n; ++v) path.add_arc(v, v + 1);
+  budgets[n - 1] = 0;  // the path's end owns no arc: an inactive slot
+  for (const Vertex h : {Vertex{1}, Vertex{26}, Vertex{52}, Vertex{78}}) path.add_arc(0, h);
+  budgets[0] = 4;
+  ChurnConfig config;
+  config.solver = "swap";
+  ChurnEngine engine(path, budgets, config);
+  ChurnEvent shrink;
+  shrink.kind = ChurnEventKind::BudgetShrink;
+  shrink.player = 0;
+  shrink.budget = 1;
+  engine.apply(shrink);
+  EXPECT_EQ(engine.graph().out_degree(0), 1U);
+  for (const obs::CounterValue& delta : frame.deltas()) {
+    EXPECT_NE(delta.name.rfind("bfs.dynamic.", 0), 0U) << delta.name;
   }
 }
 
@@ -568,7 +659,6 @@ TEST(DeltaEvalDifferential, TinyRebuildThresholdStillMatchesNaive) {
 
 TEST(DeltaEvalDifferential, SwapSolverIdenticalWithEvaluatorOnAndOff) {
   Rng rng(9004);
-  std::uint64_t total_avoided = 0;
   for (int round = 0; round < 40; ++round) {
     const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 8);
     const Digraph g = random_instance(n, rng);
@@ -583,7 +673,6 @@ TEST(DeltaEvalDifferential, SwapSolverIdenticalWithEvaluatorOnAndOff) {
         ASSERT_EQ(a.current_cost, b.current_cost);
         ASSERT_EQ(a.evaluated, b.evaluated);  // identical scan, move for move
         EXPECT_EQ(b.bfs_avoided, 0U);
-        total_avoided += a.bfs_avoided;  // degenerate players legitimately 0
 
         // evaluated − bfs_avoided must stay a valid (non-negative) count of
         // full-BFS-equivalent evaluations, including for zero-budget players.
@@ -598,8 +687,6 @@ TEST(DeltaEvalDifferential, SwapSolverIdenticalWithEvaluatorOnAndOff) {
       }
     }
   }
-  // The oracle must actually skip recomputation somewhere, not just agree.
-  EXPECT_GT(total_avoided, 0U);
 }
 
 TEST(DeltaEvalDifferential, SolveIdenticalWithEvaluatorOnAndOff) {
@@ -656,7 +743,6 @@ TEST(DeltaEvalDifferential, SwapEquilibriumVerdictIdenticalOnAndOff) {
 
 TEST(DeltaEvalDifferential, DynamicsRunsIdenticalWithEvaluatorOnAndOff) {
   Rng rng(9007);
-  std::uint64_t total_avoided = 0;
   for (const MovePolicy policy : {MovePolicy::FirstImprovingSwap, MovePolicy::BestResponse}) {
     for (int round = 0; round < 8; ++round) {
       const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 5);
@@ -678,10 +764,50 @@ TEST(DeltaEvalDifferential, DynamicsRunsIdenticalWithEvaluatorOnAndOff) {
         ASSERT_EQ(a.converged, b.converged);
         ASSERT_EQ(a.evaluations, b.evaluations);
         EXPECT_EQ(b.bfs_avoided, 0U);
-        total_avoided += a.bfs_avoided;  // degenerate players legitimately 0
       }
     }
   }
+}
+
+TEST(DeltaEvalDifferential, KnobsPickIdenticalEvaluatorsAboveTheTableLimit) {
+  // Above kTableEvaluatorLimit the knobs still choose the move sets'
+  // evaluator: naive, CSR delta and vector delta must return identical
+  // greedy and scan results, and the delta path must serve probes without
+  // full BFS recomputes. Paths of five vertices keep every probe's BFS, and
+  // every delta repair, inside one small component.
+  const std::uint32_t n = kTableEvaluatorLimit + 1;
+  Rng rng(9009);
+  Digraph g = lane_test_graph(n, /*connected=*/false, rng);
+  g.add_arc(1, 1001);  // a player of budget 2 reaching a far component
+  std::uint64_t total_avoided = 0;
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    const BestResponseSolver naive(version, /*exact_limit=*/1, /*incremental=*/false);
+    for (const Vertex u : {Vertex{1}, Vertex{1002}}) {
+      SCOPED_TRACE(testing::Message() << "u " << u << " " << to_string(version));
+      ASSERT_LE(g.out_degree(u), 2U);
+      const SolverResult greedy = naive.greedy(g, u);
+      const SwapScanResult scan = scan_first_improving_swap(g, u, version, false);
+      EXPECT_EQ(greedy.bfs_avoided, 0U);
+      EXPECT_EQ(scan.bfs_avoided, 0U);
+      for (const GraphCore core : {GraphCore::kCsr, GraphCore::kVector}) {
+        const BestResponseSolver solver(version, /*exact_limit=*/1, /*incremental=*/true, core);
+        const SolverResult delta_greedy = solver.greedy(g, u);
+        EXPECT_EQ(delta_greedy.strategy, greedy.strategy);
+        EXPECT_EQ(delta_greedy.cost, greedy.cost);
+        EXPECT_EQ(delta_greedy.evaluated, greedy.evaluated);
+        EXPECT_LE(delta_greedy.bfs_avoided, delta_greedy.evaluated);
+        const SwapScanResult delta_scan = scan_first_improving_swap(g, u, version, true, core);
+        EXPECT_EQ(delta_scan.found, scan.found);
+        EXPECT_EQ(delta_scan.strategy, scan.strategy);
+        EXPECT_EQ(delta_scan.old_cost, scan.old_cost);
+        EXPECT_EQ(delta_scan.new_cost, scan.new_cost);
+        EXPECT_EQ(delta_scan.checked, scan.checked);
+        EXPECT_LE(delta_scan.bfs_avoided, delta_scan.checked);
+        total_avoided += delta_greedy.bfs_avoided + delta_scan.bfs_avoided;
+      }
+    }
+  }
+  // The oracle must actually skip recomputation somewhere, not just agree.
   EXPECT_GT(total_avoided, 0U);
 }
 

@@ -565,35 +565,13 @@ std::vector<std::string> job_records(const std::string& artifact) {
   return records;
 }
 
-/// `record` without the members only the evaluator choice may change: every
-/// `…bfs_avoided` work stat and the delta oracle's own `bfs.dynamic.*`
-/// counters. Their values are appended to `removed`.
-std::string without_evaluator_work(const std::string& record,
-                                   std::vector<std::pair<std::string, std::uint64_t>>& removed) {
-  static const std::regex kMember(R"re("([a-z_.]*bfs_avoided|bfs\.dynamic\.[a-z_]+)":(\d+),?)re");
-  std::string kept;
-  std::size_t from = 0;
-  for (auto it = std::sregex_iterator(record.begin(), record.end(), kMember);
-       it != std::sregex_iterator(); ++it) {
-    kept.append(record, from, static_cast<std::size_t>(it->position()) - from);
-    from = static_cast<std::size_t>(it->position() + it->length());
-    removed.emplace_back((*it)[1].str(), std::stoull((*it)[2].str()));
-  }
-  kept.append(record, from);
-  // A removed last member leaves a dangling comma before the closing brace.
-  for (std::size_t pos = kept.find(",}"); pos != std::string::npos; pos = kept.find(",}")) {
-    kept.erase(pos, 1);
-  }
-  return kept;
-}
-
 TEST_F(EngineRunnerTest, EvaluatorKnobsDoNotChangeTheRecords) {
   // `incremental` and `graph_core` only pick the evaluator behind each move
-  // set (greedy, swap descent, the first-improving swap scan, churn's trim),
-  // and every evaluator scores bit-identically. So the records are
-  // byte-identical under all three choices, bar the bfs_avoided work stat,
-  // which reads 0 on the naive evaluator, and the delta oracle's
-  // bfs.dynamic.* counters, which only it produces.
+  // set (greedy, swap descent, the first-improving swap scan, churn's trim)
+  // above kTableEvaluatorLimit; every graph here is smaller, so every run
+  // scores on TableEvaluator and the records are byte-identical under all
+  // three choices, work stats included: bfs_avoided reads 0 and no delta
+  // oracle publishes bfs.dynamic.* counters.
   const auto run = [this](const std::string& leaf, const std::string& knob) {
     std::string text = kKnobCampaignText;
     for (std::size_t at = text.find('@'); at != std::string::npos; at = text.find('@')) {
@@ -609,25 +587,20 @@ TEST_F(EngineRunnerTest, EvaluatorKnobsDoNotChangeTheRecords) {
   const std::vector<std::string> naive = run("naive.jsonl", R"("incremental": false)");
   ASSERT_EQ(csr.size(), 34u);
   EXPECT_EQ(vector, csr);
-  ASSERT_EQ(naive.size(), csr.size());
+  EXPECT_EQ(naive, csr);
 
-  std::uint64_t delta_avoided = 0;
+  static const std::regex kAvoided(R"re("[a-z_.]*bfs_avoided":(\d+))re");
+  std::size_t avoided_members = 0;
   for (std::size_t i = 0; i < csr.size(); ++i) {
-    std::vector<std::pair<std::string, std::uint64_t>> delta_work;
-    std::vector<std::pair<std::string, std::uint64_t>> naive_work;
-    EXPECT_EQ(without_evaluator_work(naive[i], naive_work),
-              without_evaluator_work(csr[i], delta_work))
-        << "record " << i;
-    for (const auto& [key, value] : delta_work) {
-      if (key.find("bfs_avoided") != std::string::npos) delta_avoided += value;
-    }
-    for (const auto& [key, value] : naive_work) {
-      EXPECT_EQ(key.find("bfs.dynamic."), std::string::npos)
-          << "record " << i << ": the naive evaluator runs no delta oracle";
-      EXPECT_EQ(value, 0u) << "record " << i << ": " << key;
+    const std::string& record = csr[i];
+    EXPECT_EQ(record.find("bfs.dynamic."), std::string::npos) << "record " << i;
+    for (auto it = std::sregex_iterator(record.begin(), record.end(), kAvoided);
+         it != std::sregex_iterator(); ++it) {
+      ++avoided_members;
+      EXPECT_EQ((*it)[1].str(), "0") << "record " << i;
     }
   }
-  EXPECT_GT(delta_avoided, 0u) << "the default runs must exercise the delta oracle";
+  EXPECT_GT(avoided_members, 0u) << "the campaign must report bfs_avoided somewhere";
 }
 
 }  // namespace
