@@ -292,9 +292,9 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
   static const obs::HistogramId kWindowHist = obs::register_histogram("runner.window");
   static const obs::HistogramId kCommitHist = obs::register_histogram("runner.commit");
   // Host telemetry for the sidecar: VmRSS/VmHWM and counter rates, sampled
-  // at the spec's cadence for the lifetime of this drive. Host-scoped only —
-  // it never touches the artifact bytes.
-  obs::GaugeSampler sampler(campaign.gauge_sample_seconds);
+  // every 0.25 s (the sampler's default) for the lifetime of this drive.
+  // Host-scoped only — it never touches the artifact bytes.
+  obs::GaugeSampler sampler;
   sampler.start();
   bool halted = false;
   while (report.committed < report.total_jobs && !halted) {

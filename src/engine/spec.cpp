@@ -362,12 +362,11 @@ ScenarioSpec parse_scenario(const JsonValue& object, const std::string& fallback
   if (scenario.name.empty()) spec_error("scenario", "missing required key \"name\"");
   const std::string where = "scenario \"" + scenario.name + "\"";
 
-  // "obs" and "gauge_sample_seconds" are consumed at the campaign level
-  // (parse_campaign_spec); they are listed here only so the single-scenario
-  // form accepts them at top level.
+  // "obs" is consumed at the campaign level (parse_campaign_spec); it is
+  // listed here only so the single-scenario form accepts it at top level.
   reject_unknown_keys(object,
-                      {"name", "base_seed", "obs", "gauge_sample_seconds", "task", "version",
-                       "generator", "budgets", "grid", "seeds", "params"},
+                      {"name", "base_seed", "obs", "task", "version", "generator", "budgets",
+                       "grid", "seeds", "params"},
                       where);
 
   scenario.task = parse_task(
@@ -497,18 +496,10 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
   if (const JsonValue* obs = root.find("obs"); obs != nullptr) {
     campaign.obs = read_as(*obs, &JsonValue::as_bool, "campaign", "obs");
   }
-  if (const JsonValue* cadence = root.find("gauge_sample_seconds"); cadence != nullptr) {
-    campaign.gauge_sample_seconds =
-        read_as(*cadence, &JsonValue::as_double, "campaign", "gauge_sample_seconds");
-    if (!(campaign.gauge_sample_seconds > 0) || campaign.gauge_sample_seconds > 60) {
-      spec_error("campaign", "gauge_sample_seconds must be in (0, 60]");
-    }
-  }
 
   const JsonValue* scenarios = root.find("scenarios");
   if (scenarios != nullptr) {
-    reject_unknown_keys(root, {"name", "base_seed", "obs", "gauge_sample_seconds", "scenarios"},
-                        "campaign");
+    reject_unknown_keys(root, {"name", "base_seed", "obs", "scenarios"}, "campaign");
     if (!scenarios->is_array() || scenarios->items().empty()) {
       spec_error("campaign", "scenarios must be a non-empty array");
     }
@@ -520,10 +511,6 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
       }
       if (item.find("obs") != nullptr) {
         spec_error("campaign", "obs belongs at the campaign level, not in a scenario");
-      }
-      if (item.find("gauge_sample_seconds") != nullptr) {
-        spec_error("campaign",
-                   "gauge_sample_seconds belongs at the campaign level, not in a scenario");
       }
       campaign.scenarios.push_back(parse_scenario(item, ""));
     }

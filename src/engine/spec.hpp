@@ -72,10 +72,12 @@ struct TaskParams {
   std::uint64_t exact_limit = 20'000;   ///< dynamics, poa, audit
   Schedule schedule = Schedule::RoundRobin;          ///< dynamics, poa
   MovePolicy policy = MovePolicy::BestResponse;      ///< dynamics, poa
-  bool incremental = true;              ///< dynamics, poa, swap_equilibrium, nash_audit
-  /// Graph core of the incremental delta oracle ("csr" | "vector"); same
-  /// tasks as `incremental`, and like it read only for n > 2048. Results are
-  /// bit-identical either way, so specs may flip both freely.
+  bool incremental = true;              ///< dynamics, poa, swap_equilibrium, nash_audit, churn
+  /// Adjacency layout ("csr" | "vector"); same tasks as `incremental`. Above
+  /// n = 2048 it picks the layout of the incremental delta oracle. At every n
+  /// it also picks the layout of the batched current-cost prepass of
+  /// nash_audit and churn (batched_current_costs). Records are bit-identical
+  /// either way, so specs may flip both freely.
   GraphCore graph_core = GraphCore::kCsr;
   std::uint64_t swap_limit = 2'000'000; ///< audit
   bool compute_connectivity = false;    ///< audit (κ costs O(n) max-flows)
@@ -123,11 +125,6 @@ struct CampaignSpec {
   /// the CLI's --no-obs overrides true at run time without touching the
   /// spec (and hence the fingerprint).
   bool obs = true;
-  /// Cadence of the host-telemetry gauge sampler (VmRSS/VmHWM, counter
-  /// rates) during a run, seconds (top-level "gauge_sample_seconds" key).
-  /// Host-scoped only: it shapes the `.obs_host.json` sidecar, never the
-  /// deterministic artifact bytes.
-  double gauge_sample_seconds = 0.25;
   std::vector<ScenarioSpec> scenarios;
 
   [[nodiscard]] std::uint64_t num_jobs() const noexcept;

@@ -190,29 +190,14 @@ SolverResult swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
     used[h] = true;
   }
   std::uint64_t cost = eval.cost();
-
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (std::size_t i = 0; i < strategy.size() && !improved; ++i) {
-      // Drop head i once, then each candidate swap is one probe.
-      const Vertex old_head = strategy[i];
-      eval.remove_head(old_head);
-      for (Vertex t = 0; t < n && !improved; ++t) {
-        if (used[t]) continue;
-        const std::uint64_t trial_cost = eval.cost_with_head(t);
-        ++result.evaluated;
-        if (trial_cost < cost) {
-          eval.add_head(t);  // commit the probed swap; restart the scan
-          used[old_head] = false;
-          used[t] = true;
-          strategy[i] = t;
-          cost = trial_cost;
-          improved = true;
-        }
-      }
-      if (!improved) eval.add_head(old_head);
-    }
+  // Each improving swap is committed, then the pass restarts from head 0.
+  while (const std::optional<FirstSwap> swap =
+             first_improving_swap(eval, strategy, used, cost, result.evaluated)) {
+    eval.add_head(swap->target);
+    used[strategy[swap->index]] = false;
+    used[swap->target] = true;
+    strategy[swap->index] = swap->target;
+    cost = swap->cost;
   }
   std::sort(strategy.begin(), strategy.end());
   result.strategy = std::move(strategy);

@@ -127,7 +127,6 @@ struct ChurnStats {
   std::uint64_t skips_clean = 0;      ///< players untouched by a no-delta event
   std::uint64_t refreshes = 0;        ///< bulk refreshes (edge-delta events)
   std::uint64_t baseline_solves = 0;  ///< per-event re-audit search count (see above)
-  MultiBfsStats prepass;              ///< batched current-cost sweep counters
 };
 
 /// The live engine. Construction certifies the initial state (one full
@@ -189,8 +188,8 @@ class ChurnEngine {
   void settle(DeltaKind delta);
   void refresh_all(DeltaKind delta);
   void accumulate_baseline();
-  /// Publish stats_ − flushed_ (field-wise, prepass excluded — MultiBfs
-  /// publishes its own batches) to the registry as `churn.*`, then advance
+  /// Publish stats_ − flushed_ field-wise to the registry as `churn.*` (the
+  /// current-cost prepass's MultiBfs publishes its own batches), then advance
   /// flushed_. Runs at construction and after every apply(), so the legacy
   /// struct and the registry agree bit for bit at every event boundary.
   void publish_stats();

@@ -371,33 +371,22 @@ template <class Eval>
 SwapScanResult scan_first_improving_swap_with(Eval& eval) {
   // The scan order and early exit are part of the library's determinism
   // contract; only the evaluator behind the probes varies.
-  const std::uint32_t n = eval.num_vertices();
   SwapScanResult scan;
   const std::uint64_t base_cost = eval.current_cost();
   const std::vector<Vertex>& strategy = eval.current_strategy();
-  std::vector<bool> used(n, false);
+  std::vector<bool> used(eval.num_vertices(), false);
   for (const Vertex h : strategy) used[h] = true;
   used[eval.player()] = true;
-  for (std::size_t i = 0; i < strategy.size(); ++i) {
-    const Vertex old_head = strategy[i];
-    eval.remove_head(old_head);
-    for (Vertex t = 0; t < n; ++t) {
-      if (used[t]) continue;
-      const std::uint64_t cost = eval.cost_with_head(t);
-      ++scan.checked;
-      if (cost < base_cost) {
-        scan.found = true;
-        scan.strategy = strategy;
-        scan.strategy[i] = t;
-        scan.old_cost = base_cost;
-        scan.new_cost = cost;
-        scan.bfs_avoided = eval.bfs_avoided();
-        return scan;
-      }
-    }
-    eval.add_head(old_head);
-  }
+  const std::optional<FirstSwap> swap =
+      first_improving_swap(eval, strategy, used, base_cost, scan.checked);
   scan.bfs_avoided = eval.bfs_avoided();
+  if (swap) {
+    scan.found = true;
+    scan.strategy = strategy;
+    scan.strategy[swap->index] = swap->target;
+    scan.old_cost = base_cost;
+    scan.new_cost = swap->cost;
+  }
   return scan;
 }
 

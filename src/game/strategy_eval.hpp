@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -546,5 +547,40 @@ auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, b
 /// player's incumbent strategy; on return its head set is unspecified.
 template <class Eval>
 [[nodiscard]] SwapScanResult scan_first_improving_swap_with(Eval& eval);
+
+/// An improving single-head swap: position `index` of the strategy gets
+/// `target`, and the strategy then costs `cost`.
+struct FirstSwap {
+  std::size_t index = 0;
+  Vertex target = 0;
+  std::uint64_t cost = 0;
+};
+
+/// The one first-improving swap pass, shared by the swap scan above and the
+/// swap descent (swap_improve_with). `eval` holds the heads of `strategy`.
+/// For each position i in order: drop head i, probe every target not in
+/// `used` in vertex order, and stop at the first probe cheaper than `cost`,
+/// leaving head i dropped and the target unadded; otherwise restore head i.
+/// Returns nullopt, with every head restored, when no swap improves. Each
+/// probe adds one to `probes`.
+template <class Eval>
+[[nodiscard]] std::optional<FirstSwap> first_improving_swap(Eval& eval,
+                                                            const std::vector<Vertex>& strategy,
+                                                            const std::vector<bool>& used,
+                                                            std::uint64_t cost,
+                                                            std::uint64_t& probes) {
+  const std::uint32_t n = eval.num_vertices();
+  for (std::size_t i = 0; i < strategy.size(); ++i) {
+    eval.remove_head(strategy[i]);
+    for (Vertex t = 0; t < n; ++t) {
+      if (used[t]) continue;
+      const std::uint64_t trial_cost = eval.cost_with_head(t);
+      ++probes;
+      if (trial_cost < cost) return FirstSwap{i, t, trial_cost};
+    }
+    eval.add_head(strategy[i]);
+  }
+  return std::nullopt;
+}
 
 }  // namespace bbng

@@ -7,13 +7,11 @@
 #include "parallel/parallel_for.hpp"
 
 namespace bbng {
-namespace {
 
-/// Aggregate sweeps share one body across graph cores, each one pass of
-/// the packed 64-lane MultiBfs engine over every source (one row scan per
-/// active level instead of one BFS per vertex).
-template <class G>
-EccentricityResult ecc_impl(const G& g, ThreadPool* pool) {
+// The all-sources sweeps below each make one pass of the packed 64-lane
+// MultiBfs engine over every source: one row scan per active level instead
+// of one BFS per vertex.
+EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   EccentricityResult result;
   result.ecc.assign(n, kUnreachable);
@@ -35,34 +33,7 @@ EccentricityResult ecc_impl(const G& g, ThreadPool* pool) {
   return result;
 }
 
-template <class G>
-std::optional<double> average_distance_impl(const G& g, ThreadPool* pool) {
-  const std::uint32_t n = g.num_vertices();
-  if (n < 2) return std::nullopt;
-  std::uint64_t total = 0;
-  for (const BfsAggregates& agg : all_sources_aggregates(g, pool)) {
-    if (agg.reached != n) return std::nullopt;
-    total += agg.sum_dist;
-  }
-  const auto pairs = static_cast<double>(n) * (n - 1);
-  return static_cast<double>(total) / pairs;
-}
-
-}  // namespace
-
-EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool) {
-  return ecc_impl(g, pool);
-}
-
-EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool) {
-  return ecc_impl(g, pool);
-}
-
 std::uint32_t diameter(const UGraph& g, ThreadPool* pool) {
-  return eccentricities(g, pool).diameter;
-}
-
-std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool) {
   return eccentricities(g, pool).diameter;
 }
 
@@ -131,11 +102,15 @@ std::vector<std::vector<std::uint32_t>> apsp(const UGraph& g, ThreadPool* pool) 
 }
 
 std::optional<double> average_distance(const UGraph& g, ThreadPool* pool) {
-  return average_distance_impl(g, pool);
-}
-
-std::optional<double> average_distance(const CsrUGraph& g, ThreadPool* pool) {
-  return average_distance_impl(g, pool);
+  const std::uint32_t n = g.num_vertices();
+  if (n < 2) return std::nullopt;
+  std::uint64_t total = 0;
+  for (const BfsAggregates& agg : all_sources_aggregates(g, pool)) {
+    if (agg.reached != n) return std::nullopt;
+    total += agg.sum_dist;
+  }
+  const auto pairs = static_cast<double>(n) * (n - 1);
+  return static_cast<double>(total) / pairs;
 }
 
 }  // namespace bbng

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "graph/bfs.hpp"
-#include "graph/csr_graph.hpp"
 #include "graph/ugraph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -35,11 +34,9 @@ struct EccentricityResult {
 /// instead of one BFS per vertex. tests/reference/naive_distances.hpp keeps
 /// a serial one-BFS-per-source witness the results are checked against.
 [[nodiscard]] EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool = nullptr);
-[[nodiscard]] EccentricityResult eccentricities(const CsrUGraph& g, ThreadPool* pool = nullptr);
 
 /// Exact diameter (kUnreachable if disconnected).
 [[nodiscard]] std::uint32_t diameter(const UGraph& g, ThreadPool* pool = nullptr);
-[[nodiscard]] std::uint32_t diameter(const CsrUGraph& g, ThreadPool* pool = nullptr);
 
 /// Diameter lower bound from `samples` BFS sweeps (double-sweep heuristic:
 /// each sample BFS restarts from the farthest vertex found). Exact on trees.
@@ -60,8 +57,6 @@ struct EccentricityResult {
 
 /// Mean finite pairwise distance; nullopt if disconnected or n < 2.
 [[nodiscard]] std::optional<double> average_distance(const UGraph& g,
-                                                     ThreadPool* pool = nullptr);
-[[nodiscard]] std::optional<double> average_distance(const CsrUGraph& g,
                                                      ThreadPool* pool = nullptr);
 
 }  // namespace bbng

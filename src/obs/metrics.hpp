@@ -14,24 +14,18 @@
 //
 // Design:
 //  - Counters are interned once (`register_counter`) into stable ids;
-//    `add(id, delta)` is a wait-free relaxed fetch-add on a thread-local
-//    shard (one cache line touch, no locks), so hot paths may publish at
-//    natural flush points (per batch, per solve, per event) at near-zero
-//    cost. A process-wide runtime kill switch (`set_enabled(false)`) turns
-//    `add` into a single relaxed load.
-//  - `snapshot()` / `total(id)` merge all shards (live and retired) under a
-//    mutex, name-sorted — deterministic because every published counter is
-//    itself an order-independent sum.
-//  - `CounterFrame` captures the *calling thread's* shard and returns the
-//    deltas that thread performed since capture. An engine job runs
-//    single-threaded on one worker, so its frame is a pure function of the
-//    job — the determinism that lets artifacts embed `obs` blocks while
-//    staying byte-identical across thread counts and kill/resume. Every
-//    counter must therefore be a pure function of the work the counting
-//    thread performed, never of pool or scheduling history.
-//  - Configuring with -DBBNG_OBS=OFF defines BBNG_OBS_DISABLED and compiles
-//    the whole layer to inline no-ops; the API stays so callers need no
-//    #ifdefs.
+//    `add(id, delta)` is one relaxed fetch-add on the calling thread's own
+//    cell (the per-thread cell store, obs/cell_store.hpp), so hot paths may
+//    publish at natural flush points at near-zero cost. The runtime kill
+//    switch (`set_enabled(false)`) turns `add` into a single relaxed load.
+//  - `snapshot()` / `total(id)` merge every thread's cells, name-sorted.
+//  - `CounterFrame` returns the deltas the *calling thread* performed since
+//    its capture. An engine job runs on one worker, so its frame is a pure
+//    function of the job: artifacts embed `obs` blocks and stay
+//    byte-identical across thread counts and kill/resume. Every counter must
+//    therefore count only the work of the counting thread.
+//  - -DBBNG_OBS=OFF (BBNG_OBS_DISABLED) compiles the layer to inline no-ops;
+//    the API stays, so callers need no #ifdefs.
 #pragma once
 
 #include <cstdint>

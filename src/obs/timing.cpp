@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "util/assert.hpp"
 
 namespace bbng::obs {
 
@@ -52,12 +51,11 @@ double HistogramSnapshot::quantile_us(double q) const noexcept {
 
 #if !defined(BBNG_OBS_DISABLED)
 
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
+#include "obs/cell_store.hpp"
 #include "util/procstat.hpp"
 #include "util/timer.hpp"
 
@@ -65,188 +63,78 @@ namespace bbng::obs {
 
 namespace {
 
-// Each histogram owns a fixed block of slots inside a thread's shard array:
-// kHistogramBucketCount bucket counts, then count / sum_us / max_us. Buckets,
-// counts and sums fold additively when a thread retires; max folds as max.
-constexpr std::size_t kSlotsPerHistogram = kHistogramBucketCount + 3;
+using detail::CellStore;
+
+// Each histogram owns kHistogramBucketCount bucket cells, then count / sum_us
+// / max_us. Buckets, counts and sums fold additively; max folds as max.
+constexpr std::size_t kCellsPerHistogram = kHistogramBucketCount + 3;
 constexpr std::size_t kCountSlot = kHistogramBucketCount;
 constexpr std::size_t kSumSlot = kHistogramBucketCount + 1;
 constexpr std::size_t kMaxSlot = kHistogramBucketCount + 2;
 
-/// One thread's histogram slots. Same publication discipline as the counter
-/// shards (metrics.cpp): the owning thread is the only writer and grower,
-/// snapshots read concurrently through the acquire-loaded data/size pair,
-/// and grown-out-of arrays are retired into `arrays`, never freed.
-struct TimingShard {
-  std::atomic<std::atomic<std::uint64_t>*> data{nullptr};
-  std::atomic<std::size_t> size{0};
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> arrays;
-  bool live = true;
-};
+/// Leaked on purpose, like the counter store (metrics.cpp).
+CellStore& histograms() {
+  static CellStore* instance = new CellStore(kCellsPerHistogram, kMaxSlot);
+  return *instance;
+}
 
-struct TimingRegistry {
-  std::mutex mutex;
-  std::vector<std::string> names;  // by histogram id
-  std::unordered_map<std::string, HistogramId> index;
-  std::vector<std::unique_ptr<TimingShard>> shards;
-  std::vector<std::uint64_t> retired;  // folded slot totals of exited threads
-};
+thread_local CellStore::Shard tl_histograms;
 
-struct GaugeState {
-  std::string name;
-  double last = 0;
-  double min = 0;
-  double max = 0;
-  std::uint64_t samples = 0;
-};
+/// Steady-clock nanoseconds, never 0 (a 0 start marks a timer that is off).
+std::uint64_t steady_ns() {
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  const std::int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
+  return ns > 0 ? static_cast<std::uint64_t>(ns) : 1;
+}
 
 struct GaugeRegistry {
   std::mutex mutex;
-  std::vector<GaugeState> gauges;
-  std::unordered_map<std::string, GaugeId> index;
+  detail::NameIndex names;
+  std::vector<GaugeSnapshot> gauges;  // by gauge id
 };
-
-/// Leaked on purpose, like the counter registry: pool threads (and their
-/// shard-handle destructors) may outlive main()'s static destruction.
-TimingRegistry& timing_registry() {
-  static TimingRegistry* instance = new TimingRegistry;
-  return *instance;
-}
 
 GaugeRegistry& gauge_registry() {
   static GaugeRegistry* instance = new GaugeRegistry;
   return *instance;
 }
 
-/// Folds an exiting thread's slots into the registry so totals survive the
-/// thread. Max slots fold as max, everything else as a sum.
-struct TimingShardHandle {
-  TimingShard* shard = nullptr;
-  ~TimingShardHandle() {
-    if (shard == nullptr) return;
-    TimingRegistry& reg = timing_registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    const std::size_t size = shard->size.load(std::memory_order_acquire);
-    std::atomic<std::uint64_t>* data = shard->data.load(std::memory_order_acquire);
-    if (reg.retired.size() < size) reg.retired.resize(size, 0);
-    for (std::size_t slot = 0; slot < size; ++slot) {
-      const std::uint64_t value = data[slot].load(std::memory_order_relaxed);
-      if (slot % kSlotsPerHistogram == kMaxSlot) {
-        reg.retired[slot] = std::max(reg.retired[slot], value);
-      } else {
-        reg.retired[slot] += value;
-      }
-    }
-    shard->live = false;
-    shard->data.store(nullptr, std::memory_order_release);
-    shard->size.store(0, std::memory_order_release);
-    shard->arrays.clear();
-  }
-};
-
-thread_local TimingShardHandle tl_timing_shard;
-
-TimingShard& local_timing_shard() {
-  if (tl_timing_shard.shard == nullptr) {
-    auto owned = std::make_unique<TimingShard>();
-    TimingRegistry& reg = timing_registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    tl_timing_shard.shard = owned.get();
-    reg.shards.push_back(std::move(owned));
-  }
-  return *tl_timing_shard.shard;
-}
-
-void grow_timing_shard(TimingShard& shard, std::size_t needed_slots) {
-  const std::size_t old_size = shard.size.load(std::memory_order_relaxed);
-  std::size_t capacity = std::max<std::size_t>(8 * kSlotsPerHistogram, old_size * 2);
-  capacity = std::max(capacity, needed_slots);
-  auto fresh = std::make_unique<std::atomic<std::uint64_t>[]>(capacity);  // zeroed
-  std::atomic<std::uint64_t>* old = shard.data.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < old_size; ++i) {
-    fresh[i].store(old[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
-  }
-  TimingRegistry& reg = timing_registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  shard.data.store(fresh.get(), std::memory_order_release);
-  shard.size.store(capacity, std::memory_order_release);
-  shard.arrays.push_back(std::move(fresh));
-}
-
 }  // namespace
 
 HistogramId register_histogram(std::string_view name) {
-  BBNG_REQUIRE_MSG(!name.empty(), "obs: histogram name must be non-empty");
-  TimingRegistry& reg = timing_registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto found = reg.index.find(std::string(name));
-  if (found != reg.index.end()) return found->second;
-  const auto id = static_cast<HistogramId>(reg.names.size());
-  reg.names.emplace_back(name);
-  reg.index.emplace(std::string(name), id);
-  return id;
+  return histograms().with_names([&](detail::NameIndex& names) { return names.intern(name); });
 }
 
 void record_us(HistogramId id, std::uint64_t us) {
   if (!enabled()) return;
-  TimingShard& shard = local_timing_shard();
-  const std::size_t base = std::size_t{id} * kSlotsPerHistogram;
-  if (base + kSlotsPerHistogram > shard.size.load(std::memory_order_relaxed)) {
-    grow_timing_shard(shard, base + kSlotsPerHistogram);
-  }
-  std::atomic<std::uint64_t>* slots = shard.data.load(std::memory_order_relaxed) + base;
-  slots[histogram_bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
-  slots[kCountSlot].fetch_add(1, std::memory_order_relaxed);
-  slots[kSumSlot].fetch_add(us, std::memory_order_relaxed);
+  detail::Cell* cells = histograms().cells(tl_histograms, id);
+  cells[histogram_bucket_index(us)].fetch_add(1, std::memory_order_relaxed);
+  cells[kCountSlot].fetch_add(1, std::memory_order_relaxed);
+  cells[kSumSlot].fetch_add(us, std::memory_order_relaxed);
   // The owning thread is the sole writer, so load-compare-store is race-free.
-  if (us > slots[kMaxSlot].load(std::memory_order_relaxed)) {
-    slots[kMaxSlot].store(us, std::memory_order_relaxed);
+  if (us > cells[kMaxSlot].load(std::memory_order_relaxed)) {
+    cells[kMaxSlot].store(us, std::memory_order_relaxed);
   }
 }
 
 std::vector<HistogramSnapshot> histogram_snapshot() {
-  TimingRegistry& reg = timing_registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<HistogramSnapshot> out(reg.names.size());
-  for (HistogramId id = 0; id < reg.names.size(); ++id) {
-    out[id].name = reg.names[id];
-    const std::size_t base = std::size_t{id} * kSlotsPerHistogram;
-    const auto fold = [&](std::size_t slot, std::uint64_t value) {
-      if (slot == kCountSlot) {
-        out[id].count += value;
-      } else if (slot == kSumSlot) {
-        out[id].sum_us += value;
-      } else if (slot == kMaxSlot) {
-        out[id].max_us = std::max(out[id].max_us, value);
-      } else {
-        out[id].buckets[slot] += value;
-      }
-    };
-    for (std::size_t slot = 0; slot < kSlotsPerHistogram; ++slot) {
-      if (base + slot < reg.retired.size()) fold(slot, reg.retired[base + slot]);
-      for (const auto& shard : reg.shards) {
-        if (!shard->live) continue;
-        if (base + slot >= shard->size.load(std::memory_order_acquire)) continue;
-        fold(slot, shard->data.load(std::memory_order_acquire)[base + slot].load(
-                       std::memory_order_relaxed));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-    return a.name < b.name;
+  std::vector<HistogramSnapshot> out;
+  histograms().merge_each([&](const std::string& name, const std::uint64_t* cells) {
+    HistogramSnapshot& histogram = out.emplace_back();
+    histogram.name = name;
+    std::copy_n(cells, kHistogramBucketCount, histogram.buckets.begin());
+    histogram.count = cells[kCountSlot];
+    histogram.sum_us = cells[kSumSlot];
+    histogram.max_us = cells[kMaxSlot];
   });
+  detail::sort_by_name(out);
   return out;
 }
 
 GaugeId register_gauge(std::string_view name) {
-  BBNG_REQUIRE_MSG(!name.empty(), "obs: gauge name must be non-empty");
   GaugeRegistry& reg = gauge_registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto found = reg.index.find(std::string(name));
-  if (found != reg.index.end()) return found->second;
-  const auto id = static_cast<GaugeId>(reg.gauges.size());
-  reg.gauges.push_back(GaugeState{std::string(name), 0, 0, 0, 0});
-  reg.index.emplace(std::string(name), id);
+  const GaugeId id = reg.names.intern(name);
+  if (id == reg.gauges.size()) reg.gauges.push_back(GaugeSnapshot{std::string(name)});
   return id;
 }
 
@@ -255,7 +143,7 @@ void gauge_set(GaugeId id, double value) {
   GaugeRegistry& reg = gauge_registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
   if (id >= reg.gauges.size()) return;
-  GaugeState& gauge = reg.gauges[id];
+  GaugeSnapshot& gauge = reg.gauges[id];
   gauge.last = value;
   gauge.min = gauge.samples == 0 ? value : std::min(gauge.min, value);
   gauge.max = gauge.samples == 0 ? value : std::max(gauge.max, value);
@@ -264,32 +152,20 @@ void gauge_set(GaugeId id, double value) {
 
 std::vector<GaugeSnapshot> gauge_snapshot() {
   GaugeRegistry& reg = gauge_registry();
-  std::vector<GaugeSnapshot> out;
-  {
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    out.reserve(reg.gauges.size());
-    for (const GaugeState& gauge : reg.gauges) {
-      out.push_back(GaugeSnapshot{gauge.name, gauge.last, gauge.min, gauge.max, gauge.samples});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const GaugeSnapshot& a, const GaugeSnapshot& b) { return a.name < b.name; });
+  const std::lock_guard<std::mutex> lock(reg.mutex);
+  std::vector<GaugeSnapshot> out = reg.gauges;
+  detail::sort_by_name(out);
   return out;
 }
 
 ScopedTimer::ScopedTimer(HistogramId hist, const char* span_name) noexcept : hist_(hist) {
   if (span_name != nullptr) span_.emplace(span_name);
-  if (!enabled()) return;
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  const std::int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
-  start_ns_ = ns > 0 ? static_cast<std::uint64_t>(ns) : 1;
+  if (enabled()) start_ns_ = steady_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
   if (start_ns_ == 0) return;
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  const std::int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
-  const std::uint64_t end_ns = ns > 0 ? static_cast<std::uint64_t>(ns) : start_ns_;
+  const std::uint64_t end_ns = steady_ns();
   record_us(hist_, end_ns > start_ns_ ? (end_ns - start_ns_) / 1000 : 0);
 }
 

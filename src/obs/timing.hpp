@@ -5,11 +5,9 @@
 // is actually judged on. Three primitives:
 //
 //  - Histogram: fixed log-linear bucket boundaries (1-2-5 ladder in
-//    microseconds, shared by every histogram so snapshots merge trivially),
-//    recorded into per-thread shards exactly like counters — a record is a
-//    few relaxed atomic ops on the calling thread's own cache lines.
-//    Snapshots merge all shards and expose count/sum/max plus interpolated
-//    p50/p90/p99.
+//    microseconds, shared by every histogram), kept in the same per-thread
+//    cell store as counters (obs/cell_store.hpp). Snapshots expose
+//    count/sum/max plus interpolated p50/p90/p99.
 //  - Gauge: last/min/max of a sampled quantity. Fed by GaugeSampler, a
 //    low-rate background thread recording VmRSS/VmHWM and counter-derived
 //    rates (solver solves/s, BFS row scans/s) while an engine run is alive.

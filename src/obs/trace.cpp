@@ -114,8 +114,6 @@ TraceSpan::~TraceSpan() {
 
 namespace trace {
 
-bool active() noexcept { return state().active.load(std::memory_order_acquire); }
-
 void begin() {
   TraceState& st = state();
   const std::lock_guard<std::mutex> lock(st.mutex);
@@ -180,38 +178,29 @@ std::string end_json() {
   return os.str();
 }
 
-void write_file(const std::string& path) {
-  const std::string document = end_json();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::invalid_argument("trace: cannot write " + path);
-  out << document << '\n';
-  if (!out.flush()) throw std::invalid_argument("trace: failed flushing " + path);
-}
-
 }  // namespace trace
 
 }  // namespace bbng::obs
 
 #else  // BBNG_OBS_DISABLED — still honour --trace with an empty valid doc.
 
-#include <fstream>
-
 namespace bbng::obs::trace {
 
 std::string end_json() { return R"({"traceEvents":[],"displayTimeUnit":"ms"})"; }
-
-void write_file(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::invalid_argument("trace: cannot write " + path);
-  out << end_json() << '\n';
-  if (!out.flush()) throw std::invalid_argument("trace: failed flushing " + path);
-}
 
 }  // namespace bbng::obs::trace
 
 #endif
 
 namespace bbng::obs {
+
+void trace::write_file(const std::string& path) {
+  const std::string document = end_json();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::invalid_argument("trace: cannot write " + path);
+  out << document << '\n';
+  if (!out.flush()) throw std::invalid_argument("trace: failed flushing " + path);
+}
 
 namespace {
 

@@ -59,9 +59,6 @@ class TraceSpan {
 
 namespace trace {
 
-/// Whether a session is collecting (spans record iff true at construction).
-[[nodiscard]] bool active() noexcept;
-
 /// Start a session: clears previously-buffered events, restarts the clock.
 void begin();
 
@@ -88,7 +85,6 @@ class TraceSpan {
 };
 
 namespace trace {
-[[nodiscard]] inline bool active() noexcept { return false; }
 inline void begin() {}
 [[nodiscard]] std::string end_json();          // empty valid document
 void write_file(const std::string& path);      // writes the empty document

@@ -93,15 +93,10 @@ std::vector<std::uint64_t> all_costs_impl(const G& g, CostVersion version) {
 }  // namespace
 
 EccentricityResult naive_eccentricities(const UGraph& g) { return eccentricities_impl(g); }
-EccentricityResult naive_eccentricities(const CsrUGraph& g) { return eccentricities_impl(g); }
 
 std::vector<std::vector<std::uint32_t>> naive_apsp(const UGraph& g) { return apsp_impl(g); }
-std::vector<std::vector<std::uint32_t>> naive_apsp(const CsrUGraph& g) { return apsp_impl(g); }
 
 std::optional<double> naive_average_distance(const UGraph& g) { return average_distance_impl(g); }
-std::optional<double> naive_average_distance(const CsrUGraph& g) {
-  return average_distance_impl(g);
-}
 
 std::vector<std::uint64_t> naive_all_costs(const UGraph& g, CostVersion version) {
   return all_costs_impl(g, version);

@@ -79,20 +79,6 @@ TEST(EngineSpec, ParsesCampaignForm) {
   EXPECT_EQ(campaign.num_jobs(), 14u);
 }
 
-TEST(EngineSpec, GaugeSampleSecondsParsesAtCampaignLevelAndDefaults) {
-  // Default cadence when the key is absent.
-  EXPECT_EQ(parse_campaign_spec(kValidSingle).gauge_sample_seconds, 0.25);
-  EXPECT_EQ(parse_campaign_spec(kValidCampaign).gauge_sample_seconds, 0.25);
-
-  const char* spec = R"({
-    "name": "timed", "gauge_sample_seconds": 2.5,
-    "task": "dynamics", "version": "sum",
-    "budgets": {"family": "tree"},
-    "grid": {"n": [8]}, "seeds": {"begin": 0, "end": 1}
-  })";
-  EXPECT_EQ(parse_campaign_spec(spec).gauge_sample_seconds, 2.5);
-}
-
 /// Each entry: (mutated spec text, expected error-message fragment).
 struct BadSpec {
   const char* text;
@@ -211,19 +197,10 @@ TEST(EngineSpec, MalformedSpecsRejectedWithNamedOffence) {
            {"name":"a","task":"dynamics","version":"max","budgets":{"family":"tree"},
             "grid":{"n":[8]},"seeds":{"begin":0,"end":1}}]})",
        "duplicate scenario name"},
-      // Gauge cadence of zero would spin the sampler thread; reject.
-      {R"({"name":"x","gauge_sample_seconds":0,"task":"dynamics","version":"sum",
+      // The gauge sampler's cadence is a constant, not a spec key.
+      {R"({"name":"x","gauge_sample_seconds":1.0,"task":"dynamics","version":"sum",
            "budgets":{"family":"tree"},"grid":{"n":[8]},"seeds":{"begin":0,"end":1}})",
-       "gauge_sample_seconds must be in (0, 60]"},
-      // Cadence beyond a minute means no samples for typical runs; reject.
-      {R"({"name":"x","gauge_sample_seconds":61,"task":"dynamics","version":"sum",
-           "budgets":{"family":"tree"},"grid":{"n":[8]},"seeds":{"begin":0,"end":1}})",
-       "gauge_sample_seconds must be in (0, 60]"},
-      // Gauge cadence misplaced inside a campaign scenario.
-      {R"({"name":"c","scenarios":[
-           {"name":"a","gauge_sample_seconds":1.0,"task":"dynamics","version":"sum",
-            "budgets":{"family":"tree"},"grid":{"n":[8]},"seeds":{"begin":0,"end":1}}]})",
-       "gauge_sample_seconds belongs at the campaign level"},
+       "unknown key \"gauge_sample_seconds\""},
       // base_seed misplaced inside a campaign scenario.
       {R"({"name":"c","scenarios":[
            {"name":"a","base_seed":3,"task":"dynamics","version":"sum",

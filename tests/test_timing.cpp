@@ -1,13 +1,16 @@
 // Timing-telemetry tests: the 1-2-5 bucket ladder and quantile
 // interpolation, per-thread histogram shards merging (and surviving thread
-// exit) like the counter registry, the runtime kill switch, gauges and the
+// exit) like the counter registry, snapshots racing shard growth and thread
+// exit in the cell store both share, the runtime kill switch, gauges and the
 // background GaugeSampler, and ScopedTimer feeding both a histogram and a
 // trace span.
 #include "obs/timing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +106,64 @@ TEST(TimingRegistry, RecordsMergeAcrossThreadsAndSurviveExit) {
   for (const obs::HistogramSnapshot& hist : obs::histogram_snapshot()) {
     EXPECT_LT(previous, hist.name) << "snapshot must be name-sorted";
     previous = hist.name;
+  }
+}
+
+// Counters and histograms share one per-thread cell store. Here one thread
+// keeps interning new names, so its shards grow past their first arrays,
+// while a second thread snapshots both stores in a loop and a third records
+// and exits, folding its cells (max included) into the retained totals.
+TEST(TimingRegistry, SnapshotsRaceShardGrowthAndRetirement) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
+  constexpr std::uint64_t kNames = 300;
+  constexpr std::uint64_t kRecords = 1000;
+  const obs::CounterId retire_counter = obs::register_counter("test.race.retire");
+  const obs::HistogramId retire_hist = obs::register_histogram("test.race.retire");
+  const std::uint64_t counter_before = obs::total(retire_counter);
+  obs::record_us(retire_hist, 7);  // this thread's shard stays live
+
+  std::atomic<bool> snapshotting{false};
+  std::atomic<bool> done{false};
+  std::thread snapshotter([&] {
+    std::uint64_t rounds = 0;
+    while (!done.load() || rounds == 0) {
+      static_cast<void>(obs::snapshot());
+      static_cast<void>(obs::histogram_snapshot());
+      ++rounds;
+      snapshotting.store(true);
+    }
+  });
+  while (!snapshotting.load()) std::this_thread::yield();
+  std::thread grower([] {
+    for (std::uint64_t i = 0; i < kNames; ++i) {
+      const std::string suffix = std::to_string(i);
+      obs::add(obs::register_counter("test.race.grow." + suffix), i + 1);
+      obs::record_us(obs::register_histogram("test.race.grow." + suffix), i);
+    }
+  });
+  std::thread recorder([&] {
+    for (std::uint64_t i = 1; i <= kRecords; ++i) {
+      obs::add(retire_counter, 1);
+      obs::record_us(retire_hist, i == kRecords / 2 ? 9'000'000 : i);
+    }
+  });
+  grower.join();
+  recorder.join();
+  done.store(true);
+  snapshotter.join();
+
+  EXPECT_EQ(obs::total(retire_counter), counter_before + kRecords);
+  const obs::HistogramSnapshot retired = find_histogram("test.race.retire");
+  EXPECT_EQ(retired.count, kRecords + 1);
+  EXPECT_EQ(retired.sum_us, 7 + kRecords * (kRecords + 1) / 2 - kRecords / 2 + 9'000'000);
+  EXPECT_EQ(retired.max_us, 9'000'000u) << "the max must survive the thread's exit";
+  for (std::uint64_t i = 0; i < kNames; ++i) {
+    const std::string name = "test.race.grow." + std::to_string(i);
+    EXPECT_EQ(obs::total(obs::register_counter(name)), i + 1) << name;
+    const obs::HistogramSnapshot grown = find_histogram(name);
+    EXPECT_EQ(grown.count, 1u) << name;
+    EXPECT_EQ(grown.sum_us, i) << name;
+    EXPECT_EQ(grown.max_us, i) << name;
   }
 }
 
