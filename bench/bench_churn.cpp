@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -41,6 +40,7 @@
 #include "game/equilibrium.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "util/stats.hpp"
 
 namespace bbng {
 namespace {
@@ -264,54 +264,70 @@ void run_large_n(std::uint32_t n, bench::Checker& check, bool csv) {
 
 /// Telemetry-overhead measurement: the identical deterministic trace timed
 /// with the metric registry enabled vs runtime-disabled (one relaxed load
-/// per counter site). min-of-3 repeats on each side suppresses scheduler
-/// noise; the work counters must agree exactly, proving the two runs did
-/// the same computation. The `obs_overhead_pct:` line feeds BENCH_churn.json.
+/// per counter site), in 10 interleaved pairs; the rows report the median
+/// apply time of each side and the median per-pair overhead. The work
+/// counters must agree exactly, proving the runs did the same computation.
+/// The `obs_overhead_pct:` line feeds BENCH_churn.json.
 void run_obs_overhead(std::uint32_t n, std::int64_t events, std::uint64_t seed,
                       bench::Checker& check, bool csv) {
   bench::banner(cat("Telemetry overhead at n=", n,
                     ": identical churn trace, registry enabled vs disabled"));
   Table table({"obs", "n", "events", "searches", "apply_ms", "overhead_pct"});
 
-  struct Timing {
-    double best_ms = std::numeric_limits<double>::infinity();
+  struct Run {
+    double apply_ms = 0.0;
     std::uint64_t searches = 0;
     std::uint64_t applied = 0;
   };
   const auto timed = [&](bool enabled) {
     obs::set_enabled(enabled);
-    Timing timing;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      Rng rng(seed);
-      const Digraph g = random_profile(random_budgets(n, 2ULL * n, rng), rng);
-      ChurnConfig config;
-      config.mode = ChurnMode::Track;
-      config.solver = "swap";
-      ChurnEngine engine(g, g.budgets(), config);
-      ChurnTraceSampler sampler({}, /*max_budget=*/4, rng());
-      const TraceResult trace =
-          run_trace(engine, sampler, static_cast<std::uint64_t>(events), /*checkpoint_every=*/0);
-      timing.best_ms = std::min(timing.best_ms, trace.apply_ms);
-      timing.searches = engine.stats().solver_searches;
-      timing.applied = trace.applied;
-    }
+    Rng rng(seed);
+    const Digraph g = random_profile(random_budgets(n, 2ULL * n, rng), rng);
+    ChurnConfig config;
+    config.mode = ChurnMode::Track;
+    config.solver = "swap";
+    ChurnEngine engine(g, g.budgets(), config);
+    ChurnTraceSampler sampler({}, /*max_budget=*/4, rng());
+    const TraceResult trace =
+        run_trace(engine, sampler, static_cast<std::uint64_t>(events), /*checkpoint_every=*/0);
     obs::set_enabled(true);  // leave the registry on for later phases
-    return timing;
+    return Run{trace.apply_ms, engine.stats().solver_searches, trace.applied};
   };
-  const Timing off = timed(false);
-  const Timing on = timed(true);
-  const double overhead_pct =
-      off.best_ms > 0.0 ? (on.best_ms - off.best_ms) / off.best_ms * 100.0 : 0.0;
 
-  check.expect(on.searches == off.searches && on.applied == off.applied,
-               "identical trace work with telemetry on and off");
+  // Interleaved off/on pairs, alternating which side runs first (an even
+  // count, so each order runs equally often) so a drift in the host's speed
+  // lands on both sides alike. The tracked figure is the median of the
+  // per-pair overheads, which one noisy pair cannot move.
+  constexpr int kPairs = 10;
+  std::vector<double> off_ms, on_ms, overheads;
+  bool same_work = true;
+  Run off, on;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair % 2 == 0) {
+      off = timed(false);
+      on = timed(true);
+    } else {
+      on = timed(true);
+      off = timed(false);
+    }
+    same_work = same_work && on.searches == off.searches && on.applied == off.applied;
+    off_ms.push_back(off.apply_ms);
+    on_ms.push_back(on.apply_ms);
+    overheads.push_back(off.apply_ms > 0.0 ? (on.apply_ms - off.apply_ms) / off.apply_ms * 100.0
+                                           : 0.0);
+  }
+  const double overhead_pct = summarize(overheads).median;
+
+  check.expect(same_work, "identical trace work with telemetry on and off");
   // Lenient sanity ceiling — the recorded value is the tracked claim; this
   // only catches a counter site landing in an inner loop it should not be in.
   check.expect(!obs::kCompiledIn || overhead_pct <= 15.0,
-               cat("telemetry overhead within sanity ceiling (got ", overhead_pct, "%)"));
-  table.new_row().add("off").add(n).add(off.applied).add(off.searches).add(off.best_ms, 3).add(0.0, 2);
-  table.new_row().add("on").add(n).add(on.applied).add(on.searches).add(on.best_ms, 3).add(
-      overhead_pct, 2);
+               cat("telemetry overhead within sanity ceiling (median of ", kPairs,
+                   " pairs: ", overhead_pct, "%)"));
+  table.new_row().add("off").add(n).add(off.applied).add(off.searches).add(
+      summarize(off_ms).median, 3).add(0.0, 2);
+  table.new_row().add("on").add(n).add(on.applied).add(on.searches).add(
+      summarize(on_ms).median, 3).add(overhead_pct, 2);
   table.print(std::cout, csv);
   std::cout << "obs_overhead_pct: " << overhead_pct << "\n";
 }

@@ -185,9 +185,9 @@ void run_audit(std::uint32_t n, Rng& rng, bench::Checker& check, bool csv) {
                        batched.new_cost == per_seed.new_cost)),
                  cat(to_string(version), " regret report batched==per_seed"));
 
-    const double saving = batched.prepass_row_scans > 0
-                              ? static_cast<double>(batched.prepass_settled) /
-                                    static_cast<double>(batched.prepass_row_scans)
+    const double saving = batched.prepass.row_scans > 0
+                              ? static_cast<double>(batched.prepass.settled) /
+                                    static_cast<double>(batched.prepass.row_scans)
                               : 0.0;
     // Acceptance regime: at n ≥ 512 the paper-regime instance (σ = 2n keeps
     // the diameter small) must save ≥ 8× row scans over n per-seed runs.
@@ -201,9 +201,9 @@ void run_audit(std::uint32_t n, Rng& rng, bench::Checker& check, bool csv) {
         .add(n)
         .add(to_string(version))
         .add(batched.players_skipped)
-        .add(batched.prepass_sweeps)
-        .add(batched.prepass_row_scans)
-        .add(batched.prepass_settled)
+        .add(batched.prepass.sweeps)
+        .add(batched.prepass.row_scans)
+        .add(batched.prepass.settled)
         .add(saving, 2)
         .add(per_seed_ms, 3)
         .add(batched_ms, 3)

@@ -3,7 +3,8 @@
 
 Runs ``bench_delta_eval`` (incremental vs naive swap evaluation) and
 ``bench_best_response`` (solver-ladder sanity) from a build directory and
-writes ``BENCH_delta_eval.json`` with one row per (family, n, version):
+writes ``BENCH_delta_eval.json`` (``--output``; empty skips both benches)
+with one row per (family, n, version):
 
     {"family": ..., "n": ..., "version": "SUM"|"MAX",
      "naive_ms": ..., "incremental_ms": ..., "speedup": ...,
@@ -160,7 +161,11 @@ def parse_csv_table(text, leading_column):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default="build", help="CMake build directory")
-    parser.add_argument("--output", default="BENCH_delta_eval.json", help="JSON output path")
+    parser.add_argument(
+        "--output",
+        default="BENCH_delta_eval.json",
+        help="JSON output path of bench_delta_eval (empty = skip it and bench_best_response)",
+    )
     parser.add_argument("--min-n", type=int, default=128)
     parser.add_argument("--max-n", type=int, default=1024)
     parser.add_argument("--players", type=int, default=24)
@@ -230,55 +235,56 @@ def main():
     args = parser.parse_args()
     build = pathlib.Path(args.build_dir)
 
-    delta_out = run_binary(
-        build / "bench_delta_eval",
-        [
-            "--csv",
-            "--min-n", str(args.min_n),
-            "--max-n", str(args.max_n),
-            "--players", str(args.players),
-            "--seed", str(args.seed),
-        ],
-    )
-    rows = []
-    for record in parse_csv_table(delta_out, "family"):
-        rows.append(
-            {
-                "family": record["family"],
-                "n": int(record["n"]),
-                "version": record["version"],
-                "naive_ms": float(record["naive_ms"]),
-                "incremental_ms": float(record["incremental_ms"]),
-                "speedup": float(record["speedup"]),
-                "bfs_avoided_pct": float(record["bfs_avoided_pct"]),
-            }
+    if args.output:
+        delta_out = run_binary(
+            build / "bench_delta_eval",
+            [
+                "--csv",
+                "--min-n", str(args.min_n),
+                "--max-n", str(args.max_n),
+                "--players", str(args.players),
+                "--seed", str(args.seed),
+            ],
         )
-    if not rows:
-        print("error: no CSV rows parsed from bench_delta_eval output:", file=sys.stderr)
-        print(delta_out, file=sys.stderr)
-        sys.exit(2)
+        rows = []
+        for record in parse_csv_table(delta_out, "family"):
+            rows.append(
+                {
+                    "family": record["family"],
+                    "n": int(record["n"]),
+                    "version": record["version"],
+                    "naive_ms": float(record["naive_ms"]),
+                    "incremental_ms": float(record["incremental_ms"]),
+                    "speedup": float(record["speedup"]),
+                    "bfs_avoided_pct": float(record["bfs_avoided_pct"]),
+                }
+            )
+        if not rows:
+            print("error: no CSV rows parsed from bench_delta_eval output:", file=sys.stderr)
+            print(delta_out, file=sys.stderr)
+            sys.exit(2)
 
-    run_binary(build / "bench_best_response", ["--seed", str(args.seed)])
+        run_binary(build / "bench_best_response", ["--seed", str(args.seed)])
 
-    delta_host = host_metadata(build)
-    delta_host["peak_rss_kb"] = parse_peak_rss_kb(delta_out, "bench_delta_eval")
-    payload = {
-        "bench": "delta_eval",
-        "host": delta_host,
-        "config": {
-            "min_n": args.min_n,
-            "max_n": args.max_n,
-            "players": args.players,
-            "seed": args.seed,
-        },
-        "rows": rows,
-    }
-    pathlib.Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output} ({len(rows)} rows)")
+        delta_host = host_metadata(build)
+        delta_host["peak_rss_kb"] = parse_peak_rss_kb(delta_out, "bench_delta_eval")
+        payload = {
+            "bench": "delta_eval",
+            "host": delta_host,
+            "config": {
+                "min_n": args.min_n,
+                "max_n": args.max_n,
+                "players": args.players,
+                "seed": args.seed,
+            },
+            "rows": rows,
+        }
+        pathlib.Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {args.output} ({len(rows)} rows)")
 
-    best = max((r["speedup"] for r in rows if r["n"] >= 512), default=None)
-    if best is not None:
-        print(f"best speedup at n >= 512: {best:.2f}x")
+        best = max((r["speedup"] for r in rows if r["n"] >= 512), default=None)
+        if best is not None:
+            print(f"best speedup at n >= 512: {best:.2f}x")
 
     if args.solver_output:
         solver_out = run_binary(

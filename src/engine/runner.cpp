@@ -18,10 +18,12 @@
 #include "engine/jobgraph.hpp"
 #include "engine/sinks.hpp"
 #include "engine/tasks.hpp"
+#include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "solver/registry.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -42,22 +44,8 @@ namespace {
   throw std::invalid_argument("runner: " + what);
 }
 
-/// Cumulative cross-task work totals for the progress line: terminal solver
-/// invocations across the registry backends, and batched-BFS row scans.
-/// Totals merge every thread's shard, so they move as workers compute, not
-/// just at commit. Zero when the obs layer is compiled out or disabled.
-std::uint64_t progress_solver_searches() {
-  if (!obs::kCompiledIn || !obs::enabled()) return 0;
-  static const obs::CounterId kExact = obs::register_counter("solver.exact_bb.solves");
-  static const obs::CounterId kSwap = obs::register_counter("solver.swap.solves");
-  static const obs::CounterId kPortfolio = obs::register_counter("solver.portfolio.solves");
-  return obs::total(kExact) + obs::total(kSwap) + obs::total(kPortfolio);
-}
-
-std::uint64_t progress_row_scans() {
-  if (!obs::kCompiledIn || !obs::enabled()) return 0;
-  static const obs::CounterId kRowScans = obs::register_counter("bfs.multi.row_scans");
-  return obs::total(kRowScans);
+std::uint64_t multi_bfs_row_scans() {
+  return multi_bfs_counters().total(&MultiBfsStats::row_scans);
 }
 
 struct Manifest {
@@ -271,9 +259,11 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
       std::snprintf(buffer, sizeof(buffer), "%.1fs", static_cast<double>(remaining) / rate);
       eta = buffer;
     }
-    // The cumulative work counters ride BEFORE the eta so the line still
-    // ends in the eta value (test_engine_runner pins numeric lines ending
-    // in 's'). stderr only: the artifact stays byte-clean regardless.
+    // The cumulative work totals (merged across threads, so they move as
+    // workers compute; 0 with the obs layer off) ride BEFORE the eta so the
+    // line still ends in the eta value (test_engine_runner pins numeric
+    // lines ending in 's'). stderr only: the artifact stays byte-clean.
+    const bool obs_on = obs::kCompiledIn && obs::enabled();
     std::fprintf(stderr,
                  "progress: %llu/%llu jobs (%.1f%%), %.1fs elapsed, searches %llu, "
                  "row_scans %llu, eta %s\n",
@@ -281,9 +271,9 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
                  static_cast<unsigned long long>(report.total_jobs),
                  100.0 * static_cast<double>(computed) /
                      static_cast<double>(std::max<std::uint64_t>(1, report.total_jobs)),
-                 elapsed,
-                 static_cast<unsigned long long>(progress_solver_searches()),
-                 static_cast<unsigned long long>(progress_row_scans()), eta.c_str());
+                 elapsed, static_cast<unsigned long long>(obs_on ? total_solver_solves() : 0),
+                 static_cast<unsigned long long>(obs_on ? multi_bfs_row_scans() : 0),
+                 eta.c_str());
   };
 
   const JobOptions job_options{config.obs && campaign.obs};
@@ -294,7 +284,8 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
   // Host telemetry for the sidecar: VmRSS/VmHWM and counter rates, sampled
   // every 0.25 s (the sampler's default) for the lifetime of this drive.
   // Host-scoped only — it never touches the artifact bytes.
-  obs::GaugeSampler sampler;
+  obs::GaugeSampler sampler({{"rate.solver.solves_per_sec", &total_solver_solves},
+                             {"rate.bfs.row_scans_per_sec", &multi_bfs_row_scans}});
   sampler.start();
   bool halted = false;
   while (report.committed < report.total_jobs && !halted) {

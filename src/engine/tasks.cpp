@@ -52,6 +52,23 @@ Digraph make_initial(const ScenarioSpec& scenario, std::uint32_t n, double densi
   return Digraph(1);
 }
 
+std::string solver_name(const ScenarioSpec& scenario) {
+  return scenario.params.solver.empty() ? default_solver(scenario.task) : scenario.params.solver;
+}
+
+/// The per-solve budget of the certified tasks. A default node cap keeps a
+/// fat query from hanging a campaign; the record then honestly reports
+/// certified=false instead.
+SolverBudget certified_budget(const ScenarioSpec& scenario) {
+  SolverBudget budget;
+  budget.node_limit =
+      scenario.params.solver_node_limit > 0 ? scenario.params.solver_node_limit : 200'000;
+  budget.deadline_seconds = static_cast<double>(scenario.params.solver_deadline_ms) / 1000.0;
+  budget.incremental = scenario.params.incremental;
+  budget.core = scenario.params.graph_core;
+  return budget;
+}
+
 DynamicsConfig dynamics_config(const ScenarioSpec& scenario, Rng& rng) {
   DynamicsConfig config;
   config.version = scenario.version;
@@ -62,8 +79,7 @@ DynamicsConfig dynamics_config(const ScenarioSpec& scenario, Rng& rng) {
   config.seed = rng();  // fresh stream for the schedule, after generator draws
   config.incremental = scenario.params.incremental;
   config.graph_core = scenario.params.graph_core;
-  config.solver = scenario.params.solver.empty() ? default_solver(scenario.task)
-                                                 : scenario.params.solver;
+  config.solver = solver_name(scenario);
   config.solver_node_limit = scenario.params.solver_node_limit;
   config.solver_deadline_seconds =
       static_cast<double>(scenario.params.solver_deadline_ms) / 1000.0;
@@ -126,29 +142,9 @@ void run_swap_equilibrium(JsonWriter& writer, const ScenarioSpec& scenario,
 
 void run_nash_audit(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& initial,
                     ThreadPool* pool) {
-  SolverBudget budget;
-  // A default node cap keeps a fat-budget job from hanging a campaign; the
-  // record then honestly reports certified=false instead.
-  budget.node_limit =
-      scenario.params.solver_node_limit > 0 ? scenario.params.solver_node_limit : 200'000;
-  budget.deadline_seconds = static_cast<double>(scenario.params.solver_deadline_ms) / 1000.0;
-  budget.incremental = scenario.params.incremental;
-  budget.core = scenario.params.graph_core;
-  const std::string solver = scenario.params.solver.empty() ? default_solver(scenario.task)
-                                                            : scenario.params.solver;
-  // Dedup guard: the registry counters this audit publishes must agree bit
-  // for bit with the legacy report fields they mirror (the struct stays the
-  // source of truth; the registry is a view). The audit's MultiBfs prepass
-  // is the only bfs.multi publisher on this path.
-  [[maybe_unused]] const obs::CounterFrame agreement;
+  const std::string solver = solver_name(scenario);
   const NashReport report =
-      verify_nash_equilibrium(initial, scenario.version, budget, solver, pool);
-  BBNG_ASSERT(!obs::enabled() ||
-              agreement.value("bfs.multi.row_scans") == report.prepass_row_scans);
-  BBNG_ASSERT(!obs::enabled() ||
-              agreement.value("bfs.multi.sweeps") == report.prepass_sweeps);
-  BBNG_ASSERT(!obs::enabled() ||
-              agreement.value("audit.nash.players_certified") == report.players_certified);
+      verify_nash_equilibrium(initial, scenario.version, certified_budget(scenario), solver, pool);
   writer.field("solver", solver)
       .field("stable", report.stable)
       .field("certified", report.certified)
@@ -173,20 +169,9 @@ void run_churn(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& 
   ChurnConfig config;
   config.version = scenario.version;
   config.mode = scenario.params.churn_mode;
-  config.solver = scenario.params.solver.empty() ? default_solver(scenario.task)
-                                                 : scenario.params.solver;
-  // Same anytime default as nash_audit: a fat query truncates (and the
-  // certificate honestly reports certified=false) instead of hanging a job.
-  config.budget.node_limit =
-      scenario.params.solver_node_limit > 0 ? scenario.params.solver_node_limit : 200'000;
-  config.budget.deadline_seconds =
-      static_cast<double>(scenario.params.solver_deadline_ms) / 1000.0;
-  config.budget.incremental = scenario.params.incremental;
-  config.budget.core = scenario.params.graph_core;
+  config.solver = solver_name(scenario);
+  config.budget = certified_budget(scenario);
 
-  // Dedup guard: churn.* registry counters are flushed from ChurnStats at
-  // every event boundary and must agree with the struct bit for bit.
-  [[maybe_unused]] const obs::CounterFrame agreement;
   ChurnEngine engine(initial, initial.budgets(), config, pool);
   ChurnTraceSampler sampler(scenario.params.churn_weights, scenario.params.churn_max_budget,
                             /*seed=*/rng());
@@ -216,12 +201,6 @@ void run_churn(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& 
   if (every > 0 && (applied % every != 0 || applied == 0)) checkpoint();
 
   const ChurnStats& stats = engine.stats();
-  BBNG_ASSERT(!obs::enabled() ||
-              agreement.value("churn.solver_searches") == stats.solver_searches);
-  BBNG_ASSERT(!obs::enabled() || agreement.value("churn.events") == stats.events);
-  BBNG_ASSERT(!obs::enabled() ||
-              agreement.value("churn.solves_skipped") ==
-                  stats.skips_trivial + stats.skips_locality + stats.skips_clean);
   const UGraph underlying = engine.graph().underlying();
   writer.field("solver", config.solver)
       .field("mode", to_string(config.mode))

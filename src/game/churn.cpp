@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "game/strategy_eval.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "solver/registry.hpp"
@@ -92,49 +91,7 @@ ChurnEngine::ChurnEngine(Digraph initial, std::vector<std::uint32_t> budgets, Ch
       refresh_player(u);
     }
   }
-  publish_stats();
-}
-
-void ChurnEngine::publish_stats() {
-  if (!obs::kCompiledIn || !obs::enabled()) {
-    flushed_ = stats_;
-    return;
-  }
-  static const obs::CounterId kEvents = obs::register_counter("churn.events");
-  static const obs::CounterId kJoins = obs::register_counter("churn.joins");
-  static const obs::CounterId kLeaves = obs::register_counter("churn.leaves");
-  static const obs::CounterId kGrows = obs::register_counter("churn.grows");
-  static const obs::CounterId kShrinks = obs::register_counter("churn.shrinks");
-  static const obs::CounterId kPerturbs = obs::register_counter("churn.perturbs");
-  static const obs::CounterId kMoves = obs::register_counter("churn.moves");
-  static const obs::CounterId kQueries = obs::register_counter("churn.solver_queries");
-  static const obs::CounterId kSearches = obs::register_counter("churn.solver_searches");
-  static const obs::CounterId kCacheHits = obs::register_counter("churn.cache_hits");
-  static const obs::CounterId kSkipsTrivial = obs::register_counter("churn.skips_trivial");
-  static const obs::CounterId kSkipsLocality = obs::register_counter("churn.skips_locality");
-  static const obs::CounterId kSkipsClean = obs::register_counter("churn.skips_clean");
-  static const obs::CounterId kRefreshes = obs::register_counter("churn.refreshes");
-  static const obs::CounterId kBaseline = obs::register_counter("churn.baseline_solves");
-  static const obs::CounterId kSkipped = obs::register_counter("churn.solves_skipped");
-  obs::add(kEvents, stats_.events - flushed_.events);
-  obs::add(kJoins, stats_.joins - flushed_.joins);
-  obs::add(kLeaves, stats_.leaves - flushed_.leaves);
-  obs::add(kGrows, stats_.grows - flushed_.grows);
-  obs::add(kShrinks, stats_.shrinks - flushed_.shrinks);
-  obs::add(kPerturbs, stats_.perturbs - flushed_.perturbs);
-  obs::add(kMoves, stats_.moves - flushed_.moves);
-  obs::add(kQueries, stats_.solver_queries - flushed_.solver_queries);
-  obs::add(kSearches, stats_.solver_searches - flushed_.solver_searches);
-  obs::add(kCacheHits, stats_.cache_hits - flushed_.cache_hits);
-  obs::add(kSkipsTrivial, stats_.skips_trivial - flushed_.skips_trivial);
-  obs::add(kSkipsLocality, stats_.skips_locality - flushed_.skips_locality);
-  obs::add(kSkipsClean, stats_.skips_clean - flushed_.skips_clean);
-  obs::add(kRefreshes, stats_.refreshes - flushed_.refreshes);
-  obs::add(kBaseline, stats_.baseline_solves - flushed_.baseline_solves);
-  // The headline saving: certificates kept without invoking the backend.
-  obs::add(kSkipped, (stats_.skips_trivial - flushed_.skips_trivial) +
-                         (stats_.skips_locality - flushed_.skips_locality) +
-                         (stats_.skips_clean - flushed_.skips_clean));
+  churn_counters().publish(stats_, flushed_);
   flushed_ = stats_;
 }
 
@@ -182,18 +139,13 @@ NashReport ChurnEngine::audit() const {
                                  &caps_);
 }
 
-SolverResult ChurnEngine::raw_solve(Vertex u, bool use_cache) {
+SolverResult ChurnEngine::solve_player(Vertex u) {
   SolverBudget budget = config_.budget;
   budget.budget_cap = caps_[u];
-  return backend_->solve(graph_, u, config_.version, budget, pool_,
-                         use_cache ? &cache_ : nullptr);
-}
-
-SolverResult ChurnEngine::solve_player(Vertex u) {
-  const std::uint64_t hits_before = cache_.hits();
-  SolverResult result = raw_solve(u, /*use_cache=*/true);
+  const std::uint64_t hits_before = cache_.stats().hits;
+  SolverResult result = backend_->solve(graph_, u, config_.version, budget, pool_, &cache_);
   ++stats_.solver_queries;
-  if (cache_.hits() > hits_before) {
+  if (cache_.stats().hits > hits_before) {
     ++stats_.cache_hits;
   } else {
     ++stats_.solver_searches;
@@ -325,12 +277,6 @@ void ChurnEngine::refresh_all(DeltaKind delta) {
       // unchanged, best_new ≥ best_old = current_old = current_new ≥
       // best_new — the regret-0 certificate survives exactly.
       ++stats_.skips_locality;
-      if (config_.verify_skips) {
-        // Debug mode: re-derive (uncounted, uncached) what the skip claims.
-        const SolverResult check = raw_solve(u, /*use_cache=*/false);
-        BBNG_REQUIRE(check.current_cost == current_costs_[u]);
-        BBNG_REQUIRE(!check.improves());
-      }
       continue;
     }
     refresh_player(u);
@@ -411,7 +357,8 @@ void ChurnEngine::apply(const ChurnEvent& event) {
   settle(delta);
   accumulate_baseline();
   ++stats_.events;
-  publish_stats();
+  churn_counters().publish(stats_, flushed_);
+  flushed_ = stats_;
 }
 
 std::optional<ChurnEvent> ChurnTraceSampler::next(const Digraph& g,

@@ -21,9 +21,9 @@
 //     increase every strategy's cost for every player, so a player whose
 //     regret was certified 0 and whose current cost is unchanged keeps
 //     regret 0 exactly: best_new ≥ best_old = current_old = current_new ≥
-//     best_new. This deletion-locality skip is checked in debug builds via
-//     ChurnConfig::verify_skips (every skipped player is re-solved and its
-//     certificate asserted unchanged).
+//     best_new. tests/test_churn.cpp re-solves every active player after
+//     every event and checks each standing certificate, skipped ones
+//     included.
 //  3. All remaining players are refreshed through one batched MultiBfs
 //     current-cost prepass (game/equilibrium.hpp: batched_current_costs —
 //     ⌈n/64⌉ packed sweeps instead of n BFS runs), the trivial-lower-bound
@@ -51,6 +51,7 @@
 #include "game/equilibrium.hpp"
 #include "game/game.hpp"
 #include "graph/digraph.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
@@ -101,9 +102,6 @@ struct ChurnConfig {
   /// player's live cap; the other knobs pass through.
   SolverBudget budget;
   std::size_t cache_entries = 4096;  ///< transposition-cache bound
-  /// Debug check of the deletion-locality skip: every player it would skip
-  /// is re-solved (uncounted) and its regret-0 certificate asserted intact.
-  bool verify_skips = false;
 };
 
 /// Work counters. The baseline_solves counter accumulates, per applied
@@ -128,6 +126,32 @@ struct ChurnStats {
   std::uint64_t refreshes = 0;        ///< bulk refreshes (edge-delta events)
   std::uint64_t baseline_solves = 0;  ///< per-event re-audit search count (see above)
 };
+
+/// Registry mirror of ChurnStats (`churn.*`), published at every event
+/// boundary.
+inline const obs::CounterTable<ChurnStats>& churn_counters() {
+  static const obs::CounterTable<ChurnStats> table{
+      {"churn.events", &ChurnStats::events},
+      {"churn.joins", &ChurnStats::joins},
+      {"churn.leaves", &ChurnStats::leaves},
+      {"churn.grows", &ChurnStats::grows},
+      {"churn.shrinks", &ChurnStats::shrinks},
+      {"churn.perturbs", &ChurnStats::perturbs},
+      {"churn.moves", &ChurnStats::moves},
+      {"churn.solver_queries", &ChurnStats::solver_queries},
+      {"churn.solver_searches", &ChurnStats::solver_searches},
+      {"churn.cache_hits", &ChurnStats::cache_hits},
+      {"churn.skips_trivial", &ChurnStats::skips_trivial},
+      {"churn.skips_locality", &ChurnStats::skips_locality},
+      {"churn.skips_clean", &ChurnStats::skips_clean},
+      {"churn.refreshes", &ChurnStats::refreshes},
+      {"churn.baseline_solves", &ChurnStats::baseline_solves},
+      // The headline saving: certificates kept without invoking the backend.
+      {"churn.solves_skipped",
+       [](const ChurnStats& s) { return s.skips_trivial + s.skips_locality + s.skips_clean; }},
+  };
+  return table;
+}
 
 /// The live engine. Construction certifies the initial state (one full
 /// refresh); every apply() restores the invariant that regret(u) — and with
@@ -171,8 +195,8 @@ class ChurnEngine {
  private:
   enum class DeltaKind { kNone, kDeletionOnly, kMixed };
 
-  [[nodiscard]] SolverResult raw_solve(Vertex u, bool use_cache);
-  /// raw_solve through the cache, counted into queries/searches/hits.
+  /// Solve u under its live cap through the cache, counted into
+  /// queries/searches/hits.
   [[nodiscard]] SolverResult solve_player(Vertex u);
   void refresh_player(Vertex u);
   void set_regret(Vertex u, std::uint64_t regret, bool certified);
@@ -188,11 +212,6 @@ class ChurnEngine {
   void settle(DeltaKind delta);
   void refresh_all(DeltaKind delta);
   void accumulate_baseline();
-  /// Publish stats_ − flushed_ field-wise to the registry as `churn.*` (the
-  /// current-cost prepass's MultiBfs publishes its own batches), then advance
-  /// flushed_. Runs at construction and after every apply(), so the legacy
-  /// struct and the registry agree bit for bit at every event boundary.
-  void publish_stats();
 
   Digraph graph_;
   std::vector<std::uint32_t> caps_;
@@ -211,7 +230,10 @@ class ChurnEngine {
   /// longer matches stamp_[player] are popped as stale.
   std::priority_queue<std::tuple<std::uint64_t, Vertex, std::uint64_t>> heap_;
   ChurnStats stats_;
-  ChurnStats flushed_;  ///< prefix of stats_ already published to the registry
+  /// The prefix of stats_ already published through churn_counters().
+  /// Construction and every apply() end by publishing the rest, so the
+  /// struct and the registry agree bit for bit at every event boundary.
+  ChurnStats flushed_;
 };
 
 /// Weighted sampler of feasible churn events against the engine's live

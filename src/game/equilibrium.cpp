@@ -7,44 +7,12 @@
 #include "game/cost.hpp"
 #include "graph/bfs.hpp"
 #include "graph/multi_bfs.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "solver/registry.hpp"
 
 namespace bbng {
-
-namespace {
-
-/// Registry mirror of one completed Nash audit, field-wise from the report
-/// the caller receives (per-solver work is already published by the
-/// backends; these are the audit-level skip/certify outcomes).
-void publish_nash_audit(const NashReport& report) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
-  static const obs::CounterId kAudits = obs::register_counter("audit.nash.audits");
-  static const obs::CounterId kSkipped = obs::register_counter("audit.nash.players_skipped");
-  static const obs::CounterId kCertified =
-      obs::register_counter("audit.nash.players_certified");
-  obs::add(kAudits, 1);
-  obs::add(kSkipped, report.players_skipped);
-  obs::add(kCertified, report.players_certified);
-}
-
-/// Registry mirror of one completed swap-stability sweep (sequential or
-/// parallel), field-wise from the report the caller receives.
-void publish_swap_audit(const EquilibriumReport& report) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
-  static const obs::CounterId kAudits = obs::register_counter("eq.swap.audits");
-  static const obs::CounterId kChecked =
-      obs::register_counter("eq.swap.strategies_checked");
-  static const obs::CounterId kBfsAvoided = obs::register_counter("eq.swap.bfs_avoided");
-  obs::add(kAudits, 1);
-  obs::add(kChecked, report.strategies_checked);
-  obs::add(kBfsAvoided, report.bfs_avoided);
-}
-
-}  // namespace
 
 EquilibriumReport verify_equilibrium(const Digraph& g, CostVersion version,
                                      std::uint64_t exact_limit, ThreadPool* pool) {
@@ -106,12 +74,8 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
   // (solver.hpp: SUM ≥ n−1, MAX ≥ 1) cannot improve by any deviation — at
   // ANY budget cap — so it is certified with regret 0 without invoking the
   // backend at all.
-  MultiBfsStats stats;
   const std::vector<std::uint64_t> current_costs =
-      batched_current_costs(g, version, budget.core, pool, &stats);
-  report.prepass_sweeps = stats.sweeps;
-  report.prepass_row_scans = stats.row_scans;
-  report.prepass_settled = stats.settled;
+      batched_current_costs(g, version, budget.core, pool, &report.prepass);
   const std::uint64_t bound = trivial_cost_lower_bound(n, version);
 
   // No transposition cache: the canonical key embeds the player, and each
@@ -152,7 +116,7 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
       report.epsilon = std::max(report.epsilon, regret);
     }
   }
-  publish_nash_audit(report);
+  nash_audit_counters().publish(report);
   return report;
 }
 
@@ -213,7 +177,7 @@ EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
     report.old_cost = deviation.old_cost;
     report.new_cost = deviation.new_cost;
   }
-  publish_swap_audit(report);
+  swap_audit_counters().publish(report);
   return report;
 }
 

@@ -23,6 +23,7 @@
 #include "game/game.hpp"
 #include "graph/digraph.hpp"
 #include "graph/multi_bfs.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solver/solver.hpp"
 
@@ -39,6 +40,17 @@ struct EquilibriumReport {
   /// recompute (0 on the naive and table evaluators).
   std::uint64_t bfs_avoided = 0;
 };
+
+/// Registry mirror of one swap-stability sweep (`eq.swap.*`), published per
+/// report.
+inline const obs::CounterTable<EquilibriumReport>& swap_audit_counters() {
+  static const obs::CounterTable<EquilibriumReport> table{
+      {"eq.swap.audits", [](const EquilibriumReport&) { return std::uint64_t{1}; }},
+      {"eq.swap.strategies_checked", &EquilibriumReport::strategies_checked},
+      {"eq.swap.bfs_avoided", &EquilibriumReport::bfs_avoided},
+  };
+  return table;
+}
 
 /// Exact Nash check. Throws if some player's candidate space exceeds the
 /// solver's exact limit.
@@ -78,23 +90,33 @@ struct NashReport {
   std::uint64_t old_cost = 0;
   std::uint64_t new_cost = 0;
   std::uint64_t epsilon = 0;               ///< max additive regret across players
-  std::uint32_t players_certified = 0;     ///< players with an optimality
+  std::uint64_t players_certified = 0;     ///< players with an optimality
                                            ///< certificate (closed solves plus
                                            ///< prepass trivial-bound skips)
-  std::uint32_t players_skipped = 0;       ///< of those, certified by the
+  std::uint64_t players_skipped = 0;       ///< of those, certified by the
                                            ///< prepass without a backend solve
   std::uint64_t nodes_explored = 0;
   std::uint64_t nodes_pruned = 0;
   std::uint64_t strategies_checked = 0;    ///< candidate strategies scored
   std::uint64_t bfs_avoided = 0;
-  // Work counters of the current-cost prepass. `prepass_settled` is exactly
-  // the row scans n independent BFS runs would perform for the same costs,
-  // so settled / row_scans is the measured batching gain of this audit
-  // (tracked in BENCH_multi_bfs.json).
-  std::uint64_t prepass_sweeps = 0;
-  std::uint64_t prepass_row_scans = 0;
-  std::uint64_t prepass_settled = 0;
+  /// Work counters of the current-cost prepass. `prepass.settled` is exactly
+  /// the row scans n independent BFS runs would perform for the same costs,
+  /// so settled / row_scans is the measured batching gain of this audit
+  /// (tracked in BENCH_multi_bfs.json).
+  MultiBfsStats prepass;
 };
+
+/// Registry mirror of one Nash audit (`audit.nash.*`): the audit-level
+/// skip/certify outcomes, published per report (per-solve work is the
+/// backends' own `solver.*` counters).
+inline const obs::CounterTable<NashReport>& nash_audit_counters() {
+  static const obs::CounterTable<NashReport> table{
+      {"audit.nash.audits", [](const NashReport&) { return std::uint64_t{1}; }},
+      {"audit.nash.players_skipped", &NashReport::players_skipped},
+      {"audit.nash.players_certified", &NashReport::players_certified},
+  };
+  return table;
+}
 
 /// Scan every player with the named registry backend (default: the
 /// certified branch-and-bound) under `budget` (per player). Throws

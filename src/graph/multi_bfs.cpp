@@ -7,22 +7,6 @@
 
 namespace bbng {
 
-namespace detail {
-
-void publish_multi_bfs(const MultiBfsStats& now, const MultiBfsStats& before) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
-  static const obs::CounterId kSweeps = obs::register_counter("bfs.multi.sweeps");
-  static const obs::CounterId kLevels = obs::register_counter("bfs.multi.levels");
-  static const obs::CounterId kRowScans = obs::register_counter("bfs.multi.row_scans");
-  static const obs::CounterId kSettled = obs::register_counter("bfs.multi.settled");
-  obs::add(kSweeps, now.sweeps - before.sweeps);
-  obs::add(kLevels, now.levels - before.levels);
-  obs::add(kRowScans, now.row_scans - before.row_scans);
-  obs::add(kSettled, now.settled - before.settled);
-}
-
-}  // namespace detail
-
 template <class G>
 std::vector<BfsAggregates> multi_source_aggregates(const G& g,
                                                    std::span<const Vertex> sources,

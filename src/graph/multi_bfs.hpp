@@ -68,14 +68,18 @@ struct MultiBfsStats {
   }
 };
 
-namespace detail {
-/// Publish one batch's work (now − before, field-wise) to the metrics
-/// registry as `bfs.multi.*`. The struct stays the hot-loop accumulator;
-/// the registry receives the identical sums at batch granularity, so the
-/// legacy fields and the registry counters agree bit for bit (asserted by
-/// the engine task adapters and tests/test_obs.cpp).
-void publish_multi_bfs(const MultiBfsStats& now, const MultiBfsStats& before);
-}  // namespace detail
+/// Registry mirror of MultiBfsStats (`bfs.multi.*`). run_batch publishes
+/// each batch's growth, so the struct and the registry agree bit for bit
+/// (tests/test_obs.cpp).
+inline const obs::CounterTable<MultiBfsStats>& multi_bfs_counters() {
+  static const obs::CounterTable<MultiBfsStats> table{
+      {"bfs.multi.sweeps", &MultiBfsStats::sweeps},
+      {"bfs.multi.levels", &MultiBfsStats::levels},
+      {"bfs.multi.row_scans", &MultiBfsStats::row_scans},
+      {"bfs.multi.settled", &MultiBfsStats::settled},
+  };
+  return table;
+}
 
 /// The batched engine bound to one graph. It owns its lane planes and
 /// vertex lists, sized from the graph at construction, and every batch
@@ -119,7 +123,7 @@ class MultiBfsT {
       agg.sum_dist += level;
       on_settle(lane, v, level);
     });
-    detail::publish_multi_bfs(stats_, stats_before);
+    multi_bfs_counters().publish(stats_, stats_before);
   }
 
   /// The lane-sweep kernel under run_batch: advances up to kLanes packed
@@ -207,7 +211,6 @@ class MultiBfsT {
 
   [[nodiscard]] const GraphT& graph() const noexcept { return *g_; }
   [[nodiscard]] const MultiBfsStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = MultiBfsStats{}; }
 
  private:
   const GraphT* g_;

@@ -1,12 +1,11 @@
 // MetricRegistry — hierarchical dotted-name work counters.
 //
-// Every subsystem that used to keep a private ad-hoc counter struct
-// (MultiBfsStats, ChurnStats, NashReport, the transposition cache) also
-// publishes its increments here under a stable dotted name
-// (`bfs.multi.row_scans`, `solver.exact_bb.nodes`,
-// `cache.transposition.hits`, `churn.solves_skipped`),
-// making runtime work queryable from one place: the engine embeds per-job
-// snapshots in campaign artifacts, the progress line and `bbng_engine
+// Every subsystem that keeps a counter struct (MultiBfsStats, ChurnStats,
+// NashReport, the transposition cache's stats) publishes it here through a
+// CounterTable declared next to the struct, under stable dotted names
+// (`bfs.multi.row_scans`, `solver.exact_bb.nodes`, `cache.transposition.hits`,
+// `churn.solves_skipped`), making runtime work queryable from one place:
+// the engine embeds per-job snapshots in campaign artifacts, the progress line and `bbng_engine
 // report` read totals, and CI gates on committed baselines. The discipline
 // follows the SPAA 2021 stepping-algorithms methodology (SNIPPETS.md
 // snippet 2): claims about parallel work are gated on deterministic
@@ -29,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,5 +101,64 @@ class CounterFrame {
 };
 
 #endif
+
+/// The registry mirror of one counter struct, declared once next to it.
+/// Each row is a registry name and the struct field it mirrors, or, for a
+/// counter no single field holds, a function of the struct. The struct
+/// stays the source of truth: the table interns every name once, at
+/// construction, and publishes values read off the struct, so a counter's
+/// name is written in one place and its registry value cannot drift from
+/// the field.
+template <class S>
+class CounterTable {
+ public:
+  using Derive = std::uint64_t (*)(const S&);
+
+  struct Row {
+    Row(std::string_view name, std::uint64_t S::*field) : name(name), field(field) {}
+    Row(std::string_view name, Derive derive) : name(name), derive(derive) {}
+
+    [[nodiscard]] std::uint64_t read(const S& value) const {
+      return field != nullptr ? value.*field : derive(value);
+    }
+
+    std::string name;
+    std::uint64_t S::*field = nullptr;
+    Derive derive = nullptr;
+    CounterId id = 0;
+  };
+
+  CounterTable(std::initializer_list<Row> rows) : rows_(rows) {
+    for (Row& row : rows_) row.id = register_counter(row.name);
+  }
+
+  /// Add every row's value of `delta`, a struct holding one unit of work's
+  /// counts (one audit's report, one cache event).
+  void publish(const S& delta) const {
+    if (!kCompiledIn || !enabled()) return;
+    for (const Row& row : rows_) add(row.id, row.read(delta));
+  }
+
+  /// Add every row's growth from `before` to `now`, two snapshots of one
+  /// running accumulator.
+  void publish(const S& now, const S& before) const {
+    if (!kCompiledIn || !enabled()) return;
+    for (const Row& row : rows_) add(row.id, row.read(now) - row.read(before));
+  }
+
+  [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
+
+  /// Registry total, merged across threads, of the row mirroring `field`;
+  /// 0 when no row does.
+  [[nodiscard]] std::uint64_t total(std::uint64_t S::*field) const {
+    for (const Row& row : rows_) {
+      if (row.field == field) return obs::total(row.id);
+    }
+    return 0;
+  }
+
+ private:
+  std::vector<Row> rows_;
+};
 
 }  // namespace bbng::obs

@@ -178,6 +178,13 @@ void ScopedTimer::arg(const char* key, std::uint64_t value) {
 }
 
 struct GaugeSampler::Impl {
+  /// One rate gauge and the total it last read.
+  struct Rate {
+    GaugeId gauge;
+    std::uint64_t (*total)();
+    std::uint64_t prev = 0;
+  };
+
   std::thread thread;
   std::mutex mutex;
   std::condition_variable cv;
@@ -185,44 +192,36 @@ struct GaugeSampler::Impl {
 
   GaugeId rss = register_gauge("mem.vm_rss_kb");
   GaugeId hwm = register_gauge("mem.vm_hwm_kb");
-  GaugeId solve_rate = register_gauge("rate.solver.solves_per_sec");
-  GaugeId scan_rate = register_gauge("rate.bfs.row_scans_per_sec");
-  CounterId exact_solves = register_counter("solver.exact_bb.solves");
-  CounterId swap_solves = register_counter("solver.swap.solves");
-  CounterId portfolio_solves = register_counter("solver.portfolio.solves");
-  CounterId row_scans = register_counter("bfs.multi.row_scans");
+  std::vector<Rate> rates;
 
   Timer clock;
   double prev_seconds = 0;
-  std::uint64_t prev_solves = 0;
-  std::uint64_t prev_scans = 0;
 
   void sample() {
     gauge_set(rss, static_cast<double>(current_rss_kb()));
     gauge_set(hwm, static_cast<double>(peak_rss_kb()));
     const double now = clock.elapsed_seconds();
-    const std::uint64_t solves =
-        total(exact_solves) + total(swap_solves) + total(portfolio_solves);
-    const std::uint64_t scans = total(row_scans);
     const double dt = now - prev_seconds;
-    if (dt > 0) {
-      gauge_set(solve_rate, static_cast<double>(solves - prev_solves) / dt);
-      gauge_set(scan_rate, static_cast<double>(scans - prev_scans) / dt);
+    for (Rate& rate : rates) {
+      const std::uint64_t total = rate.total();
+      if (dt > 0) gauge_set(rate.gauge, static_cast<double>(total - rate.prev) / dt);
+      rate.prev = total;
     }
     prev_seconds = now;
-    prev_solves = solves;
-    prev_scans = scans;
   }
 };
 
-GaugeSampler::GaugeSampler(double interval_seconds)
-    : interval_seconds_(std::max(0.01, interval_seconds)) {}
+GaugeSampler::GaugeSampler(std::vector<RateSource> rates, double interval_seconds)
+    : rates_(std::move(rates)), interval_seconds_(std::max(0.01, interval_seconds)) {}
 
 GaugeSampler::~GaugeSampler() { stop(); }
 
 void GaugeSampler::start() {
   if (impl_ != nullptr) return;
   impl_ = std::make_unique<Impl>();
+  for (const RateSource& rate : rates_) {
+    impl_->rates.push_back({register_gauge(rate.gauge), rate.total});
+  }
   impl_->sample();  // baseline for the rate deltas; records initial RSS
   impl_->thread = std::thread([this] {
     const auto interval = std::chrono::duration<double>(interval_seconds_);

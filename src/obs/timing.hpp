@@ -70,6 +70,12 @@ struct GaugeSnapshot {
   std::uint64_t samples = 0;
 };
 
+/// A cumulative total that GaugeSampler turns into a per-second rate gauge.
+struct RateSource {
+  std::string gauge;         ///< gauge name, e.g. `rate.bfs.row_scans_per_sec`
+  std::uint64_t (*total)();  ///< the running total, read at every sample
+};
+
 using HistogramId = std::uint32_t;
 using GaugeId = std::uint32_t;
 
@@ -117,14 +123,13 @@ class ScopedTimer {
 };
 
 /// Background sampler feeding the gauge registry during engine runs:
-/// `mem.vm_rss_kb` / `mem.vm_hwm_kb` from /proc/self/status and
-/// counter-derived rates (`rate.solver.solves_per_sec`,
-/// `rate.bfs.row_scans_per_sec`) over the sampling interval. start() spawns
-/// one thread; stop() (idempotent, also run by the destructor) takes a
-/// final sample before joining so even sub-interval runs record memory.
+/// `mem.vm_rss_kb` / `mem.vm_hwm_kb` from /proc/self/status and one rate
+/// gauge per RateSource over the sampling interval. start() spawns one
+/// thread; stop() (idempotent, also run by the destructor) takes a final
+/// sample before joining so even sub-interval runs record memory.
 class GaugeSampler {
  public:
-  explicit GaugeSampler(double interval_seconds = 0.25);
+  explicit GaugeSampler(std::vector<RateSource> rates = {}, double interval_seconds = 0.25);
   ~GaugeSampler();
   GaugeSampler(const GaugeSampler&) = delete;
   GaugeSampler& operator=(const GaugeSampler&) = delete;
@@ -135,6 +140,7 @@ class GaugeSampler {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+  std::vector<RateSource> rates_;
   double interval_seconds_;
 };
 
@@ -158,7 +164,7 @@ class ScopedTimer {
 
 class GaugeSampler {
  public:
-  explicit GaugeSampler(double = 0.25) {}
+  explicit GaugeSampler(std::vector<RateSource> = {}, double = 0.25) {}
   GaugeSampler(const GaugeSampler&) = delete;
   GaugeSampler& operator=(const GaugeSampler&) = delete;
   void start() {}

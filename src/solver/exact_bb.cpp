@@ -7,35 +7,10 @@
 #include "game/best_response.hpp"
 #include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace bbng {
 namespace {
-
-/// Publish one terminal solve's work to the registry (solver.exact_bb.*).
-/// Counters are field-wise copies of the SolverResult the caller receives,
-/// so the legacy result fields and the registry agree bit for bit. A cache
-/// hit publishes cache_served instead: its result counters were zeroed (no
-/// fresh search work happened) and the cache itself already counted the hit.
-void publish_exact_bb(const SolverResult& result, bool cache_hit) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
-  static const obs::CounterId kSolves = obs::register_counter("solver.exact_bb.solves");
-  static const obs::CounterId kServed = obs::register_counter("solver.exact_bb.cache_served");
-  static const obs::CounterId kNodes = obs::register_counter("solver.exact_bb.nodes");
-  static const obs::CounterId kPruned = obs::register_counter("solver.exact_bb.pruned");
-  static const obs::CounterId kEvaluated = obs::register_counter("solver.exact_bb.evaluated");
-  if (cache_hit) {
-    obs::add(kServed, 1);
-    return;
-  }
-  obs::add(kSolves, 1);
-  obs::add(kNodes, result.nodes_explored);
-  obs::add(kPruned, result.nodes_pruned);
-  obs::add(kEvaluated, result.evaluated);
-}
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
@@ -62,8 +37,6 @@ class Search {
         budget_(budget),
         eval_(eval),
         levels_(cap + 1) {}
-
-  [[nodiscard]] std::uint64_t current_cost() const noexcept { return eval_.current_cost(); }
 
   /// Seed the incumbent (better seeds prune more) with the current strategy
   /// plus a greedy+swap descent — only while they fit the cap (they carry
@@ -311,76 +284,33 @@ class Search {
   std::uint64_t evaluated_ = 0;
 };
 
-/// Seed, prune, search and report one solve on `eval`.
-template <class Eval>
-void search_with(Eval& eval, const Digraph& g, CostVersion version, const SolverBudget& budget,
-                 std::uint32_t cap, bool current_feasible, SolverResult& result) {
-  Search<Eval> search(eval, version, budget, cap);
-  result.current_cost = search.current_cost();
-  search.seed(current_feasible, result);
-  search.eliminate_dominated(g, result);
-  search.run();
-  search.finish(result);
-}
-
 }  // namespace
 
-SolverResult ExactBranchAndBound::solve(const Digraph& g, Vertex player, CostVersion version,
-                                        const SolverBudget& budget, ThreadPool* pool,
-                                        TranspositionCache* cache) const {
-  (void)pool;  // the DFS is sequential; callers parallelise across players
-  BBNG_REQUIRE(player < g.num_vertices());
-  static const obs::HistogramId kSolveHist = obs::register_histogram("solver.solve.exact_bb");
-  obs::ScopedTimer span(kSolveHist, "solve:exact_bb");
-  span.arg("player", std::uint64_t{player});
-  // The budget cap, which is the out-degree unless a caller (churn) split
-  // them. With cap > degree the search simply runs deeper; with cap < degree
-  // the current strategy is infeasible and stops being a seed/floor — the
+SolverResult ExactBranchAndBound::search(const Digraph& g, Vertex player, CostVersion version,
+                                         const SolverBudget& budget, std::uint32_t cap,
+                                         ThreadPool* /*pool*/) const {
+  // The cap is the out-degree unless a caller (churn) split them. With
+  // cap > degree the search simply runs deeper; with cap < degree the
+  // current strategy is infeasible and stops being a seed/floor — the
   // forced-shrink optimum may exceed current_cost.
-  const std::uint32_t b = effective_budget_cap(g, player, budget);
-  const bool current_feasible = g.out_degree(player) <= b;
-
   SolverResult result;
-  result.solver = std::string(name());
-
-  if (b == 0) {
+  if (cap == 0) {
     result.current_cost = vertex_cost(g, player, version);
     result.cost = result.current_cost;
     result.lower_bound = result.cost;
     result.optimal = true;
     result.evaluated = 1;
-    publish_exact_bb(result, /*cache_hit=*/false);
     return result;
   }
-
-  std::string key;
-  if (cache != nullptr) {
-    key = TranspositionCache::make_key(g, player, version, b);
-    if (const SolverResult* hit = cache->find(key)) {
-      SolverResult cached = *hit;
-      // current_cost depends on the player's present strategy, which is not
-      // part of the canonical key — refresh it. And a hit performs no
-      // search work: zero the counters so consumers (dynamics totals,
-      // nash_audit records) never report replayed effort as new.
-      cached.current_cost = vertex_cost(g, player, version);
-      cached.nodes_explored = 0;
-      cached.nodes_pruned = 0;
-      cached.evaluated = 0;
-      cached.bfs_avoided = 0;
-      BBNG_ASSERT(!current_feasible || cached.cost <= cached.current_cost);
-      publish_exact_bb(cached, /*cache_hit=*/true);
-      return cached;
-    }
-  }
-
+  const bool current_feasible = g.out_degree(player) <= cap;
   with_table_evaluator(g, player, version, [&](auto& eval) {
-    search_with(eval, g, version, budget, b, current_feasible, result);
+    Search<std::remove_reference_t<decltype(eval)>> search(eval, version, budget, cap);
+    result.current_cost = eval.current_cost();
+    search.seed(current_feasible, result);
+    search.eliminate_dominated(g, result);
+    search.run();
+    search.finish(result);
   });
-  BBNG_ASSERT(!current_feasible || result.cost <= result.current_cost);
-  BBNG_ASSERT(result.lower_bound <= result.cost);
-
-  if (cache != nullptr) cache->store(key, result);
-  publish_exact_bb(result, /*cache_hit=*/false);
   return result;
 }
 

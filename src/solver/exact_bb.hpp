@@ -74,21 +74,22 @@ namespace bbng {
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "exact_bb"; }
+  ExactBranchAndBound() : BestResponseBackend("exact_bb", {.memoizes = true}) {}
+
   [[nodiscard]] std::string_view description() const noexcept override {
     return "certified branch-and-bound over head sets: probes scored on a base-distance "
            "table (delta oracle past n = 2048), admissible savings/seed-distance bounds, "
            "in-neighbour (dominance) elimination, anytime under a node/deadline budget";
   }
 
+ private:
   /// `budget.node_limit` caps expanded search-tree nodes (0 = unlimited);
   /// `budget.incremental` and `budget.core` are ignored (the scoring path is
-  /// fixed by n). `cache` memoises certified results across calls with the
-  /// same relevant state. `pool` is accepted for interface uniformity but unused — the
-  /// DFS is sequential (callers parallelise across players/jobs instead).
-  [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
-                                   const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
-                                   TranspositionCache* cache = nullptr) const override;
+  /// fixed by n). `pool` is unused — the DFS is sequential (callers
+  /// parallelise across players/jobs instead).
+  [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
+                                    const SolverBudget& budget, std::uint32_t cap,
+                                    ThreadPool* pool) const override;
 };
 
 }  // namespace bbng

@@ -3,62 +3,19 @@
 #include <algorithm>
 
 #include "facility/reduction.hpp"
-#include "game/cost.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "util/combinatorics.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace bbng {
 
-namespace {
-
-/// Publish one terminal race's work (solver.portfolio.*), field-wise from
-/// the result the caller receives. Like the swap ladder, the capped path
-/// recurses on a normalized copy and returns the inner result verbatim, so
-/// only the inner (terminal) invocation publishes.
-void publish_portfolio(const SolverResult& result) {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
-  static const obs::CounterId kSolves = obs::register_counter("solver.portfolio.solves");
-  static const obs::CounterId kEvaluated = obs::register_counter("solver.portfolio.evaluated");
-  static const obs::CounterId kBfsAvoided =
-      obs::register_counter("solver.portfolio.bfs_avoided");
-  obs::add(kSolves, 1);
-  obs::add(kEvaluated, result.evaluated);
-  obs::add(kBfsAvoided, result.bfs_avoided);
-}
-
-}  // namespace
-
-SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion version,
-                                    const SolverBudget& budget, ThreadPool* pool,
-                                    TranspositionCache* cache) const {
-  (void)pool;
-  (void)cache;
-  BBNG_REQUIRE(player < g.num_vertices());
-  static const obs::HistogramId kSolveHist = obs::register_histogram("solver.solve.portfolio");
-  obs::ScopedTimer span(kSolveHist, "solve:portfolio");
-  span.arg("player", std::uint64_t{player});
-  const std::uint32_t b = effective_budget_cap(g, player, budget);
-  if (b != g.out_degree(player)) {
-    // Every racer (swap descent, greedy fill, facility seeding) assumes
-    // budget == out-degree; a capped query races on a degree-normalized copy
-    // and re-anchors current_cost to the REAL current strategy. With cap
-    // below the current degree the returned cost may exceed it — a forced
-    // shrink is allowed to hurt.
-    SolverResult result = solve(normalize_player_degree(g, player, b), player, version,
-                                budget, pool, cache);
-    result.current_cost = vertex_cost(g, player, version);
-    return result;
-  }
+SolverResult PortfolioSolver::search(const Digraph& g, Vertex player, CostVersion version,
+                                     const SolverBudget& budget, std::uint32_t cap,
+                                     ThreadPool* /*pool*/) const {
   const Timer timer;
   const std::uint32_t n = g.num_vertices();
 
   SolverResult result;
-  result.solver = std::string(name());
-
   const BestResponseSolver ladder(version, /*exact_limit=*/1, budget.incremental, budget.core);
 
   // Staying put is the incumbent every racer must beat.
@@ -83,7 +40,7 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
   offer(baseline);
 
   // Racer 2: greedy construction from scratch, refined by swap descent.
-  if (b >= 1 && !expired()) {
+  if (cap >= 1 && !expired()) {
     const GreedySwapDescent descent = greedy_swap_descent(g, player, version, budget.incremental, budget.core);
     result.evaluated += descent.coarse.evaluated + descent.refined.evaluated;
     result.bfs_avoided += descent.coarse.bfs_avoided + descent.refined.bfs_avoided;
@@ -94,7 +51,7 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
   // Racer 3: facility-seeded start (Theorem 2.1 backwards), refined by swap
   // descent. Seeding randomness is derived from the instance so the racer —
   // and with it every engine artifact — is deterministic.
-  if (b >= 1 && n >= 3 && !expired()) {
+  if (cap >= 1 && n >= 3 && !expired()) {
     const std::uint64_t seed = g.hash() ^ (0x9e3779b97f4a7c15ULL * (std::uint64_t{player} + 1));
     const std::vector<Vertex> seeded = facility_seed_strategy(g, player, version, seed);
     const SolverResult refined = ladder.swap_improve(g, player, seeded);
@@ -108,8 +65,7 @@ SolverResult PortfolioSolver::solve(const Digraph& g, Vertex player, CostVersion
   // Heuristic bound; a cost that touches it, or a one-point strategy space,
   // is certified outright.
   result.lower_bound = std::min(trivial_cost_lower_bound(n, version), result.cost);
-  result.optimal = binomial(n - 1, b) == 1 || result.cost == result.lower_bound;
-  publish_portfolio(result);
+  result.optimal = binomial(n - 1, cap) == 1 || result.cost == result.lower_bound;
   return result;
 }
 

@@ -24,19 +24,20 @@ namespace bbng {
 
 class PortfolioSolver final : public BestResponseBackend {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "portfolio"; }
+  PortfolioSolver() : BestResponseBackend("portfolio", {.normalizes_degree = true}) {}
+
   [[nodiscard]] std::string_view description() const noexcept override {
     return "races swap descent, greedy construction, and a facility-seeded start "
            "(Thm 2.1 reduction backwards); returns the best incumbent, never worse "
            "than the swap baseline";
   }
 
+ private:
   /// `budget.deadline_seconds` skips not-yet-started racers once exceeded;
-  /// `budget.node_limit` is unused (racers are polynomial). `pool`/`cache`
-  /// accepted for interface uniformity, unused.
-  [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
-                                   const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
-                                   TranspositionCache* cache = nullptr) const override;
+  /// `budget.node_limit` is unused (racers are polynomial), and so is `pool`.
+  [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
+                                    const SolverBudget& budget, std::uint32_t cap,
+                                    ThreadPool* pool) const override;
 };
 
 }  // namespace bbng

@@ -62,4 +62,10 @@ std::vector<std::pair<std::string, std::string>> list_solvers() {
   return out;
 }
 
+std::uint64_t total_solver_solves() {
+  std::uint64_t total = 0;
+  for (const BestResponseBackend* backend : backends()) total += backend->solves_so_far();
+  return total;
+}
+
 }  // namespace bbng

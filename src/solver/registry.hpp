@@ -12,6 +12,7 @@
 //   "portfolio" — heuristic race, never worse than the swap baseline.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,5 +36,10 @@ namespace bbng {
 /// (name, one-line description) of every backend, for `bbng_engine
 /// list-solvers` and error messages.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> list_solvers();
+
+/// Searched solves so far across every registered backend, merged across
+/// threads: the one answer behind the runner's progress line and its
+/// solves-per-second gauge.
+[[nodiscard]] std::uint64_t total_solver_solves();
 
 }  // namespace bbng

@@ -2,31 +2,11 @@
 
 #include <algorithm>
 
+#include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
-
-namespace {
-
-// Registry mirrors of the cache's own hits_/misses_/flushes_ — the struct
-// fields stay the per-instance source of truth; the registry accumulates
-// the identical increments process-wide under cache.transposition.*.
-obs::CounterId cache_hits_id() {
-  static const obs::CounterId id = obs::register_counter("cache.transposition.hits");
-  return id;
-}
-obs::CounterId cache_misses_id() {
-  static const obs::CounterId id = obs::register_counter("cache.transposition.misses");
-  return id;
-}
-obs::CounterId cache_flushes_id() {
-  static const obs::CounterId id = obs::register_counter("cache.transposition.flushes");
-  return id;
-}
-
-}  // namespace
 
 std::uint64_t trivial_cost_lower_bound(std::uint32_t n, CostVersion version) {
   if (n < 2) return 0;
@@ -40,6 +20,11 @@ std::uint32_t effective_budget_cap(const Digraph& g, Vertex player, const Solver
   return budget.budget_cap;
 }
 
+namespace {
+
+/// `g` with `player`'s strategy deterministically resized to exactly `cap`
+/// heads (cap ≤ n − 1): trimmed to its `cap` smallest heads, or padded with
+/// the smallest-indexed vertices that are neither the player nor heads.
 Digraph normalize_player_degree(const Digraph& g, Vertex player, std::uint32_t cap) {
   const std::uint32_t n = g.num_vertices();
   BBNG_REQUIRE(player < n && cap < n);
@@ -61,6 +46,76 @@ Digraph normalize_player_degree(const Digraph& g, Vertex player, std::uint32_t c
   return normalized;
 }
 
+void append_u32(std::string& out, std::uint32_t value) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>((value >> shift) & 0xFF));
+  }
+}
+
+}  // namespace
+
+BestResponseBackend::BestResponseBackend(std::string name, Traits traits)
+    : name_(std::move(name)),
+      span_name_("solve:" + name_),
+      traits_(traits),
+      solve_hist_(obs::register_histogram("solver.solve." + name_)),
+      solves_(obs::register_counter("solver." + name_ + ".solves")),
+      cache_served_(obs::register_counter("solver." + name_ + ".cache_served")),
+      work_{
+          {"solver." + name_ + ".evaluated", &SolverResult::evaluated},
+          {"solver." + name_ + ".nodes", &SolverResult::nodes_explored},
+          {"solver." + name_ + ".pruned", &SolverResult::nodes_pruned},
+          {"solver." + name_ + ".bfs_avoided", &SolverResult::bfs_avoided},
+      } {}
+
+SolverResult BestResponseBackend::solve(const Digraph& g, Vertex player, CostVersion version,
+                                        const SolverBudget& budget, ThreadPool* pool,
+                                        TranspositionCache* cache) const {
+  obs::ScopedTimer span(solve_hist_, span_name_.c_str());
+  span.arg("player", std::uint64_t{player});
+  const std::uint32_t cap = effective_budget_cap(g, player, budget);
+  const auto run = [&](const Digraph& graph) {
+    SolverResult result = search(graph, player, version, budget, cap, pool);
+    result.solver = name_;
+    return result;
+  };
+  SolverResult result;
+  if (traits_.normalizes_degree && cap != g.out_degree(player)) {
+    result = run(normalize_player_degree(g, player, cap));
+    result.current_cost = vertex_cost(g, player, version);
+  } else if (!traits_.memoizes || cache == nullptr || cap == 0) {
+    // A cap-0 query has a one-point strategy space: cheaper to answer than
+    // to key.
+    result = run(g);
+  } else {
+    const std::string key = TranspositionCache::make_key(g, player, version, cap);
+    if (const SolverResult* hit = cache->find(key)) {
+      result = *hit;
+      // current_cost depends on the player's present strategy, which is not
+      // part of the canonical key — refresh it. And a hit performs no
+      // search work: zero the counters so consumers (dynamics totals,
+      // nash_audit records) never report replayed effort as new.
+      result.current_cost = vertex_cost(g, player, version);
+      result.nodes_explored = 0;
+      result.nodes_pruned = 0;
+      result.evaluated = 0;
+      result.bfs_avoided = 0;
+      BBNG_ASSERT(g.out_degree(player) > cap || result.cost <= result.current_cost);
+      obs::add(cache_served_, 1);
+      return result;
+    }
+    result = run(g);
+    cache->store(key, result);
+  }
+  BBNG_ASSERT(g.out_degree(player) > cap || result.cost <= result.current_cost);
+  BBNG_ASSERT(result.lower_bound <= result.cost);
+  obs::add(solves_, 1);
+  work_.publish(result);
+  return result;
+}
+
+std::uint64_t BestResponseBackend::solves_so_far() const { return obs::total(solves_); }
+
 GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player, CostVersion version,
                                       bool incremental, GraphCore core) {
   // exact_limit 1 keeps the ladder's exact path out of reach — this helper
@@ -72,15 +127,14 @@ GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player, CostVersi
   return descent;
 }
 
-namespace {
-
-void append_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+const obs::CounterTable<TranspositionCache::Stats>& TranspositionCache::counters() {
+  static const obs::CounterTable<Stats> table{
+      {"cache.transposition.hits", &Stats::hits},
+      {"cache.transposition.misses", &Stats::misses},
+      {"cache.transposition.flushes", &Stats::flushes},
+  };
+  return table;
 }
-
-}  // namespace
 
 std::string TranspositionCache::make_key(const Digraph& g, Vertex player, CostVersion version,
                                          std::uint32_t budget_cap) {
@@ -119,14 +173,14 @@ const SolverResult* TranspositionCache::find(const std::string& key) const {
   if (bucket != map_.end()) {
     for (const auto& [stored_key, result] : bucket->second) {
       if (stored_key == key) {
-        ++hits_;
-        obs::add(cache_hits_id(), 1);
+        ++stats_.hits;
+        counters().publish({.hits = 1});
         return &result;
       }
     }
   }
-  ++misses_;
-  obs::add(cache_misses_id(), 1);
+  ++stats_.misses;
+  counters().publish({.misses = 1});
   return nullptr;
 }
 
@@ -138,8 +192,8 @@ void TranspositionCache::store(const std::string& key, const SolverResult& resul
     // keeping the recent flow cached matters more than keeping history.
     map_.clear();
     entries_ = 0;
-    ++flushes_;
-    obs::add(cache_flushes_id(), 1);
+    ++stats_.flushes;
+    counters().publish({.flushes = 1});
   }
   auto& bucket = map_[fnv1a64(key)];
   for (const auto& [stored_key, existing] : bucket) {

@@ -27,6 +27,8 @@
 #include "game/game.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/digraph.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace bbng {
@@ -62,10 +64,9 @@ struct SolverBudget {
   std::uint32_t budget_cap = 0;
 };
 
-/// The budget cap a backend must solve under: `budget.budget_cap` when set,
+/// The budget cap a query is solved under: `budget.budget_cap` when set,
 /// else the player's current out-degree (the classic implicit-budget
-/// reading). Shared by every backend so they can never disagree on the
-/// strategy-space size of the same query.
+/// reading).
 [[nodiscard]] std::uint32_t effective_budget_cap(const Digraph& g, Vertex player,
                                                  const SolverBudget& budget);
 
@@ -81,6 +82,15 @@ struct SolverBudget {
 /// Not thread-safe; callers own one per thread.
 class TranspositionCache {
  public:
+  /// Work counters, mirrored in the registry by counters().
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t flushes = 0;  ///< times the memo hit its bound and flushed
+  };
+  /// Registry mirror of Stats (`cache.transposition.*`), published per event.
+  [[nodiscard]] static const obs::CounterTable<Stats>& counters();
+
   explicit TranspositionCache(std::size_t max_entries = 4096)
       : max_entries_(max_entries) {}
   /// Canonical key bytes for a (g, player, version, budget-cap) query.
@@ -100,32 +110,36 @@ class TranspositionCache {
   /// Store a certified result (ignored unless result.optimal).
   void store(const std::string& key, const SolverResult& result);
 
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_; }
   [[nodiscard]] std::size_t max_entries() const noexcept { return max_entries_; }
-  /// Times the memo hit its bound and was flushed wholesale.
-  [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
 
  private:
   std::size_t max_entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t flushes_ = 0;
+  mutable Stats stats_;
   std::size_t entries_ = 0;
   std::unordered_map<std::uint64_t, std::vector<std::pair<std::string, SolverResult>>> map_;
 };
 
 /// A best-response algorithm behind the common anytime interface. Stateless;
-/// `solve` may be called concurrently. `pool` parallelises inside a single
-/// solve where the backend supports it (the swap ladder's exact
-/// enumeration); `cache` memoises certified results for backends that can
-/// reuse them (exact_bb) and is ignored by the rest.
+/// `solve` may be called concurrently.
+///
+/// solve() is the one entry of every backend. Around the backend's own
+/// search() it records the `solver.solve.<name>` histogram sample and the
+/// `solve:<name>` span, resolves the budget cap, runs a capped query on a
+/// degree-normalised copy for the backends whose move set needs it, serves
+/// and stores certified results through `cache` for the backends that
+/// memoise, and publishes the solve to `solver.<name>.*`: `solves` (or
+/// `cache_served` for a cache hit), `evaluated`, `nodes`, `pruned` and
+/// `bfs_avoided`. `pool` parallelises inside a single search where the
+/// backend supports it (the swap ladder's exact enumeration).
 class BestResponseBackend {
  public:
   virtual ~BestResponseBackend() = default;
+  BestResponseBackend(const BestResponseBackend&) = delete;
+  BestResponseBackend& operator=(const BestResponseBackend&) = delete;
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+  [[nodiscard]] std::string_view name() const noexcept { return name_; }
   [[nodiscard]] virtual std::string_view description() const noexcept = 0;
 
   /// Whether SolverBudget::deadline_seconds is honoured (the backend has a
@@ -133,10 +147,42 @@ class BestResponseBackend {
   /// would be silent no-ops, so it must stay truthful per backend.
   [[nodiscard]] virtual bool supports_deadline() const noexcept { return true; }
 
-  [[nodiscard]] virtual SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
-                                           const SolverBudget& budget = {},
-                                           ThreadPool* pool = nullptr,
-                                           TranspositionCache* cache = nullptr) const = 0;
+  [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
+                                   const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
+                                   TranspositionCache* cache = nullptr) const;
+
+  /// This backend's searched solves so far (`solver.<name>.solves`),
+  /// merged across threads.
+  [[nodiscard]] std::uint64_t solves_so_far() const;
+
+ protected:
+  /// What solve() does around search() for this backend.
+  struct Traits {
+    /// The move set assumes budget == out-degree, so a query whose cap
+    /// differs is searched on normalize_player_degree's copy and only
+    /// current_cost is re-anchored to the real strategy (a forced shrink
+    /// may then cost more than staying put).
+    bool normalizes_degree = false;
+    /// Certified results are served from and stored in the caller's cache.
+    bool memoizes = false;
+  };
+  BestResponseBackend(std::string name, Traits traits);
+
+ private:
+  /// The backend's own search for one query under budget cap `cap` (the
+  /// out-degree of `g`'s player when the backend normalizes_degree). Fills
+  /// every SolverResult field but `solver`.
+  [[nodiscard]] virtual SolverResult search(const Digraph& g, Vertex player,
+                                            CostVersion version, const SolverBudget& budget,
+                                            std::uint32_t cap, ThreadPool* pool) const = 0;
+
+  std::string name_;
+  std::string span_name_;
+  Traits traits_;
+  obs::HistogramId solve_hist_;
+  obs::CounterId solves_;
+  obs::CounterId cache_served_;
+  obs::CounterTable<SolverResult> work_;
 };
 
 /// The weakest bound every backend may fall back on: with n ≥ 2 every other
@@ -155,14 +201,5 @@ struct GreedySwapDescent {
 [[nodiscard]] GreedySwapDescent greedy_swap_descent(const Digraph& g, Vertex player,
                                                     CostVersion version, bool incremental,
                                                     GraphCore core = GraphCore::kCsr);
-
-/// `g` with `player`'s strategy deterministically resized to exactly `cap`
-/// heads: trimmed to its `cap` smallest heads, or padded with the
-/// smallest-indexed vertices that are neither the player nor already heads.
-/// The heuristic backends (swap ladder, portfolio) solve a capped query on
-/// this copy, because their move sets — exact enumeration at the current
-/// degree, greedy fill, single-head swaps — all assume budget == out-degree.
-/// Requires cap ≤ n − 1 (a strategy is a set of distinct non-self heads).
-[[nodiscard]] Digraph normalize_player_degree(const Digraph& g, Vertex player, std::uint32_t cap);
 
 }  // namespace bbng

@@ -14,7 +14,8 @@ namespace bbng {
 
 class SwapLadderSolver final : public BestResponseBackend {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "swap"; }
+  SwapLadderSolver() : BestResponseBackend("swap", {.normalizes_degree = true}) {}
+
   [[nodiscard]] std::string_view description() const noexcept override {
     return "the classic ladder: exact enumeration when the candidate count fits the "
            "node limit, else greedy + swap descent (bit-compatible legacy default)";
@@ -24,15 +25,14 @@ class SwapLadderSolver final : public BestResponseBackend {
   /// so validation layers reject them for this backend.
   [[nodiscard]] bool supports_deadline() const noexcept override { return false; }
 
+ private:
   /// `budget.node_limit` is the legacy exact-enumeration candidate cap,
   /// taken verbatim — 0 disables the exact path (callers wanting the legacy
-  /// default pass 2'000'000, BestResponseSolver's default exact_limit). The ladder has no
-  /// preemption point, so `budget.deadline_seconds` is NOT honoured here;
-  /// spec validation rejects a deadline aimed at this backend. `pool`
-  /// parallelises the enumeration; `cache` is unused.
-  [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
-                                   const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
-                                   TranspositionCache* cache = nullptr) const override;
+  /// default pass 2'000'000, BestResponseSolver's default exact_limit).
+  /// `pool` parallelises the enumeration.
+  [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
+                                    const SolverBudget& budget, std::uint32_t cap,
+                                    ThreadPool* pool) const override;
 };
 
 }  // namespace bbng

@@ -2,8 +2,8 @@
 // after EVERY applied event the incremental ε-Nash certificate must agree
 // bit-for-bit with a from-scratch verify_nash_equilibrium of the live state
 // under the live budget caps — on both graph cores, both cost versions, and
-// both churn modes, with the deletion-locality skip re-derived in debug
-// (verify_skips). Alongside: capped solves of all three backends against
+// both churn modes — and every standing per-player certificate, skipped
+// ones included, must match a fresh uncached solve. Alongside: capped solves of all three backends against
 // brute-force enumeration, the budget-cap transposition-cache key, the
 // collision-safe cycle detector, and the dynamics budget gate.
 #include "game/churn.hpp"
@@ -62,6 +62,27 @@ void expect_matches_audit(ChurnEngine& engine, const char* context) {
   }
 }
 
+/// Every standing per-player certificate vs a fresh solve: each active
+/// player is re-solved without a cache under its live cap, and where the
+/// fresh solve is certified the engine must hold a certificate with the
+/// same regret. This re-derives every player a deletion-locality or
+/// no-delta skip kept without solving, and everyone else.
+void expect_regrets_match_fresh_solves(const ChurnEngine& engine, const ChurnConfig& config,
+                                       const char* context) {
+  const BestResponseBackend& backend = find_solver(config.solver);
+  const Digraph& g = engine.graph();
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    if (engine.budgets()[u] == 0) continue;
+    SolverBudget budget = config.budget;
+    budget.budget_cap = engine.budgets()[u];
+    const SolverResult fresh = backend.solve(g, u, config.version, budget);
+    if (!fresh.optimal) continue;
+    ASSERT_TRUE(engine.player_certified(u)) << context << ": player " << u;
+    ASSERT_EQ(engine.regret(u), fresh.improves() ? fresh.current_cost - fresh.cost : 0)
+        << context << ": player " << u;
+  }
+}
+
 Digraph small_instance(std::uint32_t n, Rng& rng) {
   std::vector<std::uint32_t> budgets = random_budgets(n, n, rng);
   for (auto& b : budgets) b = std::min(b, 2U);
@@ -84,9 +105,9 @@ TEST(Churn, DifferentialAgainstFromScratchAudit) {
         config.version = version;
         config.mode = mode;
         config.budget.core = core;
-        config.verify_skips = true;  // re-derive every deletion-locality skip
         ChurnEngine engine(initial, initial.budgets(), config);
         expect_matches_audit(engine, "initial");
+        expect_regrets_match_fresh_solves(engine, config, "initial");
         EXPECT_TRUE(engine.certified());
 
         ChurnTraceSampler sampler({}, /*max_budget=*/3, /*seed=*/rng.next_below(1U << 30));
@@ -98,6 +119,7 @@ TEST(Churn, DifferentialAgainstFromScratchAudit) {
           SCOPED_TRACE(std::string(to_string(mode)) + " " + to_string(version) + " event " +
                        std::to_string(e) + " " + to_string(event->kind));
           expect_matches_audit(engine, to_string(event->kind));
+          expect_regrets_match_fresh_solves(engine, config, to_string(event->kind));
           // exact_bb keeps the whole certificate exact at all times.
           EXPECT_TRUE(engine.certified());
         }
@@ -190,12 +212,12 @@ TEST(Churn, TrackShrinkTrimsGreedily) {
   std::vector<std::uint32_t> caps = {3, 0, 0, 1, 0};
   ChurnConfig config;
   config.mode = ChurnMode::Track;
-  config.verify_skips = true;
   ChurnEngine engine(g, caps, config);
   engine.apply({ChurnEventKind::BudgetShrink, 0, 1, 0, 0});
   EXPECT_EQ(engine.graph().out_degree(0), 1U);
   EXPECT_EQ(engine.budgets()[0], 1U);
   expect_matches_audit(engine, "shrink");
+  expect_regrets_match_fresh_solves(engine, config, "shrink");
   EXPECT_EQ(engine.stats().shrinks, 1U);
   EXPECT_EQ(engine.stats().moves, 1U);
 }
@@ -239,13 +261,12 @@ TEST(Churn, DeletionEventsKeepCertificatesViaLocalityLemma) {
   // underlying edge 0–2 survives through the hub's arc — every current cost
   // is measurably unchanged, so the deletion lemma must carry all standing
   // leaf certificates across without a single re-solve (each skip
-  // re-derived by verify_skips).
+  // re-derived by a fresh solve).
   Digraph g(5);
   g.add_arc(0, 2);
   for (Vertex leaf = 1; leaf <= 4; ++leaf) g.add_arc(leaf, 0);
   ChurnConfig config;
   config.version = CostVersion::Sum;
-  config.verify_skips = true;
   ChurnEngine engine(g, {1, 1, 1, 1, 1}, config);
   // Player 2's arc duplicates the hub's underlying edge, so 2 itself has
   // regret (it could rewire somewhere useful) — everyone else is a certified
@@ -257,6 +278,7 @@ TEST(Churn, DeletionEventsKeepCertificatesViaLocalityLemma) {
   EXPECT_TRUE(engine.graph().has_arc(0, 2));  // the vertex stays wired in
   EXPECT_TRUE(engine.stable());  // the one deviator retired
   expect_matches_audit(engine, "redundant leave");
+  expect_regrets_match_fresh_solves(engine, config, "redundant leave");
   // Leaves 1, 3, 4 keep their certificates via the lemma; the hub sits on
   // the trivial bound and player 2 is retired — nobody re-solves.
   EXPECT_EQ(engine.stats().skips_locality, 3U);
@@ -274,7 +296,6 @@ TEST(Churn, DeletionTraceOnConvergedStateStaysDifferential) {
   ASSERT_TRUE(converged.converged);
 
   ChurnConfig config;
-  config.verify_skips = true;
   ChurnEngine engine(converged.graph, converged.graph.budgets(), config);
   ASSERT_TRUE(engine.stable());
 
@@ -290,6 +311,7 @@ TEST(Churn, DeletionTraceOnConvergedStateStaysDifferential) {
     if (!event) break;
     engine.apply(*event);
     expect_matches_audit(engine, to_string(event->kind));
+    expect_regrets_match_fresh_solves(engine, config, to_string(event->kind));
   }
 }
 
@@ -404,7 +426,7 @@ TEST(SolverCaps, ShrinkThenGrowNeverReplaysTheShrunkAnswer) {
   // Pre-fix the key embedded the out-degree, so this looked like the same
   // query and replayed the 1-arc answer for the 2-arc space.
   const SolverResult grown = bb.solve(g, 0, CostVersion::Sum, grow_budget, nullptr, &cache);
-  EXPECT_EQ(cache.hits(), 0U);
+  EXPECT_EQ(cache.stats().hits, 0U);
   const SolverResult fresh = bb.solve(g, 0, CostVersion::Sum, grow_budget);
   EXPECT_EQ(grown.cost, fresh.cost);
   EXPECT_EQ(grown.strategy, fresh.strategy);
@@ -413,7 +435,7 @@ TEST(SolverCaps, ShrinkThenGrowNeverReplaysTheShrunkAnswer) {
   // Each cap replays against its OWN entry.
   (void)bb.solve(g, 0, CostVersion::Sum, shrink_budget, nullptr, &cache);
   (void)bb.solve(g, 0, CostVersion::Sum, grow_budget, nullptr, &cache);
-  EXPECT_EQ(cache.hits(), 2U);
+  EXPECT_EQ(cache.stats().hits, 2U);
 }
 
 // ---------------------------------------------------------------------------

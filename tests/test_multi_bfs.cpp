@@ -367,9 +367,9 @@ void expect_audit_matches_per_seed(const Digraph& g, CostVersion version, GraphC
   }
 
   const std::uint32_t n = g.num_vertices();
-  EXPECT_EQ(batched.prepass_sweeps, (n + 63) / 64);
-  EXPECT_GE(batched.prepass_settled, n);  // every source settles itself
-  EXPECT_GT(batched.prepass_row_scans, 0U);
+  EXPECT_EQ(batched.prepass.sweeps, (n + 63) / 64);
+  EXPECT_GE(batched.prepass.settled, n);  // every source settles itself
+  EXPECT_GT(batched.prepass.row_scans, 0U);
 }
 
 TEST(MultiBfs, NashAuditBatchedMatchesPerSeedBitForBit) {

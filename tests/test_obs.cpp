@@ -5,8 +5,9 @@
 // `obs` blocks depend on), emitted traces round-trip through the structural
 // Chrome-trace validator, campaign artifacts with obs blocks stay
 // byte-identical across 1/4/16 runner threads and kill+resume, --no-obs
-// reproduces pre-observability record bytes exactly, and the legacy counter
-// structs (MultiBfsStats) agree bit-for-bit with the registry.
+// reproduces pre-observability record bytes exactly, and every counter
+// table agrees bit-for-bit with the registry after a real audit, churn
+// trace, batched sweep and cache run.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -24,9 +25,13 @@
 #include "engine/sinks.hpp"
 #include "engine/spec.hpp"
 #include "engine/tasks.hpp"
+#include "game/churn.hpp"
+#include "game/equilibrium.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
+#include "solver/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -139,20 +144,77 @@ TEST(TraceSession, ValidatorRejectsStructurallyInvalidDocuments) {
                std::invalid_argument);
 }
 
-TEST(MetricRegistry, LegacyStructsAgreeBitForBitWithTheRegistry) {
+/// Every row of `table` must read in `frame` exactly what it reads off
+/// `counts` (one unit of work's counts, or an accumulator since the frame).
+template <class S>
+void expect_table_agrees(const obs::CounterTable<S>& table, const S& counts,
+                         const obs::CounterFrame& frame) {
+  for (const auto& row : table.rows()) {
+    EXPECT_EQ(frame.value(row.name), row.read(counts)) << row.name;
+  }
+}
+
+TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
   if (!obs::kCompiledIn || !obs::enabled()) GTEST_SKIP() << "registry inactive";
   Rng rng(11);
-  const UGraph g = erdos_renyi(80, 0.06, rng);
-  const obs::CounterFrame frame;
-  MultiBfs engine(g);
-  std::vector<Vertex> sources;
-  for (Vertex v = 0; v < 70; ++v) sources.push_back(v);
-  static_cast<void>(engine.run(sources));
-  const MultiBfsStats& stats = engine.stats();
-  EXPECT_EQ(frame.value("bfs.multi.sweeps"), stats.sweeps);
-  EXPECT_EQ(frame.value("bfs.multi.levels"), stats.levels);
-  EXPECT_EQ(frame.value("bfs.multi.row_scans"), stats.row_scans);
-  EXPECT_EQ(frame.value("bfs.multi.settled"), stats.settled);
+  ThreadPool serial(1);  // every increment lands on this thread's frame
+  const Digraph g = random_profile(random_budgets(24, 40, rng), rng);
+
+  {  // A batched sweep.
+    const UGraph u = erdos_renyi(80, 0.06, rng);
+    const obs::CounterFrame frame;
+    MultiBfs engine(u);
+    std::vector<Vertex> sources;
+    for (Vertex v = 0; v < 70; ++v) sources.push_back(v);
+    static_cast<void>(engine.run(sources));
+    expect_table_agrees(multi_bfs_counters(), engine.stats(), frame);
+  }
+  {  // A real Nash audit; its MultiBfs prepass is the only bfs.multi publisher.
+    const obs::CounterFrame frame;
+    const NashReport report =
+        verify_nash_equilibrium(g, CostVersion::Sum, {}, "exact_bb", &serial);
+    expect_table_agrees(nash_audit_counters(), report, frame);
+    expect_table_agrees(multi_bfs_counters(), report.prepass, frame);
+    EXPECT_EQ(frame.value("solver.exact_bb.nodes"), report.nodes_explored);
+    EXPECT_EQ(frame.value("solver.exact_bb.pruned"), report.nodes_pruned);
+    EXPECT_EQ(frame.value("solver.exact_bb.evaluated"), report.strategies_checked);
+  }
+  {  // A swap-stability sweep.
+    const obs::CounterFrame frame;
+    const EquilibriumReport report = verify_swap_equilibrium(g, CostVersion::Max, &serial);
+    expect_table_agrees(swap_audit_counters(), report, frame);
+  }
+  {  // A churn trace, counted from construction.
+    const obs::CounterFrame frame;
+    ChurnConfig config;
+    config.budget.node_limit = 200'000;
+    ChurnEngine engine(g, g.budgets(), config, &serial);
+    ChurnTraceSampler sampler({}, /*max_budget=*/3, /*seed=*/7);
+    for (int e = 0; e < 24; ++e) {
+      const auto event = sampler.next(engine.graph(), engine.budgets());
+      if (!event) break;
+      engine.apply(*event);
+    }
+    EXPECT_GT(engine.stats().skips_clean + engine.stats().skips_locality, 0U);
+    expect_table_agrees(churn_counters(), engine.stats(), frame);
+  }
+  {  // Transposition-cache traffic: every player solved twice in a row
+     // (a miss, then a hit) through a 4-entry memo that keeps flushing.
+    TranspositionCache cache(4);
+    const BestResponseBackend& exact = find_solver("exact_bb");
+    const obs::CounterFrame frame;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (g.out_degree(v) == 0) continue;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        static_cast<void>(exact.solve(g, v, CostVersion::Sum, {}, &serial, &cache));
+      }
+    }
+    EXPECT_GT(cache.stats().hits, 0U);
+    EXPECT_GT(cache.stats().flushes, 0U);
+    expect_table_agrees(TranspositionCache::counters(), cache.stats(), frame);
+    EXPECT_EQ(frame.value("solver.exact_bb.cache_served"), cache.stats().hits);
+    EXPECT_EQ(frame.value("solver.exact_bb.solves"), cache.stats().misses);
+  }
 }
 
 // ---------------------------------------------------------------------------

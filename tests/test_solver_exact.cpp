@@ -20,6 +20,7 @@
 #include "game/best_response.hpp"
 #include "game/strategy_eval.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "reference/naive_best_response.hpp"
 #include "util/rng.hpp"
 
@@ -141,7 +142,7 @@ TEST(SolverExact, TranspositionCacheHitsAcrossOwnStrategyChanges) {
 
   const SolverResult first = bb.solve(g, mover, CostVersion::Sum, {}, nullptr, &cache);
   ASSERT_TRUE(first.optimal);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 
   // Move the player somewhere else, then ask again.
   std::vector<Vertex> other;
@@ -154,7 +155,7 @@ TEST(SolverExact, TranspositionCacheHitsAcrossOwnStrategyChanges) {
   g.set_strategy(mover, other);
 
   const SolverResult second = bb.solve(g, mover, CostVersion::Sum, {}, nullptr, &cache);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_TRUE(second.optimal);
   EXPECT_EQ(second.cost, first.cost);  // the optimum ignores the mover's own arcs
   const StrategyEvaluator eval(g, mover, CostVersion::Sum);
@@ -170,7 +171,7 @@ TEST(SolverExact, TranspositionCacheHitsAcrossOwnStrategyChanges) {
   if (other_player < g.num_vertices()) {
     const SolverResult third = bb.solve(g, other_player, CostVersion::Sum, {}, nullptr, &cache);
     EXPECT_TRUE(third.optimal);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
   }
 }
 
@@ -562,11 +563,13 @@ TEST(SolverExact, PrunesInNeighboursPastTheOldDominanceLimit) {
 
 /// Node-limited solves on the directed n-cycle under a cap of 2 heads,
 /// checked against the naive evaluator; returns the summed bfs_avoided,
-/// which tells the scoring path.
+/// which tells the scoring path and is published as
+/// solver.exact_bb.bfs_avoided.
 std::uint64_t solve_sparse_instance(std::uint32_t n) {
   const Digraph g = cycle_digraph(n);
   const Vertex u = n / 2;
   const ExactBranchAndBound bb;
+  const obs::CounterFrame frame;
   std::uint64_t bfs_avoided = 0;
   for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
     SolverBudget budget;
@@ -580,6 +583,9 @@ std::uint64_t solve_sparse_instance(std::uint32_t n) {
     EXPECT_LE(result.lower_bound, result.cost);
     EXPECT_LE(result.cost, result.current_cost);
     bfs_avoided += result.bfs_avoided;
+  }
+  if (obs::enabled()) {
+    EXPECT_EQ(frame.value("solver.exact_bb.bfs_avoided"), bfs_avoided);
   }
   return bfs_avoided;
 }

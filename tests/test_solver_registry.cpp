@@ -1,7 +1,9 @@
 // Registry contract tests: lookup by name, the error message for unknown
-// names (spec validation surfaces it verbatim), and — the load-bearing one —
-// bit-compatibility of the "swap" backend with its parts: the exact walk
-// when feasible, else greedy_swap_descent clamped to staying put.
+// names (spec validation surfaces it verbatim), bit-compatibility of the
+// "swap" backend with its parts (the exact walk when feasible, else
+// greedy_swap_descent clamped to staying put), and what the one solve()
+// entry publishes: one solve, one histogram sample and one span per query,
+// capped or not, and cache_served instead of solves for a cache hit.
 #include "solver/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +11,14 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "game/best_response.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timing.hpp"
+#include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -133,6 +140,68 @@ TEST(SolverRegistry, EveryBackendHonoursTheCommonContract) {
       EXPECT_TRUE(std::is_sorted(result.strategy.begin(), result.strategy.end())) << name;
     }
   }
+}
+
+std::uint64_t histogram_count(const std::string& name) {
+  for (const obs::HistogramSnapshot& hist : obs::histogram_snapshot()) {
+    if (hist.name == name) return hist.count;
+  }
+  return 0;
+}
+
+std::size_t span_count(const std::string& trace_json, const std::string& name) {
+  const JsonValue root = parse_json(trace_json);
+  std::size_t count = 0;
+  for (const JsonValue& event : root.at("traceEvents").items()) {
+    if (event.at("name").as_string() == name) ++count;
+  }
+  return count;
+}
+
+TEST(SolverRegistry, CappedHeuristicQueryPublishesOneSolve) {
+  if (!obs::kCompiledIn || !obs::enabled()) GTEST_SKIP() << "registry inactive";
+  // Player 0 holds one head under a cap of 3: the swap ladder and the
+  // portfolio search a degree-normalised copy, and the query still counts
+  // once — one solve, one histogram sample, one span.
+  Rng rng(17);
+  const Digraph g = random_profile(random_budgets(10, 12, rng), rng);
+  Digraph capped = g;
+  const std::vector<Vertex> one_head = {g.out_degree(0) > 0 ? g.out_neighbors(0)[0] : 1};
+  capped.set_strategy(0, one_head);
+  SolverBudget budget;
+  budget.budget_cap = 3;
+  budget.node_limit = 2'000'000;
+  for (const std::string name : {"swap", "portfolio"}) {
+    const BestResponseBackend& backend = find_solver(name);
+    const std::uint64_t samples = histogram_count("solver.solve." + name);
+    const obs::CounterFrame frame;
+    obs::trace::begin();
+    const SolverResult result = backend.solve(capped, 0, CostVersion::Sum, budget);
+    const std::string trace = obs::trace::end_json();
+    EXPECT_EQ(result.strategy.size(), 3U) << name;
+    EXPECT_EQ(frame.value("solver." + name + ".solves"), 1U) << name;
+    EXPECT_EQ(frame.value("solver." + name + ".evaluated"), result.evaluated) << name;
+    EXPECT_EQ(histogram_count("solver.solve." + name), samples + 1) << name;
+    EXPECT_EQ(span_count(trace, "solve:" + name), 1U) << name;
+  }
+}
+
+TEST(SolverRegistry, ExactCacheHitPublishesCacheServedNotSolves) {
+  if (!obs::kCompiledIn || !obs::enabled()) GTEST_SKIP() << "registry inactive";
+  Rng rng(23);
+  const Digraph g = random_profile(random_budgets(9, 12, rng), rng);
+  const BestResponseBackend& exact = find_solver("exact_bb");
+  TranspositionCache cache;
+  const SolverResult searched = exact.solve(g, 0, CostVersion::Sum, {}, nullptr, &cache);
+  ASSERT_TRUE(searched.optimal);
+  const obs::CounterFrame frame;
+  const SolverResult served = exact.solve(g, 0, CostVersion::Sum, {}, nullptr, &cache);
+  EXPECT_EQ(served.cost, searched.cost);
+  EXPECT_EQ(served.evaluated, 0U) << "a hit replays no search work";
+  EXPECT_EQ(frame.value("solver.exact_bb.cache_served"), 1U);
+  EXPECT_EQ(frame.value("solver.exact_bb.solves"), 0U);
+  EXPECT_EQ(frame.value("solver.exact_bb.evaluated"), 0U);
+  EXPECT_EQ(frame.value("cache.transposition.hits"), 1U);
 }
 
 }  // namespace

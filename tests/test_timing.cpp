@@ -197,8 +197,12 @@ TEST(Gauges, TrackLastMinMaxAndSampleCount) {
 TEST(Gauges, SamplerRecordsMemoryAndRates) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const std::uint64_t before = find_gauge("mem.vm_rss_kb").samples;
+  const auto ticks = [] {
+    static const obs::CounterId id = obs::register_counter("test.sampler.ticks");
+    return obs::total(id);
+  };
   {
-    obs::GaugeSampler sampler(0.01);
+    obs::GaugeSampler sampler({{"test.rate.ticks_per_sec", ticks}}, 0.01);
     sampler.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
   }  // destructor stops (idempotent) and takes the final sample
@@ -208,7 +212,8 @@ TEST(Gauges, SamplerRecordsMemoryAndRates) {
   EXPECT_GT(find_gauge("mem.vm_hwm_kb").last, 0.0);
   EXPECT_GE(find_gauge("mem.vm_hwm_kb").last, rss.last)
       << "the high-water mark bounds current RSS";
-  EXPECT_GE(find_gauge("rate.solver.solves_per_sec").samples, 1u);
+  EXPECT_GE(find_gauge("test.rate.ticks_per_sec").samples, 1u)
+      << "one rate gauge per caller-given source";
   // The sampler reads the same /proc parser the sidecar uses.
   EXPECT_GT(peak_rss_kb(), 0u);
   EXPECT_GT(current_rss_kb(), 0u);
