@@ -144,25 +144,23 @@ SolverResult greedy_with(Eval& eval, std::uint32_t budget) {
   result.optimal = (budget == 0);
   result.current_cost = eval.current_cost();
 
+  // The targets not yet taken, ascending: each step probes them all at once,
+  // and the first (smallest) cheapest one is taken.
+  std::vector<Vertex> targets;
+  for (Vertex t = 0; t < n; ++t) {
+    if (t != eval.player()) targets.push_back(t);
+  }
+  std::vector<std::uint64_t> costs(targets.size());
   std::vector<Vertex> strategy;
-  std::vector<bool> used(n, false);
-  used[eval.player()] = true;
   for (std::uint32_t step = 0; step < budget; ++step) {
-    Vertex best_target = kUnreachable;
-    std::uint64_t best_cost = ~0ULL;
-    for (Vertex t = 0; t < n; ++t) {
-      if (used[t]) continue;
-      const std::uint64_t cost = eval.cost_with_head(t);
-      ++result.evaluated;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_target = t;
-      }
-    }
-    BBNG_ASSERT(best_target != kUnreachable);
-    strategy.push_back(best_target);
-    used[best_target] = true;
-    eval.add_head(best_target);
+    BBNG_ASSERT(!targets.empty());
+    const std::span<std::uint64_t> probed(costs.data(), targets.size());
+    cost_with_heads(eval, targets, probed);
+    result.evaluated += targets.size();
+    const auto best = std::min_element(probed.begin(), probed.end()) - probed.begin();
+    strategy.push_back(targets[static_cast<std::size_t>(best)]);
+    eval.add_head(strategy.back());
+    targets.erase(targets.begin() + best);
   }
   std::sort(strategy.begin(), strategy.end());
   // Snapshot before the closing bookkeeping query so bfs_avoided never

@@ -134,45 +134,44 @@ template class DeltaEvaluatorT<CsrUGraph>;
 
 namespace {
 
-/// Σ_v min(cover[v], row[v]), accumulated in 64 bits (an n ≤ 65535 SUM cost
-/// exceeds 2³² once the player is cut off from enough vertices).
-BBNG_PROBE_CLONES std::uint64_t sum_min(const std::uint32_t* __restrict cover,
-                                        const std::uint32_t* __restrict row, std::uint32_t n) {
-  std::uint64_t sum = 0;
-  for (std::uint32_t v = 0; v < n; ++v) sum += std::min(cover[v], row[v]);
-  return sum;
-}
-
-/// sum_min that also folds row into fold: fold[v] = min(fold[v], row[v]).
-BBNG_PROBE_CLONES std::uint64_t sum_min_fold(const std::uint32_t* __restrict cover,
-                                             const std::uint32_t* __restrict row,
-                                             std::uint32_t* __restrict fold, std::uint32_t n) {
-  std::uint64_t sum = 0;
+/// Σ_v min(cover[v], row[v]) accumulated in Acc (kMax: max_v instead),
+/// folding row into fold (fold[v] = min(fold[v], row[v])) when kFold. The
+/// one kernel body, inlined into each clone below.
+template <class Acc, bool kMax, bool kFold>
+[[gnu::always_inline]] inline Acc min_row(const std::uint32_t* __restrict cover,
+                                          const std::uint32_t* __restrict row,
+                                          std::uint32_t* __restrict fold, std::uint32_t n) {
+  Acc acc = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
-    sum += std::min(cover[v], row[v]);
-    fold[v] = std::min(fold[v], row[v]);
+    const std::uint32_t d = std::min(cover[v], row[v]);
+    if constexpr (kMax) {
+      acc = std::max(acc, d);
+    } else {
+      acc += d;
+    }
+    if constexpr (kFold) fold[v] = std::min(fold[v], row[v]);
   }
-  return sum;
+  return acc;
 }
 
-/// max_v min(cover[v], row[v]).
-BBNG_PROBE_CLONES std::uint32_t max_min(const std::uint32_t* __restrict cover,
-                                        const std::uint32_t* __restrict row, std::uint32_t n) {
-  std::uint32_t max = 0;
-  for (std::uint32_t v = 0; v < n; ++v) max = std::max(max, std::min(cover[v], row[v]));
-  return max;
+// One row per call: a single probe, and add_head's cover pass. SUM
+// accumulates in 64 bits (an n ≤ 65535 SUM cost exceeds 2³² once the
+// player is cut off from enough vertices).
+BBNG_PROBE_CLONES std::uint64_t sum_min(const std::uint32_t* cover, const std::uint32_t* row,
+                                        std::uint32_t n) {
+  return min_row<std::uint64_t, false, false>(cover, row, nullptr, n);
 }
-
-/// max_min that also folds row into fold.
-BBNG_PROBE_CLONES std::uint32_t max_min_fold(const std::uint32_t* __restrict cover,
-                                             const std::uint32_t* __restrict row,
-                                             std::uint32_t* __restrict fold, std::uint32_t n) {
-  std::uint32_t max = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    max = std::max(max, std::min(cover[v], row[v]));
-    fold[v] = std::min(fold[v], row[v]);
-  }
-  return max;
+BBNG_PROBE_CLONES std::uint64_t sum_min_fold(const std::uint32_t* cover, const std::uint32_t* row,
+                                             std::uint32_t* fold, std::uint32_t n) {
+  return min_row<std::uint64_t, false, true>(cover, row, fold, n);
+}
+BBNG_PROBE_CLONES std::uint32_t max_min(const std::uint32_t* cover, const std::uint32_t* row,
+                                        std::uint32_t n) {
+  return min_row<std::uint32_t, true, false>(cover, row, nullptr, n);
+}
+BBNG_PROBE_CLONES std::uint32_t max_min_fold(const std::uint32_t* cover, const std::uint32_t* row,
+                                             std::uint32_t* fold, std::uint32_t n) {
+  return min_row<std::uint32_t, true, true>(cover, row, fold, n);
 }
 
 /// fold[v] = min(fold[v], row[v]).
@@ -180,6 +179,28 @@ BBNG_PROBE_CLONES void fold_min(const std::uint32_t* __restrict row,
                                 std::uint32_t* __restrict fold, std::uint32_t n) {
   for (std::uint32_t v = 0; v < n; ++v) fold[v] = std::min(fold[v], row[v]);
 }
+
+// A batch of rows per call: out[i] scores the row of heads[i]. A per-row
+// call costs more than the row itself at small n, so a node's probes share
+// one. SUM accumulates in 32 bits where that is exact (narrow_sum_).
+using MinRowsKernel = void (*)(const std::uint32_t*, const std::uint32_t*, std::uint32_t,
+                               const Vertex*, std::size_t, std::uint64_t*, std::uint32_t*);
+#define BBNG_MIN_ROWS_KERNEL(name, Acc, kMax, kFold)                                          \
+  BBNG_PROBE_CLONES void name(const std::uint32_t* __restrict cover,                          \
+                              const std::uint32_t* __restrict table, std::uint32_t n,         \
+                              const Vertex* __restrict heads, std::size_t count,              \
+                              std::uint64_t* __restrict out, std::uint32_t* __restrict fold) { \
+    for (std::size_t i = 0; i < count; ++i) {                                                 \
+      out[i] = min_row<Acc, kMax, kFold>(cover, table + std::size_t{heads[i]} * n, fold, n);  \
+    }                                                                                         \
+  }
+BBNG_MIN_ROWS_KERNEL(sum32_min_rows, std::uint32_t, false, false)
+BBNG_MIN_ROWS_KERNEL(sum32_min_rows_fold, std::uint32_t, false, true)
+BBNG_MIN_ROWS_KERNEL(sum64_min_rows, std::uint64_t, false, false)
+BBNG_MIN_ROWS_KERNEL(sum64_min_rows_fold, std::uint64_t, false, true)
+BBNG_MIN_ROWS_KERNEL(max_min_rows, std::uint32_t, true, false)
+BBNG_MIN_ROWS_KERNEL(max_min_rows_fold, std::uint32_t, true, true)
+#undef BBNG_MIN_ROWS_KERNEL
 
 /// Fill the table rows of every vertex but `player` for n ≤ 64: one
 /// adjacency word per vertex of the stripped base, then one word-parallel
@@ -254,6 +275,7 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   BBNG_REQUIRE_MSG(cinf(n_) <= std::numeric_limits<std::uint32_t>::max(),
                    "Cinf does not fit the table's 32-bit entries");
   inf_ = static_cast<std::uint32_t>(cinf(n_));
+  narrow_sum_ = std::uint64_t{n_ - 1} * inf_ <= std::numeric_limits<std::uint32_t>::max();
 
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
   // Unreached entries, and the player's row (never a head), keep Cinf.
@@ -318,6 +340,46 @@ std::uint64_t TableEvaluator::score(const std::uint32_t* cover, const std::uint3
   return max_min(cover, row, n_);  // local diameter; κ == 1
 }
 
+void TableEvaluator::score_batch(std::span<const Vertex> heads, std::uint64_t* costs,
+                                 std::uint32_t* fold) {
+  const std::uint32_t* cover = this->cover().data();
+  const std::uint32_t* table = table_.data();
+  const bool folds = fold != nullptr;
+  if (version_ == CostVersion::Sum) {
+    const MinRowsKernel kernel = narrow_sum_ ? (folds ? sum32_min_rows_fold : sum32_min_rows)
+                                             : (folds ? sum64_min_rows_fold : sum64_min_rows);
+    kernel(cover, table, n_, heads.data(), heads.size(), costs, fold);
+    return;
+  }
+  // MAX batches the heads whose probe seeds every base component (κ == 1,
+  // scored by the local diameter); a head that leaves one unseeded keeps
+  // score()'s κ path. While the cover reaches every representative, that is
+  // every head.
+  const MinRowsKernel kernel = folds ? max_min_rows_fold : max_min_rows;
+  if (std::none_of(reps_.begin(), reps_.end(), [&](Vertex r) { return cover[r] == inf_; })) {
+    kernel(cover, table, n_, heads.data(), heads.size(), costs, fold);
+    return;
+  }
+  seeding_heads_.clear();
+  seeding_slots_.clear();
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    const std::uint32_t* row = table + std::size_t{heads[i]} * n_;
+    if (std::all_of(reps_.begin(), reps_.end(),
+                    [&](Vertex r) { return std::min(cover[r], row[r]) != inf_; })) {
+      seeding_heads_.push_back(heads[i]);
+      seeding_slots_.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      costs[i] = folds ? score<true>(cover, row, fold) : score<false>(cover, row, nullptr);
+    }
+  }
+  seeding_costs_.resize(seeding_heads_.size());
+  kernel(cover, table, n_, seeding_heads_.data(), seeding_heads_.size(), seeding_costs_.data(),
+         fold);
+  for (std::size_t j = 0; j < seeding_slots_.size(); ++j) {
+    costs[seeding_slots_[j]] = seeding_costs_[j];
+  }
+}
+
 void TableEvaluator::fill_level(std::size_t level, Vertex t) {
   const std::uint32_t* prev = covers_.data() + (level - 1) * n_;
   std::uint32_t* next = covers_.data() + level * n_;
@@ -359,12 +421,17 @@ std::uint64_t TableEvaluator::cost_with_head(Vertex t) {
   return score<false>(cover().data(), table_.data() + std::size_t{t} * n_, nullptr);
 }
 
-std::uint64_t TableEvaluator::cost_with_head(Vertex t, std::span<std::uint32_t> fold) {
-  BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
-  BBNG_REQUIRE(t < n_ && fold.size() == n_);
-  BBNG_REQUIRE_MSG(is_head_[t] == 0, "head already present");
-  ++evaluations_;
-  return score<true>(cover().data(), table_.data() + std::size_t{t} * n_, fold.data());
+void TableEvaluator::cost_with_heads(std::span<const Vertex> heads, std::span<std::uint64_t> costs,
+                                     std::span<std::uint32_t> fold) {
+  BBNG_REQUIRE(costs.size() == heads.size());
+  BBNG_REQUIRE(fold.empty() || fold.size() == n_);
+  for (const Vertex t : heads) {
+    BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
+    BBNG_REQUIRE(t < n_);
+    BBNG_REQUIRE_MSG(is_head_[t] == 0, "head already present");
+  }
+  evaluations_ += heads.size();
+  score_batch(heads, costs.data(), fold.empty() ? nullptr : fold.data());
 }
 
 template <class Eval>

@@ -29,7 +29,9 @@
 // Every evaluator below shares one head-set interface (add_head,
 // remove_head, has_head, cost, cost_with_head, bfs_avoided), so each move set
 // (greedy construction, swap descent, the first-improving swap scan, churn's
-// greedy trim) is written once as a template over it. NaiveEvaluator puts
+// greedy trim) is written once as a template over it; the free
+// cost_with_heads probes a whole candidate list on any of them, in one
+// kernel call on TableEvaluator. NaiveEvaluator puts
 // StrategyEvaluator behind that interface, and with_move_evaluator is the one
 // place that picks a player's evaluator: TableEvaluator for n ≤
 // kTableEvaluatorLimit, naive, CSR delta or vector delta above it.
@@ -336,20 +338,28 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// over its seeds of row_s[v]. The present head set keeps a stack of such
 /// covers (level 0 = the in-neighbour cover, level i = level i−1 ∧ row of
 /// the i-th head), so add_head and a LIFO remove_head are one O(n) pass or
-/// O(1). cost_with_head(t) is one O(n) pass over min(cover, row_t): the sum
-/// for SUM; for MAX the max, with κ − 1 read off one representative vertex
-/// per base component (a component is seeded iff its representative is
-/// covered below Cinf). The representatives are read off the filled table:
-/// v is one iff no earlier representative's row reaches it. The player's
-/// own cover column is 0, so it drops out of both aggregates. Every cost is
-/// exact and bit-identical to StrategyEvaluator::evaluate
-/// (tests/test_delta_eval.cpp).
+/// O(1). Probing t is one O(n) pass over min(cover, row_t): the sum for
+/// SUM; for MAX the max, with κ − 1 read off one representative vertex per
+/// base component (a component is seeded iff its representative is covered
+/// below Cinf). The representatives are read off the filled table: v is one
+/// iff no earlier representative's row reaches it. The player's own cover
+/// column is 0, so it drops out of both aggregates. Every cost is exact and
+/// bit-identical to StrategyEvaluator::evaluate (tests/test_delta_eval.cpp).
 ///
-/// The O(n) passes are free integer min/add kernels (strategy_eval.cpp),
-/// built as target_clones("avx2", "default") where the guard allows it
-/// (x86-64 ELF under GCC or Clang, except ThreadSanitizer builds; one plain
-/// build everywhere else). Both clones return the same bits, and SUM
-/// accumulates in 64 bits.
+/// All probes of one cover meet the same forward half, so cost_with_heads
+/// scores a whole candidate list in one kernel call, folding every row into
+/// a caller's min-cover on the way (exact_bb's seed-distance bound). A
+/// single probe (cost_with_head) and add_head's cover pass call a one-row
+/// kernel instead: at small n a batch kernel's set-up costs more than the
+/// row. Both share one kernel body: free integer min/add loops
+/// (strategy_eval.cpp), built as target_clones("avx2", "default") where the
+/// guard allows it (x86-64 ELF under GCC or Clang, except ThreadSanitizer
+/// builds; one plain build everywhere else). Both clones return the same
+/// bits. A batch accumulates SUM in 32 bits while (n − 1)·Cinf < 2³²
+/// (n ≤ 1625), which bounds every cost, and in 64 bits above that; one row
+/// accumulates in 64 bits. A MAX batch goes to the kernel only with the
+/// candidates whose probe seeds every base component; a candidate that
+/// leaves one unseeded costs (1 + unseeded)·Cinf and only folds its row.
 ///
 /// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; the exact solvers
 /// and the move sets use it up to kTableEvaluatorLimit. Stateful and
@@ -383,11 +393,13 @@ class TableEvaluator {
   }
   /// Cost of heads ∪ {t} without committing. One O(n) pass.
   [[nodiscard]] std::uint64_t cost_with_head(Vertex t);
-  /// cost_with_head(t) that also folds row_t into `fold` (fold[v] =
-  /// min(fold[v], row_t[v])) in the same pass, so a caller building a
+  /// costs[i] = cost_with_head(heads[i]) for every i, in one kernel call.
+  /// A non-empty `fold` (size n) also takes every probed row in the same
+  /// pass, fold[v] = min(fold[v], row_t[v]), so a caller building a
   /// min-over-candidates cover (exact_bb's seed-distance bound) reads each
-  /// row once.
-  [[nodiscard]] std::uint64_t cost_with_head(Vertex t, std::span<std::uint32_t> fold);
+  /// row once. Counts one evaluation per head.
+  void cost_with_heads(std::span<const Vertex> heads, std::span<std::uint64_t> costs,
+                       std::span<std::uint32_t> fold = {});
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evaluations_; }
   /// No oracle runs behind the table, so no BFS is ever "avoided": always 0.
   [[nodiscard]] std::uint64_t bfs_avoided() const noexcept { return 0; }
@@ -415,11 +427,16 @@ class TableEvaluator {
   template <bool kFold>
   [[nodiscard]] std::uint64_t score(const std::uint32_t* cover, const std::uint32_t* row,
                                     std::uint32_t* fold) const;
+  /// costs[i] = score of the present cover with heads[i]'s row, every row
+  /// folded into `fold` when it is non-null; batched kernel calls.
+  /// Unchecked: cost_with_heads validates the heads.
+  void score_batch(std::span<const Vertex> heads, std::uint64_t* costs, std::uint32_t* fold);
 
   Vertex player_;
   CostVersion version_;
   std::uint32_t n_;
   std::uint32_t inf_;                   ///< Cinf = n²
+  bool narrow_sum_ = false;             ///< (n − 1)·Cinf < 2³²: SUM fits 32 bits
   std::vector<std::uint32_t> table_;    ///< n×n head covers, row-major by head
   std::vector<Vertex> reps_;            ///< one vertex per base component
   std::vector<std::uint32_t> covers_;   ///< (heads + 1) × n cover stack
@@ -429,6 +446,11 @@ class TableEvaluator {
   std::vector<Vertex> current_strategy_;
   std::uint64_t current_cost_ = 0;
   std::uint64_t evaluations_ = 0;
+  // score_batch scratch (MAX): the heads that seed every base component, and
+  // their slots and costs.
+  std::vector<Vertex> seeding_heads_;
+  std::vector<std::uint32_t> seeding_slots_;
+  std::vector<std::uint64_t> seeding_costs_;
 };
 
 /// Largest n scored on TableEvaluator (exact solvers, move sets): its O(n²)
@@ -497,6 +519,19 @@ class NaiveEvaluator {
   StrategyEvaluator::Scratch scratch_;
   std::vector<Vertex> heads_;  ///< present head set, in insertion order
 };
+
+/// costs[i] = cost of heads[i] added to eval's head set, without committing:
+/// one batched kernel call on TableEvaluator, one cost_with_head per head on
+/// the other evaluators. Every head must be absent from the head set.
+template <class Eval>
+void cost_with_heads(Eval& eval, std::span<const Vertex> heads, std::span<std::uint64_t> costs) {
+  if constexpr (std::is_same_v<Eval, TableEvaluator>) {
+    eval.cost_with_heads(heads, costs);
+  } else {
+    BBNG_REQUIRE(costs.size() == heads.size());
+    for (std::size_t i = 0; i < heads.size(); ++i) costs[i] = eval.cost_with_head(heads[i]);
+  }
+}
 
 /// Result of one player's first-improving-swap scan (see below).
 struct SwapScanResult {

@@ -164,68 +164,76 @@ class Search {
 
     // depth < b here, and the children only touch deeper levels.
     Level& level = levels_[depth];
-    std::vector<Candidate>& cands = level.cands;
 
-    // Probe every allowed candidate once; on the table the same pass folds
-    // its row into the seed-distance bound's cover.
-    cands.clear();
+    // Probe every allowed candidate in one batch; on the table the same
+    // kernel call folds every row into the seed-distance bound's cover.
+    std::vector<std::uint64_t>& costs = level.costs;
+    costs.resize(allowed.size());
     if constexpr (kTable) {
       const std::span<const std::uint32_t> cover = eval_.cover();
       bound_.assign(cover.begin(), cover.end());
-    }
-    for (const Vertex t : allowed) {
-      std::uint64_t c = 0;
-      if constexpr (kTable) {
-        c = eval_.cost_with_head(t, bound_);
-      } else {
-        c = eval_.cost_with_head(t);
-      }
-      BBNG_ASSERT(c <= cost_p);
-      cands.push_back({t, c, cost_p - c});
+      eval_.cost_with_heads(allowed, costs, bound_);
+    } else {
+      cost_with_heads(eval_, allowed, costs);
     }
     evaluated_ += allowed.size();
 
-    // Branch best-saving-first; ties by vertex id keep the order (and with
-    // it every node/evaluation count) deterministic. Sorted savings make
-    // every SUM savings bound below one prefix-sum lookup.
-    std::sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
-      return a.saving != b.saving ? a.saving > b.saving : a.t < b.t;
-    });
-    std::vector<std::uint64_t>& prefix = level.prefix;
-    std::uint64_t gain = 0;
-    if (version_ == CostVersion::Sum) {
-      // A candidate saving nothing at P saves nothing below P either
-      // (single-head savings shrink as P grows) — drop it from the subtree.
-      // It adds nothing to any savings sum, so the bounds are unchanged.
-      while (!cands.empty() && cands.back().saving == 0) cands.pop_back();
-      prefix.resize(cands.size() + 1);
-      prefix[0] = 0;
-      for (std::size_t i = 0; i < cands.size(); ++i) prefix[i + 1] = prefix[i] + cands[i].saving;
-      gain = prefix[std::min<std::size_t>(r, cands.size())];
+    if (r == 1) {
+      leaves(allowed, costs, cost_p);
+      return;
     }
 
+    // A candidate saving nothing at P saves nothing below P either
+    // (single-head savings shrink as P grows), so SUM drops it from the
+    // subtree. It adds nothing to any savings sum, so the bounds are
+    // unchanged.
+    std::vector<Candidate>& cands = level.cands;
+    cands.clear();
+    for (std::size_t i = 0; i < allowed.size(); ++i) {
+      BBNG_ASSERT(costs[i] <= cost_p);
+      const std::uint64_t saving = cost_p - costs[i];
+      if (version_ == CostVersion::Sum && saving == 0) continue;
+      cands.push_back({allowed[i], costs[i], saving});
+    }
+
+    // Branch best-saving-first; ties by vertex id keep the order (and with
+    // it every node/evaluation count) deterministic. Only the prefix the
+    // child loop reaches is put in that order: cands[0, sorted) is sorted,
+    // every later candidate ranks after it, and prefix[i] sums the i largest
+    // savings for i ≤ sorted. order mirrors cands, so child k branches over
+    // order[k+1..], exactly the candidates ranked after it.
+    std::size_t sorted = 0;
+    std::vector<std::uint64_t>& prefix = level.prefix;
+    std::vector<Vertex>& order = level.order;
+    prefix.assign(1, 0);
+    order.resize(cands.size());
+    const auto sort_through = [&](std::size_t want) {
+      want = std::min(want, cands.size());
+      if (want <= sorted) return;
+      want = std::min(cands.size(), std::max(want, 2 * sorted));  // O(log c) blocks
+      const auto first = cands.begin() + static_cast<std::ptrdiff_t>(sorted);
+      const auto mid = cands.begin() + static_cast<std::ptrdiff_t>(want);
+      std::nth_element(first, mid, cands.end(), branch_before);
+      std::sort(first, mid, branch_before);
+      prefix.resize(want + 1);
+      for (std::size_t i = sorted; i < want; ++i) prefix[i + 1] = prefix[i] + cands[i].saving;
+      for (std::size_t i = sorted; i < cands.size(); ++i) order[i] = cands[i].t;
+      sorted = want;
+    };
+
+    std::uint64_t gain = 0;
+    if (version_ == CostVersion::Sum) {
+      sort_through(r);
+      gain = prefix[std::min<std::size_t>(r, cands.size())];
+    } else {
+      sort_through(cands.size());
+    }
     const std::uint64_t lb = node_lower_bound(cost_p, gain);
     if (lb >= best_cost_) {
       ++nodes_pruned_;
       return;
     }
 
-    if (r == 1) {
-      // Children are leaves and their costs are already probed.
-      for (const Candidate& c : cands) {
-        if (c.cost < best_cost_) {
-          path_.push_back(c.t);
-          offer(path_, c.cost);
-          path_.pop_back();
-        }
-      }
-      return;
-    }
-
-    // Child k branches over the candidates after it: a suffix of one list.
-    std::vector<Vertex>& order = level.order;
-    order.clear();
-    for (const Candidate& c : cands) order.push_back(c.t);
     const std::span<const Vertex> branch(order);
     for (std::size_t k = 0; k < cands.size(); ++k) {
       if (truncated_ || out_of_budget()) {
@@ -233,23 +241,60 @@ class Search {
         trunc_lb_ = std::min(trunc_lb_, lb);
         return;
       }
-      const Candidate& child = cands[k];
       if (version_ == CostVersion::Sum) {
         // Pre-prune with the parent-level savings (≥ the child-level ones):
         // the r − 1 largest after k are the next r − 1 in branch order.
+        sort_through(k + r);
+        const Candidate& child = cands[k];
         const std::size_t keep = std::min<std::size_t>(r - 1, cands.size() - k - 1);
         const std::uint64_t child_gain = prefix[k + 1 + keep] - prefix[k + 1];
         if (child.cost - std::min(child.cost, child_gain) >= best_cost_) {
-          ++nodes_pruned_;
-          continue;
+          // In branch order child costs only rise and the next r − 1
+          // savings only shrink, while best_cost_ only falls: every later
+          // child is pre-pruned too.
+          nodes_pruned_ += cands.size() - k;
+          return;
         }
       }
-      path_.push_back(child.t);
-      eval_.add_head(child.t);
+      const Vertex t = cands[k].t;
+      path_.push_back(t);
+      eval_.add_head(t);
       dfs(branch.subspan(k + 1), std::max(lb, floor_lb), depth + 1);
-      eval_.remove_head(child.t);
+      eval_.remove_head(t);
       path_.pop_back();
     }
+  }
+
+  /// A node with one head slot left: its children are leaves whose costs
+  /// are probed. One pass finds the least (cost, vertex) child — the one a
+  /// best-saving-first walk would offer first, and the only one it could
+  /// offer, since the offer lowers best_cost_ to its cost — and with it the
+  /// largest saving, the SUM bound's gain. `allowed` is a DFS suffix, not
+  /// ascending, so ties go to the smaller vertex explicitly.
+  void leaves(std::span<const Vertex> allowed, std::span<const std::uint64_t> costs,
+              std::uint64_t cost_p) {
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < allowed.size(); ++i) {
+      BBNG_ASSERT(costs[i] <= cost_p);
+      if (costs[i] < costs[best] || (costs[i] == costs[best] && allowed[i] < allowed[best])) {
+        best = i;
+      }
+    }
+    const std::uint64_t gain = version_ == CostVersion::Sum ? cost_p - costs[best] : 0;
+    if (node_lower_bound(cost_p, gain) >= best_cost_) {
+      ++nodes_pruned_;
+      return;
+    }
+    if (costs[best] < best_cost_) {
+      path_.push_back(allowed[best]);
+      offer(path_, costs[best]);
+      path_.pop_back();
+    }
+  }
+
+  /// Branch order: best saving first, ties to the smaller vertex.
+  static bool branch_before(const Candidate& a, const Candidate& b) {
+    return a.saving != b.saving ? a.saving > b.saving : a.t < b.t;
   }
 
   /// One DFS depth's scratch. levels_ is sized b + 1 once per solve and a
@@ -257,8 +302,9 @@ class Search {
   /// its children stay valid, and each level keeps its capacity: once the
   /// deepest level reached is warm, no node allocates.
   struct Level {
+    std::vector<std::uint64_t> costs;   ///< probed cost of each allowed candidate
     std::vector<Candidate> cands;       ///< probed candidates, branch order
-    std::vector<std::uint64_t> prefix;  ///< prefix[i] = Σ of the i largest savings (SUM)
+    std::vector<std::uint64_t> prefix;  ///< prefix[i] = Σ of the i largest savings
     std::vector<Vertex> order;          ///< cands' vertices; child k gets order[k+1..]
   };
 

@@ -11,11 +11,13 @@
 // kTableEvaluatorLimit one TableEvaluator per solve holds the n×n
 // base-distance table and a stack of seed covers.
 // Each DFS node's partial head set P is the top of that stack, so
-// descending/backtracking is one O(n) cover pass or a pop, and probing a
-// child is one O(n) pass over min(cover, row_t) — the same pass folds row_t
-// into the seed-distance bound below. Those passes are integer-only kernels
-// cloned for AVX2 and the baseline ISA (the host picks one at load time;
-// both return the same bits). The greedy+swap incumbent seed runs
+// descending/backtracking is one O(n) cover pass or a pop. A node probes
+// all its candidates with one batched call (TableEvaluator::
+// cost_with_heads): one kernel call makes one O(n) pass over
+// min(cover, row_t) per candidate and folds every row_t into the
+// seed-distance bound below. The kernels are integer-only and cloned for
+// AVX2 and the baseline ISA (the host picks one at load time; both return
+// the same bits). The greedy+swap incumbent seed runs
 // the shared descent bodies (greedy_with / swap_improve_with) on the same
 // evaluator before the search reuses it. Above that limit, where an O(n²)
 // table is too large, the same search runs on the CSR delta oracle
@@ -23,13 +25,27 @@
 // cost is exact either way, and the DFS order depends only on costs, so the
 // scoring path never changes a node, prune, evaluation count or incumbent.
 //
-// Each node sorts its probed candidates once, best saving first, and builds
-// one prefix sum over the sorted savings: the node's SUM savings bound
-// below is prefix[min(r, c)], and child k's pre-prune gain is the next
-// r − 1 savings after it, prefix[k+1+keep] − prefix[k+1]. Child k branches
-// over the candidates after it in that order, handed down as a suffix span
-// of one per-depth list. Per-depth scratch is sized b + 1 once per solve,
-// so no node allocates once its level is warm.
+// Children are expanded best saving first, ties to the smaller vertex id,
+// and no node orders more candidates than it uses:
+//   * r = 1 (one head slot left): the children are leaves. One pass over
+//     the probed costs finds the least (cost, vertex) child, the only one
+//     the ordered walk could offer, and with it the largest saving, the SUM
+//     bound's gain. Nothing is sorted.
+//   * r ≥ 2: candidates are put in branch order only up to the prefix the
+//     child loop reaches (nth_element + sort, in blocks that double), with
+//     a prefix sum over the ordered savings. The SUM savings bound is the
+//     sum of the r largest savings, prefix[min(r, c)], and child k's
+//     pre-prune gain is the next r − 1 savings after it, prefix[k+1+keep] −
+//     prefix[k+1]. In branch order that pre-prune value child.cost −
+//     child_gain never decreases while the incumbent only falls, so the
+//     first pre-pruned child ends the loop and the rest count as pruned.
+//     MAX has no pre-prune and orders every candidate.
+// Child k branches over every candidate ranked after it, handed down as a
+// suffix span of one per-depth list (its unordered tail included). A
+// deadline that expires while such a run of pre-pruned children is being
+// skipped no longer marks the search truncated; node-limited searches are
+// unchanged. Per-depth scratch is sized b + 1 once per solve, so no node
+// allocates once its level is warm.
 //
 // Pruning (all admissible, i.e. never cuts a subtree containing a strictly
 // better solution than the incumbent):

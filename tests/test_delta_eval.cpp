@@ -19,6 +19,7 @@
 #include "game/equilibrium.hpp"
 #include "game/strategy_eval.hpp"
 #include "graph/bfs.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
@@ -421,78 +422,146 @@ TEST(DeltaEvalDifferential, FullSuperSourceRowAgreesAcrossEvaluators) {
   }
 }
 
+/// Every probe of `table`'s present head set (the heads `heads`, as
+/// `naive` scores them): each single cost_with_head must equal a scalar
+/// recompute from row()/cover() and the from-scratch cost, and every
+/// batched cost_with_heads over a shuffled candidate list must return the
+/// same costs slot for slot, with and without a fold, the fold being the
+/// elementwise min over every probed row. Returns how many of the probes
+/// seed every base component (MAX cost below Cinf).
+std::uint32_t check_table_probes(TableEvaluator& table, const StrategyEvaluator& naive,
+                                 std::vector<Vertex> heads, CostVersion version, Rng& rng) {
+  const std::uint32_t n = table.num_vertices();
+  const Vertex u = table.player();
+  const std::uint64_t inf = cinf(n);
+  StrategyEvaluator::Scratch scratch(n);
+  const std::span<const std::uint32_t> cover = table.cover();
+  std::vector<Vertex> candidates;
+  std::vector<std::uint64_t> expected(n, 0);
+  std::uint32_t seeding = 0;
+  for (Vertex t = 0; t < n; ++t) {
+    if (t == u || table.has_head(t)) continue;
+    candidates.push_back(t);
+    const std::span<const std::uint32_t> row = table.row(t);
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      sum += std::min(cover[v], row[v]);
+      max = std::max<std::uint64_t>(max, std::min(cover[v], row[v]));
+    }
+    heads.push_back(t);
+    expected[t] = naive.evaluate(heads, scratch);
+    heads.pop_back();
+    // SUM is the plain sum; MAX is the max unless some vertex is
+    // unreached, when κ (which the scalar pass cannot see) decides.
+    if (version == CostVersion::Sum) {
+      EXPECT_EQ(expected[t], sum) << "n " << n << " u " << u << " t " << t;
+    } else if (max < inf) {
+      EXPECT_EQ(expected[t], max) << "n " << n << " u " << u << " t " << t;
+    }
+    if (expected[t] < inf) ++seeding;
+    EXPECT_EQ(table.cost_with_head(t), expected[t])
+        << "n " << n << " u " << u << " t " << t << " " << to_string(version);
+  }
+  std::vector<std::uint64_t> costs(candidates.size());
+  std::vector<std::uint32_t> fold(n);
+  for (int round = 0; round < 3; ++round) {
+    rng.shuffle(candidates);
+    for (Vertex v = 0; v < n; ++v) fold[v] = static_cast<std::uint32_t>(rng.next_below(inf + 1));
+    std::vector<std::uint32_t> folded = fold;
+    for (const Vertex t : candidates) {
+      const std::span<const std::uint32_t> row = table.row(t);
+      for (Vertex v = 0; v < n; ++v) folded[v] = std::min(folded[v], row[v]);
+    }
+    const std::uint64_t evaluations = table.evaluations();
+    table.cost_with_heads(candidates, costs, fold);
+    EXPECT_EQ(table.evaluations(), evaluations + candidates.size());
+    EXPECT_EQ(fold, folded) << "n " << n << " u " << u << " " << to_string(version);
+    std::fill(costs.begin(), costs.end(), 0);
+    table.cost_with_heads(candidates, costs);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      EXPECT_EQ(costs[i], expected[candidates[i]])
+          << "n " << n << " u " << u << " t " << candidates[i] << " " << to_string(version);
+    }
+    table.cost_with_heads(candidates, costs, fold);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      EXPECT_EQ(costs[i], expected[candidates[i]])
+          << "n " << n << " u " << u << " t " << candidates[i] << " folded";
+    }
+  }
+  return seeding;
+}
+
 TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
   // The probe kernels are cloned for wide vectors, so n walks across every
-  // tail length around 8- and 16-lane boundaries. Each probe, with and
-  // without the fold, must equal a scalar recompute from row()/cover() and
-  // the from-scratch cost, and the fold must be the elementwise min.
-  // Disconnected bases send MAX down its unseeded branch.
+  // tail length around 8- and 16-lane boundaries. Disconnected bases send
+  // MAX down its unseeded branch; there the player's heads are reset to seed
+  // every component but the one holding vertex 0 (1 for player 0), so each
+  // batch mixes candidates that seed every component with ones that leave
+  // that component unseeded.
   Rng rng(9021);
+  std::uint32_t mixed_batches = 0;
   for (const std::uint32_t n :
        {2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
     for (const bool connected : {true, false}) {
       const Digraph g = lane_test_graph(n, connected, rng);
-      const std::uint64_t inf = cinf(n);
       for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
         for (const Vertex u : {0u, n / 2}) {
           const StrategyEvaluator naive(g, u, version);
-          StrategyEvaluator::Scratch scratch(n);
           TableEvaluator table(g, u, version);
           std::vector<Vertex> heads = naive.current_strategy();
-          const std::span<const std::uint32_t> cover = table.cover();
-          std::vector<std::uint32_t> fold(n);
-          for (Vertex t = 0; t < n; ++t) {
-            if (t == u || table.has_head(t)) continue;
-            const std::span<const std::uint32_t> row = table.row(t);
-            std::uint64_t sum = 0;
-            std::uint64_t max = 0;
-            for (Vertex v = 0; v < n; ++v) {
-              sum += std::min(cover[v], row[v]);
-              max = std::max<std::uint64_t>(max, std::min(cover[v], row[v]));
-            }
-            heads.push_back(t);
-            const std::uint64_t expected = naive.evaluate(heads, scratch);
-            heads.pop_back();
-            // SUM is the plain sum; MAX is the max unless some vertex is
-            // unreached, when κ (which the scalar pass cannot see) decides.
-            if (version == CostVersion::Sum) {
-              ASSERT_EQ(expected, sum) << "n " << n << " u " << u << " t " << t;
-            } else if (max < inf) {
-              ASSERT_EQ(expected, max) << "n " << n << " u " << u << " t " << t;
-            }
-            for (Vertex v = 0; v < n; ++v) {
-              fold[v] = static_cast<std::uint32_t>(rng.next_below(inf + 1));
-            }
-            const std::vector<std::uint32_t> before = fold;
-            ASSERT_EQ(table.cost_with_head(t), expected)
-                << "n " << n << " u " << u << " t " << t << " " << to_string(version);
-            ASSERT_EQ(table.cost_with_head(t, fold), expected)
-                << "n " << n << " u " << u << " t " << t << " " << to_string(version);
-            for (Vertex v = 0; v < n; ++v) {
-              ASSERT_EQ(fold[v], std::min(before[v], row[v])) << "n " << n << " t " << t;
-            }
+          check_table_probes(table, naive, heads, version, rng);
+          if (connected || version != CostVersion::Max) continue;
+
+          const Components comps = connected_components(best_response_base(g, u));
+          const std::uint32_t open = comps.id[u == 0 ? 1 : 0];
+          std::vector<std::uint8_t> seeded(comps.count, 0);
+          seeded[comps.id[u]] = 1;
+          for (const Vertex w : player_in_neighbors(g, u)) seeded[comps.id[w]] = 1;
+          for (const Vertex h : heads) table.remove_head(h);
+          heads.clear();
+          for (Vertex v = 0; v < n; ++v) {
+            if (comps.id[v] == open || seeded[comps.id[v]]) continue;
+            seeded[comps.id[v]] = 1;
+            table.add_head(v);
+            heads.push_back(v);
           }
+          const std::uint32_t seeding = check_table_probes(table, naive, heads, version, rng);
+          if (seeding > 0 && seeding + heads.size() + 1 < n) ++mixed_batches;
         }
       }
     }
   }
+  EXPECT_GT(mixed_batches, 10u);
 
-  // Edgeless n = 2048: every probe of player 0 leaves n − 2 vertices at Cinf,
-  // a SUM cost of (n − 2)·n² + 1 > 2³², so a 32-bit accumulator would wrap.
-  const std::uint32_t n = 2048;
-  const Digraph g(n);
-  TableEvaluator table(g, 0, CostVersion::Sum);
-  EXPECT_EQ(table.current_cost(), (n - 1) * cinf(n));
-  const std::uint64_t expected = (n - 2) * cinf(n) + 1;
-  ASSERT_GT(expected, std::uint64_t{1} << 32);
-  const StrategyEvaluator naive(g, 0, CostVersion::Sum);
-  StrategyEvaluator::Scratch scratch(n);
-  std::vector<std::uint32_t> fold(n, 0);
-  for (const Vertex t : {1u, 8u, 1000u, n - 1}) {
-    const Vertex heads[] = {t};
-    ASSERT_EQ(naive.evaluate(heads, scratch), expected);
-    EXPECT_EQ(table.cost_with_head(t), expected) << "t " << t;
-    EXPECT_EQ(table.cost_with_head(t, fold), expected) << "t " << t;
+  // Edgeless graphs: every probe of player 0 leaves n − 2 vertices at Cinf,
+  // a SUM cost of (n − 2)·n² + 1. SUM accumulates in 32 bits up to n = 1625,
+  // the largest n with (n − 1)·Cinf < 2³², and in 64 bits from 1626 on; at
+  // n = 2048 a 32-bit accumulator would wrap.
+  EXPECT_LT(std::uint64_t{1624} * cinf(1625), std::uint64_t{1} << 32);
+  EXPECT_GE(std::uint64_t{1625} * cinf(1626), std::uint64_t{1} << 32);
+  for (const std::uint32_t n : {1625u, 1626u, 2048u}) {
+    const Digraph g(n);
+    TableEvaluator table(g, 0, CostVersion::Sum);
+    EXPECT_EQ(table.current_cost(), (n - 1) * cinf(n));
+    const std::uint64_t expected = (n - 2) * cinf(n) + 1;
+    if (n == 2048) {
+      ASSERT_GT(expected, std::uint64_t{1} << 32);
+    }
+    const StrategyEvaluator naive(g, 0, CostVersion::Sum);
+    StrategyEvaluator::Scratch scratch(n);
+    std::vector<Vertex> probes = {1u, 8u, 1000u, n - 1, 7u, n - 2};
+    rng.shuffle(probes);
+    std::vector<std::uint64_t> costs(probes.size());
+    std::vector<std::uint32_t> fold(n, 0);
+    table.cost_with_heads(probes, costs, fold);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const Vertex heads[] = {probes[i]};
+      ASSERT_EQ(naive.evaluate(heads, scratch), expected);
+      EXPECT_EQ(table.cost_with_head(probes[i]), expected) << "n " << n << " t " << probes[i];
+      EXPECT_EQ(costs[i], expected) << "n " << n << " t " << probes[i];
+    }
+    EXPECT_EQ(fold, std::vector<std::uint32_t>(n, 0));
   }
 }
 

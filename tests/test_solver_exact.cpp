@@ -287,14 +287,37 @@ std::string describe_solve(std::uint32_t n, CostVersion version, Vertex u, std::
   return line;
 }
 
+/// Three directed 10-cycles with a few chords each, joined only through
+/// player 0, which points into all three (1, 12, 25). Its stripped base has
+/// three components (three representatives), and only the first is seeded by
+/// an in-neighbour, so a MAX probe that leaves the other two unseeded scores
+/// by κ while one that seeds both scores by the local diameter.
+Digraph three_component_instance() {
+  Rng rng(9500);
+  Digraph g(30);
+  for (Vertex c = 0; c < 30; c += 10) {
+    for (Vertex i = 0; i < 10; ++i) g.add_arc(c + i, c + (i + 1) % 10);
+    for (int k = 0; k < 3; ++k) {
+      const Vertex a = c + static_cast<Vertex>(rng.next_below(10));
+      const Vertex b = c + static_cast<Vertex>(rng.next_below(10));
+      if (a != b && !g.has_arc(a, b) && !g.has_arc(b, a)) g.add_arc(a, b);
+    }
+  }
+  g.add_arc(0, 12);
+  g.add_arc(0, 25);
+  return g;
+}
+
 /// The golden corpus: random-budget instances (σ = 2n) at n ∈ {16, 24, 32,
-/// 48}, SUM and MAX, three players each, solved under four budgets — the
-/// default cap with a roomy and with a tiny node limit, a cap one above the
-/// out-degree, and a cap one below it (two above for single-head players).
+/// 48, 64, 96}, SUM and MAX, three players each, solved under four budgets —
+/// the default cap with a roomy and with a tiny node limit, a cap one above
+/// the out-degree, and a cap one below it (two above for single-head
+/// players) — then one MAX solve of player 0 on three_component_instance()
+/// with a cap one above its out-degree.
 std::vector<std::string> search_tree_corpus() {
   const ExactBranchAndBound bb;
   std::vector<std::string> lines;
-  for (const std::uint32_t n : {16u, 24u, 32u, 48u}) {
+  for (const std::uint32_t n : {16u, 24u, 32u, 48u, 64u, 96u}) {
     for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
       Rng rng(9000 + 2 * n + (version == CostVersion::Max ? 1 : 0));
       const Digraph g = random_profile(random_budgets(n, 2 * n, rng), rng);
@@ -315,6 +338,13 @@ std::vector<std::string> search_tree_corpus() {
       }
     }
   }
+  const Digraph g = three_component_instance();
+  SolverBudget budget;
+  budget.budget_cap = g.out_degree(0) + 1;
+  budget.node_limit = 4000;
+  const SolverResult result = bb.solve(g, 0, CostVersion::Max, budget);
+  lines.push_back(
+      describe_solve(30, CostVersion::Max, 0, budget.budget_cap, budget.node_limit, result));
   return lines;
 }
 
@@ -419,6 +449,55 @@ const char* const kSearchTreeGolden[] = {
     "n=48 MAX u=32 cap=0 limit=40 | strategy=5,31,36 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=15 evaluated=1291",
     "n=48 MAX u=32 cap=4 limit=1500 | strategy=2,4,5,13 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=962 evaluated=27229",
     "n=48 MAX u=32 cap=2 limit=1500 | strategy=0,5 cost=4 current=4 optimal=1 lb=4 nodes=46 pruned=17 evaluated=1035",
+    "n=64 SUM u=0 cap=0 limit=4000 | strategy=26,36 cost=159 current=4255 optimal=1 lb=159 nodes=1 pruned=7 evaluated=305",
+    "n=64 SUM u=0 cap=0 limit=40 | strategy=26,36 cost=159 current=4255 optimal=1 lb=159 nodes=1 pruned=7 evaluated=305",
+    "n=64 SUM u=0 cap=3 limit=1500 | strategy=26,36,42 cost=146 current=4255 optimal=1 lb=146 nodes=3 pruned=117 evaluated=416",
+    "n=64 SUM u=0 cap=1 limit=1500 | strategy=26 cost=173 current=4255 optimal=1 lb=173 nodes=1 pruned=6 evaluated=57",
+    "n=64 SUM u=21 cap=0 limit=4000 | strategy=26 cost=218 current=4296 optimal=1 lb=218 nodes=1 pruned=3 evaluated=187",
+    "n=64 SUM u=21 cap=0 limit=40 | strategy=26 cost=218 current=4296 optimal=1 lb=218 nodes=1 pruned=3 evaluated=187",
+    "n=64 SUM u=21 cap=2 limit=1500 | strategy=0,26 cost=182 current=4296 optimal=1 lb=182 nodes=2 pruned=62 evaluated=247",
+    "n=64 SUM u=21 cap=3 limit=1500 | strategy=0,23,26 cost=167 current=4296 optimal=1 lb=167 nodes=11 pruned=121 evaluated=742",
+    "n=64 SUM u=42 cap=0 limit=4000 | strategy=0,10,23,26,36 cost=152 current=4268 optimal=1 lb=152 nodes=170 pruned=1688 evaluated=8174",
+    "n=64 SUM u=42 cap=0 limit=40 | strategy=0,10,23,26,36 cost=152 current=4268 optimal=0 lb=64 nodes=40 pruned=512 evaluated=2791",
+    "n=64 SUM u=42 cap=6 limit=1500 | strategy=0,11,26,34,38,52 cost=144 current=4268 optimal=1 lb=144 nodes=480 pruned=4977 evaluated=21050",
+    "n=64 SUM u=42 cap=4 limit=1500 | strategy=0,23,26,36 cost=160 current=4268 optimal=1 lb=160 nodes=46 pruned=342 evaluated=2075",
+    "n=64 MAX u=0 cap=0 limit=4000 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=4000 pruned=2555 evaluated=90980",
+    "n=64 MAX u=0 cap=0 limit=40 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=8 evaluated=2406",
+    "n=64 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,4,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=1500 pruned=930 evaluated=35558",
+    "n=64 MAX u=0 cap=5 limit=1500 | strategy=1,2,3,4,26 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=376 evaluated=33545",
+    "n=64 MAX u=21 cap=0 limit=4000 | strategy=17,52,56 cost=4 current=4 optimal=1 lb=4 nodes=1151 pruned=287 evaluated=29109",
+    "n=64 MAX u=21 cap=0 limit=40 | strategy=17,52,56 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=2 evaluated=2027",
+    "n=64 MAX u=21 cap=4 limit=1500 | strategy=0,2,3,30 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=911 evaluated=35301",
+    "n=64 MAX u=21 cap=2 limit=1500 | strategy=0,2 cost=4 current=4 optimal=1 lb=4 nodes=62 pruned=40 evaluated=1891",
+    "n=64 MAX u=42 cap=0 limit=4000 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=4000 pruned=1348 evaluated=84735",
+    "n=64 MAX u=42 cap=0 limit=40 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=2 evaluated=2143",
+    "n=64 MAX u=42 cap=5 limit=1500 | strategy=0,1,2,3,19 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=395 evaluated=32922",
+    "n=64 MAX u=42 cap=3 limit=1500 | strategy=0,1,19 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=434 evaluated=34514",
+    "n=96 SUM u=0 cap=0 limit=4000 | strategy=30,34,40 cost=315 current=18720 optimal=1 lb=315 nodes=1 pruned=3 evaluated=652",
+    "n=96 SUM u=0 cap=0 limit=40 | strategy=30,34,40 cost=315 current=18720 optimal=1 lb=315 nodes=1 pruned=3 evaluated=652",
+    "n=96 SUM u=0 cap=4 limit=1500 | strategy=30,34,40,42 cost=283 current=18720 optimal=1 lb=283 nodes=17 pruned=275 evaluated=2004",
+    "n=96 SUM u=0 cap=2 limit=1500 | strategy=30,40 cost=376 current=18720 optimal=1 lb=376 nodes=2 pruned=94 evaluated=185",
+    "n=96 SUM u=32 cap=0 limit=4000 | strategy=30 cost=9646 current=18806 optimal=1 lb=9646 nodes=1 pruned=2 evaluated=284",
+    "n=96 SUM u=32 cap=0 limit=40 | strategy=30 cost=9646 current=18806 optimal=1 lb=9646 nodes=1 pruned=2 evaluated=284",
+    "n=96 SUM u=32 cap=2 limit=1500 | strategy=30,40 cost=431 current=18806 optimal=1 lb=431 nodes=2 pruned=94 evaluated=377",
+    "n=96 SUM u=32 cap=3 limit=1500 | strategy=30,40,42 cost=322 current=18806 optimal=1 lb=322 nodes=3 pruned=186 evaluated=469",
+    "n=96 SUM u=64 cap=0 limit=4000 | strategy=30,34,40,42 cost=291 current=18707 optimal=1 lb=291 nodes=36 pruned=278 evaluated=3493",
+    "n=96 SUM u=64 cap=0 limit=40 | strategy=30,34,40,42 cost=291 current=18707 optimal=1 lb=291 nodes=36 pruned=278 evaluated=3493",
+    "n=96 SUM u=64 cap=5 limit=1500 | strategy=30,40,42,53,56 cost=269 current=18707 optimal=1 lb=269 nodes=108 pruned=1268 evaluated=8480",
+    "n=96 SUM u=64 cap=3 limit=1500 | strategy=30,34,40 cost=327 current=18707 optimal=1 lb=327 nodes=3 pruned=186 evaluated=279",
+    "n=96 MAX u=0 cap=0 limit=4000 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=1976 evaluated=136263",
+    "n=96 MAX u=0 cap=0 limit=40 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=2 evaluated=4030",
+    "n=96 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=586 evaluated=61570",
+    "n=96 MAX u=0 cap=5 limit=1500 | strategy=2,15,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=631 evaluated=61830",
+    "n=96 MAX u=33 cap=0 limit=4000 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=2126 evaluated=137434",
+    "n=96 MAX u=33 cap=0 limit=40 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=3 evaluated=3990",
+    "n=96 MAX u=33 cap=7 limit=1500 | strategy=0,1,2,3,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=696 evaluated=60349",
+    "n=96 MAX u=33 cap=5 limit=1500 | strategy=0,1,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=615 evaluated=61257",
+    "n=96 MAX u=64 cap=0 limit=4000 | strategy=0,45,69 cost=5 current=27648 optimal=1 lb=5 nodes=184 pruned=182 evaluated=8932",
+    "n=96 MAX u=64 cap=0 limit=40 | strategy=0,45,69 cost=5 current=27648 optimal=0 lb=1 nodes=40 pruned=40 evaluated=3459",
+    "n=96 MAX u=64 cap=4 limit=1500 | strategy=5,30,45,69 cost=4 current=27648 optimal=1 lb=4 nodes=274 pruned=213 evaluated=12937",
+    "n=96 MAX u=64 cap=2 limit=1500 | strategy=45,69 cost=6 current=27648 optimal=1 lb=6 nodes=93 pruned=93 evaluated=4278",
+    "n=30 MAX u=0 cap=4 limit=4000 | strategy=1,10,12,20 cost=4 current=5 optimal=1 lb=4 nodes=1223 pruned=852 evaluated=12355",
 };
 
 TEST(SolverExact, SearchTreeGoldenIsReproducedExactly) {
