@@ -182,9 +182,7 @@ BBNG_PROBE_CLONES void fold_min(const std::uint32_t* __restrict row,
 
 // A batch of rows per call: out[i] scores the row of heads[i]. A per-row
 // call costs more than the row itself at small n, so a node's probes share
-// one. SUM accumulates in 32 bits where that is exact (narrow_sum_).
-using MinRowsKernel = void (*)(const std::uint32_t*, const std::uint32_t*, std::uint32_t,
-                               const Vertex*, std::size_t, std::uint64_t*, std::uint32_t*);
+// one. SUM accumulates in 64 bits, as one row does.
 #define BBNG_MIN_ROWS_KERNEL(name, Acc, kMax, kFold)                                          \
   BBNG_PROBE_CLONES void name(const std::uint32_t* __restrict cover,                          \
                               const std::uint32_t* __restrict table, std::uint32_t n,         \
@@ -194,10 +192,8 @@ using MinRowsKernel = void (*)(const std::uint32_t*, const std::uint32_t*, std::
       out[i] = min_row<Acc, kMax, kFold>(cover, table + std::size_t{heads[i]} * n, fold, n);  \
     }                                                                                         \
   }
-BBNG_MIN_ROWS_KERNEL(sum32_min_rows, std::uint32_t, false, false)
-BBNG_MIN_ROWS_KERNEL(sum32_min_rows_fold, std::uint32_t, false, true)
-BBNG_MIN_ROWS_KERNEL(sum64_min_rows, std::uint64_t, false, false)
-BBNG_MIN_ROWS_KERNEL(sum64_min_rows_fold, std::uint64_t, false, true)
+BBNG_MIN_ROWS_KERNEL(sum_min_rows, std::uint64_t, false, false)
+BBNG_MIN_ROWS_KERNEL(sum_min_rows_fold, std::uint64_t, false, true)
 BBNG_MIN_ROWS_KERNEL(max_min_rows, std::uint32_t, true, false)
 BBNG_MIN_ROWS_KERNEL(max_min_rows_fold, std::uint32_t, true, true)
 #undef BBNG_MIN_ROWS_KERNEL
@@ -275,7 +271,6 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   BBNG_REQUIRE_MSG(cinf(n_) <= std::numeric_limits<std::uint32_t>::max(),
                    "Cinf does not fit the table's 32-bit entries");
   inf_ = static_cast<std::uint32_t>(cinf(n_));
-  narrow_sum_ = std::uint64_t{n_ - 1} * inf_ <= std::numeric_limits<std::uint32_t>::max();
 
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
   // Unreached entries, and the player's row (never a head), keep Cinf.
@@ -341,42 +336,27 @@ std::uint64_t TableEvaluator::score(const std::uint32_t* cover, const std::uint3
 }
 
 void TableEvaluator::score_batch(std::span<const Vertex> heads, std::uint64_t* costs,
-                                 std::uint32_t* fold) {
+                                 std::uint32_t* fold) const {
   const std::uint32_t* cover = this->cover().data();
   const std::uint32_t* table = table_.data();
   const bool folds = fold != nullptr;
   if (version_ == CostVersion::Sum) {
-    const MinRowsKernel kernel = narrow_sum_ ? (folds ? sum32_min_rows_fold : sum32_min_rows)
-                                             : (folds ? sum64_min_rows_fold : sum64_min_rows);
-    kernel(cover, table, n_, heads.data(), heads.size(), costs, fold);
+    (folds ? sum_min_rows_fold : sum_min_rows)(cover, table, n_, heads.data(), heads.size(), costs,
+                                               fold);
     return;
   }
-  // MAX batches the heads whose probe seeds every base component (κ == 1,
-  // scored by the local diameter); a head that leaves one unseeded keeps
-  // score()'s κ path. While the cover reaches every representative, that is
-  // every head.
-  const MinRowsKernel kernel = folds ? max_min_rows_fold : max_min_rows;
+  // MAX: while the cover reaches every base component, every head's probe
+  // seeds them all (κ == 1, scored by the local diameter), so the batch goes
+  // to the kernel. Otherwise most heads leave a component unseeded, and each
+  // head is scored alone on score()'s κ path.
   if (std::none_of(reps_.begin(), reps_.end(), [&](Vertex r) { return cover[r] == inf_; })) {
-    kernel(cover, table, n_, heads.data(), heads.size(), costs, fold);
+    (folds ? max_min_rows_fold : max_min_rows)(cover, table, n_, heads.data(), heads.size(), costs,
+                                               fold);
     return;
   }
-  seeding_heads_.clear();
-  seeding_slots_.clear();
   for (std::size_t i = 0; i < heads.size(); ++i) {
     const std::uint32_t* row = table + std::size_t{heads[i]} * n_;
-    if (std::all_of(reps_.begin(), reps_.end(),
-                    [&](Vertex r) { return std::min(cover[r], row[r]) != inf_; })) {
-      seeding_heads_.push_back(heads[i]);
-      seeding_slots_.push_back(static_cast<std::uint32_t>(i));
-    } else {
-      costs[i] = folds ? score<true>(cover, row, fold) : score<false>(cover, row, nullptr);
-    }
-  }
-  seeding_costs_.resize(seeding_heads_.size());
-  kernel(cover, table, n_, seeding_heads_.data(), seeding_heads_.size(), seeding_costs_.data(),
-         fold);
-  for (std::size_t j = 0; j < seeding_slots_.size(); ++j) {
-    costs[seeding_slots_[j]] = seeding_costs_[j];
+    costs[i] = folds ? score<true>(cover, row, fold) : score<false>(cover, row, nullptr);
   }
 }
 

@@ -355,11 +355,10 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// (strategy_eval.cpp), built as target_clones("avx2", "default") where the
 /// guard allows it (x86-64 ELF under GCC or Clang, except ThreadSanitizer
 /// builds; one plain build everywhere else). Both clones return the same
-/// bits. A batch accumulates SUM in 32 bits while (n − 1)·Cinf < 2³²
-/// (n ≤ 1625), which bounds every cost, and in 64 bits above that; one row
-/// accumulates in 64 bits. A MAX batch goes to the kernel only with the
-/// candidates whose probe seeds every base component; a candidate that
-/// leaves one unseeded costs (1 + unseeded)·Cinf and only folds its row.
+/// bits. SUM accumulates in 64 bits. A MAX batch goes to the kernel while
+/// the cover seeds every base component; otherwise each candidate is scored
+/// alone, and one that leaves a component unseeded costs
+/// (1 + unseeded)·Cinf and only folds its row.
 ///
 /// O(n²) memory with Cinf stored as uint32, so n ≤ 65535; the exact solvers
 /// and the move sets use it up to kTableEvaluatorLimit. Stateful and
@@ -430,13 +429,12 @@ class TableEvaluator {
   /// costs[i] = score of the present cover with heads[i]'s row, every row
   /// folded into `fold` when it is non-null; batched kernel calls.
   /// Unchecked: cost_with_heads validates the heads.
-  void score_batch(std::span<const Vertex> heads, std::uint64_t* costs, std::uint32_t* fold);
+  void score_batch(std::span<const Vertex> heads, std::uint64_t* costs, std::uint32_t* fold) const;
 
   Vertex player_;
   CostVersion version_;
   std::uint32_t n_;
   std::uint32_t inf_;                   ///< Cinf = n²
-  bool narrow_sum_ = false;             ///< (n − 1)·Cinf < 2³²: SUM fits 32 bits
   std::vector<std::uint32_t> table_;    ///< n×n head covers, row-major by head
   std::vector<Vertex> reps_;            ///< one vertex per base component
   std::vector<std::uint32_t> covers_;   ///< (heads + 1) × n cover stack
@@ -446,11 +444,6 @@ class TableEvaluator {
   std::vector<Vertex> current_strategy_;
   std::uint64_t current_cost_ = 0;
   std::uint64_t evaluations_ = 0;
-  // score_batch scratch (MAX): the heads that seed every base component, and
-  // their slots and costs.
-  std::vector<Vertex> seeding_heads_;
-  std::vector<std::uint32_t> seeding_slots_;
-  std::vector<std::uint64_t> seeding_costs_;
 };
 
 /// Largest n scored on TableEvaluator (exact solvers, move sets): its O(n²)

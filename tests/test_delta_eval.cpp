@@ -534,10 +534,10 @@ TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
   }
   EXPECT_GT(mixed_batches, 10u);
 
-  // Edgeless graphs: every probe of player 0 leaves n − 2 vertices at Cinf,
-  // a SUM cost of (n − 2)·n² + 1. SUM accumulates in 32 bits up to n = 1625,
-  // the largest n with (n − 1)·Cinf < 2³², and in 64 bits from 1626 on; at
-  // n = 2048 a 32-bit accumulator would wrap.
+  // Edgeless graphs: player 0's cost with no heads is (n − 1)·Cinf, which
+  // first passes 2³² at n = 1626, and every probe leaves n − 2 vertices at
+  // Cinf, a SUM cost of (n − 2)·n² + 1, past 2³² at n = 2048. Every SUM pass
+  // accumulates in 64 bits, so a 32-bit accumulator would wrap from there.
   EXPECT_LT(std::uint64_t{1624} * cinf(1625), std::uint64_t{1} << 32);
   EXPECT_GE(std::uint64_t{1625} * cinf(1626), std::uint64_t{1} << 32);
   for (const std::uint32_t n : {1625u, 1626u, 2048u}) {
