@@ -42,7 +42,7 @@ int run(int argc, const char** argv) {
   const auto flags = bench::add_common_flags(cli);
   const auto min_n = cli.add_int("min-n", 10, "smallest instance size");
   const auto max_n = cli.add_int("max-n", 18, "largest instance size (steps of 4)");
-  const auto instances = cli.add_int("instances", 12, "instances per (n, version)");
+  const auto instances = cli.add_int("instances", 100, "instances per (n, version)");
   const auto max_b = cli.add_int("max-b", 4, "budget clamp (enumeration cost cap)");
   cli.parse(argc, argv);
   bench::apply_common_flags(flags);

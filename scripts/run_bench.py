@@ -55,7 +55,7 @@ Usage:
                                  [--min-n 128] [--max-n 1024] [--players 24] [--seed 1]
                                  [--solver-output BENCH_solver.json]
                                  [--solver-min-n 10] [--solver-max-n 18]
-                                 [--solver-instances 12]
+                                 [--solver-instances 100]
                                  [--csr-output BENCH_csr.json] [--csr-large-n 1000]
                                  [--multi-bfs-output BENCH_multi_bfs.json]
                                  [--multi-bfs-audit-n 512] [--multi-bfs-large-n 1000000]
@@ -177,7 +177,7 @@ def main():
     )
     parser.add_argument("--solver-min-n", type=int, default=10)
     parser.add_argument("--solver-max-n", type=int, default=18)
-    parser.add_argument("--solver-instances", type=int, default=12)
+    parser.add_argument("--solver-instances", type=int, default=100)
     parser.add_argument(
         "--csr-output",
         default="",

@@ -311,10 +311,17 @@ std::uint64_t TableEvaluator::in_cover_cost() const {
     for (const std::uint32_t d : cover) sum += d;
     return sum;
   }
-  std::uint64_t unseeded = 0;
-  for (const Vertex r : reps_) unseeded += cover[r] == inf_ ? 1 : 0;
+  const std::uint64_t unseeded = count_unseeded(cover.data());
   if (unseeded > 0) return std::uint64_t{inf_} * (1 + unseeded);
   return *std::max_element(cover.begin(), cover.end());
+}
+
+std::uint32_t TableEvaluator::count_unseeded(const std::uint32_t* cover,
+                                             const std::uint32_t* row) const {
+  const std::uint32_t* seed = row != nullptr ? row : cover;
+  std::uint32_t unseeded = 0;
+  for (const Vertex r : reps_) unseeded += std::min(cover[r], seed[r]) == inf_ ? 1 : 0;
+  return unseeded;
 }
 
 template <bool kFold>
@@ -325,8 +332,7 @@ std::uint64_t TableEvaluator::score(const std::uint32_t* cover, const std::uint3
     return sum_min(cover, row, n_);
   }
   // MAX: κ − 1 = base components whose representative no seed reaches.
-  std::uint64_t unseeded = 0;
-  for (const Vertex r : reps_) unseeded += std::min(cover[r], row[r]) == inf_ ? 1 : 0;
+  const std::uint64_t unseeded = count_unseeded(cover, row);
   if (unseeded > 0) {
     if constexpr (kFold) fold_min(row, fold, n_);
     return std::uint64_t{inf_} * (1 + unseeded);
@@ -349,7 +355,7 @@ void TableEvaluator::score_batch(std::span<const Vertex> heads, std::uint64_t* c
   // seeds them all (κ == 1, scored by the local diameter), so the batch goes
   // to the kernel. Otherwise most heads leave a component unseeded, and each
   // head is scored alone on score()'s κ path.
-  if (std::none_of(reps_.begin(), reps_.end(), [&](Vertex r) { return cover[r] == inf_; })) {
+  if (count_unseeded(cover) == 0) {
     (folds ? max_min_rows_fold : max_min_rows)(cover, table, n_, heads.data(), heads.size(), costs,
                                                fold);
     return;
@@ -412,6 +418,21 @@ void TableEvaluator::cost_with_heads(std::span<const Vertex> heads, std::span<st
   }
   evaluations_ += heads.size();
   score_batch(heads, costs.data(), fold.empty() ? nullptr : fold.data());
+}
+
+bool TableEvaluator::packs(std::uint64_t rho, std::uint32_t r) {
+  BBNG_REQUIRE(rho >= 1);
+  const std::uint32_t* cover = this->cover().data();  // the player's entry is 0 ≤ ρ
+  packed_.clear();
+  for (Vertex v = 0; v < n_; ++v) {
+    if (cover[v] <= rho) continue;
+    if (std::all_of(packed_.begin(), packed_.end(),
+                    [&](const std::uint32_t* row) { return row[v] >= 2 * rho; })) {
+      if (packed_.size() == r) return true;
+      packed_.push_back(table_.data() + std::size_t{v} * n_);
+    }
+  }
+  return false;
 }
 
 template <class Eval>

@@ -415,12 +415,28 @@ class TableEvaluator {
   [[nodiscard]] std::span<const std::uint32_t> cover() const {
     return {covers_.data() + covers_.size() - n_, n_};
   }
+  /// Base components the present cover leaves unseeded (MAX's κ − 1 when
+  /// positive); each further head seeds at most one of them.
+  [[nodiscard]] std::uint32_t unseeded_components() const {
+    return count_unseeded(cover().data());
+  }
+  /// The k-center packing test (ρ ≥ 1): scanning vertices in id order, pick
+  /// each v with cover[v] > ρ whose row_p[v] ≥ 2ρ, i.e. d(p, v) ≥ 2ρ − 1, for
+  /// every p picked before it. True once r + 1 are picked: a head within ρ
+  /// of two picked vertices would put them ≤ 2ρ − 2 apart, so any r more
+  /// heads leave a cover entry above ρ, and a MAX cost > ρ.
+  [[nodiscard]] bool packs(std::uint64_t rho, std::uint32_t r);
 
  private:
   /// Write cover level `level` = level − 1 ∧ row_t and cache its cost.
   void fill_level(std::size_t level, Vertex t);
   /// Cost of the in-neighbour cover alone (level 0).
   [[nodiscard]] std::uint64_t in_cover_cost() const;
+  /// Base components whose representative min(cover, row) leaves at Cinf:
+  /// the one unseeded test behind every MAX cost. A null `row` counts the
+  /// cover alone.
+  [[nodiscard]] std::uint32_t count_unseeded(const std::uint32_t* cover,
+                                             const std::uint32_t* row = nullptr) const;
   /// One pass over min(cover, row): the cost of that cover, folding row
   /// into `fold` when kFold. `fold` must not alias `cover` or `row`.
   template <bool kFold>
@@ -444,6 +460,7 @@ class TableEvaluator {
   std::vector<Vertex> current_strategy_;
   std::uint64_t current_cost_ = 0;
   std::uint64_t evaluations_ = 0;
+  std::vector<const std::uint32_t*> packed_;  ///< packs() scratch: picked rows
 };
 
 /// Largest n scored on TableEvaluator (exact solvers, move sets): its O(n²)

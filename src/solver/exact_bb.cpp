@@ -150,6 +150,16 @@ class Search {
     return lb;
   }
 
+  /// The two MAX bounds read off the table before a node's probe (see the
+  /// header): true when no completion of P with ≤ r more heads costs less
+  /// than the incumbent.
+  [[nodiscard]] bool max_completions_lose(std::uint32_t r) {
+    const std::uint64_t inf = cinf(n_);
+    const std::uint64_t unseeded = eval_.unseeded_components();
+    if (unseeded > r && (1 + unseeded - r) * inf >= best_cost_) return true;
+    return best_cost_ >= 2 && best_cost_ <= inf && eval_.packs(best_cost_ - 1, r);
+  }
+
   void dfs(std::span<const Vertex> allowed, std::uint64_t floor_lb, std::uint32_t depth) {
     if (truncated_ || out_of_budget()) {
       truncated_ = true;
@@ -161,6 +171,12 @@ class Search {
     offer(path_, cost_p);
     const std::uint32_t r = b_ - depth;
     if (r == 0 || allowed.empty()) return;
+    if constexpr (kTable) {
+      if (version_ == CostVersion::Max && max_completions_lose(r)) {
+        ++nodes_pruned_;
+        return;
+      }
+    }
 
     // depth < b here, and the children only touch deeper levels.
     Level& level = levels_[depth];

@@ -75,6 +75,31 @@
 //   * Zero-saving elimination (SUM only) — single-head savings shrink as P
 //     grows, so a candidate saving nothing at a node saves nothing anywhere
 //     below it and is dropped from the subtree.
+//   * Two MAX bounds (table path), checked on the node's cover before its
+//     probe. A MAX best response is a k-center problem on G − u with In(u)
+//     as centres already open (PAPER.md, Theorem 2.1), and the table rows
+//     are its metric. With U the base components the cover leaves unseeded
+//     and r head slots left, a node is pruned, counting one pruned node,
+//     when either shows every completion costs ≥ the incumbent:
+//       - Unseeded components: one head seeds at most one component, so if
+//         U > r at least U − r stay unseeded and every completion costs
+//         ≥ (1 + U − r)·Cinf.
+//       - k-center packing (Hochbaum–Shmoys): for 2 ≤ incumbent ≤ Cinf let
+//         ρ = incumbent − 1. Scan vertices in id order and pick each v with
+//         cover(v) > ρ that lies ≥ 2ρ − 1 from every vertex picked before
+//         (row_p[v] ≥ 2ρ, compared in 64 bits). A head within ρ of two
+//         picked vertices (1 + d ≤ ρ to each) would put them ≤ 2ρ − 2
+//         apart by the triangle inequality, so each head serves at most
+//         one. Once r + 1 are picked, any r more heads leave one of them
+//         beyond ρ, and the MAX cost is ≥ ρ + 1 = the incumbent.
+//     TableEvaluator::unseeded_components and TableEvaluator::packs are the
+//     two tests; the first shares its count with the MAX scorer.
+//     Invariant: both cut only subtrees holding no solution strictly cheaper
+//     than the incumbent at the time, the incumbent only falls, and `offer`
+//     replaces it only on a strict `<`. So a search that runs to completion
+//     returns the same (strategy, cost) with or without them; they move only
+//     the node, prune and evaluation counts, and the incumbent of a
+//     node-limited search (which reaches more of the tree within its cap).
 //
 // The search is anytime: it honours SolverBudget's node limit and deadline,
 // returning the incumbent with `optimal = false` and `lower_bound` = the
@@ -94,8 +119,9 @@ class ExactBranchAndBound final : public BestResponseBackend {
 
   [[nodiscard]] std::string_view description() const noexcept override {
     return "certified branch-and-bound over head sets: probes scored on a base-distance "
-           "table (delta oracle past n = 2048), admissible savings/seed-distance bounds, "
-           "in-neighbour (dominance) elimination, anytime under a node/deadline budget";
+           "table (delta oracle past n = 2048), admissible savings/seed-distance bounds "
+           "and MAX unseeded-component/k-center packing bounds, in-neighbour (dominance) "
+           "elimination, anytime under a node/deadline budget";
   }
 
  private:

@@ -19,6 +19,7 @@
 
 #include "game/best_response.hpp"
 #include "game/strategy_eval.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "reference/naive_best_response.hpp"
@@ -365,18 +366,18 @@ const char* const kSearchTreeGolden[] = {
     "n=16 SUM u=10 cap=0 limit=40 | strategy=1,2 cost=28 current=31 optimal=1 lb=28 nodes=4 pruned=15 evaluated=106",
     "n=16 SUM u=10 cap=3 limit=1500 | strategy=1,2,5 cost=26 current=31 optimal=1 lb=26 nodes=9 pruned=26 evaluated=152",
     "n=16 SUM u=10 cap=1 limit=1500 | strategy=1 cost=32 current=31 optimal=1 lb=32 nodes=1 pruned=1 evaluated=14",
-    "n=16 MAX u=1 cap=0 limit=4000 | strategy=3,4,6,7 cost=2 current=3 optimal=1 lb=2 nodes=101 pruned=56 evaluated=698",
-    "n=16 MAX u=1 cap=0 limit=40 | strategy=3,8,11,13 cost=3 current=3 optimal=0 lb=1 nodes=40 pruned=12 evaluated=363",
-    "n=16 MAX u=1 cap=5 limit=1500 | strategy=0,2,6,9,10 cost=2 current=3 optimal=1 lb=2 nodes=85 pruned=46 evaluated=590",
-    "n=16 MAX u=1 cap=3 limit=1500 | strategy=0,2,3 cost=3 current=3 optimal=1 lb=3 nodes=66 pruned=42 evaluated=410",
-    "n=16 MAX u=5 cap=0 limit=4000 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=2 evaluated=43",
-    "n=16 MAX u=5 cap=0 limit=40 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=2 evaluated=43",
-    "n=16 MAX u=5 cap=2 limit=1500 | strategy=0,9 cost=3 current=3 optimal=1 lb=3 nodes=14 pruned=9 evaluated=121",
-    "n=16 MAX u=5 cap=3 limit=1500 | strategy=0,1,6 cost=2 current=3 optimal=1 lb=2 nodes=26 pruned=23 evaluated=187",
-    "n=16 MAX u=10 cap=0 limit=4000 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=1 evaluated=44",
-    "n=16 MAX u=10 cap=0 limit=40 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=1 evaluated=44",
-    "n=16 MAX u=10 cap=2 limit=1500 | strategy=0,2 cost=3 current=4 optimal=1 lb=3 nodes=15 pruned=7 evaluated=135",
-    "n=16 MAX u=10 cap=3 limit=1500 | strategy=0,6,9 cost=2 current=4 optimal=1 lb=2 nodes=40 pruned=27 evaluated=279",
+    "n=16 MAX u=1 cap=0 limit=4000 | strategy=3,4,6,7 cost=2 current=3 optimal=1 lb=2 nodes=78 pruned=62 evaluated=222",
+    "n=16 MAX u=1 cap=0 limit=40 | strategy=3,8,11,13 cost=3 current=3 optimal=0 lb=1 nodes=40 pruned=29 evaluated=200",
+    "n=16 MAX u=1 cap=5 limit=1500 | strategy=0,2,6,9,10 cost=2 current=3 optimal=1 lb=2 nodes=63 pruned=49 evaluated=190",
+    "n=16 MAX u=1 cap=3 limit=1500 | strategy=0,2,3 cost=3 current=3 optimal=1 lb=3 nodes=54 pruned=45 evaluated=103",
+    "n=16 MAX u=5 cap=0 limit=4000 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=3 evaluated=30",
+    "n=16 MAX u=5 cap=0 limit=40 | strategy=9 cost=3 current=3 optimal=1 lb=3 nodes=1 pruned=3 evaluated=30",
+    "n=16 MAX u=5 cap=2 limit=1500 | strategy=0,9 cost=3 current=3 optimal=1 lb=3 nodes=14 pruned=10 evaluated=82",
+    "n=16 MAX u=5 cap=3 limit=1500 | strategy=0,1,6 cost=2 current=3 optimal=1 lb=2 nodes=26 pruned=23 evaluated=66",
+    "n=16 MAX u=10 cap=0 limit=4000 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=2 evaluated=30",
+    "n=16 MAX u=10 cap=0 limit=40 | strategy=2 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=2 evaluated=30",
+    "n=16 MAX u=10 cap=2 limit=1500 | strategy=0,2 cost=3 current=4 optimal=1 lb=3 nodes=15 pruned=14 evaluated=46",
+    "n=16 MAX u=10 cap=3 limit=1500 | strategy=0,6,9 cost=2 current=4 optimal=1 lb=2 nodes=40 pruned=30 evaluated=114",
     "n=24 SUM u=0 cap=0 limit=4000 | strategy=23 cost=51 current=58 optimal=1 lb=51 nodes=1 pruned=3 evaluated=67",
     "n=24 SUM u=0 cap=0 limit=40 | strategy=23 cost=51 current=58 optimal=1 lb=51 nodes=1 pruned=3 evaluated=67",
     "n=24 SUM u=0 cap=2 limit=1500 | strategy=7,23 cost=47 current=58 optimal=1 lb=47 nodes=2 pruned=22 evaluated=87",
@@ -389,18 +390,18 @@ const char* const kSearchTreeGolden[] = {
     "n=24 SUM u=16 cap=0 limit=40 | strategy=6,23 cost=48 current=60 optimal=1 lb=48 nodes=4 pruned=23 evaluated=170",
     "n=24 SUM u=16 cap=3 limit=1500 | strategy=6,8,23 cost=45 current=60 optimal=1 lb=45 nodes=12 pruned=42 evaluated=302",
     "n=24 SUM u=16 cap=1 limit=1500 | strategy=23 cost=53 current=60 optimal=1 lb=53 nodes=1 pruned=1 evaluated=22",
-    "n=24 MAX u=0 cap=0 limit=4000 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=10 evaluated=364",
-    "n=24 MAX u=0 cap=0 limit=40 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=10 evaluated=364",
-    "n=24 MAX u=0 cap=3 limit=1500 | strategy=2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=222 pruned=126 evaluated=1970",
+    "n=24 MAX u=0 cap=0 limit=4000 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=20 evaluated=154",
+    "n=24 MAX u=0 cap=0 limit=40 | strategy=14,22 cost=3 current=5 optimal=1 lb=3 nodes=24 pruned=20 evaluated=154",
+    "n=24 MAX u=0 cap=3 limit=1500 | strategy=2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=46 pruned=40 evaluated=174",
     "n=24 MAX u=0 cap=1 limit=1500 | strategy=13 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=0 evaluated=23",
-    "n=24 MAX u=8 cap=0 limit=4000 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=22 pruned=17 evaluated=360",
-    "n=24 MAX u=8 cap=0 limit=40 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=22 pruned=17 evaluated=360",
-    "n=24 MAX u=8 cap=3 limit=1500 | strategy=0,1,22 cost=3 current=5 optimal=1 lb=3 nodes=112 pruned=70 evaluated=1130",
+    "n=24 MAX u=8 cap=0 limit=4000 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=1 pruned=3 evaluated=129",
+    "n=24 MAX u=8 cap=0 limit=40 | strategy=0,22 cost=3 current=5 optimal=1 lb=3 nodes=1 pruned=3 evaluated=129",
+    "n=24 MAX u=8 cap=3 limit=1500 | strategy=0,1,22 cost=3 current=5 optimal=1 lb=3 nodes=1 pruned=3 evaluated=129",
     "n=24 MAX u=8 cap=1 limit=1500 | strategy=1 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=2 evaluated=21",
-    "n=24 MAX u=16 cap=0 limit=4000 | strategy=2,7,13 cost=3 current=5 optimal=1 lb=3 nodes=199 pruned=121 evaluated=1888",
-    "n=24 MAX u=16 cap=0 limit=40 | strategy=2,7,13 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=10 evaluated=619",
-    "n=24 MAX u=16 cap=4 limit=1500 | strategy=0,2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=1000 pruned=531 evaluated=7507",
-    "n=24 MAX u=16 cap=2 limit=1500 | strategy=0,13 cost=4 current=5 optimal=1 lb=4 nodes=24 pruned=3 evaluated=276",
+    "n=24 MAX u=16 cap=0 limit=4000 | strategy=2,7,13 cost=3 current=5 optimal=1 lb=3 nodes=46 pruned=40 evaluated=212",
+    "n=24 MAX u=16 cap=0 limit=40 | strategy=2,7,13 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=35 evaluated=212",
+    "n=24 MAX u=16 cap=4 limit=1500 | strategy=0,2,5,13 cost=3 current=5 optimal=1 lb=3 nodes=85 pruned=75 evaluated=281",
+    "n=24 MAX u=16 cap=2 limit=1500 | strategy=0,13 cost=4 current=5 optimal=1 lb=4 nodes=24 pruned=15 evaluated=118",
     "n=32 SUM u=0 cap=0 limit=4000 | strategy=1,4,20 cost=59 current=1080 optimal=1 lb=59 nodes=1 pruned=6 evaluated=201",
     "n=32 SUM u=0 cap=0 limit=40 | strategy=1,4,20 cost=59 current=1080 optimal=1 lb=59 nodes=1 pruned=6 evaluated=201",
     "n=32 SUM u=0 cap=4 limit=1500 | strategy=1,10,17,20 cost=55 current=1080 optimal=1 lb=55 nodes=5 pruned=76 evaluated=295",
@@ -413,17 +414,17 @@ const char* const kSearchTreeGolden[] = {
     "n=32 SUM u=21 cap=0 limit=40 | strategy=9,17,20,25,27 cost=63 current=1099 optimal=1 lb=63 nodes=19 pruned=178 evaluated=717",
     "n=32 SUM u=21 cap=6 limit=1500 | strategy=9,10,17,20,25,27 cost=59 current=1099 optimal=1 lb=59 nodes=47 pruned=437 evaluated=1297",
     "n=32 SUM u=21 cap=4 limit=1500 | strategy=0,9,20,31 cost=68 current=1099 optimal=1 lb=68 nodes=10 pruned=85 evaluated=255",
-    "n=32 MAX u=0 cap=0 limit=4000 | strategy=1,2,31 cost=3 current=4 optimal=1 lb=3 nodes=131 pruned=86 evaluated=1833",
-    "n=32 MAX u=0 cap=0 limit=40 | strategy=1,2,31 cost=3 current=4 optimal=0 lb=1 nodes=40 pruned=19 evaluated=812",
-    "n=32 MAX u=0 cap=4 limit=1500 | strategy=1,2,3,31 cost=3 current=4 optimal=1 lb=3 nodes=902 pruned=571 evaluated=9427",
-    "n=32 MAX u=0 cap=2 limit=1500 | strategy=2,31 cost=3 current=4 optimal=1 lb=3 nodes=29 pruned=26 evaluated=406",
-    "n=32 MAX u=10 cap=0 limit=4000 | strategy=0,2,4,8 cost=3 current=4 optimal=1 lb=3 nodes=1340 pruned=981 evaluated=14342",
-    "n=32 MAX u=10 cap=0 limit=40 | strategy=0,2,4,8 cost=3 current=4 optimal=0 lb=1 nodes=40 pruned=19 evaluated=909",
-    "n=32 MAX u=10 cap=5 limit=1500 | strategy=0,1,2,4,8 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=1065 evaluated=15056",
-    "n=32 MAX u=10 cap=3 limit=1500 | strategy=4,8,17 cost=3 current=4 optimal=1 lb=3 nodes=226 pruned=157 evaluated=2759",
-    "n=32 MAX u=21 cap=0 limit=4000 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=9 evaluated=585",
-    "n=32 MAX u=21 cap=0 limit=40 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=9 evaluated=585",
-    "n=32 MAX u=21 cap=3 limit=1500 | strategy=2,6,31 cost=3 current=5 optimal=1 lb=3 nodes=295 pruned=163 evaluated=3676",
+    "n=32 MAX u=0 cap=0 limit=4000 | strategy=1,2,31 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=4 evaluated=175",
+    "n=32 MAX u=0 cap=0 limit=40 | strategy=1,2,31 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=4 evaluated=175",
+    "n=32 MAX u=0 cap=4 limit=1500 | strategy=1,2,3,31 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=4 evaluated=175",
+    "n=32 MAX u=0 cap=2 limit=1500 | strategy=2,31 cost=3 current=4 optimal=1 lb=3 nodes=29 pruned=29 evaluated=55",
+    "n=32 MAX u=10 cap=0 limit=4000 | strategy=0,2,4,8 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=3 evaluated=259",
+    "n=32 MAX u=10 cap=0 limit=40 | strategy=0,2,4,8 cost=3 current=4 optimal=1 lb=3 nodes=1 pruned=3 evaluated=259",
+    "n=32 MAX u=10 cap=5 limit=1500 | strategy=0,1,2,4,8 cost=3 current=4 optimal=1 lb=3 nodes=602 pruned=536 evaluated=1300",
+    "n=32 MAX u=10 cap=3 limit=1500 | strategy=4,8,17 cost=3 current=4 optimal=1 lb=3 nodes=58 pruned=54 evaluated=105",
+    "n=32 MAX u=21 cap=0 limit=4000 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=20 evaluated=359",
+    "n=32 MAX u=21 cap=0 limit=40 | strategy=0,4 cost=4 current=5 optimal=1 lb=4 nodes=31 pruned=20 evaluated=359",
+    "n=32 MAX u=21 cap=3 limit=1500 | strategy=2,6,31 cost=3 current=5 optimal=1 lb=3 nodes=115 pruned=90 evaluated=581",
     "n=32 MAX u=21 cap=1 limit=1500 | strategy=4 cost=4 current=5 optimal=1 lb=4 nodes=1 pruned=1 evaluated=30",
     "n=48 SUM u=0 cap=0 limit=4000 | strategy=3 cost=4741 current=7030 optimal=1 lb=4741 nodes=1 pruned=4 evaluated=138",
     "n=48 SUM u=0 cap=0 limit=40 | strategy=3 cost=4741 current=7030 optimal=1 lb=4741 nodes=1 pruned=4 evaluated=138",
@@ -439,16 +440,16 @@ const char* const kSearchTreeGolden[] = {
     "n=48 SUM u=33 cap=5 limit=1500 | strategy=3,4,12,17,44 cost=114 current=7014 optimal=1 lb=114 nodes=18 pruned=175 evaluated=675",
     "n=48 MAX u=1 cap=0 limit=4000 | strategy=33 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=141",
     "n=48 MAX u=1 cap=0 limit=40 | strategy=33 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=141",
-    "n=48 MAX u=1 cap=2 limit=1500 | strategy=2,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=9 evaluated=1222",
-    "n=48 MAX u=1 cap=3 limit=1500 | strategy=0,2,5 cost=4 current=5 optimal=1 lb=4 nodes=1084 pruned=527 evaluated=17317",
-    "n=48 MAX u=16 cap=0 limit=4000 | strategy=3,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=10 evaluated=1312",
-    "n=48 MAX u=16 cap=0 limit=40 | strategy=3,5 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=3 evaluated=1284",
-    "n=48 MAX u=16 cap=3 limit=1500 | strategy=0,3,5 cost=4 current=5 optimal=1 lb=4 nodes=1074 pruned=519 evaluated=17362",
+    "n=48 MAX u=1 cap=2 limit=1500 | strategy=2,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=29 evaluated=613",
+    "n=48 MAX u=1 cap=3 limit=1500 | strategy=0,2,5 cost=4 current=5 optimal=1 lb=4 nodes=961 pruned=661 evaluated=7927",
+    "n=48 MAX u=16 cap=0 limit=4000 | strategy=3,5 cost=4 current=5 optimal=1 lb=4 nodes=48 pruned=44 evaluated=314",
+    "n=48 MAX u=16 cap=0 limit=40 | strategy=3,5 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=37 evaluated=314",
+    "n=48 MAX u=16 cap=3 limit=1500 | strategy=0,3,5 cost=4 current=5 optimal=1 lb=4 nodes=840 pruned=709 evaluated=3345",
     "n=48 MAX u=16 cap=1 limit=1500 | strategy=3 cost=5 current=5 optimal=1 lb=5 nodes=1 pruned=0 evaluated=47",
-    "n=48 MAX u=32 cap=0 limit=4000 | strategy=5,31,36 cost=4 current=4 optimal=1 lb=4 nodes=916 pruned=428 evaluated=14936",
-    "n=48 MAX u=32 cap=0 limit=40 | strategy=5,31,36 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=15 evaluated=1291",
-    "n=48 MAX u=32 cap=4 limit=1500 | strategy=2,4,5,13 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=962 evaluated=27229",
-    "n=48 MAX u=32 cap=2 limit=1500 | strategy=0,5 cost=4 current=4 optimal=1 lb=4 nodes=46 pruned=17 evaluated=1035",
+    "n=48 MAX u=32 cap=0 limit=4000 | strategy=5,31,36 cost=4 current=4 optimal=1 lb=4 nodes=728 pruned=556 evaluated=4882",
+    "n=48 MAX u=32 cap=0 limit=40 | strategy=5,31,36 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=30 evaluated=572",
+    "n=48 MAX u=32 cap=4 limit=1500 | strategy=2,4,5,13 cost=3 current=4 optimal=1 lb=3 nodes=131 pruned=126 evaluated=441",
+    "n=48 MAX u=32 cap=2 limit=1500 | strategy=0,5 cost=4 current=4 optimal=1 lb=4 nodes=46 pruned=41 evaluated=217",
     "n=64 SUM u=0 cap=0 limit=4000 | strategy=26,36 cost=159 current=4255 optimal=1 lb=159 nodes=1 pruned=7 evaluated=305",
     "n=64 SUM u=0 cap=0 limit=40 | strategy=26,36 cost=159 current=4255 optimal=1 lb=159 nodes=1 pruned=7 evaluated=305",
     "n=64 SUM u=0 cap=3 limit=1500 | strategy=26,36,42 cost=146 current=4255 optimal=1 lb=146 nodes=3 pruned=117 evaluated=416",
@@ -461,18 +462,18 @@ const char* const kSearchTreeGolden[] = {
     "n=64 SUM u=42 cap=0 limit=40 | strategy=0,10,23,26,36 cost=152 current=4268 optimal=0 lb=64 nodes=40 pruned=512 evaluated=2791",
     "n=64 SUM u=42 cap=6 limit=1500 | strategy=0,11,26,34,38,52 cost=144 current=4268 optimal=1 lb=144 nodes=480 pruned=4977 evaluated=21050",
     "n=64 SUM u=42 cap=4 limit=1500 | strategy=0,23,26,36 cost=160 current=4268 optimal=1 lb=160 nodes=46 pruned=342 evaluated=2075",
-    "n=64 MAX u=0 cap=0 limit=4000 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=4000 pruned=2555 evaluated=90980",
-    "n=64 MAX u=0 cap=0 limit=40 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=8 evaluated=2406",
-    "n=64 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,4,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=1500 pruned=930 evaluated=35558",
-    "n=64 MAX u=0 cap=5 limit=1500 | strategy=1,2,3,4,26 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=376 evaluated=33545",
-    "n=64 MAX u=21 cap=0 limit=4000 | strategy=17,52,56 cost=4 current=4 optimal=1 lb=4 nodes=1151 pruned=287 evaluated=29109",
-    "n=64 MAX u=21 cap=0 limit=40 | strategy=17,52,56 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=2 evaluated=2027",
-    "n=64 MAX u=21 cap=4 limit=1500 | strategy=0,2,3,30 cost=3 current=4 optimal=0 lb=1 nodes=1500 pruned=911 evaluated=35301",
-    "n=64 MAX u=21 cap=2 limit=1500 | strategy=0,2 cost=4 current=4 optimal=1 lb=4 nodes=62 pruned=40 evaluated=1891",
-    "n=64 MAX u=42 cap=0 limit=4000 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=4000 pruned=1348 evaluated=84735",
-    "n=64 MAX u=42 cap=0 limit=40 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=2 evaluated=2143",
-    "n=64 MAX u=42 cap=5 limit=1500 | strategy=0,1,2,3,19 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=395 evaluated=32922",
-    "n=64 MAX u=42 cap=3 limit=1500 | strategy=0,1,19 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=434 evaluated=34514",
+    "n=64 MAX u=0 cap=0 limit=4000 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=1 lb=3 nodes=301 pruned=291 evaluated=1038",
+    "n=64 MAX u=0 cap=0 limit=40 | strategy=1,2,3,26,30,37 cost=3 current=5 optimal=0 lb=1 nodes=40 pruned=35 evaluated=1038",
+    "n=64 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,4,26,30,37 cost=3 current=5 optimal=1 lb=3 nodes=358 pruned=346 evaluated=1095",
+    "n=64 MAX u=0 cap=5 limit=1500 | strategy=1,2,3,4,26 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=1354 evaluated=3438",
+    "n=64 MAX u=21 cap=0 limit=4000 | strategy=17,52,56 cost=4 current=4 optimal=1 lb=4 nodes=1151 pruned=887 evaluated=9491",
+    "n=64 MAX u=21 cap=0 limit=40 | strategy=17,52,56 cost=4 current=4 optimal=0 lb=1 nodes=40 pruned=29 evaluated=922",
+    "n=64 MAX u=21 cap=4 limit=1500 | strategy=0,2,3,30 cost=3 current=4 optimal=1 lb=3 nodes=181 pruned=176 evaluated=604",
+    "n=64 MAX u=21 cap=2 limit=1500 | strategy=0,2 cost=4 current=4 optimal=1 lb=4 nodes=62 pruned=60 evaluated=278",
+    "n=64 MAX u=42 cap=0 limit=4000 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=4000 pruned=3050 evaluated=27902",
+    "n=64 MAX u=42 cap=0 limit=40 | strategy=0,1,2,19 cost=4 current=5 optimal=0 lb=1 nodes=40 pruned=36 evaluated=780",
+    "n=64 MAX u=42 cap=5 limit=1500 | strategy=0,1,2,3,19 cost=4 current=5 optimal=0 lb=1 nodes=1500 pruned=1332 evaluated=6830",
+    "n=64 MAX u=42 cap=3 limit=1500 | strategy=0,1,19 cost=4 current=5 optimal=1 lb=4 nodes=569 pruned=433 evaluated=3957",
     "n=96 SUM u=0 cap=0 limit=4000 | strategy=30,34,40 cost=315 current=18720 optimal=1 lb=315 nodes=1 pruned=3 evaluated=652",
     "n=96 SUM u=0 cap=0 limit=40 | strategy=30,34,40 cost=315 current=18720 optimal=1 lb=315 nodes=1 pruned=3 evaluated=652",
     "n=96 SUM u=0 cap=4 limit=1500 | strategy=30,34,40,42 cost=283 current=18720 optimal=1 lb=283 nodes=17 pruned=275 evaluated=2004",
@@ -485,19 +486,19 @@ const char* const kSearchTreeGolden[] = {
     "n=96 SUM u=64 cap=0 limit=40 | strategy=30,34,40,42 cost=291 current=18707 optimal=1 lb=291 nodes=36 pruned=278 evaluated=3493",
     "n=96 SUM u=64 cap=5 limit=1500 | strategy=30,40,42,53,56 cost=269 current=18707 optimal=1 lb=269 nodes=108 pruned=1268 evaluated=8480",
     "n=96 SUM u=64 cap=3 limit=1500 | strategy=30,34,40 cost=327 current=18707 optimal=1 lb=327 nodes=3 pruned=186 evaluated=279",
-    "n=96 MAX u=0 cap=0 limit=4000 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=1976 evaluated=136263",
-    "n=96 MAX u=0 cap=0 limit=40 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=2 evaluated=4030",
-    "n=96 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=586 evaluated=61570",
-    "n=96 MAX u=0 cap=5 limit=1500 | strategy=2,15,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=631 evaluated=61830",
-    "n=96 MAX u=33 cap=0 limit=4000 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=2126 evaluated=137434",
-    "n=96 MAX u=33 cap=0 limit=40 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=3 evaluated=3990",
-    "n=96 MAX u=33 cap=7 limit=1500 | strategy=0,1,2,3,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=696 evaluated=60349",
-    "n=96 MAX u=33 cap=5 limit=1500 | strategy=0,1,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=615 evaluated=61257",
-    "n=96 MAX u=64 cap=0 limit=4000 | strategy=0,45,69 cost=5 current=27648 optimal=1 lb=5 nodes=184 pruned=182 evaluated=8932",
-    "n=96 MAX u=64 cap=0 limit=40 | strategy=0,45,69 cost=5 current=27648 optimal=0 lb=1 nodes=40 pruned=40 evaluated=3459",
-    "n=96 MAX u=64 cap=4 limit=1500 | strategy=5,30,45,69 cost=4 current=27648 optimal=1 lb=4 nodes=274 pruned=213 evaluated=12937",
-    "n=96 MAX u=64 cap=2 limit=1500 | strategy=45,69 cost=6 current=27648 optimal=1 lb=6 nodes=93 pruned=93 evaluated=4278",
-    "n=30 MAX u=0 cap=4 limit=4000 | strategy=1,10,12,20 cost=4 current=5 optimal=1 lb=4 nodes=1223 pruned=852 evaluated=12355",
+    "n=96 MAX u=0 cap=0 limit=4000 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=3678 evaluated=18407",
+    "n=96 MAX u=0 cap=0 limit=40 | strategy=1,2,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=34 evaluated=1806",
+    "n=96 MAX u=0 cap=7 limit=1500 | strategy=1,2,3,5,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=1372 evaluated=8567",
+    "n=96 MAX u=0 cap=5 limit=1500 | strategy=2,15,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=1404 evaluated=6336",
+    "n=96 MAX u=33 cap=0 limit=4000 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=4000 pruned=3715 evaluated=15397",
+    "n=96 MAX u=33 cap=0 limit=40 | strategy=0,1,2,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=40 pruned=37 evaluated=1627",
+    "n=96 MAX u=33 cap=7 limit=1500 | strategy=0,1,2,3,30,45,69 cost=4 current=27648 optimal=0 lb=1 nodes=1500 pruned=1381 evaluated=6601",
+    "n=96 MAX u=33 cap=5 limit=1500 | strategy=0,1,30,45,69 cost=4 current=27648 optimal=1 lb=4 nodes=1265 pruned=1171 evaluated=9348",
+    "n=96 MAX u=64 cap=0 limit=4000 | strategy=0,45,69 cost=5 current=27648 optimal=1 lb=5 nodes=184 pruned=182 evaluated=922",
+    "n=96 MAX u=64 cap=0 limit=40 | strategy=0,45,69 cost=5 current=27648 optimal=0 lb=1 nodes=40 pruned=40 evaluated=832",
+    "n=96 MAX u=64 cap=4 limit=1500 | strategy=5,30,45,69 cost=4 current=27648 optimal=1 lb=4 nodes=274 pruned=266 evaluated=1267",
+    "n=96 MAX u=64 cap=2 limit=1500 | strategy=45,69 cost=6 current=27648 optimal=1 lb=6 nodes=93 pruned=93 evaluated=183",
+    "n=30 MAX u=0 cap=4 limit=4000 | strategy=1,10,12,20 cost=4 current=5 optimal=1 lb=4 nodes=217 pruned=200 evaluated=845",
 };
 
 TEST(SolverExact, SearchTreeGoldenIsReproducedExactly) {
@@ -509,6 +510,136 @@ TEST(SolverExact, SearchTreeGoldenIsReproducedExactly) {
     if (lines[i].find("optimal=0") != std::string::npos) ++truncated;
   }
   EXPECT_GT(truncated, 0);  // the golden must cover node-limited incumbents too
+}
+
+/// Components of G − u, the player's own singleton left out.
+std::uint32_t base_components(const Digraph& g, Vertex u) {
+  return connected_components(best_response_base(g, u)).count - 1;
+}
+
+/// g with u's strategy replaced by `cap` random heads, so that
+/// naive_exact_best_response (which solves at the out-degree) solves at `cap`.
+Digraph with_out_degree(Digraph g, Vertex u, std::uint32_t cap, Rng& rng) {
+  std::vector<Vertex> heads;
+  for (const std::uint32_t i : rng.sample(g.num_vertices() - 1, cap)) {
+    heads.push_back(i < u ? i : i + 1);
+  }
+  g.set_strategy(u, heads);
+  return g;
+}
+
+/// Random instances at n ≤ 10 whose densities range from well below a tree's
+/// (σ ≈ n/3, many components once a player leaves) to 2n.
+Digraph sparse_or_dense_instance(std::uint32_t n, Rng& rng) {
+  const std::uint64_t sigma = n / 3 + rng.next_below(2 * n);
+  return random_profile(random_budgets(n, sigma, rng), rng);
+}
+
+TEST(SolverExact, MaxBoundsMatchBruteForceAtEveryCap) {
+  // The pre-probe MAX bounds (unseeded components, k-center packing) must
+  // never cut a strictly better completion: at every cap 0..n−1 the search
+  // closes on the brute-force optimum, on bases with one, two and three or
+  // more components, and on three_component_instance() at caps 0..4. Each
+  // cap ≥ 1 is solved from three incumbents: a current strategy of cap heads
+  // (seeded by greedy + swap), of n − 1 heads (a forced shrink: the search
+  // starts from the empty set) and of none (the empty strategy seeds).
+  const ExactBranchAndBound bb;
+  Rng rng(8128);
+  std::uint32_t by_components[3] = {0, 0, 0};
+  const auto check = [&](const Digraph& g, Vertex u, std::uint32_t cap) {
+    const std::uint32_t n = g.num_vertices();
+    const Digraph h = with_out_degree(g, u, cap, rng);
+    const SolverResult reference = naive_exact_best_response(h, u, CostVersion::Max);
+    for (const std::uint32_t degree : {cap, n - 1, 0u}) {
+      if (cap == 0 && degree != cap) continue;
+      SolverBudget budget;
+      budget.budget_cap = cap;
+      const Digraph start = degree == cap ? h : with_out_degree(g, u, degree, rng);
+      const SolverResult result = bb.solve(start, u, CostVersion::Max, budget);
+      const std::string where = "n " + std::to_string(n) + " u " + std::to_string(u) +
+                                " cap " + std::to_string(cap) + " degree " +
+                                std::to_string(degree);
+      ASSERT_TRUE(result.optimal) << where;
+      ASSERT_EQ(result.cost, reference.cost) << where;
+      ASSERT_EQ(result.lower_bound, result.cost) << where;
+      ASSERT_EQ(result.strategy.size(), cap) << where;
+      const StrategyEvaluator eval(h, u, CostVersion::Max);
+      StrategyEvaluator::Scratch scratch(n);
+      ASSERT_EQ(eval.evaluate(result.strategy, scratch), result.cost) << where;
+    }
+  };
+  for (int round = 0; round < 30; ++round) {
+    const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 5);  // 6..10
+    const Digraph g = sparse_or_dense_instance(n, rng);
+    for (Vertex u = 0; u < n; ++u) {
+      ++by_components[std::min(base_components(g, u), 3u) - 1];
+      for (std::uint32_t cap = 0; cap < n; ++cap) check(g, u, cap);
+    }
+  }
+  const Digraph three = three_component_instance();
+  ASSERT_EQ(base_components(three, 0), 3u);
+  for (std::uint32_t cap = 0; cap <= 4; ++cap) check(three, 0, cap);
+  for (const std::uint32_t count : by_components) EXPECT_GT(count, 20u);
+}
+
+TEST(SolverExact, MaxPackingAndUnseededBoundsHoldByEnumeration) {
+  // Wherever TableEvaluator::packs(ρ, r) fires on a cover, every set of ≤ r
+  // more heads costs more than ρ; and with U components unseeded, the cost
+  // is (1 + U)·Cinf and r more heads cost at least (1 + U − r)·Cinf. Both
+  // are checked against every head set, scored from scratch.
+  Rng rng(8129);
+  int packed = 0;
+  int unseeded_cut = 0;
+  for (int round = 0; round < 40; ++round) {
+    const std::uint32_t n = 6 + static_cast<std::uint32_t>(round % 5);  // 6..10
+    const Digraph g = sparse_or_dense_instance(n, rng);
+    const std::uint64_t inf = cinf(n);
+    for (Vertex u = 0; u < n; ++u) {
+      TableEvaluator table(g, u, CostVersion::Max);
+      const std::vector<Vertex> current = table.current_strategy();
+      for (const Vertex h : current) table.remove_head(h);
+      // The cover under test: the in-neighbours plus 0–2 random heads P.
+      std::vector<Vertex> path;
+      for (const std::uint32_t i : rng.sample(n - 1, static_cast<std::uint32_t>(round % 3))) {
+        path.push_back(i < u ? i : i + 1);
+        table.add_head(path.back());
+      }
+      std::vector<Vertex> free;
+      for (Vertex t = 0; t < n; ++t) {
+        if (t != u && !table.has_head(t)) free.push_back(t);
+      }
+      // best[k] = the cheapest P ∪ T over every T ⊆ free with |T| ≤ k.
+      const StrategyEvaluator eval(g, u, CostVersion::Max);
+      StrategyEvaluator::Scratch scratch(n);
+      std::vector<std::uint64_t> best(free.size() + 1, ~0ULL);
+      for (std::uint32_t mask = 0; mask < (1u << free.size()); ++mask) {
+        std::vector<Vertex> heads = path;
+        for (std::size_t i = 0; i < free.size(); ++i) {
+          if ((mask >> i) & 1u) heads.push_back(free[i]);
+        }
+        const std::size_t k = heads.size() - path.size();
+        best[k] = std::min(best[k], eval.evaluate(heads, scratch));
+      }
+      for (std::size_t k = 1; k < best.size(); ++k) best[k] = std::min(best[k], best[k - 1]);
+
+      const std::uint64_t unseeded = table.unseeded_components();
+      const std::string where = "round " + std::to_string(round) + " u " + std::to_string(u);
+      ASSERT_EQ(table.cost(), unseeded > 0 ? (1 + unseeded) * inf : best[0]) << where;
+      for (std::uint32_t r = 1; r < best.size(); ++r) {
+        if (unseeded > r) {
+          ASSERT_GE(best[r], (1 + unseeded - r) * inf) << where << " r " << r;
+          ++unseeded_cut;
+        }
+        for (std::uint64_t rho = 1; rho <= n; ++rho) {
+          if (!table.packs(rho, r)) continue;
+          ++packed;
+          ASSERT_GT(best[r], rho) << where << " r " << r << " rho " << rho;
+        }
+      }
+    }
+  }
+  EXPECT_GT(packed, 100);  // the corpus exercises both bounds
+  EXPECT_GT(unseeded_cut, 100);
 }
 
 /// The pairwise dominance sweep exact_bb ran at the root (n ≤ 256) before
