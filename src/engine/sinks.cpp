@@ -128,8 +128,12 @@ struct ScenarioAccumulator {
         // Flatten the per-job counter block into dotted numeric fields so
         // the summary aggregates work counters exactly like any other
         // per-job measurement ("obs.solver.exact_bb.nodes" and friends).
+        // A block lists only nonzero deltas, so a counter first seen now
+        // reads 0 for every earlier record of the scenario.
         for (const auto& [counter, count] : value.members()) {
-          slot(numbers, "obs." + counter, std::vector<double>{}).push_back(count.as_double());
+          auto& column = slot(numbers, "obs." + counter, std::vector<double>{});
+          if (column.empty()) column.resize(jobs - 1, 0.0);
+          column.push_back(count.as_double());
         }
         continue;
       }
@@ -143,6 +147,11 @@ struct ScenarioAccumulator {
         slot(counts, value.as_string(), std::uint64_t{0}) += 1;
       }
       // Nulls (e.g. "deviator" of a stable state) carry no aggregate.
+    }
+    // ...and a counter this record's block leaves out reads 0, so every
+    // obs.* column holds one value per job.
+    for (auto& [key, values] : numbers) {
+      if (values.size() < jobs && key.starts_with("obs.")) values.push_back(0.0);
     }
   }
 

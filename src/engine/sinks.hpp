@@ -13,7 +13,8 @@
 // Also true-counts of every boolean field and
 // value-counts of every string field. Per-job `obs` counter blocks are
 // flattened into dotted numeric fields ("obs.solver.exact_bb.nodes", …) so
-// work counters summarise like any other measurement.
+// work counters summarise like any other measurement; a counter a block
+// leaves out reads 0, so every obs.* field counts every job of its scenario.
 //
 // SummaryFold is the one aggregation path. It is fed the artifact's lines
 // in commit order: the runner folds each committed window on one summary

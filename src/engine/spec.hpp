@@ -121,9 +121,9 @@ struct CampaignSpec {
   std::string name;
   std::uint64_t base_seed = 1;
   /// Embed per-job `obs` counter blocks in the artifact (top-level "obs"
-  /// key, default true). False reproduces pre-observability bytes exactly;
-  /// the CLI's --no-obs overrides true at run time without touching the
-  /// spec (and hence the fingerprint).
+  /// key, default true). False writes verdict-only records (the work counts
+  /// live only in the blocks); the CLI's --no-obs overrides true at run time
+  /// without touching the spec (and hence the fingerprint).
   bool obs = true;
   std::vector<ScenarioSpec> scenarios;
 

@@ -122,14 +122,10 @@ void run_poa(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& in
 
 void run_swap_equilibrium(JsonWriter& writer, const ScenarioSpec& scenario,
                           const Digraph& initial, ThreadPool* pool) {
-  // A width-1 pool takes the same sequential scan (and the same
-  // strategies_checked early-exit order) the old nullptr argument took.
   const EquilibriumReport report =
       verify_swap_equilibrium(initial, scenario.version, pool,
                               scenario.params.incremental, scenario.params.graph_core);
-  writer.field("stable", report.stable)
-      .field("strategies_checked", report.strategies_checked)
-      .field("bfs_avoided", report.bfs_avoided);
+  writer.field("stable", report.stable);
   writer.key("deviator");
   if (report.stable) {
     writer.null();
@@ -148,12 +144,7 @@ void run_nash_audit(JsonWriter& writer, const ScenarioSpec& scenario, const Digr
   writer.field("solver", solver)
       .field("stable", report.stable)
       .field("certified", report.certified)
-      .field("epsilon", report.epsilon)
-      .field("players_certified", report.players_certified)
-      .field("nodes_explored", report.nodes_explored)
-      .field("nodes_pruned", report.nodes_pruned)
-      .field("strategies_checked", report.strategies_checked)
-      .field("bfs_avoided", report.bfs_avoided);
+      .field("epsilon", report.epsilon);
   writer.key("deviator");
   if (report.stable) {
     writer.null();
@@ -200,25 +191,11 @@ void run_churn(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& 
   }
   if (every > 0 && (applied % every != 0 || applied == 0)) checkpoint();
 
-  const ChurnStats& stats = engine.stats();
   const UGraph underlying = engine.graph().underlying();
   writer.field("solver", config.solver)
       .field("mode", to_string(config.mode))
       .field("events", applied)
-      .field("joins", stats.joins)
-      .field("leaves", stats.leaves)
-      .field("grows", stats.grows)
-      .field("shrinks", stats.shrinks)
-      .field("perturbs", stats.perturbs)
-      .field("moves", stats.moves)
       .field("active_players", engine.active_players())
-      .field("solver_queries", stats.solver_queries)
-      .field("solver_searches", stats.solver_searches)
-      .field("cache_hits", stats.cache_hits)
-      .field("skips_trivial", stats.skips_trivial)
-      .field("skips_locality", stats.skips_locality)
-      .field("skips_clean", stats.skips_clean)
-      .field("baseline_solves", stats.baseline_solves)
       .field("checkpoints", checkpoints)
       .field("checkpoints_identical", checkpoints_identical)
       .field("stable", engine.stable())

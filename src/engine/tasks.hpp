@@ -24,8 +24,9 @@ namespace bbng {
 /// Per-invocation switches for run_job_line.
 struct JobOptions {
   /// Append the job's `obs` counter-delta block to the record (subject to
-  /// the layer being compiled in and runtime-enabled). False reproduces
-  /// pre-observability record bytes exactly.
+  /// the layer being compiled in and runtime-enabled). The block is the only
+  /// home of the job's work counts, so false leaves identity and verdict
+  /// fields only.
   bool obs = true;
 };
 

@@ -204,6 +204,28 @@ SolverResult swap_improve_with(Eval& eval, std::vector<Vertex> strategy) {
   return result;
 }
 
+template <class Eval>
+SolverResult scan_first_improving_swap_with(Eval& eval) {
+  // The scan order and early exit are part of the library's determinism
+  // contract; only the evaluator behind the probes varies.
+  SolverResult scan;
+  scan.current_cost = eval.current_cost();
+  scan.cost = scan.current_cost;
+  scan.strategy = eval.current_strategy();
+  std::vector<bool> used(eval.num_vertices(), false);
+  for (const Vertex h : scan.strategy) used[h] = true;
+  used[eval.player()] = true;
+  const std::optional<FirstSwap> swap =
+      first_improving_swap(eval, scan.strategy, used, scan.cost, scan.evaluated);
+  scan.bfs_avoided = eval.bfs_avoided();
+  if (swap) {
+    scan.strategy[swap->index] = swap->target;
+    std::sort(scan.strategy.begin(), scan.strategy.end());
+    scan.cost = swap->cost;
+  }
+  return scan;
+}
+
 template SolverResult greedy_with(NaiveEvaluator&, std::uint32_t);
 template SolverResult greedy_with(DeltaEvaluator&, std::uint32_t);
 template SolverResult greedy_with(CsrDeltaEvaluator&, std::uint32_t);
@@ -212,6 +234,16 @@ template SolverResult swap_improve_with(NaiveEvaluator&, std::vector<Vertex>);
 template SolverResult swap_improve_with(DeltaEvaluator&, std::vector<Vertex>);
 template SolverResult swap_improve_with(CsrDeltaEvaluator&, std::vector<Vertex>);
 template SolverResult swap_improve_with(TableEvaluator&, std::vector<Vertex>);
+template SolverResult scan_first_improving_swap_with(NaiveEvaluator&);
+template SolverResult scan_first_improving_swap_with(DeltaEvaluator&);
+template SolverResult scan_first_improving_swap_with(CsrDeltaEvaluator&);
+template SolverResult scan_first_improving_swap_with(TableEvaluator&);
+
+SolverResult scan_first_improving_swap(const Digraph& g, Vertex player, CostVersion version,
+                                       bool incremental, GraphCore core) {
+  return with_move_evaluator(g, player, version, incremental, core,
+                             [](auto& eval) { return scan_first_improving_swap_with(eval); });
+}
 
 SolverResult BestResponseSolver::greedy(const Digraph& g, Vertex u) const {
   const std::uint32_t b = g.out_degree(u);

@@ -26,7 +26,8 @@
 // returned strategy*; they never mutate the input graph.
 //
 // greedy and swap each have one body, the evaluator-generic greedy_with /
-// swap_improve_with below. BestResponseSolver runs them on the evaluator
+// swap_improve_with below, as does the first-improving swap scan of the
+// dynamics and the swap audit. BestResponseSolver runs them on the evaluator
 // with_move_evaluator (game/strategy_eval.hpp) picks: TableEvaluator, as
 // for exact search, when n ≤ kTableEvaluatorLimit; above it the incremental
 // delta oracle by default (consecutive candidates differ by one head, so
@@ -136,5 +137,23 @@ template <class Eval>
 /// committed.
 template <class Eval>
 [[nodiscard]] SolverResult swap_improve_with(Eval& eval, std::vector<Vertex> start);
+
+/// First improving single-head swap of `player`'s incumbent strategy.
+/// Scans head positions in (sorted) strategy order and targets in vertex
+/// order with an early exit — the ONE deterministic scan order shared by the
+/// dynamics engine's FirstImprovingSwap policy and verify_swap_equilibrium.
+/// The result improves() iff a swap was found: `strategy` is then the swapped
+/// strategy (sorted) and `cost` its cost; at a swap-local optimum it is the
+/// incumbent at `current_cost`. `evaluated` counts the swaps probed. It runs
+/// the body below on whichever evaluator with_move_evaluator picks, so the
+/// result (bar bfs_avoided) is the same for every `incremental` and `core`.
+[[nodiscard]] SolverResult scan_first_improving_swap(const Digraph& g, Vertex player,
+                                                     CostVersion version, bool incremental = true,
+                                                     GraphCore core = GraphCore::kCsr);
+
+/// The scan body over any evaluator above, which must hold exactly the
+/// player's incumbent strategy; on return its head set is unspecified.
+template <class Eval>
+[[nodiscard]] SolverResult scan_first_improving_swap_with(Eval& eval);
 
 }  // namespace bbng

@@ -59,8 +59,7 @@ ChurnEngine::ChurnEngine(Digraph initial, std::vector<std::uint32_t> budgets, Ch
       caps_(std::move(budgets)),
       config_(std::move(config)),
       pool_(pool),
-      backend_(&find_solver(config_.solver)),
-      cache_(config_.cache_entries) {
+      backend_(&find_solver(config_.solver)) {
   const std::uint32_t n = graph_.num_vertices();
   BBNG_REQUIRE(caps_.size() == n);
   // budget_cap is overwritten per query with the player's live cap; a

@@ -101,7 +101,6 @@ struct ChurnConfig {
   /// Per-solve budget. budget_cap is overwritten per query with the
   /// player's live cap; the other knobs pass through.
   SolverBudget budget;
-  std::size_t cache_entries = 4096;  ///< transposition-cache bound
 };
 
 /// Work counters. The baseline_solves counter accumulates, per applied
@@ -218,7 +217,7 @@ class ChurnEngine {
   ChurnConfig config_;
   ThreadPool* pool_;
   const BestResponseBackend* backend_;
-  TranspositionCache cache_;
+  TranspositionCache cache_;  ///< at its default bound of 4096 entries
   std::vector<std::uint64_t> current_costs_;  ///< exact, maintained per event
   std::vector<std::uint64_t> regret_;
   std::vector<std::uint8_t> certified_;

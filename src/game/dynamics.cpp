@@ -70,7 +70,7 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
   result.graph = initial;
 
   SeenStateSet seen_states;
-  if (config.detect_cycles) seen_states.insert(result.graph);
+  seen_states.insert(result.graph);
   if (config.record_trajectory) {
     result.trajectory.push_back(social_cost(result.graph.underlying(), pool));
   }
@@ -96,13 +96,13 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
       std::vector<Vertex> next_strategy;
       if (config.policy == MovePolicy::FirstImprovingSwap) {
         if (result.graph.out_degree(u) == 0) continue;
-        SwapScanResult scan = scan_first_improving_swap(result.graph, u, config.version,
-                                                        config.incremental, config.graph_core);
+        SolverResult scan = scan_first_improving_swap(result.graph, u, config.version,
+                                                      config.incremental, config.graph_core);
+        result.evaluations += scan.evaluated;
         result.bfs_avoided += scan.bfs_avoided;
         result.all_moves_exact = false;  // swap moves never certify Nash
-        if (!scan.found) continue;
+        if (!scan.improves()) continue;
         next_strategy = std::move(scan.strategy);
-        ++result.evaluations;
       } else {
         SolverBudget move_budget = budget;
         move_budget.budget_cap = caps[u];
@@ -120,7 +120,7 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
       result.graph.set_strategy(u, next_strategy);
       ++result.moves;
       any_move = true;
-      if (config.detect_cycles && config.schedule == Schedule::RoundRobin) {
+      if (config.schedule == Schedule::RoundRobin) {
         if (!seen_states.insert(result.graph)) {
           result.cycle_detected = true;
           result.rounds = round + 1;

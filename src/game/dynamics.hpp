@@ -50,7 +50,6 @@ struct DynamicsConfig {
   std::uint64_t max_rounds = 1000;       ///< full passes before giving up
   std::uint64_t exact_limit = 200'000;   ///< per-player exact-search budget
   std::uint64_t seed = 1;                ///< RNG for randomised schedules
-  bool detect_cycles = true;             ///< hash states to spot loops
   bool record_trajectory = false;        ///< record social cost per round
   /// Moves score on TableEvaluator for n ≤ kTableEvaluatorLimit. Above it
   /// they score on the incremental delta oracle (DeltaEvaluatorT); false
@@ -122,7 +121,8 @@ struct DynamicsResult {
   bool all_moves_exact = true; ///< no heuristic fallback was ever used
   std::uint64_t rounds = 0;    ///< full passes executed
   std::uint64_t moves = 0;     ///< strategy changes applied
-  std::uint64_t evaluations = 0;  ///< candidate strategies scored in total
+  std::uint64_t evaluations = 0;  ///< candidate strategies scored in total,
+                                  ///< by every scan whether it moved or not
   std::uint64_t bfs_avoided = 0;  ///< evaluations served without a full BFS
   /// Distinct states that shared a 64-bit hash during cycle detection —
   /// phantom cycles the old bare-hash scheme would have reported.

@@ -98,10 +98,6 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
     // The backend recomputes the current cost per player; it must agree with
     // the prepass bit-for-bit (same graph, same exact distances).
     BBNG_ASSERT(result.current_cost == current_costs[u]);
-    report.strategies_checked += result.evaluated;
-    report.nodes_explored += result.nodes_explored;
-    report.nodes_pruned += result.nodes_pruned;
-    report.bfs_avoided += result.bfs_avoided;
     if (result.optimal) ++report.players_certified;
     report.certified = report.certified && result.optimal;
     if (result.improves()) {
@@ -125,57 +121,43 @@ EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
   const std::uint32_t n = g.num_vertices();
   obs::TraceSpan trace_span("audit.swap");
   trace_span.arg("players", std::uint64_t{n});
-  EquilibriumReport report;
-  Vertex deviator = n;  // n: no deviator found
-  SwapScanResult deviation;
+  ThreadPool serial(1);
+  if (pool == nullptr) pool = &serial;
 
-  if (pool == nullptr || pool->width() <= 1 || n < 4) {
-    // Sequential sweep with an early exit at the first deviator, so
-    // strategies_checked is deterministic.
-    for (Vertex u = 0; u < n && deviator == n; ++u) {
-      if (g.out_degree(u) == 0) continue;
-      SwapScanResult scan = scan_first_improving_swap(g, u, version, incremental, core);
-      report.strategies_checked += scan.checked;
-      report.bfs_avoided += scan.bfs_avoided;
-      if (scan.found) {
-        deviator = u;
-        deviation = std::move(scan);
-      }
+  // One evaluator per scanned player, players distributed over the pool.
+  // Workers skip players above the smallest deviator found so far, so the
+  // reported deviator is deterministic (the minimum) even though scan
+  // completion order is not. A width-1 pool scans players in order and so
+  // stops at the first deviator.
+  std::atomic<std::uint32_t> best_vertex{n};
+  std::atomic<std::uint64_t> checked{0};
+  std::atomic<std::uint64_t> avoided{0};
+  std::mutex best_mutex;
+  SolverResult deviation;
+  parallel_for(*pool, n, [&](std::uint64_t index) {
+    const auto u = static_cast<Vertex>(index);
+    if (g.out_degree(u) == 0) return;
+    if (u >= best_vertex.load(std::memory_order_relaxed)) return;
+    SolverResult scan = scan_first_improving_swap(g, u, version, incremental, core);
+    checked.fetch_add(scan.evaluated, std::memory_order_relaxed);
+    avoided.fetch_add(scan.bfs_avoided, std::memory_order_relaxed);
+    if (!scan.improves()) return;
+    const std::lock_guard<std::mutex> lock(best_mutex);
+    if (u < best_vertex.load(std::memory_order_relaxed)) {
+      best_vertex.store(u, std::memory_order_relaxed);
+      deviation = std::move(scan);
     }
-  } else {
-    // Batched parallel sweep: one evaluator per scanned player, players
-    // distributed over the pool. Workers skip players above the smallest
-    // deviator found so far, so the reported deviator is deterministic (the
-    // minimum) even though scan completion order is not.
-    std::atomic<std::uint32_t> best_vertex{n};
-    std::atomic<std::uint64_t> checked{0};
-    std::atomic<std::uint64_t> avoided{0};
-    std::mutex best_mutex;
-    parallel_for(*pool, n, [&](std::uint64_t index) {
-      const auto u = static_cast<Vertex>(index);
-      if (g.out_degree(u) == 0) return;
-      if (u >= best_vertex.load(std::memory_order_relaxed)) return;
-      SwapScanResult scan = scan_first_improving_swap(g, u, version, incremental, core);
-      checked.fetch_add(scan.checked, std::memory_order_relaxed);
-      avoided.fetch_add(scan.bfs_avoided, std::memory_order_relaxed);
-      if (!scan.found) return;
-      const std::lock_guard<std::mutex> lock(best_mutex);
-      if (u < best_vertex.load(std::memory_order_relaxed)) {
-        best_vertex.store(u, std::memory_order_relaxed);
-        deviation = std::move(scan);
-      }
-    });
-    report.strategies_checked = checked.load();
-    report.bfs_avoided = avoided.load();
-    deviator = best_vertex.load();
-  }
+  });
 
-  report.stable = deviator == n;
+  EquilibriumReport report;
+  report.strategies_checked = checked.load();
+  report.bfs_avoided = avoided.load();
+  report.stable = best_vertex.load() == n;
   if (!report.stable) {
-    report.deviator = deviator;
+    report.deviator = best_vertex.load();
     report.improving_strategy = std::move(deviation.strategy);
-    report.old_cost = deviation.old_cost;
-    report.new_cost = deviation.new_cost;
+    report.old_cost = deviation.current_cost;
+    report.new_cost = deviation.cost;
   }
   swap_audit_counters().publish(report);
   return report;

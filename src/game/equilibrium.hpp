@@ -11,7 +11,7 @@
 // single-head-swap stability of Section 6 (every Nash equilibrium is also a
 // swap equilibrium), which is polynomial and scales to the large
 // constructions. Each player's swaps go through scan_first_improving_swap
-// (game/strategy_eval.hpp), on the evaluator with_move_evaluator picks, and
+// (game/best_response.hpp), on the evaluator with_move_evaluator picks, and
 // the sweep is batched across players on a ThreadPool when one is given.
 #pragma once
 
@@ -61,10 +61,10 @@ inline const obs::CounterTable<EquilibriumReport>& swap_audit_counters() {
 /// Swap-stability check (single-head deviations only). Polynomial:
 /// O(Σ_u b_u · n) strategy evaluations.
 /// The reported deviator is always the smallest unstable player with its
-/// first improving swap in scan order, independent of `pool` width — but the
-/// parallel sweep may score more candidates than the sequential early exit,
-/// so `strategies_checked` is a work stat, not a deterministic count.
-/// The sweep is sequential iff the pool is null or of width 1, or n < 4.
+/// first improving swap in scan order, independent of `pool` width. A null
+/// pool runs at width 1, which scans players in order and stops at the first
+/// deviator, so `strategies_checked` is a deterministic count there; a wider
+/// pool may score more candidates, which makes it a work stat.
 /// Above kTableEvaluatorLimit `incremental` and `core` pick the scan's
 /// evaluator (with_move_evaluator; bit-identical verdicts).
 [[nodiscard]] EquilibriumReport verify_swap_equilibrium(const Digraph& g, CostVersion version,
@@ -95,10 +95,6 @@ struct NashReport {
                                            ///< prepass trivial-bound skips)
   std::uint64_t players_skipped = 0;       ///< of those, certified by the
                                            ///< prepass without a backend solve
-  std::uint64_t nodes_explored = 0;
-  std::uint64_t nodes_pruned = 0;
-  std::uint64_t strategies_checked = 0;    ///< candidate strategies scored
-  std::uint64_t bfs_avoided = 0;
   /// Work counters of the current-cost prepass. `prepass.settled` is exactly
   /// the row scans n independent BFS runs would perform for the same costs,
   /// so settled / row_scans is the measured batching gain of this audit
@@ -132,10 +128,10 @@ inline const obs::CounterTable<NashReport>& nash_audit_counters() {
 /// old_cost/new_cost/epsilon — is what solving every player would give.
 /// certified/players_certified can only gain from a skip: it is a genuine
 /// optimality certificate even when a heuristic backend would have returned
-/// the same cost uncertified (with "exact_bb" they match exactly). The
-/// solve counters (nodes/strategies/bfs_avoided) are work stats, as with
-/// verify_swap_equilibrium's strategies_checked, and shrink when solves are
-/// skipped.
+/// the same cost uncertified (with "exact_bb" they match exactly). The report
+/// holds the verdict, not the search work: each backend solve publishes its
+/// own `solver.<name>.*` counters (nodes, pruned, evaluated, bfs_avoided),
+/// which shrink when solves are skipped.
 ///
 /// `budget_caps` (size n when given) audits the state as a CHURN state:
 /// player u's deviations are solved under budget cap budget_caps[u]

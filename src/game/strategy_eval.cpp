@@ -435,38 +435,4 @@ bool TableEvaluator::packs(std::uint64_t rho, std::uint32_t r) {
   return false;
 }
 
-template <class Eval>
-SwapScanResult scan_first_improving_swap_with(Eval& eval) {
-  // The scan order and early exit are part of the library's determinism
-  // contract; only the evaluator behind the probes varies.
-  SwapScanResult scan;
-  const std::uint64_t base_cost = eval.current_cost();
-  const std::vector<Vertex>& strategy = eval.current_strategy();
-  std::vector<bool> used(eval.num_vertices(), false);
-  for (const Vertex h : strategy) used[h] = true;
-  used[eval.player()] = true;
-  const std::optional<FirstSwap> swap =
-      first_improving_swap(eval, strategy, used, base_cost, scan.checked);
-  scan.bfs_avoided = eval.bfs_avoided();
-  if (swap) {
-    scan.found = true;
-    scan.strategy = strategy;
-    scan.strategy[swap->index] = swap->target;
-    scan.old_cost = base_cost;
-    scan.new_cost = swap->cost;
-  }
-  return scan;
-}
-
-template SwapScanResult scan_first_improving_swap_with(NaiveEvaluator&);
-template SwapScanResult scan_first_improving_swap_with(DeltaEvaluator&);
-template SwapScanResult scan_first_improving_swap_with(CsrDeltaEvaluator&);
-template SwapScanResult scan_first_improving_swap_with(TableEvaluator&);
-
-SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player, CostVersion version,
-                                         bool incremental, GraphCore core) {
-  return with_move_evaluator(g, player, version, incremental, core,
-                             [](auto& eval) { return scan_first_improving_swap_with(eval); });
-}
-
 }  // namespace bbng

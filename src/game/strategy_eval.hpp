@@ -543,16 +543,6 @@ void cost_with_heads(Eval& eval, std::span<const Vertex> heads, std::span<std::u
   }
 }
 
-/// Result of one player's first-improving-swap scan (see below).
-struct SwapScanResult {
-  bool found = false;
-  std::vector<Vertex> strategy;   ///< the improving strategy when found
-  std::uint64_t old_cost = 0;     ///< cost of the incumbent strategy
-  std::uint64_t new_cost = 0;     ///< cost of `strategy` (< old_cost)
-  std::uint64_t checked = 0;      ///< candidate swaps scored before returning
-  std::uint64_t bfs_avoided = 0;  ///< of those, served without a full BFS
-};
-
 /// The one place a move set picks the evaluator that scores `player`:
 /// TableEvaluator for n ≤ kTableEvaluatorLimit, whatever the knobs say. Above
 /// it NaiveEvaluator when `!incremental`, else the delta evaluator on `core`
@@ -576,23 +566,6 @@ auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, b
   return fn(eval);
 }
 
-/// First improving single-head swap of `player`'s incumbent strategy, or
-/// found == false at a swap-local optimum. Scans head positions in (sorted)
-/// strategy order and targets in vertex order with an early exit — the ONE
-/// deterministic scan order shared by the dynamics engine's
-/// FirstImprovingSwap policy and verify_swap_equilibrium. It runs the body
-/// below on whichever evaluator with_move_evaluator picks, so the result (bar
-/// bfs_avoided) is the same for every `incremental` and `core`.
-[[nodiscard]] SwapScanResult scan_first_improving_swap(const Digraph& g, Vertex player,
-                                                       CostVersion version,
-                                                       bool incremental = true,
-                                                       GraphCore core = GraphCore::kCsr);
-
-/// The scan body over any evaluator above, which must hold exactly the
-/// player's incumbent strategy; on return its head set is unspecified.
-template <class Eval>
-[[nodiscard]] SwapScanResult scan_first_improving_swap_with(Eval& eval);
-
 /// An improving single-head swap: position `index` of the strategy gets
 /// `target`, and the strategy then costs `cost`.
 struct FirstSwap {
@@ -601,11 +574,12 @@ struct FirstSwap {
   std::uint64_t cost = 0;
 };
 
-/// The one first-improving swap pass, shared by the swap scan above and the
-/// swap descent (swap_improve_with). `eval` holds the heads of `strategy`.
-/// For each position i in order: drop head i, probe every target not in
-/// `used` in vertex order, and stop at the first probe cheaper than `cost`,
-/// leaving head i dropped and the target unadded; otherwise restore head i.
+/// The one first-improving swap pass, shared by the swap scan
+/// (scan_first_improving_swap_with) and the swap descent (swap_improve_with).
+/// `eval` holds the heads of `strategy`. For each position i in order: drop
+/// head i, probe every target not in `used` in vertex order, and stop at the
+/// first probe cheaper than `cost`, leaving head i dropped and the target
+/// unadded; otherwise restore head i.
 /// Returns nullopt, with every head restored, when no swap improves. Each
 /// probe adds one to `probes`.
 template <class Eval>

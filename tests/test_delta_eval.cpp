@@ -570,7 +570,7 @@ TEST(DeltaEvalDifferential, TableProbeKernelsMatchScalarAcrossVectorTails) {
 struct Descents {
   SolverResult greedy;
   SolverResult swapped;
-  SwapScanResult scan;
+  SolverResult scan;
 };
 
 template <class Eval>
@@ -593,11 +593,10 @@ void expect_same_descents(const Descents& got, const Descents& want) {
   EXPECT_EQ(got.swapped.strategy, want.swapped.strategy);
   EXPECT_EQ(got.swapped.cost, want.swapped.cost);
   EXPECT_EQ(got.swapped.evaluated, want.swapped.evaluated);
-  EXPECT_EQ(got.scan.found, want.scan.found);
   EXPECT_EQ(got.scan.strategy, want.scan.strategy);
-  EXPECT_EQ(got.scan.old_cost, want.scan.old_cost);
-  EXPECT_EQ(got.scan.new_cost, want.scan.new_cost);
-  EXPECT_EQ(got.scan.checked, want.scan.checked);
+  EXPECT_EQ(got.scan.current_cost, want.scan.current_cost);
+  EXPECT_EQ(got.scan.cost, want.scan.cost);
+  EXPECT_EQ(got.scan.evaluated, want.scan.evaluated);
 }
 
 TEST(DeltaEvalDifferential, DescentBodiesAgreeAcrossEvaluators) {
@@ -855,7 +854,7 @@ TEST(DeltaEvalDifferential, KnobsPickIdenticalEvaluatorsAboveTheTableLimit) {
       SCOPED_TRACE(testing::Message() << "u " << u << " " << to_string(version));
       ASSERT_LE(g.out_degree(u), 2U);
       const SolverResult greedy = naive.greedy(g, u);
-      const SwapScanResult scan = scan_first_improving_swap(g, u, version, false);
+      const SolverResult scan = scan_first_improving_swap(g, u, version, false);
       EXPECT_EQ(greedy.bfs_avoided, 0U);
       EXPECT_EQ(scan.bfs_avoided, 0U);
       for (const GraphCore core : {GraphCore::kCsr, GraphCore::kVector}) {
@@ -865,13 +864,12 @@ TEST(DeltaEvalDifferential, KnobsPickIdenticalEvaluatorsAboveTheTableLimit) {
         EXPECT_EQ(delta_greedy.cost, greedy.cost);
         EXPECT_EQ(delta_greedy.evaluated, greedy.evaluated);
         EXPECT_LE(delta_greedy.bfs_avoided, delta_greedy.evaluated);
-        const SwapScanResult delta_scan = scan_first_improving_swap(g, u, version, true, core);
-        EXPECT_EQ(delta_scan.found, scan.found);
+        const SolverResult delta_scan = scan_first_improving_swap(g, u, version, true, core);
         EXPECT_EQ(delta_scan.strategy, scan.strategy);
-        EXPECT_EQ(delta_scan.old_cost, scan.old_cost);
-        EXPECT_EQ(delta_scan.new_cost, scan.new_cost);
-        EXPECT_EQ(delta_scan.checked, scan.checked);
-        EXPECT_LE(delta_scan.bfs_avoided, delta_scan.checked);
+        EXPECT_EQ(delta_scan.current_cost, scan.current_cost);
+        EXPECT_EQ(delta_scan.cost, scan.cost);
+        EXPECT_EQ(delta_scan.evaluated, scan.evaluated);
+        EXPECT_LE(delta_scan.bfs_avoided, delta_scan.evaluated);
         total_avoided += delta_greedy.bfs_avoided + delta_scan.bfs_avoided;
       }
     }

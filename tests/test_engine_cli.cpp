@@ -158,7 +158,7 @@ TEST(EngineCli, TraceReportAndNoObsWorkEndToEnd) {
   EXPECT_EQ(missing.exit_code, 2);
   EXPECT_NE(missing.output.find("--artifact is required"), std::string::npos);
 
-  // --no-obs reproduces pre-observability records; report then refuses
+  // --no-obs writes verdict-only records; report then refuses
   // loudly instead of printing an empty table.
   const std::string bare = (dir / "bbng_cli_obs_probe_bare.jsonl").string();
   std::filesystem::remove(bare);

@@ -384,13 +384,19 @@ TEST_F(EngineRunnerTest, SummaryIntervalsMatchPerFieldBootstrapAcrossCounts) {
   for (const JsonValue& scenario : summary.at("scenarios").items()) {
     for (const auto& [key, stats] : scenario.at("numbers").members()) {
       // The field's values, read back the way the summary reads them.
+      // An obs counter a record leaves out reads 0; any other absent field
+      // is skipped.
       std::vector<double> values;
       for (const JsonValue& rec : file.records) {
         if (rec.at("scenario").as_string() != scenario.at("name").as_string()) continue;
         const bool obs = key.rfind("obs.", 0) == 0;
         const JsonValue& holder = obs ? rec.at("obs") : rec;
         const std::string member = obs ? key.substr(4) : key;
-        if (const JsonValue* value = holder.find(member)) values.push_back(value->as_double());
+        if (const JsonValue* value = holder.find(member)) {
+          values.push_back(value->as_double());
+        } else if (obs) {
+          values.push_back(0.0);
+        }
       }
       ASSERT_EQ(stats.at("count").as_uint(), values.size()) << key;
       double lower = 0;
@@ -412,11 +418,41 @@ TEST_F(EngineRunnerTest, SummaryIntervalsMatchPerFieldBootstrapAcrossCounts) {
       EXPECT_EQ(stats.at("ci95_upper").as_double(), as_written(upper)) << key;
     }
   }
-  // Bootstrapped: all five fields of "small", and the gap and evaluated
-  // fields of "large" (6,667 and 2,000 values). Approximated: the other three
-  // fields of "large" (10,001 values each).
-  EXPECT_EQ(bootstrapped, 7u);
-  EXPECT_EQ(approximated, 3u);
+  // Bootstrapped: all five fields of "small", and the gap field of "large"
+  // (6,667 values). Approximated: the other four fields of "large" (10,001
+  // values each, the evaluated counter's 8,001 absences read as 0).
+  EXPECT_EQ(bootstrapped, 6u);
+  EXPECT_EQ(approximated, 4u);
+}
+
+TEST(SummaryFold, AnAbsentObsCounterReadsZero) {
+  // Obs blocks list only nonzero deltas. A counter that fires in one of
+  // three records must summarise over all three: the records before its
+  // first appearance and the ones after it each read 0.
+  const std::filesystem::path summary_path =
+      std::filesystem::path(::testing::TempDir()) / "bbng_absent_counter.summary.json";
+  SummaryFold fold;
+  fold.add_line(R"({"campaign":"absent","spec_fingerprint":"f","host":{}})");
+  fold.add_line(R"({"job":0,"scenario":"s","cost":1,"obs":{"first":3}})");
+  fold.add_line(R"({"job":1,"scenario":"s","cost":2,"obs":{"middle":6}})");
+  fold.add_line(R"({"job":2,"scenario":"s","cost":3,"obs":{"last":9}})");
+  fold.write(summary_path.string());
+  const JsonValue summary = parse_json(read_file(summary_path.string()));
+  std::filesystem::remove(summary_path);
+
+  const JsonValue& scenario = summary.at("scenarios").items().at(0);
+  EXPECT_EQ(scenario.at("jobs").as_uint(), 3u);
+  const JsonValue& numbers = scenario.at("numbers");
+  ASSERT_EQ(numbers.members().size(), 4u);
+  for (const auto& [counter, value] : {std::pair{"obs.first", 3.0}, std::pair{"obs.middle", 6.0},
+                                       std::pair{"obs.last", 9.0}}) {
+    const JsonValue& stats = numbers.at(counter);
+    EXPECT_EQ(stats.at("count").as_uint(), 3u) << counter;
+    EXPECT_EQ(stats.at("min").as_double(), 0.0) << counter;
+    EXPECT_EQ(stats.at("max").as_double(), value) << counter;
+    EXPECT_EQ(stats.at("median").as_double(), 0.0) << counter;
+    EXPECT_EQ(stats.at("mean").as_double(), as_written(value / 3)) << counter;
+  }
 }
 
 TEST_F(EngineRunnerTest, ProgressGoesToStderrAndNeverTheArtifact) {

@@ -9,6 +9,7 @@
 
 #include "engine/jobgraph.hpp"
 #include "engine/spec.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 
 namespace bbng {
@@ -130,8 +131,11 @@ TEST(EngineTasks, NashAuditRecordIsInternallyConsistent) {
     EXPECT_EQ(record.at("solver").as_string(), "exact_bb");
     EXPECT_TRUE(record.at("certified").as_bool());  // n=10 closes within budget
     const std::uint64_t n = record.at("n").as_uint();
-    EXPECT_EQ(record.at("players_certified").as_uint(), n);
-    EXPECT_GT(record.at("nodes_explored").as_uint(), 0u);
+    if (obs::kCompiledIn && obs::enabled()) {  // the work counts live in the obs block
+      const JsonValue& counters = record.at("obs");
+      EXPECT_EQ(counters.at("audit.nash.players_certified").as_uint(), n);
+      EXPECT_GT(counters.at("solver.exact_bb.nodes").as_uint(), 0u);
+    }
     if (record.at("stable").as_bool()) {
       EXPECT_EQ(record.at("epsilon").as_uint(), 0u);
       EXPECT_TRUE(record.at("deviator").is_null());

@@ -77,6 +77,38 @@ TEST(VerifySwapEquilibrium, NashImpliesSwapStableOnRandomEquilibria) {
   }
 }
 
+TEST(VerifySwapEquilibrium, WidthOneCountsTheInOrderScanUpToTheFirstDeviator) {
+  // A null pool runs the sweep at width 1: players in order, none after the
+  // first deviator, so strategies_checked is the probe count of exactly
+  // those scans.
+  Rng rng(97);
+  ThreadPool serial(1);
+  int unstable = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const Digraph g = random_profile(random_budgets(9, 14, rng), rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      std::uint64_t probes = 0;
+      Vertex deviator = g.num_vertices();
+      for (Vertex u = 0; u < g.num_vertices() && deviator == g.num_vertices(); ++u) {
+        if (g.out_degree(u) == 0) continue;
+        const SolverResult scan = scan_first_improving_swap(g, u, version);
+        probes += scan.evaluated;
+        if (scan.improves()) deviator = u;
+      }
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &serial}) {
+        const EquilibriumReport report = verify_swap_equilibrium(g, version, pool);
+        EXPECT_EQ(report.strategies_checked, probes) << "trial " << trial;
+        EXPECT_EQ(report.stable, deviator == g.num_vertices());
+        if (!report.stable) {
+          EXPECT_EQ(report.deviator, deviator);
+        }
+      }
+      unstable += deviator < g.num_vertices() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(unstable, 0);  // the early exit is exercised
+}
+
 TEST(Lemma22, CertifiedVerticesAreBestResponders) {
   // Build graphs, find Lemma 2.2-certified vertices, confirm with the exact
   // solver that they cannot improve — in both versions.

@@ -71,5 +71,45 @@ TEST(MovePolicy, SwapCheaperThanBestResponsePerVisit) {
   }
 }
 
+TEST(MovePolicy, SwapEvaluationsCountEveryProbeOfEveryScan) {
+  // Under FirstImprovingSwap, `evaluations` adds each scan's probe count,
+  // whether or not the scan finds a move. Replay the round-robin rounds
+  // scan by scan and compare.
+  Rng rng(95);
+  int replayed = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const Digraph initial = random_profile(random_budgets(10, 16, rng), rng);
+    for (const std::uint64_t rounds : {1U, 3U}) {
+      DynamicsConfig config;
+      config.version = trial % 2 == 0 ? CostVersion::Sum : CostVersion::Max;
+      config.policy = MovePolicy::FirstImprovingSwap;
+      config.max_rounds = rounds;
+      const DynamicsResult result = run_best_response_dynamics(initial, config);
+      if (result.cycle_detected) continue;  // stopped mid-round; not replayed
+
+      Digraph g = initial;
+      std::uint64_t probes = 0;
+      std::uint64_t moves = 0;
+      for (std::uint64_t round = 0; round < result.rounds; ++round) {
+        for (Vertex u = 0; u < g.num_vertices(); ++u) {
+          if (g.out_degree(u) == 0) continue;
+          const SolverResult scan = scan_first_improving_swap(g, u, config.version);
+          probes += scan.evaluated;
+          if (!scan.improves()) continue;
+          g.set_strategy(u, scan.strategy);
+          ++moves;
+        }
+      }
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " rounds " << rounds);
+      EXPECT_EQ(result.moves, moves);
+      EXPECT_EQ(result.evaluations, probes);
+      EXPECT_GT(result.evaluations, result.moves);
+      EXPECT_EQ(result.graph, g);
+      ++replayed;
+    }
+  }
+  EXPECT_GE(replayed, 10);
+}
+
 }  // namespace
 }  // namespace bbng

@@ -5,7 +5,7 @@
 // `obs` blocks depend on), emitted traces round-trip through the structural
 // Chrome-trace validator, campaign artifacts with obs blocks stay
 // byte-identical across 1/4/16 runner threads and kill+resume, --no-obs
-// reproduces pre-observability record bytes exactly, and every counter
+// records equal the obs records with the block stripped, and every counter
 // table agrees bit-for-bit with the registry after a real audit, churn
 // trace, batched sweep and cache run.
 #include "obs/metrics.hpp"
@@ -175,9 +175,17 @@ TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
         verify_nash_equilibrium(g, CostVersion::Sum, {}, "exact_bb", &serial);
     expect_table_agrees(nash_audit_counters(), report, frame);
     expect_table_agrees(multi_bfs_counters(), report.prepass, frame);
-    EXPECT_EQ(frame.value("solver.exact_bb.nodes"), report.nodes_explored);
-    EXPECT_EQ(frame.value("solver.exact_bb.pruned"), report.nodes_pruned);
-    EXPECT_EQ(frame.value("solver.exact_bb.evaluated"), report.strategies_checked);
+  }
+  {  // One backend solve publishes its result's work as solver.<name>.*.
+    const obs::CounterFrame frame;
+    const SolverResult result =
+        find_solver("exact_bb").solve(g, 0, CostVersion::Max, {}, &serial);
+    EXPECT_EQ(frame.value("solver.exact_bb.solves"), 1U);
+    EXPECT_GT(result.nodes_explored, 0U);
+    EXPECT_EQ(frame.value("solver.exact_bb.nodes"), result.nodes_explored);
+    EXPECT_EQ(frame.value("solver.exact_bb.pruned"), result.nodes_pruned);
+    EXPECT_EQ(frame.value("solver.exact_bb.evaluated"), result.evaluated);
+    EXPECT_EQ(frame.value("solver.exact_bb.bfs_avoided"), result.bfs_avoided);
   }
   {  // A swap-stability sweep.
     const obs::CounterFrame frame;

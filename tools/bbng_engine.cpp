@@ -20,7 +20,8 @@
 // run at any thread count. `--halt-after N` simulates a kill after N
 // committed jobs (used by CI to exercise the resume path). `--trace <file>`
 // writes a Perfetto-loadable Chrome-trace of the run; `--no-obs` drops the
-// per-job `obs` counter blocks, reproducing pre-observability artifact bytes.
+// per-job `obs` counter blocks, the only home of the work counts, so the
+// records carry identity and verdict fields only.
 // `report` re-reads a finished artifact and prints per-scenario per-counter
 // work breakdowns from those blocks, plus latency percentiles and host
 // gauges from the run's `.obs_host.json` sidecar when present.
@@ -104,7 +105,7 @@ int run_or_resume(bool resume, int argc, const char** argv) {
   const auto no_summary = cli.add_flag("no-summary", "skip the .summary.json aggregation");
   const auto quiet = cli.add_flag("quiet", "suppress the periodic progress lines on stderr");
   const auto no_obs = cli.add_flag(
-      "no-obs", "drop per-job obs counter blocks (pre-observability artifact bytes)");
+      "no-obs", "drop per-job obs counter blocks (records keep identity and verdicts only)");
   const auto trace_path = cli.add_string(
       "trace", "", "write a Perfetto-loadable Chrome-trace of the run to this file");
   cli.parse(argc, argv);
