@@ -200,8 +200,9 @@ BBNG_MIN_ROWS_KERNEL(max_min_rows_fold, std::uint32_t, true, true)
 
 /// Fill the table rows of every vertex but `player` for n ≤ 64: one
 /// adjacency word per vertex of the stripped base, then one word-parallel
-/// BFS per row (the next frontier is the OR of the frontier's words, minus
-/// what is seen). Returns the player's in-neighbours, collected on the way.
+/// BFS per row. One bit loop per level writes each frontier vertex's
+/// distance and ORs in its word; the next frontier is that OR minus what is
+/// seen. Returns the player's in-neighbours, collected on the way.
 std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, std::uint32_t* table) {
   const std::uint32_t n = g.num_vertices();
   BBNG_ASSERT(n <= 64);
@@ -221,17 +222,17 @@ std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, std::uin
   for (Vertex s = 0; s < n; ++s) {
     if (s == player) continue;
     std::uint32_t* row = table + std::size_t{s} * n;
-    row[s] = 1;
     std::uint64_t seen = std::uint64_t{1} << s;
     std::uint64_t frontier = seen;
-    for (std::uint32_t dist = 2; frontier != 0; ++dist) {
+    for (std::uint32_t dist = 1; frontier != 0; ++dist) {
       std::uint64_t next = 0;
-      for (std::uint64_t f = frontier; f != 0; f &= f - 1) next |= adj[std::countr_zero(f)];
+      for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
+        const int v = std::countr_zero(f);
+        row[v] = dist;
+        next |= adj[v];
+      }
       frontier = next & ~seen;
       seen |= frontier;
-      for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
-        row[std::countr_zero(f)] = dist;
-      }
     }
   }
   return in;
