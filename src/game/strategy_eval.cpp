@@ -31,7 +31,10 @@ std::vector<Vertex> player_in_neighbors(const Digraph& g, Vertex player) {
   BBNG_REQUIRE(player < g.num_vertices());
   std::vector<Vertex> in;
   for (Vertex w = 0; w < g.num_vertices(); ++w) {
-    if (w != player && g.has_arc(w, player)) in.push_back(w);
+    const auto heads = g.out_neighbors(w);
+    if (w != player && std::find(heads.begin(), heads.end(), player) != heads.end()) {
+      in.push_back(w);
+    }
   }
   return in;
 }
@@ -276,8 +279,8 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
   // Unreached entries, and the player's row (never a head), keep Cinf.
   table_.assign(std::size_t{n} * n, inf_);
-  const std::vector<Vertex> in = n <= 64 ? fill_rows_by_words(g, player_, table_.data())
-                                         : fill_rows_by_lanes(g, player_, table_.data());
+  in_neighbors_ = n <= 64 ? fill_rows_by_words(g, player_, table_.data())
+                          : fill_rows_by_lanes(g, player_, table_.data());
 
   // One representative per base component but the player's: the first
   // vertex whose row reaches no earlier representative.
@@ -292,7 +295,7 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   covers_.assign(n, inf_);
   covers_[player_] = 0;
   std::uint32_t* in_cover = covers_.data();
-  for (const Vertex w : in) {
+  for (const Vertex w : in_neighbors_) {
     const std::uint32_t* row = table_.data() + std::size_t{w} * n;
     for (Vertex v = 0; v < n; ++v) in_cover[v] = std::min(in_cover[v], row[v]);
   }

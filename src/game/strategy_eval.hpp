@@ -187,6 +187,11 @@ class DeltaEvaluatorT {
     return is_head_[v] != 0;
   }
 
+  /// In(player), ascending: the seeds every strategy gets for free.
+  [[nodiscard]] const std::vector<Vertex>& in_neighbors() const noexcept {
+    return in_neighbors_;
+  }
+
   /// Add head t (must not be present, ≠ player). O(region improved).
   void add_head(Vertex t) {
     BBNG_REQUIRE_MSG(t != player_, "strategy head equals the player");
@@ -378,6 +383,10 @@ class TableEvaluator {
     BBNG_ASSERT(v < n_);
     return is_head_[v] != 0;
   }
+  /// In(player), ascending: the seeds every strategy gets for free.
+  [[nodiscard]] const std::vector<Vertex>& in_neighbors() const noexcept {
+    return in_neighbors_;
+  }
 
   /// Add head t (must not be present, ≠ player): one O(n) cover pass.
   void add_head(Vertex t);
@@ -452,6 +461,7 @@ class TableEvaluator {
   std::uint32_t n_;
   std::uint32_t inf_;                   ///< Cinf = n²
   std::vector<std::uint32_t> table_;    ///< n×n head covers, row-major by head
+  std::vector<Vertex> in_neighbors_;    ///< In(player), ascending, as the fill collects it
   std::vector<Vertex> reps_;            ///< one vertex per base component
   std::vector<std::uint32_t> covers_;   ///< (heads + 1) × n cover stack
   std::vector<std::uint64_t> level_cost_;  ///< cost of each cover level

@@ -69,9 +69,9 @@ class Search {
   /// Drop the player's in-neighbours from the candidate set, ascending,
   /// while another live candidate remains (see the header for why these are
   /// exactly the dominated candidates). Each drop counts as a pruned orbit.
-  void eliminate_dominated(const Digraph& g, SolverResult& result) {
+  void eliminate_dominated(SolverResult& result) {
     std::uint32_t live = n_ - 1;
-    for (const Vertex w : player_in_neighbors(g, player_)) {
+    for (const Vertex w : eval_.in_neighbors()) {
       if (live < 2) break;
       eliminated_[w] = 1;
       --live;
@@ -369,7 +369,7 @@ SolverResult ExactBranchAndBound::search(const Digraph& g, Vertex player, CostVe
     Search<std::remove_reference_t<decltype(eval)>> search(eval, version, budget, cap);
     result.current_cost = eval.current_cost();
     search.seed(current_feasible, result);
-    search.eliminate_dominated(g, result);
+    search.eliminate_dominated(result);
     search.run();
     search.finish(result);
   });
