@@ -1,6 +1,7 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
@@ -46,10 +47,23 @@ Digraph normalize_player_degree(const Digraph& g, Vertex player, std::uint32_t c
   return normalized;
 }
 
-void append_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
+/// Bucket hash of a cache key: one multiply per 64-bit word (a short tail
+/// is zero-padded), then one splitmix64 finish.
+std::uint64_t key_hash(const std::string& key) {
+  std::uint64_t hash = key.size();
+  std::size_t i = 0;
+  for (; i + 8 <= key.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, key.data() + i, sizeof word);
+    hash = (hash ^ word) * 0x9e3779b97f4a7c15ULL;
+    hash ^= hash >> 32;
   }
+  if (i < key.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, key.data() + i, key.size() - i);
+    hash ^= word;
+  }
+  return splitmix64(hash);
 }
 
 }  // namespace
@@ -139,37 +153,49 @@ const obs::CounterTable<TranspositionCache::Stats>& TranspositionCache::counters
 std::string TranspositionCache::make_key(const Digraph& g, Vertex player, CostVersion version,
                                          std::uint32_t budget_cap) {
   const std::uint32_t n = g.num_vertices();
-  std::string key;
-  key.reserve(16 + 8 * g.num_arcs());
-  key.push_back(version == CostVersion::Sum ? 'S' : 'M');
-  append_u32(key, n);
-  append_u32(key, player);
+  BBNG_REQUIRE(player < n);
+  // Sized for the worst case (every arc kept), trimmed once at the end.
+  std::string key(4 * (4 + std::size_t{n} - 1 + g.num_arcs()), '\0');
+  char* out = key.data();
+  const auto put = [&out](std::uint32_t word) {
+    std::memcpy(out, &word, sizeof word);
+    out += sizeof word;
+  };
+  put(version == CostVersion::Sum ? 'S' : 'M');
+  put(n);
+  put(player);
   // The budget cap, NOT the current out-degree: the two coincide in classic
   // runs, but a churn budget change at a fixed neighbourhood re-queries the
   // same base graph under a different cap, and the certified optimum under
   // one cap is stale under another.
-  append_u32(key, budget_cap);
-  // In-neighbour set (sorted by construction of the scan).
-  for (const Vertex w : player_in_neighbors(g, player)) append_u32(key, w);
-  key.push_back('|');
-  // Base adjacency: every arc not incident to the player, as the owner sees
-  // it (owner lists are sorted, so the byte stream is canonical). The
-  // player's own out-arcs are deliberately excluded — they do not affect its
-  // best response, so a player re-queried after changing only its own
-  // strategy hits the cache.
+  put(budget_cap);
+  // One pass over the out-lists: every vertex u but the player writes a
+  // header word, 2·(heads other than the player) + [u → player], then those
+  // heads (sorted, so the words are canonical). The headers carry the
+  // in-neighbour set and delimit the lists. The player's own out-arcs are
+  // deliberately excluded: they do not affect its best response, so a
+  // player re-queried after changing only its own strategy hits the cache.
   for (Vertex u = 0; u < n; ++u) {
     if (u == player) continue;
+    char* header = out;
+    out += 4;
+    std::uint32_t word = 0;
     for (const Vertex v : g.out_neighbors(u)) {
-      if (v == player) continue;
-      append_u32(key, u);
-      append_u32(key, v);
+      if (v == player) {
+        word |= 1;
+      } else {
+        put(v);
+        word += 2;
+      }
     }
+    std::memcpy(header, &word, sizeof word);
   }
+  key.resize(static_cast<std::size_t>(out - key.data()));
   return key;
 }
 
 const SolverResult* TranspositionCache::find(const std::string& key) const {
-  const auto bucket = map_.find(fnv1a64(key));
+  const auto bucket = map_.find(key_hash(key));
   if (bucket != map_.end()) {
     for (const auto& [stored_key, result] : bucket->second) {
       if (stored_key == key) {
@@ -195,7 +221,7 @@ void TranspositionCache::store(const std::string& key, const SolverResult& resul
     ++stats_.flushes;
     counters().publish({.flushes = 1});
   }
-  auto& bucket = map_[fnv1a64(key)];
+  auto& bucket = map_[key_hash(key)];
   for (const auto& [stored_key, existing] : bucket) {
     if (stored_key == key) return;  // first certified answer wins (they agree)
   }

@@ -93,7 +93,13 @@ class TranspositionCache {
 
   explicit TranspositionCache(std::size_t max_entries = 4096)
       : max_entries_(max_entries) {}
-  /// Canonical key bytes for a (g, player, version, budget-cap) query.
+  /// Canonical key bytes for a (g, player, version, budget-cap) query,
+  /// written in one pass over the out-lists as 32-bit words: the version, n,
+  /// the player and the cap, then per vertex u ≠ player a header word
+  /// 2·|heads other than the player| + [u → player] and those heads. Two
+  /// keys are equal iff the queries agree on all four header values, the
+  /// player's in-neighbour set and every arc not incident to the player.
+  /// find/store bucket keys by a word-wise hash and compare them in full.
   /// `budget_cap` is the EFFECTIVE cap the solve runs under (see
   /// effective_budget_cap) and is part of the key: the same neighbourhood
   /// solved under two caps has two different certified optima, so a churn
