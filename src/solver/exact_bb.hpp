@@ -109,9 +109,49 @@
 // *certified* Nash verdict (game/equilibrium.hpp's verify_nash_equilibrium).
 #pragma once
 
+#include <bit>
+
 #include "solver/solver.hpp"
 
 namespace bbng {
+
+/// exact_bb's branch order (best saving first, ties to the smaller vertex)
+/// as one unsigned word per candidate, so that a node orders its candidates
+/// by a plain integer sort, descending:
+///
+///     key = saving · 2^b + (2^b − 1 − t),   b = bit_width(n).
+///
+/// A larger saving gives a larger key, and at equal savings a smaller t
+/// does; saving and t read back exactly. Every cost, and so every saving,
+/// is at most n·Cinf = n³ < 2^3b (SUM ≤ (n − 1)·Cinf; MAX ≤ κ·Cinf with
+/// κ ≤ n), so a 64-bit key holds every saving while 4b ≤ 64, i.e. n ≤ 65535
+/// (branch_key_fits_u64). Beyond that the search keys on WideBranchKey,
+/// which holds any 64-bit saving at any 32-bit n.
+template <class Key>
+class BranchKey {
+ public:
+  explicit BranchKey(std::uint32_t n) : bits_(std::bit_width(n)), low_((Key{1} << bits_) - 1) {}
+
+  [[nodiscard]] Key pack(std::uint64_t saving, Vertex t) const {
+    return (Key{saving} << bits_) | (low_ - t);
+  }
+  [[nodiscard]] std::uint64_t saving(Key key) const {
+    return static_cast<std::uint64_t>(key >> bits_);
+  }
+  [[nodiscard]] Vertex vertex(Key key) const { return static_cast<Vertex>(low_ - (key & low_)); }
+
+ private:
+  int bits_;
+  Key low_;  ///< 2^b − 1
+};
+
+/// The key exact_bb sorts on above n = 65535.
+__extension__ using WideBranchKey = unsigned __int128;
+
+/// Whether every saving of an n-vertex search packs into a 64-bit BranchKey.
+[[nodiscard]] constexpr bool branch_key_fits_u64(std::uint32_t n) noexcept {
+  return 4 * std::bit_width(n) <= 64;
+}
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
