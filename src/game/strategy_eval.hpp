@@ -61,8 +61,9 @@ namespace bbng {
 /// 1 + dist_base(S ∪ In(u), v).
 [[nodiscard]] UGraph best_response_base(const Digraph& g, Vertex player);
 
-/// Players owning an arc into `player` — the fixed half of the seed set that
-/// every candidate strategy of `player` inherits for free.
+/// Players owning an arc into `player`, ascending — the fixed half of the
+/// seed set that every candidate strategy of `player` inherits for free.
+/// One pass over the out-lists.
 [[nodiscard]] std::vector<Vertex> player_in_neighbors(const Digraph& g, Vertex player);
 
 /// Add underlying(G) minus every edge incident to `player` into `base`
@@ -333,10 +334,16 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 ///
 /// The fill path depends on n alone, and both fill the same table. For
 /// n ≤ 64 it reads one adjacency word per vertex straight off g and fills
-/// each row by a word-parallel BFS. Above that it runs ⌈(n−1)/64⌉ packed
+/// each row by a word-parallel BFS: one bit loop per level writes each
+/// frontier vertex's entry and ORs in its adjacency word, and that OR minus
+/// the seen set is the next frontier. Above that it runs ⌈(n−1)/64⌉ packed
 /// sweeps of the 64-lane kernel (CsrMultiBfs::sweep in graph/multi_bfs.hpp,
 /// which publishes no `bfs.multi.*` counters) over
-/// underlying_csr(CsrGraph(g), player).
+/// underlying_csr(CsrGraph(g), player). Either fill also collects In(u),
+/// the player's in-neighbours in ascending order (the arcs into the player
+/// it skips, or the CSR in-row), and the evaluator keeps that list: it
+/// seeds the level-0 cover, and in_neighbors() hands it to exact_bb's
+/// dominance elimination, so no caller re-derives it from g.
 ///
 /// The rows are the precomputed backward distances of the Wilson–Zwick
 /// forward/backward split (PAPERS.md): a seed set S ∪ In(u) serves v at min

@@ -31,9 +31,11 @@
 //     the probed costs finds the least (cost, vertex) child, the only one
 //     the ordered walk could offer, and with it the largest saving, the SUM
 //     bound's gain. Nothing is sorted.
-//   * r ≥ 2: candidates are put in branch order only up to the prefix the
-//     child loop reaches (nth_element + sort, in blocks that double), with
-//     a prefix sum over the ordered savings. The SUM savings bound is the
+//   * r ≥ 2: each candidate becomes one BranchKey word (below), whose
+//     descending integer order is branch order, and the words are put in
+//     order only up to the prefix the child loop reaches (nth_element +
+//     sort, in blocks that double), with a prefix sum over the ordered
+//     savings. A child's vertex and saving read back off its word. The SUM savings bound is the
 //     sum of the r largest savings, prefix[min(r, c)], and child k's
 //     pre-prune gain is the next r − 1 savings after it, prefix[k+1+keep] −
 //     prefix[k+1]. In branch order that pre-prune value child.cost −
@@ -71,7 +73,8 @@
 //         candidate dominates t2.
 //     So the root drops the in-neighbours in ascending order while another
 //     live candidate remains (when every candidate is one, the largest
-//     survives) — O(n), no pairwise sweep.
+//     survives) — O(|In(u)|), no pairwise sweep. It reads In(u) off the
+//     evaluator, which collected it while it was built.
 //   * Zero-saving elimination (SUM only) — single-head savings shrink as P
 //     grows, so a candidate saving nothing at a node saves nothing anywhere
 //     below it and is dropped from the subtree.

@@ -248,5 +248,28 @@ TEST(EngineCli, ReportMergesAHandcraftedHostSidecarVerbatim) {
   std::filesystem::remove(artifact);
 }
 
+TEST(EngineCli, ReportCountsEveryJobOfTheScenarioForACounterThatFiresInOne) {
+  // A block lists only nonzero deltas, so `rare` is absent from two of the
+  // three jobs. Its row still counts all three jobs, like the summary's
+  // `count`, and its mean divides by three.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string artifact = (dir / "bbng_cli_rare_counter.jsonl").string();
+  {
+    std::ofstream out(artifact, std::ios::binary | std::ios::trunc);
+    out << R"({"format": "bbng-jsonl", "campaign": "rare"})" << "\n"
+        << R"({"job": 0, "scenario": "s1", "task": "churn", "obs": {"a.all": 1}})" << "\n"
+        << R"({"job": 1, "scenario": "s1", "task": "churn", "obs": {"a.all": 1, "a.rare": 7}})"
+        << "\n"
+        << R"({"job": 2, "scenario": "s1", "task": "churn", "obs": {"a.all": 1}})" << "\n";
+  }
+  const CliResult csv = run_cli("report --artifact " + artifact + " --csv");
+  EXPECT_EQ(csv.exit_code, 0) << csv.output;
+  EXPECT_EQ(csv.output,
+            "scenario,task,counter,jobs,total,mean_per_job\n"
+            "s1,churn,a.all,3,3,1.000\n"
+            "s1,churn,a.rare,3,7,2.333\n");
+  std::filesystem::remove(artifact);
+}
+
 }  // namespace
 }  // namespace bbng

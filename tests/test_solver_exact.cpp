@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <iterator>
+#include <tuple>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "reference/naive_best_response.hpp"
+#include "reference/naive_cache_key.hpp"
 #include "util/rng.hpp"
 
 namespace bbng {
@@ -807,6 +811,173 @@ TEST(SolverExact, AtTheMatrixLimitScoresOnTheTable) {
 
 TEST(SolverExact, PastTheMatrixLimitScoresOnTheDeltaOracle) {
   EXPECT_GT(solve_sparse_instance(kTableEvaluatorLimit + 1), 0u);
+}
+
+TEST(SolverExact, InNeighbourListsMatchTheHasArcReference) {
+  // n = 2 and 64 fill the table by adjacency words, 65 and 130 by 64-lane
+  // sweeps; both fills collect In(u) on the way.
+  Rng rng(2801);
+  for (const std::uint32_t n : {2u, 64u, 65u, 130u}) {
+    for (int round = 0; round < 6; ++round) {
+      const std::uint64_t sigma = std::min<std::uint64_t>(
+          n + rng.next_below(2 * n + 1), std::uint64_t{n} * (n - 1));
+      Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+      const auto u = static_cast<Vertex>(rng.next_below(n));
+      if (round % 2 == 1) {
+        // Crowd the player's in-arcs so long In(u) lists are covered too.
+        for (Vertex w = 0; w < n; w += 3) {
+          if (w != u && !g.has_arc(w, u)) g.add_arc(w, u);
+        }
+      }
+      const std::vector<Vertex> expected = naive_player_in_neighbors(g, u);
+      const CostVersion version = round % 3 == 0 ? CostVersion::Max : CostVersion::Sum;
+      EXPECT_EQ(TableEvaluator(g, u, version).in_neighbors(), expected) << "n " << n;
+      EXPECT_EQ(CsrDeltaEvaluator(g, u, version).in_neighbors(), expected) << "n " << n;
+      EXPECT_EQ(player_in_neighbors(g, u), expected) << "n " << n;
+    }
+  }
+}
+
+TEST(SolverExact, CacheKeysAreEqualExactlyWhenTheReferenceKeysAre) {
+  // Families of near-identical queries: each variant changes one thing the
+  // key must see (an arc, an in-arc, the cap, the version, the player) or
+  // one it must not (the player's own out-arcs).
+  struct Query {
+    Digraph g;
+    Vertex player;
+    CostVersion version;
+    std::uint32_t cap;
+  };
+  Rng rng(2802);
+  std::size_t equal_pairs = 0;
+  std::size_t own_arc_pairs = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.next_below(39));  // 2..40
+    const std::uint64_t sigma =
+        std::min<std::uint64_t>(n + rng.next_below(n + 1), std::uint64_t{n} * (n - 1));
+    const Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+    const auto u = static_cast<Vertex>(rng.next_below(n));
+    const std::uint32_t cap = static_cast<std::uint32_t>(rng.next_below(n));
+    std::vector<Query> family;
+    family.push_back({g, u, CostVersion::Sum, cap});
+    family.push_back({g, u, CostVersion::Max, cap});
+    family.push_back({g, u, CostVersion::Sum, cap + 1 < n ? cap + 1 : 0});
+    family.push_back({g, (u + 1) % n, CostVersion::Sum, cap});
+    // The player's own strategy: rotated heads, none, and every vertex.
+    std::vector<Vertex> heads;
+    for (const Vertex h : g.out_neighbors(u)) {
+      if ((h + 1) % n != u) heads.push_back((h + 1) % n);
+    }
+    std::sort(heads.begin(), heads.end());
+    heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
+    const std::size_t own_first = family.size();
+    for (const std::vector<Vertex>& strategy : {heads, std::vector<Vertex>{}}) {
+      Digraph moved = g;
+      moved.set_strategy(u, strategy);
+      family.push_back({std::move(moved), u, CostVersion::Sum, cap});
+    }
+    Digraph everywhere = g;
+    std::vector<Vertex> all;
+    for (Vertex t = 0; t < n; ++t) {
+      if (t != u) all.push_back(t);
+    }
+    everywhere.set_strategy(u, all);
+    family.push_back({std::move(everywhere), u, CostVersion::Sum, cap});
+    const std::size_t own_last = family.size();
+    // One in-arc flipped, and one arc elsewhere flipped.
+    {
+      const Vertex w = (u + 1 + static_cast<Vertex>(rng.next_below(n - 1))) % n;
+      Digraph flipped = g;
+      if (flipped.has_arc(w, u)) {
+        flipped.remove_arc(w, u);
+      } else {
+        flipped.add_arc(w, u);
+      }
+      family.push_back({std::move(flipped), u, CostVersion::Sum, cap});
+    }
+    if (n >= 3) {
+      Vertex a = static_cast<Vertex>(rng.next_below(n));
+      while (a == u) a = (a + 1) % n;
+      Vertex b = (a + 1) % n;
+      while (b == u || b == a) b = (b + 1) % n;
+      Digraph flipped = g;
+      if (flipped.has_arc(a, b)) {
+        flipped.remove_arc(a, b);
+      } else {
+        flipped.add_arc(a, b);
+      }
+      family.push_back({std::move(flipped), u, CostVersion::Sum, cap});
+    }
+
+    for (std::size_t i = 0; i < family.size(); ++i) {
+      const Query& a = family[i];
+      const std::string key_a = TranspositionCache::make_key(a.g, a.player, a.version, a.cap);
+      const std::string ref_a = naive_cache_key(a.g, a.player, a.version, a.cap);
+      for (std::size_t j = 0; j < family.size(); ++j) {
+        const Query& b = family[j];
+        const bool equal =
+            key_a == TranspositionCache::make_key(b.g, b.player, b.version, b.cap);
+        ASSERT_EQ(equal, ref_a == naive_cache_key(b.g, b.player, b.version, b.cap))
+            << "round " << round << " n " << n << " variants " << i << ", " << j;
+        if (i != j && equal) ++equal_pairs;
+        if (i == 0 && j >= own_first && j < own_last) {
+          EXPECT_TRUE(equal) << "round " << round << ": the player's own arcs changed the key";
+          ++own_arc_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GE(own_arc_pairs, 180u);
+  EXPECT_GT(equal_pairs, own_arc_pairs);
+}
+
+/// Pack every (saving, t) pair, sort the keys descending and check that the
+/// order is best saving first, ties to the smaller vertex, and that every
+/// key reads back its saving and vertex.
+template <class Key>
+void expect_branch_order(std::uint32_t n, const std::vector<std::uint64_t>& savings) {
+  const BranchKey<Key> branch(n);
+  const std::vector<Vertex> vertices = {0, 1, n / 2, n - 2, n - 1};
+  std::vector<std::pair<std::uint64_t, Vertex>> expected;
+  std::vector<Key> keys;
+  for (const std::uint64_t saving : savings) {
+    for (const Vertex t : vertices) {
+      expected.emplace_back(saving, t);
+      keys.push_back(branch.pack(saving, t));
+      ASSERT_EQ(branch.saving(keys.back()), saving) << "n " << n << " t " << t;
+      ASSERT_EQ(branch.vertex(keys.back()), t) << "n " << n << " saving " << saving;
+    }
+  }
+  std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::sort(keys.begin(), keys.end(), std::greater<>());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(branch.saving(keys[i]), expected[i].first) << "n " << n << " rank " << i;
+    ASSERT_EQ(branch.vertex(keys[i]), expected[i].second) << "n " << n << " rank " << i;
+  }
+}
+
+TEST(SolverExact, BranchKeysOrderExactlyAtThePackingLimit) {
+  // n = 65535 is the largest n a 64-bit key admits: b = 16 vertex bits
+  // leave 48 for savings, and every saving is below n³ < 2^48.
+  constexpr std::uint32_t kLimit = 65535;
+  ASSERT_TRUE(branch_key_fits_u64(kLimit));
+  ASSERT_FALSE(branch_key_fits_u64(kLimit + 1));
+  const std::uint64_t n3 = std::uint64_t{kLimit} * kLimit * kLimit;
+  ASSERT_LT(n3, std::uint64_t{1} << 48);
+  // Savings that differ only in their top bits, the largest possible one
+  // among them.
+  const std::uint64_t low = 0x5a5a5a5a5a5ULL;
+  expect_branch_order<std::uint64_t>(
+      kLimit, {n3 - 1, low, (std::uint64_t{1} << 47) | low, (std::uint64_t{1} << 46) | low,
+               (std::uint64_t{3} << 46) | low, 0, 1});
+  // Past it the search keys on 128 bits, which hold any 64-bit saving at
+  // any n.
+  for (const std::uint32_t n : {kLimit + 1, 0xffffffffu}) {
+    expect_branch_order<WideBranchKey>(
+        n, {~std::uint64_t{0}, ~std::uint64_t{0} >> 1, (std::uint64_t{1} << 63) | low, low, 0});
+  }
 }
 
 }  // namespace

@@ -232,7 +232,6 @@ int report_obs(int argc, const char** argv) {
     std::string task;
     std::string counter;
     std::uint64_t total = 0;
-    std::uint64_t jobs = 0;  ///< jobs whose block carried this counter
   };
   std::vector<CounterRow> rows;
   std::vector<std::pair<std::string, std::uint64_t>> scenario_jobs;
@@ -258,11 +257,10 @@ int report_obs(int argc, const char** argv) {
         if (existing.scenario == scenario && existing.counter == counter) row = &existing;
       }
       if (row == nullptr) {
-        rows.push_back(CounterRow{scenario, task, counter, 0, 0});
+        rows.push_back(CounterRow{scenario, task, counter, 0});
         row = &rows.back();
       }
       row->total += value.as_uint();
-      ++row->jobs;
     }
   }
   if (records_with_obs == 0) {
@@ -280,9 +278,9 @@ int report_obs(int argc, const char** argv) {
     for (const auto& [name, count] : scenario_jobs) {
       if (name == row.scenario) scenario_total_jobs = count;
     }
-    // Mean over ALL of the scenario's jobs, not just those where the
-    // counter fired: deltas() omits zeros, and a counter that fired in 3 of
-    // 100 jobs should not read as if it averaged its hot-job value.
+    // Jobs and mean count ALL of the scenario's jobs, not just those where
+    // the counter fired: deltas() omits zeros, and a counter that fired in 3
+    // of 100 jobs reads 0 in the other 97, as the summary's `count` does.
     const double mean = scenario_total_jobs == 0
                             ? 0.0
                             : static_cast<double>(row.total) /
@@ -291,7 +289,7 @@ int report_obs(int argc, const char** argv) {
         .add(row.scenario)
         .add(row.task)
         .add(row.counter)
-        .add(row.jobs)
+        .add(scenario_total_jobs)
         .add(row.total)
         .add(mean);
   }
