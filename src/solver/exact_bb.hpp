@@ -35,12 +35,13 @@
 //     descending integer order is branch order, and the words are put in
 //     order only up to the prefix the child loop reaches (nth_element +
 //     sort, in blocks that double), with a prefix sum over the ordered
-//     savings. A child's vertex and saving read back off its word. The SUM savings bound is the
-//     sum of the r largest savings, prefix[min(r, c)], and child k's
-//     pre-prune gain is the next r − 1 savings after it, prefix[k+1+keep] −
-//     prefix[k+1]. In branch order that pre-prune value child.cost −
-//     child_gain never decreases while the incumbent only falls, so the
-//     first pre-pruned child ends the loop and the rest count as pruned.
+//     savings. A child's vertex and saving read back off its word. The SUM
+//     savings bound is the sum of the r largest savings, prefix[min(r, c)],
+//     and child k's pre-prune gain is the next r − 1 savings after it,
+//     prefix[k+1+keep] − prefix[k+1]. In branch order that pre-prune value
+//     child.cost − child_gain never decreases while the incumbent only
+//     falls, so the first pre-pruned child ends the loop and the rest count
+//     as pruned.
 //     MAX has no pre-prune and orders every candidate.
 // Child k branches over every candidate ranked after it, handed down as a
 // suffix span of one per-depth list (its unordered tail included). A
