@@ -31,10 +31,7 @@ std::vector<Vertex> player_in_neighbors(const Digraph& g, Vertex player) {
   BBNG_REQUIRE(player < g.num_vertices());
   std::vector<Vertex> in;
   for (Vertex w = 0; w < g.num_vertices(); ++w) {
-    const auto heads = g.out_neighbors(w);
-    if (w != player && std::find(heads.begin(), heads.end(), player) != heads.end()) {
-      in.push_back(w);
-    }
+    if (w != player && g.has_arc(w, player)) in.push_back(w);
   }
   return in;
 }

@@ -61,9 +61,8 @@ namespace bbng {
 /// 1 + dist_base(S ∪ In(u), v).
 [[nodiscard]] UGraph best_response_base(const Digraph& g, Vertex player);
 
-/// Players owning an arc into `player`, ascending — the fixed half of the
-/// seed set that every candidate strategy of `player` inherits for free.
-/// One pass over the out-lists.
+/// Players owning an arc into `player` — the fixed half of the seed set that
+/// every candidate strategy of `player` inherits for free.
 [[nodiscard]] std::vector<Vertex> player_in_neighbors(const Digraph& g, Vertex player);
 
 /// Add underlying(G) minus every edge incident to `player` into `base`

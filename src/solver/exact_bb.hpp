@@ -31,17 +31,14 @@
 //     the probed costs finds the least (cost, vertex) child, the only one
 //     the ordered walk could offer, and with it the largest saving, the SUM
 //     bound's gain. Nothing is sorted.
-//   * r ≥ 2: each candidate becomes one BranchKey word (below), whose
-//     descending integer order is branch order, and the words are put in
-//     order only up to the prefix the child loop reaches (nth_element +
-//     sort, in blocks that double), with a prefix sum over the ordered
-//     savings. A child's vertex and saving read back off its word. The SUM
-//     savings bound is the sum of the r largest savings, prefix[min(r, c)],
-//     and child k's pre-prune gain is the next r − 1 savings after it,
-//     prefix[k+1+keep] − prefix[k+1]. In branch order that pre-prune value
-//     child.cost − child_gain never decreases while the incumbent only
-//     falls, so the first pre-pruned child ends the loop and the rest count
-//     as pruned.
+//   * r ≥ 2: candidates are put in branch order only up to the prefix the
+//     child loop reaches (nth_element + sort, in blocks that double), with
+//     a prefix sum over the ordered savings. The SUM savings bound is the
+//     sum of the r largest savings, prefix[min(r, c)], and child k's
+//     pre-prune gain is the next r − 1 savings after it, prefix[k+1+keep] −
+//     prefix[k+1]. In branch order that pre-prune value child.cost −
+//     child_gain never decreases while the incumbent only falls, so the
+//     first pre-pruned child ends the loop and the rest count as pruned.
 //     MAX has no pre-prune and orders every candidate.
 // Child k branches over every candidate ranked after it, handed down as a
 // suffix span of one per-depth list (its unordered tail included). A
@@ -113,49 +110,9 @@
 // *certified* Nash verdict (game/equilibrium.hpp's verify_nash_equilibrium).
 #pragma once
 
-#include <bit>
-
 #include "solver/solver.hpp"
 
 namespace bbng {
-
-/// exact_bb's branch order (best saving first, ties to the smaller vertex)
-/// as one unsigned word per candidate, so that a node orders its candidates
-/// by a plain integer sort, descending:
-///
-///     key = saving · 2^b + (2^b − 1 − t),   b = bit_width(n).
-///
-/// A larger saving gives a larger key, and at equal savings a smaller t
-/// does; saving and t read back exactly. Every cost, and so every saving,
-/// is at most n·Cinf = n³ < 2^3b (SUM ≤ (n − 1)·Cinf; MAX ≤ κ·Cinf with
-/// κ ≤ n), so a 64-bit key holds every saving while 4b ≤ 64, i.e. n ≤ 65535
-/// (branch_key_fits_u64). Beyond that the search keys on WideBranchKey,
-/// which holds any 64-bit saving at any 32-bit n.
-template <class Key>
-class BranchKey {
- public:
-  explicit BranchKey(std::uint32_t n) : bits_(std::bit_width(n)), low_((Key{1} << bits_) - 1) {}
-
-  [[nodiscard]] Key pack(std::uint64_t saving, Vertex t) const {
-    return (Key{saving} << bits_) | (low_ - t);
-  }
-  [[nodiscard]] std::uint64_t saving(Key key) const {
-    return static_cast<std::uint64_t>(key >> bits_);
-  }
-  [[nodiscard]] Vertex vertex(Key key) const { return static_cast<Vertex>(low_ - (key & low_)); }
-
- private:
-  int bits_;
-  Key low_;  ///< 2^b − 1
-};
-
-/// The key exact_bb sorts on above n = 65535.
-__extension__ using WideBranchKey = unsigned __int128;
-
-/// Whether every saving of an n-vertex search packs into a 64-bit BranchKey.
-[[nodiscard]] constexpr bool branch_key_fits_u64(std::uint32_t n) noexcept {
-  return 4 * std::bit_width(n) <= 64;
-}
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:

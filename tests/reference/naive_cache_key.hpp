@@ -1,6 +1,6 @@
 // Cache-key references: the test-only witnesses for
-// TranspositionCache::make_key and the in-neighbour lists it and the
-// evaluators read.
+// TranspositionCache::make_key and the in-neighbour lists the evaluators
+// keep.
 //
 // naive_player_in_neighbors asks Digraph::has_arc once per vertex, and
 // naive_cache_key is the byte encoder the cache keyed on before keys were

@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <iterator>
-#include <tuple>
 #include <span>
 #include <string>
 #include <utility>
@@ -833,7 +831,6 @@ TEST(SolverExact, InNeighbourListsMatchTheHasArcReference) {
       const CostVersion version = round % 3 == 0 ? CostVersion::Max : CostVersion::Sum;
       EXPECT_EQ(TableEvaluator(g, u, version).in_neighbors(), expected) << "n " << n;
       EXPECT_EQ(CsrDeltaEvaluator(g, u, version).in_neighbors(), expected) << "n " << n;
-      EXPECT_EQ(player_in_neighbors(g, u), expected) << "n " << n;
     }
   }
 }
@@ -929,55 +926,6 @@ TEST(SolverExact, CacheKeysAreEqualExactlyWhenTheReferenceKeysAre) {
   }
   EXPECT_GE(own_arc_pairs, 180u);
   EXPECT_GT(equal_pairs, own_arc_pairs);
-}
-
-/// Pack every (saving, t) pair, sort the keys descending and check that the
-/// order is best saving first, ties to the smaller vertex, and that every
-/// key reads back its saving and vertex.
-template <class Key>
-void expect_branch_order(std::uint32_t n, const std::vector<std::uint64_t>& savings) {
-  const BranchKey<Key> branch(n);
-  const std::vector<Vertex> vertices = {0, 1, n / 2, n - 2, n - 1};
-  std::vector<std::pair<std::uint64_t, Vertex>> expected;
-  std::vector<Key> keys;
-  for (const std::uint64_t saving : savings) {
-    for (const Vertex t : vertices) {
-      expected.emplace_back(saving, t);
-      keys.push_back(branch.pack(saving, t));
-      ASSERT_EQ(branch.saving(keys.back()), saving) << "n " << n << " t " << t;
-      ASSERT_EQ(branch.vertex(keys.back()), t) << "n " << n << " saving " << saving;
-    }
-  }
-  std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::sort(keys.begin(), keys.end(), std::greater<>());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(branch.saving(keys[i]), expected[i].first) << "n " << n << " rank " << i;
-    ASSERT_EQ(branch.vertex(keys[i]), expected[i].second) << "n " << n << " rank " << i;
-  }
-}
-
-TEST(SolverExact, BranchKeysOrderExactlyAtThePackingLimit) {
-  // n = 65535 is the largest n a 64-bit key admits: b = 16 vertex bits
-  // leave 48 for savings, and every saving is below n³ < 2^48.
-  constexpr std::uint32_t kLimit = 65535;
-  ASSERT_TRUE(branch_key_fits_u64(kLimit));
-  ASSERT_FALSE(branch_key_fits_u64(kLimit + 1));
-  const std::uint64_t n3 = std::uint64_t{kLimit} * kLimit * kLimit;
-  ASSERT_LT(n3, std::uint64_t{1} << 48);
-  // Savings that differ only in their top bits, the largest possible one
-  // among them.
-  const std::uint64_t low = 0x5a5a5a5a5a5ULL;
-  expect_branch_order<std::uint64_t>(
-      kLimit, {n3 - 1, low, (std::uint64_t{1} << 47) | low, (std::uint64_t{1} << 46) | low,
-               (std::uint64_t{3} << 46) | low, 0, 1});
-  // Past it the search keys on 128 bits, which hold any 64-bit saving at
-  // any n.
-  for (const std::uint32_t n : {kLimit + 1, 0xffffffffu}) {
-    expect_branch_order<WideBranchKey>(
-        n, {~std::uint64_t{0}, ~std::uint64_t{0} >> 1, (std::uint64_t{1} << 63) | low, low, 0});
-  }
 }
 
 }  // namespace
