@@ -9,7 +9,11 @@
 // portfolio is never worse than the swap baseline. Reported: search nodes
 // explored/pruned vs enumeration candidates (the pruning power that makes
 // certified Nash verification affordable), wall-clock per backend, and the
-// exact-vs-portfolio / exact-vs-swap optimality gaps.
+// exact-vs-portfolio / exact-vs-swap optimality gaps. Each instance's
+// players with a positive budget are also solved the way a Nash audit
+// solves them, once with no state table (bb_all_ms) and once over one
+// StateTable of the instance (bb_state_ms); the two must return identical
+// results.
 // scripts/run_bench.py turns the CSV into BENCH_solver.json so the numbers
 // are tracked across PRs, not asserted from memory.
 #include <algorithm>
@@ -53,8 +57,8 @@ int run(int argc, const char** argv) {
 
   bench::banner("Solver subsystem: certified B&B vs enumeration, portfolio gap");
   Table table({"n", "version", "queries", "enum_candidates", "bb_nodes", "bb_pruned",
-               "prune_ratio", "enum_ms", "bb_ms", "portfolio_ms", "portfolio_gap_pct",
-               "swap_gap_pct", "portfolio_optimal_pct"});
+               "prune_ratio", "enum_ms", "bb_ms", "bb_all_ms", "bb_state_ms", "portfolio_ms",
+               "portfolio_gap_pct", "swap_gap_pct", "portfolio_optimal_pct"});
 
   for (std::int64_t size = *min_n; size <= *max_n; size += 4) {
     const auto n = static_cast<std::uint32_t>(size);
@@ -68,6 +72,8 @@ int run(int argc, const char** argv) {
       std::uint64_t portfolio_optimal = 0;
       double enum_ms = 0;
       double bb_ms = 0;
+      double bb_all_ms = 0;
+      double bb_state_ms = 0;
       double portfolio_ms = 0;
       std::vector<double> portfolio_gaps;
       std::vector<double> swap_gaps;
@@ -92,6 +98,32 @@ int run(int argc, const char** argv) {
         check.expect(bb.optimal, cat("bb certificate n=", n, " q=", queries));
         check.expect(bb.cost == reference.cost,
                      cat("bb == enumeration n=", n, " q=", queries));
+
+        // Every positive-budget player, without and then over one state table.
+        std::vector<SolverResult> alone;
+        timer.restart();
+        for (Vertex p = 0; p < n; ++p) {
+          if (g.out_degree(p) > 0) alone.push_back(exact_bb.solve(g, p, version));
+        }
+        bb_all_ms += timer.elapsed_millis();
+        StateTable state(g);
+        std::vector<SolverResult> shared;
+        timer.restart();
+        for (Vertex p = 0; p < n; ++p) {
+          if (g.out_degree(p) > 0) {
+            shared.push_back(exact_bb.solve(g, p, version, {}, nullptr, nullptr, &state));
+          }
+        }
+        bb_state_ms += timer.elapsed_millis();
+        for (std::size_t k = 0; k < alone.size(); ++k) {
+          const SolverResult& a = alone[k];
+          const SolverResult& b = shared[k];
+          check.expect(a.strategy == b.strategy && a.cost == b.cost &&
+                           a.current_cost == b.current_cost && a.optimal == b.optimal &&
+                           a.lower_bound == b.lower_bound && a.nodes_explored == b.nodes_explored &&
+                           a.nodes_pruned == b.nodes_pruned && a.evaluated == b.evaluated,
+                       cat("state table == no table n=", n, " q=", queries, " k=", k));
+        }
 
         timer.restart();
         const SolverResult heuristic = portfolio.solve(g, u, version);
@@ -126,6 +158,8 @@ int run(int argc, const char** argv) {
           .add(prune_ratio, 1)
           .add(enum_ms, 3)
           .add(bb_ms, 3)
+          .add(bb_all_ms, 3)
+          .add(bb_state_ms, 3)
           .add(portfolio_ms, 3)
           .add(summarize(portfolio_gaps).mean, 2)
           .add(summarize(swap_gaps).mean, 2)

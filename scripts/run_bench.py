@@ -310,6 +310,8 @@ def main():
                     "prune_ratio": float(record["prune_ratio"]),
                     "enum_ms": float(record["enum_ms"]),
                     "bb_ms": float(record["bb_ms"]),
+                    "bb_all_ms": float(record["bb_all_ms"]),
+                    "bb_state_ms": float(record["bb_state_ms"]),
                     "portfolio_ms": float(record["portfolio_ms"]),
                     "portfolio_gap_pct": float(record["portfolio_gap_pct"]),
                     "swap_gap_pct": float(record["swap_gap_pct"]),

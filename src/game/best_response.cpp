@@ -130,7 +130,7 @@ SolverResult BestResponseSolver::exact(const Digraph& g, Vertex u, ThreadPool* p
                    "candidate count exceeds the exact-search limit; use the \"swap\" backend");
   const std::uint32_t b = g.out_degree(u);
   ThreadPool& exec = pool ? *pool : ThreadPool::shared();
-  return with_table_evaluator(g, u, version_, [&](auto& eval) {
+  return with_table_evaluator(g, u, version_, nullptr, [&](auto& eval) {
     return exact_with(eval, b, total, exec);
   });
 }

@@ -80,6 +80,7 @@ ChurnEngine::ChurnEngine(Digraph initial, std::vector<std::uint32_t> budgets, Ch
   // stats() after construction (both sides pay this audit once).
   current_costs_ = batched_current_costs(graph_, config_.version, config_.budget.core, pool_);
   const std::uint64_t bound = trivial_cost_lower_bound(n, config_.version);
+  StateTable state(graph_);
   for (Vertex u = 0; u < n; ++u) {
     if (caps_[u] == 0) {
       set_regret(u, 0, true);
@@ -87,7 +88,7 @@ ChurnEngine::ChurnEngine(Digraph initial, std::vector<std::uint32_t> budgets, Ch
       set_regret(u, 0, true);
       ++stats_.skips_trivial;
     } else {
-      refresh_player(u);
+      refresh_player(u, state);
     }
   }
   churn_counters().publish(stats_, flushed_);
@@ -138,11 +139,12 @@ NashReport ChurnEngine::audit() const {
                                  &caps_);
 }
 
-SolverResult ChurnEngine::solve_player(Vertex u) {
+SolverResult ChurnEngine::solve_player(Vertex u, StateTable* state) {
   SolverBudget budget = config_.budget;
   budget.budget_cap = caps_[u];
   const std::uint64_t hits_before = cache_.stats().hits;
-  SolverResult result = backend_->solve(graph_, u, config_.version, budget, pool_, &cache_);
+  SolverResult result =
+      backend_->solve(graph_, u, config_.version, budget, pool_, &cache_, state);
   ++stats_.solver_queries;
   if (cache_.stats().hits > hits_before) {
     ++stats_.cache_hits;
@@ -152,8 +154,8 @@ SolverResult ChurnEngine::solve_player(Vertex u) {
   return result;
 }
 
-void ChurnEngine::refresh_player(Vertex u) {
-  const SolverResult result = solve_player(u);
+void ChurnEngine::refresh_player(Vertex u, StateTable& state) {
+  const SolverResult result = solve_player(u, &state);
   // The maintained cost vector and the backend see the same exact distances.
   BBNG_ASSERT(result.current_cost == current_costs_[u]);
   set_regret(u, result.improves() ? result.current_cost - result.cost : 0, result.optimal);
@@ -203,7 +205,7 @@ std::vector<Vertex> ChurnEngine::trimmed_strategy(Vertex u, std::uint32_t cap) c
 }
 
 void ChurnEngine::respond(Vertex p, DeltaKind& delta) {
-  const SolverResult result = solve_player(p);
+  const SolverResult result = solve_player(p, nullptr);  // the graph moves next
   if (result.improves() || graph_.out_degree(p) != caps_[p]) {
     apply_strategy(p, result.strategy, delta);
   }
@@ -224,6 +226,7 @@ void ChurnEngine::settle(DeltaKind delta) {
     const std::uint64_t bound =
         trivial_cost_lower_bound(graph_.num_vertices(), config_.version);
     std::uint64_t dirty_active = 0;
+    StateTable state(graph_);
     for (const Vertex u : dirty_queue_) {
       if (caps_[u] == 0) {
         set_regret(u, 0, true);  // retired: the empty strategy is its space
@@ -234,7 +237,7 @@ void ChurnEngine::settle(DeltaKind delta) {
         set_regret(u, 0, true);
         ++stats_.skips_trivial;
       } else {
-        refresh_player(u);
+        refresh_player(u, state);
       }
     }
     stats_.skips_clean += active_players() - dirty_active;
@@ -253,6 +256,7 @@ void ChurnEngine::refresh_all(DeltaKind delta) {
   const std::vector<std::uint64_t> previous = std::move(current_costs_);
   current_costs_ = batched_current_costs(graph_, config_.version, config_.budget.core, pool_);
   const std::uint64_t bound = trivial_cost_lower_bound(graph_.num_vertices(), config_.version);
+  StateTable state(graph_);
   for (Vertex u = 0; u < graph_.num_vertices(); ++u) {
     if (caps_[u] == 0) {
       set_regret(u, 0, true);
@@ -278,7 +282,7 @@ void ChurnEngine::refresh_all(DeltaKind delta) {
       ++stats_.skips_locality;
       continue;
     }
-    refresh_player(u);
+    refresh_player(u, state);
   }
 }
 

@@ -195,9 +195,10 @@ class ChurnEngine {
   enum class DeltaKind { kNone, kDeletionOnly, kMixed };
 
   /// Solve u under its live cap through the cache, counted into
-  /// queries/searches/hits.
-  [[nodiscard]] SolverResult solve_player(Vertex u);
-  void refresh_player(Vertex u);
+  /// queries/searches/hits. `state` is the StateTable of graph_ a loop over
+  /// players owns (null outside such a loop).
+  [[nodiscard]] SolverResult solve_player(Vertex u, StateTable* state);
+  void refresh_player(Vertex u, StateTable& state);
   void set_regret(Vertex u, std::uint64_t regret, bool certified);
   void mark_dirty(Vertex u);
   /// Replace u's strategy, classifying the edge delta into `delta`.

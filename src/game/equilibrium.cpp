@@ -79,7 +79,9 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
   const std::uint64_t bound = trivial_cost_lower_bound(n, version);
 
   // No transposition cache: the canonical key embeds the player, and each
-  // player is solved exactly once per scan, so nothing could ever hit.
+  // player is solved exactly once per scan, so nothing could ever hit. The
+  // players share one StateTable of g instead.
+  StateTable state(g);
   for (Vertex u = 0; u < n; ++u) {
     if (current_costs[u] == bound) {
       ++report.players_skipped;
@@ -94,7 +96,8 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
       BBNG_REQUIRE((*budget_caps)[u] > 0 || g.out_degree(u) == 0);
       player_budget.budget_cap = (*budget_caps)[u];
     }
-    const SolverResult result = backend.solve(g, u, version, player_budget, pool);
+    const SolverResult result =
+        backend.solve(g, u, version, player_budget, pool, /*cache=*/nullptr, &state);
     // The backend recomputes the current cost per player; it must agree with
     // the prepass bit-for-bit (same graph, same exact distances).
     BBNG_ASSERT(result.current_cost == current_costs[u]);

@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 
+#include "game/cost.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/multi_bfs.hpp"
 
@@ -198,12 +199,47 @@ BBNG_MIN_ROWS_KERNEL(max_min_rows, std::uint32_t, true, false)
 BBNG_MIN_ROWS_KERNEL(max_min_rows_fold, std::uint32_t, true, true)
 #undef BBNG_MIN_ROWS_KERNEL
 
-/// Fill the table rows of every vertex but `player` for n ≤ 64: one
-/// adjacency word per vertex of the stripped base, then one word-parallel
-/// BFS per row. One bit loop per level writes each frontier vertex's
-/// distance and ORs in its word; the next frontier is that OR minus what is
-/// seen. Returns the player's in-neighbours, collected on the way.
-std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, std::uint32_t* table) {
+/// One word-parallel BFS from s over the adjacency words `adj` (n ≤ 64):
+/// row[v] = 1 + d(s, v) for every v reached. One bit loop per level writes
+/// each frontier vertex's distance and ORs in its word; the next frontier is
+/// that OR minus what is seen. With `affected`, a vertex of the next frontier
+/// that only one frontier vertex reaches (not in `twice`) has that vertex as
+/// its only previous-level neighbour, which gets bit s. Returns the reached
+/// set.
+template <bool kAffected>
+std::uint64_t word_bfs(const std::uint64_t* adj, Vertex s, std::uint32_t* row,
+                       std::uint64_t* affected) {
+  std::uint64_t seen = std::uint64_t{1} << s;
+  std::uint64_t frontier = seen;
+  for (std::uint32_t dist = 1; frontier != 0; ++dist) {
+    std::uint64_t next = 0;
+    std::uint64_t twice = 0;
+    for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
+      const int v = std::countr_zero(f);
+      row[v] = dist;
+      if constexpr (kAffected) twice |= next & adj[v];
+      next |= adj[v];
+    }
+    const std::uint64_t level = frontier;
+    frontier = next & ~seen;
+    seen |= frontier;
+    if constexpr (kAffected) {
+      for (std::uint64_t once = frontier & ~twice; once != 0; once &= once - 1) {
+        affected[std::countr_zero(adj[std::countr_zero(once)] & level)] |= std::uint64_t{1} << s;
+      }
+    }
+  }
+  return seen;
+}
+
+/// Fill the table rows of every vertex but `player` for n ≤ 64 in one row
+/// loop over the adjacency words of the stripped base: a row `state` shows
+/// unchanged by deleting the player is copied from it with the player's
+/// column set to `inf`, and every other row is one word_bfs. A null `state`
+/// BFSes every row. Returns the player's in-neighbours, collected on the
+/// way.
+std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, const StateTable* state,
+                                       std::uint32_t inf, std::uint32_t* table) {
   const std::uint32_t n = g.num_vertices();
   BBNG_ASSERT(n <= 64);
   std::array<std::uint64_t, 64> adj{};
@@ -219,20 +255,15 @@ std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, std::uin
       adj[v] |= std::uint64_t{1} << u;
     }
   }
+  const std::uint64_t rebuilt = state != nullptr ? state->affected(player) : ~std::uint64_t{0};
   for (Vertex s = 0; s < n; ++s) {
     if (s == player) continue;
     std::uint32_t* row = table + std::size_t{s} * n;
-    std::uint64_t seen = std::uint64_t{1} << s;
-    std::uint64_t frontier = seen;
-    for (std::uint32_t dist = 1; frontier != 0; ++dist) {
-      std::uint64_t next = 0;
-      for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
-        const int v = std::countr_zero(f);
-        row[v] = dist;
-        next |= adj[v];
-      }
-      frontier = next & ~seen;
-      seen |= frontier;
+    if ((rebuilt >> s & 1) != 0) {
+      word_bfs<false>(adj.data(), s, row, nullptr);
+    } else {
+      std::copy_n(state->row(s).data(), n, row);
+      row[player] = inf;
     }
   }
   return in;
@@ -266,17 +297,97 @@ std::vector<Vertex> fill_rows_by_lanes(const Digraph& g, Vertex player, std::uin
 
 }  // namespace
 
-TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion version)
+// ---------------------------------------------------------------------------
+// StateTable
+
+const StateTable* StateTable::request() {
+  if (n_ > 64) return nullptr;
+  if (rows_.empty() && ++requests_ >= 2) fill();
+  return rows_.empty() ? nullptr : this;
+}
+
+void StateTable::fill() {
+  const std::uint32_t n = n_;
+  std::array<std::uint64_t, 64> adj{};
+  for (Vertex u = 0; u < n; ++u) {
+    for (const Vertex v : g_->out_neighbors(u)) {
+      adj[u] |= std::uint64_t{1} << v;
+      adj[v] |= std::uint64_t{1} << u;
+    }
+  }
+  rows_.assign(std::size_t{n} * n, static_cast<std::uint32_t>(cinf(n)));
+  affected_.assign(n, 0);
+  reach_.assign(n, 0);
+  std::uint64_t counted = 0;  // vertices of the components counted so far
+  for (Vertex s = 0; s < n; ++s) {
+    reach_[s] = word_bfs<true>(adj.data(), s, rows_.data() + std::size_t{s} * n, affected_.data());
+    if ((counted >> s & 1) == 0) {
+      counted |= reach_[s];
+      ++components_;
+    }
+  }
+}
+
+std::uint64_t StateTable::vertex_cost(Vertex u, CostVersion version) const {
+  const std::span<const std::uint32_t> r = row(u);
+  const std::uint64_t inf = cinf(n_);
+  if (version == CostVersion::Sum) {
+    // Every reached v costs d = row − 1 (0 for u itself); the rest Cinf.
+    std::uint64_t sum = 0;
+    for (std::uint64_t f = reach_[u]; f != 0; f &= f - 1) sum += r[std::countr_zero(f)] - 1;
+    return sum + (n_ - static_cast<std::uint32_t>(std::popcount(reach_[u]))) * inf;
+  }
+  if (components_ > 1) return components_ * inf;  // Cinf + (κ − 1)·Cinf
+  return *std::max_element(r.begin(), r.end()) - 1;
+}
+
+bool StateTable::serves(const Digraph& g, Vertex player) const {
+  if (&g == g_) return true;
+  if (g.num_vertices() != n_ || player >= n_) return false;
+  for (Vertex u = 0; u < n_; ++u) {
+    if (u == player) continue;
+    const std::span<const Vertex> a = g.out_neighbors(u);
+    const std::span<const Vertex> b = g_->out_neighbors(u);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
+  }
+  return true;
+}
+
+std::uint64_t player_cost(const Digraph& g, Vertex player, CostVersion version,
+                          StateTable* state) {
+  const StateTable* table = state != nullptr ? state->request() : nullptr;
+  if (table != nullptr) {
+#ifndef NDEBUG
+    BBNG_ASSERT(table->serves(g, player));
+#endif
+    // The player's own out-arcs are part of its cost, so they must agree too.
+    const std::span<const Vertex> own = g.out_neighbors(player);
+    const std::span<const Vertex> held = table->graph().out_neighbors(player);
+    if (std::equal(own.begin(), own.end(), held.begin(), held.end())) {
+      return table->vertex_cost(player, version);
+    }
+  }
+  return vertex_cost(g, player, version);
+}
+
+// ---------------------------------------------------------------------------
+// TableEvaluator
+
+TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion version,
+                               const StateTable* state)
     : player_(player), version_(version), n_(g.num_vertices()) {
   BBNG_REQUIRE(player < n_);
   BBNG_REQUIRE_MSG(cinf(n_) <= std::numeric_limits<std::uint32_t>::max(),
                    "Cinf does not fit the table's 32-bit entries");
   inf_ = static_cast<std::uint32_t>(cinf(n_));
+#ifndef NDEBUG
+  BBNG_ASSERT(state == nullptr || state->serves(g, player_));
+#endif
 
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
   // Unreached entries, and the player's row (never a head), keep Cinf.
   table_.assign(std::size_t{n} * n, inf_);
-  in_neighbors_ = n <= 64 ? fill_rows_by_words(g, player_, table_.data())
+  in_neighbors_ = n <= 64 ? fill_rows_by_words(g, player_, state, inf_, table_.data())
                           : fill_rows_by_lanes(g, player_, table_.data());
 
   // One representative per base component but the player's: the first

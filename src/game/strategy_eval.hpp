@@ -323,6 +323,67 @@ using CsrDeltaEvaluator = DeltaEvaluatorT<CsrUGraph>;
 extern template class DeltaEvaluatorT<UGraph>;
 extern template class DeltaEvaluatorT<CsrUGraph>;
 
+/// One state's all-pairs distance table, shared by the players of a loop
+/// that solves many of them on one fixed graph (the Nash audit, churn's
+/// refreshes). For n ≤ 64 it holds, from one word-parallel BFS per source
+/// over underlying(G):
+///
+///     row_s[v] = 1 + d_G(s, v)   (Cinf = n² across components),
+///
+/// the component count, and per vertex p the mask affected(p): the sources
+/// s for which p is the only previous-level neighbour of some vertex in
+/// BFS(s) (the BFS sees this as a vertex reached by one frontier vertex and
+/// not two). By induction on BFS level, row s of G − p equals row s of G
+/// everywhere but column p exactly when bit s of affected(p) is clear, which
+/// is how TableEvaluator derives a player's G − p table from this one.
+///
+/// The table fills itself on its second request(), so a loop that solves
+/// one player pays nothing; above n = 64 request() always returns null. It
+/// serves every graph that agrees with its own outside the player's own
+/// out-arcs (a player's G − u does not see them), such as solve()'s
+/// degree-normalised copies. Not thread-safe: one per loop.
+class StateTable {
+ public:
+  /// `g` must outlive the table and stay unchanged while it is in use.
+  explicit StateTable(const Digraph& g) : g_(&g), n_(g.num_vertices()) {}
+
+  /// This table, filled, from the second request on; null on the first and
+  /// whenever n > 64.
+  [[nodiscard]] const StateTable* request();
+
+  [[nodiscard]] const Digraph& graph() const noexcept { return *g_; }
+  [[nodiscard]] std::span<const std::uint32_t> row(Vertex s) const {
+    BBNG_ASSERT(s < n_ && !rows_.empty());
+    return {rows_.data() + std::size_t{s} * n_, n_};
+  }
+  /// Sources whose row changes beyond column p when p is deleted.
+  [[nodiscard]] std::uint64_t affected(Vertex p) const { return affected_[p]; }
+  [[nodiscard]] std::uint32_t components() const noexcept { return components_; }
+
+  /// vertex_cost(graph(), u, version), read off row u.
+  [[nodiscard]] std::uint64_t vertex_cost(Vertex u, CostVersion version) const;
+  /// Whether the table serves `player`'s evaluator on g: g agrees with
+  /// graph() on every arc but `player`'s out-arcs. O(m) unless g is graph().
+  [[nodiscard]] bool serves(const Digraph& g, Vertex player) const;
+
+ private:
+  void fill();
+
+  const Digraph* g_;
+  std::uint32_t n_;
+  std::uint32_t requests_ = 0;
+  std::uint32_t components_ = 0;
+  std::vector<std::uint32_t> rows_;      ///< n×n, row-major by source
+  std::vector<std::uint64_t> affected_;  ///< per vertex: affected sources
+  std::vector<std::uint64_t> reach_;     ///< per vertex: its component's vertices
+};
+
+/// vertex_cost(g, player, version), read off `state`'s row of the player when
+/// the table is filled and g is its graph (the player's out-arcs included);
+/// otherwise one BFS over g.underlying(). A null `state` always takes the BFS.
+[[nodiscard]] std::uint64_t player_cost(const Digraph& g, Vertex player, CostVersion version,
+                                        StateTable* state);
+
 /// Strategy evaluator over a precomputed base-distance table: the
 /// DeltaEvaluatorT interface, scored without any BFS after construction.
 ///
@@ -332,17 +393,25 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 ///     row_t[v] = 1 + d_base(t, v)   (Cinf = n² across components).
 ///
 /// The fill path depends on n alone, and both fill the same table. For
-/// n ≤ 64 it reads one adjacency word per vertex straight off g and fills
-/// each row by a word-parallel BFS: one bit loop per level writes each
-/// frontier vertex's entry and ORs in its adjacency word, and that OR minus
-/// the seen set is the next frontier. Above that it runs ⌈(n−1)/64⌉ packed
-/// sweeps of the 64-lane kernel (CsrMultiBfs::sweep in graph/multi_bfs.hpp,
-/// which publishes no `bfs.multi.*` counters) over
-/// underlying_csr(CsrGraph(g), player). Either fill also collects In(u),
-/// the player's in-neighbours in ascending order (the arcs into the player
-/// it skips, or the CSR in-row), and the evaluator keeps that list: it
-/// seeds the level-0 cover, and in_neighbors() hands it to exact_bb's
-/// dominance elimination, so no caller re-derives it from g.
+/// n ≤ 64 it reads one adjacency word per vertex straight off g and runs one
+/// row loop. With a filled StateTable of g's state, each row s whose bit in
+/// the table's affected(player) is clear equals the state's row s but for
+/// column player (StateTable's lemma), so it is copied and that column set
+/// to Cinf. Every other row, and every row without a table, is filled by a
+/// word-parallel BFS in G − u: one bit loop per level writes each frontier
+/// vertex's entry and ORs in its adjacency word, and that OR minus the seen
+/// set is the next frontier. A loop's StateTable fills lazily, on its second
+/// request, so the first player it serves gets no table and BFSes every row.
+/// The table must serve g: g agrees with its graph on every arc but the
+/// player's own out-arcs (StateTable::serves, checked in debug builds).
+/// Above n = 64 the fill ignores any table and runs ⌈(n−1)/64⌉ packed sweeps
+/// of the 64-lane kernel (CsrMultiBfs::sweep in graph/multi_bfs.hpp, which
+/// publishes no `bfs.multi.*` counters) over underlying_csr(CsrGraph(g),
+/// player). Either fill also collects In(u), the player's in-neighbours in
+/// ascending order (the arcs into the player it skips, or the CSR in-row),
+/// and the evaluator keeps that list: it seeds the level-0 cover, and
+/// in_neighbors() hands it to exact_bb's dominance elimination, so no caller
+/// re-derives it from g.
 ///
 /// The rows are the precomputed backward distances of the Wilson–Zwick
 /// forward/backward split (PAPERS.md): a seed set S ∪ In(u) serves v at min
@@ -376,7 +445,9 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// single-threaded, like DeltaEvaluatorT.
 class TableEvaluator {
  public:
-  TableEvaluator(const Digraph& g, Vertex player, CostVersion version);
+  /// `state`, when given, must be filled and serve g (see above).
+  TableEvaluator(const Digraph& g, Vertex player, CostVersion version,
+                 const StateTable* state = nullptr);
 
   [[nodiscard]] Vertex player() const noexcept { return player_; }
   [[nodiscard]] CostVersion version() const noexcept { return version_; }
@@ -488,11 +559,13 @@ inline constexpr std::uint32_t kTableEvaluatorLimit = 2048;
 /// to below the limit: TableEvaluator for n ≤ kTableEvaluatorLimit,
 /// CsrDeltaEvaluator above. Builds it with the incumbent strategy as its head
 /// set and returns fn(eval). Both score bit-identically; bfs_avoided() is 0 on
-/// the table.
+/// the table. A non-null `state` (a StateTable serving g) is requested for
+/// the table's fill.
 template <class Fn>
-auto with_table_evaluator(const Digraph& g, Vertex player, CostVersion version, Fn&& fn) {
+auto with_table_evaluator(const Digraph& g, Vertex player, CostVersion version, StateTable* state,
+                          Fn&& fn) {
   if (g.num_vertices() <= kTableEvaluatorLimit) {
-    TableEvaluator eval(g, player, version);
+    TableEvaluator eval(g, player, version, state != nullptr ? state->request() : nullptr);
     return fn(eval);
   }
   CsrDeltaEvaluator eval(g, player, version);
@@ -569,7 +642,9 @@ void cost_with_heads(Eval& eval, std::span<const Vertex> heads, std::span<std::u
 template <class Fn>
 auto with_move_evaluator(const Digraph& g, Vertex player, CostVersion version, bool incremental,
                          GraphCore core, Fn&& fn) {
-  if (g.num_vertices() <= kTableEvaluatorLimit) return with_table_evaluator(g, player, version, fn);
+  if (g.num_vertices() <= kTableEvaluatorLimit) {
+    return with_table_evaluator(g, player, version, nullptr, fn);
+  }
   if (!incremental) {
     NaiveEvaluator eval(g, player, version);
     return fn(eval);

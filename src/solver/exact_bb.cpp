@@ -1,11 +1,12 @@
 #include "solver/exact_bb.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <span>
 #include <type_traits>
 
 #include "game/best_response.hpp"
-#include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
 #include "util/timer.hpp"
 
@@ -14,11 +15,8 @@ namespace {
 
 constexpr std::uint64_t kInfCost = ~0ULL;
 
-struct Candidate {
-  Vertex t = 0;
-  std::uint64_t cost = 0;    ///< probed cost(P ∪ {t})
-  std::uint64_t saving = 0;  ///< cost(P) − cost
-};
+// Every table-path saving and vertex fit a 64-bit branch key.
+static_assert(4 * std::bit_width(kTableEvaluatorLimit) <= 64);
 
 /// One solve's search over the evaluator with_table_evaluator picks:
 /// TableEvaluator up to kTableEvaluatorLimit (and with it the seed-distance
@@ -28,6 +26,7 @@ template <class Eval>
 class Search {
  public:
   static constexpr bool kTable = std::is_same_v<Eval, TableEvaluator>;
+  using Key = std::conditional_t<kTable, std::uint64_t, WideBranchKey>;
 
   Search(Eval& eval, CostVersion version, const SolverBudget& budget, std::uint32_t cap)
       : n_(eval.num_vertices()),
@@ -36,6 +35,7 @@ class Search {
         b_(cap),
         budget_(budget),
         eval_(eval),
+        key_(n_),
         levels_(cap + 1) {}
 
   /// Seed the incumbent (better seeds prune more) with the current strategy
@@ -203,46 +203,47 @@ class Search {
     // (single-head savings shrink as P grows), so SUM drops it from the
     // subtree. It adds nothing to any savings sum, so the bounds are
     // unchanged.
-    std::vector<Candidate>& cands = level.cands;
-    cands.clear();
+    std::vector<Key>& keys = level.keys;
+    keys.clear();
     for (std::size_t i = 0; i < allowed.size(); ++i) {
       BBNG_ASSERT(costs[i] <= cost_p);
       const std::uint64_t saving = cost_p - costs[i];
       if (version_ == CostVersion::Sum && saving == 0) continue;
-      cands.push_back({allowed[i], costs[i], saving});
+      keys.push_back(key_.pack(saving, allowed[i]));
     }
 
     // Branch best-saving-first; ties by vertex id keep the order (and with
-    // it every node/evaluation count) deterministic. Only the prefix the
-    // child loop reaches is put in that order: cands[0, sorted) is sorted,
-    // every later candidate ranks after it, and prefix[i] sums the i largest
-    // savings for i ≤ sorted. order mirrors cands, so child k branches over
-    // order[k+1..], exactly the candidates ranked after it.
+    // it every node/evaluation count) deterministic. Each candidate is one
+    // BranchKey word, and descending words are exactly that order. Only the
+    // prefix the child loop reaches is put in order: keys[0, sorted) is
+    // sorted, every later key ranks after it, and prefix[i] sums the i
+    // largest savings for i ≤ sorted. order mirrors keys, so child k
+    // branches over order[k+1..], exactly the candidates ranked after it.
     std::size_t sorted = 0;
     std::vector<std::uint64_t>& prefix = level.prefix;
     std::vector<Vertex>& order = level.order;
     prefix.assign(1, 0);
-    order.resize(cands.size());
+    order.resize(keys.size());
     const auto sort_through = [&](std::size_t want) {
-      want = std::min(want, cands.size());
+      want = std::min(want, keys.size());
       if (want <= sorted) return;
-      want = std::min(cands.size(), std::max(want, 2 * sorted));  // O(log c) blocks
-      const auto first = cands.begin() + static_cast<std::ptrdiff_t>(sorted);
-      const auto mid = cands.begin() + static_cast<std::ptrdiff_t>(want);
-      std::nth_element(first, mid, cands.end(), branch_before);
-      std::sort(first, mid, branch_before);
+      want = std::min(keys.size(), std::max(want, 2 * sorted));  // O(log c) blocks
+      const auto first = keys.begin() + static_cast<std::ptrdiff_t>(sorted);
+      const auto mid = keys.begin() + static_cast<std::ptrdiff_t>(want);
+      std::nth_element(first, mid, keys.end(), std::greater<>());
+      std::sort(first, mid, std::greater<>());
       prefix.resize(want + 1);
-      for (std::size_t i = sorted; i < want; ++i) prefix[i + 1] = prefix[i] + cands[i].saving;
-      for (std::size_t i = sorted; i < cands.size(); ++i) order[i] = cands[i].t;
+      for (std::size_t i = sorted; i < want; ++i) prefix[i + 1] = prefix[i] + key_.saving(keys[i]);
+      for (std::size_t i = sorted; i < keys.size(); ++i) order[i] = key_.vertex(keys[i]);
       sorted = want;
     };
 
     std::uint64_t gain = 0;
     if (version_ == CostVersion::Sum) {
       sort_through(r);
-      gain = prefix[std::min<std::size_t>(r, cands.size())];
+      gain = prefix[std::min<std::size_t>(r, keys.size())];
     } else {
-      sort_through(cands.size());
+      sort_through(keys.size());
     }
     const std::uint64_t lb = node_lower_bound(cost_p, gain);
     if (lb >= best_cost_) {
@@ -251,7 +252,7 @@ class Search {
     }
 
     const std::span<const Vertex> branch(order);
-    for (std::size_t k = 0; k < cands.size(); ++k) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
       if (truncated_ || out_of_budget()) {
         truncated_ = true;
         trunc_lb_ = std::min(trunc_lb_, lb);
@@ -261,18 +262,18 @@ class Search {
         // Pre-prune with the parent-level savings (≥ the child-level ones):
         // the r − 1 largest after k are the next r − 1 in branch order.
         sort_through(k + r);
-        const Candidate& child = cands[k];
-        const std::size_t keep = std::min<std::size_t>(r - 1, cands.size() - k - 1);
+        const std::uint64_t child_cost = cost_p - key_.saving(keys[k]);
+        const std::size_t keep = std::min<std::size_t>(r - 1, keys.size() - k - 1);
         const std::uint64_t child_gain = prefix[k + 1 + keep] - prefix[k + 1];
-        if (child.cost - std::min(child.cost, child_gain) >= best_cost_) {
+        if (child_cost - std::min(child_cost, child_gain) >= best_cost_) {
           // In branch order child costs only rise and the next r − 1
           // savings only shrink, while best_cost_ only falls: every later
           // child is pre-pruned too.
-          nodes_pruned_ += cands.size() - k;
+          nodes_pruned_ += keys.size() - k;
           return;
         }
       }
-      const Vertex t = cands[k].t;
+      const Vertex t = order[k];
       path_.push_back(t);
       eval_.add_head(t);
       dfs(branch.subspan(k + 1), std::max(lb, floor_lb), depth + 1);
@@ -308,20 +309,15 @@ class Search {
     }
   }
 
-  /// Branch order: best saving first, ties to the smaller vertex.
-  static bool branch_before(const Candidate& a, const Candidate& b) {
-    return a.saving != b.saving ? a.saving > b.saving : a.t < b.t;
-  }
-
   /// One DFS depth's scratch. levels_ is sized b + 1 once per solve and a
   /// node at depth d < b uses only levels_[d], so the suffix spans handed to
   /// its children stay valid, and each level keeps its capacity: once the
   /// deepest level reached is warm, no node allocates.
   struct Level {
     std::vector<std::uint64_t> costs;   ///< probed cost of each allowed candidate
-    std::vector<Candidate> cands;       ///< probed candidates, branch order
+    std::vector<Key> keys;              ///< BranchKey of each candidate, branch order
     std::vector<std::uint64_t> prefix;  ///< prefix[i] = Σ of the i largest savings
-    std::vector<Vertex> order;          ///< cands' vertices; child k gets order[k+1..]
+    std::vector<Vertex> order;          ///< keys' vertices; child k gets order[k+1..]
   };
 
   const std::uint32_t n_;
@@ -330,6 +326,7 @@ class Search {
   const std::uint32_t b_;
   const SolverBudget budget_;
   Eval& eval_;
+  const BranchKey<Key> key_;
   Timer timer_;
 
   std::vector<Vertex> path_;  ///< the DFS path P (the evaluator's head set)
@@ -350,14 +347,14 @@ class Search {
 
 SolverResult ExactBranchAndBound::search(const Digraph& g, Vertex player, CostVersion version,
                                          const SolverBudget& budget, std::uint32_t cap,
-                                         ThreadPool* /*pool*/) const {
+                                         ThreadPool* /*pool*/, StateTable* state) const {
   // The cap is the out-degree unless a caller (churn) split them. With
   // cap > degree the search simply runs deeper; with cap < degree the
   // current strategy is infeasible and stops being a seed/floor — the
   // forced-shrink optimum may exceed current_cost.
   SolverResult result;
   if (cap == 0) {
-    result.current_cost = vertex_cost(g, player, version);
+    result.current_cost = player_cost(g, player, version, state);
     result.cost = result.current_cost;
     result.lower_bound = result.cost;
     result.optimal = true;
@@ -365,7 +362,7 @@ SolverResult ExactBranchAndBound::search(const Digraph& g, Vertex player, CostVe
     return result;
   }
   const bool current_feasible = g.out_degree(player) <= cap;
-  with_table_evaluator(g, player, version, [&](auto& eval) {
+  with_table_evaluator(g, player, version, state, [&](auto& eval) {
     Search<std::remove_reference_t<decltype(eval)>> search(eval, version, budget, cap);
     result.current_cost = eval.current_cost();
     search.seed(current_feasible, result);

@@ -31,15 +31,18 @@
 //     the probed costs finds the least (cost, vertex) child, the only one
 //     the ordered walk could offer, and with it the largest saving, the SUM
 //     bound's gain. Nothing is sorted.
-//   * r ≥ 2: candidates are put in branch order only up to the prefix the
-//     child loop reaches (nth_element + sort, in blocks that double), with
-//     a prefix sum over the ordered savings. The SUM savings bound is the
-//     sum of the r largest savings, prefix[min(r, c)], and child k's
-//     pre-prune gain is the next r − 1 savings after it, prefix[k+1+keep] −
-//     prefix[k+1]. In branch order that pre-prune value child.cost −
-//     child_gain never decreases while the incumbent only falls, so the
-//     first pre-pruned child ends the loop and the rest count as pruned.
-//     MAX has no pre-prune and orders every candidate.
+//   * r ≥ 2: each candidate becomes one BranchKey word (below), whose
+//     descending integer order is branch order, and the words are put in
+//     order only up to the prefix the child loop reaches (nth_element +
+//     sort, in blocks that double), with a prefix sum over the ordered
+//     savings. A child's vertex and saving read back off its word, and its
+//     cost is cost(P) − saving. The SUM savings bound is the sum of the r
+//     largest savings, prefix[min(r, c)], and child k's pre-prune gain is
+//     the next r − 1 savings after it, prefix[k+1+keep] − prefix[k+1]. In
+//     branch order that pre-prune value child cost − child_gain never
+//     decreases while the incumbent only falls, so the first pre-pruned
+//     child ends the loop and the rest count as pruned. MAX has no
+//     pre-prune and orders every candidate.
 // Child k branches over every candidate ranked after it, handed down as a
 // suffix span of one per-depth list (its unordered tail included). A
 // deadline that expires while such a run of pre-pruned children is being
@@ -102,6 +105,10 @@
 //     the node, prune and evaluation counts, and the incumbent of a
 //     node-limited search (which reaches more of the tree within its cap).
 //
+// A player that may buy nothing (cap 0) has one strategy, the empty one:
+// the search is skipped and its cost is the current cost, read off a
+// StateTable's row when solve() was given one (player_cost), else one BFS.
+//
 // The search is anytime: it honours SolverBudget's node limit and deadline,
 // returning the incumbent with `optimal = false` and `lower_bound` = the
 // smallest bound among abandoned subtrees. When it runs to completion the
@@ -110,9 +117,43 @@
 // *certified* Nash verdict (game/equilibrium.hpp's verify_nash_equilibrium).
 #pragma once
 
+#include <bit>
+
 #include "solver/solver.hpp"
 
 namespace bbng {
+
+/// exact_bb's branch order (best saving first, ties to the smaller vertex)
+/// as one unsigned word per candidate, so that a node orders its candidates
+/// by a plain integer sort, descending:
+///
+///     key = saving · 2^b + (2^b − 1 − t),   b = bit_width(n).
+///
+/// A larger saving gives a larger key, and at equal savings a smaller t
+/// does; saving and t read back exactly. Every saving is below n·Cinf = n³
+/// (SUM ≤ (n − 1)·Cinf; MAX ≤ κ·Cinf with κ ≤ n). The table path
+/// (n ≤ kTableEvaluatorLimit = 2048: savings below 2^33, b ≤ 12) keys on 64
+/// bits; the CSR path above it, where savings reach n³, on WideBranchKey.
+template <class Key>
+class BranchKey {
+ public:
+  explicit BranchKey(std::uint32_t n) : bits_(std::bit_width(n)), low_((Key{1} << bits_) - 1) {}
+
+  [[nodiscard]] Key pack(std::uint64_t saving, Vertex t) const {
+    return (Key{saving} << bits_) | (low_ - t);
+  }
+  [[nodiscard]] std::uint64_t saving(Key key) const {
+    return static_cast<std::uint64_t>(key >> bits_);
+  }
+  [[nodiscard]] Vertex vertex(Key key) const { return static_cast<Vertex>(low_ - (key & low_)); }
+
+ private:
+  int bits_;
+  Key low_;  ///< 2^b − 1
+};
+
+/// The key exact_bb sorts on above kTableEvaluatorLimit.
+__extension__ using WideBranchKey = unsigned __int128;
 
 class ExactBranchAndBound final : public BestResponseBackend {
  public:
@@ -129,10 +170,11 @@ class ExactBranchAndBound final : public BestResponseBackend {
   /// `budget.node_limit` caps expanded search-tree nodes (0 = unlimited);
   /// `budget.incremental` and `budget.core` are ignored (the scoring path is
   /// fixed by n). `pool` is unused — the DFS is sequential (callers
-  /// parallelise across players/jobs instead).
+  /// parallelise across players/jobs instead). A non-null `state` feeds the
+  /// table's fill and the cap-0 cost.
   [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
                                     const SolverBudget& budget, std::uint32_t cap,
-                                    ThreadPool* pool) const override;
+                                    ThreadPool* pool, StateTable* state) const override;
 };
 
 }  // namespace bbng

@@ -11,7 +11,7 @@ namespace bbng {
 
 SolverResult PortfolioSolver::search(const Digraph& g, Vertex player, CostVersion version,
                                      const SolverBudget& budget, std::uint32_t cap,
-                                     ThreadPool* /*pool*/) const {
+                                     ThreadPool* /*pool*/, StateTable* /*state*/) const {
   const Timer timer;
   const std::uint32_t n = g.num_vertices();
 

@@ -34,10 +34,11 @@ class PortfolioSolver final : public BestResponseBackend {
 
  private:
   /// `budget.deadline_seconds` skips not-yet-started racers once exceeded;
-  /// `budget.node_limit` is unused (racers are polynomial), and so is `pool`.
+  /// `budget.node_limit` is unused (racers are polynomial), and so are
+  /// `pool` and `state`.
   [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
                                     const SolverBudget& budget, std::uint32_t cap,
-                                    ThreadPool* pool) const override;
+                                    ThreadPool* pool, StateTable* state) const override;
 };
 
 }  // namespace bbng

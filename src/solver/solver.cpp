@@ -84,12 +84,12 @@ BestResponseBackend::BestResponseBackend(std::string name, Traits traits)
 
 SolverResult BestResponseBackend::solve(const Digraph& g, Vertex player, CostVersion version,
                                         const SolverBudget& budget, ThreadPool* pool,
-                                        TranspositionCache* cache) const {
+                                        TranspositionCache* cache, StateTable* state) const {
   obs::ScopedTimer span(solve_hist_, span_name_.c_str());
   span.arg("player", std::uint64_t{player});
   const std::uint32_t cap = effective_budget_cap(g, player, budget);
   const auto run = [&](const Digraph& graph) {
-    SolverResult result = search(graph, player, version, budget, cap, pool);
+    SolverResult result = search(graph, player, version, budget, cap, pool, state);
     result.solver = name_;
     return result;
   };
@@ -103,13 +103,14 @@ SolverResult BestResponseBackend::solve(const Digraph& g, Vertex player, CostVer
     result = run(g);
   } else {
     const std::string key = TranspositionCache::make_key(g, player, version, cap);
-    if (const SolverResult* hit = cache->find(key)) {
+    const TranspositionCache::Lookup lookup = cache->find(key);
+    if (const SolverResult* hit = lookup.hit) {
       result = *hit;
       // current_cost depends on the player's present strategy, which is not
       // part of the canonical key — refresh it. And a hit performs no
       // search work: zero the counters so consumers (dynamics totals,
       // nash_audit records) never report replayed effort as new.
-      result.current_cost = vertex_cost(g, player, version);
+      result.current_cost = player_cost(g, player, version, state);
       result.nodes_explored = 0;
       result.nodes_pruned = 0;
       result.evaluated = 0;
@@ -119,7 +120,7 @@ SolverResult BestResponseBackend::solve(const Digraph& g, Vertex player, CostVer
       return result;
     }
     result = run(g);
-    cache->store(key, result);
+    cache->store(key, lookup.hash, result);
   }
   BBNG_ASSERT(g.out_degree(player) > cap || result.cost <= result.current_cost);
   BBNG_ASSERT(result.lower_bound <= result.cost);
@@ -194,23 +195,28 @@ std::string TranspositionCache::make_key(const Digraph& g, Vertex player, CostVe
   return key;
 }
 
-const SolverResult* TranspositionCache::find(const std::string& key) const {
-  const auto bucket = map_.find(key_hash(key));
+TranspositionCache::Lookup TranspositionCache::find(const std::string& key) const {
+  const std::uint64_t hash = key_hash(key);
+  const auto bucket = map_.find(hash);
   if (bucket != map_.end()) {
     for (const auto& [stored_key, result] : bucket->second) {
       if (stored_key == key) {
         ++stats_.hits;
         counters().publish({.hits = 1});
-        return &result;
+        return {&result, hash};
       }
     }
   }
   ++stats_.misses;
   counters().publish({.misses = 1});
-  return nullptr;
+  return {nullptr, hash};
 }
 
-void TranspositionCache::store(const std::string& key, const SolverResult& result) {
+void TranspositionCache::store(const std::string& key, std::uint64_t hash,
+                               const SolverResult& result) {
+#ifndef NDEBUG
+  BBNG_ASSERT(hash == key_hash(key));
+#endif
   if (!result.optimal) return;
   if (entries_ >= max_entries_) {
     // Bounded memo: flush wholesale and refill. Dynamics keys change under
@@ -221,7 +227,7 @@ void TranspositionCache::store(const std::string& key, const SolverResult& resul
     ++stats_.flushes;
     counters().publish({.flushes = 1});
   }
-  auto& bucket = map_[key_hash(key)];
+  auto& bucket = map_[hash];
   for (const auto& [stored_key, existing] : bucket) {
     if (stored_key == key) return;  // first certified answer wins (they agree)
   }

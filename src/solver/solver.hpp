@@ -108,13 +108,20 @@ class TranspositionCache {
   [[nodiscard]] static std::string make_key(const Digraph& g, Vertex player,
                                             CostVersion version, std::uint32_t budget_cap);
 
-  /// Cached certified result, or nullptr. `current_cost` in the returned
-  /// value is stale (it depends on the player's current strategy, which is
-  /// not part of the key) — callers must refresh it.
-  [[nodiscard]] const SolverResult* find(const std::string& key) const;
+  /// One find(): the cached certified result, or nullptr, and the key's
+  /// bucket hash, which a store() of the same key takes back so a missed
+  /// key is hashed once. `current_cost` in a hit is stale (it depends on the
+  /// player's current strategy, which is not part of the key) — callers must
+  /// refresh it.
+  struct Lookup {
+    const SolverResult* hit = nullptr;
+    std::uint64_t hash = 0;
+  };
+  [[nodiscard]] Lookup find(const std::string& key) const;
 
-  /// Store a certified result (ignored unless result.optimal).
-  void store(const std::string& key, const SolverResult& result);
+  /// Store a certified result (ignored unless result.optimal) under `key`,
+  /// whose bucket hash find(key) returned.
+  void store(const std::string& key, std::uint64_t hash, const SolverResult& result);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_; }
@@ -138,7 +145,11 @@ class TranspositionCache {
 /// memoise, and publishes the solve to `solver.<name>.*`: `solves` (or
 /// `cache_served` for a cache hit), `evaluated`, `nodes`, `pruned` and
 /// `bfs_avoided`. `pool` parallelises inside a single search where the
-/// backend supports it (the swap ladder's exact enumeration).
+/// backend supports it (the swap ladder's exact enumeration). `state`, a
+/// StateTable of g's state owned by a loop over its players, is handed to
+/// the search (exact_bb derives its table from it and reads a cap-0 cost off
+/// it) and answers a cache hit's current cost; null rebuilds both per solve.
+/// Results are bit-identical either way.
 class BestResponseBackend {
  public:
   virtual ~BestResponseBackend() = default;
@@ -155,7 +166,8 @@ class BestResponseBackend {
 
   [[nodiscard]] SolverResult solve(const Digraph& g, Vertex player, CostVersion version,
                                    const SolverBudget& budget = {}, ThreadPool* pool = nullptr,
-                                   TranspositionCache* cache = nullptr) const;
+                                   TranspositionCache* cache = nullptr,
+                                   StateTable* state = nullptr) const;
 
   /// This backend's searched solves so far (`solver.<name>.solves`),
   /// merged across threads.
@@ -177,10 +189,12 @@ class BestResponseBackend {
  private:
   /// The backend's own search for one query under budget cap `cap` (the
   /// out-degree of `g`'s player when the backend normalizes_degree). Fills
-  /// every SolverResult field but `solver`.
+  /// every SolverResult field but `solver`. `state` is solve()'s, possibly
+  /// null; it serves g, a normalised copy included.
   [[nodiscard]] virtual SolverResult search(const Digraph& g, Vertex player,
                                             CostVersion version, const SolverBudget& budget,
-                                            std::uint32_t cap, ThreadPool* pool) const = 0;
+                                            std::uint32_t cap, ThreadPool* pool,
+                                            StateTable* state) const = 0;
 
   std::string name_;
   std::string span_name_;

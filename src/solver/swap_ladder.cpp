@@ -6,7 +6,7 @@ namespace bbng {
 
 SolverResult SwapLadderSolver::search(const Digraph& g, Vertex player, CostVersion version,
                                       const SolverBudget& budget, std::uint32_t /*cap*/,
-                                      ThreadPool* pool) const {
+                                      ThreadPool* pool, StateTable* /*state*/) const {
   // node_limit IS the legacy exact_limit, verbatim: 0 disables the exact
   // path (it never meant "unlimited" here), preserving pre-registry
   // behaviour bit-for-bit for every exact_limit a caller ever passed.

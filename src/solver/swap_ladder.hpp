@@ -29,10 +29,10 @@ class SwapLadderSolver final : public BestResponseBackend {
   /// `budget.node_limit` is the legacy exact-enumeration candidate cap,
   /// taken verbatim — 0 disables the exact path (callers wanting the legacy
   /// default pass 2'000'000, BestResponseSolver's default exact_limit).
-  /// `pool` parallelises the enumeration.
+  /// `pool` parallelises the enumeration. `state` is unused.
   [[nodiscard]] SolverResult search(const Digraph& g, Vertex player, CostVersion version,
                                     const SolverBudget& budget, std::uint32_t cap,
-                                    ThreadPool* pool) const override;
+                                    ThreadPool* pool, StateTable* state) const override;
 };
 
 }  // namespace bbng

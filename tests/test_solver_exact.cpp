@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <span>
 #include <string>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "game/best_response.hpp"
+#include "game/cost.hpp"
 #include "game/strategy_eval.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -926,6 +929,208 @@ TEST(SolverExact, CacheKeysAreEqualExactlyWhenTheReferenceKeysAre) {
   }
   EXPECT_GE(own_arc_pairs, 180u);
   EXPECT_GT(equal_pairs, own_arc_pairs);
+}
+
+/// The StateTable corpus: random budgets with σ ∈ {n/2, n, 2n} (capped at
+/// n(n − 1)), a random tree and the edgeless graph at each n, and
+/// three_component_instance().
+std::vector<Digraph> state_table_corpus() {
+  Rng rng(2901);
+  std::vector<Digraph> corpus;
+  for (const std::uint32_t n : {1u, 2u, 3u, 8u, 24u, 63u, 64u}) {
+    for (const std::uint64_t sigma : {n / 2, n, 2 * n}) {
+      const std::uint64_t capped = std::min<std::uint64_t>(sigma, std::uint64_t{n} * (n - 1));
+      corpus.push_back(random_profile(random_budgets(n, capped, rng), rng));
+    }
+    corpus.push_back(random_tree_digraph(n, rng));
+    corpus.push_back(Digraph(n));
+  }
+  corpus.push_back(three_component_instance());
+  return corpus;
+}
+
+/// Every entry, In(u), the unseeded component count and the current cost of
+/// a TableEvaluator derived from `state` against one filled from scratch.
+void expect_same_evaluator(const Digraph& g, Vertex u, const StateTable* state,
+                           const std::string& where) {
+  for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+    const TableEvaluator derived(g, u, version, state);
+    const TableEvaluator scratch(g, u, version);
+    ASSERT_EQ(derived.in_neighbors(), scratch.in_neighbors()) << where;
+    ASSERT_EQ(derived.unseeded_components(), scratch.unseeded_components()) << where;
+    ASSERT_EQ(derived.current_cost(), scratch.current_cost()) << where;
+    for (Vertex t = 0; t < g.num_vertices(); ++t) {
+      if (t == u) continue;
+      const std::span<const std::uint32_t> a = derived.row(t);
+      const std::span<const std::uint32_t> b = scratch.row(t);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << where << " row " << t;
+    }
+  }
+}
+
+TEST(SolverExact, StateTableRowsMatchFromScratch) {
+  // Every player's G − u table derived from one StateTable (copied rows
+  // where affected(u) is clear, re-BFSed rows elsewhere) equals the one
+  // filled by a BFS per row, on the graph itself and on a copy whose only
+  // change is the player's strategy (as solve()'s degree-normalised copy),
+  // and affected(u) marks exactly the rows that deleting u changes.
+  Rng rng(2902);
+  std::uint64_t copied = 0;
+  std::uint64_t rebuilt = 0;
+  for (const Digraph& g : state_table_corpus()) {
+    const std::uint32_t n = g.num_vertices();
+    StateTable state(g);
+    ASSERT_EQ(state.request(), nullptr);  // the first request fills nothing
+    const StateTable* table = state.request();
+    ASSERT_EQ(table, &state);
+    EXPECT_EQ(table->components(), connected_components(g.underlying()).count);
+    for (Vertex u = 0; u < n; ++u) {
+      const std::string where = "n " + std::to_string(n) + " u " + std::to_string(u);
+      expect_same_evaluator(g, u, table, where);
+      // The lemma's "exactly": bit s of affected(u) is set iff row s of
+      // G − u differs from row s of G off column u.
+      const TableEvaluator fresh(g, u, CostVersion::Sum);
+      for (Vertex src = 0; src < n; ++src) {
+        if (src == u) continue;
+        const std::span<const std::uint32_t> a = fresh.row(src);
+        const std::span<const std::uint32_t> b = table->row(src);
+        bool differs = false;
+        for (Vertex v = 0; v < n; ++v) differs = differs || (v != u && a[v] != b[v]);
+        ASSERT_EQ(differs, (table->affected(u) >> src & 1) != 0) << where << " source " << src;
+      }
+      const auto cap = static_cast<std::uint32_t>(rng.next_below(n));
+      const Digraph moved = with_out_degree(g, u, cap, rng);
+      ASSERT_TRUE(table->serves(moved, u));
+      expect_same_evaluator(moved, u, table, where + " cap " + std::to_string(cap));
+      const auto affected = static_cast<std::uint32_t>(std::popcount(table->affected(u)));
+      rebuilt += affected;
+      copied += n - affected;
+    }
+  }
+  // Both arms of the row loop ran.
+  EXPECT_GT(copied, 0u);
+  EXPECT_GT(rebuilt, 0u);
+}
+
+TEST(SolverExact, StateTableServesOnlyGraphsThatAgreeOffThePlayer) {
+  Rng rng(2903);
+  const Digraph g = random_profile(random_budgets(12, 20, rng), rng);
+  const StateTable state(g);
+  Digraph other = g;
+  Vertex a = 0;
+  while (other.out_degree(a) == 0) ++a;
+  other.remove_arc(a, other.out_neighbors(a)[0]);
+  EXPECT_TRUE(state.serves(other, a));
+  EXPECT_FALSE(state.serves(other, (a + 1) % 12));
+  EXPECT_FALSE(state.serves(Digraph(11), 0));
+}
+
+TEST(SolverExact, CapZeroAndCacheHitCostsReadOffTheStateTable) {
+  // The cap-0 answer and a cache hit's current cost come off the table's
+  // row of the player; each must equal vertex_cost, SUM and MAX, on
+  // connected and disconnected graphs, and every solve must return the same
+  // result as one without the table.
+  const ExactBranchAndBound bb;
+  Rng rng(2904);
+  std::uint32_t graphs[2] = {0, 0};  // disconnected, connected
+  std::uint32_t cap_zero = 0;
+  std::uint64_t hits = 0;
+  for (int round = 0; round < 24; ++round) {
+    const auto n = static_cast<std::uint32_t>(6 + rng.next_below(30));
+    const std::uint64_t sigma = round % 2 == 0 ? n / 2 : 2 * n;
+    const Digraph g = random_profile(random_budgets(n, sigma, rng), rng);
+    const bool connected = connected_components(g.underlying()).count == 1;
+    ++graphs[connected ? 1 : 0];
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      StateTable state(g);
+      TranspositionCache with_table;
+      TranspositionCache without_table;
+      for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the caches
+        for (Vertex u = 0; u < n; ++u) {
+          SolverBudget budget;
+          budget.node_limit = 2000;
+          const SolverResult a = bb.solve(g, u, version, budget, nullptr, &with_table, &state);
+          const SolverResult b = bb.solve(g, u, version, budget, nullptr, &without_table);
+          const std::string where = "round " + std::to_string(round) + " u " + std::to_string(u);
+          ASSERT_EQ(a.current_cost, vertex_cost(g, u, version)) << where;
+          ASSERT_EQ(describe_solve(n, version, u, 0, 2000, a),
+                    describe_solve(n, version, u, 0, 2000, b))
+              << where;
+          if (g.out_degree(u) == 0) ++cap_zero;
+        }
+      }
+      hits += with_table.stats().hits;
+      ASSERT_NE(state.request(), nullptr);
+      for (Vertex u = 0; u < n; ++u) {
+        EXPECT_EQ(state.vertex_cost(u, version), vertex_cost(g, u, version));
+        EXPECT_EQ(player_cost(g, u, version, &state), vertex_cost(g, u, version));
+      }
+      EXPECT_EQ(with_table.stats().hits, without_table.stats().hits);
+    }
+    // A graph whose player holds other out-arcs than the table's graph falls
+    // back to a BFS for that player's cost.
+    StateTable state(g);
+    ASSERT_EQ(state.request(), nullptr);
+    ASSERT_NE(state.request(), nullptr);
+    const Vertex u = static_cast<Vertex>(rng.next_below(n));
+    const Digraph moved = with_out_degree(g, u, static_cast<std::uint32_t>(rng.next_below(n)), rng);
+    for (const CostVersion version : {CostVersion::Sum, CostVersion::Max}) {
+      EXPECT_EQ(player_cost(moved, u, version, &state), vertex_cost(moved, u, version));
+    }
+  }
+  EXPECT_GT(graphs[0], 0u);
+  EXPECT_GT(graphs[1], 0u);
+  EXPECT_GT(cap_zero, 0u);
+  EXPECT_GT(hits, 0u);
+}
+
+/// Sort random (saving, vertex) candidates with tied savings (every saving
+/// below n³) both by exact_bb's branch order — best saving first, ties to
+/// the smaller vertex — and as descending BranchKey<Key> words, and check
+/// the two orders agree and every key reads back its saving and vertex.
+template <class Key>
+void expect_branch_key_order(std::uint32_t n, Rng& rng) {
+  const BranchKey<Key> branch(n);
+  const std::uint64_t n3 = std::uint64_t{n} * n * n;
+  for (int round = 0; round < 20; ++round) {
+    // A few distinct savings, the largest possible one among them, so that
+    // most candidates tie.
+    std::vector<std::uint64_t> pool = {n3 - 1, 0};
+    for (int i = 0; i < 3; ++i) pool.push_back(rng.next_below(n3));
+    const auto count = static_cast<std::uint32_t>(std::min<std::uint64_t>(n, 40));
+    std::vector<std::pair<std::uint64_t, Vertex>> expected;
+    std::vector<Key> keys;
+    for (const std::uint32_t i : rng.sample(n, count)) {
+      const auto t = static_cast<Vertex>(i);
+      const std::uint64_t saving = pool[rng.next_below(pool.size())];
+      expected.emplace_back(saving, t);
+      keys.push_back(branch.pack(saving, t));
+      ASSERT_EQ(branch.saving(keys.back()), saving) << "n " << n;
+      ASSERT_EQ(branch.vertex(keys.back()), t) << "n " << n;
+    }
+    std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    std::sort(keys.begin(), keys.end(), std::greater<>());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(branch.saving(keys[i]), expected[i].first) << "n " << n << " rank " << i;
+      ASSERT_EQ(branch.vertex(keys[i]), expected[i].second) << "n " << n << " rank " << i;
+    }
+  }
+}
+
+TEST(SolverExact, BranchKeysOrderLikeBestSavingFirst) {
+  Rng rng(2905);
+  // The table path keys on 64 bits up to its limit.
+  for (const std::uint32_t n : {2u, 64u, kTableEvaluatorLimit}) {
+    expect_branch_key_order<std::uint64_t>(n, rng);
+  }
+  // A CSR-path size whose largest key does not fit 64 bits.
+  constexpr std::uint32_t kWide = 70000;
+  static_assert(kWide > kTableEvaluatorLimit);
+  const std::uint64_t n3 = std::uint64_t{kWide} * kWide * kWide;
+  ASSERT_NE(BranchKey<WideBranchKey>(kWide).pack(n3 - 1, 0) >> 64, 0u);
+  expect_branch_key_order<WideBranchKey>(kWide, rng);
 }
 
 }  // namespace
