@@ -15,7 +15,8 @@
 //     prepass vs a bench-local loop that solves every player with the same
 //     backend, demanding an identical regret report and — at
 //     N ≥ 512, the acceptance regime — a ≥ 8× row-scan saving reported by
-//     the prepass counters.
+//     the prepass counters. Up to N = 64 the audit reads its current costs
+//     off its StateTable and those counters read 0.
 //
 //  3. Large-n smoke (--large-n N): a 64-source batch on a sparse connected
 //     random graph at N vertices (10⁶ in CI) against 64 per-seed runs,

@@ -74,8 +74,8 @@ struct TaskParams {
   MovePolicy policy = MovePolicy::BestResponse;      ///< dynamics, poa
   bool incremental = true;              ///< dynamics, poa, swap_equilibrium, nash_audit, churn
   /// Adjacency layout ("csr" | "vector"); same tasks as `incremental`. Above
-  /// n = 2048 it picks the layout of the incremental delta oracle. At every n
-  /// it also picks the layout of the batched current-cost prepass of
+  /// n = 2048 it picks the layout of the incremental delta oracle. Above
+  /// n = 64 it also picks the layout of the batched current-cost prepass of
   /// nash_audit and churn (batched_current_costs). Records are bit-identical
   /// either way, so specs may flip both freely.
   GraphCore graph_core = GraphCore::kCsr;

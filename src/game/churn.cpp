@@ -78,9 +78,9 @@ ChurnEngine::ChurnEngine(Digraph initial, std::vector<std::uint32_t> budgets, Ch
   // Initial certificate: one full refresh. Counted into the same stats as
   // later work — consumers comparing against per-event re-auditing snapshot
   // stats() after construction (both sides pay this audit once).
-  current_costs_ = batched_current_costs(graph_, config_.version, config_.budget.core, pool_);
-  const std::uint64_t bound = trivial_cost_lower_bound(n, config_.version);
   StateTable state(graph_);
+  current_costs_ = state_current_costs(state, config_.version, config_.budget.core, pool_);
+  const std::uint64_t bound = trivial_cost_lower_bound(n, config_.version);
   for (Vertex u = 0; u < n; ++u) {
     if (caps_[u] == 0) {
       set_regret(u, 0, true);
@@ -254,9 +254,9 @@ void ChurnEngine::settle(DeltaKind delta) {
 void ChurnEngine::refresh_all(DeltaKind delta) {
   ++stats_.refreshes;
   const std::vector<std::uint64_t> previous = std::move(current_costs_);
-  current_costs_ = batched_current_costs(graph_, config_.version, config_.budget.core, pool_);
-  const std::uint64_t bound = trivial_cost_lower_bound(graph_.num_vertices(), config_.version);
   StateTable state(graph_);
+  current_costs_ = state_current_costs(state, config_.version, config_.budget.core, pool_);
+  const std::uint64_t bound = trivial_cost_lower_bound(graph_.num_vertices(), config_.version);
   for (Vertex u = 0; u < graph_.num_vertices(); ++u) {
     if (caps_[u] == 0) {
       set_regret(u, 0, true);

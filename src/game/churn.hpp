@@ -24,10 +24,11 @@
 //     best_new. tests/test_churn.cpp re-solves every active player after
 //     every event and checks each standing certificate, skipped ones
 //     included.
-//  3. All remaining players are refreshed through one batched MultiBfs
-//     current-cost prepass (game/equilibrium.hpp: batched_current_costs —
-//     ⌈n/64⌉ packed sweeps instead of n BFS runs), the trivial-lower-bound
-//     skip, and the budget-cap-aware transposition cache.
+//  3. All remaining players are refreshed through one current-cost prepass
+//     (game/equilibrium.hpp: state_current_costs — read off the refresh's
+//     StateTable for n ≤ 64, ⌈n/64⌉ packed MultiBfs sweeps above, instead of
+//     n BFS runs), the trivial-lower-bound skip, and the budget-cap-aware
+//     transposition cache.
 //
 // At any point the certificate must be bit-identical to a from-scratch
 // verify_nash_equilibrium of the live state under the live budget caps —

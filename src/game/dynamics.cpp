@@ -1,5 +1,6 @@
 #include "game/dynamics.hpp"
 
+#include <limits>
 #include <numeric>
 
 #include "game/cost.hpp"
@@ -42,8 +43,10 @@ bool SeenStateSet::insert(const Digraph& g) {
   return true;
 }
 
-DynamicsResult run_best_response_dynamics(const Digraph& initial, const DynamicsConfig& config,
-                                          ThreadPool* pool) {
+namespace {
+
+DynamicsResult run_dynamics(const Digraph& initial, const DynamicsConfig& config,
+                            ThreadPool* pool) {
   const std::uint32_t n = initial.num_vertices();
   const BestResponseBackend& solver = find_solver(config.solver);
   const SolverBudget budget{
@@ -78,6 +81,13 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
   std::vector<Vertex> order(n);
   std::iota(order.begin(), order.end(), 0U);
 
+  // certified_at[u]: the value of result.moves when u was last left holding
+  // a certified best response (kNever before that). While no move has
+  // happened since, u's query is the one that certificate answers, so a
+  // BestResponse visit skips the solve (see DynamicsResult::skips_unchanged).
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> certified_at(n, kNever);
+
   for (std::uint64_t round = 0; round < config.max_rounds; ++round) {
     if (config.schedule == Schedule::RandomPermutation) {
       rng.shuffle(order);
@@ -94,6 +104,7 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
       // FirstImprovingSwap only.
       if (caps[u] == 0) continue;
       std::vector<Vertex> next_strategy;
+      bool certified_move = false;
       if (config.policy == MovePolicy::FirstImprovingSwap) {
         if (result.graph.out_degree(u) == 0) continue;
         SolverResult scan = scan_first_improving_swap(result.graph, u, config.version,
@@ -104,6 +115,10 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
         if (!scan.improves()) continue;
         next_strategy = std::move(scan.strategy);
       } else {
+        if (certified_at[u] == result.moves) {
+          ++result.skips_unchanged;
+          continue;
+        }
         SolverBudget move_budget = budget;
         move_budget.budget_cap = caps[u];
         const SolverResult br =
@@ -114,12 +129,22 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
         // A non-improving answer is still applied when the degree has not
         // caught up with the cap yet — dynamics enforces budget-sized
         // strategies on a player's first visit after a budget change.
-        if (!br.improves() && result.graph.out_degree(u) == caps[u]) continue;
+        if (!br.improves() && result.graph.out_degree(u) == caps[u]) {
+          if (br.optimal) certified_at[u] = result.moves;
+          continue;
+        }
         next_strategy = br.strategy;
+        certified_move = br.optimal;
       }
       result.graph.set_strategy(u, next_strategy);
       ++result.moves;
       any_move = true;
+      // u's query does not see its own arcs, so a certified answer stays
+      // optimal after u plays it. Only a cap-sized strategy is skipped on
+      // later: a re-solve would re-apply any other one.
+      if (certified_move && result.graph.out_degree(u) == caps[u]) {
+        certified_at[u] = result.moves;
+      }
       if (config.schedule == Schedule::RoundRobin) {
         if (!seen_states.insert(result.graph)) {
           result.cycle_detected = true;
@@ -144,6 +169,15 @@ DynamicsResult run_best_response_dynamics(const Digraph& initial, const Dynamics
     }
   }
   result.hash_collisions = seen_states.collisions();
+  return result;
+}
+
+}  // namespace
+
+DynamicsResult run_best_response_dynamics(const Digraph& initial, const DynamicsConfig& config,
+                                          ThreadPool* pool) {
+  DynamicsResult result = run_dynamics(initial, config, pool);
+  dynamics_counters().publish(result);
   return result;
 }
 

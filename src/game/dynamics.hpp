@@ -15,6 +15,21 @@
 // records whether any move lacked an optimality certificate, because a
 // "converged" verdict is a Nash certificate only when every player's last
 // scan was certified.
+//
+// A BestResponse visit skips the solve when its answer is already known.
+// A player's query is (G − u, In(u), cap): its own arcs are not part of it,
+// so it changes only when ANOTHER player moves. The loop counts moves and
+// notes, per player, the count at which the player was last left holding a
+// certified-optimal strategy: a certified answer that did not improve at
+// degree == cap, or a move to a certified answer (the move changes only
+// u's own arcs). While no move has happened since, the query is unchanged,
+// the current cost is the optimum, and a re-solve by any backend could not
+// return improves() (no strategy costs less than the optimum) and would
+// leave the strategy as it is; so the visit is skipped with the same effect
+// on the state, the moves, the rounds and the verdicts, and
+// `all_moves_exact` unchanged (the same deterministic query is certified
+// again). Heuristic answers and FirstImprovingSwap scans are never skipped.
+// The skips count as `dynamics.skips_unchanged`.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +40,7 @@
 #include "game/best_response.hpp"
 #include "game/game.hpp"
 #include "graph/digraph.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -122,8 +138,12 @@ struct DynamicsResult {
   std::uint64_t rounds = 0;    ///< full passes executed
   std::uint64_t moves = 0;     ///< strategy changes applied
   std::uint64_t evaluations = 0;  ///< candidate strategies scored in total,
-                                  ///< by every scan whether it moved or not
+                                  ///< by every scan whether it moved or not;
+                                  ///< a skipped visit adds 0, as a cache hit does
   std::uint64_t bfs_avoided = 0;  ///< evaluations served without a full BFS
+  /// BestResponse visits answered without a solve: the player held a
+  /// certified best response and no move had happened since.
+  std::uint64_t skips_unchanged = 0;
   /// Distinct states that shared a 64-bit hash during cycle detection —
   /// phantom cycles the old bare-hash scheme would have reported.
   std::uint64_t hash_collisions = 0;
@@ -131,6 +151,15 @@ struct DynamicsResult {
   /// the initial state prepended. Filled when config.record_trajectory.
   std::vector<std::uint64_t> trajectory;
 };
+
+/// Registry mirror of one dynamics run (`dynamics.*`), published once per
+/// run. The move and evaluation totals stay record fields.
+inline const obs::CounterTable<DynamicsResult>& dynamics_counters() {
+  static const obs::CounterTable<DynamicsResult> table{
+      {"dynamics.skips_unchanged", &DynamicsResult::skips_unchanged},
+  };
+  return table;
+}
 
 [[nodiscard]] DynamicsResult run_best_response_dynamics(const Digraph& initial,
                                                         const DynamicsConfig& config,

@@ -7,6 +7,7 @@
 #include "game/cost.hpp"
 #include "graph/bfs.hpp"
 #include "graph/multi_bfs.hpp"
+#include "graph/word_bfs.hpp"
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
@@ -51,6 +52,13 @@ std::vector<std::uint64_t> batched_current_costs(const Digraph& g, CostVersion v
   return costs_from_aggregates(underlying, aggs, version);
 }
 
+std::vector<std::uint64_t> state_current_costs(StateTable& state, CostVersion version,
+                                               GraphCore core, ThreadPool* pool,
+                                               MultiBfsStats* stats) {
+  if (state.graph().num_vertices() <= kWordBfsLimit) return state.vertex_costs(version);
+  return batched_current_costs(state.graph(), version, core, pool, stats);
+}
+
 NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
                                    const SolverBudget& budget, const std::string& solver,
                                    ThreadPool* pool,
@@ -66,22 +74,21 @@ NashReport verify_nash_equilibrium(const Digraph& g, CostVersion version,
   report.stable = true;
   report.certified = true;
 
-  // Current-cost prepass: every player's current cost is a property
-  // of the ONE shared underlying graph (unlike the per-player solves, whose
-  // stripped base graphs all differ), so ⌈n/64⌉ packed MultiBfs sweeps
-  // replace the n per-seed BFS runs the audit's cost lookups amount to.
-  // A player whose current cost equals the trivial admissible lower bound
-  // (solver.hpp: SUM ≥ n−1, MAX ≥ 1) cannot improve by any deviation — at
-  // ANY budget cap — so it is certified with regret 0 without invoking the
-  // backend at all.
-  const std::vector<std::uint64_t> current_costs =
-      batched_current_costs(g, version, budget.core, pool, &report.prepass);
-  const std::uint64_t bound = trivial_cost_lower_bound(n, version);
-
   // No transposition cache: the canonical key embeds the player, and each
   // player is solved exactly once per scan, so nothing could ever hit. The
   // players share one StateTable of g instead.
   StateTable state(g);
+  // Current-cost prepass: every player's current cost is a property
+  // of the ONE shared underlying graph (unlike the per-player solves, whose
+  // stripped base graphs all differ): the state table's rows for n ≤ 64,
+  // ⌈n/64⌉ packed MultiBfs sweeps above, instead of the n per-seed BFS runs
+  // the audit's cost lookups amount to. A player whose current cost equals
+  // the trivial admissible lower bound (solver.hpp: SUM ≥ n−1, MAX ≥ 1)
+  // cannot improve by any deviation — at ANY budget cap — so it is
+  // certified with regret 0 without invoking the backend at all.
+  const std::vector<std::uint64_t> current_costs =
+      state_current_costs(state, version, budget.core, pool, &report.prepass);
+  const std::uint64_t bound = trivial_cost_lower_bound(n, version);
   for (Vertex u = 0; u < n; ++u) {
     if (current_costs[u] == bound) {
       ++report.players_skipped;

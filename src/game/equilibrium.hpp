@@ -98,7 +98,8 @@ struct NashReport {
   /// Work counters of the current-cost prepass. `prepass.settled` is exactly
   /// the row scans n independent BFS runs would perform for the same costs,
   /// so settled / row_scans is the measured batching gain of this audit
-  /// (tracked in BENCH_multi_bfs.json).
+  /// (tracked in BENCH_multi_bfs.json). All four read 0 for n ≤ 64, where the
+  /// costs come off the audit's StateTable and no sweep runs.
   MultiBfsStats prepass;
 };
 
@@ -118,12 +119,13 @@ inline const obs::CounterTable<NashReport>& nash_audit_counters() {
 /// certified branch-and-bound) under `budget` (per player). Throws
 /// std::invalid_argument on an unknown solver name.
 ///
-/// The audit first computes EVERY player's current cost in ⌈n/64⌉ packed
-/// MultiBfs sweeps over the shared underlying graph (on `budget.core`,
-/// batched_current_costs below), instead of letting each per-player solve
-/// pay its own full BFS; players whose current cost already equals the
-/// trivial admissible lower bound (solver.hpp) are certified with regret 0
-/// without a backend solve. A skipped player provably has no improving
+/// The audit first computes EVERY player's current cost at once
+/// (state_current_costs below): for n ≤ 64 off the StateTable its player
+/// loop shares, otherwise in ⌈n/64⌉ packed MultiBfs sweeps over the shared
+/// underlying graph (on `budget.core`, batched_current_costs below), instead
+/// of letting each per-player solve pay its own full BFS; players whose
+/// current cost already equals the trivial admissible lower bound
+/// (solver.hpp) are certified with regret 0 without a backend solve. A skipped player provably has no improving
 /// deviation, so the regret report — stable/deviator/improving_strategy/
 /// old_cost/new_cost/epsilon — is what solving every player would give.
 /// certified/players_certified can only gain from a skip: it is a genuine
@@ -156,6 +158,16 @@ inline const obs::CounterTable<NashReport>& nash_audit_counters() {
                                                                GraphCore core = GraphCore::kCsr,
                                                                ThreadPool* pool = nullptr,
                                                                MultiBfsStats* stats = nullptr);
+
+/// Every player's exact current cost for a loop over the players of
+/// `state`'s graph that shares `state` among its solves. For n ≤ 64 the costs
+/// are read off the table, filled here, so the loop's first solve already
+/// finds it filled and the state's all-pairs distances are computed once.
+/// Above 64 it is batched_current_costs (on `core`, `stats` as there).
+[[nodiscard]] std::vector<std::uint64_t> state_current_costs(StateTable& state,
+                                                             CostVersion version,
+                                                             GraphCore core, ThreadPool* pool,
+                                                             MultiBfsStats* stats = nullptr);
 
 /// Lemma 2.2 sufficient condition: cMAX(u) == 1, or cMAX(u) ≤ 2 with u in no
 /// brace ⇒ u is playing a best response in BOTH versions. Returns the number

@@ -8,6 +8,7 @@
 #include "game/cost.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/multi_bfs.hpp"
+#include "graph/word_bfs.hpp"
 
 namespace bbng {
 
@@ -199,39 +200,6 @@ BBNG_MIN_ROWS_KERNEL(max_min_rows, std::uint32_t, true, false)
 BBNG_MIN_ROWS_KERNEL(max_min_rows_fold, std::uint32_t, true, true)
 #undef BBNG_MIN_ROWS_KERNEL
 
-/// One word-parallel BFS from s over the adjacency words `adj` (n ≤ 64):
-/// row[v] = 1 + d(s, v) for every v reached. One bit loop per level writes
-/// each frontier vertex's distance and ORs in its word; the next frontier is
-/// that OR minus what is seen. With `affected`, a vertex of the next frontier
-/// that only one frontier vertex reaches (not in `twice`) has that vertex as
-/// its only previous-level neighbour, which gets bit s. Returns the reached
-/// set.
-template <bool kAffected>
-std::uint64_t word_bfs(const std::uint64_t* adj, Vertex s, std::uint32_t* row,
-                       std::uint64_t* affected) {
-  std::uint64_t seen = std::uint64_t{1} << s;
-  std::uint64_t frontier = seen;
-  for (std::uint32_t dist = 1; frontier != 0; ++dist) {
-    std::uint64_t next = 0;
-    std::uint64_t twice = 0;
-    for (std::uint64_t f = frontier; f != 0; f &= f - 1) {
-      const int v = std::countr_zero(f);
-      row[v] = dist;
-      if constexpr (kAffected) twice |= next & adj[v];
-      next |= adj[v];
-    }
-    const std::uint64_t level = frontier;
-    frontier = next & ~seen;
-    seen |= frontier;
-    if constexpr (kAffected) {
-      for (std::uint64_t once = frontier & ~twice; once != 0; once &= once - 1) {
-        affected[std::countr_zero(adj[std::countr_zero(once)] & level)] |= std::uint64_t{1} << s;
-      }
-    }
-  }
-  return seen;
-}
-
 /// Fill the table rows of every vertex but `player` for n ≤ 64 in one row
 /// loop over the adjacency words of the stripped base: a row `state` shows
 /// unchanged by deleting the player is copied from it with the player's
@@ -241,8 +209,8 @@ std::uint64_t word_bfs(const std::uint64_t* adj, Vertex s, std::uint32_t* row,
 std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, const StateTable* state,
                                        std::uint32_t inf, std::uint32_t* table) {
   const std::uint32_t n = g.num_vertices();
-  BBNG_ASSERT(n <= 64);
-  std::array<std::uint64_t, 64> adj{};
+  BBNG_ASSERT(n <= kWordBfsLimit);
+  AdjacencyWords adj{};
   std::vector<Vertex> in;
   for (Vertex u = 0; u < n; ++u) {
     if (u == player) continue;
@@ -260,7 +228,7 @@ std::vector<Vertex> fill_rows_by_words(const Digraph& g, Vertex player, const St
     if (s == player) continue;
     std::uint32_t* row = table + std::size_t{s} * n;
     if ((rebuilt >> s & 1) != 0) {
-      word_bfs<false>(adj.data(), s, row, nullptr);
+      word_bfs(adj.data(), s, [row](Vertex v, std::uint32_t d) { row[v] = d + 1; });
     } else {
       std::copy_n(state->row(s).data(), n, row);
       row[player] = inf;
@@ -301,14 +269,14 @@ std::vector<Vertex> fill_rows_by_lanes(const Digraph& g, Vertex player, std::uin
 // StateTable
 
 const StateTable* StateTable::request() {
-  if (n_ > 64) return nullptr;
+  if (n_ > kWordBfsLimit) return nullptr;
   if (rows_.empty() && ++requests_ >= 2) fill();
   return rows_.empty() ? nullptr : this;
 }
 
 void StateTable::fill() {
   const std::uint32_t n = n_;
-  std::array<std::uint64_t, 64> adj{};
+  AdjacencyWords adj{};
   for (Vertex u = 0; u < n; ++u) {
     for (const Vertex v : g_->out_neighbors(u)) {
       adj[u] |= std::uint64_t{1} << v;
@@ -320,12 +288,22 @@ void StateTable::fill() {
   reach_.assign(n, 0);
   std::uint64_t counted = 0;  // vertices of the components counted so far
   for (Vertex s = 0; s < n; ++s) {
-    reach_[s] = word_bfs<true>(adj.data(), s, rows_.data() + std::size_t{s} * n, affected_.data());
+    std::uint32_t* row = rows_.data() + std::size_t{s} * n;
+    reach_[s] = word_bfs<true>(
+        adj.data(), s, [row](Vertex v, std::uint32_t d) { row[v] = d + 1; }, affected_.data());
     if ((counted >> s & 1) == 0) {
       counted |= reach_[s];
       ++components_;
     }
   }
+}
+
+std::vector<std::uint64_t> StateTable::vertex_costs(CostVersion version) {
+  BBNG_REQUIRE(n_ <= kWordBfsLimit);
+  if (rows_.empty()) fill();
+  std::vector<std::uint64_t> costs(n_);
+  for (Vertex u = 0; u < n_; ++u) costs[u] = vertex_cost(u, version);
+  return costs;
 }
 
 std::uint64_t StateTable::vertex_cost(Vertex u, CostVersion version) const {
@@ -387,7 +365,7 @@ TableEvaluator::TableEvaluator(const Digraph& g, Vertex player, CostVersion vers
   const std::uint32_t n = n_;  // a local bound: row stores may not alias it
   // Unreached entries, and the player's row (never a head), keep Cinf.
   table_.assign(std::size_t{n} * n, inf_);
-  in_neighbors_ = n <= 64 ? fill_rows_by_words(g, player_, state, inf_, table_.data())
+  in_neighbors_ = n <= kWordBfsLimit ? fill_rows_by_words(g, player_, state, inf_, table_.data())
                           : fill_rows_by_lanes(g, player_, table_.data());
 
   // One representative per base component but the player's: the first

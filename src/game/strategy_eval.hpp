@@ -326,7 +326,7 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// One state's all-pairs distance table, shared by the players of a loop
 /// that solves many of them on one fixed graph (the Nash audit, churn's
 /// refreshes). For n ≤ 64 it holds, from one word-parallel BFS per source
-/// over underlying(G):
+/// over underlying(G) (word_bfs, graph/word_bfs.hpp):
 ///
 ///     row_s[v] = 1 + d_G(s, v)   (Cinf = n² across components),
 ///
@@ -338,10 +338,11 @@ extern template class DeltaEvaluatorT<CsrUGraph>;
 /// is how TableEvaluator derives a player's G − p table from this one.
 ///
 /// The table fills itself on its second request(), so a loop that solves
-/// one player pays nothing; above n = 64 request() always returns null. It
-/// serves every graph that agrees with its own outside the player's own
-/// out-arcs (a player's G − u does not see them), such as solve()'s
-/// degree-normalised copies. Not thread-safe: one per loop.
+/// one player pays nothing; vertex_costs() fills it at once, for a loop that
+/// needs every player's current cost first. Above n = 64 request() always
+/// returns null. It serves every graph that agrees with its own outside the
+/// player's own out-arcs (a player's G − u does not see them), such as
+/// solve()'s degree-normalised copies. Not thread-safe: one per loop.
 class StateTable {
  public:
   /// `g` must outlive the table and stay unchanged while it is in use.
@@ -362,6 +363,9 @@ class StateTable {
 
   /// vertex_cost(graph(), u, version), read off row u.
   [[nodiscard]] std::uint64_t vertex_cost(Vertex u, CostVersion version) const;
+  /// vertex_cost of every vertex, filling the table first if need be, so
+  /// every later request() returns it. Requires n ≤ 64.
+  [[nodiscard]] std::vector<std::uint64_t> vertex_costs(CostVersion version);
   /// Whether the table serves `player`'s evaluator on g: g agrees with
   /// graph() on every arc but `player`'s out-arcs. O(m) unless g is graph().
   [[nodiscard]] bool serves(const Digraph& g, Vertex player) const;
@@ -398,10 +402,11 @@ class StateTable {
 /// the table's affected(player) is clear equals the state's row s but for
 /// column player (StateTable's lemma), so it is copied and that column set
 /// to Cinf. Every other row, and every row without a table, is filled by a
-/// word-parallel BFS in G − u: one bit loop per level writes each frontier
-/// vertex's entry and ORs in its adjacency word, and that OR minus the seen
-/// set is the next frontier. A loop's StateTable fills lazily, on its second
-/// request, so the first player it serves gets no table and BFSes every row.
+/// word-parallel BFS in G − u (word_bfs, graph/word_bfs.hpp): one bit loop
+/// per level writes each frontier vertex's entry and ORs in its adjacency
+/// word, and that OR minus the seen set is the next frontier. A loop's
+/// StateTable fills lazily, on its second request, so the first player it
+/// serves gets no table and BFSes every row.
 /// The table must serve g: g agrees with its graph on every arc but the
 /// player's own out-arcs (StateTable::serves, checked in debug builds).
 /// Above n = 64 the fill ignores any table and runs ⌈(n−1)/64⌉ packed sweeps

@@ -10,7 +10,8 @@ namespace bbng {
 
 // The all-sources sweeps below each make one pass of the packed 64-lane
 // MultiBfs engine over every source: one row scan per active level instead
-// of one BFS per vertex.
+// of one BFS per vertex. The aggregate sweeps take all_sources_aggregates,
+// which answers n ≤ 64 with one word BFS per source instead.
 EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool) {
   const std::uint32_t n = g.num_vertices();
   EccentricityResult result;

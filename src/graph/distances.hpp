@@ -3,7 +3,10 @@
 // Every all-sources sweep (eccentricities, diameter, APSP, average
 // distance) runs on the packed 64-lane MultiBfs engine
 // (graph/multi_bfs.hpp), parallel over batches of 64 sources on the shared
-// ThreadPool, one engine per worker chunk. Single-source queries
+// ThreadPool, one engine per worker chunk. The aggregate sweeps
+// (eccentricities, diameter, average distance) take all_sources_aggregates'
+// n ≤ 64 path instead: one word BFS per source (graph/word_bfs.hpp), no
+// engine and no `bfs.multi.*` counters. Single-source queries
 // (eccentricity, sum_of_distances) run one BfsRunner sweep. The all-sources
 // entry points are overloaded for both graph cores (UGraph and CsrUGraph)
 // and return identical values. For very large graphs (the k=4 shift graph has
@@ -31,8 +34,9 @@ struct EccentricityResult {
 
 /// Exact eccentricities, parallel over sources through the 64-lane
 /// MultiBfs engine (graph/multi_bfs.hpp) — one row scan per active level
-/// instead of one BFS per vertex. tests/reference/naive_distances.hpp keeps
-/// a serial one-BFS-per-source witness the results are checked against.
+/// instead of one BFS per vertex — or, for n ≤ 64, one word BFS per source.
+/// tests/reference/naive_distances.hpp keeps a serial one-BFS-per-source
+/// witness the results are checked against.
 [[nodiscard]] EccentricityResult eccentricities(const UGraph& g, ThreadPool* pool = nullptr);
 
 /// Exact diameter (kUnreachable if disconnected).

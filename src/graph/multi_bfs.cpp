@@ -1,7 +1,9 @@
 #include "graph/multi_bfs.hpp"
 
+#include <bit>
 #include <mutex>
 
+#include "graph/word_bfs.hpp"
 #include "obs/timing.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -44,6 +46,21 @@ std::vector<BfsAggregates> multi_source_aggregates(const G& g,
 template <class G>
 std::vector<BfsAggregates> all_sources_aggregates(const G& g, ThreadPool* pool,
                                                   MultiBfsStats* stats) {
+  if (g.num_vertices() <= kWordBfsLimit) {
+    // One word BFS per source, serially: at this size a lane sweep's planes
+    // and a pool dispatch cost more than the traversals.
+    const AdjacencyWords adj = adjacency_words(g);
+    std::vector<BfsAggregates> out(g.num_vertices());
+    for (Vertex s = 0; s < g.num_vertices(); ++s) {
+      BfsAggregates& agg = out[s];
+      const std::uint64_t reached = word_bfs(adj.data(), s, [&agg](Vertex, std::uint32_t d) {
+        agg.max_dist = d;  // levels arrive in order
+        agg.sum_dist += d;
+      });
+      agg.reached = static_cast<std::uint32_t>(std::popcount(reached));
+    }
+    return out;
+  }
   std::vector<Vertex> sources(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) sources[v] = v;
   return multi_source_aggregates(g, std::span<const Vertex>(sources), pool, stats);

@@ -1,9 +1,9 @@
 // Batched multi-source BFS — many sources settled per pass over the rows.
 //
 // Every batch consumer in this library (the all-player current-cost scan of
-// verify_nash_equilibrium, SUM/MAX cost evaluation, eccentricity/diameter
-// sweeps, APSP) used to pay one full BFS per seed: n sweeps, each scanning
-// every reached row once. MultiBfs packs up to 64 sources ("lanes") into one
+// verify_nash_equilibrium above 64 vertices, SUM/MAX cost evaluation,
+// eccentricity/diameter sweeps, APSP) used to pay one full BFS per seed: n
+// sweeps, each scanning every reached row once. MultiBfs packs up to 64 sources ("lanes") into one
 // sweep by carrying, per vertex, a 64-bit mask of the lanes whose frontier
 // contains it (the engine's seen/frontier/next lane planes), and
 // advancing all packed frontiers level-synchronously: a vertex's adjacency
@@ -28,6 +28,10 @@
 // settled) make the saving auditable: `settled` is precisely the number of
 // row scans the per-seed path would have performed, so settled / row_scans
 // is the measured batching gain (BENCH_multi_bfs.json).
+//
+// all_sources_aggregates skips the engine for n ≤ 64: one word-parallel BFS
+// per source (graph/word_bfs.hpp) answers there without lane planes, and
+// publishes no `bfs.multi.*` counters.
 //
 // Templated over the graph core like DynamicBfsT: both UGraph and CsrUGraph
 // expose sorted neighbors(u) spans, so the two instantiations do identical
@@ -241,6 +245,10 @@ template <class G>
     MultiBfsStats* stats = nullptr);
 
 /// All-vertices convenience: sources = 0..n-1 (the all-player scan shape).
+/// For n ≤ 64 it runs no MultiBfsT engine: one word BFS per source
+/// (graph/word_bfs.hpp), serially, with the same bit-identical aggregates.
+/// That path allocates no lane planes, adds nothing to `stats` and publishes
+/// no `bfs.multi.*` counters.
 template <class G>
 [[nodiscard]] std::vector<BfsAggregates> all_sources_aggregates(
     const G& g, ThreadPool* pool = nullptr, MultiBfsStats* stats = nullptr);

@@ -170,7 +170,7 @@ TEST(EngineCli, TraceReportAndNoObsWorkEndToEnd) {
   // derive the expectation from what the first report actually found.
   if (report.exit_code == 0) {
     EXPECT_NE(report.output.find("counter"), std::string::npos) << report.output;
-    EXPECT_NE(report.output.find("bfs.multi.row_scans"), std::string::npos) << report.output;
+    EXPECT_NE(report.output.find("solver.exact_bb.nodes"), std::string::npos) << report.output;
     EXPECT_EQ(report_csv.exit_code, 0);
     EXPECT_NE(report_csv.output.find("scenario,task,counter"), std::string::npos)
         << report_csv.output;

@@ -34,6 +34,7 @@
 #include "graph/dynamic_bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/ugraph.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "reference/naive_distances.hpp"
 #include "solver/registry.hpp"
@@ -258,6 +259,62 @@ TEST(MultiBfs, ParallelDriverMatchesSequentialEngine) {
   EXPECT_TRUE(all_sources_aggregates(UGraph(0)).empty());
 }
 
+/// The graph shapes of the word-path differential on n vertices.
+std::vector<std::pair<const char*, UGraph>> word_path_graphs(std::uint32_t n, Rng& rng) {
+  std::vector<std::pair<const char*, UGraph>> graphs;
+  graphs.emplace_back("connected", connected_erdos_renyi(n, 0.1, rng));
+  UGraph split(n);  // a random half, and a path over the rest
+  const std::uint32_t half = n / 2;
+  for (Vertex u = 0; u < half; ++u) {
+    for (Vertex v = u + 1; v < half; ++v) {
+      if (rng.next_below(4) == 0) split.add_edge(u, v);
+    }
+  }
+  for (Vertex v = half + 1; v < n; ++v) split.add_edge(v - 1, v);
+  graphs.emplace_back("disconnected", std::move(split));
+  graphs.emplace_back("edgeless", UGraph(n));
+  graphs.emplace_back("path", path_ugraph(n));
+  graphs.emplace_back("star", star_digraph(n).underlying());
+  return graphs;
+}
+
+TEST(MultiBfs, AllSourcesWordPathMatchesPerSeedAndLanePathAbove64) {
+  // Up to 64 vertices all_sources_aggregates runs one word BFS per source,
+  // builds no engine and publishes nothing; at 65 it runs the lane sweeps.
+  // Both must equal the per-seed BfsRunner, on both graph cores.
+  Rng rng(0xB1F5'000B);
+  ThreadPool pool(2);
+  for (const std::uint32_t n : {1U, 2U, 3U, 63U, 64U, 65U}) {
+    for (const auto& [shape, g] : word_path_graphs(n, rng)) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " " << shape);
+      const CsrUGraph csr(g);
+      const obs::CounterFrame frame;
+      MultiBfsStats stats;
+      MultiBfsStats csr_stats;
+      const std::vector<BfsAggregates> words = all_sources_aggregates(g, &pool, &stats);
+      const std::vector<BfsAggregates> csr_words = all_sources_aggregates(csr, &pool, &csr_stats);
+      BfsRunner witness(n);
+      ASSERT_EQ(words.size(), n);
+      ASSERT_EQ(csr_words.size(), n);
+      for (Vertex s = 0; s < n; ++s) {
+        const BfsAggregates want = per_seed(g, s, witness);
+        expect_aggregates_equal(words[s], want, "UGraph", s);
+        expect_aggregates_equal(csr_words[s], want, "CsrUGraph", s);
+      }
+      const std::uint64_t sweeps = n <= 64 ? 0 : (n + 63) / 64;
+      EXPECT_EQ(stats.sweeps, sweeps);
+      EXPECT_EQ(csr_stats.sweeps, sweeps);
+      if (n <= 64) {
+        EXPECT_EQ(stats.row_scans + csr_stats.row_scans, 0U);
+        for (const char* name : {"bfs.multi.sweeps", "bfs.multi.levels", "bfs.multi.row_scans",
+                                 "bfs.multi.settled"}) {
+          EXPECT_EQ(frame.value(name), 0U) << name;
+        }
+      }
+    }
+  }
+}
+
 TEST(MultiBfs, DistanceConsumersMatchPerSeedWitness) {
   Rng rng(0xB1F5'0006);
   std::vector<UGraph> corpus;
@@ -367,6 +424,13 @@ void expect_audit_matches_per_seed(const Digraph& g, CostVersion version, GraphC
   }
 
   const std::uint32_t n = g.num_vertices();
+  if (n <= 64) {
+    // The costs come off the audit's state table: no sweep runs.
+    EXPECT_EQ(batched.prepass.sweeps, 0U);
+    EXPECT_EQ(batched.prepass.settled, 0U);
+    EXPECT_EQ(batched.prepass.row_scans, 0U);
+    return;
+  }
   EXPECT_EQ(batched.prepass.sweeps, (n + 63) / 64);
   EXPECT_GE(batched.prepass.settled, n);  // every source settles itself
   EXPECT_GT(batched.prepass.row_scans, 0U);
@@ -387,6 +451,11 @@ TEST(MultiBfs, NashAuditBatchedMatchesPerSeedBitForBit) {
   const Digraph sparse = random_profile(random_budgets(8, 5, rng2), rng2);
   expect_audit_matches_per_seed(sparse, CostVersion::Sum, GraphCore::kCsr);
   expect_audit_matches_per_seed(sparse, CostVersion::Max, GraphCore::kVector);
+  // Above 64 vertices the prepass runs the lane sweeps, on both cores.
+  Rng rng3(0xB1F5'000A);
+  const Digraph large = random_profile(random_budgets(70, 69, rng3), rng3);
+  expect_audit_matches_per_seed(large, CostVersion::Sum, GraphCore::kCsr);
+  expect_audit_matches_per_seed(large, CostVersion::Max, GraphCore::kVector);
 }
 
 TEST(MultiBfs, NashAuditSkipsTriviallyOptimalPlayers) {

@@ -26,6 +26,7 @@
 #include "engine/spec.hpp"
 #include "engine/tasks.hpp"
 #include "game/churn.hpp"
+#include "game/dynamics.hpp"
 #include "game/equilibrium.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
@@ -169,7 +170,7 @@ TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
     static_cast<void>(engine.run(sources));
     expect_table_agrees(multi_bfs_counters(), engine.stats(), frame);
   }
-  {  // A real Nash audit; its MultiBfs prepass is the only bfs.multi publisher.
+  {  // A real Nash audit; its prepass publishes bfs.multi.* above 64 vertices only.
     const obs::CounterFrame frame;
     const NashReport report =
         verify_nash_equilibrium(g, CostVersion::Sum, {}, "exact_bb", &serial);
@@ -191,6 +192,14 @@ TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
     const obs::CounterFrame frame;
     const EquilibriumReport report = verify_swap_equilibrium(g, CostVersion::Max, &serial);
     expect_table_agrees(swap_audit_counters(), report, frame);
+  }
+  {  // A best-response dynamics run; its skipped visits are dynamics.*.
+    const obs::CounterFrame frame;
+    DynamicsConfig config;
+    config.solver = "exact_bb";
+    const DynamicsResult result = run_best_response_dynamics(g, config, &serial);
+    EXPECT_GT(result.skips_unchanged, 0U);
+    expect_table_agrees(dynamics_counters(), result, frame);
   }
   {  // A churn trace, counted from construction.
     const obs::CounterFrame frame;
@@ -335,11 +344,11 @@ TEST_F(ObsCampaignTest, RecordsCarryObsAsLastMemberAndSummaryAggregatesIt) {
   const JsonValue summary = parse_json(read_file(summary_path_for(cfg.output_path)));
   const JsonValue& nash = summary.at("scenarios").items()[0];
   EXPECT_EQ(nash.at("name").as_string(), "nash");
-  // The prepass row scans must have been flattened into an aggregated
+  // The audits' search nodes must have been flattened into an aggregated
   // "obs."-prefixed numeric field covering every job of the scenario.
-  const JsonValue& row_scans = nash.at("numbers").at("obs.bfs.multi.row_scans");
-  EXPECT_EQ(row_scans.at("count").as_uint(), nash.at("jobs").as_uint());
-  EXPECT_GT(row_scans.at("mean").as_double(), 0.0);
+  const JsonValue& nodes = nash.at("numbers").at("obs.solver.exact_bb.nodes");
+  EXPECT_EQ(nodes.at("count").as_uint(), nash.at("jobs").as_uint());
+  EXPECT_GT(nodes.at("mean").as_double(), 0.0);
 }
 
 TEST_F(ObsCampaignTest, NoObsReproducesPreObservabilityBytes) {
