@@ -321,7 +321,7 @@ void run_obs_overhead(std::uint32_t n, std::int64_t events, std::uint64_t seed,
   check.expect(same_work, "identical trace work with telemetry on and off");
   // Lenient sanity ceiling — the recorded value is the tracked claim; this
   // only catches a counter site landing in an inner loop it should not be in.
-  check.expect(!obs::kCompiledIn || overhead_pct <= 15.0,
+  check.expect(overhead_pct <= 15.0,
                cat("telemetry overhead within sanity ceiling (median of ", kPairs,
                    " pairs: ", overhead_pct, "%)"));
   table.new_row().add("off").add(n).add(off.applied).add(off.searches).add(

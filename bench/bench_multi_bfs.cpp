@@ -15,8 +15,9 @@
 //     prepass vs a bench-local loop that solves every player with the same
 //     backend, demanding an identical regret report and — at
 //     N ≥ 512, the acceptance regime — a ≥ 8× row-scan saving reported by
-//     the prepass counters. Up to N = 64 the audit reads its current costs
-//     off its StateTable and those counters read 0.
+//     the prepass counters. N must exceed 64: up to there the audit reads
+//     its current costs off its StateTable, runs no prepass, and the
+//     counters would read 0, so such an N is rejected.
 //
 //  3. Large-n smoke (--large-n N): a 64-source batch on a sparse connected
 //     random graph at N vertices (10⁶ in CI) against 64 per-seed runs,
@@ -40,6 +41,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
+#include "graph/word_bfs.hpp"
 #include "solver/registry.hpp"
 
 namespace bbng {
@@ -277,10 +279,18 @@ int run(int argc, const char** argv) {
   const auto min_n = cli.add_int("min-n", 128, "smallest corpus instance (doubles upward)");
   const auto max_n = cli.add_int("max-n", 1024, "largest corpus instance");
   const auto audit_n =
-      cli.add_int("audit-n", 0, "Nash audit instance size (512 = acceptance regime); 0 skips");
+      cli.add_int("audit-n", 0,
+                  "Nash audit instance size, above 64 (512 = acceptance regime); 0 skips");
   const auto large_n =
       cli.add_int("large-n", 0, "vertex count for the large-n smoke (10^6 in CI); 0 skips");
   cli.parse(argc, argv);
+  if (*audit_n > 0 && *audit_n <= kWordBfsLimit) {
+    std::cerr << "error: --audit-n " << *audit_n << " must exceed the " << kWordBfsLimit
+              << "-vertex limit: audits of n <= " << kWordBfsLimit
+              << " take their costs off a StateTable and run no batched prepass, so sweeps, "
+                 "row_scans, settled and scan_saving would read 0\n";
+    return 2;
+  }
   bench::apply_common_flags(flags);
   bench::Checker check;
   // One stream per section, each derived from --seed alone, so a section's

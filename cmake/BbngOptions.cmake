@@ -5,16 +5,10 @@
 #   BBNG_SANITIZE_THREAD — build with ThreadSanitizer (default OFF; mutually
 #                          exclusive with BBNG_SANITIZE — TSan cannot be
 #                          combined with ASan in one binary)
-#   BBNG_OBS             — compile the observability layer (src/obs metric
-#                          registry + trace spans; default ON). OFF defines
-#                          BBNG_OBS_DISABLED everywhere, turning counters and
-#                          spans into inline no-ops while the API keeps
-#                          compiling; engine artifacts then omit `obs` blocks.
 
 option(BBNG_WERROR "Treat warnings as errors" OFF)
 option(BBNG_SANITIZE "Enable Address/UB sanitizers" OFF)
 option(BBNG_SANITIZE_THREAD "Enable ThreadSanitizer" OFF)
-option(BBNG_OBS "Compile the observability layer (metrics + tracing)" ON)
 
 if(BBNG_SANITIZE AND BBNG_SANITIZE_THREAD)
   message(FATAL_ERROR
@@ -23,9 +17,6 @@ if(BBNG_SANITIZE AND BBNG_SANITIZE_THREAD)
 endif()
 
 function(bbng_apply_options target)
-  if(NOT BBNG_OBS)
-    target_compile_definitions(${target} PRIVATE BBNG_OBS_DISABLED=1)
-  endif()
   if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
     target_compile_options(${target} PRIVATE -Wall -Wextra)
     if(BBNG_WERROR)

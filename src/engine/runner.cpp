@@ -260,10 +260,9 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
       eta = buffer;
     }
     // The cumulative work totals (merged across threads, so they move as
-    // workers compute; 0 with the obs layer off) ride BEFORE the eta so the
-    // line still ends in the eta value (test_engine_runner pins numeric
-    // lines ending in 's'). stderr only: the artifact stays byte-clean.
-    const bool obs_on = obs::kCompiledIn && obs::enabled();
+    // workers compute) ride BEFORE the eta so the line still ends in the eta
+    // value (test_engine_runner pins numeric lines ending in 's'). stderr
+    // only: the artifact stays byte-clean.
     std::fprintf(stderr,
                  "progress: %llu/%llu jobs (%.1f%%), %.1fs elapsed, searches %llu, "
                  "row_scans %llu, eta %s\n",
@@ -271,12 +270,11 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
                  static_cast<unsigned long long>(report.total_jobs),
                  100.0 * static_cast<double>(computed) /
                      static_cast<double>(std::max<std::uint64_t>(1, report.total_jobs)),
-                 elapsed, static_cast<unsigned long long>(obs_on ? total_solver_solves() : 0),
-                 static_cast<unsigned long long>(obs_on ? multi_bfs_row_scans() : 0),
+                 elapsed, static_cast<unsigned long long>(total_solver_solves()),
+                 static_cast<unsigned long long>(multi_bfs_row_scans()),
                  eta.c_str());
   };
 
-  const JobOptions job_options{config.obs && campaign.obs};
   // Latency histograms alongside the spans: same extents, same names minus
   // the span/histogram naming split (histograms use dots throughout).
   static const obs::HistogramId kWindowHist = obs::register_histogram("runner.window");
@@ -299,7 +297,7 @@ RunReport drive(const CampaignSpec& campaign, const std::string& fingerprint,
     std::atomic<std::uint64_t> window_done{0};
     pool.run_chunked(end - begin, 1, [&](std::uint64_t lo, std::uint64_t hi) {
       for (std::uint64_t i = lo; i < hi; ++i) {
-        lines[i] = run_job_line(campaign, jobs[begin + i], job_options);
+        lines[i] = run_job_line(campaign, jobs[begin + i]);
         maybe_report_progress(begin + window_done.fetch_add(1, std::memory_order_relaxed) + 1,
                               begin);
       }

@@ -45,10 +45,6 @@ struct RunnerConfig {
   /// this on unless --quiet.
   bool progress = false;
   double progress_interval_seconds = 1.0;  ///< min seconds between lines
-  /// Embed per-job `obs` counter blocks in the artifact. ANDed with the
-  /// spec's own CampaignSpec::obs; the CLI's --no-obs clears it (and the
-  /// runtime registry switch) to write verdict-only records.
-  bool obs = true;
 };
 
 struct RunReport {

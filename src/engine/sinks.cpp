@@ -351,12 +351,7 @@ void write_obs_host_file(const std::string& sidecar_path, const std::string& cam
       .field("format", "bbng-obs-host")
       .field("format_version", 1)
       .field("campaign", campaign_name)
-      .field("elapsed_seconds", elapsed_seconds)
-#if defined(BBNG_OBS_DISABLED)
-      .field("obs_compiled", false);
-#else
-      .field("obs_compiled", true);
-#endif
+      .field("elapsed_seconds", elapsed_seconds);
   writer.key("host").begin_object();
   write_host_info_fields(writer);
   // peak_rss_kb lives here, NOT in the artifact header: VmHWM differs

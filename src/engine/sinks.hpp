@@ -105,9 +105,9 @@ void write_summary_file(const std::string& jsonl_path, const std::string& summar
 /// every latency histogram (count/sum/max plus interpolated p50/p90/p99).
 /// ALL timing lives here, never in the JSONL: wall-clock depends on the
 /// machine, and the artifact must stay byte-identical across thread counts
-/// and kill/resume. Written even under BBNG_OBS=OFF (empty gauge/histogram
-/// blocks, the memory figures still real) so downstream tooling never has
-/// to probe for the file. tmp + rename, like every other engine artifact.
+/// and kill/resume. Written whatever the spec's `obs` key says, so
+/// downstream tooling never has to probe for the file. tmp + rename, like
+/// every other engine artifact.
 void write_obs_host_file(const std::string& sidecar_path, const std::string& campaign_name,
                          double elapsed_seconds);
 

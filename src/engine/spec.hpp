@@ -122,8 +122,8 @@ struct CampaignSpec {
   std::uint64_t base_seed = 1;
   /// Embed per-job `obs` counter blocks in the artifact (top-level "obs"
   /// key, default true). False writes verdict-only records (the work counts
-  /// live only in the blocks); the CLI's --no-obs overrides true at run time
-  /// without touching the spec (and hence the fingerprint).
+  /// live only in the blocks). The one switch for the blocks: it is part of
+  /// the spec bytes, hence of the fingerprint, so a resume cannot change it.
   bool obs = true;
   std::vector<ScenarioSpec> scenarios;
 

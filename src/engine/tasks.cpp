@@ -231,8 +231,7 @@ void run_audit(JsonWriter& writer, const ScenarioSpec& scenario, const Digraph& 
 
 }  // namespace
 
-std::string run_job_line(const CampaignSpec& campaign, const Job& job,
-                         const JobOptions& options) {
+std::string run_job_line(const CampaignSpec& campaign, const Job& job) {
   BBNG_REQUIRE(job.scenario_index < campaign.scenarios.size());
   const ScenarioSpec& scenario = campaign.scenarios[job.scenario_index];
 
@@ -256,7 +255,7 @@ std::string run_job_line(const CampaignSpec& campaign, const Job& job,
   // The frame must be captured after generation (generators count nothing
   // today, but the block's meaning — "work of the measured task" — should
   // not silently widen if that changes) and before the task runs.
-  const bool with_obs = options.obs && obs::kCompiledIn && obs::enabled();
+  const bool with_obs = campaign.obs && obs::enabled();
   const obs::CounterFrame frame;
 
   std::ostringstream os;
@@ -281,7 +280,7 @@ std::string run_job_line(const CampaignSpec& campaign, const Job& job,
   }
   if (with_obs) {
     // LAST member by contract: stripping the ,"obs":{...} suffix of a record
-    // recovers the --no-obs bytes exactly (pinned by tests/test_obs.cpp).
+    // recovers the `"obs": false` bytes exactly (pinned by tests/test_obs.cpp).
     writer.key("obs");
     writer.begin_object();
     for (const obs::CounterValue& delta : frame.deltas()) {

@@ -21,21 +21,13 @@
 
 namespace bbng {
 
-/// Per-invocation switches for run_job_line.
-struct JobOptions {
-  /// Append the job's `obs` counter-delta block to the record (subject to
-  /// the layer being compiled in and runtime-enabled). The block is the only
-  /// home of the job's work counts, so false leaves identity and verdict
-  /// fields only.
-  bool obs = true;
-};
-
 /// Execute one job and return its JSONL record (compact JSON, no newline).
-/// Field order is fixed per task kind; byte-stable across runs. When obs is
-/// active, the record's LAST member is "obs": the name-sorted nonzero
-/// counter deltas of this job.
-[[nodiscard]] std::string run_job_line(const CampaignSpec& campaign, const Job& job,
-                                       const JobOptions& options = {});
+/// Field order is fixed per task kind; byte-stable across runs. When the
+/// spec's `obs` key is true (and the registry is enabled), the record's LAST
+/// member is "obs": the name-sorted nonzero counter deltas of this job, the
+/// only home of its work counts. Otherwise the record carries identity and
+/// verdict fields only.
+[[nodiscard]] std::string run_job_line(const CampaignSpec& campaign, const Job& job);
 
 /// (name, one-line description) of every TaskKind, for `bbng_engine list-tasks`.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> list_tasks();

@@ -55,7 +55,7 @@ namespace detail {
 /// the threshold and fell back to a from-scratch BFS. A pure function of the
 /// operation sequence, like the per-instance counter it shadows.
 inline void note_dynamic_bfs_recompute() {
-  if (!obs::kCompiledIn || !obs::enabled()) return;
+  if (!obs::enabled()) return;
   static const obs::CounterId id = obs::register_counter("bfs.dynamic.recomputes");
   obs::add(id, 1);
 }

@@ -1,7 +1,5 @@
 #include "obs/cell_store.hpp"
 
-#if !defined(BBNG_OBS_DISABLED)
-
 #include "util/assert.hpp"
 
 namespace bbng::obs::detail {
@@ -69,5 +67,3 @@ void CellStore::merge(std::uint32_t id, std::uint64_t* out) {
 }
 
 }  // namespace bbng::obs::detail
-
-#endif  // !BBNG_OBS_DISABLED

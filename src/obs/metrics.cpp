@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if !defined(BBNG_OBS_DISABLED)
-
 #include "obs/cell_store.hpp"
 
 namespace bbng::obs {
@@ -81,5 +79,3 @@ std::uint64_t CounterFrame::value(std::string_view name) const {
 }
 
 }  // namespace bbng::obs
-
-#endif  // !BBNG_OBS_DISABLED

@@ -23,8 +23,6 @@
 //    function of the job: artifacts embed `obs` blocks and stay
 //    byte-identical across thread counts and kill/resume. Every counter must
 //    therefore count only the work of the counting thread.
-//  - -DBBNG_OBS=OFF (BBNG_OBS_DISABLED) compiles the layer to inline no-ops;
-//    the API stays, so callers need no #ifdefs.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +33,12 @@
 
 namespace bbng::obs {
 
-#if defined(BBNG_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 using CounterId = std::uint32_t;
 
 struct CounterValue {
   std::string name;
   std::uint64_t value = 0;
 };
-
-#if !defined(BBNG_OBS_DISABLED)
 
 /// Intern `name`, returning its stable id; re-registering an existing name
 /// returns the same id. Typical use: a function-local `static const
@@ -84,24 +74,6 @@ class CounterFrame {
   std::vector<std::uint64_t> baseline_;
 };
 
-#else  // BBNG_OBS_DISABLED — the whole layer is inline no-ops.
-
-inline CounterId register_counter(std::string_view) { return 0; }
-inline void add(CounterId, std::uint64_t) {}
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-[[nodiscard]] inline std::vector<CounterValue> snapshot() { return {}; }
-[[nodiscard]] inline std::uint64_t total(CounterId) { return 0; }
-
-class CounterFrame {
- public:
-  CounterFrame() = default;
-  [[nodiscard]] std::vector<CounterValue> deltas() const { return {}; }
-  [[nodiscard]] std::uint64_t value(std::string_view) const { return 0; }
-};
-
-#endif
-
 /// The registry mirror of one counter struct, declared once next to it.
 /// Each row is a registry name and the struct field it mirrors, or, for a
 /// counter no single field holds, a function of the struct. The struct
@@ -135,14 +107,14 @@ class CounterTable {
   /// Add every row's value of `delta`, a struct holding one unit of work's
   /// counts (one audit's report, one cache event).
   void publish(const S& delta) const {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     for (const Row& row : rows_) add(row.id, row.read(delta));
   }
 
   /// Add every row's growth from `before` to `now`, two snapshots of one
   /// running accumulator.
   void publish(const S& now, const S& before) const {
-    if (!kCompiledIn || !enabled()) return;
+    if (!enabled()) return;
     for (const Row& row : rows_) add(row.id, row.read(now) - row.read(before));
   }
 

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
+#include "obs/cell_store.hpp"
 #include "obs/metrics.hpp"
+#include "util/procstat.hpp"
+#include "util/timer.hpp"
 
 namespace bbng::obs {
 
@@ -46,20 +52,6 @@ double HistogramSnapshot::quantile_us(double q) const noexcept {
   }
   return static_cast<double>(max_us);
 }
-
-}  // namespace bbng::obs
-
-#if !defined(BBNG_OBS_DISABLED)
-
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
-#include "obs/cell_store.hpp"
-#include "util/procstat.hpp"
-#include "util/timer.hpp"
-
-namespace bbng::obs {
 
 namespace {
 
@@ -246,5 +238,3 @@ void GaugeSampler::stop() {
 }
 
 }  // namespace bbng::obs
-
-#endif  // !BBNG_OBS_DISABLED

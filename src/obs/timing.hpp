@@ -20,8 +20,6 @@
 // scheduler, so none of it may enter the deterministic JSONL artifact.
 // It surfaces through a side channel instead: the `<artifact>.obs_host.json`
 // sidecar written at summary time (engine/sinks.hpp).
-//
-// Under -DBBNG_OBS=OFF everything here is an inline no-op.
 #pragma once
 
 #include <array>
@@ -78,8 +76,6 @@ struct RateSource {
 
 using HistogramId = std::uint32_t;
 using GaugeId = std::uint32_t;
-
-#if !defined(BBNG_OBS_DISABLED)
 
 /// Intern `name` into a stable histogram id (idempotent, like counters).
 HistogramId register_histogram(std::string_view name);
@@ -143,34 +139,5 @@ class GaugeSampler {
   std::vector<RateSource> rates_;
   double interval_seconds_;
 };
-
-#else  // BBNG_OBS_DISABLED — inline no-ops; the API keeps compiling.
-
-inline HistogramId register_histogram(std::string_view) { return 0; }
-inline void record_us(HistogramId, std::uint64_t) {}
-[[nodiscard]] inline std::vector<HistogramSnapshot> histogram_snapshot() { return {}; }
-inline GaugeId register_gauge(std::string_view) { return 0; }
-inline void gauge_set(GaugeId, double) {}
-[[nodiscard]] inline std::vector<GaugeSnapshot> gauge_snapshot() { return {}; }
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(HistogramId, const char* = nullptr) noexcept {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  void arg(const char*, std::string_view) {}
-  void arg(const char*, std::uint64_t) {}
-};
-
-class GaugeSampler {
- public:
-  explicit GaugeSampler(std::vector<RateSource> = {}, double = 0.25) {}
-  GaugeSampler(const GaugeSampler&) = delete;
-  GaugeSampler& operator=(const GaugeSampler&) = delete;
-  void start() {}
-  void stop() {}
-};
-
-#endif
 
 }  // namespace bbng::obs

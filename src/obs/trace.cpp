@@ -1,17 +1,14 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "util/assert.hpp"
-
-#if !defined(BBNG_OBS_DISABLED)
-
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
 
 namespace bbng::obs {
 
@@ -178,29 +175,15 @@ std::string end_json() {
   return os.str();
 }
 
-}  // namespace trace
-
-}  // namespace bbng::obs
-
-#else  // BBNG_OBS_DISABLED — still honour --trace with an empty valid doc.
-
-namespace bbng::obs::trace {
-
-std::string end_json() { return R"({"traceEvents":[],"displayTimeUnit":"ms"})"; }
-
-}  // namespace bbng::obs::trace
-
-#endif
-
-namespace bbng::obs {
-
-void trace::write_file(const std::string& path) {
+void write_file(const std::string& path) {
   const std::string document = end_json();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::invalid_argument("trace: cannot write " + path);
   out << document << '\n';
   if (!out.flush()) throw std::invalid_argument("trace: failed flushing " + path);
 }
+
+}  // namespace trace
 
 namespace {
 

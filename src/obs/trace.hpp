@@ -11,8 +11,7 @@
 // When no session is active a span is one relaxed atomic load — cheap
 // enough to leave in solver hot paths. Spans record wall-clock; they are
 // diagnostics, NOT part of the deterministic artifact surface (the metrics
-// registry covers that). With -DBBNG_OBS=OFF the layer compiles to no-ops
-// and `end_json()` renders an empty, still-valid trace.
+// registry covers that).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +22,6 @@
 #include "util/json.hpp"
 
 namespace bbng::obs {
-
-#if !defined(BBNG_OBS_DISABLED)
 
 /// One complete event. Construction checks session liveness; `arg()` calls
 /// on an inactive span are free. The destructor records the event into the
@@ -72,30 +69,10 @@ void write_file(const std::string& path);
 
 }  // namespace trace
 
-#else  // BBNG_OBS_DISABLED
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) noexcept {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  [[nodiscard]] bool active() const noexcept { return false; }
-  void arg(const char*, std::string_view) {}
-  void arg(const char*, std::uint64_t) {}
-};
-
-namespace trace {
-inline void begin() {}
-[[nodiscard]] std::string end_json();          // empty valid document
-void write_file(const std::string& path);      // writes the empty document
-}  // namespace trace
-
-#endif
-
-/// Structural Chrome-trace validation (always compiled): requires the
-/// object form with a "traceEvents" array of complete events carrying the
-/// fields Perfetto needs (name, ph "X", numeric ts/dur/pid/tid, object
-/// args) with non-decreasing ts across the array (the emitter sorts; the
+/// Structural Chrome-trace validation: requires the object form with a
+/// "traceEvents" array of complete events carrying the fields Perfetto
+/// needs (name, ph "X", numeric ts/dur/pid/tid, object args) with
+/// non-decreasing ts across the array (the emitter sorts; the
 /// trace_analysis attribution depends on the order). Returns the event
 /// count; throws std::invalid_argument naming the first violation. Used by
 /// tests to prove emitted traces round-trip.

@@ -16,9 +16,8 @@
 // standard flamegraph tooling (inferno, flamegraph.pl, speedscope).
 //
 // This lives in the library (not the bbng_trace CLI) so tests can pin
-// exact attribution values on synthetic traces. Always compiled — it reads
-// documents, it never records — so an OFF build can still analyze traces
-// produced elsewhere.
+// exact attribution values on synthetic traces. It reads documents and
+// never records, so it analyzes traces produced elsewhere too.
 #pragma once
 
 #include <cstdint>

@@ -74,7 +74,6 @@ BestResponseBackend::BestResponseBackend(std::string name, Traits traits)
       traits_(traits),
       solve_hist_(obs::register_histogram("solver.solve." + name_)),
       solves_(obs::register_counter("solver." + name_ + ".solves")),
-      cache_served_(obs::register_counter("solver." + name_ + ".cache_served")),
       work_{
           {"solver." + name_ + ".evaluated", &SolverResult::evaluated},
           {"solver." + name_ + ".nodes", &SolverResult::nodes_explored},
@@ -116,7 +115,6 @@ SolverResult BestResponseBackend::solve(const Digraph& g, Vertex player, CostVer
       result.evaluated = 0;
       result.bfs_avoided = 0;
       BBNG_ASSERT(g.out_degree(player) > cap || result.cost <= result.current_cost);
-      obs::add(cache_served_, 1);
       return result;
     }
     result = run(g);

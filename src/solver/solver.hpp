@@ -142,13 +142,14 @@ class TranspositionCache {
 /// `solve:<name>` span, resolves the budget cap, runs a capped query on a
 /// degree-normalised copy for the backends whose move set needs it, serves
 /// and stores certified results through `cache` for the backends that
-/// memoise, and publishes the solve to `solver.<name>.*`: `solves` (or
-/// `cache_served` for a cache hit), `evaluated`, `nodes`, `pruned` and
-/// `bfs_avoided`. `pool` parallelises inside a single search where the
-/// backend supports it (the swap ladder's exact enumeration). `state`, a
-/// StateTable of g's state owned by a loop over its players, is handed to
-/// the search (exact_bb derives its table from it and reads a cap-0 cost off
-/// it) and answers a cache hit's current cost; null rebuilds both per solve.
+/// memoise, and publishes each searched solve to `solver.<name>.*`:
+/// `solves`, `evaluated`, `nodes`, `pruned` and `bfs_avoided` (a cache hit
+/// is counted once, by the cache, as `cache.transposition.hits`). `pool`
+/// parallelises inside a single search where the backend supports it (the
+/// swap ladder's exact enumeration). `state`, a StateTable of g's state
+/// owned by a loop over its players, is handed to the search (exact_bb
+/// derives its table from it and reads a cap-0 cost off it) and answers a
+/// cache hit's current cost; null rebuilds both per solve.
 /// Results are bit-identical either way.
 class BestResponseBackend {
  public:
@@ -201,7 +202,6 @@ class BestResponseBackend {
   Traits traits_;
   obs::HistogramId solve_hist_;
   obs::CounterId solves_;
-  obs::CounterId cache_served_;
   obs::CounterTable<SolverResult> work_;
 };
 

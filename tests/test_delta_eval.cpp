@@ -331,16 +331,14 @@ TEST(DeltaEvalDifferential, TableRowsMatchPerSeedBfsAcrossLaneBoundaries) {
     }
   }
   // The control: the same frame does see a published batch.
-  if (obs::kCompiledIn && obs::enabled()) {
-    const obs::CounterFrame frame;
-    const CsrGraph csr(cycle_digraph(8));
-    const CsrUGraph base = underlying_csr(csr, /*skip=*/0);
-    CsrMultiBfs engine(base);
-    const Vertex sources[] = {1, 2};
-    BfsAggregates out[2];
-    engine.run_batch(sources, out);
-    EXPECT_EQ(frame.value("bfs.multi.sweeps"), 1u);
-  }
+  const obs::CounterFrame frame;
+  const CsrGraph csr(cycle_digraph(8));
+  const CsrUGraph base = underlying_csr(csr, /*skip=*/0);
+  CsrMultiBfs engine(base);
+  const Vertex sources[] = {1, 2};
+  BfsAggregates out[2];
+  engine.run_batch(sources, out);
+  EXPECT_EQ(frame.value("bfs.multi.sweeps"), 1u);
 }
 
 /// The vector-core and CSR-core delta evaluators and the table evaluator of

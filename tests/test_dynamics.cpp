@@ -170,9 +170,7 @@ void expect_matches_reference(const Digraph& initial, const DynamicsConfig& conf
   EXPECT_EQ(got.trajectory, want.trajectory);
   EXPECT_LE(got.evaluations, want.evaluations);
   EXPECT_LE(got.bfs_avoided, want.bfs_avoided);
-  if (obs::kCompiledIn && obs::enabled()) {
-    EXPECT_EQ(published, got.skips_unchanged);
-  }
+  EXPECT_EQ(published, got.skips_unchanged);
   skips += got.skips_unchanged;
 }
 

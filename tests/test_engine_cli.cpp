@@ -1,8 +1,9 @@
 // End-to-end error-path tests for the bbng_engine CLI: each misuse must
 // exit non-zero with a message that names the offence (unknown subcommand,
 // missing spec file, malformed spec, schema violations, missing required
-// options), and the happy informational paths must exit zero. The binary
-// path is injected by CMake as BBNG_ENGINE_BINARY.
+// options, the removed --no-obs flag), and the happy informational paths
+// must exit zero. The binary path is injected by CMake as BBNG_ENGINE_BINARY;
+// bench_multi_bfs's one refusal rides along (BBNG_MULTI_BFS_BINARY).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -21,9 +22,9 @@ struct CliResult {
   std::string output;  ///< stdout + stderr, interleaved
 };
 
-/// Run the engine CLI with `args`, capturing both streams.
-CliResult run_cli(const std::string& args) {
-  const std::string command = std::string(BBNG_ENGINE_BINARY) + " " + args + " 2>&1";
+/// Run `binary` with `args`, capturing both streams.
+CliResult run_binary(const std::string& binary, const std::string& args) {
+  const std::string command = binary + " " + args + " 2>&1";
   CliResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -36,6 +37,9 @@ CliResult run_cli(const std::string& args) {
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
 }
+
+/// Run the engine CLI with `args`, capturing both streams.
+CliResult run_cli(const std::string& args) { return run_binary(BBNG_ENGINE_BINARY, args); }
 
 std::string write_temp_spec(const std::string& name, const std::string& contents) {
   const std::filesystem::path path =
@@ -158,29 +162,29 @@ TEST(EngineCli, TraceReportAndNoObsWorkEndToEnd) {
   EXPECT_EQ(missing.exit_code, 2);
   EXPECT_NE(missing.output.find("--artifact is required"), std::string::npos);
 
-  // --no-obs writes verdict-only records; report then refuses
-  // loudly instead of printing an empty table.
+  EXPECT_EQ(report.exit_code, 0) << report.output;
+  EXPECT_NE(report.output.find("counter"), std::string::npos) << report.output;
+  EXPECT_NE(report.output.find("solver.exact_bb.nodes"), std::string::npos) << report.output;
+  EXPECT_EQ(report_csv.exit_code, 0);
+  EXPECT_NE(report_csv.output.find("scenario,task,counter"), std::string::npos)
+      << report_csv.output;
+
+  // A spec setting "obs": false writes verdict-only records; report then
+  // refuses loudly instead of printing an empty table.
+  const std::string bare_spec = write_temp_spec("obs_probe_bare", R"({
+    "name": "obs_probe", "obs": false, "task": "nash_audit", "version": "sum",
+    "budgets": {"family": "tree"}, "grid": {"n": [6]},
+    "seeds": {"begin": 0, "end": 3},
+    "params": {"solver": "exact_bb", "solver_budget": {"node_limit": 200000}}})");
   const std::string bare = (dir / "bbng_cli_obs_probe_bare.jsonl").string();
   std::filesystem::remove(bare);
-  const CliResult no_obs =
-      run_cli("run --spec " + path + " --output " + bare + " --quiet --no-obs");
-  EXPECT_EQ(no_obs.exit_code, 0) << no_obs.output;
+  const CliResult bare_run = run_cli("run --spec " + bare_spec + " --output " + bare + " --quiet");
+  EXPECT_EQ(bare_run.exit_code, 0) << bare_run.output;
   const CliResult bare_report = run_cli("report --artifact " + bare);
-  // With BBNG_OBS=OFF builds even the obs-on artifact has no blocks, so
-  // derive the expectation from what the first report actually found.
-  if (report.exit_code == 0) {
-    EXPECT_NE(report.output.find("counter"), std::string::npos) << report.output;
-    EXPECT_NE(report.output.find("solver.exact_bb.nodes"), std::string::npos) << report.output;
-    EXPECT_EQ(report_csv.exit_code, 0);
-    EXPECT_NE(report_csv.output.find("scenario,task,counter"), std::string::npos)
-        << report_csv.output;
-    EXPECT_EQ(bare_report.exit_code, 1);
-    EXPECT_NE(bare_report.output.find("no obs blocks"), std::string::npos)
-        << bare_report.output;
-  } else {
-    EXPECT_EQ(report.exit_code, 1);
-    EXPECT_NE(report.output.find("no obs blocks"), std::string::npos) << report.output;
-  }
+  EXPECT_EQ(bare_report.exit_code, 1);
+  EXPECT_NE(bare_report.output.find("no obs blocks"), std::string::npos) << bare_report.output;
+  EXPECT_NE(bare_report.output.find(R"("obs": false)"), std::string::npos)
+      << bare_report.output;
 
   for (const std::string& file : {artifact, bare}) {
     std::filesystem::remove(file);
@@ -189,6 +193,37 @@ TEST(EngineCli, TraceReportAndNoObsWorkEndToEnd) {
   }
   std::filesystem::remove(trace);
   std::filesystem::remove(path);
+  std::filesystem::remove(bare_spec);
+}
+
+TEST(EngineCli, TheRemovedNoObsFlagIsRejected) {
+  // The spec's "obs" key is the one switch for obs blocks; a run-time flag
+  // could differ between a run and its resume and mix the two record shapes.
+  const std::string path = write_temp_spec("no_obs_flag", R"({
+    "name": "no_obs_flag", "task": "swap_equilibrium", "version": "sum",
+    "generator": "star", "grid": {"n": [6]}, "seeds": {"begin": 0, "end": 2}})");
+  const std::filesystem::path artifact =
+      std::filesystem::temp_directory_path() / "bbng_cli_no_obs_flag.jsonl";
+  std::filesystem::remove(artifact);
+  const CliResult result = run_cli("run --spec " + path + " --output " + artifact.string() +
+                                   " --quiet --no-obs");
+  EXPECT_NE(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("unknown option --no-obs"), std::string::npos) << result.output;
+  EXPECT_FALSE(std::filesystem::exists(artifact));
+  std::filesystem::remove(path);
+}
+
+TEST(BenchCli, MultiBfsRejectsAnAuditAtMostTheWordLimit) {
+  // Audits of n <= 64 run no batched prepass, so the audit table would
+  // print zero sweeps; the bench refuses such an --audit-n by name.
+  for (const char* n : {"1", "48", "64"}) {
+    const CliResult result =
+        run_binary(BBNG_MULTI_BFS_BINARY, std::string("--audit-n ") + n + " --max-n 0");
+    EXPECT_NE(result.exit_code, 0) << n << ": " << result.output;
+    EXPECT_NE(result.output.find(std::string("--audit-n ") + n), std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("64-vertex limit"), std::string::npos) << result.output;
+  }
 }
 
 TEST(EngineCli, ReportMergesAHandcraftedHostSidecarVerbatim) {
@@ -206,7 +241,7 @@ TEST(EngineCli, ReportMergesAHandcraftedHostSidecarVerbatim) {
     std::ofstream out(artifact + ".obs_host.json", std::ios::binary | std::ios::trunc);
     out << R"({
       "format": "bbng-obs-host", "format_version": 1, "campaign": "golden",
-      "elapsed_seconds": 1.5, "obs_compiled": true,
+      "elapsed_seconds": 1.5,
       "host": {"host_threads": 1, "compiler": "x", "build_type": "Release",
                "git_sha": "abc", "peak_rss_kb": 12345},
       "gauges": {"mem.vm_rss_kb": {"last": 100.0, "min": 50.0, "max": 120.0, "samples": 4}},

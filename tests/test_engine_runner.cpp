@@ -525,26 +525,22 @@ TEST_F(EngineRunnerTest, CompletionWritesAHostSidecarWithPeakRss) {
   EXPECT_EQ(artifact.header.at("host").find("peak_rss_kb"), nullptr)
       << "the deterministic header must not carry machine-varying memory";
 
-  if (sidecar.at("obs_compiled").as_bool()) {
-    // A completed run always timed its windows and jobs.
-    const JsonValue& histograms = sidecar.at("histograms");
-    for (const char* name : {"runner.window", "runner.commit", "engine.job"}) {
-      const JsonValue* hist = histograms.find(name);
-      ASSERT_NE(hist, nullptr) << name;
-      EXPECT_GT(hist->at("count").as_uint(), 0u) << name;
-      EXPECT_GE(hist->at("p90_us").as_double(), hist->at("p50_us").as_double()) << name;
-      EXPECT_GE(hist->at("p99_us").as_double(), hist->at("p90_us").as_double()) << name;
-      EXPECT_GE(static_cast<double>(hist->at("max_us").as_uint()),
-                hist->at("p50_us").as_double())
-          << name;
-    }
-    const JsonValue* rss = sidecar.at("gauges").find("mem.vm_rss_kb");
-    ASSERT_NE(rss, nullptr);
-    EXPECT_GE(rss->at("samples").as_uint(), 1u) << "the final stop() sample at minimum";
-    EXPECT_GT(rss->at("last").as_double(), 0.0);
-  } else {
-    EXPECT_TRUE(sidecar.at("histograms").members().empty());
+  // A completed run always timed its windows and jobs.
+  const JsonValue& histograms = sidecar.at("histograms");
+  for (const char* name : {"runner.window", "runner.commit", "engine.job"}) {
+    const JsonValue* hist = histograms.find(name);
+    ASSERT_NE(hist, nullptr) << name;
+    EXPECT_GT(hist->at("count").as_uint(), 0u) << name;
+    EXPECT_GE(hist->at("p90_us").as_double(), hist->at("p50_us").as_double()) << name;
+    EXPECT_GE(hist->at("p99_us").as_double(), hist->at("p90_us").as_double()) << name;
+    EXPECT_GE(static_cast<double>(hist->at("max_us").as_uint()),
+              hist->at("p50_us").as_double())
+        << name;
   }
+  const JsonValue* rss = sidecar.at("gauges").find("mem.vm_rss_kb");
+  ASSERT_NE(rss, nullptr);
+  EXPECT_GE(rss->at("samples").as_uint(), 1u) << "the final stop() sample at minimum";
+  EXPECT_GT(rss->at("last").as_double(), 0.0);
 }
 
 TEST_F(EngineRunnerTest, HaltedRunsLeaveNoSidecarUntilCompletion) {

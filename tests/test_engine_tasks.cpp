@@ -131,11 +131,9 @@ TEST(EngineTasks, NashAuditRecordIsInternallyConsistent) {
     EXPECT_EQ(record.at("solver").as_string(), "exact_bb");
     EXPECT_TRUE(record.at("certified").as_bool());  // n=10 closes within budget
     const std::uint64_t n = record.at("n").as_uint();
-    if (obs::kCompiledIn && obs::enabled()) {  // the work counts live in the obs block
-      const JsonValue& counters = record.at("obs");
-      EXPECT_EQ(counters.at("audit.nash.players_certified").as_uint(), n);
-      EXPECT_GT(counters.at("solver.exact_bb.nodes").as_uint(), 0u);
-    }
+    const JsonValue& counters = record.at("obs");  // the work counts live in the obs block
+    EXPECT_EQ(counters.at("audit.nash.players_certified").as_uint(), n);
+    EXPECT_GT(counters.at("solver.exact_bb.nodes").as_uint(), 0u);
     if (record.at("stable").as_bool()) {
       EXPECT_EQ(record.at("epsilon").as_uint(), 0u);
       EXPECT_TRUE(record.at("deviator").is_null());

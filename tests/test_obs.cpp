@@ -4,10 +4,11 @@
 // the calling thread's deltas (the per-job determinism the artifact
 // `obs` blocks depend on), emitted traces round-trip through the structural
 // Chrome-trace validator, campaign artifacts with obs blocks stay
-// byte-identical across 1/4/16 runner threads and kill+resume, --no-obs
-// records equal the obs records with the block stripped, and every counter
-// table agrees bit-for-bit with the registry after a real audit, churn
-// trace, batched sweep and cache run.
+// byte-identical across 1/4/16 runner threads and kill+resume, the records
+// of a spec setting `"obs": false` equal the obs records with the block
+// stripped (also across a halt and resume, which cannot flip the key), and
+// every counter table agrees bit-for-bit with the registry after a real
+// audit, churn trace, batched sweep and cache run.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -40,7 +41,6 @@ namespace bbng {
 namespace {
 
 TEST(MetricRegistry, ShardsMergeAcrossThreadsAndSurviveExit) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::CounterId id = obs::register_counter("test.registry.merge");
   const std::uint64_t before = obs::total(id);
   std::vector<std::thread> threads;
@@ -65,14 +65,12 @@ TEST(MetricRegistry, ShardsMergeAcrossThreadsAndSurviveExit) {
 }
 
 TEST(MetricRegistry, ReRegisteringReturnsTheSameId) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::CounterId a = obs::register_counter("test.registry.intern");
   const obs::CounterId b = obs::register_counter("test.registry.intern");
   EXPECT_EQ(a, b);
 }
 
 TEST(MetricRegistry, KillSwitchStopsCounting) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::CounterId id = obs::register_counter("test.registry.kill_switch");
   const std::uint64_t before = obs::total(id);
   obs::set_enabled(false);
@@ -84,7 +82,6 @@ TEST(MetricRegistry, KillSwitchStopsCounting) {
 }
 
 TEST(MetricRegistry, CounterFrameIsThreadLocalAndJobScoped) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::CounterId job_id = obs::register_counter("test.frame.job");
   const obs::CounterFrame frame;
   obs::add(job_id, 3);
@@ -114,14 +111,9 @@ TEST(TraceSession, EmittedTraceRoundTripsThroughTheValidator) {
   }
   std::thread([] { obs::TraceSpan span("test.worker"); }).join();
   const std::string json = obs::trace::end_json();
-  const std::size_t events = obs::validate_trace_json(parse_json(json));
-  if (obs::kCompiledIn) {
-    EXPECT_GE(events, 3u) << json;
-    EXPECT_NE(json.find("test.outer"), std::string::npos);
-    EXPECT_NE(json.find("displayTimeUnit"), std::string::npos);
-  } else {
-    EXPECT_EQ(events, 0u) << "OFF build still renders an empty, valid trace";
-  }
+  EXPECT_GE(obs::validate_trace_json(parse_json(json)), 3u) << json;
+  EXPECT_NE(json.find("test.outer"), std::string::npos);
+  EXPECT_NE(json.find("displayTimeUnit"), std::string::npos);
 }
 
 TEST(TraceSession, SpansOutsideASessionAreDropped) {
@@ -156,7 +148,6 @@ void expect_table_agrees(const obs::CounterTable<S>& table, const S& counts,
 }
 
 TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
-  if (!obs::kCompiledIn || !obs::enabled()) GTEST_SKIP() << "registry inactive";
   Rng rng(11);
   ThreadPool serial(1);  // every increment lands on this thread's frame
   const Digraph g = random_profile(random_budgets(24, 40, rng), rng);
@@ -229,7 +220,6 @@ TEST(MetricRegistry, EveryCounterTableAgreesWithTheRegistry) {
     EXPECT_GT(cache.stats().hits, 0U);
     EXPECT_GT(cache.stats().flushes, 0U);
     expect_table_agrees(TranspositionCache::counters(), cache.stats(), frame);
-    EXPECT_EQ(frame.value("solver.exact_bb.cache_served"), cache.stats().hits);
     EXPECT_EQ(frame.value("solver.exact_bb.solves"), cache.stats().misses);
   }
 }
@@ -261,6 +251,14 @@ const char* kObsCampaignText = R"({
      "params": {"max_rounds": 100, "exact_limit": 5000}}
   ]
 })";
+
+/// kObsCampaignText with the campaign-level `"obs": false` key.
+std::string obs_off_text() {
+  std::string text = kObsCampaignText;
+  const std::string anchor = R"("base_seed": 5,)";
+  text.insert(text.find(anchor) + anchor.size(), R"( "obs": false,)");
+  return text;
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -321,7 +319,6 @@ TEST_F(ObsCampaignTest, ObsBlocksAreByteIdenticalAcrossThreadCountsAndResume) {
 }
 
 TEST_F(ObsCampaignTest, RecordsCarryObsAsLastMemberAndSummaryAggregatesIt) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const RunnerConfig cfg = config("artifact.jsonl", 2);
   ASSERT_TRUE(run_campaign(campaign_, kObsCampaignText, cfg).completed);
   const JsonlFile file = read_jsonl(cfg.output_path);
@@ -354,24 +351,28 @@ TEST_F(ObsCampaignTest, RecordsCarryObsAsLastMemberAndSummaryAggregatesIt) {
 TEST_F(ObsCampaignTest, NoObsReproducesPreObservabilityBytes) {
   const RunnerConfig on_cfg = config("on.jsonl", 2);
   ASSERT_TRUE(run_campaign(campaign_, kObsCampaignText, on_cfg).completed);
-  RunnerConfig off_cfg = config("off.jsonl", 2);
-  off_cfg.obs = false;
-  ASSERT_TRUE(run_campaign(campaign_, kObsCampaignText, off_cfg).completed);
+  const std::string off_text = obs_off_text();
+  const CampaignSpec off_campaign = parse_campaign_spec(off_text);
+  ASSERT_FALSE(off_campaign.obs);
+  const RunnerConfig off_cfg = config("off.jsonl", 2);
+  ASSERT_TRUE(run_campaign(off_campaign, off_text, off_cfg).completed);
 
   std::istringstream on_stream(read_file(on_cfg.output_path));
   std::istringstream off_stream(read_file(off_cfg.output_path));
   std::string on_line;
   std::string off_line;
   ASSERT_TRUE(std::getline(on_stream, on_line) && std::getline(off_stream, off_line));
-  EXPECT_EQ(on_line, off_line);  // headers agree
+  // The headers differ in the spec fingerprint alone: the key is part of the
+  // spec bytes, which is what keeps a resume from flipping it.
+  const std::string on_print = parse_json(on_line).at("spec_fingerprint").as_string();
+  const std::string off_print = parse_json(off_line).at("spec_fingerprint").as_string();
+  EXPECT_NE(on_print, off_print);
+  off_line.replace(off_line.find(off_print), off_print.size(), on_print);
+  EXPECT_EQ(on_line, off_line);
   std::uint64_t records = 0;
   while (std::getline(on_stream, on_line)) {
     ASSERT_TRUE(std::getline(off_stream, off_line));
     ++records;
-    if (!obs::kCompiledIn) {
-      EXPECT_EQ(on_line, off_line);
-      continue;
-    }
     // The obs block is the record's LAST member, so dropping it is exactly
     // a suffix strip: everything before `,"obs":` plus the closing brace.
     const std::size_t at = on_line.find(R"(,"obs":)");
@@ -380,6 +381,32 @@ TEST_F(ObsCampaignTest, NoObsReproducesPreObservabilityBytes) {
   }
   EXPECT_FALSE(std::getline(off_stream, off_line));
   EXPECT_EQ(records, campaign_.num_jobs());
+}
+
+TEST_F(ObsCampaignTest, ObsFalseSurvivesHaltAndResume) {
+  const std::string off_text = obs_off_text();
+  const CampaignSpec off_campaign = parse_campaign_spec(off_text);
+  const RunnerConfig straight_cfg = config("straight.jsonl", 2);
+  ASSERT_TRUE(run_campaign(off_campaign, off_text, straight_cfg).completed);
+
+  RunnerConfig kill_cfg = config("kill.jsonl", 2);
+  kill_cfg.halt_after = 4;
+  ASSERT_FALSE(run_campaign(off_campaign, off_text, kill_cfg).completed);
+  // Resuming under the obs-on spec would mix records with and without
+  // blocks; the fingerprint refuses it and leaves the artifact untouched.
+  const RunnerConfig resume_cfg = config("kill.jsonl", 4);
+  const std::string halted = read_file(resume_cfg.output_path);
+  EXPECT_THROW(static_cast<void>(resume_campaign(campaign_, kObsCampaignText, resume_cfg)),
+               std::invalid_argument);
+  EXPECT_EQ(read_file(resume_cfg.output_path), halted);
+  ASSERT_TRUE(resume_campaign(off_campaign, off_text, resume_cfg).completed);
+
+  EXPECT_EQ(read_file(resume_cfg.output_path), read_file(straight_cfg.output_path));
+  const JsonlFile file = read_jsonl(resume_cfg.output_path);
+  ASSERT_EQ(file.records.size(), off_campaign.num_jobs());
+  for (const JsonValue& record : file.records) {
+    EXPECT_EQ(record.find("obs"), nullptr) << record.at("job").as_uint();
+  }
 }
 
 TEST_F(ObsCampaignTest, ProgressLineCarriesCumulativeWorkCounters) {

@@ -83,7 +83,6 @@ TEST(HistogramSnapshot, QuantilesInterpolateInsideTheContainingBucket) {
 }
 
 TEST(TimingRegistry, RecordsMergeAcrossThreadsAndSurviveExit) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::HistogramId id = obs::register_histogram("test.hist.merge");
   EXPECT_EQ(obs::register_histogram("test.hist.merge"), id) << "interning is idempotent";
   std::vector<std::thread> threads;
@@ -114,7 +113,6 @@ TEST(TimingRegistry, RecordsMergeAcrossThreadsAndSurviveExit) {
 // while a second thread snapshots both stores in a loop and a third records
 // and exits, folding its cells (max included) into the retained totals.
 TEST(TimingRegistry, SnapshotsRaceShardGrowthAndRetirement) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   constexpr std::uint64_t kNames = 300;
   constexpr std::uint64_t kRecords = 1000;
   const obs::CounterId retire_counter = obs::register_counter("test.race.retire");
@@ -168,7 +166,6 @@ TEST(TimingRegistry, SnapshotsRaceShardGrowthAndRetirement) {
 }
 
 TEST(TimingRegistry, KillSwitchStopsRecording) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::HistogramId id = obs::register_histogram("test.hist.kill_switch");
   obs::set_enabled(false);
   obs::record_us(id, 5);
@@ -179,7 +176,6 @@ TEST(TimingRegistry, KillSwitchStopsRecording) {
 }
 
 TEST(Gauges, TrackLastMinMaxAndSampleCount) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::GaugeId id = obs::register_gauge("test.gauge.basic");
   EXPECT_EQ(obs::register_gauge("test.gauge.basic"), id);
   EXPECT_EQ(find_gauge("test.gauge.basic").samples, 0u)
@@ -195,7 +191,6 @@ TEST(Gauges, TrackLastMinMaxAndSampleCount) {
 }
 
 TEST(Gauges, SamplerRecordsMemoryAndRates) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const std::uint64_t before = find_gauge("mem.vm_rss_kb").samples;
   const auto ticks = [] {
     static const obs::CounterId id = obs::register_counter("test.sampler.ticks");
@@ -221,7 +216,6 @@ TEST(Gauges, SamplerRecordsMemoryAndRates) {
 }
 
 TEST(ScopedTimer, RecordsIntoTheHistogramAndOpensASpan) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with BBNG_OBS=OFF";
   const obs::HistogramId id = obs::register_histogram("test.hist.scoped");
   obs::trace::begin();
   {

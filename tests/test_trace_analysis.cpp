@@ -207,10 +207,6 @@ TEST(TraceAttribution, EmittedTraceRoundTripsThroughAttribution) {
   }
   const std::string json = obs::trace::end_json();
   const obs::TraceAttribution attribution = obs::attribute_trace(parse_json(json));
-  if (!obs::kCompiledIn) {
-    EXPECT_EQ(attribution.events, 0u);
-    return;
-  }
   ASSERT_EQ(attribution.events, 2u);
   bool saw_outer = false;
   for (const obs::PhaseStat& phase : attribution.phases) {

@@ -19,9 +19,10 @@
 // manifest; the completed artifact is byte-identical to an uninterrupted
 // run at any thread count. `--halt-after N` simulates a kill after N
 // committed jobs (used by CI to exercise the resume path). `--trace <file>`
-// writes a Perfetto-loadable Chrome-trace of the run; `--no-obs` drops the
-// per-job `obs` counter blocks, the only home of the work counts, so the
-// records carry identity and verdict fields only.
+// writes a Perfetto-loadable Chrome-trace of the run. The spec's `"obs"` key
+// (default true) is the one switch for the per-job `obs` counter blocks, the
+// only home of the work counts; `"obs": false` leaves identity and verdict
+// fields only, and the fingerprint keeps a resume from changing it.
 // `report` re-reads a finished artifact and prints per-scenario per-counter
 // work breakdowns from those blocks, plus latency percentiles and host
 // gauges from the run's `.obs_host.json` sidecar when present.
@@ -36,7 +37,6 @@
 #include "engine/sinks.hpp"
 #include "engine/spec.hpp"
 #include "engine/tasks.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "solver/registry.hpp"
 #include "util/cli.hpp"
@@ -104,8 +104,6 @@ int run_or_resume(bool resume, int argc, const char** argv) {
   const auto force = cli.add_flag("force", "overwrite an existing artifact (run only)");
   const auto no_summary = cli.add_flag("no-summary", "skip the .summary.json aggregation");
   const auto quiet = cli.add_flag("quiet", "suppress the periodic progress lines on stderr");
-  const auto no_obs = cli.add_flag(
-      "no-obs", "drop per-job obs counter blocks (records keep identity and verdicts only)");
   const auto trace_path = cli.add_string(
       "trace", "", "write a Perfetto-loadable Chrome-trace of the run to this file");
   cli.parse(argc, argv);
@@ -135,17 +133,7 @@ int run_or_resume(bool resume, int argc, const char** argv) {
   config.overwrite = *force;
   config.write_summary = !*no_summary;
   config.progress = !*quiet;
-  config.obs = !*no_obs;
-  // --no-obs also flips the runtime registry switch so library hot paths
-  // pay only a relaxed load, not just the record suffix being dropped.
-  if (*no_obs) bbng::obs::set_enabled(false);
-  if (!trace_path->empty()) {
-    if (!bbng::obs::kCompiledIn) {
-      std::cerr << "note: built with BBNG_OBS=OFF; " << *trace_path
-                << " will be an empty (but valid) trace\n";
-    }
-    bbng::obs::trace::begin();
-  }
+  if (!trace_path->empty()) bbng::obs::trace::begin();
 
   const bbng::RunReport report = resume
                                      ? bbng::resume_campaign(campaign, spec_text, config)
@@ -265,7 +253,7 @@ int report_obs(int argc, const char** argv) {
   }
   if (records_with_obs == 0) {
     std::cerr << "error: " << *artifact
-              << " has no obs blocks (written with --no-obs or a BBNG_OBS=OFF build?)\n";
+              << " has no obs blocks (its spec sets \"obs\": false)\n";
     return 1;
   }
 
